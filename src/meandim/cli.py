@@ -14,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .counterexample import (
     fiber_dimension_certificate,
     mdim_report,
     nonzero_count_check,
+    sample_coordinates,
 )
 from .errors import (
     BudgetExceededError,
@@ -49,27 +49,12 @@ from .serialize import canonical_json, format_fraction, parse_fraction, to_jsona
 from .symbolic import CylinderSet, Sft, ocap_finite_N, ocap_limit, sbp_cover_refine
 from .widthmaps import cube_width_map
 
-SAMPLE_RESOLUTION = 64
-
 
 def _rational(text: str) -> Fraction:
     try:
         return parse_fraction(text)
     except PreconditionError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A parsed invocation: subcommand plus its exact-rational parameters."""
-
-    subcommand: str
-    options: argparse.Namespace
-
-    @classmethod
-    def from_argv(cls, argv) -> "RunConfig":
-        ns = _parser().parse_args(argv)
-        return cls(subcommand=ns.command, options=ns)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -146,52 +131,59 @@ def _parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _sample_cube_point(rng, dims):
-    return tuple(
-        Fraction(rng.randint(0, SAMPLE_RESOLUTION), SAMPLE_RESOLUTION)
-        for _ in range(dims)
-    )
-
-
-def _certificate_payload(cert, record=None) -> dict:
-    data = cert.to_json_dict()
-    if record is not None:
-        data["obligations"].append(record.to_json_dict())
-    return data
-
-
-def _payload_cube_width_map(recipe: dict) -> dict:
-    wm = cube_width_map(
+def _width_map(recipe: dict):
+    return cube_width_map(
         int(recipe["n"]),
         int(recipe["m"]),
         parse_fraction(recipe["eps"]),
         mesh_scale=parse_fraction(recipe["mesh_scale"]) if recipe.get("mesh_scale") else None,
     )
-    return wm.to_json_dict()
 
 
-def _payload_gromov_fiber_batch(recipe: dict) -> dict:
-    wm = cube_width_map(
-        int(recipe["n"]),
-        int(recipe["m"]),
+def _instance(recipe: dict):
+    params = CounterexampleParams.derive(
+        parse_fraction(recipe["delta"]),
         parse_fraction(recipe["eps"]),
-        mesh_scale=parse_fraction(recipe["mesh_scale"]) if recipe.get("mesh_scale") else None,
+        int(recipe["N"]),
+        int(recipe["seed"]),
     )
+    return params, build_counterexample(params)
+
+
+def _checked_certificates(recipe: dict, sample_fiber) -> list:
+    """Draw recipe["samples"] fibers from one stream seeded by the recipe and
+    append each certificate's sampled check, run at a seed drawn from the
+    same stream. sample_fiber(rng) returns a certificate and the extra
+    fields of its entry."""
     rng = random.Random(int(recipe["seed"]))
-    certs = []
+    eta = parse_fraction(recipe["eta"]) if recipe.get("eta") else None
+    entries = []
     for _ in range(int(recipe["samples"])):
-        p = _sample_cube_point(rng, wm.m - 1)
-        cert = wm.fiber_certificate(p)
-        eta = parse_fraction(recipe["eta"]) if recipe.get("eta") else None
+        cert, extra = sample_fiber(rng)
         record = check_certificate(
             cert, trials=int(recipe["trials"]), seed=rng.randint(0, 2**32), eta=eta
         )
-        entry = _certificate_payload(cert, record)
-        entry["p"] = [format_fraction(c) for c in p]
-        certs.append(entry)
+        entry = cert.to_json_dict()
+        entry["obligations"].append(record.to_json_dict())
+        entry.update(extra)
+        entries.append(entry)
+    return entries
+
+
+def _payload_cube_width_map(recipe: dict) -> dict:
+    return _width_map(recipe).to_json_dict()
+
+
+def _payload_gromov_fiber_batch(recipe: dict) -> dict:
+    wm = _width_map(recipe)
+
+    def sample_fiber(rng):
+        p = sample_coordinates(rng, wm.m - 1)
+        return wm.fiber_certificate(p), {"p": [format_fraction(c) for c in p]}
+
     return {
         "fiber_bound": format_fraction(wm.fiber_bound),
-        "certificates": certs,
+        "certificates": _checked_certificates(recipe, sample_fiber),
     }
 
 
@@ -224,13 +216,7 @@ def _payload_sbp(recipe: dict) -> dict:
 
 
 def _payload_counterexample_build(recipe: dict) -> dict:
-    params = CounterexampleParams.derive(
-        parse_fraction(recipe["delta"]),
-        parse_fraction(recipe["eps"]),
-        int(recipe["N"]),
-        int(recipe["seed"]),
-    )
-    inst = build_counterexample(params)
+    params, inst = _instance(recipe)
     return {
         "params": params.to_json_dict(),
         "window": [inst.window_lo, inst.window_hi],
@@ -239,13 +225,7 @@ def _payload_counterexample_build(recipe: dict) -> dict:
 
 
 def _payload_count_report(recipe: dict) -> dict:
-    params = CounterexampleParams.derive(
-        parse_fraction(recipe["delta"]),
-        parse_fraction(recipe["eps"]),
-        int(recipe["N"]),
-        int(recipe["seed"]),
-    )
-    inst = build_counterexample(params)
+    params, inst = _instance(recipe)
     report = nonzero_count_check(
         inst, int(recipe["samples"]), int(recipe["N"]), int(recipe["seed"])
     )
@@ -255,30 +235,20 @@ def _payload_count_report(recipe: dict) -> dict:
 
 
 def _payload_fiber_batch(recipe: dict) -> dict:
-    params = CounterexampleParams.derive(
-        parse_fraction(recipe["delta"]),
-        parse_fraction(recipe["eps"]),
-        int(recipe["N"]),
-        int(recipe["seed"]),
-    )
-    inst = build_counterexample(params)
-    rng = random.Random(int(recipe["seed"]))
-    bound = Fraction(
-        int(recipe["N"]) + 2 * params.margin + 2 * params.L_prime, params.m
-    )
-    certs = []
-    for _ in range(int(recipe["samples"])):
+    params, inst = _instance(recipe)
+    N = int(recipe["N"])
+    bound = Fraction(N + 2 * params.margin + 2 * params.L_prime, params.m)
+
+    def sample_fiber(rng):
         state = inst.sample_state(rng)
-        cert = fiber_dimension_certificate(inst, state, int(recipe["N"]))
-        eta = parse_fraction(recipe["eta"]) if recipe.get("eta") else None
-        record = check_certificate(
-            cert, trials=int(recipe["trials"]), seed=rng.randint(0, 2**32), eta=eta
-        )
-        entry = _certificate_payload(cert, record)
-        entry["residue"] = state[1]
-        entry["below_bound"] = bool(Fraction(cert.target_dim) < bound)
-        certs.append(entry)
-    return {"bound": format_fraction(bound), "certificates": certs}
+        cert = fiber_dimension_certificate(inst, state, N)
+        below = bool(Fraction(cert.target_dim) < bound)
+        return cert, {"residue": state[1], "below_bound": below}
+
+    return {
+        "bound": format_fraction(bound),
+        "certificates": _checked_certificates(recipe, sample_fiber),
+    }
 
 
 def _payload_mdim_report(recipe: dict) -> dict:
@@ -307,10 +277,13 @@ PAYLOAD_BUILDERS = {
 }
 
 
-def write_artifact(path: str, kind: str, recipe: dict) -> dict:
+def write_artifact(path: str | None, kind: str, recipe: dict) -> dict:
+    """Build the artifact of `kind` from `recipe`, and write it to `path`
+    unless `path` is None."""
     payload = PAYLOAD_BUILDERS[kind](recipe)
     artifact = {"kind": kind, "recipe": recipe, "payload": payload}
-    Path(path).write_text(canonical_json(artifact) + "\n")
+    if path is not None:
+        Path(path).write_text(canonical_json(artifact) + "\n")
     return artifact
 
 
@@ -338,18 +311,28 @@ def verify_artifact(path: str):
     payload from the recipe and require byte-identical canonical JSON."""
     try:
         artifact = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise PreconditionError(f"cannot read artifact: {exc}") from exc
+    if not isinstance(artifact, dict):
+        raise PreconditionError("artifact is not a JSON object")
     kind = artifact.get("kind")
-    if kind not in PAYLOAD_BUILDERS:
+    if not isinstance(kind, str) or kind not in PAYLOAD_BUILDERS:
         raise PreconditionError(f"unknown artifact kind {kind!r}")
-    for entry in _iter_obligation_dicts(artifact.get("payload")):
-        record = DischargeRecord.from_json_dict(entry)
+    if not isinstance(artifact.get("recipe"), dict) or "payload" not in artifact:
+        raise PreconditionError("artifact needs an object recipe and a payload")
+    for entry in _iter_obligation_dicts(artifact["payload"]):
+        try:
+            record = DischargeRecord.from_json_dict(entry)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise PreconditionError(f"malformed obligation record: {exc!r}") from exc
         if record.kind == STRUCTURAL and not recheck_structural(record):
             raise ObligationFailedError(record)
         if record.status == FAILED:
             raise ObligationFailedError(record)
-    rebuilt = PAYLOAD_BUILDERS[kind](artifact["recipe"])
+    try:
+        rebuilt = PAYLOAD_BUILDERS[kind](artifact["recipe"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed {kind} recipe: {exc!r}") from exc
     original = canonical_json(artifact["payload"])
     recomputed = canonical_json(rebuilt)
     if original != recomputed:
@@ -436,11 +419,8 @@ def _cmd_ocap(ns) -> int:
         "mode": "limit" if ns.limit else "finite",
         "N": ns.N,
     }
-    payload = _payload_ocap(recipe)
+    payload = write_artifact(ns.out, "ocap-report", recipe)["payload"]
     print(payload["value"])
-    if ns.out:
-        artifact = {"kind": "ocap-report", "recipe": recipe, "payload": payload}
-        Path(ns.out).write_text(canonical_json(artifact) + "\n")
     return 0
 
 
@@ -450,13 +430,10 @@ def _cmd_sbp(ns) -> int:
         "cover": [json.loads(Path(c).read_text()) for c in ns.cover],
         "delta": format_fraction(ns.delta),
     }
-    payload = _payload_sbp(recipe)
+    payload = write_artifact(ns.out, "sbp-refine", recipe)["payload"]
     for i, piece in enumerate(payload["pieces"], start=1):
         print(f"piece {i}: offset {piece['offset']}, {len(piece['words'])} words")
     print(f"complement ocap: {payload['complement_ocap']}")
-    if ns.out:
-        artifact = {"kind": "sbp-refine", "recipe": recipe, "payload": payload}
-        Path(ns.out).write_text(canonical_json(artifact) + "\n")
     return 0
 
 
@@ -474,13 +451,10 @@ def _cmd_counterexample(ns) -> int:
             eps=[format_fraction(e) for e in ns.eps],
             N=[int(n) for n in ns.N],
         )
-        payload = _payload_mdim_report(recipe)
+        payload = write_artifact(ns.out, "mdim-report", recipe)["payload"]
         print(payload["header"])
         for row in payload["rows"]:
             print(row)
-        if ns.out:
-            artifact = {"kind": "mdim-report", "recipe": recipe, "payload": payload}
-            Path(ns.out).write_text(canonical_json(artifact) + "\n")
         return 0
     if len(ns.eps) != 1 or len(ns.N) != 1:
         raise PreconditionError(f"{ns.action} takes exactly one --eps and one --N")
@@ -534,17 +508,14 @@ def _cmd_verify(ns) -> int:
     return 0
 
 
-def run(config: RunConfig) -> int:
-    ns = config.options
-    handlers = {
-        "complex": _cmd_complex,
-        "gromov": _cmd_gromov,
-        "ocap": _cmd_ocap,
-        "sbp": _cmd_sbp,
-        "counterexample": _cmd_counterexample,
-        "verify": _cmd_verify,
-    }
-    return handlers[config.subcommand](ns)
+COMMANDS = {
+    "complex": _cmd_complex,
+    "gromov": _cmd_gromov,
+    "ocap": _cmd_ocap,
+    "sbp": _cmd_sbp,
+    "counterexample": _cmd_counterexample,
+    "verify": _cmd_verify,
+}
 
 
 def _write_witness(exc: ObligationFailedError):
@@ -566,8 +537,8 @@ def _write_witness(exc: ObligationFailedError):
 
 def main(argv=None) -> int:
     try:
-        config = RunConfig.from_argv(argv)
-        return run(config)
+        ns = _parser().parse_args(argv)
+        return COMMANDS[ns.command](ns)
     except ObligationFailedError as exc:
         path = _write_witness(exc)
         print(f"obligation failed: {exc.record.name} (witness in {path})", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 A complex stores its full downward-closed simplex family explicitly (not
 maximal faces only), so subcomplex and star queries are plain set filters.
-Desk-scale sizes make this affordable. All operations are pure; instances
-are immutable and safe to share across threads.
+Desk-scale sizes make this affordable. All operations are pure, and
+instances are immutable.
 """
 
 from __future__ import annotations

@@ -49,6 +49,13 @@ F = Fraction
 SAMPLE_RESOLUTION = 64  # denominator grid for sampled cube coordinates
 
 
+def sample_coordinates(rng: random.Random, count: int) -> tuple:
+    """count cube coordinates drawn uniformly from the 1/64 grid on [0, 1]."""
+    return tuple(
+        F(rng.randint(0, SAMPLE_RESOLUTION), SAMPLE_RESOLUTION) for _ in range(count)
+    )
+
+
 def derive_m(delta: Fraction) -> int:
     m = 2
     while F(1, m) >= delta:
@@ -215,10 +222,7 @@ class FactorMapInstance:
         return self.evaluate_f(x, residue), residue
 
     def sample_state(self, rng: random.Random):
-        values = tuple(
-            F(rng.randint(0, SAMPLE_RESOLUTION), SAMPLE_RESOLUTION)
-            for _ in range(self.window_hi - self.window_lo)
-        )
+        values = sample_coordinates(rng, self.window_hi - self.window_lo)
         return WindowSeq(self.window_lo, values), rng.randrange(self.params.period)
 
 
@@ -319,38 +323,30 @@ def fiber_dimension_certificate(
     if not (a0 <= -p.margin and a_end >= N + p.margin):
         raise PreconditionError("window margins too small for the requested horizon")
 
-    block_certs = []
-    for a in cert_starts:
-        target = y_window.restrict(a, a + period)
-        known = inst.block_map.pipeline.locate_flag(x.restrict(a, a + period))
-        block_certs.append(inst.block_map.fiber_certificate(target, known=known))
-
-    combined = block_certs[0]
-    for cert in block_certs[1:]:
-        combined = product_certificate(combined, cert)
-
-    # fiber points: every complete block in the window is constrained to its
-    # own width-map fiber; coordinates outside complete blocks are free
-    samplers = []
+    # every complete block in the window is constrained to its own width-map
+    # fiber; the blocks meeting the certified range also enter the product
+    block_map = inst.block_map
+    pipeline = block_map.pipeline
+    block_certs = {}
     for a in all_starts:
         target = y_window.restrict(a, a + period)
-        known = inst.block_map.pipeline.locate_flag(x.restrict(a, a + period))
-        samplers.append((a, inst.block_map.fiber_certificate(target, known=known)))
-    grid = inst.block_map.grid
+        known = pipeline.locate_flag(x.restrict(a, a + period))
+        block_certs[a] = block_map.fiber_certificate(target, known=known)
+    combined = block_certs[cert_starts[0]]
+    for a in cert_starts[1:]:
+        combined = product_certificate(combined, block_certs[a])
+
+    # coordinates outside complete blocks are free
+    grid = block_map.grid
     lo, hi = inst.window_lo, inst.window_hi
     covered_lo, covered_hi = all_starts[0], all_starts[-1] + period
 
     def sample(rng):
-        values = {}
-        for n in range(lo, covered_lo):
-            values[n] = F(rng.randint(0, SAMPLE_RESOLUTION), SAMPLE_RESOLUTION)
-        for a, cert in samplers:
-            flag = cert.domain.sample(rng)
-            for offset, v in enumerate(flag.realize(grid)):
-                values[a + offset] = v
-        for n in range(covered_hi, hi):
-            values[n] = F(rng.randint(0, SAMPLE_RESOLUTION), SAMPLE_RESOLUTION)
-        return WindowSeq(lo, tuple(values[n] for n in range(lo, hi)))
+        values = list(sample_coordinates(rng, covered_lo - lo))
+        for cert in block_certs.values():
+            values.extend(cert.domain.sample(rng).realize(grid))
+        values.extend(sample_coordinates(rng, hi - covered_hi))
+        return WindowSeq(lo, tuple(values))
 
     fiber_domain = MetricSpaceHandle(
         kind="factor-map-fiber",
@@ -358,8 +354,6 @@ def fiber_dimension_certificate(
         dist=lambda u, v: d_N(HILBERT_METRIC, N, u, v),
         sample=sample,
     )
-
-    pipeline = inst.block_map.pipeline
 
     def project(x_point: WindowSeq):
         nested = None

@@ -283,8 +283,10 @@ class BarycentricPoint:
         return pt
 
 
-def _locate_kuhn(G: GeometricComplex, p) -> BarycentricPoint:
-    n, g = G.kuhn_grid
+def kuhn_simplex(p, n: int, g: int):
+    """Closed-form location on the Kuhn triangulation of the unit n-cube on
+    the 1/g grid: the containing simplex's vertex chain (grid tuples, cell
+    corner first) and p's barycentric weights on it, in chain order."""
     p = tuple(Fraction(c) for c in p)
     if len(p) != n or any(c < 0 or c > 1 for c in p):
         raise PreconditionError("not in complex")
@@ -302,13 +304,10 @@ def _locate_kuhn(G: GeometricComplex, p) -> BarycentricPoint:
     for axis in order:
         cur[axis] += 1
         verts.append(tuple(cur))
-    sorted_local = [local[j] for j in order]
-    weights = {}
-    weights[verts[0]] = 1 - sorted_local[0]
-    for t in range(n):
-        nxt = sorted_local[t + 1] if t + 1 < n else Fraction(0)
-        weights[verts[t + 1]] = sorted_local[t] - nxt
-    return BarycentricPoint(frozenset(verts), weights)
+    sorted_local = [local[j] for j in order] + [Fraction(0)]
+    weights = [1 - sorted_local[0]]
+    weights += [sorted_local[t] - sorted_local[t + 1] for t in range(n)]
+    return verts, weights
 
 
 def _solve_barycentric(points, target):
@@ -362,7 +361,8 @@ def locate(G: GeometricComplex, p, candidates=None) -> BarycentricPoint:
     order and the first admissible one wins.
     """
     if G.kuhn_grid is not None and candidates is None:
-        return _locate_kuhn(G, p)
+        verts, weights = kuhn_simplex(p, *G.kuhn_grid)
+        return BarycentricPoint(frozenset(verts), dict(zip(verts, weights)))
     p = tuple(Fraction(c) for c in p)
     pool = candidates if candidates is not None else G.complex.iter_simplices()
     for s in sorted(pool, key=G.complex.simplex_key):

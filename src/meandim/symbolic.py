@@ -277,40 +277,26 @@ def _recode(sft: Sft, A: CylinderSet):
 
 def ocap_finite_N(sft: Sft, A: CylinderSet, N: int) -> Fraction:
     """(1/N) times the exact maximum number of visits to A along length-N
-    orbit segments, by dynamic programming over window words."""
-    if N < 1:
-        raise PreconditionError("N must be positive")
-    words, succs, weights = _recode(sft, A)
-    dp = list(weights)
-    for _ in range(N - 1):
-        nxt = [None] * len(words)
-        for i, best in enumerate(dp):
-            if best is None:
-                continue
-            for j in succs[i]:
-                cand = best + weights[j]
-                if nxt[j] is None or cand > nxt[j]:
-                    nxt[j] = cand
-        dp = nxt
-    best = max(v for v in dp if v is not None)
-    return Fraction(best, N)
+    orbit segments."""
+    return Fraction(max_subsampled_visits(sft, A, N, 1), N)
 
 
 def max_subsampled_visits(sft: Sft, A: CylinderSet, count: int, step: int) -> int:
-    """Exact maximum of visits to A at times 0, step, ..., (count-1)*step."""
+    """Exact maximum of visits to A at times 0, step, ..., (count-1)*step, by
+    dynamic programming over window words."""
     if count < 1 or step < 1:
         raise PreconditionError("count and step must be positive")
     words, succs, weights = _recode(sft, A)
-    horizon = (count - 1) * step
+    skipped = [0] * len(words)
     dp = list(weights)
-    for t in range(1, horizon + 1):
-        live = t % step == 0
+    for t in range(1, (count - 1) * step + 1):
+        gain = weights if t % step == 0 else skipped
         nxt = [None] * len(words)
         for i, best in enumerate(dp):
             if best is None:
                 continue
             for j in succs[i]:
-                cand = best + (weights[j] if live else 0)
+                cand = best + gain[j]
                 if nxt[j] is None or cand > nxt[j]:
                     nxt[j] = cand
         dp = nxt

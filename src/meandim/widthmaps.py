@@ -41,6 +41,7 @@ from .geometry import (
     BarycentricPoint,
     GeometricComplex,
     barycentric_subdivide_geometric,
+    kuhn_simplex,
     kuhn_triangulate_cube,
     max_star_mesh,
     norm_value,
@@ -426,27 +427,8 @@ class KuhnWidthPipeline:
             raise PreconditionError("bad pipeline parameters")
 
     def locate_flag(self, x) -> FlagPoint:
-        n, g = self.n, self.grid
-        x = tuple(Fraction(c) for c in x)
-        if len(x) != n or any(c < 0 or c > 1 for c in x):
-            raise PreconditionError("not in complex")
-        cell = []
-        local = []
-        for c in x:
-            scaled = c * g
-            i = min(scaled.numerator // scaled.denominator, g - 1)
-            cell.append(i)
-            local.append(scaled - i)
-        order = sorted(range(n), key=lambda j: (-local[j], j))
-        verts = [tuple(cell)]
-        cur = list(cell)
-        for axis in order:
-            cur[axis] += 1
-            verts.append(tuple(cur))
-        simplex_weights = [1 - local[order[0]]]
-        for t in range(n):
-            nxt = local[order[t + 1]] if t + 1 < n else Fraction(0)
-            simplex_weights.append(local[order[t]] - nxt)
+        n = self.n
+        verts, simplex_weights = kuhn_simplex(x, n, self.grid)
         # vertices sorted descending by weight give the containing flag
         by_weight = sorted(range(n + 1), key=lambda i: (-simplex_weights[i], verts[i]))
         faces = []
@@ -475,19 +457,16 @@ class KuhnWidthPipeline:
         return cube_from_barycentric(self.bucket_sums(self.locate_flag(x)))
 
     def retract(self, flag: FlagPoint, bucket: int) -> tuple:
-        sums = self.bucket_sums(flag)
-        scale = sums[bucket - 1]
+        kept = [
+            (face, w)
+            for face, w in zip(flag.faces, flag.weights)
+            if self.bucket_of_face(face) == bucket
+        ]
+        scale = sum((w for _, w in kept), Fraction(0))
         if scale == 0:
             raise PreconditionError("retraction bucket has zero weight")
-        n, g = self.n, self.grid
-        coords = [Fraction(0)] * n
-        for face, w in zip(flag.faces, flag.weights):
-            if w == 0 or self.bucket_of_face(face) != bucket:
-                continue
-            k = len(face)
-            for d in range(n):
-                coords[d] += w * Fraction(sum(v[d] for v in face), k * g)
-        return tuple(c / scale for c in coords)
+        faces = tuple(face for face, _ in kept)
+        return FlagPoint(faces, tuple(w / scale for _, w in kept)).realize(self.grid)
 
     def canonical_fiber_point(self, t) -> FlagPoint:
         """A fiber point over barycentric target t inside the canonical flag

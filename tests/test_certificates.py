@@ -196,13 +196,6 @@ class TestSampleFiberCheck:
         b = sample_fiber_check(lambda x: x, grid_cloud(), F(1, 2), trials=200, seed=9)
         assert a == b
 
-    def test_thread_count_does_not_change_result(self):
-        a = sample_fiber_check(
-            lambda x: x, grid_cloud(), F(1, 2), trials=200, seed=9, threads=4
-        )
-        b = sample_fiber_check(lambda x: x, grid_cloud(), F(1, 2), trials=200, seed=9)
-        assert a == b
-
 
 class TestRecords:
     def test_relax_scale(self):

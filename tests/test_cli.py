@@ -228,6 +228,18 @@ class TestCounterexampleCommands:
         assert lines[0] == "eps,N,fiber_dim_over_N,image_dim_over_N"
         assert len(lines) == 3
 
+    def test_report_artifact_verifies(self, workdir, capsys):
+        args = ["counterexample", "report", "--delta", "1/2", "--eps", "1/2",
+                "--N", "8", "16", "--samples", "1", "--seed", "3"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = workdir / "report.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+        payload = json.loads(out.read_text())["payload"]
+        assert [payload["header"]] + payload["rows"] == printed.strip().splitlines()
+        assert main(["verify", str(out)]) == 0
+
 
 class TestVerify:
     def test_determinism_byte_identical(self, workdir):
@@ -248,16 +260,20 @@ class TestVerify:
             )
             == 0
         )
-        artifact = json.loads(out.read_text())
-        tampered = False
-        for entry in artifact["payload"]["certificates"][0]["obligations"]:
-            if entry["name"] == "star-mesh-grid-bound":
-                entry["data"]["bound"] = "1/3"
-                tampered = True
-        assert tampered
-        out.write_text(json.dumps(artifact))
-        assert main(["verify", str(out)]) == 3
-        assert Path("meandim-witness.json").exists()
+        original = out.read_text()
+        for key, value in (("bound", "1/3"), ("scale", "1/0")):
+            artifact = json.loads(original)
+            tampered = False
+            for entry in artifact["payload"]["certificates"][0]["obligations"]:
+                if entry["name"] == "star-mesh-grid-bound":
+                    entry["data"][key] = value
+                    tampered = True
+            assert tampered
+            out.write_text(json.dumps(artifact))
+            witness = Path("meandim-witness.json")
+            witness.unlink(missing_ok=True)
+            assert main(["verify", str(out)]) == 3, (key, value)
+            assert witness.exists()
 
     def test_tampered_payload_value_exits_3(self, workdir):
         sft, one = write_golden(workdir)
@@ -272,3 +288,26 @@ class TestVerify:
         bad = workdir / "bad.json"
         bad.write_text(json.dumps({"kind": "mystery", "recipe": {}, "payload": {}}))
         assert main(["verify", str(bad)]) == 2
+
+    def test_malformed_artifact_exits_2(self, workdir, capsys):
+        bad = workdir / "bad.json"
+        for artifact in (
+            ["counterexample-instance", {}, {}],
+            {"kind": "counterexample-instance", "recipe": [], "payload": {}},
+            {"kind": "counterexample-instance", "recipe": {}},
+            {"kind": "ocap-report", "recipe": {}, "payload": {"obligations": ["x"]}},
+        ):
+            bad.write_text(json.dumps(artifact))
+            assert main(["verify", str(bad)]) == 2, artifact
+            assert capsys.readouterr().err.startswith("error:")
+
+    def test_recipe_missing_key_exits_2(self, workdir, capsys):
+        out = workdir / "inst.json"
+        assert main(["counterexample", "build", "--delta", "1/2", "--eps", "1/2",
+                     "--N", "8", "--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        del artifact["recipe"]["delta"]
+        out.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
