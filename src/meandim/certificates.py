@@ -191,6 +191,11 @@ def _check_subsampled_visits(data):
     return Fraction(int(data["count_bound"])) <= bound
 
 
+def _check_squared_mesh(data):
+    scale = parse_fraction(data["scale"])
+    return scale > 0 and parse_fraction(data["mesh_squared"]) < scale * scale
+
+
 def _check_grid_mesh(data):
     g = int(data["grid"])
     bound = parse_fraction(data["bound"])
@@ -199,6 +204,7 @@ def _check_grid_mesh(data):
 
 STRUCTURAL_CHECKS = {
     "star-mesh-below-scale": _check_strictly_below("mesh", "scale"),
+    "star-mesh-squared-below-scale": _check_squared_mesh,
     "star-mesh-inherited-bound": _check_strictly_below("parent_mesh", "scale"),
     "star-mesh-grid-bound": _check_grid_mesh,
     "product-dims-additive": _check_sum,

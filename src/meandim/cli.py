@@ -11,6 +11,7 @@ failure, 3 obligation failure (with a witness file), 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -57,6 +58,9 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# built once: a parser is a reference cycle that only the cyclic garbage
+# collector frees, so one per call piles up between collections
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meandim",

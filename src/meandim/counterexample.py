@@ -314,7 +314,6 @@ def fiber_dimension_certificate(
     if N > p.horizon:
         raise PreconditionError("N exceeds the instance horizon")
     x, residue = state
-    y_window, _ = inst.pi(x, residue)
     period = p.period
     all_starts = inst.block_starts(residue)
     cert_starts = [a for a in all_starts if a + period > -p.margin and a < N + p.margin]
@@ -324,14 +323,16 @@ def fiber_dimension_certificate(
         raise PreconditionError("window margins too small for the requested horizon")
 
     # every complete block in the window is constrained to its own width-map
-    # fiber; the blocks meeting the certified range also enter the product
+    # fiber, located once; the blocks meeting the certified range also enter
+    # the product
     block_map = inst.block_map
     pipeline = block_map.pipeline
     block_certs = {}
     for a in all_starts:
-        target = y_window.restrict(a, a + period)
-        known = pipeline.locate_flag(x.restrict(a, a + period))
-        block_certs[a] = block_map.fiber_certificate(target, known=known)
+        flag = pipeline.locate_flag(x.restrict(a, a + period))
+        block_certs[a] = pipeline.fiber_certificate(
+            flag, block_map.block_scale, block_map.mesh_scale
+        )
     combined = block_certs[cert_starts[0]]
     for a in cert_starts[1:]:
         combined = product_certificate(combined, block_certs[a])

@@ -353,19 +353,18 @@ def _solve_barycentric(points, target):
     return weights
 
 
-def locate(G: GeometricComplex, p, candidates=None) -> BarycentricPoint:
+def locate(G: GeometricComplex, p) -> BarycentricPoint:
     """Find a containing simplex and exact barycentric weights for p.
 
     Kuhn complexes use the closed-form cell-plus-sort location; otherwise the
-    candidate simplices (all of them by default) are scanned in canonical
-    order and the first admissible one wins.
+    simplices are scanned in canonical order and the first admissible one
+    wins.
     """
-    if G.kuhn_grid is not None and candidates is None:
+    if G.kuhn_grid is not None:
         verts, weights = kuhn_simplex(p, *G.kuhn_grid)
         return BarycentricPoint(frozenset(verts), dict(zip(verts, weights)))
     p = tuple(Fraction(c) for c in p)
-    pool = candidates if candidates is not None else G.complex.iter_simplices()
-    for s in sorted(pool, key=G.complex.simplex_key):
+    for s in sorted(G.complex.iter_simplices(), key=G.complex.simplex_key):
         verts = G.complex.sorted_simplex(s)
         weights = _solve_barycentric([G.vertex_point(v) for v in verts], p)
         if weights is not None:

@@ -11,17 +11,20 @@ Three layers:
   These materialize complexes and compute meshes and subcomplex dimensions
   exactly; practical up to four-dimensional cubes.
 * KuhnWidthPipeline / padded_block_map: the same map evaluated in closed
-  form (cell location plus weight sorting), usable at any dimension. Its
-  certificates carry arithmetic bounds (grid mesh, chain-length bucket
-  dimensions) instead of materialized values; tests cross-check the two
-  layers on small grids.
+  form, usable at any dimension. A point is located once, as a FlagPoint:
+  the vertex chain of its Kuhn simplex in weight order plus one weight per
+  chain prefix. Prefix j is a j-simplex of the grid, so its bucket is fixed
+  by j alone; evaluation, retraction and fiber sampling all read one
+  per-prefix bucket table. Its certificates carry arithmetic bounds (grid
+  mesh, chain-length bucket dimensions) instead of materialized values;
+  tests cross-check the two layers on small grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .certificates import (
     EpsEmbeddingCertificate,
@@ -39,6 +42,7 @@ from .complexes import (
 from .errors import BudgetExceededError, PreconditionError
 from .geometry import (
     BarycentricPoint,
+    ExactSqrt,
     GeometricComplex,
     barycentric_subdivide_geometric,
     kuhn_simplex,
@@ -136,10 +140,7 @@ class PartitionWidthMap:
 
     def evaluate(self, x: BarycentricPoint) -> tuple:
         """Barycentric image: per-block weight sums."""
-        sums = [Fraction(0)] * self.m
-        for v, w in x.weights.items():
-            sums[self._block_of[v] - 1] += Fraction(w)
-        return tuple(sums)
+        return self.mapping.evaluate(x)
 
     def _pattern_index(self):
         if self._by_pattern is None:
@@ -257,11 +258,14 @@ def partition_map(
         data = {"parent_mesh": format_fraction(mesh), "scale": format_fraction(threshold)}
     else:
         mesh = max_star_mesh(G)
-        record_name = "star-mesh-below-scale"
-        data = {
-            "mesh": format_fraction(Fraction(mesh)) if not hasattr(mesh, "square") else repr(mesh),
-            "scale": format_fraction(threshold),
-        }
+        if isinstance(mesh, ExactSqrt):
+            # an l2 mesh is irrational in general; its square is exact
+            record_name = "star-mesh-squared-below-scale"
+            data = {"mesh_squared": format_fraction(mesh.square)}
+        else:
+            record_name = "star-mesh-below-scale"
+            data = {"mesh": format_fraction(mesh)}
+        data["scale"] = format_fraction(threshold)
     if not mesh < threshold:
         offender = None
         from .geometry import star_diameter
@@ -395,61 +399,71 @@ def barycentric_from_cube(p) -> tuple:
 
 @dataclass(frozen=True)
 class FlagPoint:
-    """A point expressed in the subdivision of one Kuhn simplex: nested faces
-    (prefixes of the vertex chain in weight order) and their weights."""
+    """A point of the barycentric subdivision of one Kuhn simplex.
 
-    faces: tuple  # tuple of vertex tuples, increasing
-    weights: tuple  # Fractions, same length, summing to 1
+    `chain` lists the simplex's vertices (integer grid tuples) in decreasing
+    order of the point's barycentric weight, so the subdivision simplex that
+    holds the point is spanned by the barycenters of the chain's prefixes.
+    `weights[j]` sits on prefix j, the face made of the first j + 1 vertices;
+    the weights are nonnegative and sum to 1.
+    """
+
+    chain: tuple
+    weights: tuple
 
     def realize(self, grid: int) -> tuple:
-        n = len(self.faces[-1][0])
-        coords = [Fraction(0)] * n
-        for face, w in zip(self.faces, self.weights):
-            if w == 0:
-                continue
-            k = len(face)
-            for d in range(n):
-                coords[d] += w * Fraction(sum(v[d] for v in face), k * grid)
-        return tuple(coords)
+        # the barycenter of prefix k - 1 is its coordinate sum over k * grid;
+        # sum the weighted prefix sums as integers over one common denominator
+        denom = 1
+        for k, w in enumerate(self.weights, start=1):
+            if w:
+                denom = lcm(denom, k * w.denominator)
+        n = len(self.chain[0])
+        coords = [0] * n
+        prefix = [0] * n
+        for k, (v, w) in enumerate(zip(self.chain, self.weights), start=1):
+            prefix = [a + b for a, b in zip(prefix, v)]
+            if w:
+                c = w.numerator * (denom // (k * w.denominator))
+                coords = [a + c * b for a, b in zip(coords, prefix)]
+        return tuple(Fraction(a, denom * grid) for a in coords)
 
 
 @dataclass(frozen=True, eq=False)
 class KuhnWidthPipeline:
     """Evaluate the dimension-bucket width map on a Kuhn grid without
-    materializing the complex."""
+    materializing the complex. Prefix j of a flag's chain is a j-simplex of
+    the grid triangulation, so its barycenter lies in bucket `buckets[j]`."""
 
     n: int
     m: int
     grid: int
+    buckets: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.grid < 1:
             raise PreconditionError("bad pipeline parameters")
+        object.__setattr__(
+            self,
+            "buckets",
+            tuple(bucket_of_dimension(j, self.n, self.m) for j in range(self.n + 1)),
+        )
 
     def locate_flag(self, x) -> FlagPoint:
         n = self.n
         verts, simplex_weights = kuhn_simplex(x, n, self.grid)
         # vertices sorted descending by weight give the containing flag
         by_weight = sorted(range(n + 1), key=lambda i: (-simplex_weights[i], verts[i]))
-        faces = []
-        weights = []
-        prefix = []
-        for rank, idx in enumerate(by_weight):
-            prefix.append(verts[idx])
-            nxt = (
-                simplex_weights[by_weight[rank + 1]] if rank + 1 < n + 1 else Fraction(0)
-            )
-            faces.append(tuple(sorted(prefix)))
-            weights.append((rank + 1) * (simplex_weights[idx] - nxt))
-        return FlagPoint(tuple(faces), tuple(weights))
-
-    def bucket_of_face(self, face) -> int:
-        return bucket_of_dimension(len(face) - 1, self.n, self.m)
+        sorted_weights = [simplex_weights[i] for i in by_weight] + [Fraction(0)]
+        return FlagPoint(
+            tuple(verts[i] for i in by_weight),
+            tuple((j + 1) * (sorted_weights[j] - sorted_weights[j + 1]) for j in range(n + 1)),
+        )
 
     def bucket_sums(self, flag: FlagPoint) -> tuple:
         sums = [Fraction(0)] * self.m
-        for face, w in zip(flag.faces, flag.weights):
-            sums[self.bucket_of_face(face) - 1] += w
+        for bucket, w in zip(self.buckets, flag.weights):
+            sums[bucket - 1] += w
         return tuple(sums)
 
     def evaluate(self, x) -> tuple:
@@ -457,71 +471,36 @@ class KuhnWidthPipeline:
         return cube_from_barycentric(self.bucket_sums(self.locate_flag(x)))
 
     def retract(self, flag: FlagPoint, bucket: int) -> tuple:
-        kept = [
-            (face, w)
-            for face, w in zip(flag.faces, flag.weights)
-            if self.bucket_of_face(face) == bucket
-        ]
-        scale = sum((w for _, w in kept), Fraction(0))
+        kept = [w if b == bucket else 0 for b, w in zip(self.buckets, flag.weights)]
+        scale = sum(kept, Fraction(0))
         if scale == 0:
             raise PreconditionError("retraction bucket has zero weight")
-        faces = tuple(face for face, _ in kept)
-        return FlagPoint(faces, tuple(w / scale for _, w in kept)).realize(self.grid)
+        return FlagPoint(flag.chain, tuple(w / scale for w in kept)).realize(self.grid)
 
-    def canonical_fiber_point(self, t) -> FlagPoint:
-        """A fiber point over barycentric target t inside the canonical flag
-        of the origin cell (identity vertex chain)."""
-        t = tuple(Fraction(x) for x in t)
-        verts = [tuple(0 for _ in range(self.n))]
-        cur = [0] * self.n
-        for axis in range(self.n):
-            cur[axis] += 1
-            verts.append(tuple(cur))
-        faces = [tuple(sorted(verts[: j + 1])) for j in range(self.n + 1)]
-        weights = [Fraction(0)] * (self.n + 1)
-        for i, ti in enumerate(t, start=1):
-            if ti == 0:
-                continue
-            hits = [
-                j for j in range(self.n + 1) if self.bucket_of_face(faces[j]) == i
-            ]
-            if not hits:
-                # only possible when the grid dimension is below m
-                raise PreconditionError(f"no face in dimension bucket {i}")
-            weights[hits[0]] = ti
-        return FlagPoint(tuple(faces), tuple(weights))
-
-    def fiber_certificate(self, t, scale, mesh_threshold, known=None) -> EpsEmbeddingCertificate:
-        """Certificate for the fiber over barycentric t, sampled locally in
-        the flag polytope of a known fiber point. Dimensions come from the
-        chain-length bucket bounds; the mesh premise is the grid bound 2/g."""
-        t = tuple(Fraction(x) for x in t)
+    def fiber_certificate(self, flag: FlagPoint, scale, mesh_threshold) -> EpsEmbeddingCertificate:
+        """Certificate for the fiber through `flag`, sampled in the flag
+        polytope of its chain. Dimensions come from the chain-length bucket
+        bounds; the mesh premise is the grid bound 2/g."""
+        t = self.bucket_sums(flag)
         scale = Fraction(scale)
         mesh_threshold = Fraction(mesh_threshold)
         support = [i for i in range(1, self.m + 1) if t[i - 1] > 0]
         i_star = min(support)
         dim = bucket_dimension_bound(self.n, self.m, i_star)
-        flag0 = known if known is not None else self.canonical_fiber_point(t)
-        if self.bucket_sums(flag0) != t:
-            raise PreconditionError("known point is not in the fiber")
         groups = {
-            i: [
-                j
-                for j in range(len(flag0.faces))
-                if self.bucket_of_face(flag0.faces[j]) == i
-            ]
-            for i in support
+            i: [j for j, b in enumerate(self.buckets) if b == i] for i in support
         }
+        chain = flag.chain
         pipeline = self
         g = self.grid
 
         def sample(rng):
-            weights = [Fraction(0)] * len(flag0.faces)
+            weights = [Fraction(0)] * len(chain)
             for i in support:
                 picks = _sample_simplex_weights(rng, len(groups[i]), t[i - 1])
                 for j, w in zip(groups[i], picks):
                     weights[j] = w
-            return FlagPoint(flag0.faces, tuple(weights))
+            return FlagPoint(chain, tuple(weights))
 
         def dist(a, b):
             return max(
@@ -707,15 +686,18 @@ class PaddedBlockMap:
         return head + tuple(Fraction(0) for _ in range(self.n - self.m + 1))
 
     def fiber_certificate(self, p, known=None) -> EpsEmbeddingCertificate:
+        """Certificate for the fiber over p, sampled around `known`, a located
+        point of that fiber (required whenever the fiber is not empty)."""
         p = tuple(Fraction(c) for c in p)
         if len(p) != self.n:
             raise PreconditionError("target point has wrong length")
         if any(c != 0 for c in p[self.m - 1 :]) or any(c < 0 or c > 1 for c in p):
             return empty_fiber_certificate(self.block_scale)
-        t = barycentric_from_cube(p[: self.m - 1])
-        return self.pipeline.fiber_certificate(
-            t, self.block_scale, self.mesh_scale, known=known
-        )
+        if known is None:
+            raise PreconditionError("a known fiber point is required")
+        if self.pipeline.bucket_sums(known) != barycentric_from_cube(p[: self.m - 1]):
+            raise PreconditionError("known point is not in the fiber")
+        return self.pipeline.fiber_certificate(known, self.block_scale, self.mesh_scale)
 
 
 def padded_block_map(n: int, m: int, eps) -> PaddedBlockMap:

@@ -189,6 +189,22 @@ class TestFiberCertificate:
             if record.kind == "STRUCTURAL":
                 assert recheck_structural(record), record.name
 
+    def test_each_block_is_located_once(self, monkeypatch):
+        from meandim.widthmaps import KuhnWidthPipeline
+
+        inst = build_counterexample(std_params(N=8))
+        x, r = inst.sample_state(random.Random(12))
+        calls = []
+        locate_flag = KuhnWidthPipeline.locate_flag
+
+        def counted(pipeline, point):
+            calls.append(point)
+            return locate_flag(pipeline, point)
+
+        monkeypatch.setattr(KuhnWidthPipeline, "locate_flag", counted)
+        fiber_dimension_certificate(inst, (x, r), 8)
+        assert len(calls) == len(inst.block_starts(r))
+
     def test_fiber_samples_project_to_same_image(self):
         p = std_params(N=8)
         inst = build_counterexample(p)

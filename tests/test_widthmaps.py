@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from meandim.certificates import check_certificate
+from meandim.certificates import check_certificate, recheck_structural
 from meandim.complexes import SimplicialComplex, VertexPartition, dimension_buckets
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
+    BarycentricPoint,
     GeometricComplex,
     barycentric_subdivide_geometric,
     kuhn_triangulate_cube,
@@ -100,6 +101,21 @@ class TestPartitionMap:
         cert = wm.fiber_certificate((F(1, 3), F(2, 3)))
         record = check_certificate(cert, trials=300, seed=7)
         assert record.status == "sampled-only"
+
+    def test_l2_mesh_record_rechecks(self):
+        # the star of b spans a to c, at l2 distance sqrt(2)/5: irrational
+        K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b"], ["b", "c"]])
+        coords = {"a": (F(0), F(0)), "b": (F(1, 5), F(0)), "c": (F(1, 5), F(1, 5))}
+        wm = partition_map(
+            GeometricComplex(K, coords, "l2"),
+            VertexPartition((frozenset({"a"}), frozenset({"b", "c"}))),
+            F(1),
+        )
+        cert = wm.fiber_certificate((F(1, 2), F(1, 2)))
+        assert cert.obligations[0].name == "star-mesh-squared-below-scale"
+        assert cert.obligations[0].data_dict["mesh_squared"] == "2/25"
+        structural = [r for r in cert.obligations if r.kind == "STRUCTURAL"]
+        assert structural and all(recheck_structural(r) for r in structural)
 
 
 class TestBucketWidthMap:
@@ -258,6 +274,29 @@ class TestClosedFormAgainstExplicit:
             assert pipeline.bucket_sums(flag) == t_explicit
             assert pipeline.evaluate(x) == cube_from_barycentric(t_explicit)
 
+    def test_retract_matches_explicit_bucket_part(self):
+        # retracting a located flag onto bucket i realizes the normalized
+        # bucket-i part of the point's weights in the materialized subdivision
+        wm = cube_width_map(2, 2, F(1), mesh_scale=F(2, 3))
+        pipeline = wm.pipeline
+        rng = random.Random(41)
+        cases = 0
+        for _ in range(40):
+            x = (F(rng.randint(0, 36), 36), F(rng.randint(0, 36), 36))
+            flag = pipeline.locate_flag(x)
+            located = locate(wm.geometry, x)
+            for i, block in enumerate(wm.inner.partition.blocks, start=1):
+                part = {v: w for v, w in located.weights.items() if v in block}
+                total = sum(part.values(), F(0))
+                if total == 0:
+                    continue
+                explicit = BarycentricPoint(
+                    frozenset(part), {v: w / total for v, w in part.items()}
+                ).realize(wm.geometry)
+                assert pipeline.retract(flag, i) == explicit
+                cases += 1
+        assert cases > 40
+
     def test_closed_form_bucket_dims_match_exact(self):
         from meandim.complexes import bucket_dimension_bound, full_subcomplex
 
@@ -298,6 +337,17 @@ class TestPaddedBlockMap:
         assert cert.target_dim <= F(8, 3)
         assert cert.all_structural_discharged
         assert cert.epsilon == F(1, 4)
+
+    def test_fiber_certificate_needs_a_known_point_of_the_fiber(self):
+        bm = padded_block_map(8, 3, F(1, 2))
+        rng = random.Random(43)
+        x, other = (tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(2))
+        p = bm.evaluate(x)
+        assert bm.evaluate(other) != p
+        with pytest.raises(PreconditionError, match="not in the fiber"):
+            bm.fiber_certificate(p, known=bm.pipeline.locate_flag(other))
+        with pytest.raises(PreconditionError, match="known fiber point"):
+            bm.fiber_certificate(p)
 
     def test_empty_fiber_when_padding_nonzero(self):
         bm = padded_block_map(4, 3, F(1, 2))
