@@ -42,6 +42,8 @@ class DischargeRecord:
     witness: tuple | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise PreconditionError(f"record name must be a string, not {self.name!r}")
         if self.kind not in (STRUCTURAL, SAMPLED):
             raise PreconditionError(f"unknown record kind {self.kind!r}")
         if self.status not in (DISCHARGED, SAMPLED_ONLY, FAILED):
@@ -163,10 +165,6 @@ def _check_window_coverage(data):
     return a_end - a0 < n + 2 * m_margin + 2 * (block + 1)
 
 
-def _check_dim_bookkeeping(data):
-    return parse_fraction(data["total_dim"]) < parse_fraction(data["bound"])
-
-
 def _check_tail_rule(data):
     m_margin = int(data["margin"])
     return Fraction(1, 2**m_margin) < parse_fraction(data["threshold"])
@@ -206,13 +204,14 @@ STRUCTURAL_CHECKS = {
     "star-mesh-below-scale": _check_strictly_below("mesh", "scale"),
     "star-mesh-squared-below-scale": _check_squared_mesh,
     "star-mesh-inherited-bound": _check_strictly_below("parent_mesh", "scale"),
+    "star-mesh-inherited-squared-bound": _check_squared_mesh,
     "star-mesh-grid-bound": _check_grid_mesh,
     "product-dims-additive": _check_sum,
     "chain-itinerary-covers-range": _check_chain_partition,
     "bucket-dimension-bound": _check_bucket_dimension,
     "scale-relaxation": _check_scale_relaxation,
     "window-covers-range": _check_window_coverage,
-    "dimension-bookkeeping": _check_dim_bookkeeping,
+    "dimension-bookkeeping": _check_strictly_below("total_dim", "bound"),
     "window-tail-rule": _check_tail_rule,
     "wedge-dimension-count": _check_visit_count,
     "windows-pairwise-disjoint": _check_disjoint,
@@ -246,7 +245,7 @@ class MetricSpaceHandle:
 
     kind is a short tag ("geometric-complex", "finite-cloud",
     "cylinder-block", "product", ...); dist may return an exact lower bound
-    for window-truncated dynamical metrics, which keeps violation reports
+    for window-restricted dynamical metrics, which keeps violation reports
     sound (a reported violation is a real one).
     """
 

@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from .errors import InsufficientWindowError, PreconditionError
 
-TOTAL_DYADIC_WEIGHT = Fraction(3)  # sum of 2^-|n| over all integers
-
 
 @dataclass(frozen=True, eq=False)
 class Sft:
@@ -593,42 +591,12 @@ class WindowSeq:
         return self.values[lo - self.start : hi - self.start]
 
 
-def dyadic_weight_interval(lo: int, hi: int) -> Fraction:
-    """Sum of 2^-|n| over integer n in [lo, hi)."""
-    if hi <= lo:
-        return Fraction(0)
-
-    def tail(u):  # sum over n >= u of 2^-n, u >= 0
-        return Fraction(2, 2**u)
-
-    total = Fraction(0)
-    if lo < 0:
-        neg_hi = min(hi, 0)  # n in [lo, neg_hi): |n| in [|neg_hi|+.., |lo|]
-        total += tail(-neg_hi + 1) - tail(-lo + 1)
-    if hi > 0:
-        pos_lo = max(lo, 0)
-        total += tail(pos_lo) - tail(hi)
-    return total
-
-
 @dataclass(frozen=True)
 class ShiftMetric:
     """Geometric-weight metric on window sequences: sum of 2^-|n| times a
     bounded per-coordinate distance (coordinate n of the shifted points)."""
 
     coord_dist: object
-
-    def truncated(self, x: WindowSeq, y: WindowSeq, shift: int = 0):
-        """(exact value over the common window, exact bound on the unseen tail)."""
-        lo = max(x.start, y.start)
-        hi = min(x.end, y.end)
-        value = Fraction(0)
-        for c in range(lo, hi):
-            d = self.coord_dist(x[c], y[c])
-            if d:
-                value += Fraction(1, 2 ** abs(c - shift)) * d
-        tail = TOTAL_DYADIC_WEIGHT - dyadic_weight_interval(lo - shift, hi - shift)
-        return value, tail
 
 
 HILBERT_METRIC = ShiftMetric(lambda a, b: abs(Fraction(a) - Fraction(b)))
@@ -645,20 +613,39 @@ def d_N(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq) -> Fraction:
 
 
 def d_N_bounds(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq):
+    """(d_N on the common window [lo, hi), d_N plus the unseen weight).
+
+    With delta_c the coordinate distance at c, the value at shift j is
+    left_j + right_j, where left_j = sum_{c<=j} 2^(c-j) delta_c and
+    right_j = sum_{c>j} 2^(j-c) delta_c; one pass updates them by
+    left_{j+1} = left_j/2 + delta_{j+1} and right_{j+1} = 2 right_j - delta_{j+1}.
+    The weight outside the window at shift j has the closed form
+    2^(lo-j) + 2^(j+1-hi), because lo <= 0 <= j < N <= hi; with coordinate
+    distances at most 1 it bounds the unseen part of the sum.
+    """
     if N < 1:
         raise PreconditionError("N must be positive")
     lo = max(x.start, y.start)
     hi = min(x.end, y.end)
     if not (lo <= 0 and N <= hi):
         raise InsufficientWindowError("window does not cover the orbit segment", (0, N))
+    delta = [metric.coord_dist(a, b) for a, b in zip(x.restrict(lo, hi), y.restrict(lo, hi))]
+    left = Fraction(0)  # left_{-1}
+    for d in delta[:-lo]:
+        left = left / 2 + d
+    right = Fraction(0)  # right_{-1}
+    for d in reversed(delta[-lo:]):
+        right = (right + d) / 2
     best = Fraction(0)
     best_hi = Fraction(0)
     for j in range(N):
-        value, tail = metric.truncated(x, y, shift=j)
-        if value > best:
-            best = value
-        if value + tail > best_hi:
-            best_hi = value + tail
+        d = delta[j - lo]
+        left = left / 2 + d
+        right = 2 * right - d
+        value = left + right
+        best = max(best, value)
+        unseen = Fraction(1, 2 ** (j - lo)) + Fraction(1, 2 ** (hi - j - 1))
+        best_hi = max(best_hi, value + unseen)
     return best, best_hi
 
 

@@ -49,6 +49,7 @@ from .geometry import (
     kuhn_triangulate_cube,
     max_star_mesh,
     norm_value,
+    star_diameter,
     subdivide_to_mesh,
 )
 from .serialize import format_fraction
@@ -175,7 +176,6 @@ class PartitionWidthMap:
         dim = sub.dim
         G = self.geometry
         block_of = self._block_of
-        admissible = sorted(admissible, key=G.complex.simplex_key)
 
         def sample(rng):
             s = admissible[rng.randrange(len(admissible))]
@@ -252,33 +252,32 @@ def partition_map(
     eps = Fraction(eps)
     threshold = Fraction(mesh_threshold) if mesh_threshold is not None else eps
     P.validate_covers(G.complex.vertices)
-    if inherited_mesh is not None:
-        mesh = Fraction(inherited_mesh)
-        record_name = "star-mesh-inherited-bound"
-        data = {"parent_mesh": format_fraction(mesh), "scale": format_fraction(threshold)}
+    inherited = inherited_mesh is not None
+    if inherited:
+        mesh = inherited_mesh if isinstance(inherited_mesh, ExactSqrt) else Fraction(inherited_mesh)
+        if not mesh < threshold:
+            raise PreconditionError(f"inherited star mesh bound {mesh} is not below {threshold}")
     else:
         mesh = max_star_mesh(G)
-        if isinstance(mesh, ExactSqrt):
-            # an l2 mesh is irrational in general; its square is exact
-            record_name = "star-mesh-squared-below-scale"
-            data = {"mesh_squared": format_fraction(mesh.square)}
-        else:
-            record_name = "star-mesh-below-scale"
-            data = {"mesh": format_fraction(mesh)}
-        data["scale"] = format_fraction(threshold)
-    if not mesh < threshold:
-        offender = None
-        from .geometry import star_diameter
-
-        for v in G.complex.vertices:
-            d = star_diameter(G, v)
-            if not d < threshold:
-                offender = (v, d)
-                break
-        raise PreconditionError(
-            f"star mesh hypothesis fails: star of {offender[0]!r} has diameter "
-            f"{offender[1]} which is not below {threshold}"
+        if not mesh < threshold:
+            v, d = next(
+                (v, d) for v in G.complex.vertices if not (d := star_diameter(G, v)) < threshold
+            )
+            raise PreconditionError(
+                f"star mesh hypothesis fails: star of {v!r} has diameter "
+                f"{d} which is not below {threshold}"
+            )
+    if isinstance(mesh, ExactSqrt):
+        # an l2 mesh is irrational in general; its square is exact
+        record_name = (
+            "star-mesh-inherited-squared-bound" if inherited else "star-mesh-squared-below-scale"
         )
+        data = {"mesh_squared": format_fraction(mesh.square)}
+    elif inherited:
+        record_name, data = "star-mesh-inherited-bound", {"parent_mesh": format_fraction(mesh)}
+    else:
+        record_name, data = "star-mesh-below-scale", {"mesh": format_fraction(mesh)}
+    data["scale"] = format_fraction(threshold)
     mesh_record = structural_record(record_name, **data)
     target = standard_simplex_target(P.m)
     images = {}

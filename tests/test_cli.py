@@ -296,6 +296,8 @@ class TestVerify:
             {"kind": "counterexample-instance", "recipe": [], "payload": {}},
             {"kind": "counterexample-instance", "recipe": {}},
             {"kind": "ocap-report", "recipe": {}, "payload": {"obligations": ["x"]}},
+            {"kind": "ocap-report", "recipe": {}, "payload": {"obligations": [
+                {"name": ["x"], "kind": "STRUCTURAL", "status": "discharged"}]}},
         ):
             bad.write_text(json.dumps(artifact))
             assert main(["verify", str(bad)]) == 2, artifact

@@ -14,10 +14,10 @@ from meandim.symbolic import (
     HilbertShiftWindow,
     OdometerTower,
     Sft,
+    ShiftMetric,
     WindowSeq,
     d_N,
     d_N_bounds,
-    dyadic_weight_interval,
     max_subsampled_visits,
     ocap_finite_N,
     ocap_limit,
@@ -303,19 +303,48 @@ class TestOdometer:
             odometer_E(OdometerTower(2), 4, 0, 8)
 
 
+def _shift_windows(draw, N, symbols):
+    start = draw(st.integers(min_value=-5, max_value=0))
+    end = draw(st.integers(min_value=N, max_value=N + 5))
+    return WindowSeq(start, tuple(draw(symbols) for _ in range(end - start)))
+
+
 class TestWindowMetrics:
-    def test_dyadic_weight_brute_force(self):
-        for lo, hi in ((-5, 7), (0, 1), (-3, 0), (2, 9), (-8, -2), (3, 3)):
-            expected = sum(
-                (F(1, 2 ** abs(n)) for n in range(lo, hi)), F(0)
-            )
-            assert dyadic_weight_interval(lo, hi) == expected
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), N=st.integers(min_value=1, max_value=10), hilbert=st.booleans())
+    def test_d_N_bounds_match_definition(self, data, N, hilbert):
+        if hilbert:
+            metric, symbols = HILBERT_METRIC, st.integers(0, 8).map(lambda k: F(k, 8))
+        else:
+            metric, symbols = SYMBOL_METRIC, st.sampled_from("01")
+        x = _shift_windows(data.draw, N, symbols)
+        y = _shift_windows(data.draw, N, symbols)
+        window = range(max(x.start, y.start), min(x.end, y.end))
+        sums, totals = [], []
+        for j in range(N):
+            weights = {c: F(1, 2 ** abs(c - j)) for c in window}
+            value = sum((w * metric.coord_dist(x[c], y[c]) for c, w in weights.items()), F(0))
+            sums.append(value)
+            totals.append(value + 3 - sum(weights.values()))
+        assert d_N_bounds(metric, N, x, y) == (max(sums), max(totals))
+
+    def test_each_coordinate_distance_is_computed_once(self):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return abs(F(a) - F(b))
+
+        x = WindowSeq(-6, tuple(F(c % 3, 2) for c in range(20)))
+        y = WindowSeq(-6, tuple(F(c % 5, 4) for c in range(20)))
+        d_N(ShiftMetric(counted), 8, x, y)
+        assert len(calls) == 20
 
     def test_d1_is_base_metric(self):
         x = WindowSeq(-2, (F(0), F(1, 2), F(1), F(0), F(1)))
         y = WindowSeq(-2, (F(1), F(1, 2), F(0), F(0), F(1)))
-        value, _ = HILBERT_METRIC.truncated(x, y, shift=0)
-        assert d_N(HILBERT_METRIC, 1, x, y) == value
+        # 2^-2 * |0 - 1| + 2^0 * |1 - 0|
+        assert d_N(HILBERT_METRIC, 1, x, y) == F(5, 4)
 
     def test_identical_points(self):
         x = WindowSeq(0, (F(1, 3), F(2, 3)))
@@ -345,5 +374,4 @@ class TestWindowMetrics:
     def test_symbol_metric(self):
         x = WindowSeq(0, ("0", "1", "0"))
         y = WindowSeq(0, ("0", "0", "0"))
-        value, _ = SYMBOL_METRIC.truncated(x, y, shift=0)
-        assert value == F(1, 2)
+        assert d_N(SYMBOL_METRIC, 1, x, y) == F(1, 2)

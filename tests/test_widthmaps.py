@@ -35,6 +35,11 @@ def unit_edge():
     return GeometricComplex(K, {"a": (F(0),), "b": (F(1),)})
 
 
+def bent_path(norm):
+    K = SimplicialComplex.from_maximal([0, 1, 2], [[0, 1], [1, 2]])
+    return GeometricComplex(K, {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(1), F(1))}, norm)
+
+
 class TestPartitionMap:
     def test_edge_split_by_endpoints(self):
         wm = partition_map(
@@ -55,6 +60,14 @@ class TestPartitionMap:
                 unit_edge(),
                 VertexPartition((frozenset({"a"}), frozenset({"b"}))),
                 F(1, 2),
+            )
+        # G's own stars are below eps = 2, but the inherited bound is not
+        with pytest.raises(PreconditionError, match="inherited star mesh bound 3"):
+            partition_map(
+                bent_path("linf"),
+                VertexPartition((frozenset({0, 1}), frozenset({2}))),
+                F(2),
+                inherited_mesh=3,
             )
 
     def test_vertex_target_fiber(self):
@@ -124,6 +137,13 @@ class TestBucketWidthMap:
         assert wm.m == 1
         cert = wm.fiber_certificate((F(1),))
         assert cert.target_dim <= 1  # vacuous bound dim K / 1
+
+    def test_l2_inherited_mesh_record_rechecks(self):
+        wm = bucket_width_map(bent_path("l2"), 2, F(1))
+        cert = wm.fiber_certificate((F(1, 2), F(1, 2)))
+        assert cert.obligations[0].name == "star-mesh-inherited-squared-bound"
+        structural = [r for r in cert.obligations if r.kind == "STRUCTURAL"]
+        assert len(structural) == 4 and all(recheck_structural(r) for r in structural)
 
     def test_two_simplex_m2(self):
         K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
