@@ -102,12 +102,12 @@ def sampled_record(name: str, status: str, witness=None, **data) -> DischargeRec
 # ---------------------------------------------------------------------------
 # structural re-checks: name -> callable(data_dict) -> bool
 #
-# Names in _CITATIONS are recorded combinatorial facts: the construction
+# Names in CITATIONS are recorded combinatorial facts: the construction
 # guarantees them and there is nothing arithmetic to recompute, but a
 # verifier must still recognize the name.
 # ---------------------------------------------------------------------------
 
-_CITATIONS = {
+CITATIONS = {
     "retraction-fibers-lie-in-stars",
     "simplicial-by-block-collapse",
     "identity-embedding-fibers-are-points",
@@ -223,7 +223,7 @@ def recheck_structural(record: DischargeRecord) -> bool:
     """Re-discharge a structural obligation from its serialized data alone."""
     if record.kind != STRUCTURAL:
         raise PreconditionError("not a structural record")
-    if record.name in _CITATIONS:
+    if record.name in CITATIONS:
         return record.status == DISCHARGED
     check = STRUCTURAL_CHECKS.get(record.name)
     if check is None:
@@ -415,7 +415,7 @@ def pullback_certificate(
     instead and a violating pair turns into a failed record on the result.
     """
     if witness is not None:
-        if witness not in _CITATIONS:
+        if witness not in CITATIONS:
             raise PreconditionError(f"unknown structural witness {witness!r}")
         record = structural_record(witness)
     else:

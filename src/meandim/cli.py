@@ -4,7 +4,8 @@ Every artifact is a JSON document {"kind", "recipe", "payload"} where the
 payload is a pure function of the recipe: `verify` re-runs arithmetic checks
 on every structural obligation it finds, then rebuilds the payload from the
 recipe and requires byte-identical canonical JSON (sampled records re-run at
-their recorded seeds). Exit codes: 0 success, 2 precondition or parse
+their recorded seeds), and prints how many records it re-derived, accepted as
+citations and re-ran. Exit codes: 0 success, 2 precondition or parse
 failure, 3 obligation failure (with a witness file), 4 budget exceeded.
 """
 
@@ -17,9 +18,12 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .certificates import (
+    CITATIONS,
     FAILED,
+    SAMPLED,
     STRUCTURAL,
     DischargeRecord,
     check_certificate,
@@ -310,9 +314,21 @@ def _iter_obligation_dicts(node):
             yield from _iter_obligation_dicts(entry)
 
 
-def verify_artifact(path: str):
+class VerifyCounts(NamedTuple):
+    """What `verify_artifact` checked: structural records re-derived by
+    arithmetic, structural records accepted as citations, sampled records
+    reproduced by the rebuild, and the near pairs those records tested."""
+
+    rederived: int
+    cited: int
+    sampled: int
+    near_pairs: int
+
+
+def verify_artifact(path: str) -> VerifyCounts:
     """Re-discharge structural obligations arithmetically, then rebuild the
-    payload from the recipe and require byte-identical canonical JSON."""
+    payload from the recipe and require byte-identical canonical JSON; return
+    the counts of what was checked."""
     try:
         artifact = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -324,15 +340,24 @@ def verify_artifact(path: str):
         raise PreconditionError(f"unknown artifact kind {kind!r}")
     if not isinstance(artifact.get("recipe"), dict) or "payload" not in artifact:
         raise PreconditionError("artifact needs an object recipe and a payload")
+    rederived = cited = 0
+    sampled = []
     for entry in _iter_obligation_dicts(artifact["payload"]):
         try:
             record = DischargeRecord.from_json_dict(entry)
         except (AttributeError, KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed obligation record: {exc!r}") from exc
-        if record.kind == STRUCTURAL and not recheck_structural(record):
-            raise ObligationFailedError(record)
+        if record.kind == STRUCTURAL:
+            if not recheck_structural(record):
+                raise ObligationFailedError(record)
+            if record.name in CITATIONS:
+                cited += 1
+            else:
+                rederived += 1
         if record.status == FAILED:
             raise ObligationFailedError(record)
+        if record.kind == SAMPLED:
+            sampled.append(record)
     try:
         rebuilt = PAYLOAD_BUILDERS[kind](artifact["recipe"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -349,6 +374,9 @@ def verify_artifact(path: str):
                 witness=("payload does not match recompute from recipe",),
             )
         )
+    # the payload is the rebuild's own output, so its counts are integers
+    near_pairs = sum(int(r.data_dict.get("near_pairs", 0)) for r in sampled)
+    return VerifyCounts(rederived, cited, len(sampled), near_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +535,11 @@ def _cmd_counterexample(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    verify_artifact(ns.file)
-    print(f"{ns.file}: verified")
+    counts = verify_artifact(ns.file)
+    print(
+        f"{ns.file}: verified ({counts.rederived} re-derived, {counts.cited} cited, "
+        f"{counts.sampled} sampled re-run, {counts.near_pairs} near pairs)"
+    )
     return 0
 
 

@@ -2,9 +2,11 @@
 odometer tower, and window metrics for shift spaces.
 
 Orbit capacity is computed exactly: the finite-horizon value by dynamic
-programming over the transition graph of window words, the limit value by a
-maximum mean cycle computation with rational weights (the finite values are
-sub-additive, so the limit is their infimum and equals the best cycle mean).
+programming over the transition graph of window words, the limit value as the
+best cycle mean of that graph (the finite values are sub-additive, so the
+limit is their infimum and equals the best cycle mean). The visit weights are
+0 or 1, so Karp's walk table and the potentials that find a critical cycle are
+integers; the optimal mean is the only Fraction built per component.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientWindowError, PreconditionError
+from .errors import BudgetExceededError, InsufficientWindowError, PreconditionError
+
+# the most words Sft.words materializes at any length, and the longest window
+# it accepts; the benchmark's word graphs have a few hundred nodes
+WORD_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,24 +60,36 @@ class Sft:
         return cls(("0", "1"), frozenset({("0", "0"), ("0", "1"), ("1", "0")}))
 
     def words(self, length: int) -> tuple:
-        """Language words of the given length, sorted."""
+        """Language words of the given length, sorted.
+
+        Every word graph and cylinder set is built from these lists, so a
+        length above WORD_BUDGET, or more than WORD_BUDGET words at this
+        length or on the way to it, raises BudgetExceededError instead of
+        exhausting memory.
+        """
         if length < 0:
             raise PreconditionError("length must be nonnegative")
+        if length > WORD_BUDGET:
+            raise BudgetExceededError(
+                f"window of {length} symbols exceeds the word budget {WORD_BUDGET}"
+            )
         cache = self.__dict__.setdefault("_words_cache", {})
         if length not in cache:
-            if length == 0:
-                result = ((),)
-            else:
-                result = [(a,) for a in sorted(self.alphabet, key=repr)]
-                for _ in range(length - 1):
-                    result = [
-                        w + (b,)
-                        for w in result
-                        for b in sorted(self.alphabet, key=repr)
-                        if (w[-1], b) in self.transitions
-                    ]
-                result = tuple(sorted(result, key=repr))
-            cache[length] = result
+            symbols = sorted(self.alphabet, key=repr)
+            result = [()]
+            for step in range(1, length + 1):
+                result = [
+                    w + (b,)
+                    for w in result
+                    for b in symbols
+                    if not w or (w[-1], b) in self.transitions
+                ]
+                if len(result) > WORD_BUDGET:
+                    raise BudgetExceededError(
+                        f"{len(result)} words of length {step} exceed the word "
+                        f"budget {WORD_BUDGET}"
+                    )
+            cache[length] = tuple(sorted(result, key=repr))
         return cache[length]
 
     def is_word(self, word) -> bool:
@@ -347,63 +365,70 @@ def _sccs(succs):
 
 
 def _karp_max_mean(nodes, succs, weights):
-    """Karp's formula on a strongly connected subgraph; None without edges."""
-    node_set = set(nodes)
+    """Karp's formula on a strongly connected subgraph; None without edges.
+
+    The weights are integers, so D[k][v], the heaviest walk of k edges from
+    nodes[0] to v (None if there is none), is an integer table. The ratios
+    (D[n][v] - D[k][v]) / (n - k) are compared by cross-multiplication (every
+    denominator is positive), and only the optimum becomes a Fraction.
+    """
     local = {v: i for i, v in enumerate(nodes)}
-    edges = [
-        (local[u], local[v])
-        for u in nodes
-        for v in succs[u]
-        if v in node_set
-    ]
+    edges = [(local[u], local[v]) for u in nodes for v in succs[u] if v in local]
     if not edges:
         return None
     n = len(nodes)
+    w = [weights[v] for v in nodes]
     D = [[None] * n for _ in range(n + 1)]
-    D[0][0] = Fraction(0)
-    for k in range(1, n + 1):
+    D[0][0] = 0
+    for prev, row in zip(D, D[1:]):
         for u, v in edges:
-            if D[k - 1][u] is not None:
-                cand = D[k - 1][u] + weights[nodes[v]]
-                if D[k][v] is None or cand > D[k][v]:
-                    D[k][v] = cand
-    best = None
+            if prev[u] is not None:
+                cand = prev[u] + w[v]
+                if row[v] is None or cand > row[v]:
+                    row[v] = cand
+    best_num, best_den = None, 1
     for v in range(n):
-        if D[n][v] is None:
+        top = D[n][v]
+        if top is None:
             continue
-        worst = None
+        worst_num, worst_den = None, 1
         for k in range(n):
             if D[k][v] is None:
                 continue
-            ratio = Fraction(D[n][v] - D[k][v], n - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
+            num, den = top - D[k][v], n - k
+            if worst_num is None or num * worst_den < worst_num * den:
+                worst_num, worst_den = num, den
+        if worst_num is not None and (
+            best_num is None or worst_num * best_den > best_num * worst_den
+        ):
+            best_num, best_den = worst_num, worst_den
+    return None if best_num is None else Fraction(best_num, best_den)
 
 
 def _critical_cycle(nodes, succs, weights, mean):
-    """A cycle of exactly the given mean: stabilize max-plus potentials for the
-    shifted weights (no positive cycles remain), then walk tight edges."""
-    node_set = set(nodes)
-    h = {v: Fraction(0) for v in nodes}
+    """A cycle of exactly the given mean p/q: stabilize max-plus potentials for
+    the shifted weights (no positive cycles remain), then walk tight edges.
+
+    The potentials are kept scaled by q, as integers: the shifted weight of an
+    edge into v is q * weights[v] - p, so every comparison is the unscaled one
+    multiplied by q > 0."""
+    p, q = mean.numerator, mean.denominator
+    shifted = {v: q * weights[v] - p for v in nodes}
+    h = dict.fromkeys(nodes, 0)
     for _ in range(len(nodes)):
         changed = False
         for u in nodes:
             for v in succs[u]:
-                if v not in node_set:
+                if v not in shifted:
                     continue
-                cand = h[u] + weights[v] - mean
+                cand = h[u] + shifted[v]
                 if cand > h[v]:
                     h[v] = cand
                     changed = True
         if not changed:
             break
     tight = {
-        u: sorted(
-            v for v in succs[u] if v in node_set and h[v] == h[u] + weights[v] - mean
-        )
+        u: sorted(v for v in succs[u] if v in shifted and h[v] == h[u] + shifted[v])
         for u in nodes
     }
     # any cycle of tight edges telescopes to the optimal mean, so a depth
@@ -452,7 +477,7 @@ def ocap_limit(sft: Sft, A: CylinderSet) -> OcapResult:
         raise PreconditionError("transition graph has no cycle")
     mean, comp = best
     cycle = _critical_cycle(comp, succs, weights, mean)
-    assert sum(weights[v] for v in cycle) == mean * len(cycle)
+    assert sum(weights[v] for v in cycle) * mean.denominator == mean.numerator * len(cycle)
     rotation = min(range(len(cycle)), key=lambda i: words[cycle[i]])
     cycle = cycle[rotation:] + cycle[:rotation]
     witness = tuple(words[v][0] for v in cycle)

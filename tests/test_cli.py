@@ -1,10 +1,14 @@
 """CLI behaviour: commands, artifacts, verification, exit codes, determinism."""
 
+import copy
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from meandim.certificates import CITATIONS
 from meandim.cli import main
 from meandim.complexes import SimplicialComplex
 from meandim.symbolic import Sft
@@ -83,6 +87,32 @@ class TestOcapCommand:
             == 0
         )
         assert main(["verify", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "sft, constraints",
+        [
+            (Sft.golden_mean(), [[0, "0"], [1000000, "0"]]),
+            (Sft.full_shift("0123"), [[0, "0"], [12, "0"]]),
+        ],
+    )
+    def test_oversized_set_exits_4(self, workdir, capsys, sft, constraints):
+        sft_path = workdir / "sft.json"
+        sft_path.write_text(sft.dumps())
+        small, big = workdir / "small.json", workdir / "big.json"
+        small.write_text(json.dumps([[0, "0"]]))
+        big.write_text(json.dumps(constraints))
+        out = workdir / "ocap.json"
+        assert main(["ocap", "--sft", str(sft_path), "--set", str(small), "--limit",
+                     "--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        artifact["recipe"]["set"] = constraints
+        out.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["ocap", "--sft", str(sft_path), "--set", str(big), "--limit"]) == 4
+        assert main(["verify", str(out)]) == 4
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.count("budget exceeded") == 2
 
 
 class TestGromovCommands:
@@ -214,7 +244,18 @@ class TestCounterexampleCommands:
         )
         payload = json.loads(out.read_text())["payload"]
         assert all(c["below_bound"] for c in payload["certificates"])
+        records = [r for c in payload["certificates"] for r in c["obligations"]]
+        structural = [r for r in records if r["kind"] == "STRUCTURAL"]
+        cited = sum(r["name"] in CITATIONS for r in structural)
+        sampled = [r for r in records if r["kind"] == "SAMPLED"]
+        near = sum(int(r["data"]["near_pairs"]) for r in sampled)
+        assert 0 < cited < len(structural) and near > 0
+        capsys.readouterr()
         assert main(["verify", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"{out}: verified ({len(structural) - cited} re-derived, {cited} cited, "
+            f"{len(sampled)} sampled re-run, {near} near pairs)\n"
+        )
 
     def test_report_csv(self, workdir, capsys):
         assert (
@@ -239,6 +280,64 @@ class TestCounterexampleCommands:
         payload = json.loads(out.read_text())["payload"]
         assert [payload["header"]] + payload["rows"] == printed.strip().splitlines()
         assert main(["verify", str(out)]) == 0
+
+
+@pytest.fixture(scope="module")
+def golden_artifacts(tmp_path_factory):
+    """A golden-mean ocap --limit, ocap --N and sbp refine artifact, built in
+    a directory that stays the working directory while the module's tests
+    use it (verify writes its witness file there)."""
+    root = tmp_path_factory.mktemp("mutations")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        sft, one = write_golden(root)
+        pair = root / "pair.json"
+        pair.write_text(json.dumps([[0, "1"], [2, "0"]]))
+        (root / "zero.json").write_text(json.dumps([[0, "0"]]))
+        commands = [
+            ["ocap", "--sft", str(sft), "--set", str(pair), "--limit"],
+            ["ocap", "--sft", str(sft), "--set", str(one), "--N", "8"],
+            ["sbp", "refine", "--sft", str(sft), "--cover", "zero.json", str(one),
+             "--delta", "1/2"],
+        ]
+        artifacts = []
+        for i, args in enumerate(commands):
+            out = root / f"artifact{i}.json"
+            assert main(args + ["--out", str(out)]) == 0
+            artifacts.append(json.loads(out.read_text()))
+        yield artifacts
+
+
+def _paths(node, path=()):
+    """The path of every key and list entry in a JSON document, root first."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+_DELETE = object()
+
+
+def _mutated(document, path, value):
+    """A copy of the document with the entry at `path` deleted (value
+    _DELETE) or replaced by `value`; the empty path replaces it whole."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return document
 
 
 class TestVerify:
@@ -313,3 +412,14 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_artifact_exits_with_a_documented_code(self, golden_artifacts, data):
+        artifact = data.draw(st.sampled_from(golden_artifacts))
+        path = data.draw(st.sampled_from(list(_paths(artifact))))
+        values = [None, -1, 10**6, "1/0", [], {}] + ([_DELETE] if path else [])
+        value = data.draw(st.sampled_from(values))
+        mutant = Path("mutant.json")
+        mutant.write_text(json.dumps(_mutated(artifact, path, value)))
+        assert main(["verify", str(mutant)]) in (0, 2, 3, 4)

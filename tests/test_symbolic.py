@@ -1,11 +1,13 @@
 """Tests for subshifts, cylinder algebra, orbit capacity, odometer, metrics."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from meandim import symbolic
 from meandim.errors import InsufficientWindowError, PreconditionError
 from meandim.symbolic import (
     HILBERT_METRIC,
@@ -41,6 +43,59 @@ def brute_force_max_visits(sft, A, N):
 
 def cyl(sft, *constraints):
     return CylinderSet.from_constraints(sft, constraints)
+
+
+@st.composite
+def sft_and_constraints(draw):
+    """An essential SFT on 2 or 3 symbols, often reducible, and one or two
+    (offset, word) constraints at offsets -1..1 spanning at most 3 symbols."""
+    symbols = [str(a) for a in range(draw(st.integers(2, 3)))]
+    pairs = [(a, b) for a in symbols for b in symbols]
+    transitions = frozenset(draw(st.sets(st.sampled_from(pairs), min_size=2)))
+    assume({a for a, _ in transitions} == set(symbols) == {b for _, b in transitions})
+    constraints = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-1, 1),
+                st.lists(st.sampled_from(symbols), min_size=1, max_size=3).map(tuple),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    lo = min(o for o, _ in constraints)
+    assume(max(o + len(w) for o, w in constraints) - lo <= 3)
+    return Sft(tuple(symbols), transitions), constraints
+
+
+def best_cycle_mean(sft, constraints):
+    """Oracle: the max over L <= n and v of (A^L)[v][v] / L, where A is the
+    max-plus matrix of the n-node word graph of the constraints' window and an
+    edge into a word weighs 1 when the word meets every constraint."""
+    lo = min(o for o, _ in constraints)
+    length = max(o + len(w) for o, w in constraints) - lo
+    nodes = [w for w in itertools.product(sft.alphabet, repeat=length) if sft.is_word(w)]
+    weight = {
+        w: int(all(w[o - lo : o - lo + len(req)] == req for o, req in constraints))
+        for w in nodes
+    }
+    succs = {
+        u: [v for v in nodes if u[1:] == v[:-1] and (u[-1], v[-1]) in sft.transitions]
+        for u in nodes
+    }
+    best = None
+    for start in nodes:
+        row = {start: 0}  # row `start` of A^L
+        for L in range(1, len(nodes) + 1):
+            nxt = {}
+            for u, value in row.items():
+                for v in succs[u]:
+                    if value + weight[v] > nxt.get(v, -1):
+                        nxt[v] = value + weight[v]
+            row = nxt
+            if start in row and (best is None or F(row[start], L) > best):
+                best = F(row[start], L)
+    return best
 
 
 class TestSft:
@@ -191,6 +246,49 @@ class TestOcapLimit:
         A = cyl(gm, (0, "1"))
         values = [ocap_finite_N(gm, A, N) for N in (3, 6, 12, 24, 48)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=sft_and_constraints())
+    @example(
+        instance=(
+            Sft(("0", "1"), frozenset({("0", "0"), ("0", "1"), ("1", "1")})),
+            [(0, ("0",)), (1, ("1",))],
+        )
+    )
+    def test_value_and_witness_match_best_cycle_mean(self, instance):
+        sft, constraints = instance
+        result = ocap_limit(sft, CylinderSet.from_constraints(sft, constraints))
+        assert result.value == best_cycle_mean(sft, constraints)
+        period = len(result.witness)
+        assert all(
+            (result.witness[i], result.witness[(i + 1) % period]) in sft.transitions
+            for i in range(period)
+        )
+        visits = sum(
+            all(
+                result.witness[(t + offset + j) % period] == symbol
+                for offset, word in constraints
+                for j, symbol in enumerate(word)
+            )
+            for t in range(period)
+        )
+        assert F(visits, period) == result.value
+
+    def test_cycle_search_builds_one_fraction_per_component(self, monkeypatch):
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(symbolic, "Fraction", CountingFraction)
+        gm = Sft.golden_mean()
+        # a window of 10 symbols: 144 words, one strongly connected component
+        result = ocap_limit(gm, cyl(gm, (0, "1"), (9, "0")))
+        assert result.graph_size == 144
+        assert result.value == F(1, 2)
+        assert len(built) <= 1
 
 
 class TestSubsampledVisits:
