@@ -104,7 +104,20 @@ def sampled_record(name: str, status: str, witness=None, **data) -> DischargeRec
 #
 # Names in CITATIONS are recorded combinatorial facts: the construction
 # guarantees them and there is nothing arithmetic to recompute, but a
-# verifier must still recognize the name.
+# verifier must still recognize the name. The premise behind each name:
+#   retraction-fibers-lie-in-stars: each fiber lies in one vertex star, which
+#     the adjacent star-mesh-* record (star-mesh-grid-bound) keeps below scale
+#   simplicial-by-block-collapse: any set of blocks spans a face of the full
+#     target simplex, checked per source simplex when SimplicialMap is built
+#   identity-embedding-fibers-are-points: identity fibers have diameter 0
+#   isometric-inclusion: phi preserves distances, so none can shrink
+#   coordinate-projection: coordinates outside the certified blocks add at
+#     most the adjacent window-tail-rule tail, within scale-relaxation's margin
+#   cutoff-dichotomy-zero-dimensional: at most one piece is live at each step,
+#     by the adjacent windows-pairwise-disjoint record
+#   empty-fiber: the target point is outside the image, so nothing is embedded
+#   degenerate-cutoff-identically-zero: every window is empty, so the wedge
+#     coordinates stay at the apex (cone_dim 0 in wedge-dimension-count)
 # ---------------------------------------------------------------------------
 
 CITATIONS = {

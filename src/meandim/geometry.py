@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from itertools import combinations, permutations
+from math import lcm
 
 from .complexes import SimplicialComplex, barycentric_subdivide
 from .errors import BudgetExceededError, PreconditionError
@@ -283,20 +284,30 @@ class BarycentricPoint:
         return pt
 
 
-def kuhn_simplex(p, n: int, g: int):
+def common_numerators(p):
+    """Integer numerators of the rational point p over one common
+    resolution, the lcm of its coordinates' denominators: (nums, res)."""
+    res = 1
+    for c in p:
+        res = lcm(res, c.denominator)
+    return [c.numerator * (res // c.denominator) for c in p], res
+
+
+def kuhn_simplex(nums, res: int, n: int, g: int):
     """Closed-form location on the Kuhn triangulation of the unit n-cube on
-    the 1/g grid: the containing simplex's vertex chain (grid tuples, cell
-    corner first) and p's barycentric weights on it, in chain order."""
-    p = tuple(Fraction(c) for c in p)
-    if len(p) != n or any(c < 0 or c > 1 for c in p):
+    the 1/g grid, for the point with coordinates nums[i]/res: the containing
+    simplex's vertex chain (grid tuples, cell corner first) and the point's
+    barycentric weights on it, in chain order, as integer numerators over
+    res."""
+    if len(nums) != n or any(c < 0 or c > res for c in nums):
         raise PreconditionError("not in complex")
     cell = []
-    local = []
-    for c in p:
+    local = []  # local coordinates in the cell, over res
+    for c in nums:
         scaled = c * g
-        i = min(scaled.numerator // scaled.denominator, g - 1)
+        i = min(scaled // res, g - 1)
         cell.append(i)
-        local.append(scaled - i)
+        local.append(scaled - i * res)
     # ties resolved toward the lexicographically smallest admissible simplex
     order = sorted(range(n), key=lambda j: (-local[j], j))
     verts = [tuple(cell)]
@@ -304,8 +315,8 @@ def kuhn_simplex(p, n: int, g: int):
     for axis in order:
         cur[axis] += 1
         verts.append(tuple(cur))
-    sorted_local = [local[j] for j in order] + [Fraction(0)]
-    weights = [1 - sorted_local[0]]
+    sorted_local = [local[j] for j in order] + [0]
+    weights = [res - sorted_local[0]]
     weights += [sorted_local[t] - sorted_local[t + 1] for t in range(n)]
     return verts, weights
 
@@ -361,8 +372,11 @@ def locate(G: GeometricComplex, p) -> BarycentricPoint:
     wins.
     """
     if G.kuhn_grid is not None:
-        verts, weights = kuhn_simplex(p, *G.kuhn_grid)
-        return BarycentricPoint(frozenset(verts), dict(zip(verts, weights)))
+        nums, res = common_numerators(p)
+        verts, weights = kuhn_simplex(nums, res, *G.kuhn_grid)
+        return BarycentricPoint(
+            frozenset(verts), {v: Fraction(w, res) for v, w in zip(verts, weights)}
+        )
     p = tuple(Fraction(c) for c in p)
     for s in sorted(G.complex.iter_simplices(), key=G.complex.simplex_key):
         verts = G.complex.sorted_simplex(s)

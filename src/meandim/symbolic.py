@@ -21,6 +21,9 @@ from .errors import BudgetExceededError, InsufficientWindowError, PreconditionEr
 # the most words Sft.words materializes at any length, and the longest window
 # it accepts; the benchmark's word graphs have a few hundred nodes
 WORD_BUDGET = 4096
+# the most DP steps times word-graph edges max_subsampled_visits runs; the
+# benchmark's ocap --N 512 on graphs of about 530 edges needs about 2.7e5
+HORIZON_BUDGET = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,13 +302,21 @@ def ocap_finite_N(sft: Sft, A: CylinderSet, N: int) -> Fraction:
 
 def max_subsampled_visits(sft: Sft, A: CylinderSet, count: int, step: int) -> int:
     """Exact maximum of visits to A at times 0, step, ..., (count-1)*step, by
-    dynamic programming over window words."""
+    dynamic programming over window words. A horizon whose DP steps times
+    the graph's edges exceed HORIZON_BUDGET raises BudgetExceededError
+    before any step runs."""
     if count < 1 or step < 1:
         raise PreconditionError("count and step must be positive")
     words, succs, weights = _recode(sft, A)
+    steps, edges = (count - 1) * step, sum(map(len, succs))
+    if steps * edges > HORIZON_BUDGET:
+        raise BudgetExceededError(
+            f"{steps} DP steps on a graph of {edges} edges exceed the horizon "
+            f"budget {HORIZON_BUDGET}"
+        )
     skipped = [0] * len(words)
     dp = list(weights)
-    for t in range(1, (count - 1) * step + 1):
+    for t in range(1, steps + 1):
         gain = weights if t % step == 0 else skipped
         nxt = [None] * len(words)
         for i, best in enumerate(dp):

@@ -15,16 +15,20 @@ Three layers:
   the vertex chain of its Kuhn simplex in weight order plus one weight per
   chain prefix. Prefix j is a j-simplex of the grid, so its bucket is fixed
   by j alone; evaluation, retraction and fiber sampling all read one
-  per-prefix bucket table. Its certificates carry arithmetic bounds (grid
-  mesh, chain-length bucket dimensions) instead of materialized values;
-  tests cross-check the two layers on small grids.
+  per-prefix bucket table. Location, retraction and sampling run on integer
+  numerators over one denominator per flag; a Fraction is built only where
+  a value leaves the pipeline (bucket sums, realized and retracted
+  coordinates). Its certificates carry arithmetic bounds (grid mesh,
+  chain-length bucket dimensions) instead of materialized values; tests
+  cross-check the two layers on small grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
+from operator import mul
 
 from .certificates import (
     EpsEmbeddingCertificate,
@@ -45,6 +49,7 @@ from .geometry import (
     ExactSqrt,
     GeometricComplex,
     barycentric_subdivide_geometric,
+    common_numerators,
     kuhn_simplex,
     kuhn_triangulate_cube,
     max_star_mesh,
@@ -94,13 +99,13 @@ def standard_simplex_target(m: int) -> GeometricComplex:
     return GeometricComplex(K, coords, "linf")
 
 
-def _sample_simplex_weights(rng, count: int, total: Fraction):
-    """count nonnegative rationals summing exactly to total."""
+def _sample_simplex_weights(rng, count: int) -> list:
+    """count nonnegative integers, not all zero: convex weights once put
+    over their sum."""
     raw = [rng.randint(0, WEIGHT_DENOMINATOR) for _ in range(count)]
     if not any(raw):
         raw[rng.randrange(count)] = 1
-    s = sum(raw)
-    return [total * r / s for r in raw]
+    return raw
 
 
 def empty_fiber_certificate(eps) -> EpsEmbeddingCertificate:
@@ -183,8 +188,10 @@ class PartitionWidthMap:
             weights = {}
             for i in support:
                 group = [v for v in verts if block_of[v] == i]
-                for v, w in zip(group, _sample_simplex_weights(rng, len(group), t[i - 1])):
-                    weights[v] = w
+                raw = _sample_simplex_weights(rng, len(group))
+                total = sum(raw)
+                for v, r in zip(group, raw):
+                    weights[v] = t[i - 1] * r / total
             return BarycentricPoint(frozenset(verts), weights)
 
         def dist(x, y):
@@ -403,29 +410,36 @@ class FlagPoint:
     `chain` lists the simplex's vertices (integer grid tuples) in decreasing
     order of the point's barycentric weight, so the subdivision simplex that
     holds the point is spanned by the barycenters of the chain's prefixes.
-    `weights[j]` sits on prefix j, the face made of the first j + 1 vertices;
-    the weights are nonnegative and sum to 1.
+    `weights[j]` is the integer numerator, over `denom`, of the weight on
+    prefix j, the face made of the first j + 1 vertices; the numerators are
+    nonnegative and sum to `denom`.
     """
 
     chain: tuple
     weights: tuple
+    denom: int
 
-    def realize(self, grid: int) -> tuple:
-        # the barycenter of prefix k - 1 is its coordinate sum over k * grid;
-        # sum the weighted prefix sums as integers over one common denominator
-        denom = 1
+    def numerators(self, grid: int) -> tuple:
+        """The realized coordinates as integer numerators over one common
+        denominator: (coords, denominator)."""
+        # the barycenter of prefix k - 1 is its coordinate sum over k * grid,
+        # so vertex j carries weights[k - 1] / k for every prefix k > j
+        scale = 1
         for k, w in enumerate(self.weights, start=1):
             if w:
-                denom = lcm(denom, k * w.denominator)
-        n = len(self.chain[0])
-        coords = [0] * n
-        prefix = [0] * n
-        for k, (v, w) in enumerate(zip(self.chain, self.weights), start=1):
-            prefix = [a + b for a, b in zip(prefix, v)]
-            if w:
-                c = w.numerator * (denom // (k * w.denominator))
-                coords = [a + c * b for a, b in zip(coords, prefix)]
-        return tuple(Fraction(a, denom * grid) for a in coords)
+                scale = lcm(scale, k)
+        carried = []
+        total = 0
+        for k in range(len(self.weights), 0, -1):
+            total += self.weights[k - 1] * (scale // k)
+            carried.append(total)
+        carried.reverse()
+        coords = [sum(map(mul, carried, column)) for column in zip(*self.chain)]
+        return coords, scale * self.denom * grid
+
+    def realize(self, grid: int) -> tuple:
+        coords, denominator = self.numerators(grid)
+        return tuple(Fraction(a, denominator) for a in coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,61 +464,73 @@ class KuhnWidthPipeline:
 
     def locate_flag(self, x) -> FlagPoint:
         n = self.n
-        verts, simplex_weights = kuhn_simplex(x, n, self.grid)
+        nums, res = common_numerators(x)
+        verts, simplex_weights = kuhn_simplex(nums, res, n, self.grid)
         # vertices sorted descending by weight give the containing flag
         by_weight = sorted(range(n + 1), key=lambda i: (-simplex_weights[i], verts[i]))
-        sorted_weights = [simplex_weights[i] for i in by_weight] + [Fraction(0)]
+        sorted_weights = [simplex_weights[i] for i in by_weight] + [0]
         return FlagPoint(
             tuple(verts[i] for i in by_weight),
             tuple((j + 1) * (sorted_weights[j] - sorted_weights[j + 1]) for j in range(n + 1)),
+            res,
         )
 
-    def bucket_sums(self, flag: FlagPoint) -> tuple:
-        sums = [Fraction(0)] * self.m
+    def _bucket_numerators(self, flag: FlagPoint) -> list:
+        sums = [0] * self.m
         for bucket, w in zip(self.buckets, flag.weights):
             sums[bucket - 1] += w
-        return tuple(sums)
+        return sums
+
+    def bucket_sums(self, flag: FlagPoint) -> tuple:
+        return tuple(Fraction(s, flag.denom) for s in self._bucket_numerators(flag))
 
     def evaluate(self, x) -> tuple:
         """The width map into the (m-1)-cube."""
         return cube_from_barycentric(self.bucket_sums(self.locate_flag(x)))
 
     def retract(self, flag: FlagPoint, bucket: int) -> tuple:
-        kept = [w if b == bucket else 0 for b, w in zip(self.buckets, flag.weights)]
-        scale = sum(kept, Fraction(0))
-        if scale == 0:
+        kept = tuple(w if b == bucket else 0 for b, w in zip(self.buckets, flag.weights))
+        total = sum(kept)
+        if total == 0:
             raise PreconditionError("retraction bucket has zero weight")
-        return FlagPoint(flag.chain, tuple(w / scale for w in kept)).realize(self.grid)
+        return FlagPoint(flag.chain, kept, total).realize(self.grid)
 
     def fiber_certificate(self, flag: FlagPoint, scale, mesh_threshold) -> EpsEmbeddingCertificate:
         """Certificate for the fiber through `flag`, sampled in the flag
         polytope of its chain. Dimensions come from the chain-length bucket
         bounds; the mesh premise is the grid bound 2/g."""
-        t = self.bucket_sums(flag)
+        sums = self._bucket_numerators(flag)
         scale = Fraction(scale)
         mesh_threshold = Fraction(mesh_threshold)
-        support = [i for i in range(1, self.m + 1) if t[i - 1] > 0]
+        support = [i for i in range(1, self.m + 1) if sums[i - 1] > 0]
         i_star = min(support)
         dim = bucket_dimension_bound(self.n, self.m, i_star)
         groups = {
             i: [j for j, b in enumerate(self.buckets) if b == i] for i in support
         }
         chain = flag.chain
+        denom = flag.denom
         pipeline = self
         g = self.grid
 
         def sample(rng):
-            weights = [Fraction(0)] * len(chain)
-            for i in support:
-                picks = _sample_simplex_weights(rng, len(groups[i]), t[i - 1])
-                for j, w in zip(groups[i], picks):
-                    weights[j] = w
-            return FlagPoint(chain, tuple(weights))
+            # group i's raw draws r go over their sum s_i, scaled by the
+            # bucket sum: weight sums[i] * r / (denom * s_i), all put over
+            # denom times the product of the s_i
+            draws = [_sample_simplex_weights(rng, len(groups[i])) for i in support]
+            totals = [sum(raw) for raw in draws]
+            product = prod(totals)
+            weights = [0] * len(chain)
+            for i, raw, s in zip(support, draws, totals):
+                factor = sums[i - 1] * (product // s)
+                for j, r in zip(groups[i], raw):
+                    weights[j] = factor * r
+            return FlagPoint(chain, tuple(weights), denom * product)
 
         def dist(a, b):
-            return max(
-                abs(x - y) for x, y in zip(a.realize(g), b.realize(g))
-            )
+            xs, dx = a.numerators(g)
+            ys, dy = b.numerators(g)
+            return Fraction(max(abs(x * dy - y * dx) for x, y in zip(xs, ys)), dx * dy)
 
         obligations = (
             structural_record(

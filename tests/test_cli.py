@@ -114,6 +114,21 @@ class TestOcapCommand:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.count("budget exceeded") == 2
 
+    def test_oversized_horizon_exits_4(self, workdir, capsys):
+        sft, one = write_golden(workdir)
+        out = workdir / "ocap.json"
+        assert main(["ocap", "--sft", str(sft), "--set", str(one), "--N", "8",
+                     "--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        artifact["recipe"]["N"] = 10**9
+        out.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["ocap", "--sft", str(sft), "--set", str(one), "--N", str(10**9)]) == 4
+        assert main(["verify", str(out)]) == 4
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.count("horizon budget") == 2
+
 
 class TestGromovCommands:
     def test_build_and_fiber_check(self, workdir, capsys):

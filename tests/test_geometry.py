@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +14,16 @@ from meandim.geometry import (
     ExactSqrt,
     GeometricComplex,
     barycentric_subdivide_geometric,
+    common_numerators,
     eval_simplicial_map,
+    kuhn_simplex,
     kuhn_triangulate_cube,
     locate,
     max_star_mesh,
     star_diameter,
     subdivide_to_mesh,
 )
+from meandim.widthmaps import KuhnWidthPipeline
 
 F = Fraction
 
@@ -227,6 +231,72 @@ class TestLocate:
         for _ in range(20):
             p = tuple(F(rng.randint(0, 12), 12) for _ in range(3))
             assert locate(G, p).realize(G) == p
+
+
+def fraction_kuhn_simplex(p, n, g):
+    """Oracle: the Kuhn cell-and-sort location computed in Fractions."""
+    cell, local = [], []
+    for c in p:
+        scaled = c * g
+        i = min(scaled.numerator // scaled.denominator, g - 1)
+        cell.append(i)
+        local.append(scaled - i)
+    order = sorted(range(n), key=lambda j: (-local[j], j))
+    verts = [tuple(cell)]
+    cur = list(cell)
+    for axis in order:
+        cur[axis] += 1
+        verts.append(tuple(cur))
+    sorted_local = [local[j] for j in order] + [F(0)]
+    weights = [1 - sorted_local[0]]
+    weights += [sorted_local[t] - sorted_local[t + 1] for t in range(n)]
+    return verts, weights
+
+
+@st.composite
+def cube_points(draw, n, g):
+    """Points of [0,1]^n with mixed denominators, the faces 0 and 1, and
+    coordinates whose local coordinate in the 1/g grid ties an earlier one."""
+    p = []
+    for _ in range(n):
+        if p and draw(st.booleans()):
+            c = draw(st.sampled_from(p))
+            i = min((c * g).__floor__(), g - 1)
+            p.append((draw(st.integers(0, g - 1)) + c * g - i) / g)
+        else:
+            p.append(draw(st.one_of(
+                st.sampled_from([F(0), F(1)]),
+                st.builds(lambda a, d: F(a % (d + 1), d), st.integers(0, 12), st.integers(1, 12)),
+            )))
+    return tuple(p)
+
+
+@cache
+def kuhn_cube(n, g):
+    return kuhn_triangulate_cube(n, g)
+
+
+class TestIntegerLocation:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), g=st.sampled_from((1, 2, 3, 5, 7)))
+    def test_matches_fraction_formula(self, data, n, g):
+        p = data.draw(cube_points(n, g))
+        verts, weights = fraction_kuhn_simplex(p, n, g)
+        nums, res = common_numerators(p)
+        got_verts, got_weights = kuhn_simplex(nums, res, n, g)
+        assert got_verts == verts
+        assert [F(w, res) for w in got_weights] == weights
+        assert KuhnWidthPipeline(n, 2, g).locate_flag(p).realize(g) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(((1, 1), (1, 5), (2, 3), (3, 2), (3, 3), (4, 2), (5, 1))))
+    def test_locate_on_kuhn_cube_matches_fraction_formula(self, data, shape):
+        n, g = shape
+        p = data.draw(cube_points(n, g))
+        verts, weights = fraction_kuhn_simplex(p, n, g)
+        located = locate(kuhn_cube(n, g), p)
+        assert located.simplex == frozenset(verts)
+        assert located.weights == dict(zip(verts, weights))
 
 
 class FakeMap:

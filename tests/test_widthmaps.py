@@ -393,6 +393,25 @@ class TestPaddedBlockMap:
             sample_x = flag.realize(bm.grid)
             assert bm.evaluate(sample_x) == p
 
+    def test_fiber_samples_keep_chain_and_bucket_sums(self):
+        pipeline = padded_block_map(8, 3, F(1, 2)).pipeline
+        rng = random.Random(47)
+        # ties leave prefixes 0 and 5 with zero weight inside the two
+        # supported buckets; bucket 3 is empty
+        tied = (F(1, 64), F(1, 64), F(5, 64), F(5, 64), F(0), F(1), F(1, 2), F(33, 64))
+        points = [tied] + [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(4)]
+        flags = [pipeline.locate_flag(x) for x in points]
+        assert flags[0].weights[0] == flags[0].weights[5] == 0
+        for flag in flags:
+            t = pipeline.bucket_sums(flag)
+            cert = pipeline.fiber_certificate(flag, F(1, 4), F(1, 8))
+            for _ in range(20):
+                sample = cert.domain.sample(rng)
+                assert sample.chain == flag.chain
+                assert all(w >= 0 for w in sample.weights)
+                assert sum(sample.weights) == sample.denom
+                assert pipeline.bucket_sums(sample) == t
+
     def test_fiber_check_no_violations(self):
         bm = padded_block_map(8, 3, F(1, 2))
         rng = random.Random(31)
@@ -406,3 +425,37 @@ def test_standard_simplex_target_dims():
     for m in (1, 2, 4):
         target = standard_simplex_target(m)
         assert target.complex.dim == m - 1
+
+
+class TestIntegerFlags:
+    """The Kuhn pipeline works on integer numerators and builds a Fraction
+    only for the coordinates it returns."""
+
+    def count_fractions(self, monkeypatch):
+        from meandim import geometry, widthmaps
+
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(widthmaps, "Fraction", CountingFraction)
+        monkeypatch.setattr(geometry, "Fraction", CountingFraction)
+        return built
+
+    def test_locate_and_retract_build_only_output_coordinates(self, monkeypatch):
+        pipeline = padded_block_map(8, 3, F(1, 2)).pipeline
+        rng = random.Random(59)
+        points = [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(50)]
+        built = self.count_fractions(monkeypatch)
+        flags = [pipeline.locate_flag(x) for x in points]
+        # location in Fractions built 500 here (10 per point), and 9 per
+        # retraction below
+        assert built == []
+        for flag in flags:
+            i = min(b for b, w in zip(pipeline.buckets, flag.weights) if w)
+            del built[:]
+            pipeline.retract(flag, i)
+            assert len(built) == 8
