@@ -281,12 +281,13 @@ def spot_check_metric(handle: MetricSpaceHandle, trials: int = 32, seed: int = 0
 
 
 def flat_linf(a, b):
-    """Max metric over arbitrarily nested tuples of rationals."""
+    """Max metric over arbitrarily nested tuples of rationals (ints or
+    Fractions, subtracted as they are)."""
     if isinstance(a, tuple) and isinstance(b, tuple):
         return max(
             (flat_linf(x, y) for x, y in zip(a, b)), default=Fraction(0)
         )
-    return abs(Fraction(a) - Fraction(b))
+    return abs(a - b)
 
 
 def one_point_handle(point=()) -> MetricSpaceHandle:

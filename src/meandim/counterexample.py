@@ -515,14 +515,13 @@ class SbpEmbeddingInstance:
     """Zero-dimensional-base data for the wedge-cone embedding.
 
     The cutoff is the indicator of the union of the refined pieces: it is 1
-    on every piece, supported inside the (pairwise disjoint) windows, and
-    {0,1}-valued because everything is clopen.
+    on every piece, zero off them, and {0,1}-valued because everything is
+    clopen. The pieces are pairwise disjoint, so at most one is live.
     """
 
     base: Sft
     cover: tuple
-    pieces: tuple  # E_i, disjoint
-    windows: tuple  # W_i, disjoint, E_i <= W_i <= V_i
+    pieces: tuple  # E_i, pairwise disjoint, E_i <= V_i
     complement: CylinderSet  # leftover after peeling
     fiber_certs: tuple  # one per cover element, on the fiber over it
     global_cert: EpsEmbeddingCertificate
@@ -533,13 +532,13 @@ class SbpEmbeddingInstance:
         for cert in self.fiber_certs:
             if F(cert.epsilon) != eps:
                 raise PreconditionError("mismatched epsilon between certificates")
-        for i, Wi in enumerate(self.windows):
-            for Wj in self.windows[i + 1 :]:
-                if not Wi.intersection(Wj).is_empty:
-                    raise PreconditionError("windows are not pairwise disjoint")
-        for Ei, Wi, Vi in zip(self.pieces, self.windows, self.cover):
-            if not Ei.difference(Wi).is_empty or not Wi.difference(Vi).is_empty:
-                raise PreconditionError("need piece inside window inside cover element")
+        for i, Ei in enumerate(self.pieces):
+            for Ej in self.pieces[i + 1 :]:
+                if not Ei.intersection(Ej).is_empty:
+                    raise PreconditionError("pieces are not pairwise disjoint")
+        for Ei, Vi in zip(self.pieces, self.cover):
+            if not Ei.difference(Vi).is_empty:
+                raise PreconditionError("need each piece inside its cover element")
 
     @property
     def epsilon(self) -> Fraction:
@@ -587,7 +586,6 @@ def build_sbp_instance(
         base=base,
         cover=cover,
         pieces=pieces,
-        windows=pieces,
         complement=complement,
         fiber_certs=tuple(fiber_certs),
         global_cert=global_cert,
@@ -611,7 +609,7 @@ def wedge_cone_embedding(
     eps = inst.epsilon
     lo, hi = inst.base_span
     span_needed = (n - 1) * N + max(
-        (W.offset + W.length for W in inst.windows if W.length), default=1
+        (E.offset + E.length for E in inst.pieces if E.length), default=1
     )
     if not (lo <= 0 and hi >= max(span_needed, n * N)):
         raise PreconditionError("base span too small for the requested horizon")
@@ -623,7 +621,7 @@ def wedge_cone_embedding(
     count_bound = max_subsampled_visits(inst.base, inst.complement, n, N)
     complement_ocap = ocap_limit(inst.base, inst.complement)
 
-    degenerate = all(W.is_empty for W in inst.windows)
+    degenerate = all(E.is_empty for E in inst.pieces)
     k_contrib = 0 if degenerate else n * wedge_dim
     target_dim = k_contrib + count_bound * global_cone_dim
 
@@ -631,7 +629,7 @@ def wedge_cone_embedding(
         structural_record(
             "windows-pairwise-disjoint",
             pairwise_disjoint=True,
-            count=len(inst.windows),
+            count=len(inst.pieces),
         ),
         structural_record("cutoff-dichotomy-zero-dimensional"),
         structural_record(
@@ -655,7 +653,6 @@ def wedge_cone_embedding(
         records.append(structural_record("degenerate-cutoff-identically-zero"))
 
     pieces = inst.pieces
-    windows = inst.windows
     fiber_evals = [cert.evaluator for cert in inst.fiber_certs]
     global_eval = inst.global_cert.evaluator
 
@@ -665,24 +662,15 @@ def wedge_cone_embedding(
         for k in range(n):
             t = k * N
             shifted = (WindowSeq(base_window.start - t, base_window.values), payload)
-            rho = any(E.contains_point(base_window, shift=t) for E in pieces)
+            # the live piece, if any: the pieces are pairwise disjoint
             branch = next(
-                (
-                    i
-                    for i, W in enumerate(windows)
-                    if W.contains_point(base_window, shift=t)
-                ),
+                (i for i, E in enumerate(pieces) if E.contains_point(base_window, shift=t)),
                 None,
             )
-            if branch is None or not rho:
-                f_part = APEX
+            if branch is None:
+                out.append((APEX, cone_point("g", 1, global_eval(shifted))))
             else:
-                f_part = cone_point(branch, 1, fiber_evals[branch](shifted))
-            if rho:
-                g_part = APEX
-            else:
-                g_part = cone_point("g", 1, global_eval(shifted))
-            out.append((f_part, g_part))
+                out.append((cone_point(branch, 1, fiber_evals[branch](shifted)), APEX))
         return tuple(out)
 
     fiber_target_dists = [cert.target_dist for cert in inst.fiber_certs]

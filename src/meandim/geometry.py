@@ -5,11 +5,17 @@ meshes, containment, affine evaluation) are decided without floating
 tolerances. Distances under the l-infinity and l1 norms are Fractions;
 the l2 norm returns an exact square-root wrapper that compares through
 squared rationals.
+
+A GeometricComplex also holds its coordinates as integer numerators over
+one common denominator. The affine-independence check, star diameters and
+meshes, and barycentric subdivision run on those integers; a Fraction (or
+one ExactSqrt of a squared rational) is built only for a result: a
+diameter, a mesh, or a subdivision vertex's coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 from itertools import combinations, permutations
@@ -73,53 +79,97 @@ def norm_value(vec, norm: str):
     raise PreconditionError(f"unknown norm {norm!r}")
 
 
-def _rank(vectors) -> int:
-    """Exact rank by Gaussian elimination over Fractions."""
-    rows = [list(v) for v in vectors]
+def norm_numerator(diffs, norm: str) -> int:
+    """The norm of an integer vector, as an integer: squared for l2."""
+    if norm == "linf":
+        return max(map(abs, diffs), default=0)
+    if norm == "l1":
+        return sum(map(abs, diffs))
+    return sum(d * d for d in diffs)
+
+
+def norm_from_numerator(value: int, denom: int, norm: str):
+    """The norm of a vector of integers over denom, given norm_numerator of
+    its integer numerators."""
+    if norm == "l2":
+        return ExactSqrt(Fraction(value, denom * denom))
+    return Fraction(value, denom)
+
+
+def _rank(rows) -> int:
+    """Exact rank of integer rows by fraction-free (Bareiss) elimination.
+
+    Every entry stays an integer: after k pivots an entry is a (k+1)-minor
+    of the input, so the division by the previous pivot is exact.
+    """
+    rows = [list(r) for r in rows]
     rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+    previous = 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        a = top[col]
+        for r in range(rank + 1, len(rows)):
+            b = rows[r][col]
+            rows[r] = [(a * x - b * y) // previous for x, y in zip(rows[r], top)]
+        previous = a
         rank += 1
     return rank
 
 
 @dataclass(frozen=True, eq=False)
 class GeometricComplex:
-    """A simplicial complex with rational vertex coordinates and a norm."""
+    """A simplicial complex with rational vertex coordinates and a norm.
+
+    `nums[v]` holds v's coordinates as integer numerators over the common
+    denominator `den`, the lcm of every coordinate's denominator.
+    """
 
     complex: SimplicialComplex
     coords: dict
     norm: str = "linf"
     kuhn_grid: tuple | None = None  # (n, g) when built by kuhn_triangulate_cube
+    den: int = field(init=False, repr=False)
+    nums: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.norm not in NORMS:
             raise PreconditionError(f"unknown norm {self.norm!r}")
-        dims = set()
+        points = {}
         for v in self.complex.vertices:
             if v not in self.coords:
                 raise PreconditionError(f"vertex {v!r} has no coordinates")
-            pt = tuple(Fraction(c) for c in self.coords[v])
-            dims.add(len(pt))
-        if len(dims) > 1:
+            points[v] = [
+                c if isinstance(c, (int, Fraction)) else Fraction(c) for c in self.coords[v]
+            ]
+        if len({len(pt) for pt in points.values()}) > 1:
             raise PreconditionError("coordinate dimensions differ")
-        for s in self.complex.maximal_simplices():
-            pts = [self.coords[v] for v in s]
-            if len(pts) > 1:
-                base = pts[0]
-                if _rank([_vec_sub(p, base) for p in pts[1:]]) != len(pts) - 1:
-                    raise PreconditionError(
-                        f"realized simplex is affinely dependent: {sorted(map(repr, s))}"
-                    )
+        den = lcm(*{c.denominator for pt in points.values() for c in pt})
+        nums = {
+            v: tuple(c.numerator * (den // c.denominator) for c in pt) for v, pt in points.items()
+        }
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        # a face of an affinely independent simplex is independent, so only
+        # maximal simplices are checked
+        covered = {t - {v} for t in self.complex.simplices if len(t) > 2 for v in t}
+        dependent = [
+            s
+            for s in self.complex.simplices
+            if len(s) > 1 and s not in covered and not self._independent(s)
+        ]
+        if dependent:
+            s = min(dependent, key=self.complex.simplex_key)
+            raise PreconditionError(
+                f"realized simplex is affinely dependent: {sorted(map(repr, s))}"
+            )
+
+    def _independent(self, s) -> bool:
+        base, *rest = (self.nums[v] for v in s)
+        return _rank([[a - b for a, b in zip(p, base)] for p in rest]) == len(rest)
 
     @property
     def ambient_dim(self) -> int:
@@ -133,15 +183,19 @@ class GeometricComplex:
     def vertex_point(self, v):
         return tuple(Fraction(c) for c in self.coords[v])
 
-    def incident(self):
-        """vertex -> list of simplices containing it (built once, cached)."""
-        cached = self.__dict__.get("_incident")
+    def star_vertices(self):
+        """vertex -> the vertices of its closed star, itself included (built
+        once, cached). They are its neighbors along edges: the family is
+        downward closed."""
+        cached = self.__dict__.get("_star_vertices")
         if cached is None:
-            cached = {v: [] for v in self.complex.vertices}
+            cached = {v: [v] for v in self.complex.vertices}
             for s in self.complex.simplices:
-                for v in s:
-                    cached[v].append(s)
-            object.__setattr__(self, "_incident", cached)
+                if len(s) == 2:
+                    a, b = s
+                    cached[a].append(b)
+                    cached[b].append(a)
+            object.__setattr__(self, "_star_vertices", cached)
         return cached
 
     def to_json_dict(self) -> dict:
@@ -168,6 +222,18 @@ class GeometricComplex:
         return cls(K, coords, data.get("norm", "linf"))
 
 
+def _star_diameter_numerator(G: GeometricComplex, v) -> int:
+    """norm_numerator of the closed star's diameter, over G.den."""
+    points = [G.nums[u] for u in G.star_vertices()[v]]
+    if G.norm == "linf":
+        # the largest coordinate difference is a coordinate's range
+        return max((max(col) - min(col) for col in zip(*points)), default=0)
+    return max(
+        (norm_numerator([a - b for a, b in zip(p, q)], G.norm) for p, q in combinations(points, 2)),
+        default=0,
+    )
+
+
 def star_diameter(G: GeometricComplex, v):
     """Diameter of the closed star of v.
 
@@ -175,28 +241,13 @@ def star_diameter(G: GeometricComplex, v):
     vertices, so the exact value is the max pairwise distance between vertices
     of simplices containing v.
     """
-    incident = G.incident()
-    if v not in incident:
-        raise PreconditionError(f"unknown vertex: {v!r}")
-    points = set()
-    for s in incident[v]:
-        points |= s
-    pts = [G.vertex_point(u) for u in points]
-    best = Fraction(0) if G.norm != "l2" else ExactSqrt(0)
-    for p, q in combinations(pts, 2):
-        d = G.distance(p, q)
-        if d > best:
-            best = d
-    return best
+    G.complex.vertex_index(v)  # rejects an unknown vertex
+    return norm_from_numerator(_star_diameter_numerator(G, v), G.den, G.norm)
 
 
 def max_star_mesh(G: GeometricComplex):
-    best = Fraction(0) if G.norm != "l2" else ExactSqrt(0)
-    for v in G.complex.vertices:
-        d = star_diameter(G, v)
-        if d > best:
-            best = d
-    return best
+    best = max((_star_diameter_numerator(G, v) for v in G.complex.vertices), default=0)
+    return norm_from_numerator(best, G.den, G.norm)
 
 
 def barycentric_subdivide_geometric(G: GeometricComplex) -> GeometricComplex:
@@ -205,9 +256,10 @@ def barycentric_subdivide_geometric(G: GeometricComplex) -> GeometricComplex:
     Kp = barycentric_subdivide(G.complex)
     coords = {}
     for label in Kp.vertices:
-        pts = [G.vertex_point(v) for v in label]
-        n = len(pts)
-        coords[label] = tuple(sum(col, Fraction(0)) / n for col in zip(*pts))
+        scale = len(label) * G.den
+        coords[label] = tuple(
+            Fraction(sum(col), scale) for col in zip(*(G.nums[v] for v in label))
+        )
     return GeometricComplex(Kp, coords, G.norm)
 
 

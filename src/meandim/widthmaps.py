@@ -9,7 +9,11 @@ Three layers:
 * bucket_width_map / cube_width_map: the composed pipeline (refine to mesh,
   subdivide once, partition the subdivision by source-simplex dimension).
   These materialize complexes and compute meshes and subcomplex dimensions
-  exactly; practical up to four-dimensional cubes.
+  exactly; practical up to four-dimensional cubes. Meshes and subdivision
+  run on the complex's integer coordinate numerators (see geometry). A
+  sampled fiber point is a simplex's vertices with integer weights over one
+  denominator; retraction and the fiber metric sum integer numerators and
+  build a Fraction only for a retracted coordinate or a distance.
 * KuhnWidthPipeline / padded_block_map: the same map evaluated in closed
   form, usable at any dimension. A point is located once, as a FlagPoint:
   the vertex chain of its Kuhn simplex in weight order plus one weight per
@@ -53,7 +57,8 @@ from .geometry import (
     kuhn_simplex,
     kuhn_triangulate_cube,
     max_star_mesh,
-    norm_value,
+    norm_from_numerator,
+    norm_numerator,
     star_diameter,
     subdivide_to_mesh,
 )
@@ -99,13 +104,25 @@ def standard_simplex_target(m: int) -> GeometricComplex:
     return GeometricComplex(K, coords, "linf")
 
 
-def _sample_simplex_weights(rng, count: int) -> list:
-    """count nonnegative integers, not all zero: convex weights once put
-    over their sum."""
-    raw = [rng.randint(0, WEIGHT_DENOMINATOR) for _ in range(count)]
-    if not any(raw):
-        raw[rng.randrange(count)] = 1
-    return raw
+def _sample_group_weights(rng, groups, scales, size: int):
+    """Random weights on `size` slots, drawn one group of slot indices at a
+    time: a group's raw integer draws, not all zero, go over their sum s and
+    are scaled by the group's scale. Returns the integer weights over the
+    product of the sums, and that product."""
+    draws = []
+    for group in groups:
+        raw = [rng.randint(0, WEIGHT_DENOMINATOR) for _ in group]
+        if not any(raw):
+            raw[rng.randrange(len(raw))] = 1
+        draws.append(raw)
+    totals = [sum(raw) for raw in draws]
+    product = prod(totals)
+    weights = [0] * size
+    for group, raw, total, scale in zip(groups, draws, totals, scales):
+        factor = scale * (product // total)
+        for j, r in zip(group, raw):
+            weights[j] = factor * r
+    return tuple(weights), product
 
 
 def empty_fiber_certificate(eps) -> EpsEmbeddingCertificate:
@@ -167,6 +184,10 @@ class PartitionWidthMap:
         The retraction onto the full subcomplex of the lowest-index positive
         block has fibers inside vertex stars, so the star mesh premise bounds
         every retraction fiber by eps.
+
+        A sampled fiber point is (vertices, weights, denom): a simplex's
+        vertices in vertex order and their barycentric weights as integer
+        numerators over denom. Block i's weights sum to t_i.
         """
         t = tuple(Fraction(ti) for ti in t)
         if len(t) != self.m or any(ti < 0 for ti in t) or sum(t) != 1:
@@ -181,35 +202,38 @@ class PartitionWidthMap:
         dim = sub.dim
         G = self.geometry
         block_of = self._block_of
+        t_nums, t_den = common_numerators(t)
+        scales = [t_nums[i - 1] for i in support]
+        ambient = G.ambient_dim
 
         def sample(rng):
             s = admissible[rng.randrange(len(admissible))]
             verts = G.complex.sorted_simplex(s)
-            weights = {}
-            for i in support:
-                group = [v for v in verts if block_of[v] == i]
-                raw = _sample_simplex_weights(rng, len(group))
-                total = sum(raw)
-                for v, r in zip(group, raw):
-                    weights[v] = t[i - 1] * r / total
-            return BarycentricPoint(frozenset(verts), weights)
+            groups = [[j for j, v in enumerate(verts) if block_of[v] == i] for i in support]
+            weights, product = _sample_group_weights(rng, groups, scales, len(verts))
+            return verts, weights, t_den * product
+
+        def weighted_sum(verts, weights):
+            # the point's coordinates over its denominator times G.den
+            coords = [0] * ambient
+            for v, w in zip(verts, weights):
+                if w:
+                    coords = [a + w * c for a, c in zip(coords, G.nums[v])]
+            return coords
 
         def dist(x, y):
-            return norm_value(
-                tuple(a - b for a, b in zip(x.realize(G), y.realize(G))), G.norm
-            )
+            (x_verts, x_weights, dx), (y_verts, y_weights, dy) = x, y
+            diffs = [
+                a * dy - b * dx
+                for a, b in zip(weighted_sum(x_verts, x_weights), weighted_sum(y_verts, y_weights))
+            ]
+            return norm_from_numerator(norm_numerator(diffs, G.norm), dx * dy * G.den, G.norm)
 
         def retract(x):
-            coords = None
-            for v, w in x.weights.items():
-                if block_of[v] != i_star or w == 0:
-                    continue
-                pt = G.vertex_point(v)
-                if coords is None:
-                    coords = tuple(Fraction(w) * c for c in pt)
-                else:
-                    coords = tuple(a + Fraction(w) * c for a, c in zip(coords, pt))
-            return tuple(c / t[i_star - 1] for c in coords)
+            verts, weights, _ = x
+            kept = [w if block_of[v] == i_star else 0 for v, w in zip(verts, weights)]
+            scale = sum(kept) * G.den
+            return tuple(Fraction(a, scale) for a in weighted_sum(verts, kept))
 
         obligations = [
             self.mesh_record,
@@ -505,27 +529,17 @@ class KuhnWidthPipeline:
         support = [i for i in range(1, self.m + 1) if sums[i - 1] > 0]
         i_star = min(support)
         dim = bucket_dimension_bound(self.n, self.m, i_star)
-        groups = {
-            i: [j for j, b in enumerate(self.buckets) if b == i] for i in support
-        }
+        groups = [[j for j, b in enumerate(self.buckets) if b == i] for i in support]
+        scales = [sums[i - 1] for i in support]
         chain = flag.chain
         denom = flag.denom
         pipeline = self
         g = self.grid
 
         def sample(rng):
-            # group i's raw draws r go over their sum s_i, scaled by the
-            # bucket sum: weight sums[i] * r / (denom * s_i), all put over
-            # denom times the product of the s_i
-            draws = [_sample_simplex_weights(rng, len(groups[i])) for i in support]
-            totals = [sum(raw) for raw in draws]
-            product = prod(totals)
-            weights = [0] * len(chain)
-            for i, raw, s in zip(support, draws, totals):
-                factor = sums[i - 1] * (product // s)
-                for j, r in zip(groups[i], raw):
-                    weights[j] = factor * r
-            return FlagPoint(chain, tuple(weights), denom * product)
+            # bucket i's prefix weights sum to its bucket sum, sums[i] / denom
+            weights, product = _sample_group_weights(rng, groups, scales, len(chain))
+            return FlagPoint(chain, weights, denom * product)
 
         def dist(a, b):
             xs, dx = a.numerators(g)

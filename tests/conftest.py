@@ -1,3 +1,5 @@
+import pytest
+
 import acceptance_report
 
 
@@ -6,3 +8,23 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_report.LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """A list that records every Fraction that meandim.geometry and
+    meandim.widthmaps construct while the test runs."""
+    from fractions import Fraction
+
+    from meandim import geometry, widthmaps
+
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(widthmaps, "Fraction", CountingFraction)
+    monkeypatch.setattr(geometry, "Fraction", CountingFraction)
+    return built

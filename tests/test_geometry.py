@@ -1,8 +1,10 @@
 """Tests for geometric realizations, Kuhn triangulations and point location."""
 
 import random
+import re
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from meandim.complexes import SimplicialComplex
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
+    NORMS,
     BarycentricPoint,
     ExactSqrt,
     GeometricComplex,
+    _rank,
     barycentric_subdivide_geometric,
     common_numerators,
     eval_simplicial_map,
@@ -20,6 +24,7 @@ from meandim.geometry import (
     kuhn_triangulate_cube,
     locate,
     max_star_mesh,
+    norm_value,
     star_diameter,
     subdivide_to_mesh,
 )
@@ -375,6 +380,16 @@ def test_affine_dependence_rejected():
         GeometricComplex(K, coords)
 
 
+def test_affine_dependence_names_the_first_dependent_simplex():
+    # both triangles are collinear; in vertex order e, d, c, b, a the
+    # canonical first one is {c, d, e}
+    K = SimplicialComplex.from_maximal(list("edcba"), [list("abc"), list("cde")])
+    coords = {v: (F(i), F(i)) for i, v in enumerate("abcde")}
+    expected = sorted(map(repr, "cde"))
+    with pytest.raises(PreconditionError, match=re.escape(f"affinely dependent: {expected}")):
+        GeometricComplex(K, coords)
+
+
 def test_geometric_json_roundtrip():
     G = kuhn_triangulate_cube(2, 2)
     back = GeometricComplex.from_json_dict(G.to_json_dict())
@@ -382,3 +397,114 @@ def test_geometric_json_roundtrip():
     assert back.complex.simplices == G.complex.simplices
     for v in G.complex.vertices:
         assert back.coords[v] == G.vertex_point(v)
+
+
+def fraction_rank(vectors):
+    """Oracle: rank by Gaussian elimination over Fractions."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_star_diameter(G, v):
+    """Oracle: the largest pairwise Fraction (or ExactSqrt) distance between
+    the vertices of the simplices that contain v."""
+    points = set().union(*(s for s in G.complex.simplices if v in s))
+    best = ExactSqrt(0) if G.norm == "l2" else F(0)
+    for p, q in combinations([G.vertex_point(u) for u in points], 2):
+        d = norm_value(tuple(a - b for a, b in zip(p, q)), G.norm)
+        if d > best:
+            best = d
+    return best
+
+
+RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def rational_rows(draw):
+    """Up to five rational rows of length 1..4; a row may be a rational
+    combination of the earlier ones."""
+    d = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if rows and draw(st.booleans()):
+            coeffs = [draw(RATIONALS) for _ in rows]
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(d)])
+        else:
+            rows.append([draw(RATIONALS) for _ in range(d)])
+    return rows
+
+
+@st.composite
+def skewed_kuhn(draw):
+    """A small Kuhn triangulation under a random injective rational affine
+    map (lower triangular with a nonzero diagonal, sometimes into one more
+    dimension), with mixed denominators and a random norm."""
+    n, g = draw(st.sampled_from(((1, 1), (1, 3), (2, 1), (2, 2), (3, 1))))
+    K = kuhn_cube(n, g)
+    nonzero = RATIONALS.filter(lambda q: q != 0)
+    rows = [
+        [draw(nonzero) if j == i else draw(RATIONALS) if j < i else F(0) for j in range(n)]
+        for i in range(n)
+    ]
+    if draw(st.booleans()):
+        rows.append([draw(RATIONALS) for _ in range(n)])
+    shift = [draw(RATIONALS) for _ in rows]
+    coords = {
+        v: tuple(sum((a * c for a, c in zip(row, p)), b) for row, b in zip(rows, shift))
+        for v, p in ((v, K.vertex_point(v)) for v in K.complex.vertices)
+    }
+    return GeometricComplex(K.complex, coords, draw(st.sampled_from(NORMS)))
+
+
+class TestIntegerGeometry:
+    """The integer geometry against the Fraction formulas it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=rational_rows())
+    def test_rank_matches_fraction_elimination(self, rows):
+        # scaling a row by its common denominator keeps the rank
+        assert _rank([common_numerators(r)[0] for r in rows]) == fraction_rank(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(G=skewed_kuhn())
+    def test_numerators_and_star_meshes_match_fraction_formulas(self, G):
+        for v in G.complex.vertices:
+            assert tuple(F(a, G.den) for a in G.nums[v]) == G.vertex_point(v)
+        diameters = [fraction_star_diameter(G, v) for v in G.complex.vertices]
+        for v, expected in zip(G.complex.vertices, diameters):
+            got = star_diameter(G, v)
+            assert type(got) is type(expected) and got == expected
+        assert max_star_mesh(G) == max(diameters)
+
+    @settings(max_examples=30, deadline=None)
+    @given(G=skewed_kuhn())
+    def test_subdivision_coordinates_are_fraction_barycenters(self, G):
+        sub = barycentric_subdivide_geometric(G)
+        assert sub.norm == G.norm
+        for label in sub.complex.vertices:
+            points = [G.vertex_point(v) for v in label]
+            barycenter = tuple(sum(col, F(0)) / len(label) for col in zip(*points))
+            assert sub.coords[label] == barycenter
+            assert tuple(F(a, sub.den) for a in sub.nums[label]) == barycenter
+
+    def test_mesh_and_subdivision_build_only_result_fractions(self, request):
+        G = kuhn_triangulate_cube(2, 4)
+        l1 = GeometricComplex(G.complex, G.coords, "l1")
+        built = request.getfixturevalue("fraction_count")
+        assert max_star_mesh(G) == F(1, 2) and max_star_mesh(l1) == 1
+        assert len(built) == 2  # one per mesh
+        del built[:]
+        sub = barycentric_subdivide_geometric(G)
+        assert len(built) == 2 * len(sub.complex.vertices)  # one per coordinate

@@ -3,18 +3,22 @@ closed-form Kuhn evaluation."""
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from meandim.certificates import check_certificate, recheck_structural
 from meandim.complexes import SimplicialComplex, VertexPartition, dimension_buckets
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
+    NORMS,
     BarycentricPoint,
     GeometricComplex,
     barycentric_subdivide_geometric,
     kuhn_triangulate_cube,
     locate,
+    norm_value,
 )
 from meandim.widthmaps import (
     barycentric_from_cube,
@@ -35,6 +39,13 @@ def unit_edge():
     return GeometricComplex(K, {"a": (F(0),), "b": (F(1),)})
 
 
+def as_barycentric(x):
+    """A sampled fiber point (vertices, integer weights, denominator) as a
+    BarycentricPoint, whose constructor validates the weights."""
+    verts, weights, denom = x
+    return BarycentricPoint(frozenset(verts), {v: F(w, denom) for v, w in zip(verts, weights)})
+
+
 def bent_path(norm):
     K = SimplicialComplex.from_maximal([0, 1, 2], [[0, 1], [1, 2]])
     return GeometricComplex(K, {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(1), F(1))}, norm)
@@ -50,9 +61,10 @@ class TestPartitionMap:
         cert = wm.fiber_certificate((F(1, 2), F(1, 2)))
         assert cert.target_dim == 0
         rng = random.Random(0)
-        x = cert.domain.sample(rng)
+        x = as_barycentric(cert.domain.sample(rng))
         # the fiber over the midpoint is the midpoint itself
         assert x.realize(wm.geometry) == (F(1, 2),)
+        assert wm.evaluate(x) == (F(1, 2), F(1, 2))
 
     def test_mesh_hypothesis_enforced(self):
         with pytest.raises(PreconditionError, match="star mesh hypothesis fails"):
@@ -79,7 +91,9 @@ class TestPartitionMap:
         cert = wm.fiber_certificate((F(1), F(0)))
         assert cert.target_dim == 0
         rng = random.Random(1)
-        assert cert.domain.sample(rng).realize(wm.geometry) == (F(0),)
+        x = as_barycentric(cert.domain.sample(rng))
+        assert x.realize(wm.geometry) == (F(0),)
+        assert wm.evaluate(x) == (F(1), F(0))
 
     def test_simpliciality(self):
         wm = partition_map(
@@ -103,7 +117,7 @@ class TestPartitionMap:
             t = (t[0], 1 - t[0])
             cert = wm.fiber_certificate(t)
             for _ in range(5):
-                x = cert.domain.sample(rng)
+                x = as_barycentric(cert.domain.sample(rng))
                 assert wm.evaluate(x) == t
 
     def test_retraction_passes_fiber_check(self):
@@ -431,25 +445,11 @@ class TestIntegerFlags:
     """The Kuhn pipeline works on integer numerators and builds a Fraction
     only for the coordinates it returns."""
 
-    def count_fractions(self, monkeypatch):
-        from meandim import geometry, widthmaps
-
-        built = []
-
-        class CountingFraction(Fraction):
-            def __new__(cls, *args, **kwargs):
-                built.append(args)
-                return super().__new__(cls, *args, **kwargs)
-
-        monkeypatch.setattr(widthmaps, "Fraction", CountingFraction)
-        monkeypatch.setattr(geometry, "Fraction", CountingFraction)
-        return built
-
-    def test_locate_and_retract_build_only_output_coordinates(self, monkeypatch):
+    def test_locate_and_retract_build_only_output_coordinates(self, request):
         pipeline = padded_block_map(8, 3, F(1, 2)).pipeline
         rng = random.Random(59)
         points = [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(50)]
-        built = self.count_fractions(monkeypatch)
+        built = request.getfixturevalue("fraction_count")
         flags = [pipeline.locate_flag(x) for x in points]
         # location in Fractions built 500 here (10 per point), and 9 per
         # retraction below
@@ -459,3 +459,68 @@ class TestIntegerFlags:
             del built[:]
             pipeline.retract(flag, i)
             assert len(built) == 8
+
+
+@cache
+def subdivided_square():
+    """The subdivided Kuhn square on the 1/3 grid and its dimension buckets."""
+    G = kuhn_triangulate_cube(2, 3)
+    return barycentric_subdivide_geometric(G), dimension_buckets(G.complex, 2)
+
+
+def fraction_retract(wm, x, t):
+    """Oracle: the bucket-i* part of x's Fraction weights, realized and
+    divided by t[i*]."""
+    i_star = min(i for i, ti in enumerate(t, start=1) if ti > 0)
+    block = wm.partition.blocks[i_star - 1]
+    coords = None
+    for v, w in x.weights.items():
+        if v not in block or w == 0:
+            continue
+        pt = wm.geometry.vertex_point(v)
+        coords = tuple(w * c for c in pt) if coords is None else tuple(
+            a + w * c for a, c in zip(coords, pt)
+        )
+    return tuple(c / t[i_star - 1] for c in coords)
+
+
+class TestPartitionFiberIntegers:
+    """The partition map's fiber sampler, retraction and metric work on
+    integer numerators and agree with the Fraction formulas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), norm=st.sampled_from(NORMS), k=st.integers(0, 8))
+    def test_retract_and_dist_match_fraction_formulas(self, seed, norm, k):
+        sub, P = subdivided_square()
+        G = GeometricComplex(sub.complex, sub.coords, norm)
+        wm = partition_map(G, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
+        t = (F(k, 8), 1 - F(k, 8))
+        assume(wm.fiber_points_exist(t))
+        cert = wm.fiber_certificate(t)
+        rng = random.Random(seed)
+        for _ in range(5):
+            x, y = cert.domain.sample(rng), cert.domain.sample(rng)
+            bx, by = as_barycentric(x), as_barycentric(y)
+            assert wm.evaluate(bx) == t
+            assert cert.evaluator(x) == fraction_retract(wm, bx, t)
+            expected = norm_value(
+                tuple(a - b for a, b in zip(bx.realize(G), by.realize(G))), norm
+            )
+            got = cert.domain.dist(x, y)
+            assert type(got) is type(expected) and got == expected
+
+    def test_sample_builds_none_and_retract_only_coordinates(self, request):
+        sub, P = subdivided_square()
+        wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
+        cert = wm.fiber_certificate((F(1, 3), F(2, 3)))
+        rng = random.Random(61)
+        built = request.getfixturevalue("fraction_count")
+        points = [cert.domain.sample(rng) for _ in range(20)]
+        assert built == []
+        for x, y in zip(points, points[1:]):
+            cert.evaluator(x)
+            assert len(built) == 2  # one per coordinate
+            del built[:]
+            cert.domain.dist(x, y)
+            assert len(built) == 1
+            del built[:]
