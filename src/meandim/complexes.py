@@ -4,12 +4,17 @@ A complex stores its full downward-closed simplex family explicitly (not
 maximal faces only), so subcomplex and star queries are plain set filters.
 Desk-scale sizes make this affordable. All operations are pure, and
 instances are immutable.
+
+Construction checks downward closure by visiting every facet of every
+simplex once; the same loop records which simplices are maximal, so the
+affine check of a realization and the simplicial-map check read that set
+instead of walking the family again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor
@@ -39,8 +44,7 @@ def close_downward(simplices):
         if not s:
             raise PreconditionError("simplices must be nonempty")
         for r in range(1, len(s) + 1):
-            for sub in combinations(sorted(s, key=_universal_key), r):
-                closed.add(frozenset(sub))
+            closed.update(map(frozenset, combinations(s, r)))
     return frozenset(closed)
 
 
@@ -49,28 +53,37 @@ class SimplicialComplex:
     """Vertex tuple (ordered, unique) plus a downward-closed family of simplices.
 
     Every vertex appears as a singleton simplex; dim of the empty complex
-    is -1 by convention.
+    is -1 by convention. `maximal` is the set of simplices that are no
+    proper face of another, recorded by the downward-closure check;
+    `maximal_simplices()` lists it in canonical order.
     """
 
     vertices: tuple
     simplices: frozenset
+    maximal: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         seen = set(self.vertices)
         if len(seen) != len(self.vertices):
             raise PreconditionError("duplicate vertices")
-        for s in self.simplices:
+        simplices = self.simplices
+        maximal = set(simplices)  # each facet met below is dropped
+        for s in simplices:
             if not s:
                 raise PreconditionError("empty simplex")
             if not s <= seen:
                 raise PreconditionError("unknown vertex")
             if len(s) > 1:
                 for v in s:
-                    if s - {v} not in self.simplices:
+                    facet = s - {v}
+                    if facet not in simplices:
                         raise PreconditionError("simplex family is not downward closed")
+                    maximal.discard(facet)
         for v in self.vertices:
-            if frozenset({v}) not in self.simplices:
+            if frozenset({v}) not in simplices:
                 raise PreconditionError("missing singleton simplex")
+        # every proper face lies in a facet, so what is left is maximal
+        object.__setattr__(self, "maximal", frozenset(maximal))
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
@@ -101,18 +114,25 @@ class SimplicialComplex:
             return -1
         return max(len(s) for s in self.simplices) - 1
 
-    def vertex_index(self, v) -> int:
+    def _vertex_indices(self) -> dict:
         idx = self.__dict__.get("_vindex")
         if idx is None:
             idx = {u: i for i, u in enumerate(self.vertices)}
             object.__setattr__(self, "_vindex", idx)
+        return idx
+
+    def vertex_index(self, v) -> int:
         try:
-            return idx[v]
+            return self._vertex_indices()[v]
         except KeyError:
             raise PreconditionError(f"unknown vertex: {v!r}") from None
 
     def simplex_key(self, s):
-        return (len(s), tuple(sorted(self.vertex_index(v) for v in s)))
+        idx = self._vertex_indices()
+        try:
+            return (len(s), tuple(sorted([idx[v] for v in s])))
+        except KeyError as exc:
+            raise PreconditionError(f"unknown vertex: {exc.args[0]!r}") from None
 
     def sorted_simplex(self, s) -> tuple:
         return tuple(sorted(s, key=self.vertex_index))
@@ -122,12 +142,7 @@ class SimplicialComplex:
         return sorted(self.simplices, key=self.simplex_key)
 
     def maximal_simplices(self):
-        covered = set()
-        for t in self.simplices:
-            if len(t) > 1:
-                for v in t:
-                    covered.add(t - {v})
-        return [s for s in self.iter_simplices() if s not in covered]
+        return sorted(self.maximal, key=self.simplex_key)
 
     def star(self, v) -> frozenset:
         """Simplices containing v (the combinatorial open star)."""
@@ -203,18 +218,18 @@ def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
     label = {s: K.sorted_simplex(s) for s in K.simplices}
     order = K.iter_simplices()
 
-    # chains ending at each simplex; every proper nonempty subset is a face
-    # by downward closure, so faces enumerate as combinations
+    # the chains ending at each simplex, as frozensets of labels; every
+    # proper nonempty subset is a face by downward closure, so faces
+    # enumerate as combinations
     ending_at = {}
     for s in order:
-        here = [(s,)]
-        sorted_s = label[s]
+        top = frozenset((label[s],))
+        here = [top]
         for r in range(1, len(s)):
-            for sub in combinations(sorted_s, r):
-                here.extend(chain + (s,) for chain in ending_at[frozenset(sub)])
+            for sub in combinations(s, r):
+                here.extend(chain | top for chain in ending_at[frozenset(sub)])
         ending_at[s] = here
-    all_chains = [c for lst in ending_at.values() for c in lst]
-    simplices = frozenset(frozenset(label[s] for s in chain) for chain in all_chains)
+    simplices = frozenset(chain for here in ending_at.values() for chain in here)
     vertices = tuple(label[s] for s in order)
     return SimplicialComplex(vertices, simplices)
 

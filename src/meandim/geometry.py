@@ -10,7 +10,10 @@ A GeometricComplex also holds its coordinates as integer numerators over
 one common denominator. The affine-independence check, star diameters and
 meshes, and barycentric subdivision run on those integers; a Fraction (or
 one ExactSqrt of a squared rational) is built only for a result: a
-diameter, a mesh, or a subdivision vertex's coordinate.
+diameter, a mesh, or a subdivision vertex's coordinate. The affine check
+visits the maximal simplices that the combinatorial complex recorded, and
+computes one rank per simplex shape, since translates share their edge
+vectors.
 """
 
 from __future__ import annotations
@@ -154,22 +157,25 @@ class GeometricComplex:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         # a face of an affinely independent simplex is independent, so only
-        # maximal simplices are checked
-        covered = {t - {v} for t in self.complex.simplices if len(t) > 2 for v in t}
-        dependent = [
-            s
-            for s in self.complex.simplices
-            if len(s) > 1 and s not in covered and not self._independent(s)
-        ]
+        # maximal simplices are checked. The rank depends only on the
+        # simplex's shape: edge vectors from its lexicographically least
+        # vertex, in sorted order, are the same for every translate.
+        ranks = {}
+        dependent = []
+        for s in self.complex.maximal:
+            if len(s) > 1:
+                base, *rest = sorted(nums[v] for v in s)
+                rows = tuple(tuple(a - b for a, b in zip(p, base)) for p in rest)
+                rank = ranks.get(rows)
+                if rank is None:
+                    rank = ranks[rows] = _rank(rows)
+                if rank != len(rows):
+                    dependent.append(s)
         if dependent:
             s = min(dependent, key=self.complex.simplex_key)
             raise PreconditionError(
                 f"realized simplex is affinely dependent: {sorted(map(repr, s))}"
             )
-
-    def _independent(self, s) -> bool:
-        base, *rest = (self.nums[v] for v in s)
-        return _rank([[a - b for a, b in zip(p, base)] for p in rest]) == len(rest)
 
     @property
     def ambient_dim(self) -> int:
@@ -430,7 +436,7 @@ def locate(G: GeometricComplex, p) -> BarycentricPoint:
             frozenset(verts), {v: Fraction(w, res) for v, w in zip(verts, weights)}
         )
     p = tuple(Fraction(c) for c in p)
-    for s in sorted(G.complex.iter_simplices(), key=G.complex.simplex_key):
+    for s in G.complex.iter_simplices():
         verts = G.complex.sorted_simplex(s)
         weights = _solve_barycentric([G.vertex_point(v) for v in verts], p)
         if weights is not None:

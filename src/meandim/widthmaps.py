@@ -13,7 +13,13 @@ Three layers:
   run on the complex's integer coordinate numerators (see geometry). A
   sampled fiber point is a simplex's vertices with integer weights over one
   denominator; retraction and the fiber metric sum integer numerators and
-  build a Fraction only for a retracted coordinate or a distance.
+  build a Fraction only for a retracted coordinate or a distance. Each
+  walk of the subdivided family is paid once per map: the closure check
+  records the maximal simplices (the affine check and the simplicial-map
+  check visit only those, the affine check with one rank per simplex
+  shape), simplices are grouped by support pattern without a family sort
+  and each pattern is sorted when first sampled, and each block's
+  full-subcomplex dimension is computed once.
 * KuhnWidthPipeline / padded_block_map: the same map evaluated in closed
   form, usable at any dimension. A point is located once, as a FlagPoint:
   the vertex chain of its Kuhn simplex in weight order plus one weight per
@@ -79,8 +85,11 @@ class SimplicialMap:
         for v in self.source.vertices:
             if v not in self.vertex_images:
                 raise PreconditionError(f"vertex {v!r} missing from map table")
+        # a face's image is a subset of its coface's image, and the target
+        # family is downward closed, so checking the maximal source simplices
+        # accepts and rejects exactly the maps that checking all would
         target_simplices = self.target.complex.simplices
-        for s in self.source.simplices:
+        for s in self.source.maximal:
             image = frozenset(self.vertex_images[v] for v in s)
             if image not in target_simplices:
                 raise PreconditionError("vertex images do not span a target simplex")
@@ -156,6 +165,8 @@ class PartitionWidthMap:
             for v in block:
                 self._block_of[v] = i
         self._by_pattern = None
+        self._admissible = {}
+        self._block_dims = {}
 
     @property
     def m(self) -> int:
@@ -165,14 +176,32 @@ class PartitionWidthMap:
         """Barycentric image: per-block weight sums."""
         return self.mapping.evaluate(x)
 
-    def _pattern_index(self):
+    def _pattern_index(self) -> dict:
+        """support pattern (the set of blocks a simplex meets) -> its
+        simplices, in no particular order."""
         if self._by_pattern is None:
+            block_of = self._block_of
             index = {}
-            for s in self.geometry.complex.iter_simplices():
-                pattern = frozenset(self._block_of[v] for v in s)
-                index.setdefault(pattern, []).append(s)
+            for s in self.geometry.complex.simplices:
+                index.setdefault(frozenset([block_of[v] for v in s]), []).append(s)
             self._by_pattern = index
         return self._by_pattern
+
+    def admissible(self, support) -> list:
+        """The simplices whose vertices meet exactly the blocks in `support`,
+        in simplex_key order (sorted once per pattern, when first asked for)."""
+        if support not in self._admissible:
+            simplices = self._pattern_index().get(support, ())
+            self._admissible[support] = sorted(simplices, key=self.geometry.complex.simplex_key)
+        return self._admissible[support]
+
+    def block_dim(self, i: int) -> int:
+        """Dimension of the full subcomplex on block i (1-based), built once
+        per block."""
+        if i not in self._block_dims:
+            block = self.partition.blocks[i - 1]
+            self._block_dims[i] = full_subcomplex(self.geometry.complex, block).dim
+        return self._block_dims[i]
 
     def fiber_points_exist(self, t) -> bool:
         support = frozenset(i + 1 for i, ti in enumerate(t) if ti > 0)
@@ -193,13 +222,11 @@ class PartitionWidthMap:
         if len(t) != self.m or any(ti < 0 for ti in t) or sum(t) != 1:
             raise PreconditionError("target point must be barycentric over the blocks")
         support = frozenset(i + 1 for i, ti in enumerate(t) if ti > 0)
-        admissible = self._pattern_index().get(support, [])
+        admissible = self.admissible(support)
         if not admissible:
             return empty_fiber_certificate(self.eps)
         i_star = min(support)
-        block = self.partition.blocks[i_star - 1]
-        sub = full_subcomplex(self.geometry.complex, block)
-        dim = sub.dim
+        dim = self.block_dim(i_star)
         G = self.geometry
         block_of = self._block_of
         t_nums, t_den = common_numerators(t)
@@ -631,10 +658,7 @@ class CubeWidthMap:
             "vertices": len(self.geometry.complex.vertices),
             "simplices": len(self.geometry.complex.simplices),
             "fiber_bound": format_fraction(self.fiber_bound),
-            "bucket_dims": [
-                full_subcomplex(self.geometry.complex, block).dim
-                for block in self.inner.partition.blocks
-            ],
+            "bucket_dims": [self.inner.block_dim(i) for i in range(1, self.m + 1)],
         }
 
 
@@ -653,13 +677,23 @@ def cube_width_map(
 
     The triangulation is refined to star mesh strictly below mesh_scale
     (eps/4 by default, the scale the downstream construction consumes), so
-    certificates discharge the mesh premise with that margin.
+    certificates discharge the mesh premise with that margin. The size
+    budget bounds the estimated subdivided top simplices and, separately,
+    the 2^m - 1 faces of the target simplex; both are checked before
+    anything is built.
     """
     eps = Fraction(eps)
     if m < 2:
         raise PreconditionError("m must be at least 2")
     if not 1 <= n <= 4:
         raise PreconditionError("cube dimension out of range (1..4); use padded_block_map for larger blocks")
+    # the target simplex has 2^m - 1 faces; m past the budget's bit length
+    # is over it without computing 2^m
+    if m > budget.bit_length() or 2**m - 1 > budget:
+        raise BudgetExceededError(
+            f"size budget exceeded: the target simplex on {m} vertices has 2^{m} - 1 "
+            f"faces > {budget}"
+        )
     mesh_scale = Fraction(mesh_scale) if mesh_scale is not None else eps / 4
     g = grid_for_mesh(mesh_scale)
     estimated = estimate_subdivided_tops(n, g)

@@ -129,6 +129,21 @@ class TestOcapCommand:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.count("horizon budget") == 2
 
+    def test_oversized_target_simplex_exits_4(self, workdir, capsys):
+        out = workdir / "map.json"
+        assert main(["gromov", "build", "--cube", "1", "--m", "2", "--eps", "1/2",
+                     "--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        artifact["recipe"]["m"] = 10**6
+        out.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["gromov", "build", "--cube", "1", "--m", "40", "--eps", "1/2",
+                     "--out", str(workdir / "big.json")]) == 4
+        assert main(["verify", str(out)]) == 4
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.count("target simplex") == 2
+
 
 class TestGromovCommands:
     def test_build_and_fiber_check(self, workdir, capsys):

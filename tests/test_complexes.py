@@ -1,5 +1,6 @@
 """Tests for the combinatorial complex module."""
 
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from meandim.complexes import (
     wedge_cones,
 )
 from meandim.errors import PreconditionError
+from meandim.geometry import kuhn_triangulate_cube
 
 
 def two_simplex():
@@ -224,6 +226,31 @@ def test_bucket_partition_and_dimension_bounds(K, m):
             assert d <= Fraction(K.dim, m)
         else:
             assert d < Fraction(K.dim, m) or d == -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=random_complexes())
+def test_maximal_simplices_match_brute_force(K):
+    for built in (K, barycentric_subdivide(K), cone(K)[0]):
+        expected = [
+            s for s in built.iter_simplices() if not any(s < t for t in built.simplices)
+        ]
+        assert built.maximal_simplices() == expected
+        assert built.maximal == frozenset(expected)
+
+
+@cache
+def subdivided_cube(n, g):
+    return barycentric_subdivide(kuhn_triangulate_cube(n, g).complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from((1, 2)), g=st.sampled_from((1, 2)), data=st.data())
+def test_removing_any_non_maximal_face_breaks_closure(n, g, data):
+    K = subdivided_cube(n, g)
+    face = data.draw(st.sampled_from([s for s in K.iter_simplices() if s not in K.maximal]))
+    with pytest.raises(PreconditionError, match="not downward closed"):
+        SimplicialComplex(K.vertices, K.simplices - {face})
 
 
 def test_partition_rejects_overlap():

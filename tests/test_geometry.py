@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meandim.complexes import SimplicialComplex
+from meandim.complexes import SimplicialComplex, full_subcomplex
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
     NORMS,
@@ -388,6 +388,36 @@ def test_affine_dependence_names_the_first_dependent_simplex():
     expected = sorted(map(repr, "cde"))
     with pytest.raises(PreconditionError, match=re.escape(f"affinely dependent: {expected}")):
         GeometricComplex(K, coords)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    count=st.integers(2, 12),
+    data=st.data(),
+    step=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+)
+def test_one_collinear_translate_among_good_triangles_is_named(count, data, step):
+    # `count` disjoint triangles, all translates of one right triangle but
+    # one, whose vertices lie on a line: the rank cache keyed by shape must
+    # not let the good shape vouch for it
+    bad = data.draw(st.integers(0, count - 1))
+    coords, facets = {}, []
+    for k in range(count):
+        a, b, c = (k, "a"), (k, "b"), (k, "c")
+        x, y = F(3 * k), F(k % 2)
+        coords[a] = (x, y)
+        if k == bad:
+            coords[b] = (x + step[0], y + step[1])
+            coords[c] = (x + 2 * step[0], y + 2 * step[1])
+        else:
+            coords[b], coords[c] = (x + 1, y), (x, y + 1)
+        facets.append([a, b, c])
+    K = SimplicialComplex.from_maximal(sorted(coords), facets)
+    expected = sorted(map(repr, facets[bad]))
+    with pytest.raises(PreconditionError, match=re.escape(f"affinely dependent: {expected}")):
+        GeometricComplex(K, coords)
+    good = {v: p for v, p in coords.items() if v[0] != bad}
+    GeometricComplex(full_subcomplex(K, good), good)
 
 
 def test_geometric_json_roundtrip():

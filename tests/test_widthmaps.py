@@ -18,9 +18,12 @@ from meandim.geometry import (
     barycentric_subdivide_geometric,
     kuhn_triangulate_cube,
     locate,
+    max_star_mesh,
     norm_value,
 )
+from meandim import widthmaps
 from meandim.widthmaps import (
+    SimplicialMap,
     barycentric_from_cube,
     cube_from_barycentric,
     bucket_width_map,
@@ -30,6 +33,8 @@ from meandim.widthmaps import (
     partition_map,
     standard_simplex_target,
 )
+
+from test_complexes import random_complexes
 
 F = Fraction
 
@@ -284,6 +289,30 @@ class TestCubeWidthMap:
         with pytest.raises(BudgetExceededError, match="size budget"):
             cube_width_map(4, 2, F(1, 2), budget=1000)
 
+    def test_target_faces_count_against_the_budget(self):
+        # the 2-simplex target has 7 faces; m = 10**9 is refused without
+        # computing 2**m
+        with pytest.raises(BudgetExceededError, match="target simplex"):
+            cube_width_map(1, 3, F(1, 2), budget=6)
+        with pytest.raises(BudgetExceededError, match="target simplex"):
+            cube_width_map(1, 10**9, F(1, 2))
+
+    def test_block_dimension_built_once_per_block(self, monkeypatch):
+        calls = []
+        real = widthmaps.full_subcomplex
+
+        def counted(K, A):
+            calls.append(frozenset(A))
+            return real(K, A)
+
+        monkeypatch.setattr(widthmaps, "full_subcomplex", counted)
+        wm = cube_width_map(2, 2, F(1))
+        first = wm.to_json_dict()
+        for k in range(9):
+            wm.fiber_certificate((F(k, 8),))
+        assert wm.to_json_dict() == first
+        assert len(calls) == len(set(calls)) <= wm.m
+
     def test_bounds(self):
         with pytest.raises(PreconditionError):
             cube_width_map(5, 2, F(1, 2))
@@ -433,6 +462,48 @@ class TestPaddedBlockMap:
         cert = bm.fiber_certificate(bm.evaluate(x), known=bm.pipeline.locate_flag(x))
         record = check_certificate(cert, trials=300, seed=37)
         assert record.status == "sampled-only"
+
+
+def path_target(k):
+    """The path 0 - 1 - ... - k-1 on a line: a target that is not a full
+    simplex."""
+    facets = [[i, i + 1] for i in range(k - 1)] or [[0]]
+    K = SimplicialComplex.from_maximal(list(range(k)), facets)
+    return GeometricComplex(K, {i: (F(i),) for i in range(k)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=random_complexes(), k=st.integers(1, 4), data=st.data())
+def test_maximal_image_check_matches_checking_every_simplex(K, k, data):
+    target = path_target(k)
+    images = {v: data.draw(st.integers(0, k - 1)) for v in K.vertices}
+    spans = all(
+        frozenset(images[v] for v in s) in target.complex.simplices for s in K.simplices
+    )
+    try:
+        SimplicialMap(K, target, images)
+    except PreconditionError as exc:
+        assert not spans and "do not span" in str(exc)
+    else:
+        assert spans
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from((1, 2)), g=st.sampled_from((1, 2, 3)), m=st.integers(2, 3),
+       data=st.data())
+def test_admissible_lists_match_the_full_sort_grouping(n, g, m, data):
+    G = kuhn_triangulate_cube(n, g)
+    P = dimension_buckets(G.complex, m)
+    sub = barycentric_subdivide_geometric(G)
+    wm = partition_map(sub, P, F(3), inherited_mesh=max_star_mesh(G))
+    block_of = {v: i for i, block in enumerate(P.blocks, start=1) for v in block}
+    grouped = {}
+    for s in sub.complex.iter_simplices():
+        grouped.setdefault(frozenset(block_of[v] for v in s), []).append(s)
+    for pattern in data.draw(st.permutations(list(grouped))):
+        assert wm.admissible(pattern) == grouped[pattern]
+        assert wm.admissible(pattern) == grouped[pattern]  # sorted once, kept
+    assert wm.admissible(frozenset({m + 1})) == []
 
 
 def test_standard_simplex_target_dims():
