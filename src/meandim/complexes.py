@@ -16,11 +16,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import ceil, floor
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .serialize import vertex_from_jsonable, vertex_to_jsonable
+
+
+SIZE_BUDGET = 200_000  # simplices a construction may build from outside input
+
+
+def faces_exceed(sizes, budget: int) -> bool:
+    """Whether simplices on these vertex counts have more than `budget`
+    faces in all, computing no 2^k - 1 past the budget's bit length."""
+    capped = (2**k - 1 if k <= budget.bit_length() else budget + 1 for k in sizes)
+    return any(total > budget for total in accumulate(capped))
 
 
 def _universal_key(v):
@@ -164,6 +174,8 @@ class SimplicialComplex:
         maximal = [
             [vertex_from_jsonable(v) for v in s] for s in data["maximal_simplices"]
         ]
+        if faces_exceed((len(set(s)) for s in maximal), SIZE_BUDGET):  # before closing
+            raise BudgetExceededError(f"size budget exceeded: over {SIZE_BUDGET} faces")
         return cls.from_maximal(vertices, maximal)
 
     def dumps(self) -> str:

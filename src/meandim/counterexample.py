@@ -47,13 +47,12 @@ from .widthmaps import PaddedBlockMap, padded_block_map
 F = Fraction
 
 SAMPLE_RESOLUTION = 64  # denominator grid for sampled cube coordinates
+_GRID_VALUES = tuple(F(k, SAMPLE_RESOLUTION) for k in range(SAMPLE_RESOLUTION + 1))
 
 
 def sample_coordinates(rng: random.Random, count: int) -> tuple:
     """count cube coordinates drawn uniformly from the 1/64 grid on [0, 1]."""
-    return tuple(
-        F(rng.randint(0, SAMPLE_RESOLUTION), SAMPLE_RESOLUTION) for _ in range(count)
-    )
+    return tuple(_GRID_VALUES[rng.randint(0, SAMPLE_RESOLUTION)] for _ in range(count))
 
 
 def derive_m(delta: Fraction) -> int:

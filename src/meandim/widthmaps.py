@@ -25,12 +25,19 @@ Three layers:
   the vertex chain of its Kuhn simplex in weight order plus one weight per
   chain prefix. Prefix j is a j-simplex of the grid, so its bucket is fixed
   by j alone; evaluation, retraction and fiber sampling all read one
-  per-prefix bucket table. Location, retraction and sampling run on integer
-  numerators over one denominator per flag; a Fraction is built only where
-  a value leaves the pipeline (bucket sums, realized and retracted
-  coordinates). Its certificates carry arithmetic bounds (grid mesh,
-  chain-length bucket dimensions) instead of materialized values; tests
-  cross-check the two layers on small grids.
+  per-prefix bucket table. Location, evaluation, retraction and sampling
+  run on integer numerators over one denominator per flag, a retraction
+  stays an unrealized flag, and a Fraction is built only where a value
+  leaves the pipeline (image and realized coordinates, distances). Its
+  certificates carry arithmetic bounds (grid mesh, chain-length bucket
+  dimensions) instead of materialized values; tests cross-check the two
+  layers on small grids.
+
+The radial chart between simplex and cube scales each ray from the center by
+the ratio of its two exit times, in closed form: from t = s/D, W_i = m*s_i - D
+(i < m) and c_i = (A*D + B*W_i) / (2*A*D); back from p = P/D, W_i = 2*P_i - D
+and u_i = (B*D + A*W_i) / (m*B*D), the last at W_m = -sum W. Here
+A = max |W_i|, B = max(max_i(-W_i), sum W), and A = 0 is the center.
 """
 
 from __future__ import annotations
@@ -46,11 +53,13 @@ from .certificates import (
     structural_record,
 )
 from .complexes import (
+    SIZE_BUDGET,
     SimplicialComplex,
     VertexPartition,
     bucket_dimension_bound,
     bucket_of_dimension,
     dimension_buckets,
+    faces_exceed,
     full_subcomplex,
 )
 from .errors import BudgetExceededError, PreconditionError
@@ -71,6 +80,7 @@ from .geometry import (
 from .serialize import format_fraction
 
 WEIGHT_DENOMINATOR = 64  # granularity of sampled rational convex weights
+_ZERO = Fraction(0)  # the shared padding entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,75 +388,40 @@ def bucket_width_map(G: GeometricComplex, m: int, eps) -> PartitionWidthMap:
 # ---------------------------------------------------------------------------
 
 
-def _corner_center(m: int):
-    return tuple(Fraction(1, m) for _ in range(m - 1))
-
-
-def _cube_center(m: int):
-    return tuple(Fraction(1, 2) for _ in range(m - 1))
-
-
-def _corner_exit(center, w, m):
-    """Largest lambda keeping center + lambda*w inside {u >= 0, sum u <= 1}."""
-    lam = None
-    for ci, wi in zip(center, w):
-        if wi < 0:
-            cand = ci / (-wi)
-            lam = cand if lam is None or cand < lam else lam
-    total = sum(w, Fraction(0))
-    if total > 0:
-        cand = (1 - sum(center, Fraction(0))) / total
-        lam = cand if lam is None or cand < lam else lam
-    return lam
-
-
-def _cube_exit(center, w):
-    lam = None
-    for ci, wi in zip(center, w):
-        if wi > 0:
-            cand = (1 - ci) / wi
-        elif wi < 0:
-            cand = ci / (-wi)
-        else:
-            continue
-        lam = cand if lam is None or cand < lam else lam
-    return lam
+def _cube_from_numerators(s, D: int) -> tuple:
+    """cube_from_barycentric at t = s/D, for integer numerators s."""
+    m = len(s)
+    W = [m * si - D for si in s[:-1]]
+    A = max(map(abs, W), default=0)
+    if A == 0:
+        return tuple(Fraction(1, 2) for _ in W)
+    B = max(max(-w for w in W), sum(W))
+    return tuple(Fraction(A * D + B * w, 2 * A * D) for w in W)
 
 
 def cube_from_barycentric(t) -> tuple:
     """Radial homeomorphism from the standard simplex onto the unit cube,
     centered at the barycenter; rays scale so boundaries match. Bijective and
-    exact; fibers of any map composed with it are unchanged."""
-    t = tuple(Fraction(x) for x in t)
-    m = len(t)
-    if m == 1:
-        return ()
-    u = t[:-1]
-    center_t = _corner_center(m)
-    center_c = _cube_center(m)
-    w = tuple(a - b for a, b in zip(u, center_t))
-    if all(x == 0 for x in w):
-        return center_c
-    ratio = _cube_exit(center_c, w) / _corner_exit(center_t, w, m)
-    return tuple(c + ratio * x for c, x in zip(center_c, w))
+    exact; fibers of any map composed with it are unchanged. For t = s/D:
+    c_i = (A*D + B*W_i) / (2*A*D) with W_i = m*s_i - D (i < m), A = max |W_i|
+    and B = max(max_i(-W_i), sum W); 1/2 everywhere when A = 0."""
+    return _cube_from_numerators(*common_numerators([Fraction(x) for x in t]))
 
 
 def barycentric_from_cube(p) -> tuple:
-    p = tuple(Fraction(x) for x in p)
-    m = len(p) + 1
-    if m == 1:
-        return (Fraction(1),)
-    if any(x < 0 or x > 1 for x in p):
+    """Inverse of cube_from_barycentric. For p = P/D: u_i = (B*D + A*W_i) /
+    (m*B*D) with W_i = 2*P_i - D, the last coordinate at W_m = -sum W, and A,
+    B as there; 1/m everywhere when A = 0."""
+    P, D = common_numerators([Fraction(x) for x in p])
+    m = len(P) + 1
+    if any(c < 0 or c > D for c in P):
         raise PreconditionError("point outside the unit cube")
-    center_t = _corner_center(m)
-    center_c = _cube_center(m)
-    w = tuple(a - b for a, b in zip(p, center_c))
-    if all(x == 0 for x in w):
-        u = center_t
-    else:
-        ratio = _corner_exit(center_t, w, m) / _cube_exit(center_c, w)
-        u = tuple(c + ratio * x for c, x in zip(center_t, w))
-    return u + (1 - sum(u, Fraction(0)),)
+    W = [2 * c - D for c in P]
+    A = max(map(abs, W), default=0)
+    if A == 0:
+        return tuple(Fraction(1, m) for _ in range(m))
+    B = max(max(-w for w in W), sum(W))
+    return tuple(Fraction(B * D + A * w, m * B * D) for w in W + [-sum(W)])
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +512,24 @@ class KuhnWidthPipeline:
 
     def evaluate(self, x) -> tuple:
         """The width map into the (m-1)-cube."""
-        return cube_from_barycentric(self.bucket_sums(self.locate_flag(x)))
+        flag = self.locate_flag(x)
+        return _cube_from_numerators(self._bucket_numerators(flag), flag.denom)
 
-    def retract(self, flag: FlagPoint, bucket: int) -> tuple:
+    def retract(self, flag: FlagPoint, bucket: int) -> FlagPoint:
+        """The flag's normalized bucket part, unrealized."""
         kept = tuple(w if b == bucket else 0 for b, w in zip(self.buckets, flag.weights))
         total = sum(kept)
         if total == 0:
             raise PreconditionError("retraction bucket has zero weight")
-        return FlagPoint(flag.chain, kept, total).realize(self.grid)
+        return FlagPoint(flag.chain, kept, total)
 
     def fiber_certificate(self, flag: FlagPoint, scale, mesh_threshold) -> EpsEmbeddingCertificate:
         """Certificate for the fiber through `flag`, sampled in the flag
         polytope of its chain. Dimensions come from the chain-length bucket
-        bounds; the mesh premise is the grid bound 2/g."""
+        bounds; the mesh premise is the grid bound 2/g. The evaluator
+        retracts onto bucket i* without realizing the result, and the fiber
+        metric `dist`, which compares flags on their integer numerators,
+        measures the target side too."""
         sums = self._bucket_numerators(flag)
         scale = Fraction(scale)
         mesh_threshold = Fraction(mesh_threshold)
@@ -601,6 +581,7 @@ class KuhnWidthPipeline:
             epsilon=scale,
             evaluator=lambda flag: pipeline.retract(flag, i_star),
             obligations=obligations,
+            target_dist=dist,
         )
 
 
@@ -671,7 +652,7 @@ def cube_width_map(
     m: int,
     eps,
     mesh_scale=None,
-    budget: int = 200_000,
+    budget: int = SIZE_BUDGET,
 ) -> CubeWidthMap:
     """Width map [0,1]^n -> [0,1]^{m-1} whose fibers certify at dim n/m.
 
@@ -687,9 +668,7 @@ def cube_width_map(
         raise PreconditionError("m must be at least 2")
     if not 1 <= n <= 4:
         raise PreconditionError("cube dimension out of range (1..4); use padded_block_map for larger blocks")
-    # the target simplex has 2^m - 1 faces; m past the budget's bit length
-    # is over it without computing 2^m
-    if m > budget.bit_length() or 2**m - 1 > budget:
+    if faces_exceed((m,), budget):
         raise BudgetExceededError(
             f"size budget exceeded: the target simplex on {m} vertices has 2^{m} - 1 "
             f"faces > {budget}"
@@ -755,8 +734,7 @@ class PaddedBlockMap:
         return self.m - 1
 
     def evaluate(self, x) -> tuple:
-        head = self.pipeline.evaluate(x)
-        return head + tuple(Fraction(0) for _ in range(self.n - self.m + 1))
+        return self.pipeline.evaluate(x) + (_ZERO,) * (self.n - self.m + 1)
 
     def fiber_certificate(self, p, known=None) -> EpsEmbeddingCertificate:
         """Certificate for the fiber over p, sampled around `known`, a located

@@ -57,6 +57,22 @@ class TestComplexCommand:
         assert "dim 1" in out
         assert "dim 0" in out
 
+    def test_oversized_simplex_list_exits_4(self, workdir, capsys):
+        # one 40-vertex simplex has 2^40 - 1 faces; twenty disjoint
+        # 14-vertex ones have 327,660 in all, each of them few
+        big = workdir / "big.json"
+        big.write_text(json.dumps({"vertices": list(range(40)),
+                                   "maximal_simplices": [list(range(40))]}))
+        many = workdir / "many.json"
+        many.write_text(json.dumps({"vertices": list(range(280)), "maximal_simplices": [
+            list(range(14 * i, 14 * i + 14)) for i in range(20)]}))
+        start = time.perf_counter()
+        for path in (big, many):
+            assert main(["complex", "info", str(path)]) == 4
+            assert main(["complex", "buckets", str(path), "--m", "2"]) == 4
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.count("size budget") == 4
+
 
 class TestOcapCommand:
     def test_golden_limit(self, workdir, capsys):

@@ -14,6 +14,7 @@ from meandim.complexes import (
     bucket_of_dimension,
     cone,
     dimension_buckets,
+    faces_exceed,
     full_subcomplex,
     wedge_cones,
 )
@@ -268,3 +269,9 @@ def test_json_roundtrip():
     Kp = barycentric_subdivide(K)
     Kp2 = SimplicialComplex.loads(Kp.dumps())
     assert Kp2.simplices == Kp.simplices
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 80), max_size=6), budget=st.integers(0, 10**6))
+def test_faces_exceed_matches_the_face_count(sizes, budget):
+    assert faces_exceed(sizes, budget) == (sum(2**k - 1 for k in sizes) > budget)

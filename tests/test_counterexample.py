@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meandim.certificates import (
     check_certificate,
+    flat_linf,
     identity_certificate,
     one_point_handle,
     product_certificate,
@@ -21,6 +23,7 @@ from meandim.counterexample import (
     fiber_dimension_certificate,
     mdim_report,
     nonzero_count_check,
+    sample_coordinates,
     stacked_report,
     two_sided_tail,
     wedge_cone_embedding,
@@ -113,6 +116,16 @@ class TestFactorMap:
             starts = inst.block_starts(r)
             assert starts[0] <= 0
             assert starts[-1] + 8 >= 16
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32), count=st.integers(0, 60))
+def test_sample_coordinates_draws_the_fresh_grid_fractions(seed, count):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    values = sample_coordinates(rng, count)
+    assert values == tuple(F(oracle.randint(0, 64), 64) for _ in range(count))
+    assert all(type(v) is F for v in values)
+    assert rng.getstate() == oracle.getstate()
 
 
 class TestNonzeroCount:
@@ -225,6 +238,22 @@ class TestFiberCertificate:
         )
         record = check_certificate(cert, trials=200, seed=11)
         assert record.status == "sampled-only"
+
+    def test_target_dist_is_flat_linf_of_realized_retractions(self):
+        inst = build_counterexample(std_params(N=16))
+        grid = inst.block_map.grid
+
+        def realized(value):
+            if isinstance(value, tuple):
+                return tuple(realized(v) for v in value)
+            return value.realize(grid)
+
+        rng = random.Random(13)
+        for _ in range(3):
+            cert = fiber_dimension_certificate(inst, inst.sample_state(rng), 16)
+            points = [cert.evaluator(cert.domain.sample(rng)) for _ in range(4)]
+            for a, b in zip(points, points[1:]):
+                assert cert.target_dist(a, b) == flat_linf(realized(a), realized(b))
 
     def test_product_with_one_point_preserves_dim(self):
         inst = build_counterexample(std_params(N=8))

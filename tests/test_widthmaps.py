@@ -8,7 +8,7 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from meandim.certificates import check_certificate, recheck_structural
+from meandim.certificates import check_certificate, flat_linf, recheck_structural
 from meandim.complexes import SimplicialComplex, VertexPartition, dimension_buckets
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
@@ -229,7 +229,108 @@ def _simplex_grid(m, steps=4):
     return pts
 
 
+def exit_corner(center, w):
+    """Oracle: largest lambda keeping center + lambda*w inside
+    {u >= 0, sum u <= 1}."""
+    lam = None
+    for ci, wi in zip(center, w):
+        if wi < 0:
+            cand = ci / (-wi)
+            lam = cand if lam is None or cand < lam else lam
+    total = sum(w, F(0))
+    if total > 0:
+        cand = (1 - sum(center, F(0))) / total
+        lam = cand if lam is None or cand < lam else lam
+    return lam
+
+
+def exit_cube(center, w):
+    """Oracle: largest lambda keeping center + lambda*w inside the cube."""
+    lam = None
+    for ci, wi in zip(center, w):
+        if wi > 0:
+            cand = (1 - ci) / wi
+        elif wi < 0:
+            cand = ci / (-wi)
+        else:
+            continue
+        lam = cand if lam is None or cand < lam else lam
+    return lam
+
+
+def exit_time_cube_from_barycentric(t):
+    """Oracle: the radial chart as the ratio of the two exit times along the
+    ray from the barycenter."""
+    m = len(t)
+    center_t, center_c = [F(1, m)] * (m - 1), [F(1, 2)] * (m - 1)
+    w = [a - b for a, b in zip(t[:-1], center_t)]
+    if all(x == 0 for x in w):
+        return tuple(center_c)
+    ratio = exit_cube(center_c, w) / exit_corner(center_t, w)
+    return tuple(c + ratio * x for c, x in zip(center_c, w))
+
+
+def exit_time_barycentric_from_cube(p):
+    """Oracle: the inverse chart by the same two exit times."""
+    m = len(p) + 1
+    center_t, center_c = [F(1, m)] * (m - 1), [F(1, 2)] * (m - 1)
+    w = [a - b for a, b in zip(p, center_c)]
+    if all(x == 0 for x in w):
+        u = center_t
+    else:
+        ratio = exit_corner(center_t, w) / exit_cube(center_c, w)
+        u = [c + ratio * x for c, x in zip(center_t, w)]
+    return tuple(u) + (1 - sum(u, F(0)),)
+
+
+# rationals with mixed denominators, zero and one included
+unit_fractions = st.builds(
+    lambda b, a: F(a % (b + 1), b), st.integers(1, 12), st.integers(0, 12)
+)
+
+
+@st.composite
+def simplex_points(draw):
+    """Barycentric points on m = 1..5 vertices with mixed denominators;
+    vertices and faces come up as draws with zero entries."""
+    q = draw(st.lists(unit_fractions, min_size=1, max_size=5))
+    assume(any(q))
+    return tuple(x / sum(q) for x in q)
+
+
 class TestCubeChart:
+    @settings(max_examples=300, deadline=None)
+    @given(t=simplex_points())
+    def test_forward_matches_exit_times_and_round_trips(self, t):
+        p = cube_from_barycentric(t)
+        assert p == exit_time_cube_from_barycentric(t)
+        assert all(type(c) is F and 0 <= c <= 1 for c in p)
+        assert barycentric_from_cube(p) == t
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.lists(unit_fractions, max_size=4).map(tuple))
+    def test_inverse_matches_exit_times_and_round_trips(self, p):
+        t = barycentric_from_cube(p)
+        assert t == exit_time_barycentric_from_cube(p)
+        assert all(type(c) is F for c in t) and sum(t) == 1
+        assert cube_from_barycentric(t) == p
+
+    def test_vertices_faces_and_centers_match_exit_times(self):
+        for m in range(1, 6):
+            center = tuple(F(1, m) for _ in range(m))
+            points = [center] + [
+                tuple(F(int(j == i)) for j in range(m)) for i in range(m)
+            ] + [
+                tuple(F(int(j != i), m - 1) for j in range(m)) for i in range(m) if m > 1
+            ]
+            for t in points:
+                assert cube_from_barycentric(t) == exit_time_cube_from_barycentric(t)
+                assert barycentric_from_cube(cube_from_barycentric(t)) == t
+            assert cube_from_barycentric(center) == tuple(F(1, 2) for _ in range(m - 1))
+            for corner in range(2 ** (m - 1)):
+                p = tuple(F((corner >> j) & 1) for j in range(m - 1))
+                assert barycentric_from_cube(p) == exit_time_barycentric_from_cube(p)
+
     def test_roundtrip(self):
         rng = random.Random(3)
         for m in (2, 3, 4):
@@ -356,7 +457,7 @@ class TestClosedFormAgainstExplicit:
                 explicit = BarycentricPoint(
                     frozenset(part), {v: w / total for v, w in part.items()}
                 ).realize(wm.geometry)
-                assert pipeline.retract(flag, i) == explicit
+                assert pipeline.retract(flag, i).realize(pipeline.grid) == explicit
                 cases += 1
         assert cases > 40
 
@@ -522,14 +623,49 @@ class TestIntegerFlags:
         points = [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(50)]
         built = request.getfixturevalue("fraction_count")
         flags = [pipeline.locate_flag(x) for x in points]
-        # location in Fractions built 500 here (10 per point), and 9 per
-        # retraction below
+        # location in Fractions built 500 here (10 per point); a retraction
+        # builds none, and realizing it one per coordinate
         assert built == []
         for flag in flags:
             i = min(b for b, w in zip(pipeline.buckets, flag.weights) if w)
-            del built[:]
-            pipeline.retract(flag, i)
+            retracted = pipeline.retract(flag, i)
+            assert built == []
+            retracted.realize(pipeline.grid)
             assert len(built) == 8
+            del built[:]
+
+    def test_evaluate_and_target_distance_build_only_output_values(self, request):
+        bm = padded_block_map(8, 3, F(1, 2))
+        rng = random.Random(67)
+        points = [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(20)]
+        cert = bm.pipeline.fiber_certificate(
+            bm.pipeline.locate_flag(points[0]), bm.block_scale, bm.mesh_scale
+        )
+        samples = [cert.domain.sample(rng) for _ in range(20)]
+        built = request.getfixturevalue("fraction_count")
+        for x in points:
+            bm.evaluate(x)
+            assert len(built) == bm.m - 1  # the padding is one shared zero
+            del built[:]
+        for a, b in zip(samples, samples[1:]):
+            cert.target_dist(cert.evaluator(a), cert.evaluator(b))
+            assert len(built) == 1  # the distance
+            del built[:]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_target_dist_is_flat_linf_of_realized_retractions(self, seed):
+        bm = padded_block_map(8, 3, F(1, 2))
+        rng = random.Random(seed)
+        x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
+        flag = bm.pipeline.locate_flag(x)
+        cert = bm.pipeline.fiber_certificate(flag, bm.block_scale, bm.mesh_scale)
+        points = [flag] + [cert.domain.sample(rng) for _ in range(6)]
+        for a, b in zip(points, points[1:]):
+            ra, rb = cert.evaluator(a), cert.evaluator(b)
+            got = cert.target_dist(ra, rb)
+            assert type(got) is F
+            assert got == flat_linf(ra.realize(bm.grid), rb.realize(bm.grid))
 
 
 @cache
