@@ -311,13 +311,16 @@ def finite_cloud_handle(points, description="finite sample cloud") -> MetricSpac
     )
 
 
-def product_handle(h1: MetricSpaceHandle, h2: MetricSpaceHandle) -> MetricSpaceHandle:
-    """Product space under the max of the factor metrics."""
+def product_handle(*handles: MetricSpaceHandle) -> MetricSpaceHandle:
+    """Product space under the max of the factor metrics. A product point is
+    the flat tuple of its factor points, one per handle."""
+    if not handles:
+        raise PreconditionError("a product needs at least one factor")
     return MetricSpaceHandle(
         kind="product",
-        description=f"({h1.description}) x ({h2.description})",
-        dist=lambda a, b: max(h1.dist(a[0], b[0]), h2.dist(a[1], b[1])),
-        sample=lambda rng: (h1.sample(rng), h2.sample(rng)),
+        description=" x ".join(f"({h.description})" for h in handles),
+        dist=lambda a, b: max(h.dist(p, q) for h, p, q in zip(handles, a, b)),
+        sample=lambda rng: tuple(h.sample(rng) for h in handles),
     )
 
 
@@ -345,10 +348,6 @@ class EpsEmbeddingCertificate:
         return all(
             r.status == DISCHARGED for r in self.obligations if r.kind == STRUCTURAL
         )
-
-    @property
-    def failed_obligations(self) -> tuple:
-        return tuple(r for r in self.obligations if r.status == FAILED)
 
     def with_records(self, *records) -> "EpsEmbeddingCertificate":
         return replace(self, obligations=self.obligations + tuple(records))
@@ -381,36 +380,40 @@ def _product_factors(cert: EpsEmbeddingCertificate):
     return [cert.target_dim]
 
 
-def product_certificate(
-    c1: EpsEmbeddingCertificate, c2: EpsEmbeddingCertificate
-) -> EpsEmbeddingCertificate:
+def product_certificate(*certs: EpsEmbeddingCertificate) -> EpsEmbeddingCertificate:
     """Combine certificates over the max-product metric; dimensions add.
 
-    The factor list in the bookkeeping record flattens associatively, so
-    nesting order does not change the obligation set.
+    A product point is the flat tuple of its factor points, one per
+    certificate, and the evaluator maps it factor by factor. The factor list
+    in the bookkeeping record flattens a factor that is itself a product, so
+    nesting order does not change the obligation set; a single unflattened
+    factor has no sum to record and keeps its obligations as they are.
     """
-    if Fraction(c1.epsilon) != Fraction(c2.epsilon):
+    domain = product_handle(*(c.domain for c in certs))  # raises on no factors
+    eps = Fraction(certs[0].epsilon)
+    if any(Fraction(c.epsilon) != eps for c in certs[1:]):
         raise PreconditionError("mismatched epsilon")
-    factors = _product_factors(c1) + _product_factors(c2)
+    factors = [f for c in certs for f in _product_factors(c)]
     base = tuple(
-        r
-        for r in c1.obligations + c2.obligations
-        if r.name != "product-dims-additive"
+        r for c in certs for r in c.obligations if r.name != "product-dims-additive"
     )
-    record = structural_record(
-        "product-dims-additive",
-        factors=";".join(str(f) for f in factors),
-        total=str(sum(factors)),
-    )
-    e1, e2 = c1.evaluator, c2.evaluator
-    d1, d2 = c1.target_dist, c2.target_dist
+    if len(factors) > 1:
+        base += (
+            structural_record(
+                "product-dims-additive",
+                factors=";".join(str(f) for f in factors),
+                total=str(sum(factors)),
+            ),
+        )
+    evaluators = [c.evaluator for c in certs]
+    dists = [c.target_dist for c in certs]
     return EpsEmbeddingCertificate(
-        domain=product_handle(c1.domain, c2.domain),
-        target_dim=c1.target_dim + c2.target_dim,
-        epsilon=Fraction(c1.epsilon),
-        evaluator=lambda xy: (e1(xy[0]), e2(xy[1])),
-        obligations=base + (record,),
-        target_dist=lambda a, b: max(d1(a[0], b[0]), d2(a[1], b[1])),
+        domain=domain,
+        target_dim=sum(c.target_dim for c in certs),
+        epsilon=eps,
+        evaluator=lambda xs: tuple(ev(x) for ev, x in zip(evaluators, xs)),
+        obligations=base,
+        target_dist=lambda a, b: max(d(p, q) for d, p, q in zip(dists, a, b)),
     )
 
 
@@ -497,6 +500,11 @@ def chain_fiber_certificate(
     into it. The blocks laid end to end must cover [0, N): every partial sum
     before the last stays below N, and the full sum reaches it. shift(x, t)
     is the time-t iterate of x.
+
+    The result is product_certificate over the itinerary's blocks, with the
+    given domain: x maps to the flat tuple of block images, one per
+    itinerary step, the block at offset t evaluated on shift(x, t). The
+    chain record goes in before the product's product-dims-additive record.
     """
     if not itinerary:
         raise PreconditionError("empty itinerary")
@@ -517,44 +525,24 @@ def chain_fiber_certificate(
         total += length
     if not (total - lengths[-1] < N <= total):
         raise PreconditionError("itinerary offsets inconsistent with block lengths")
-    eps = Fraction(certs[0].epsilon)
-    for c in certs[1:]:
-        if Fraction(c.epsilon) != eps:
-            raise PreconditionError("mismatched epsilon")
+    product = product_certificate(*certs)
     chain_record = structural_record(
         "chain-itinerary-covers-range",
         lengths=";".join(str(l) for l in lengths),
         N=str(N),
     )
-    dim_record = structural_record(
-        "product-dims-additive",
-        factors=";".join(str(c.target_dim) for c in certs),
-        total=str(sum(c.target_dim for c in certs)),
-    )
-    base = tuple(
-        r
-        for c in certs
-        for r in c.obligations
-        if r.name != "product-dims-additive"
-    )
-    evaluators = [c.evaluator for c in certs]
-    dists = [c.target_dist for c in certs]
-
-    def evaluate(x):
-        return tuple(
-            ev(shift(x, off)) for ev, off in zip(evaluators, offsets)
-        )
-
-    def target_dist(a, b):
-        return max(d(p, q) for d, p, q in zip(dists, a, b))
-
-    return EpsEmbeddingCertificate(
+    evaluate = product.evaluator
+    return replace(
+        product,
         domain=domain,
-        target_dim=sum(c.target_dim for c in certs),
-        epsilon=eps,
-        evaluator=evaluate,
-        obligations=base + (chain_record, dim_record),
-        target_dist=target_dist,
+        evaluator=lambda x: evaluate(tuple(shift(x, off) for off in offsets)),
+        # a stable sort: the product's bookkeeping record, if any, stays last
+        obligations=tuple(
+            sorted(
+                product.obligations + (chain_record,),
+                key=lambda r: r.name == "product-dims-additive",
+            )
+        ),
     )
 
 

@@ -245,12 +245,12 @@ def _payload_count_report(recipe: dict) -> dict:
 def _payload_fiber_batch(recipe: dict) -> dict:
     params, inst = _instance(recipe)
     N = int(recipe["N"])
-    bound = Fraction(N + 2 * params.margin + 2 * params.L_prime, params.m)
+    bound = params.fiber_dim_bound(N)
 
     def sample_fiber(rng):
         state = inst.sample_state(rng)
         cert = fiber_dimension_certificate(inst, state, N)
-        below = bool(Fraction(cert.target_dim) < bound)
+        below = cert.target_dim < bound
         return cert, {"residue": state[1], "below_bound": below}
 
     return {

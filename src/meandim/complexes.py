@@ -154,11 +154,6 @@ class SimplicialComplex:
     def maximal_simplices(self):
         return sorted(self.maximal, key=self.simplex_key)
 
-    def star(self, v) -> frozenset:
-        """Simplices containing v (the combinatorial open star)."""
-        self.vertex_index(v)
-        return frozenset(s for s in self.simplices if v in s)
-
     def to_json_dict(self) -> dict:
         return {
             "vertices": [vertex_to_jsonable(v) for v in self.vertices],
@@ -202,13 +197,6 @@ class VertexPartition:
     @property
     def m(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, v) -> int:
-        """1-based index of the block containing v."""
-        for i, block in enumerate(self.blocks, start=1):
-            if v in block:
-                return i
-        raise PreconditionError(f"vertex {v!r} not in any block")
 
     def validate_covers(self, vertices):
         union = set()

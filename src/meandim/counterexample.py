@@ -117,6 +117,11 @@ class CounterexampleParams:
     def L_prime(self) -> int:
         return self.period + 1
 
+    def fiber_dim_bound(self, N: int) -> Fraction:
+        """The certified fiber dimension at horizon N stays strictly below
+        (N + 2M + 2L')/m."""
+        return F(N + 2 * self.margin + 2 * self.L_prime, self.m)
+
     def core_checks(self):
         return [
             ("1/m < delta", F(1, self.m) < self.delta),
@@ -332,9 +337,7 @@ def fiber_dimension_certificate(
         block_certs[a] = pipeline.fiber_certificate(
             flag, block_map.block_scale, block_map.mesh_scale
         )
-    combined = block_certs[cert_starts[0]]
-    for a in cert_starts[1:]:
-        combined = product_certificate(combined, block_certs[a])
+    combined = product_certificate(*(block_certs[a] for a in cert_starts))
 
     # coordinates outside complete blocks are free
     grid = block_map.grid
@@ -356,17 +359,13 @@ def fiber_dimension_certificate(
     )
 
     def project(x_point: WindowSeq):
-        nested = None
-        for a in cert_starts:
-            flag = pipeline.locate_flag(x_point.restrict(a, a + period))
-            nested = flag if nested is None else (nested, flag)
-        return nested
+        return tuple(
+            pipeline.locate_flag(x_point.restrict(a, a + period)) for a in cert_starts
+        )
 
     pulled = pullback_certificate(
         combined, fiber_domain, project, witness="coordinate-projection"
     )
-    total_dim = pulled.target_dim
-    bound = F(N + 2 * p.margin + 2 * p.L_prime, p.m)
     final = relax_scale(
         pulled,
         p.eps,
@@ -391,9 +390,9 @@ def fiber_dimension_certificate(
         ),
         structural_record(
             "dimension-bookkeeping",
-            total_dim=total_dim,
+            total_dim=pulled.target_dim,
             window_length=a_end - a0,
-            bound=format_fraction(bound),
+            bound=format_fraction(p.fiber_dim_bound(N)),
             m=p.m,
         ),
     )

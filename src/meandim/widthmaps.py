@@ -160,7 +160,10 @@ def empty_fiber_certificate(eps) -> EpsEmbeddingCertificate:
 
 @dataclass(eq=False)
 class PartitionWidthMap:
-    """A partition simplicial map plus its per-fiber certificate builder."""
+    """A partition simplicial map plus its per-fiber certificate builder.
+
+    The map's vertex_images send each vertex to its 1-based block index, so
+    they double as the block table."""
 
     geometry: GeometricComplex
     partition: VertexPartition
@@ -170,10 +173,6 @@ class PartitionWidthMap:
     bucket_source_dim: int | None = None  # set when blocks are dimension buckets
 
     def __post_init__(self):
-        self._block_of = {}
-        for i, block in enumerate(self.partition.blocks, start=1):
-            for v in block:
-                self._block_of[v] = i
         self._by_pattern = None
         self._admissible = {}
         self._block_dims = {}
@@ -190,7 +189,7 @@ class PartitionWidthMap:
         """support pattern (the set of blocks a simplex meets) -> its
         simplices, in no particular order."""
         if self._by_pattern is None:
-            block_of = self._block_of
+            block_of = self.mapping.vertex_images
             index = {}
             for s in self.geometry.complex.simplices:
                 index.setdefault(frozenset([block_of[v] for v in s]), []).append(s)
@@ -238,7 +237,7 @@ class PartitionWidthMap:
         i_star = min(support)
         dim = self.block_dim(i_star)
         G = self.geometry
-        block_of = self._block_of
+        block_of = self.mapping.vertex_images
         t_nums, t_den = common_numerators(t)
         scales = [t_nums[i - 1] for i in support]
         ambient = G.ambient_dim
@@ -348,10 +347,7 @@ def partition_map(
     data["scale"] = format_fraction(threshold)
     mesh_record = structural_record(record_name, **data)
     target = standard_simplex_target(P.m)
-    images = {}
-    for i, block in enumerate(P.blocks, start=1):
-        for v in block:
-            images[v] = i
+    images = {v: i for i, block in enumerate(P.blocks, start=1) for v in block}
     mapping = SimplicialMap(G.complex, target, images)
     return PartitionWidthMap(
         geometry=G,
@@ -711,8 +707,9 @@ class PaddedBlockMap:
     """The width map padded with zeros back to the block's own dimension.
 
     Evaluates [0,1]^n -> [0,1]^n with at most m-1 nonzero output entries;
-    fibers are the width-map fibers, certified at half the construction
-    scale with the grid mesh strictly below a quarter of it.
+    fibers are the width-map fibers, certified by pipeline.fiber_certificate
+    at block_scale, half the construction scale, with the grid mesh strictly
+    below mesh_scale, a quarter of it.
     """
 
     n: int
@@ -735,20 +732,6 @@ class PaddedBlockMap:
 
     def evaluate(self, x) -> tuple:
         return self.pipeline.evaluate(x) + (_ZERO,) * (self.n - self.m + 1)
-
-    def fiber_certificate(self, p, known=None) -> EpsEmbeddingCertificate:
-        """Certificate for the fiber over p, sampled around `known`, a located
-        point of that fiber (required whenever the fiber is not empty)."""
-        p = tuple(Fraction(c) for c in p)
-        if len(p) != self.n:
-            raise PreconditionError("target point has wrong length")
-        if any(c != 0 for c in p[self.m - 1 :]) or any(c < 0 or c > 1 for c in p):
-            return empty_fiber_certificate(self.block_scale)
-        if known is None:
-            raise PreconditionError("a known fiber point is required")
-        if self.pipeline.bucket_sums(known) != barycentric_from_cube(p[: self.m - 1]):
-            raise PreconditionError("known point is not in the fiber")
-        return self.pipeline.fiber_certificate(known, self.block_scale, self.mesh_scale)
 
 
 def padded_block_map(n: int, m: int, eps) -> PaddedBlockMap:

@@ -1,9 +1,12 @@
 """Tests for the certificate algebra."""
 
+import json
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meandim.certificates import (
     FAILED,
@@ -17,6 +20,7 @@ from meandim.certificates import (
     identity_certificate,
     one_point_handle,
     product_certificate,
+    product_handle,
     pullback_certificate,
     recheck_structural,
     relax_scale,
@@ -83,6 +87,50 @@ class TestProduct:
         assert prod.evaluator(x) == x
         assert prod.domain.dist(x, y) == max(
             flat_linf(x[0], y[0]), flat_linf(x[1], y[1])
+        )
+
+    def test_no_factors(self):
+        with pytest.raises(PreconditionError, match="at least one factor"):
+            product_certificate()
+        with pytest.raises(PreconditionError, match="at least one factor"):
+            product_handle()
+
+
+def obligation_multiset(cert):
+    return sorted(json.dumps(r.to_json_dict(), sort_keys=True) for r in cert.obligations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(1, 2), st.integers(2, 4)),
+        min_size=1,
+        max_size=5,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_product_matches_left_fold(factors, seed):
+    """factors: (target_dim, cloud dimension, cloud side) per identity
+    certificate."""
+    certs = [
+        identity_certificate(grid_cloud(side=side, dim=dim), target_dim, F(1, 2))
+        for target_dim, dim, side in factors
+    ]
+    flat = product_certificate(*certs)
+    folded = reduce(product_certificate, certs)
+    assert flat.target_dim == folded.target_dim == sum(d for d, _, _ in factors)
+    assert obligation_multiset(flat) == obligation_multiset(folded)
+    rng = random.Random(seed)
+    for _ in range(8):
+        x, y = flat.domain.sample(rng), flat.domain.sample(rng)
+        assert len(x) == len(y) == len(certs)
+        fx, fy = flat.evaluator(x), flat.evaluator(y)
+        assert fx == tuple(c.evaluator(p) for c, p in zip(certs, x))
+        assert flat.domain.dist(x, y) == max(
+            c.domain.dist(p, q) for c, p, q in zip(certs, x, y)
+        )
+        assert flat.target_dist(fx, fy) == max(
+            c.target_dist(p, q) for c, p, q in zip(certs, fx, fy)
         )
 
 

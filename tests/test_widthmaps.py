@@ -496,28 +496,12 @@ class TestPaddedBlockMap:
         bm = padded_block_map(8, 3, F(1, 2))
         rng = random.Random(23)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        p = bm.evaluate(x)
-        cert = bm.fiber_certificate(p, known=bm.pipeline.locate_flag(x))
+        cert = bm.pipeline.fiber_certificate(
+            bm.pipeline.locate_flag(x), bm.block_scale, bm.mesh_scale
+        )
         assert cert.target_dim <= F(8, 3)
         assert cert.all_structural_discharged
         assert cert.epsilon == F(1, 4)
-
-    def test_fiber_certificate_needs_a_known_point_of_the_fiber(self):
-        bm = padded_block_map(8, 3, F(1, 2))
-        rng = random.Random(43)
-        x, other = (tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(2))
-        p = bm.evaluate(x)
-        assert bm.evaluate(other) != p
-        with pytest.raises(PreconditionError, match="not in the fiber"):
-            bm.fiber_certificate(p, known=bm.pipeline.locate_flag(other))
-        with pytest.raises(PreconditionError, match="known fiber point"):
-            bm.fiber_certificate(p)
-
-    def test_empty_fiber_when_padding_nonzero(self):
-        bm = padded_block_map(4, 3, F(1, 2))
-        cert = bm.fiber_certificate((F(0), F(0), F(1, 2), F(0)))
-        assert cert.target_dim == 0
-        assert cert.obligations[0].name == "empty-fiber"
 
     def test_empty_fiber_outside_cube(self):
         wm = cube_width_map(1, 2, F(1, 2))
@@ -531,7 +515,9 @@ class TestPaddedBlockMap:
         rng = random.Random(29)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
         p = bm.evaluate(x)
-        cert = bm.fiber_certificate(p, known=bm.pipeline.locate_flag(x))
+        cert = bm.pipeline.fiber_certificate(
+            bm.pipeline.locate_flag(x), bm.block_scale, bm.mesh_scale
+        )
         for _ in range(5):
             flag = cert.domain.sample(rng)
             sample_x = flag.realize(bm.grid)
@@ -560,7 +546,9 @@ class TestPaddedBlockMap:
         bm = padded_block_map(8, 3, F(1, 2))
         rng = random.Random(31)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        cert = bm.fiber_certificate(bm.evaluate(x), known=bm.pipeline.locate_flag(x))
+        cert = bm.pipeline.fiber_certificate(
+            bm.pipeline.locate_flag(x), bm.block_scale, bm.mesh_scale
+        )
         record = check_certificate(cert, trials=300, seed=37)
         assert record.status == "sampled-only"
 
