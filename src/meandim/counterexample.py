@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .certificates import (
     EpsEmbeddingCertificate,
@@ -222,9 +223,6 @@ class FactorMapInstance:
             )
         return WindowSeq(starts[0], tuple(values))
 
-    def pi(self, x: WindowSeq, residue: int):
-        return self.evaluate_f(x, residue), residue
-
     def sample_state(self, rng: random.Random):
         values = sample_coordinates(rng, self.window_hi - self.window_lo)
         return WindowSeq(self.window_lo, values), rng.randrange(self.params.period)
@@ -307,13 +305,51 @@ def nonzero_count_check(
     )
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class FiberPoint:
+    """A point of the factor map's fiber as the sampler draws it. Its window
+    starts at `start` and holds `head` (the free coordinates before the
+    first complete block), then each FlagPoint in `flags` realized on the
+    grid (one per complete block, in block order), then `tail` (the free
+    coordinates after the last block).
+
+    `window` realizes that WindowSeq on first read and keeps it; the repr is
+    the window's, so a failure witness reads as the WindowSeq's did.
+    """
+
+    start: int
+    head: tuple
+    flags: tuple
+    tail: tuple
+    grid: int
+
+    @cached_property
+    def window(self) -> WindowSeq:
+        values = list(self.head)
+        for flag in self.flags:
+            values.extend(flag.realize(self.grid))
+        values.extend(self.tail)
+        return WindowSeq(self.start, tuple(values))
+
+    def __repr__(self) -> str:
+        return repr(self.window)
+
+
 def fiber_dimension_certificate(
     inst: FactorMapInstance, state, N: int
 ) -> EpsEmbeddingCertificate:
     """Certificate for the fiber of the factor map through `state` at horizon
     N: the product of per-block width-map fiber certificates, pulled back
     along the window projection, with exact dimension bookkeeping strictly
-    below (N + 2M + 2L')/m."""
+    below (N + 2M + 2L')/m.
+
+    A fiber point is a FiberPoint over the instance's window. The sampler
+    draws its free head coordinates, then each complete block's flag from
+    that block's fiber sampler in block order, then its free tail
+    coordinates. The projection onto the product is the slice of flags of
+    the certified blocks, so evaluation reads no coordinates; only the
+    domain metric d_N and a failure witness realize the window.
+    """
     p = inst.params
     if N > p.horizon:
         raise PreconditionError("N exceeds the instance horizon")
@@ -345,26 +381,30 @@ def fiber_dimension_certificate(
     covered_lo, covered_hi = all_starts[0], all_starts[-1] + period
 
     def sample(rng):
-        values = list(sample_coordinates(rng, covered_lo - lo))
-        for cert in block_certs.values():
-            values.extend(cert.domain.sample(rng).realize(grid))
-        values.extend(sample_coordinates(rng, hi - covered_hi))
-        return WindowSeq(lo, tuple(values))
+        return FiberPoint(
+            lo,
+            sample_coordinates(rng, covered_lo - lo),
+            tuple(cert.domain.sample(rng) for cert in block_certs.values()),
+            sample_coordinates(rng, hi - covered_hi),
+            grid,
+        )
 
     fiber_domain = MetricSpaceHandle(
         kind="factor-map-fiber",
         description=f"fiber at horizon {N}, residue {residue}",
-        dist=lambda u, v: d_N(HILBERT_METRIC, N, u, v),
+        dist=lambda u, v: d_N(HILBERT_METRIC, N, u.window, v.window),
         sample=sample,
     )
 
-    def project(x_point: WindowSeq):
-        return tuple(
-            pipeline.locate_flag(x_point.restrict(a, a + period)) for a in cert_starts
-        )
+    # cert_starts is a contiguous run of all_starts
+    i0 = all_starts.index(a0)
+    i1 = i0 + len(cert_starts)
 
     pulled = pullback_certificate(
-        combined, fiber_domain, project, witness="coordinate-projection"
+        combined,
+        fiber_domain,
+        lambda point: point.flags[i0:i1],
+        witness="coordinate-projection",
     )
     final = relax_scale(
         pulled,

@@ -212,10 +212,6 @@ class PartitionWidthMap:
             self._block_dims[i] = full_subcomplex(self.geometry.complex, block).dim
         return self._block_dims[i]
 
-    def fiber_points_exist(self, t) -> bool:
-        support = frozenset(i + 1 for i, ti in enumerate(t) if ti > 0)
-        return bool(self._pattern_index().get(support))
-
     def fiber_certificate(self, t) -> EpsEmbeddingCertificate:
         """Certificate for the fiber over the barycentric target point t.
 
@@ -725,10 +721,6 @@ class PaddedBlockMap:
     @property
     def mesh_scale(self) -> Fraction:
         return self.eps / 4
-
-    @property
-    def nonzero_bound(self) -> int:
-        return self.m - 1
 
     def evaluate(self, x) -> tuple:
         return self.pipeline.evaluate(x) + (_ZERO,) * (self.n - self.m + 1)

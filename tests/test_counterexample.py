@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meandim.certificates import (
+    _trial_seed,
     check_certificate,
     flat_linf,
     identity_certificate,
     one_point_handle,
     product_certificate,
     recheck_structural,
+    sample_fiber_check,
 )
 from meandim.counterexample import (
     CSV_HEADER,
@@ -30,9 +32,11 @@ from meandim.counterexample import (
 )
 from meandim.errors import PreconditionError
 from meandim.symbolic import (
+    HILBERT_METRIC,
     CylinderSet,
     Sft,
     WindowSeq,
+    d_N,
     max_subsampled_visits,
     ocap_limit,
 )
@@ -98,7 +102,7 @@ class TestFactorMap:
         inst = build_counterexample(std_params(N=8))
         rng = random.Random(0)
         x, r = inst.sample_state(rng)
-        _, r_out = inst.pi(x, r)
+        _, r_out = inst.evaluate_f(x, r), r
         assert r_out == r
 
     def test_blockwise_structure(self):
@@ -164,6 +168,31 @@ class TestNonzeroCount:
         assert report.hull_max <= report.block_bound
 
 
+def realized_sampler(inst, state):
+    """The factor-map fiber sampler written on WindowSeq: head coordinates,
+    then each complete block's sampled flag realized on the grid, then tail
+    coordinates, in the draw order of fiber_dimension_certificate."""
+    x, r = state
+    bm = inst.block_map
+    period = inst.params.period
+    starts = inst.block_starts(r)
+    certs = [
+        bm.pipeline.fiber_certificate(
+            bm.pipeline.locate_flag(x.restrict(a, a + period)), bm.block_scale, bm.mesh_scale
+        )
+        for a in starts
+    ]
+
+    def sample(rng):
+        values = list(sample_coordinates(rng, starts[0] - inst.window_lo))
+        for cert in certs:
+            values.extend(cert.domain.sample(rng).realize(bm.grid))
+        values.extend(sample_coordinates(rng, inst.window_hi - starts[-1] - period))
+        return WindowSeq(inst.window_lo, tuple(values))
+
+    return sample
+
+
 class TestFiberCertificate:
     def test_single_block_horizon(self):
         p = std_params(N=8)
@@ -223,13 +252,71 @@ class TestFiberCertificate:
         inst = build_counterexample(p)
         rng = random.Random(9)
         x, r = inst.sample_state(rng)
-        y, _ = inst.pi(x, r)
+        y = inst.evaluate_f(x, r)
         cert = fiber_dimension_certificate(inst, (x, r), 8)
         for _ in range(5):
             sample = cert.domain.sample(rng)
-            fy = inst.evaluate_f(sample, r)
+            fy = inst.evaluate_f(sample.window, r)
             for a in inst.block_starts(r):
                 assert fy.restrict(a, a + 8) == y.restrict(a, a + 8)
+
+    def test_sampling_and_evaluation_locate_nothing_and_build_no_fraction(self, monkeypatch):
+        from meandim.widthmaps import KuhnWidthPipeline
+
+        inst = build_counterexample(std_params(N=16))
+        cert = fiber_dimension_certificate(inst, inst.sample_state(random.Random(14)), 16)
+        counts = {"locate_flag": 0, "Fraction": 0}
+        locate_flag = KuhnWidthPipeline.locate_flag
+        new = Fraction.__dict__["__new__"]
+        new = new.__func__ if isinstance(new, staticmethod) else new
+
+        def counted_locate(pipeline, point):
+            counts["locate_flag"] += 1
+            return locate_flag(pipeline, point)
+
+        def counted_new(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        rng = random.Random(15)
+        monkeypatch.setattr(KuhnWidthPipeline, "locate_flag", counted_locate)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        for _ in range(50):
+            cert.evaluator(cert.domain.sample(rng))
+        monkeypatch.undo()
+        assert counts == {"locate_flag": 0, "Fraction": 0}
+
+    @pytest.mark.parametrize("N, seed", [(8, 16), (16, 17), (32, 18)])
+    def test_sample_window_replays_the_realized_sampler(self, N, seed):
+        inst = build_counterexample(std_params(N=N))
+        rng = random.Random(seed)
+        state = inst.sample_state(rng)
+        cert = fiber_dimension_certificate(inst, state, N)
+        replay = realized_sampler(inst, state)
+        for _ in range(5):
+            clone = random.Random()
+            clone.setstate(rng.getstate())
+            point = cert.domain.sample(rng)
+            assert point.window == replay(clone)
+            assert rng.getstate() == clone.getstate()
+
+    def test_failure_witness_is_the_realized_window(self):
+        inst = build_counterexample(std_params(N=16))
+        state = inst.sample_state(random.Random(19))
+        cert = fiber_dimension_certificate(inst, state, 16)
+        eps = F(1, 10**6)
+        record = sample_fiber_check(
+            cert.evaluator, cert.domain, eps, eta=1, trials=5, seed=7,
+            target_dist=cert.target_dist,
+        )
+        # with eta = 1 every pair is near, so the first pair already fails
+        replay = realized_sampler(inst, state)
+        rng = random.Random(_trial_seed(7, 0))
+        x, y = replay(rng), replay(rng)
+        assert d_N(HILBERT_METRIC, 16, x, y) >= eps
+        assert record.status == "failed"
+        assert record.witness == (repr(x), repr(y))
+        assert record.to_json_dict()["witness"] == [repr(x), repr(y)]
 
     def test_fiber_check_passes(self):
         inst = build_counterexample(std_params(N=8))
