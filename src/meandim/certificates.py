@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import MeanDimError, PreconditionError
 from .serialize import format_fraction, parse_fraction, to_jsonable
@@ -111,7 +112,8 @@ def sampled_record(name: str, status: str, witness=None, **data) -> DischargeRec
 #     target simplex, checked per source simplex when SimplicialMap is built
 #   identity-embedding-fibers-are-points: identity fibers have diameter 0
 #   isometric-inclusion: phi preserves distances, so none can shrink
-#   coordinate-projection: coordinates outside the certified blocks add at
+#   coordinate-projection: the blocks of the chain-itinerary-covers-range
+#     record cover [-margin, N + margin); coordinates outside them add at
 #     most the adjacent window-tail-rule tail, within scale-relaxation's margin
 #   cutoff-dichotomy-zero-dimensional: at most one piece is live at each step,
 #     by the adjacent windows-pairwise-disjoint record
@@ -145,12 +147,16 @@ def _check_sum(data):
 
 
 def _check_chain_partition(data):
+    # positive blocks laid end to end from `start` cover [-margin, N + margin)
+    # when the first one contains -margin and the last one N + margin - 1
     lengths = [int(x) for x in data["lengths"].split(";") if x]
-    n = int(data["N"])
-    partial = 0
-    for length in lengths[:-1]:
-        partial += length
-    return partial < n <= partial + lengths[-1]
+    start, margin, n = int(data["start"]), int(data["margin"]), int(data["N"])
+    end = start + sum(lengths)
+    return (
+        min(lengths) > 0
+        and start <= -margin < start + lengths[0]
+        and end - lengths[-1] < n + margin <= end
+    )
 
 
 def _check_bucket_dimension(data):
@@ -165,22 +171,14 @@ def _check_scale_relaxation(data):
     return parse_fraction(data["from_scale"]) <= parse_fraction(data["to_scale"])
 
 
-def _check_window_coverage(data):
-    a0 = int(data["a0"])
-    a_end = int(data["a_end"])
-    m_margin = int(data["margin"])
-    n = int(data["N"])
-    block = int(data["block"])
-    if not (a0 <= -m_margin and a_end >= n + m_margin):
-        return False
-    if (a_end - a0) % block != 0:
-        return False
-    return a_end - a0 < n + 2 * m_margin + 2 * (block + 1)
-
-
 def _check_tail_rule(data):
-    m_margin = int(data["margin"])
-    return Fraction(1, 2**m_margin) < parse_fraction(data["threshold"])
+    # 2^-M < p/q iff q < p * 2^M, which holds for any p >= 1 once 2^M > q
+    margin = int(data["margin"])
+    threshold = parse_fraction(data["threshold"])
+    if margin < 0 or threshold <= 0:
+        return False
+    q = threshold.denominator
+    return margin >= q.bit_length() or q < threshold.numerator << margin
 
 
 def _check_visit_count(data):
@@ -223,7 +221,6 @@ STRUCTURAL_CHECKS = {
     "chain-itinerary-covers-range": _check_chain_partition,
     "bucket-dimension-bound": _check_bucket_dimension,
     "scale-relaxation": _check_scale_relaxation,
-    "window-covers-range": _check_window_coverage,
     "dimension-bookkeeping": _check_strictly_below("total_dim", "bound"),
     "window-tail-rule": _check_tail_rule,
     "wedge-dimension-count": _check_visit_count,
@@ -243,7 +240,7 @@ def recheck_structural(record: DischargeRecord) -> bool:
         return False
     try:
         return check(record.data_dict) == (record.status == DISCHARGED)
-    except (KeyError, ValueError, ArithmeticError, MeanDimError):
+    except (LookupError, ValueError, ArithmeticError, MeanDimError):
         return False
 
 
@@ -492,57 +489,47 @@ def chain_fiber_certificate(
     block_certs,
     itinerary,
     N: int,
+    start: int = 0,
+    margin: int = 0,
 ) -> EpsEmbeddingCertificate:
-    """Cover the first N time steps by consecutive blocks and embed the domain
-    into the product of the per-block targets.
+    """Cover the time range [-margin, N + margin) by consecutive blocks, the
+    first one at offset `start`, and embed the domain into the product of
+    the per-block targets.
 
     block_certs is a list of (certificate, block_length); itinerary indexes
-    into it. The blocks laid end to end must cover [0, N): every partial sum
-    before the last stays below N, and the full sum reaches it. shift(x, t)
-    is the time-t iterate of x.
+    into it. The blocks laid end to end from `start` must cover the range:
+    the first one contains -margin and the last one N + margin - 1.
+    shift(x, t) is x seen from time t.
 
     The result is product_certificate over the itinerary's blocks, with the
     given domain: x maps to the flat tuple of block images, one per
     itinerary step, the block at offset t evaluated on shift(x, t). The
-    chain record goes in before the product's product-dims-additive record.
+    chain-itinerary-covers-range record goes last; build and verify check it
+    with the same rule.
     """
     if not itinerary:
         raise PreconditionError("empty itinerary")
-    certs = []
-    lengths = []
-    offsets = []
-    total = 0
-    for j, idx in enumerate(itinerary):
-        try:
-            cert, length = block_certs[idx]
-        except (IndexError, TypeError):
-            raise PreconditionError(f"itinerary index {idx!r} out of range") from None
-        if j < len(itinerary) - 1 and total + length >= N:
-            raise PreconditionError("itinerary offsets inconsistent with block lengths")
-        certs.append(cert)
-        lengths.append(length)
-        offsets.append(total)
-        total += length
-    if not (total - lengths[-1] < N <= total):
-        raise PreconditionError("itinerary offsets inconsistent with block lengths")
-    product = product_certificate(*certs)
+    try:
+        certs, lengths = zip(*(block_certs[idx] for idx in itinerary))
+    except (IndexError, TypeError):
+        raise PreconditionError("itinerary index out of range") from None
     chain_record = structural_record(
         "chain-itinerary-covers-range",
         lengths=";".join(str(l) for l in lengths),
-        N=str(N),
+        start=start,
+        margin=margin,
+        N=N,
     )
+    if not _check_chain_partition(chain_record.data_dict):
+        raise PreconditionError("itinerary offsets inconsistent with block lengths")
+    offsets = list(accumulate(lengths[:-1], initial=start))
+    product = product_certificate(*certs)
     evaluate = product.evaluator
     return replace(
         product,
         domain=domain,
         evaluator=lambda x: evaluate(tuple(shift(x, off) for off in offsets)),
-        # a stable sort: the product's bookkeeping record, if any, stays last
-        obligations=tuple(
-            sorted(
-                product.obligations + (chain_record,),
-                key=lambda r: r.name == "product-dims-additive",
-            )
-        ),
+        obligations=product.obligations + (chain_record,),
     )
 
 

@@ -23,8 +23,7 @@ from functools import cached_property
 from .certificates import (
     EpsEmbeddingCertificate,
     MetricSpaceHandle,
-    product_certificate,
-    pullback_certificate,
+    chain_fiber_certificate,
     relax_scale,
     structural_record,
 )
@@ -339,16 +338,16 @@ def fiber_dimension_certificate(
     inst: FactorMapInstance, state, N: int
 ) -> EpsEmbeddingCertificate:
     """Certificate for the fiber of the factor map through `state` at horizon
-    N: the product of per-block width-map fiber certificates, pulled back
-    along the window projection, with exact dimension bookkeeping strictly
+    N: the chain of per-block width-map fiber certificates over the complete
+    blocks that meet [-M, N + M), with exact dimension bookkeeping strictly
     below (N + 2M + 2L')/m.
 
     A fiber point is a FiberPoint over the instance's window. The sampler
     draws its free head coordinates, then each complete block's flag from
     that block's fiber sampler in block order, then its free tail
-    coordinates. The projection onto the product is the slice of flags of
-    the certified blocks, so evaluation reads no coordinates; only the
-    domain metric d_N and a failure witness realize the window.
+    coordinates. The chain reads the block at offset a as that block's
+    sampled flag, so evaluation reads no coordinates; only the domain
+    metric d_N and a failure witness realize the window.
     """
     p = inst.params
     if N > p.horizon:
@@ -357,14 +356,10 @@ def fiber_dimension_certificate(
     period = p.period
     all_starts = inst.block_starts(residue)
     cert_starts = [a for a in all_starts if a + period > -p.margin and a < N + p.margin]
-    a0 = cert_starts[0]
-    a_end = cert_starts[-1] + period
-    if not (a0 <= -p.margin and a_end >= N + p.margin):
-        raise PreconditionError("window margins too small for the requested horizon")
 
     # every complete block in the window is constrained to its own width-map
     # fiber, located once; the blocks meeting the certified range also enter
-    # the product
+    # the chain
     block_map = inst.block_map
     pipeline = block_map.pipeline
     block_certs = {}
@@ -373,7 +368,6 @@ def fiber_dimension_certificate(
         block_certs[a] = pipeline.fiber_certificate(
             flag, block_map.block_scale, block_map.mesh_scale
         )
-    combined = product_certificate(*(block_certs[a] for a in cert_starts))
 
     # coordinates outside complete blocks are free
     grid = block_map.grid
@@ -396,24 +390,25 @@ def fiber_dimension_certificate(
         sample=sample,
     )
 
-    # cert_starts is a contiguous run of all_starts
-    i0 = all_starts.index(a0)
-    i1 = i0 + len(cert_starts)
-
-    pulled = pullback_certificate(
-        combined,
+    index = {a: i for i, a in enumerate(all_starts)}
+    chain = chain_fiber_certificate(
         fiber_domain,
-        lambda point: point.flags[i0:i1],
-        witness="coordinate-projection",
+        lambda point, a: point.flags[index[a]],
+        [(block_certs[a], period) for a in cert_starts],
+        range(len(cert_starts)),
+        N,
+        start=cert_starts[0],
+        margin=p.margin,
     )
     final = relax_scale(
-        pulled,
+        chain,
         p.eps,
         block_scale=format_fraction(p.eps / 2),
         mesh_scale=format_fraction(p.eps / 4),
         two_sided_tail=format_fraction(two_sided_tail(p.margin)),
     )
     return final.with_records(
+        structural_record("coordinate-projection"),
         structural_record(
             "window-tail-rule",
             margin=p.margin,
@@ -421,17 +416,9 @@ def fiber_dimension_certificate(
             two_sided_tail=format_fraction(two_sided_tail(p.margin)),
         ),
         structural_record(
-            "window-covers-range",
-            a0=a0,
-            a_end=a_end,
-            margin=p.margin,
-            N=N,
-            block=period,
-        ),
-        structural_record(
             "dimension-bookkeeping",
-            total_dim=pulled.target_dim,
-            window_length=a_end - a0,
+            total_dim=chain.target_dim,
+            window_length=len(cert_starts) * period,
             bound=format_fraction(p.fiber_dim_bound(N)),
             m=p.m,
         ),
@@ -460,6 +447,17 @@ class ReportRow:
 CSV_HEADER = "eps,N,fiber_dim_over_N,image_dim_over_N"
 
 
+def _max_fiber_dim(params: CounterexampleParams, samples: int, rng) -> int:
+    """The largest certified fiber dimension at the horizon of `params` over
+    `samples` states drawn from rng (0 with no samples)."""
+    inst = build_counterexample(params)
+    states = (inst.sample_state(rng) for _ in range(samples))
+    return max(
+        (fiber_dimension_certificate(inst, s, params.horizon).target_dim for s in states),
+        default=0,
+    )
+
+
 def mdim_report(delta, N_values, eps_values, samples: int = 3, seed: int = 0):
     """Ratio table: certified fiber dimension per step and image dimension
     bound per step, for each scale and horizon."""
@@ -469,13 +467,7 @@ def mdim_report(delta, N_values, eps_values, samples: int = 3, seed: int = 0):
         eps = F(eps)
         for N in N_values:
             params = CounterexampleParams.derive(delta, eps, N, seed)
-            inst = build_counterexample(params)
-            rng = random.Random(seed)
-            fiber_dim = 0
-            for _ in range(samples):
-                state = inst.sample_state(rng)
-                cert = fiber_dimension_certificate(inst, state, N)
-                fiber_dim = max(fiber_dim, cert.target_dim)
+            fiber_dim = _max_fiber_dim(params, samples, random.Random(seed))
             rows.append(
                 ReportRow(
                     eps=eps,
@@ -498,12 +490,7 @@ def stacked_report(delta, depth: int, N: int, samples: int = 2, seed: int = 0):
         eps_n = F(1, n)
         delta_n = delta / 2**n
         params = CounterexampleParams.derive(delta_n, eps_n, N, seed)
-        inst = build_counterexample(params)
-        rng = random.Random(seed + n)
-        fiber_dim = 0
-        for _ in range(samples):
-            cert = fiber_dimension_certificate(inst, inst.sample_state(rng), N)
-            fiber_dim = max(fiber_dim, cert.target_dim)
+        fiber_dim = _max_fiber_dim(params, samples, random.Random(seed + n))
         rows.append(
             {
                 "depth": n,

@@ -197,25 +197,49 @@ class TestChain:
         blocks = [(self.make_block(1), 4)]
         with pytest.raises(PreconditionError, match="inconsistent"):
             chain_fiber_certificate(grid_cloud(dim=1), self.shift, blocks, [0, 0, 0], 8)
+        # a block of nonpositive length covers nothing, wherever it sits
+        for length in (0, -2):
+            blocks = [(self.make_block(1), 4), (self.make_block(1), length)]
+            with pytest.raises(PreconditionError, match="inconsistent"):
+                chain_fiber_certificate(
+                    grid_cloud(dim=1), self.shift, blocks, [0, 1, 0], 8
+                )
 
     def test_overrun_bookkeeping(self):
-        # itinerary may overshoot N by less than the longest block
+        # itinerary may overshoot [-margin, N + margin) by less than a block
+        # at each end; half the draws start at 0 with no margin
         rng = random.Random(11)
-        for _ in range(100):
+        for i in range(100):
             k = rng.randint(1, 5)
             blocks = [
                 (self.make_block(rng.randint(0, 3)), rng.randint(1, 6))
                 for _ in range(k)
             ]
+            first, last = blocks[0][1], blocks[-1][1]
             total = sum(length for _, length in blocks)
             longest = max(length for _, length in blocks)
-            N = rng.randint(max(1, total - blocks[-1][1] + 1), total)
-            cert = chain_fiber_certificate(
-                grid_cloud(dim=1), self.shift, blocks, list(range(k)), N
+            # a margin below (total - first) / 2 leaves room for N >= 1
+            margin = 0 if i % 2 else rng.randint(0, (total - first) // 2)
+            start = 0 if i % 2 else -margin - rng.randrange(first)
+            end = start + total
+            N = rng.randint(max(1, end - last - margin + 1), end - margin)
+            build = lambda start: chain_fiber_certificate(
+                grid_cloud(dim=1), self.shift, blocks, list(range(k)), N,
+                start=start, margin=margin,
             )
+            cert = build(start)
             assert cert.target_dim == sum(b.target_dim for b, _ in blocks)
             a = max(F(b.target_dim + 1, length) for b, length in blocks)
-            assert cert.target_dim < a * (N + longest)
+            assert cert.target_dim < a * (N + margin - start + longest)
+            chain = cert.obligations[-1]
+            assert chain.name == "chain-itinerary-covers-range"
+            assert chain.data_dict["start"] == str(start)
+            assert chain.data_dict["margin"] == str(margin)
+            assert recheck_structural(chain)
+            # the first block must contain -margin
+            for bad in (-margin + 1 + rng.randrange(3), -margin - first - rng.randrange(3)):
+                with pytest.raises(PreconditionError, match="inconsistent"):
+                    build(bad)
 
 
 class TestSampleFiberCheck:
