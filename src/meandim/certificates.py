@@ -175,7 +175,13 @@ def _check_tail_rule(data):
     # 2^-M < p/q iff q < p * 2^M, which holds for any p >= 1 once 2^M > q
     margin = int(data["margin"])
     threshold = parse_fraction(data["threshold"])
-    if margin < 0 or threshold <= 0:
+    tail = parse_fraction(data["two_sided_tail"])
+    if margin < 0 or threshold <= 0 or tail <= 0:
+        return False
+    # the reduced tail a/b is 4/2^M iff a and b are powers of two with
+    # log2 a + M = 2 + log2 b
+    a, b = tail.numerator, tail.denominator
+    if a & (a - 1) or b & (b - 1) or a.bit_length() + margin != 2 + b.bit_length():
         return False
     q = threshold.denominator
     return margin >= q.bit_length() or q < threshold.numerator << margin

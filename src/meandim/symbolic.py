@@ -12,6 +12,7 @@ integers; the optimal mean is the only Fraction built per component.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -630,13 +631,16 @@ class WindowSeq:
 @dataclass(frozen=True)
 class ShiftMetric:
     """Geometric-weight metric on window sequences: sum of 2^-|n| times a
-    bounded per-coordinate distance (coordinate n of the shifted points)."""
+    per-coordinate distance (coordinate n of the shifted points).
+
+    coord_dist returns a rational, a Fraction or an int, between 0 and 1.
+    """
 
     coord_dist: object
 
 
-HILBERT_METRIC = ShiftMetric(lambda a, b: abs(Fraction(a) - Fraction(b)))
-SYMBOL_METRIC = ShiftMetric(lambda a, b: Fraction(int(a != b)))
+HILBERT_METRIC = ShiftMetric(lambda a, b: abs(a - b))
+SYMBOL_METRIC = ShiftMetric(lambda a, b: int(a != b))
 
 
 def d_N(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq) -> Fraction:
@@ -651,13 +655,18 @@ def d_N(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq) -> Fraction:
 def d_N_bounds(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq):
     """(d_N on the common window [lo, hi), d_N plus the unseen weight).
 
-    With delta_c the coordinate distance at c, the value at shift j is
-    left_j + right_j, where left_j = sum_{c<=j} 2^(c-j) delta_c and
-    right_j = sum_{c>j} 2^(j-c) delta_c; one pass updates them by
-    left_{j+1} = left_j/2 + delta_{j+1} and right_{j+1} = 2 right_j - delta_{j+1}.
-    The weight outside the window at shift j has the closed form
-    2^(lo-j) + 2^(j+1-hi), because lo <= 0 <= j < N <= hi; with coordinate
-    distances at most 1 it bounds the unseen part of the sum.
+    Index the window's coordinates lo, ..., hi - 1 by c = 0, ..., W - 1,
+    and write the coordinate distances as num_c / den over their least common
+    denominator. At shift j, with pivot p = j - lo, the value
+    sum_c 2^-|c-p| num_c / den is over the common denominator den 2^(W-1):
+    its numerator is (L << (W-1-p)) + (R << p), where
+    L = sum_{c<=p} 2^c num_c and R = sum_{c>p} 2^(W-1-c) num_c. One pass
+    moves num_p from R to L at each shift. The weight outside the window at
+    shift j has the closed form 2^(lo-j) + 2^(j+1-hi), because
+    lo <= 0 <= j < N <= hi; over the same denominator it is
+    den (2^(W-1-p) + 2^p), and with coordinate distances at most 1 it bounds
+    the unseen part of the sum. Both maxima are taken on the integer
+    numerators.
     """
     if N < 1:
         raise PreconditionError("N must be positive")
@@ -666,23 +675,25 @@ def d_N_bounds(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq):
     if not (lo <= 0 and N <= hi):
         raise InsufficientWindowError("window does not cover the orbit segment", (0, N))
     delta = [metric.coord_dist(a, b) for a, b in zip(x.restrict(lo, hi), y.restrict(lo, hi))]
-    left = Fraction(0)  # left_{-1}
-    for d in delta[:-lo]:
-        left = left / 2 + d
-    right = Fraction(0)  # right_{-1}
-    for d in reversed(delta[-lo:]):
-        right = (right + d) / 2
-    best = Fraction(0)
-    best_hi = Fraction(0)
-    for j in range(N):
-        d = delta[j - lo]
-        left = left / 2 + d
-        right = 2 * right - d
-        value = left + right
-        best = max(best, value)
-        unseen = Fraction(1, 2 ** (j - lo)) + Fraction(1, 2 ** (hi - j - 1))
-        best_hi = max(best_hi, value + unseen)
-    return best, best_hi
+    den = math.lcm(*(d.denominator for d in delta))
+    num = [d.numerator * (den // d.denominator) for d in delta]
+    top = hi - lo - 1
+    first = -lo  # the pivot of shift 0
+    left = sum(n << c for c, n in enumerate(num[:first]))
+    right = sum(n << (top - c) for c, n in enumerate(num[first:], first))
+    best = best_hi = 0
+    for p in range(first, first + N):
+        n = num[p]
+        left += n << p
+        right -= n << (top - p)
+        value = (left << (top - p)) + (right << p)
+        if value > best:
+            best = value
+        value += den * ((1 << (top - p)) + (1 << p))
+        if value > best_hi:
+            best_hi = value
+    scale = den << top
+    return Fraction(best, scale), Fraction(best_hi, scale)
 
 
 @dataclass(frozen=True)

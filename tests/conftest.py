@@ -12,11 +12,11 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def fraction_count(monkeypatch):
-    """A list that records every Fraction that meandim.geometry and
-    meandim.widthmaps construct while the test runs."""
+    """A list that records every Fraction that meandim.geometry,
+    meandim.symbolic and meandim.widthmaps construct while the test runs."""
     from fractions import Fraction
 
-    from meandim import geometry, widthmaps
+    from meandim import geometry, symbolic, widthmaps
 
     built = []
 
@@ -27,4 +27,5 @@ def fraction_count(monkeypatch):
 
     monkeypatch.setattr(widthmaps, "Fraction", CountingFraction)
     monkeypatch.setattr(geometry, "Fraction", CountingFraction)
+    monkeypatch.setattr(symbolic, "Fraction", CountingFraction)
     return built

@@ -2,12 +2,16 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import meandim
 from meandim.certificates import CITATIONS
 from meandim.cli import main
 from meandim.complexes import SimplicialComplex
@@ -411,6 +415,7 @@ class TestVerify:
             ("star-mesh-grid-bound", "scale", "1/0"),
             ("window-tail-rule", "margin", "-1"),
             ("window-tail-rule", "margin", "1000000000000"),
+            ("window-tail-rule", "two_sided_tail", "1/1000"),
             ("chain-itinerary-covers-range", "lengths", ""),
             ("chain-itinerary-covers-range", "start", "0"),
         ):
@@ -478,3 +483,14 @@ class TestVerify:
         mutant = Path("mutant.json")
         mutant.write_text(json.dumps(_mutated(artifact, path, value)))
         assert main(["verify", str(mutant)]) in (0, 2, 3, 4)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_meandim_help(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(meandim.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "meandim", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage:")

@@ -15,6 +15,7 @@ from meandim.certificates import (
     product_certificate,
     recheck_structural,
     sample_fiber_check,
+    structural_record,
 )
 from meandim.counterexample import (
     CSV_HEADER,
@@ -31,6 +32,7 @@ from meandim.counterexample import (
     wedge_cone_embedding,
 )
 from meandim.errors import PreconditionError
+from meandim.serialize import format_fraction
 from meandim.symbolic import (
     HILBERT_METRIC,
     CylinderSet,
@@ -230,6 +232,32 @@ class TestFiberCertificate:
         for record in cert.obligations:
             if record.kind == "STRUCTURAL":
                 assert recheck_structural(record), record.name
+
+    def test_tail_rule_rederives_the_two_sided_tail(self):
+        inst = build_counterexample(std_params(N=16))
+        cert = fiber_dimension_certificate(
+            inst, inst.sample_state(random.Random(20)), 16
+        )
+        (record,) = [r for r in cert.obligations if r.name == "window-tail-rule"]
+        data = record.data_dict
+        assert data["two_sided_tail"] == "1/2" and recheck_structural(record)
+        for tail in ("1/1000", "1/4", "1", "2", "0", "-1/2", "3/4"):
+            tampered = structural_record(record.name, **{**data, "two_sided_tail": tail})
+            assert not recheck_structural(tampered), tail
+        for margin in range(70):
+            record = structural_record(
+                "window-tail-rule",
+                margin=margin,
+                threshold="2",
+                two_sided_tail=format_fraction(two_sided_tail(margin)),
+            )
+            assert recheck_structural(record), margin
+            for other in {max(margin - 1, 0), margin + 1} - {margin}:
+                tail = format_fraction(two_sided_tail(other))
+                tampered = structural_record(
+                    record.name, **{**record.data_dict, "two_sided_tail": tail}
+                )
+                assert not recheck_structural(tampered), (margin, other)
 
     def test_each_block_is_located_once(self, monkeypatch):
         from meandim.widthmaps import KuhnWidthPipeline

@@ -8,6 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from meandim import symbolic
+from meandim.counterexample import (
+    CounterexampleParams,
+    build_counterexample,
+    fiber_dimension_certificate,
+)
 from meandim.errors import InsufficientWindowError, PreconditionError
 from meandim.symbolic import (
     HILBERT_METRIC,
@@ -402,29 +407,79 @@ class TestOdometer:
 
 
 def _shift_windows(draw, N, symbols):
-    start = draw(st.integers(min_value=-5, max_value=0))
+    start = draw(st.integers(min_value=-20, max_value=0))
     end = draw(st.integers(min_value=N, max_value=N + 5))
     return WindowSeq(start, tuple(draw(symbols) for _ in range(end - start)))
 
 
+# the 1/64 grid, and values over 64k as realized flags have
+RATIONALS = st.one_of(
+    st.integers(0, 64).map(lambda i: F(i, 64)),
+    st.integers(1, 7).flatmap(lambda k: st.integers(0, 64 * k).map(lambda i: F(i, 64 * k))),
+)
+
+
+def d_N_by_definition(metric, N, x, y):
+    """Oracle: the weighted sums at every shift, and each plus the weight
+    2^-|c-j| of the coordinates outside the common window."""
+    window = range(max(x.start, y.start), min(x.end, y.end))
+    sums, totals = [], []
+    for j in range(N):
+        weights = {c: F(1, 2 ** abs(c - j)) for c in window}
+        value = sum((w * metric.coord_dist(x[c], y[c]) for c, w in weights.items()), F(0))
+        sums.append(value)
+        totals.append(value + 3 - sum(weights.values()))
+    return max(sums), max(totals)
+
+
 class TestWindowMetrics:
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), N=st.integers(min_value=1, max_value=10), hilbert=st.booleans())
+    @given(data=st.data(), N=st.integers(min_value=1, max_value=48), hilbert=st.booleans())
     def test_d_N_bounds_match_definition(self, data, N, hilbert):
         if hilbert:
-            metric, symbols = HILBERT_METRIC, st.integers(0, 8).map(lambda k: F(k, 8))
+            metric, symbols = HILBERT_METRIC, RATIONALS
         else:
             metric, symbols = SYMBOL_METRIC, st.sampled_from("01")
         x = _shift_windows(data.draw, N, symbols)
         y = _shift_windows(data.draw, N, symbols)
-        window = range(max(x.start, y.start), min(x.end, y.end))
-        sums, totals = [], []
-        for j in range(N):
-            weights = {c: F(1, 2 ** abs(c - j)) for c in window}
-            value = sum((w * metric.coord_dist(x[c], y[c]) for c, w in weights.items()), F(0))
-            sums.append(value)
-            totals.append(value + 3 - sum(weights.values()))
-        assert d_N_bounds(metric, N, x, y) == (max(sums), max(totals))
+        assert d_N_bounds(metric, N, x, y) == d_N_by_definition(metric, N, x, y)
+
+    @pytest.mark.parametrize("hilbert", [True, False])
+    def test_d_N_bounds_match_definition_on_the_widest_windows(self, hilbert):
+        # 73 coordinates: the common denominator carries shifts past 2^60
+        rng = random.Random(71 + hilbert)
+        metric = HILBERT_METRIC if hilbert else SYMBOL_METRIC
+        N = 48
+
+        def draw():
+            if not hilbert:
+                return rng.choice("01")
+            q = rng.choice(dens)
+            return F(rng.randint(0, q), q)
+
+        for _ in range(5):
+            dens = (64, 64 * rng.randint(2, 7))
+            x = WindowSeq(-20, tuple(draw() for _ in range(N + 25)))
+            y = WindowSeq(-20 + rng.randint(0, 2), tuple(draw() for _ in range(N + 20)))
+            assert d_N_bounds(metric, N, x, y) == d_N_by_definition(metric, N, x, y)
+
+    def test_factor_map_fiber_distance_matches_definition(self):
+        N = 32
+        inst = build_counterexample(CounterexampleParams.derive(F(1, 2), F(1, 2), N))
+        rng = random.Random(73)
+        cert = fiber_dimension_certificate(inst, inst.sample_state(rng), N)
+        points = [cert.domain.sample(rng) for _ in range(6)]
+        for u, v in zip(points, points[1:]):
+            expected = d_N_by_definition(HILBERT_METRIC, N, u.window, v.window)[0]
+            assert cert.domain.dist(u, v) == expected
+
+    def test_d_N_builds_two_fractions(self, request):
+        rng = random.Random(79)
+        x = WindowSeq(-5, tuple(F(rng.randint(0, 192), 192) for _ in range(40)))
+        y = WindowSeq(-4, tuple(F(rng.randint(0, 64), 64) for _ in range(40)))
+        built = request.getfixturevalue("fraction_count")
+        d_N(HILBERT_METRIC, 30, x, y)
+        assert len(built) == 2  # the two bounds, built from their numerators
 
     def test_each_coordinate_distance_is_computed_once(self):
         calls = []
