@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 
+from .complexes import bucket_dimension_bound
 from .errors import MeanDimError, PreconditionError
 from .serialize import format_fraction, parse_fraction, to_jsonable
 
@@ -160,8 +161,6 @@ def _check_chain_partition(data):
 
 
 def _check_bucket_dimension(data):
-    from .complexes import bucket_dimension_bound
-
     return int(data["dim"]) <= bucket_dimension_bound(
         int(data["source_dim"]), int(data["m"]), int(data["bucket"])
     )
@@ -206,11 +205,6 @@ def _check_subsampled_visits(data):
     return Fraction(int(data["count_bound"])) <= bound
 
 
-def _check_squared_mesh(data):
-    scale = parse_fraction(data["scale"])
-    return scale > 0 and parse_fraction(data["mesh_squared"]) < scale * scale
-
-
 def _check_grid_mesh(data):
     g = int(data["grid"])
     bound = parse_fraction(data["bound"])
@@ -219,9 +213,7 @@ def _check_grid_mesh(data):
 
 STRUCTURAL_CHECKS = {
     "star-mesh-below-scale": _check_strictly_below("mesh", "scale"),
-    "star-mesh-squared-below-scale": _check_squared_mesh,
     "star-mesh-inherited-bound": _check_strictly_below("parent_mesh", "scale"),
-    "star-mesh-inherited-squared-bound": _check_squared_mesh,
     "star-mesh-grid-bound": _check_grid_mesh,
     "product-dims-additive": _check_sum,
     "chain-itinerary-covers-range": _check_chain_partition,

@@ -42,7 +42,7 @@ from .symbolic import (
     odometer_E,
     sbp_cover_refine,
 )
-from .widthmaps import PaddedBlockMap, padded_block_map
+from .widthmaps import PaddedBlockMap, grid_for_mesh, padded_block_map
 
 F = Fraction
 
@@ -163,8 +163,6 @@ class CounterexampleParams:
         m = derive_m(delta)
         level = derive_level(delta, m)
         margin = derive_margin(eps)
-        from .widthmaps import grid_for_mesh
-
         grid = grid_for_mesh(eps / 4)
         return cls(
             delta=delta,

@@ -2,101 +2,32 @@
 
 Everything is computed in exact arithmetic so certificate premises (star
 meshes, containment, affine evaluation) are decided without floating
-tolerances. Distances under the l-infinity and l1 norms are Fractions;
-the l2 norm returns an exact square-root wrapper that compares through
-squared rationals.
+tolerances. Every complex is measured in the l-infinity norm, the metric of
+the cube fibers that the width maps certify; distances are Fractions.
 
 A GeometricComplex also holds its coordinates as integer numerators over
 one common denominator. The affine-independence check, star diameters and
-meshes, and barycentric subdivision run on those integers; a Fraction (or
-one ExactSqrt of a squared rational) is built only for a result: a
-diameter, a mesh, or a subdivision vertex's coordinate. The affine check
-visits the maximal simplices that the combinatorial complex recorded, and
-computes one rank per simplex shape, since translates share their edge
-vectors.
+meshes, and barycentric subdivision run on those integers; a Fraction is
+built only for a result: a diameter, a mesh, or a subdivision vertex's
+coordinate. The affine check visits the maximal simplices that the
+combinatorial complex recorded, and computes one rank per simplex shape,
+since translates share their edge vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
-from itertools import combinations, permutations
+from itertools import permutations
 from math import lcm
 
 from .complexes import SimplicialComplex, barycentric_subdivide
 from .errors import BudgetExceededError, PreconditionError
-
-NORMS = ("linf", "l1", "l2")
-
-
-@total_ordering
-class ExactSqrt:
-    """Nonnegative number sqrt(q) for rational q, compared exactly via squares."""
-
-    __slots__ = ("square",)
-
-    def __init__(self, square):
-        square = Fraction(square)
-        if square < 0:
-            raise PreconditionError("negative square")
-        self.square = square
-
-    @staticmethod
-    def _sq(other):
-        if isinstance(other, ExactSqrt):
-            return other.square
-        other = Fraction(other)
-        if other < 0:
-            return None  # other is negative, sqrt is nonnegative
-        return other * other
-
-    def __eq__(self, other):
-        sq = self._sq(other)
-        return sq is not None and self.square == sq
-
-    def __lt__(self, other):
-        sq = self._sq(other)
-        if sq is None:
-            return False
-        return self.square < sq
-
-    def __hash__(self):
-        return hash(("ExactSqrt", self.square))
-
-    def __repr__(self):
-        return f"ExactSqrt({self.square})"
+from .serialize import format_fraction, parse_fraction, vertex_from_jsonable, vertex_to_jsonable
 
 
 def _vec_sub(p, q):
     return tuple(a - b for a, b in zip(p, q))
-
-
-def norm_value(vec, norm: str):
-    if norm == "linf":
-        return max((abs(c) for c in vec), default=Fraction(0))
-    if norm == "l1":
-        return sum((abs(c) for c in vec), Fraction(0))
-    if norm == "l2":
-        return ExactSqrt(sum((c * c for c in vec), Fraction(0)))
-    raise PreconditionError(f"unknown norm {norm!r}")
-
-
-def norm_numerator(diffs, norm: str) -> int:
-    """The norm of an integer vector, as an integer: squared for l2."""
-    if norm == "linf":
-        return max(map(abs, diffs), default=0)
-    if norm == "l1":
-        return sum(map(abs, diffs))
-    return sum(d * d for d in diffs)
-
-
-def norm_from_numerator(value: int, denom: int, norm: str):
-    """The norm of a vector of integers over denom, given norm_numerator of
-    its integer numerators."""
-    if norm == "l2":
-        return ExactSqrt(Fraction(value, denom * denom))
-    return Fraction(value, denom)
 
 
 def _rank(rows) -> int:
@@ -125,7 +56,8 @@ def _rank(rows) -> int:
 
 @dataclass(frozen=True, eq=False)
 class GeometricComplex:
-    """A simplicial complex with rational vertex coordinates and a norm.
+    """A simplicial complex with rational vertex coordinates, measured in the
+    l-infinity norm.
 
     `nums[v]` holds v's coordinates as integer numerators over the common
     denominator `den`, the lcm of every coordinate's denominator.
@@ -133,14 +65,12 @@ class GeometricComplex:
 
     complex: SimplicialComplex
     coords: dict
-    norm: str = "linf"
-    kuhn_grid: tuple | None = None  # (n, g) when built by kuhn_triangulate_cube
+    # (n, g) when built by kuhn_triangulate_cube
+    kuhn_grid: tuple | None = field(default=None, kw_only=True)
     den: int = field(init=False, repr=False)
     nums: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.norm not in NORMS:
-            raise PreconditionError(f"unknown norm {self.norm!r}")
         points = {}
         for v in self.complex.vertices:
             if v not in self.coords:
@@ -184,7 +114,7 @@ class GeometricComplex:
         return 0
 
     def distance(self, p, q):
-        return norm_value(_vec_sub(p, q), self.norm)
+        return Fraction(max(map(abs, _vec_sub(p, q)), default=0))
 
     def vertex_point(self, v):
         return tuple(Fraction(c) for c in self.coords[v])
@@ -205,39 +135,32 @@ class GeometricComplex:
         return cached
 
     def to_json_dict(self) -> dict:
-        from .serialize import format_fraction, vertex_to_jsonable
-
         data = self.complex.to_json_dict()
         data["coords"] = [
             [vertex_to_jsonable(v), [format_fraction(c) for c in self.coords[v]]]
             for v in self.complex.vertices
         ]
-        data["norm"] = self.norm
+        data["norm"] = "linf"
         return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeometricComplex":
-        from .complexes import SimplicialComplex
-        from .serialize import parse_fraction, vertex_from_jsonable
-
+        norm = data.get("norm", "linf")
+        if norm != "linf":
+            raise PreconditionError(f"unsupported norm {norm!r}: complexes are l-infinity")
         K = SimplicialComplex.from_json_dict(data)
         coords = {
             vertex_from_jsonable(v): tuple(parse_fraction(c) for c in pt)
             for v, pt in data["coords"]
         }
-        return cls(K, coords, data.get("norm", "linf"))
+        return cls(K, coords)
 
 
 def _star_diameter_numerator(G: GeometricComplex, v) -> int:
-    """norm_numerator of the closed star's diameter, over G.den."""
+    """The closed star's diameter, over G.den: its vertices' largest
+    coordinate range."""
     points = [G.nums[u] for u in G.star_vertices()[v]]
-    if G.norm == "linf":
-        # the largest coordinate difference is a coordinate's range
-        return max((max(col) - min(col) for col in zip(*points)), default=0)
-    return max(
-        (norm_numerator([a - b for a, b in zip(p, q)], G.norm) for p, q in combinations(points, 2)),
-        default=0,
-    )
+    return max((max(col) - min(col) for col in zip(*points)), default=0)
 
 
 def star_diameter(G: GeometricComplex, v):
@@ -248,12 +171,12 @@ def star_diameter(G: GeometricComplex, v):
     of simplices containing v.
     """
     G.complex.vertex_index(v)  # rejects an unknown vertex
-    return norm_from_numerator(_star_diameter_numerator(G, v), G.den, G.norm)
+    return Fraction(_star_diameter_numerator(G, v), G.den)
 
 
 def max_star_mesh(G: GeometricComplex):
     best = max((_star_diameter_numerator(G, v) for v in G.complex.vertices), default=0)
-    return norm_from_numerator(best, G.den, G.norm)
+    return Fraction(best, G.den)
 
 
 def barycentric_subdivide_geometric(G: GeometricComplex) -> GeometricComplex:
@@ -266,7 +189,7 @@ def barycentric_subdivide_geometric(G: GeometricComplex) -> GeometricComplex:
         coords[label] = tuple(
             Fraction(sum(col), scale) for col in zip(*(G.nums[v] for v in label))
         )
-    return GeometricComplex(Kp, coords, G.norm)
+    return GeometricComplex(Kp, coords)
 
 
 def subdivide_to_mesh(G: GeometricComplex, eps, max_rounds: int = 30) -> GeometricComplex:
@@ -308,7 +231,7 @@ def kuhn_triangulate_cube(n: int, g: int) -> GeometricComplex:
     verts = sorted({v for s in maximal for v in s})
     K = SimplicialComplex.from_maximal(verts, maximal)
     coords = {v: tuple(Fraction(i, g) for i in v) for v in verts}
-    return GeometricComplex(K, coords, "linf", kuhn_grid=(n, g))
+    return GeometricComplex(K, coords, kuhn_grid=(n, g))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,8 @@ Three layers:
 * partition_map: the basic construction. Vertices collapse block-wise onto
   the standard simplex; each fiber retracts into the full subcomplex of one
   block, and the retraction's fibers sit inside vertex stars, so the star
-  mesh bounds every fiber diameter.
+  mesh bounds every fiber diameter. Meshes and fiber distances are
+  l-infinity, the metric of the cube fibers the paper certifies.
 * bucket_width_map / cube_width_map: the composed pipeline (refine to mesh,
   subdivide once, partition the subdivision by source-simplex dimension).
   These materialize complexes and compute meshes and subcomplex dimensions
@@ -65,15 +66,13 @@ from .complexes import (
 from .errors import BudgetExceededError, PreconditionError
 from .geometry import (
     BarycentricPoint,
-    ExactSqrt,
     GeometricComplex,
     barycentric_subdivide_geometric,
     common_numerators,
+    eval_simplicial_map,
     kuhn_simplex,
     kuhn_triangulate_cube,
     max_star_mesh,
-    norm_from_numerator,
-    norm_numerator,
     star_diameter,
     subdivide_to_mesh,
 )
@@ -105,8 +104,6 @@ class SimplicialMap:
                 raise PreconditionError("vertex images do not span a target simplex")
 
     def evaluate(self, x: BarycentricPoint) -> tuple:
-        from .geometry import eval_simplicial_map
-
         return eval_simplicial_map(self, x)
 
 
@@ -120,7 +117,7 @@ def standard_simplex_target(m: int) -> GeometricComplex:
     coords = {
         i: tuple(Fraction(1 if j == i - 1 else 0) for j in range(m)) for i in verts
     }
-    return GeometricComplex(K, coords, "linf")
+    return GeometricComplex(K, coords)
 
 
 def _sample_group_weights(rng, groups, scales, size: int):
@@ -259,7 +256,7 @@ class PartitionWidthMap:
                 a * dy - b * dx
                 for a, b in zip(weighted_sum(x_verts, x_weights), weighted_sum(y_verts, y_weights))
             ]
-            return norm_from_numerator(norm_numerator(diffs, G.norm), dx * dy * G.den, G.norm)
+            return Fraction(max(map(abs, diffs), default=0), dx * dy * G.den)
 
         def retract(x):
             verts, weights, _ = x
@@ -315,11 +312,15 @@ def partition_map(
     eps = Fraction(eps)
     threshold = Fraction(mesh_threshold) if mesh_threshold is not None else eps
     P.validate_covers(G.complex.vertices)
-    inherited = inherited_mesh is not None
-    if inherited:
-        mesh = inherited_mesh if isinstance(inherited_mesh, ExactSqrt) else Fraction(inherited_mesh)
+    if inherited_mesh is not None:
+        mesh = Fraction(inherited_mesh)
         if not mesh < threshold:
             raise PreconditionError(f"inherited star mesh bound {mesh} is not below {threshold}")
+        mesh_record = structural_record(
+            "star-mesh-inherited-bound",
+            parent_mesh=format_fraction(mesh),
+            scale=format_fraction(threshold),
+        )
     else:
         mesh = max_star_mesh(G)
         if not mesh < threshold:
@@ -330,18 +331,9 @@ def partition_map(
                 f"star mesh hypothesis fails: star of {v!r} has diameter "
                 f"{d} which is not below {threshold}"
             )
-    if isinstance(mesh, ExactSqrt):
-        # an l2 mesh is irrational in general; its square is exact
-        record_name = (
-            "star-mesh-inherited-squared-bound" if inherited else "star-mesh-squared-below-scale"
+        mesh_record = structural_record(
+            "star-mesh-below-scale", mesh=format_fraction(mesh), scale=format_fraction(threshold)
         )
-        data = {"mesh_squared": format_fraction(mesh.square)}
-    elif inherited:
-        record_name, data = "star-mesh-inherited-bound", {"parent_mesh": format_fraction(mesh)}
-    else:
-        record_name, data = "star-mesh-below-scale", {"mesh": format_fraction(mesh)}
-    data["scale"] = format_fraction(threshold)
-    mesh_record = structural_record(record_name, **data)
     target = standard_simplex_target(P.m)
     images = {v: i for i, block in enumerate(P.blocks, start=1) for v in block}
     mapping = SimplicialMap(G.complex, target, images)

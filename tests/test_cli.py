@@ -1,6 +1,7 @@
 """CLI behaviour: commands, artifacts, verification, exit codes, determinism."""
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import meandim
 from meandim.certificates import CITATIONS
-from meandim.cli import main
+from meandim.cli import PAYLOAD_BUILDERS, main
 from meandim.complexes import SimplicialComplex
 from meandim.symbolic import Sft
 
@@ -483,6 +484,53 @@ class TestVerify:
         mutant = Path("mutant.json")
         mutant.write_text(json.dumps(_mutated(artifact, path, value)))
         assert main(["verify", str(mutant)]) in (0, 2, 3, 4)
+
+
+# One small artifact of each kind in cli.PAYLOAD_BUILDERS, with the SHA-256
+# of the file `--out` writes (canonical JSON plus a newline). A change that
+# alters any artifact's bytes must update its digest here and say why.
+GOLDEN_DIGESTS = [
+    ("cube-width-map",
+     ["gromov", "build", "--cube", "2", "--m", "2", "--eps", "1/2"],
+     "44ec37d98b54ffc2714f30b258ed90e1e8af86996b7da08c940282eb9bcdd2b6"),
+    ("gromov-fiber-batch",
+     ["gromov", "fiber-check", "map.json", "--samples", "2", "--seed", "7", "--trials", "50"],
+     "c01f4609c109ea9140b69682426ca55177ba207bb769ec9a7c486908015914c9"),
+    ("ocap-report",
+     ["ocap", "--sft", "golden.json", "--set", "one.json", "--limit"],
+     "c4f973a83a005782b270cead5d6868eef93bebaab4a89ccfa36a529bfadd37cc"),
+    ("sbp-refine",
+     ["sbp", "refine", "--sft", "golden.json", "--cover", "zero.json", "one.json",
+      "--delta", "1/2"],
+     "99f54c39dd2d1247eb18d75360faee27795ad5c87a1c496d6daa87161fc86147"),
+    ("counterexample-instance",
+     ["counterexample", "build", "--delta", "1/2", "--eps", "1/2", "--N", "8"],
+     "ce467d575667f7a6eb4e4852c0ff7b7b4b4606ce0bc17b280339f4fbf996176d"),
+    ("count-report",
+     ["counterexample", "check-counts", "--delta", "1/2", "--eps", "1/2", "--N", "8",
+      "--samples", "2", "--seed", "1"],
+     "034f41db3198b28e62b3ad578081e67989cddd577f00d418a87532af742abe64"),
+    ("counterexample-fiber-batch",
+     ["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2", "--N", "8",
+      "--samples", "2", "--seed", "2", "--trials", "50"],
+     "39f08a1b7de97df96c0f277f3d63c669e54ed14397b6a9d828dad15d7a57779e"),
+    ("mdim-report",
+     ["counterexample", "report", "--delta", "1/2", "--eps", "1/2", "--N", "8",
+      "--samples", "2", "--seed", "3"],
+     "eaa33830ae64f8449fa3aae2a30c79085b7e9d9ca65385082266e19e3dbc171c"),
+]
+
+
+def test_golden_artifact_digests(workdir):
+    assert sorted(kind for kind, _, _ in GOLDEN_DIGESTS) == sorted(PAYLOAD_BUILDERS)
+    write_golden(workdir)
+    (workdir / "zero.json").write_text(json.dumps([[0, "0"]]))
+    for kind, args, digest in GOLDEN_DIGESTS:
+        out = "map.json" if kind == "cube-width-map" else "artifact.json"
+        assert main(args + ["--out", out]) == 0, kind
+        data = (workdir / out).read_bytes()
+        assert json.loads(data)["kind"] == kind
+        assert hashlib.sha256(data).hexdigest() == digest, kind
 
 
 class TestModuleEntryPoint:

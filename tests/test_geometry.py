@@ -1,5 +1,6 @@
 """Tests for geometric realizations, Kuhn triangulations and point location."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -12,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 from meandim.complexes import SimplicialComplex, full_subcomplex
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
-    NORMS,
     BarycentricPoint,
-    ExactSqrt,
     GeometricComplex,
     _rank,
     barycentric_subdivide_geometric,
@@ -24,7 +23,6 @@ from meandim.geometry import (
     kuhn_triangulate_cube,
     locate,
     max_star_mesh,
-    norm_value,
     star_diameter,
     subdivide_to_mesh,
 )
@@ -33,14 +31,14 @@ from meandim.widthmaps import KuhnWidthPipeline
 F = Fraction
 
 
-def standard_two_simplex(norm="linf"):
+def standard_two_simplex():
     K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
     coords = {
         "a": (F(1), F(0), F(0)),
         "b": (F(0), F(1), F(0)),
         "c": (F(0), F(0), F(1)),
     }
-    return GeometricComplex(K, coords, norm)
+    return GeometricComplex(K, coords)
 
 
 def exact_det(rows):
@@ -77,22 +75,9 @@ class TestStarDiameter:
         for v in "abc":
             assert star_diameter(G, v) == 1
 
-    def test_unit_edge_l1(self):
-        K = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
-        G = GeometricComplex(K, {"a": (F(0),), "b": (F(1),)}, "l1")
-        assert star_diameter(G, "a") == 1
-
     def test_unknown_vertex(self):
         with pytest.raises(PreconditionError, match="unknown vertex"):
             star_diameter(standard_two_simplex(), "z")
-
-    def test_l2_exact_sqrt(self):
-        G = standard_two_simplex("l2")
-        d = star_diameter(G, "a")
-        assert isinstance(d, ExactSqrt)
-        assert d.square == 2
-        assert d < F(3, 2)
-        assert d > 1
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -222,7 +207,7 @@ class TestLocate:
 
     def test_general_path_agrees_with_kuhn(self):
         G = kuhn_triangulate_cube(2, 2)
-        general = GeometricComplex(G.complex, G.coords, G.norm)  # no grid metadata
+        general = GeometricComplex(G.complex, G.coords)  # no grid metadata
         rng = random.Random(7)
         for _ in range(25):
             p = (F(rng.randint(0, 24), 24), F(rng.randint(0, 24), 24))
@@ -423,10 +408,34 @@ def test_one_collinear_translate_among_good_triangles_is_named(count, data, step
 def test_geometric_json_roundtrip():
     G = kuhn_triangulate_cube(2, 2)
     back = GeometricComplex.from_json_dict(G.to_json_dict())
-    assert back.norm == G.norm
     assert back.complex.simplices == G.complex.simplices
     for v in G.complex.vertices:
         assert back.coords[v] == G.vertex_point(v)
+
+
+# a subdivided edge, as written by versions that took the norm as a
+# constructor argument: the file format must not change
+EARLIER_COMPLEX_FILE = (
+    '{"vertices": [["a"], ["b"], ["a", "b"]], "maximal_simplices": [[["a"], ["a", "b"]], '
+    '[["b"], ["a", "b"]]], "coords": [[["a"], ["0", "1/3"]], [["b"], ["1", "0"]], '
+    '[["a", "b"], ["1/2", "1/6"]]], "norm": "linf"}'
+)
+
+
+def test_complex_file_norm_tag():
+    data = json.loads(EARLIER_COMPLEX_FILE)
+    G = GeometricComplex.from_json_dict(data)
+    assert G.to_json_dict() == data
+    assert max_star_mesh(G) == F(1)
+    del data["norm"]
+    assert GeometricComplex.from_json_dict(data).to_json_dict()["norm"] == "linf"
+    for norm in ("l1", "l2", "foo"):
+        data["norm"] = norm
+        with pytest.raises(PreconditionError, match="unsupported norm"):
+            GeometricComplex.from_json_dict(data)
+    # kuhn_grid is keyword-only, so a stray positional norm cannot bind to it
+    with pytest.raises(TypeError):
+        GeometricComplex(G.complex, G.coords, "l1")
 
 
 def fraction_rank(vectors):
@@ -447,12 +456,12 @@ def fraction_rank(vectors):
 
 
 def fraction_star_diameter(G, v):
-    """Oracle: the largest pairwise Fraction (or ExactSqrt) distance between
-    the vertices of the simplices that contain v."""
+    """Oracle: the largest pairwise l-infinity Fraction distance between the
+    vertices of the simplices that contain v."""
     points = set().union(*(s for s in G.complex.simplices if v in s))
-    best = ExactSqrt(0) if G.norm == "l2" else F(0)
+    best = F(0)
     for p, q in combinations([G.vertex_point(u) for u in points], 2):
-        d = norm_value(tuple(a - b for a, b in zip(p, q)), G.norm)
+        d = max(abs(a - b) for a, b in zip(p, q))
         if d > best:
             best = d
     return best
@@ -480,7 +489,7 @@ def rational_rows(draw):
 def skewed_kuhn(draw):
     """A small Kuhn triangulation under a random injective rational affine
     map (lower triangular with a nonzero diagonal, sometimes into one more
-    dimension), with mixed denominators and a random norm."""
+    dimension), with mixed denominators."""
     n, g = draw(st.sampled_from(((1, 1), (1, 3), (2, 1), (2, 2), (3, 1))))
     K = kuhn_cube(n, g)
     nonzero = RATIONALS.filter(lambda q: q != 0)
@@ -495,7 +504,7 @@ def skewed_kuhn(draw):
         v: tuple(sum((a * c for a, c in zip(row, p)), b) for row, b in zip(rows, shift))
         for v, p in ((v, K.vertex_point(v)) for v in K.complex.vertices)
     }
-    return GeometricComplex(K.complex, coords, draw(st.sampled_from(NORMS)))
+    return GeometricComplex(K.complex, coords)
 
 
 class TestIntegerGeometry:
@@ -522,7 +531,6 @@ class TestIntegerGeometry:
     @given(G=skewed_kuhn())
     def test_subdivision_coordinates_are_fraction_barycenters(self, G):
         sub = barycentric_subdivide_geometric(G)
-        assert sub.norm == G.norm
         for label in sub.complex.vertices:
             points = [G.vertex_point(v) for v in label]
             barycenter = tuple(sum(col, F(0)) / len(label) for col in zip(*points))
@@ -531,10 +539,9 @@ class TestIntegerGeometry:
 
     def test_mesh_and_subdivision_build_only_result_fractions(self, request):
         G = kuhn_triangulate_cube(2, 4)
-        l1 = GeometricComplex(G.complex, G.coords, "l1")
         built = request.getfixturevalue("fraction_count")
-        assert max_star_mesh(G) == F(1, 2) and max_star_mesh(l1) == 1
-        assert len(built) == 2  # one per mesh
+        assert max_star_mesh(G) == F(1, 2)
+        assert len(built) == 1  # one per mesh
         del built[:]
         sub = barycentric_subdivide_geometric(G)
         assert len(built) == 2 * len(sub.complex.vertices)  # one per coordinate
