@@ -113,9 +113,6 @@ class GeometricComplex:
             return len(self.coords[v])
         return 0
 
-    def distance(self, p, q):
-        return Fraction(max(map(abs, _vec_sub(p, q)), default=0))
-
     def vertex_point(self, v):
         return tuple(Fraction(c) for c in self.coords[v])
 

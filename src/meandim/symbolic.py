@@ -5,8 +5,10 @@ Orbit capacity is computed exactly: the finite-horizon value by dynamic
 programming over the transition graph of window words, the limit value as the
 best cycle mean of that graph (the finite values are sub-additive, so the
 limit is their infimum and equals the best cycle mean). The visit weights are
-0 or 1, so Karp's walk table and the potentials that find a critical cycle are
-integers; the optimal mean is the only Fraction built per component.
+0 or 1, so Karp's walk rows and the potentials that find a critical cycle are
+integers; the optimal mean is the only Fraction built per component. The
+visit DP and Karp's search both step a max-plus map one row at a time and stop
+once the row repeats up to an added constant (see _iterate_until_repeat).
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, InsufficientWindowError, PreconditionError
+from .certificates import FAILED, STRUCTURAL, DischargeRecord
+from .errors import (
+    BudgetExceededError,
+    InsufficientWindowError,
+    ObligationFailedError,
+    PreconditionError,
+)
+from .serialize import format_fraction
 
 # the most words Sft.words materializes at any length, and the longest window
 # it accepts; the benchmark's word graphs have a few hundred nodes
@@ -305,7 +314,17 @@ def max_subsampled_visits(sft: Sft, A: CylinderSet, count: int, step: int) -> in
     """Exact maximum of visits to A at times 0, step, ..., (count-1)*step, by
     dynamic programming over window words. A horizon whose DP steps times
     the graph's edges exceed HORIZON_BUDGET raises BudgetExceededError
-    before any step runs."""
+    before any step runs.
+
+    The DP row after m macro-steps (step - 1 unweighted relaxations, then one
+    that adds the visit weights) holds, per word, the most visits of a path
+    ending there. A macro-step is a max-plus map, and max-plus maps are
+    homogeneous: M(x + K) = M(x) + K. So once a row equals an earlier row,
+    c macro-steps back, plus a constant K (with the same None pattern), every
+    later row repeats with period c and gains K per period. The DP then runs
+    only (left % c) of the `left` remaining macro-steps and adds
+    (left // c) * K. Without a repeat it runs all count - 1 macro-steps.
+    """
     if count < 1 or step < 1:
         raise PreconditionError("count and step must be positive")
     words, succs, weights = _recode(sft, A)
@@ -316,19 +335,64 @@ def max_subsampled_visits(sft: Sft, A: CylinderSet, count: int, step: int) -> in
             f"budget {HORIZON_BUDGET}"
         )
     skipped = [0] * len(words)
-    dp = list(weights)
-    for t in range(1, steps + 1):
-        gain = weights if t % step == 0 else skipped
-        nxt = [None] * len(words)
-        for i, best in enumerate(dp):
-            if best is None:
-                continue
-            for j in succs[i]:
-                cand = best + gain[j]
-                if nxt[j] is None or cand > nxt[j]:
-                    nxt[j] = cand
-        dp = nxt
-    return max(v for v in dp if v is not None)
+
+    def advance(row):
+        for _ in range(step - 1):
+            row = _relax(row, succs, skipped)
+        return _relax(row, succs, weights)
+
+    done, row, period, shift = _iterate_until_repeat(list(weights), advance, count - 1)
+    laps, rest = divmod(count - 1 - done, period or 1)
+    for _ in range(rest):
+        row = advance(row)
+    return max(v for v in row if v is not None) + laps * (shift or 0)
+
+
+def _relax(row, succs, gain):
+    """One max-plus step: the heaviest one-edge extension of the walks in
+    `row`, adding gain[v] on entering v (None where no walk arrives)."""
+    nxt = [None] * len(row)
+    for u, best in enumerate(row):
+        if best is None:
+            continue
+        for v in succs[u]:
+            cand = best + gain[v]
+            if nxt[v] is None or cand > nxt[v]:
+                nxt[v] = cand
+    return nxt
+
+
+def _shape(row):
+    """(top, row - top): the row's largest entry, and the row less it with
+    its None entries kept in place."""
+    top = max((x for x in row if x is not None), default=0)
+    return top, [None if x is None else x - top for x in row]
+
+
+def _iterate_until_repeat(row, advance, limit):
+    """Apply `advance` to `row` up to `limit` times, and stop at the first
+    row that is an earlier row plus a constant, with the same None pattern.
+
+    Brent's method: one mark row, kept as its shape (top, row - top), is
+    compared with each new row and moved forward to the newest row at
+    power-of-two distances, so memory stays one row besides the current one.
+    Returns (done, row, period, shift): the steps applied, the last row, the
+    steps back to the mark row, and the constant with row = mark + shift;
+    period and shift are None if no repeat shows within `limit` steps.
+    """
+    mark_top, mark = _shape(row)
+    power = period = 1
+    for done in range(1, limit + 1):
+        row = advance(row)
+        top, shape = _shape(row)
+        if shape == mark:
+            return done, row, period, top - mark_top
+        if period == power:
+            mark_top, mark = top, shape
+            power *= 2
+            period = 0
+        period += 1
+    return limit, row, None, None
 
 
 def _sccs(succs):
@@ -377,43 +441,51 @@ def _sccs(succs):
 
 
 def _karp_max_mean(nodes, succs, weights):
-    """Karp's formula on a strongly connected subgraph; None without edges.
+    """The maximum cycle mean of a strongly connected subgraph; None without
+    edges.
 
     The weights are integers, so D[k][v], the heaviest walk of k edges from
-    nodes[0] to v (None if there is none), is an integer table. The ratios
-    (D[n][v] - D[k][v]) / (n - k) are compared by cross-multiplication (every
-    denominator is positive), and only the optimum becomes a Fraction.
+    nodes[0] to v (None if there is none), is an integer row. D[k+1] is a
+    max-plus map of D[k], homogeneous like every max-plus map. So if some
+    D[k] equals an earlier D[k - c] plus K with the same None pattern, the
+    rows repeat from there with period c and gain K per period: the heaviest
+    k-edge walks grow like k K / c, and K / c is the maximum cycle mean.
+    Without a repeat by k = n, Karp's formula max_v min_k (D[n][v] - D[k][v])
+    / (n - k) gives it in two passes: the first ends with D[n], the second
+    recomputes D[0], ..., D[n-1] and keeps each node's running minimum. Either
+    way a few rows are held at once, never the (n+1) x n table. The ratios are
+    compared by cross-multiplication (every denominator is positive), and only
+    the optimum becomes a Fraction.
     """
     local = {v: i for i, v in enumerate(nodes)}
-    edges = [(local[u], local[v]) for u in nodes for v in succs[u] if v in local]
-    if not edges:
+    out = [[local[v] for v in succs[u] if v in local] for u in nodes]
+    if not any(out):
         return None
     n = len(nodes)
     w = [weights[v] for v in nodes]
-    D = [[None] * n for _ in range(n + 1)]
-    D[0][0] = 0
-    for prev, row in zip(D, D[1:]):
-        for u, v in edges:
-            if prev[u] is not None:
-                cand = prev[u] + w[v]
-                if row[v] is None or cand > row[v]:
-                    row[v] = cand
-    best_num, best_den = None, 1
-    for v in range(n):
-        top = D[n][v]
-        if top is None:
-            continue
-        worst_num, worst_den = None, 1
-        for k in range(n):
-            if D[k][v] is None:
+
+    def advance(row):
+        return _relax(row, out, w)
+
+    first = [0] + [None] * (n - 1)
+    _, last, period, shift = _iterate_until_repeat(first, advance, n)
+    if period is not None:
+        return Fraction(shift, period)
+    worst = [None] * n  # per node, the least (num, den) over k so far
+    row = first
+    for k in range(n):
+        if k:
+            row = advance(row)
+        for v, (top, low) in enumerate(zip(last, row)):
+            if top is None or low is None:
                 continue
-            num, den = top - D[k][v], n - k
-            if worst_num is None or num * worst_den < worst_num * den:
-                worst_num, worst_den = num, den
-        if worst_num is not None and (
-            best_num is None or worst_num * best_den > best_num * worst_den
-        ):
-            best_num, best_den = worst_num, worst_den
+            num, den = top - low, n - k
+            if worst[v] is None or num * worst[v][1] < worst[v][0] * den:
+                worst[v] = (num, den)
+    best_num, best_den = None, 1
+    for ratio in worst:
+        if ratio is not None and (best_num is None or ratio[0] * best_den > best_num * ratio[1]):
+            best_num, best_den = ratio
     return None if best_num is None else Fraction(best_num, best_den)
 
 
@@ -489,7 +561,16 @@ def ocap_limit(sft: Sft, A: CylinderSet) -> OcapResult:
         raise PreconditionError("transition graph has no cycle")
     mean, comp = best
     cycle = _critical_cycle(comp, succs, weights, mean)
-    assert sum(weights[v] for v in cycle) * mean.denominator == mean.numerator * len(cycle)
+    visits = sum(weights[v] for v in cycle)
+    if visits * mean.denominator != mean.numerator * len(cycle):
+        raise ObligationFailedError(
+            DischargeRecord(
+                "critical-cycle-mean", STRUCTURAL, FAILED,
+                (("cycle_length", str(len(cycle))), ("cycle_visits", str(visits)),
+                 ("mean", format_fraction(mean))),
+                witness=("witness cycle mean differs from the maximum cycle mean",),
+            )
+        )
     rotation = min(range(len(cycle)), key=lambda i: words[cycle[i]])
     cycle = cycle[rotation:] + cycle[:rotation]
     witness = tuple(words[v][0] for v in cycle)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meandim
+from meandim import symbolic
 from meandim.certificates import CITATIONS
 from meandim.cli import PAYLOAD_BUILDERS, main
 from meandim.complexes import SimplicialComplex
@@ -84,6 +85,15 @@ class TestOcapCommand:
         sft, one = write_golden(workdir)
         assert main(["ocap", "--sft", str(sft), "--set", str(one), "--limit"]) == 0
         assert capsys.readouterr().out.strip() == "1/2"
+
+    def test_witness_cycle_of_another_mean_exits_3(self, workdir, capsys, monkeypatch):
+        # the self-loop on word "0" has mean 0, the maximum cycle mean is 1/2
+        monkeypatch.setattr(symbolic, "_critical_cycle", lambda *args: [0])
+        sft, one = write_golden(workdir)
+        assert main(["ocap", "--sft", str(sft), "--set", str(one), "--limit"]) == 3
+        assert "critical-cycle-mean" in capsys.readouterr().err
+        witness = json.loads((workdir / "meandim-witness.json").read_text())
+        assert witness["data"]["mean"] == "1/2"
 
     def test_full_shift_value_one(self, workdir, capsys):
         sft = workdir / "full.json"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,86 @@ def brute_force_max_visits(sft, A, N):
         visits = sum(1 for n in range(N) if word[n : n + length] in hit)
         best = max(best, visits)
     return best
+
+
+def karp_full_table(nodes, succs, weights):
+    """Oracle: Karp's formula on the whole (n+1) x n table of D[k][v], the
+    heaviest walk of k edges from nodes[0] to v; None without edges."""
+    local = {v: i for i, v in enumerate(nodes)}
+    edges = [(local[u], local[v]) for u in nodes for v in succs[u] if v in local]
+    if not edges:
+        return None
+    n = len(nodes)
+    D = [[None] * n for _ in range(n + 1)]
+    D[0][0] = 0
+    for prev, row in zip(D, D[1:]):
+        for u, v in edges:
+            if prev[u] is not None:
+                cand = prev[u] + weights[nodes[v]]
+                if row[v] is None or cand > row[v]:
+                    row[v] = cand
+    return max(
+        (
+            min(F(D[n][v] - D[k][v], n - k) for k in range(n) if D[k][v] is not None)
+            for v in range(n)
+            if D[n][v] is not None
+        ),
+        default=None,
+    )
+
+
+def visits_step_by_step(sft, A, count, step):
+    """Oracle: the visit DP run one step at a time over all (count-1)*step
+    steps, adding the visit weights at multiples of `step`."""
+    words, succs, weights = symbolic._recode(sft, A)
+    dp = list(weights)
+    for t in range(1, (count - 1) * step + 1):
+        gain = weights if t % step == 0 else [0] * len(words)
+        nxt = [None] * len(words)
+        for i, best in enumerate(dp):
+            for j in succs[i]:
+                if best is not None and (nxt[j] is None or best + gain[j] > nxt[j]):
+                    nxt[j] = best + gain[j]
+        dp = nxt
+    return max(v for v in dp if v is not None)
+
+
+def spy_on_repeats(monkeypatch):
+    """Record (done, period) of every repeat search."""
+    seen = []
+    search = symbolic._iterate_until_repeat
+
+    def spy(row, advance, limit):
+        done, row, period, shift = search(row, advance, limit)
+        seen.append((done, period))
+        return done, row, period, shift
+
+    monkeypatch.setattr(symbolic, "_iterate_until_repeat", spy)
+    return seen
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A graph of several strongly connected components: cyclic blocks of
+    `cyclicity` layers (every edge of a block goes to the next layer), joined
+    by a few forward edges, with integer weights that may all be zero."""
+    succs, blocks = [], draw(st.integers(1, 3))
+    for _ in range(blocks):
+        base, cyclicity, width = len(succs), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        for node in range(cyclicity * width):
+            layer = (node // width + 1) % cyclicity
+            targets = draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=width))
+            succs.append(sorted(base + layer * width + t for t in targets))
+    n = len(succs)
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = sorted(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        if v not in succs[u]:
+            succs[u].append(v)
+    if draw(st.booleans()):
+        weights = [0] * n
+    else:
+        weights = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    return succs, weights
 
 
 def cyl(sft, *constraints):
@@ -296,6 +377,44 @@ class TestOcapLimit:
         assert len(built) <= 1
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(graph=weighted_graphs())
+    def test_karp_matches_full_table(self, graph):
+        succs, weights = graph
+        for comp in symbolic._sccs(succs):
+            assert symbolic._karp_max_mean(comp, succs, weights) == karp_full_table(
+                comp, succs, weights
+            )
+
+    def test_karp_falls_back_without_a_repeat_by_n(self, monkeypatch):
+        # D[0], D[1], D[2] are (0, None), (None, 1), (1, None); the mark row
+        # is D[1] from k = 2 on, so the repeat first shows at D[3] = D[1] + 1
+        seen = spy_on_repeats(monkeypatch)
+        succs, weights = [[1], [0]], [0, 1]
+        assert symbolic._karp_max_mean([0, 1], succs, weights) == F(1, 2)
+        assert seen == [(2, None)]
+
+    def test_large_graph_in_bounded_memory(self, monkeypatch):
+        seen = spy_on_repeats(monkeypatch)
+        gm = Sft.golden_mean()
+        A = cyl(gm, (0, "1"), (15, "1"))
+        tracemalloc.start()
+        try:
+            result = ocap_limit(gm, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.graph_size == 2584
+        assert result.value == F(7, 15)
+        assert "".join(result.witness) == "001010101010101"
+        assert peak < 8 * 2**20
+        assert seen and all(period is not None for _, period in seen)
+
+
+# cyclicity 2: every 1 sits between two symbols of {0, 2}
+PERIOD_TWO = Sft(("0", "1", "2"), frozenset({("0", "1"), ("1", "0"), ("1", "2"), ("2", "1")}))
+
+
 class TestSubsampledVisits:
     def test_step_one_matches_finite_n(self):
         gm = Sft.golden_mean()
@@ -309,6 +428,45 @@ class TestSubsampledVisits:
         n, step = 4, 3
         full = max_subsampled_visits(gm, A, n * step, 1)
         assert max_subsampled_visits(gm, A, n, step) <= full
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "sft, constraints",
+        [
+            (Sft.golden_mean(), [(0, "1")]),
+            (Sft.golden_mean(), [(0, "1"), (3, "1")]),
+            (Sft.golden_mean(), [(0, "00"), (4, "1")]),
+            (PERIOD_TWO, [(0, "2"), (2, "0")]),
+        ],
+    )
+    def test_matches_step_by_step_before_and_after_the_repeat(
+        self, monkeypatch, sft, constraints, step
+    ):
+        A = cyl(sft, *constraints)
+        seen = spy_on_repeats(monkeypatch)
+        max_subsampled_visits(sft, A, 200, step)
+        ((done, period),) = seen
+        # an even step splits the period-2 shift's word graph into two classes
+        # that gain visits at different rates, so its rows never repeat
+        assert (period is None) == (sft is PERIOD_TWO and step % 2 == 0)
+        for count in range(1, done + 3 * (period or 1) + 3):
+            assert max_subsampled_visits(sft, A, count, step) == visits_step_by_step(
+                sft, A, count, step
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        instance=sft_and_constraints(),
+        count=st.integers(1, 40),
+        step=st.sampled_from([1, 2, 3, 7]),
+    )
+    def test_matches_step_by_step_on_reducible_sfts(self, instance, count, step):
+        sft, constraints = instance
+        A = CylinderSet.from_constraints(sft, constraints)
+        assume(not A.is_empty)
+        assert max_subsampled_visits(sft, A, count, step) == visits_step_by_step(
+            sft, A, count, step
+        )
 
 
 class TestOcapNeighborhood:
