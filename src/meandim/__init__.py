@@ -57,7 +57,6 @@ from .geometry import (
 )
 from .symbolic import (
     CylinderSet,
-    HilbertShiftWindow,
     OdometerTower,
     Sft,
     WindowSeq,

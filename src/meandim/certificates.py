@@ -485,7 +485,6 @@ def chain_fiber_certificate(
     domain: MetricSpaceHandle,
     shift,
     block_certs,
-    itinerary,
     N: int,
     start: int = 0,
     margin: int = 0,
@@ -494,23 +493,20 @@ def chain_fiber_certificate(
     first one at offset `start`, and embed the domain into the product of
     the per-block targets.
 
-    block_certs is a list of (certificate, block_length); itinerary indexes
-    into it. The blocks laid end to end from `start` must cover the range:
-    the first one contains -margin and the last one N + margin - 1.
-    shift(x, t) is x seen from time t.
+    block_certs lists (certificate, block_length) in time order; a block
+    that recurs is listed again. The blocks laid end to end from `start`
+    must cover the range: the first one contains -margin and the last one
+    N + margin - 1. shift(x, t) is x seen from time t.
 
-    The result is product_certificate over the itinerary's blocks, with the
-    given domain: x maps to the flat tuple of block images, one per
-    itinerary step, the block at offset t evaluated on shift(x, t). The
+    The result is product_certificate over the blocks, with the given
+    domain: x maps to the flat tuple of block images, one per block, the
+    block at offset t evaluated on shift(x, t). The
     chain-itinerary-covers-range record goes last; build and verify check it
     with the same rule.
     """
-    if not itinerary:
-        raise PreconditionError("empty itinerary")
-    try:
-        certs, lengths = zip(*(block_certs[idx] for idx in itinerary))
-    except (IndexError, TypeError):
-        raise PreconditionError("itinerary index out of range") from None
+    if not block_certs:
+        raise PreconditionError("no blocks to chain")
+    certs, lengths = zip(*block_certs)
     chain_record = structural_record(
         "chain-itinerary-covers-range",
         lengths=";".join(str(l) for l in lengths),
@@ -519,7 +515,7 @@ def chain_fiber_certificate(
         N=N,
     )
     if not _check_chain_partition(chain_record.data_dict):
-        raise PreconditionError("itinerary offsets inconsistent with block lengths")
+        raise PreconditionError("block offsets inconsistent with block lengths")
     offsets = list(accumulate(lengths[:-1], initial=start))
     product = product_certificate(*certs)
     evaluate = product.evaluator

@@ -285,10 +285,31 @@ PAYLOAD_BUILDERS = {
 }
 
 
+# what a recipe or an input document of the wrong shape raises
+_MALFORMED = (KeyError, TypeError, ValueError)
+
+
+def _build_payload(kind: str, recipe: dict) -> dict:
+    try:
+        return PAYLOAD_BUILDERS[kind](recipe)
+    except _MALFORMED as exc:
+        raise PreconditionError(f"malformed {kind} recipe: {exc!r}") from exc
+
+
+def _load_json(path: str, parse=lambda data: data):
+    """The JSON document in an input file, passed through `parse`. A missing
+    or unreadable file, text that is not JSON and a document of the wrong
+    shape for `parse` all raise PreconditionError."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, *_MALFORMED) as exc:
+        raise PreconditionError(f"cannot read {path}: {exc!r}") from exc
+
+
 def write_artifact(path: str | None, kind: str, recipe: dict) -> dict:
     """Build the artifact of `kind` from `recipe`, and write it to `path`
     unless `path` is None."""
-    payload = PAYLOAD_BUILDERS[kind](recipe)
+    payload = _build_payload(kind, recipe)
     artifact = {"kind": kind, "recipe": recipe, "payload": payload}
     if path is not None:
         Path(path).write_text(canonical_json(artifact) + "\n")
@@ -329,10 +350,7 @@ def verify_artifact(path: str) -> VerifyCounts:
     """Re-discharge structural obligations arithmetically, then rebuild the
     payload from the recipe and require byte-identical canonical JSON; return
     the counts of what was checked."""
-    try:
-        artifact = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise PreconditionError(f"cannot read artifact: {exc}") from exc
+    artifact = _load_json(path)
     if not isinstance(artifact, dict):
         raise PreconditionError("artifact is not a JSON object")
     kind = artifact.get("kind")
@@ -358,10 +376,7 @@ def verify_artifact(path: str) -> VerifyCounts:
             raise ObligationFailedError(record)
         if record.kind == SAMPLED:
             sampled.append(record)
-    try:
-        rebuilt = PAYLOAD_BUILDERS[kind](artifact["recipe"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed {kind} recipe: {exc!r}") from exc
+    rebuilt = _build_payload(kind, artifact["recipe"])
     original = canonical_json(artifact["payload"])
     recomputed = canonical_json(rebuilt)
     if original != recomputed:
@@ -385,7 +400,13 @@ def verify_artifact(path: str) -> VerifyCounts:
 
 
 def _load_complex(path: str) -> SimplicialComplex:
-    return SimplicialComplex.from_json_dict(json.loads(Path(path).read_text()))
+    return _load_json(path, SimplicialComplex.from_json_dict)
+
+
+def _map_recipe(artifact) -> dict:
+    if not isinstance(artifact, dict) or artifact.get("kind") != "cube-width-map":
+        raise PreconditionError("fiber-check expects a cube-width-map artifact")
+    return dict(artifact["recipe"])
 
 
 def _cmd_complex(ns) -> int:
@@ -423,10 +444,7 @@ def _cmd_gromov(ns) -> int:
         print(f"wrote {ns.out}: grid {artifact['payload']['grid']}, "
               f"fiber bound {artifact['payload']['fiber_bound']}")
         return 0
-    map_artifact = json.loads(Path(ns.map_file).read_text())
-    if map_artifact.get("kind") != "cube-width-map":
-        raise PreconditionError("fiber-check expects a cube-width-map artifact")
-    recipe = dict(map_artifact["recipe"])
+    recipe = _load_json(ns.map_file, _map_recipe)
     recipe.update(
         samples=ns.samples,
         seed=ns.seed,
@@ -443,11 +461,9 @@ def _cmd_gromov(ns) -> int:
 
 
 def _cmd_ocap(ns) -> int:
-    sft_data = json.loads(Path(ns.sft).read_text())
-    set_data = json.loads(Path(ns.set_file).read_text())
     recipe = {
-        "sft": sft_data,
-        "set": set_data,
+        "sft": _load_json(ns.sft),
+        "set": _load_json(ns.set_file),
         "mode": "limit" if ns.limit else "finite",
         "N": ns.N,
     }
@@ -458,8 +474,8 @@ def _cmd_ocap(ns) -> int:
 
 def _cmd_sbp(ns) -> int:
     recipe = {
-        "sft": json.loads(Path(ns.sft).read_text()),
-        "cover": [json.loads(Path(c).read_text()) for c in ns.cover],
+        "sft": _load_json(ns.sft),
+        "cover": [_load_json(c) for c in ns.cover],
         "delta": format_fraction(ns.delta),
     }
     payload = write_artifact(ns.out, "sbp-refine", recipe)["payload"]

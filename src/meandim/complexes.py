@@ -13,7 +13,6 @@ instead of walking the family again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -172,13 +171,6 @@ class SimplicialComplex:
         if faces_exceed((len(set(s)) for s in maximal), SIZE_BUDGET):  # before closing
             raise BudgetExceededError(f"size budget exceeded: over {SIZE_BUDGET} faces")
         return cls.from_maximal(vertices, maximal)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "SimplicialComplex":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True, eq=False)

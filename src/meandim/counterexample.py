@@ -243,10 +243,6 @@ class CountReport:
     hull_max: int
     violations: tuple
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
     def to_json_dict(self) -> dict:
         return {
             "samples": self.samples,
@@ -393,7 +389,6 @@ def fiber_dimension_certificate(
         fiber_domain,
         lambda point, a: point.flags[index[a]],
         [(block_certs[a], period) for a in cert_starts],
-        range(len(cert_starts)),
         N,
         start=cert_starts[0],
         margin=p.margin,

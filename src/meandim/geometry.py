@@ -65,8 +65,6 @@ class GeometricComplex:
 
     complex: SimplicialComplex
     coords: dict
-    # (n, g) when built by kuhn_triangulate_cube
-    kuhn_grid: tuple | None = field(default=None, kw_only=True)
     den: int = field(init=False, repr=False)
     nums: dict = field(init=False, repr=False)
 
@@ -189,15 +187,17 @@ def barycentric_subdivide_geometric(G: GeometricComplex) -> GeometricComplex:
     return GeometricComplex(Kp, coords)
 
 
-def subdivide_to_mesh(G: GeometricComplex, eps, max_rounds: int = 30) -> GeometricComplex:
-    """Barycentrically subdivide until the star mesh drops strictly below eps."""
+def subdivide_to_mesh(G: GeometricComplex, eps, max_rounds: int = 30) -> tuple:
+    """Barycentrically subdivide until the star mesh drops strictly below eps.
+    Returns (complex, mesh), the star mesh measured once per round."""
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     current = G
     for _ in range(max_rounds + 1):
-        if max_star_mesh(current) < eps:
-            return current
+        mesh = max_star_mesh(current)
+        if mesh < eps:
+            return current, mesh
         current = barycentric_subdivide_geometric(current)
     raise BudgetExceededError("mesh not reached")
 
@@ -228,7 +228,7 @@ def kuhn_triangulate_cube(n: int, g: int) -> GeometricComplex:
     verts = sorted({v for s in maximal for v in s})
     K = SimplicialComplex.from_maximal(verts, maximal)
     coords = {v: tuple(Fraction(i, g) for i in v) for v in verts}
-    return GeometricComplex(K, coords, kuhn_grid=(n, g))
+    return GeometricComplex(K, coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,16 +345,11 @@ def _solve_barycentric(points, target):
 def locate(G: GeometricComplex, p) -> BarycentricPoint:
     """Find a containing simplex and exact barycentric weights for p.
 
-    Kuhn complexes use the closed-form cell-plus-sort location; otherwise the
-    simplices are scanned in canonical order and the first admissible one
-    wins.
+    The simplices are scanned in canonical order and the first admissible
+    one wins, so the result is p's carrier: the smallest simplex holding it,
+    with positive weights. This generic scan is the oracle that the
+    closed-form Kuhn location (kuhn_simplex) is tested against.
     """
-    if G.kuhn_grid is not None:
-        nums, res = common_numerators(p)
-        verts, weights = kuhn_simplex(nums, res, *G.kuhn_grid)
-        return BarycentricPoint(
-            frozenset(verts), {v: Fraction(w, res) for v, w in zip(verts, weights)}
-        )
     p = tuple(Fraction(c) for c in p)
     for s in G.complex.iter_simplices():
         verts = G.complex.sorted_simplex(s)

@@ -13,9 +13,7 @@ once the row repeats up to an added constant (see _iterate_until_repeat).
 
 from __future__ import annotations
 
-import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,13 +124,6 @@ class Sft:
             frozenset((a, b) for a, b in data["transitions"]),
         )
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "Sft":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True, eq=False)
 class CylinderSet:
@@ -180,10 +171,6 @@ class CylinderSet:
     @property
     def is_empty(self) -> bool:
         return not self.words
-
-    @property
-    def is_whole(self) -> bool:
-        return self.same_set(CylinderSet.whole(self.sft))
 
     def refine(self, lo: int, hi: int) -> "CylinderSet":
         """The same set presented on the window [lo, hi)."""
@@ -284,16 +271,11 @@ def _word_graph(sft: Sft, length: int):
         raise PreconditionError("empty language")
     index = {w: i for i, w in enumerate(words)}
     succs = [[] for _ in words]
+    symbols = sorted(sft.alphabet, key=repr)
     for i, w in enumerate(words):
-        if length == 1:
-            for b in sorted(sft.alphabet, key=repr):
-                if (w[0], b) in sft.transitions:
-                    succs[i].append(index[(b,)])
-        else:
-            for b in sorted(sft.alphabet, key=repr):
-                j = index.get(w[1:] + (b,))
-                if j is not None:
-                    succs[i].append(j)
+        for b in symbols:
+            if (w[-1], b) in sft.transitions:
+                succs[i].append(index[w[1:] + (b,)])
     return words, succs
 
 
@@ -661,14 +643,6 @@ class OdometerTower:
     def period(self) -> int:
         return 2**self.level
 
-    @property
-    def L(self) -> int:
-        return self.period - 1
-
-    @property
-    def L_prime(self) -> int:
-        return self.period + 1
-
 
 def odometer_E(tower: OdometerTower, residue: int, lo: int, hi: int) -> list:
     """Return times to the base set within [lo, hi): the arithmetic
@@ -776,24 +750,3 @@ def d_N_bounds(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq):
     scale = den << top
     return Fraction(best, scale), Fraction(best_hi, scale)
 
-
-@dataclass(frozen=True)
-class HilbertShiftWindow:
-    """Sampler of rational-valued window sequences on a fixed horizon."""
-
-    start: int
-    stop: int
-    resolution: int
-
-    def __post_init__(self):
-        if self.stop <= self.start or self.resolution < 1:
-            raise PreconditionError("bad window parameters")
-
-    def sample(self, rng: random.Random) -> WindowSeq:
-        return WindowSeq(
-            self.start,
-            tuple(
-                Fraction(rng.randint(0, self.resolution), self.resolution)
-                for _ in range(self.stop - self.start)
-            ),
-        )

@@ -7,9 +7,11 @@ Three layers:
   block, and the retraction's fibers sit inside vertex stars, so the star
   mesh bounds every fiber diameter. Meshes and fiber distances are
   l-infinity, the metric of the cube fibers the paper certifies.
-* bucket_width_map / cube_width_map: the composed pipeline (refine to mesh,
-  subdivide once, partition the subdivision by source-simplex dimension).
-  These materialize complexes and compute meshes and subcomplex dimensions
+* bucket_width_map: the composed pipeline (refine to mesh, subdivide once,
+  partition the subdivision by source-simplex dimension), measuring the
+  star mesh once per refinement round. cube_width_map runs it on the Kuhn
+  triangulation of the cube, which needs no refinement round. These
+  materialize complexes and compute meshes and subcomplex dimensions
   exactly; practical up to four-dimensional cubes. Meshes and subdivision
   run on the complex's integer coordinate numerators (see geometry). A
   sampled fiber point is a simplex's vertices with integer weights over one
@@ -65,11 +67,9 @@ from .complexes import (
 )
 from .errors import BudgetExceededError, PreconditionError
 from .geometry import (
-    BarycentricPoint,
     GeometricComplex,
     barycentric_subdivide_geometric,
     common_numerators,
-    eval_simplicial_map,
     kuhn_simplex,
     kuhn_triangulate_cube,
     max_star_mesh,
@@ -102,9 +102,6 @@ class SimplicialMap:
             image = frozenset(self.vertex_images[v] for v in s)
             if image not in target_simplices:
                 raise PreconditionError("vertex images do not span a target simplex")
-
-    def evaluate(self, x: BarycentricPoint) -> tuple:
-        return eval_simplicial_map(self, x)
 
 
 def standard_simplex_target(m: int) -> GeometricComplex:
@@ -177,10 +174,6 @@ class PartitionWidthMap:
     @property
     def m(self) -> int:
         return self.partition.m
-
-    def evaluate(self, x: BarycentricPoint) -> tuple:
-        """Barycentric image: per-block weight sums."""
-        return self.mapping.evaluate(x)
 
     def _pattern_index(self) -> dict:
         """support pattern (the set of blocks a simplex meets) -> its
@@ -347,21 +340,21 @@ def partition_map(
     )
 
 
-def bucket_width_map(G: GeometricComplex, m: int, eps) -> PartitionWidthMap:
-    """Refine to mesh below eps, subdivide once more, and partition the
-    subdivision's vertices by source-simplex dimension. Every fiber
-    certificate lands at or below dim(G)/m."""
+def bucket_width_map(G: GeometricComplex, m: int, eps, mesh_scale) -> PartitionWidthMap:
+    """Refine to star mesh below mesh_scale, subdivide once more, and
+    partition the subdivision's vertices by source-simplex dimension. The
+    subdivision inherits the refined complex's mesh as its premise, and
+    every fiber certificate, at scale eps, lands at or below dim(G)/m."""
     if m < 1:
         raise PreconditionError("m must be positive")
-    eps = Fraction(eps)
-    fine = subdivide_to_mesh(G, eps)
-    mesh = max_star_mesh(fine)
+    fine, mesh = subdivide_to_mesh(G, mesh_scale)
     P = dimension_buckets(fine.complex, m)
     subdivided = barycentric_subdivide_geometric(fine)
     return partition_map(
         subdivided,
         P,
         eps,
+        mesh_threshold=mesh_scale,
         inherited_mesh=mesh,
         bucket_source_dim=fine.complex.dim,
     )
@@ -491,9 +484,6 @@ class KuhnWidthPipeline:
             sums[bucket - 1] += w
         return sums
 
-    def bucket_sums(self, flag: FlagPoint) -> tuple:
-        return tuple(Fraction(s, flag.denom) for s in self._bucket_numerators(flag))
-
     def evaluate(self, x) -> tuple:
         """The width map into the (m-1)-cube."""
         flag = self.locate_flag(x)
@@ -587,16 +577,11 @@ class CubeWidthMap:
     eps: Fraction
     mesh_scale: Fraction
     grid: int
-    geometry: GeometricComplex  # the subdivided triangulation carrying the map
-    inner: PartitionWidthMap
-    pipeline: KuhnWidthPipeline
+    inner: PartitionWidthMap  # on the subdivided triangulation
 
     @property
     def fiber_bound(self) -> Fraction:
         return Fraction(self.n, self.m)
-
-    def evaluate(self, x) -> tuple:
-        return self.pipeline.evaluate(x)
 
     def fiber_certificate(self, p) -> EpsEmbeddingCertificate:
         """Certificate for the fiber over a cube point p, with exact
@@ -612,6 +597,7 @@ class CubeWidthMap:
 
     def to_json_dict(self) -> dict:
         mesh = self.inner.mesh_record.data_dict
+        K = self.inner.geometry.complex
         return {
             "kind": "cube-width-map",
             "n": self.n,
@@ -620,8 +606,8 @@ class CubeWidthMap:
             "mesh_scale": format_fraction(self.mesh_scale),
             "grid": self.grid,
             "mesh": mesh.get("parent_mesh", mesh.get("mesh")),
-            "vertices": len(self.geometry.complex.vertices),
-            "simplices": len(self.geometry.complex.simplices),
+            "vertices": len(K.vertices),
+            "simplices": len(K.simplices),
             "fiber_bound": format_fraction(self.fiber_bound),
             "bucket_dims": [self.inner.block_dim(i) for i in range(1, self.m + 1)],
         }
@@ -664,30 +650,8 @@ def cube_width_map(
         raise BudgetExceededError(
             f"size budget exceeded: ~{estimated} subdivided simplices > {budget}"
         )
-    G = kuhn_triangulate_cube(n, g)
-    mesh = max_star_mesh(G)
-    if not mesh < mesh_scale:
-        raise PreconditionError("grid mesh not below the requested scale")
-    P = dimension_buckets(G.complex, m)
-    subdivided = barycentric_subdivide_geometric(G)
-    inner = partition_map(
-        subdivided,
-        P,
-        eps,
-        mesh_threshold=mesh_scale,
-        inherited_mesh=mesh,
-        bucket_source_dim=G.complex.dim,
-    )
-    return CubeWidthMap(
-        n=n,
-        m=m,
-        eps=eps,
-        mesh_scale=mesh_scale,
-        grid=g,
-        geometry=subdivided,
-        inner=inner,
-        pipeline=KuhnWidthPipeline(n, m, g),
-    )
+    inner = bucket_width_map(kuhn_triangulate_cube(n, g), m, eps, mesh_scale)
+    return CubeWidthMap(n=n, m=m, eps=eps, mesh_scale=mesh_scale, grid=g, inner=inner)
 
 
 @dataclass(eq=False)

@@ -182,31 +182,31 @@ class TestChain:
     def test_single_block(self):
         block = self.make_block(2)
         cert = chain_fiber_certificate(
-            grid_cloud(dim=1), self.shift, [(block, 8)], [0], 8
+            grid_cloud(dim=1), self.shift, [(block, 8)], 8
         )
         assert cert.target_dim == block.target_dim
 
     def test_two_blocks(self):
         blocks = [(self.make_block(1), 4), (self.make_block(1), 4)]
         cert = chain_fiber_certificate(
-            grid_cloud(dim=1), self.shift, blocks, [0, 1], 8
+            grid_cloud(dim=1), self.shift, blocks, 8
         )
         assert cert.target_dim == 2
 
     def test_inconsistent_offsets(self):
         blocks = [(self.make_block(1), 4)]
         with pytest.raises(PreconditionError, match="inconsistent"):
-            chain_fiber_certificate(grid_cloud(dim=1), self.shift, blocks, [0, 0, 0], 8)
+            chain_fiber_certificate(grid_cloud(dim=1), self.shift, blocks * 3, 8)
         # a block of nonpositive length covers nothing, wherever it sits
         for length in (0, -2):
             blocks = [(self.make_block(1), 4), (self.make_block(1), length)]
             with pytest.raises(PreconditionError, match="inconsistent"):
                 chain_fiber_certificate(
-                    grid_cloud(dim=1), self.shift, blocks, [0, 1, 0], 8
+                    grid_cloud(dim=1), self.shift, blocks + blocks[:1], 8
                 )
 
     def test_overrun_bookkeeping(self):
-        # itinerary may overshoot [-margin, N + margin) by less than a block
+        # the blocks may overshoot [-margin, N + margin) by less than a block
         # at each end; half the draws start at 0 with no margin
         rng = random.Random(11)
         for i in range(100):
@@ -224,7 +224,7 @@ class TestChain:
             end = start + total
             N = rng.randint(max(1, end - last - margin + 1), end - margin)
             build = lambda start: chain_fiber_certificate(
-                grid_cloud(dim=1), self.shift, blocks, list(range(k)), N,
+                grid_cloud(dim=1), self.shift, blocks, N,
                 start=start, margin=margin,
             )
             cert = build(start)

@@ -28,7 +28,7 @@ def workdir(tmp_path, monkeypatch):
 
 def write_golden(tmp_path):
     sft = tmp_path / "golden.json"
-    sft.write_text(Sft.golden_mean().dumps())
+    sft.write_text(json.dumps(Sft.golden_mean().to_json_dict()))
     one = tmp_path / "one.json"
     one.write_text(json.dumps([[0, "1"]]))
     return sft, one
@@ -37,7 +37,7 @@ def write_golden(tmp_path):
 def write_triangle(tmp_path):
     K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
     path = tmp_path / "triangle.json"
-    path.write_text(K.dumps())
+    path.write_text(json.dumps(K.to_json_dict()))
     return path
 
 
@@ -97,7 +97,7 @@ class TestOcapCommand:
 
     def test_full_shift_value_one(self, workdir, capsys):
         sft = workdir / "full.json"
-        sft.write_text(Sft.full_shift("01").dumps())
+        sft.write_text(json.dumps(Sft.full_shift("01").to_json_dict()))
         one = workdir / "one.json"
         one.write_text(json.dumps([[0, "1"]]))
         assert main(["ocap", "--sft", str(sft), "--set", str(one), "--limit"]) == 0
@@ -128,7 +128,7 @@ class TestOcapCommand:
     )
     def test_oversized_set_exits_4(self, workdir, capsys, sft, constraints):
         sft_path = workdir / "sft.json"
-        sft_path.write_text(sft.dumps())
+        sft_path.write_text(json.dumps(sft.to_json_dict()))
         small, big = workdir / "small.json", workdir / "big.json"
         small.write_text(json.dumps([[0, "0"]]))
         big.write_text(json.dumps(constraints))
@@ -341,6 +341,42 @@ class TestCounterexampleCommands:
         payload = json.loads(out.read_text())["payload"]
         assert [payload["header"]] + payload["rows"] == printed.strip().splitlines()
         assert main(["verify", str(out)]) == 0
+
+
+# each command that reads an input file, with FILE standing for that file,
+# and a JSON document of the wrong shape for it
+INPUT_FILE_COMMANDS = [
+    (["ocap", "--sft", "FILE", "--set", "one.json", "--limit"], {"alphabet": 5}),
+    (["ocap", "--sft", "golden.json", "--set", "FILE", "--N", "4"], [1, 2]),
+    (["sbp", "refine", "--sft", "FILE", "--cover", "one.json", "--delta", "1/2"],
+     {"alphabet": 5}),
+    (["sbp", "refine", "--sft", "golden.json", "--cover", "FILE", "--delta", "1/2"],
+     [1, 2]),
+    (["complex", "info", "FILE"], [1, 2]),
+    (["complex", "subdivide", "FILE"], {"vertices": 5}),
+    (["complex", "buckets", "FILE", "--m", "2"], {"vertices": [1], "maximal_simplices": 7}),
+    (["gromov", "fiber-check", "FILE"], [1, 2]),
+    (["gromov", "fiber-check", "FILE"], {"kind": "cube-width-map", "recipe": [1]}),
+    (["verify", "FILE"], [1, 2]),
+]
+
+
+@pytest.mark.parametrize("content", ["missing", "not-json", "wrong-shape"])
+@pytest.mark.parametrize(
+    "argv, wrong_shape", INPUT_FILE_COMMANDS,
+    ids=[" ".join(argv) for argv, _ in INPUT_FILE_COMMANDS],
+)
+def test_bad_input_file_exits_2(workdir, capsys, argv, wrong_shape, content):
+    write_golden(workdir)
+    path = workdir / "input.json"
+    if content == "not-json":
+        path.write_text("{not json")
+    elif content == "wrong-shape":
+        path.write_text(json.dumps(wrong_shape))
+    # an exception escaping main would be the traceback
+    assert main([str(path) if arg == "FILE" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

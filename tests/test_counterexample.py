@@ -139,7 +139,7 @@ class TestNonzeroCount:
         p = std_params(N=8)
         inst = build_counterexample(p)
         report = nonzero_count_check(inst, samples=20, N=8, seed=3)
-        assert report.passed
+        assert not report.violations
         # one block holds at most m-1 = 2 nonzeros; a window meets two blocks
         assert report.max_count <= report.block_bound == 2 * 2
 
@@ -158,7 +158,7 @@ class TestNonzeroCount:
         p = std_params(N=80)
         inst = build_counterexample(p)
         report = nonzero_count_check(inst, samples=50, N=80, seed=4)
-        assert report.passed
+        assert not report.violations
         assert report.bound == F(1, 2) * 80 / 2 + 6 == 26
         assert report.block_bound == (10 + 1) * 2 == 22
         assert report.max_count < 26
@@ -166,7 +166,7 @@ class TestNonzeroCount:
     def test_hull_inside_padded_positions(self):
         inst = build_counterexample(std_params(N=24))
         report = nonzero_count_check(inst, samples=40, N=24, seed=5)
-        assert report.passed
+        assert not report.violations
         assert report.hull_max <= report.block_bound
 
 

@@ -120,7 +120,8 @@ class TestMesh:
 
     def test_subdivide_to_mesh_noop(self):
         G = standard_two_simplex()
-        assert subdivide_to_mesh(G, F(2)) is G
+        refined, mesh = subdivide_to_mesh(G, F(2))
+        assert refined is G and mesh == 1
 
     def test_unit_edge_rounds_to_reach_mesh(self):
         K = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
@@ -133,13 +134,13 @@ class TestMesh:
             meshes.append(max_star_mesh(cur))
             cur = barycentric_subdivide_geometric(cur)
         assert meshes == [1, 1, F(1, 2), F(1, 4)]
-        refined = subdivide_to_mesh(G, F(3, 10))
-        assert max_star_mesh(refined) == F(1, 4)
+        refined, mesh = subdivide_to_mesh(G, F(3, 10))
+        assert mesh == max_star_mesh(refined) == F(1, 4)
         assert len(refined.complex.vertices) == 9
 
     def test_two_simplex_reaches_half(self):
-        refined = subdivide_to_mesh(standard_two_simplex(), F(1, 2))
-        assert max_star_mesh(refined) < F(1, 2)
+        refined, mesh = subdivide_to_mesh(standard_two_simplex(), F(1, 2))
+        assert mesh == max_star_mesh(refined) < F(1, 2)
 
     def test_round_cap(self):
         G = standard_two_simplex()
@@ -205,15 +206,19 @@ class TestLocate:
         with pytest.raises(PreconditionError, match="not in complex"):
             locate(G, (F(3, 2), F(0)))
 
-    def test_general_path_agrees_with_kuhn(self):
-        G = kuhn_triangulate_cube(2, 2)
-        general = GeometricComplex(G.complex, G.coords)  # no grid metadata
-        rng = random.Random(7)
-        for _ in range(25):
-            p = (F(rng.randint(0, 24), 24), F(rng.randint(0, 24), 24))
-            a = locate(G, p).realize(G)
-            b = locate(general, p).realize(general)
-            assert a == b == p
+    def test_scan_agrees_with_closed_form(self):
+        # the scan returns p's carrier, which is the positive-weight part of
+        # the closed-form Kuhn simplex
+        for n, g, res in ((2, 2, 24), (3, 2, 12)):
+            G = kuhn_triangulate_cube(n, g)
+            rng = random.Random(7)
+            for _ in range(25):
+                p = tuple(F(rng.randint(0, res), res) for _ in range(n))
+                located = locate(G, p)
+                assert located.realize(G) == p
+                nums, common = common_numerators(p)
+                verts, weights = kuhn_simplex(nums, common, n, g)
+                assert located.weights == {v: F(w, common) for v, w in zip(verts, weights) if w}
 
     def test_realize_recovers_input(self):
         G = kuhn_triangulate_cube(3, 2)
@@ -277,16 +282,6 @@ class TestIntegerLocation:
         assert got_verts == verts
         assert [F(w, res) for w in got_weights] == weights
         assert KuhnWidthPipeline(n, 2, g).locate_flag(p).realize(g) == p
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), shape=st.sampled_from(((1, 1), (1, 5), (2, 3), (3, 2), (3, 3), (4, 2), (5, 1))))
-    def test_locate_on_kuhn_cube_matches_fraction_formula(self, data, shape):
-        n, g = shape
-        p = data.draw(cube_points(n, g))
-        verts, weights = fraction_kuhn_simplex(p, n, g)
-        located = locate(kuhn_cube(n, g), p)
-        assert located.simplex == frozenset(verts)
-        assert located.weights == dict(zip(verts, weights))
 
 
 class FakeMap:
@@ -433,7 +428,8 @@ def test_complex_file_norm_tag():
         data["norm"] = norm
         with pytest.raises(PreconditionError, match="unsupported norm"):
             GeometricComplex.from_json_dict(data)
-    # kuhn_grid is keyword-only, so a stray positional norm cannot bind to it
+    # the constructor takes the complex and its coordinates only, so a stray
+    # positional norm is refused
     with pytest.raises(TypeError):
         GeometricComplex(G.complex, G.coords, "l1")
 

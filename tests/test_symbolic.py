@@ -1,6 +1,7 @@
 """Tests for subshifts, cylinder algebra, orbit capacity, odometer, metrics."""
 
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,13 +14,13 @@ from meandim.counterexample import (
     CounterexampleParams,
     build_counterexample,
     fiber_dimension_certificate,
+    sample_coordinates,
 )
 from meandim.errors import InsufficientWindowError, PreconditionError
 from meandim.symbolic import (
     HILBERT_METRIC,
     SYMBOL_METRIC,
     CylinderSet,
-    HilbertShiftWindow,
     OdometerTower,
     Sft,
     ShiftMetric,
@@ -195,7 +196,7 @@ class TestSft:
 
     def test_json_roundtrip(self):
         gm = Sft.golden_mean()
-        back = Sft.loads(gm.dumps())
+        back = Sft.from_json_dict(json.loads(json.dumps(gm.to_json_dict())))
         assert back.alphabet == gm.alphabet
         assert back.transitions == gm.transitions
 
@@ -214,7 +215,7 @@ class TestCylinderAlgebra:
     def test_union_and_complement(self):
         gm = Sft.golden_mean()
         zero, one = cyl(gm, (0, "0")), cyl(gm, (0, "1"))
-        assert zero.union(one).is_whole
+        assert zero.union(one).same_set(CylinderSet.whole(gm))
         assert zero.complement().same_set(one)
 
     def test_difference(self):
@@ -505,7 +506,7 @@ class TestSbpCoverRefine:
         pieces, complement, report = sbp_cover_refine(
             gm, [CylinderSet.whole(gm)], F(1, 2)
         )
-        assert pieces[0].is_whole
+        assert pieces[0].same_set(CylinderSet.whole(gm))
         assert complement.is_empty
         assert report.value == 0
 
@@ -552,12 +553,15 @@ class TestOdometer:
         for k in range(1, 11):
             tower = OdometerTower(k)
             period = tower.period
+            # the factor map's block bounds L = 2^k - 1 and L' = 2^k + 1
+            L, L_prime = period - 1, period + 1
             # the base set never meets its first L preimages
-            for n in range(1, tower.L + 1):
+            for n in range(1, L + 1):
                 assert (-n) % period != 0
+            assert odometer_E(tower, 0, 1, L + 1) == []
             # the first L'-1 preimages cover every residue
-            assert {(-n) % period for n in range(1, tower.L_prime)} == set(range(period))
-            assert tower.L < period < tower.L_prime
+            assert {(-n) % period for n in range(1, L_prime)} == set(range(period))
+            assert all(odometer_E(tower, r, 1, L_prime) for r in range(period))
 
     def test_residue_out_of_range(self):
         with pytest.raises(PreconditionError):
@@ -676,9 +680,8 @@ class TestWindowMetrics:
 
     def test_bounds_bracket_value(self):
         rng = random.Random(0)
-        sampler = HilbertShiftWindow(-4, 8, 16)
         for _ in range(10):
-            x, y = sampler.sample(rng), sampler.sample(rng)
+            x, y = (WindowSeq(-4, sample_coordinates(rng, 12)) for _ in range(2))
             lo, hi = d_N_bounds(HILBERT_METRIC, 3, x, y)
             assert 0 <= lo <= hi
 

@@ -15,12 +15,14 @@ from meandim.geometry import (
     BarycentricPoint,
     GeometricComplex,
     barycentric_subdivide_geometric,
+    eval_simplicial_map,
     kuhn_triangulate_cube,
     locate,
     max_star_mesh,
 )
-from meandim import widthmaps
+from meandim import geometry, widthmaps
 from meandim.widthmaps import (
+    KuhnWidthPipeline,
     SimplicialMap,
     barycentric_from_cube,
     cube_from_barycentric,
@@ -72,7 +74,7 @@ class TestPartitionMap:
         x = as_barycentric(cert.domain.sample(rng))
         # the fiber over the midpoint is the midpoint itself
         assert x.realize(wm.geometry) == (F(1, 2),)
-        assert wm.evaluate(x) == (F(1, 2), F(1, 2))
+        assert eval_simplicial_map(wm.mapping, x) == (F(1, 2), F(1, 2))
 
     def test_mesh_hypothesis_enforced(self):
         with pytest.raises(PreconditionError, match="star mesh hypothesis fails"):
@@ -101,7 +103,7 @@ class TestPartitionMap:
         rng = random.Random(1)
         x = as_barycentric(cert.domain.sample(rng))
         assert x.realize(wm.geometry) == (F(0),)
-        assert wm.evaluate(x) == (F(1), F(0))
+        assert eval_simplicial_map(wm.mapping, x) == (F(1), F(0))
 
     def test_simpliciality(self):
         wm = partition_map(
@@ -126,7 +128,7 @@ class TestPartitionMap:
             cert = wm.fiber_certificate(t)
             for _ in range(5):
                 x = as_barycentric(cert.domain.sample(rng))
-                assert wm.evaluate(x) == t
+                assert eval_simplicial_map(wm.mapping, x) == t
 
     def test_retraction_passes_fiber_check(self):
         G = kuhn_triangulate_cube(2, 3)
@@ -140,7 +142,7 @@ class TestPartitionMap:
 
 class TestBucketWidthMap:
     def test_constant_map_m1(self):
-        wm = bucket_width_map(unit_edge(), 1, F(3))
+        wm = bucket_width_map(unit_edge(), 1, F(3), F(3))
         assert wm.m == 1
         cert = wm.fiber_certificate((F(1),))
         assert cert.target_dim <= 1  # vacuous bound dim K / 1
@@ -152,7 +154,7 @@ class TestBucketWidthMap:
             "b": (F(0), F(1), F(0)),
             "c": (F(0), F(0), F(1)),
         }
-        wm = bucket_width_map(GeometricComplex(K, coords), 2, F(1, 2))
+        wm = bucket_width_map(GeometricComplex(K, coords), 2, F(1, 2), F(1, 2))
         rng = random.Random(2)
         for _ in range(8):
             raw = sorted(rng.randint(0, 8) for _ in range(1))
@@ -174,7 +176,7 @@ class TestBucketWidthMap:
             "b": (F(0), F(1), F(0)),
             "c": (F(0), F(0), F(1)),
         }
-        wm = bucket_width_map(GeometricComplex(K, coords), 3, F(1, 2))
+        wm = bucket_width_map(GeometricComplex(K, coords), 3, F(1, 2), F(1, 2))
         for t in _simplex_grid(3):
             if fiber_points_exist(wm, t):
                 assert wm.fiber_certificate(t).target_dim <= 0
@@ -188,7 +190,7 @@ class TestBucketWidthMap:
         }
         dims = []
         for m in (1, 2, 3):
-            wm = bucket_width_map(GeometricComplex(K, coords), m, F(1, 2))
+            wm = bucket_width_map(GeometricComplex(K, coords), m, F(1, 2), F(1, 2))
             certs = [
                 wm.fiber_certificate(t)
                 for t in _simplex_grid(m)
@@ -196,6 +198,34 @@ class TestBucketWidthMap:
             ]
             dims.append(max(c.target_dim for c in certs))
         assert dims[0] >= dims[1] >= dims[2]
+
+
+class TestStarMeshCount:
+    """The star mesh is measured once per refinement round, and the
+    subdivision inherits the last value."""
+
+    @pytest.fixture
+    def mesh_calls(self, monkeypatch):
+        calls = []
+        real = geometry.max_star_mesh
+
+        def counted(G):
+            calls.append(G)
+            return real(G)
+
+        for module in (geometry, widthmaps):
+            monkeypatch.setattr(module, "max_star_mesh", counted)
+        return calls
+
+    def test_cube_width_map_measures_the_grid_once(self, mesh_calls):
+        cube_width_map(2, 2, F(1, 2))
+        assert len(mesh_calls) == 1
+
+    def test_bucket_width_map_measures_once_per_round(self, mesh_calls):
+        # the unit edge's meshes go 1 -> 1 -> 1/2 -> 1/4, so getting below
+        # 3/10 takes three rounds
+        bucket_width_map(unit_edge(), 2, F(3, 10), F(3, 10))
+        assert len(mesh_calls) == 3 + 1
 
 
 def _simplex_grid(m, steps=4):
@@ -405,31 +435,32 @@ class TestCubeWidthMap:
 class TestClosedFormAgainstExplicit:
     def test_evaluation_matches_explicit_locate(self):
         # dual route: flag location + bucket sums vs explicit point location
-        # in the materialized subdivision followed by the simplicial map
+        # in the materialized subdivision followed by the simplicial map; the
+        # chart is a bijection, so equal cube points mean equal bucket sums
         wm = cube_width_map(2, 2, F(1), mesh_scale=F(2, 3))
-        pipeline = wm.pipeline
-        sub = wm.geometry
+        pipeline = KuhnWidthPipeline(wm.n, wm.m, wm.grid)
+        sub = wm.inner.geometry
         rng = random.Random(13)
         for _ in range(20):
             x = (F(rng.randint(0, 36), 36), F(rng.randint(0, 36), 36))
             flag = pipeline.locate_flag(x)
             assert flag.realize(pipeline.grid) == x
             located = locate(sub, x)
-            t_explicit = wm.inner.evaluate(located)
-            assert pipeline.bucket_sums(flag) == t_explicit
+            t_explicit = eval_simplicial_map(wm.inner.mapping, located)
             assert pipeline.evaluate(x) == cube_from_barycentric(t_explicit)
 
     def test_retract_matches_explicit_bucket_part(self):
         # retracting a located flag onto bucket i realizes the normalized
         # bucket-i part of the point's weights in the materialized subdivision
         wm = cube_width_map(2, 2, F(1), mesh_scale=F(2, 3))
-        pipeline = wm.pipeline
+        pipeline = KuhnWidthPipeline(wm.n, wm.m, wm.grid)
+        sub = wm.inner.geometry
         rng = random.Random(41)
         cases = 0
         for _ in range(40):
             x = (F(rng.randint(0, 36), 36), F(rng.randint(0, 36), 36))
             flag = pipeline.locate_flag(x)
-            located = locate(wm.geometry, x)
+            located = locate(sub, x)
             for i, block in enumerate(wm.inner.partition.blocks, start=1):
                 part = {v: w for v, w in located.weights.items() if v in block}
                 total = sum(part.values(), F(0))
@@ -437,7 +468,7 @@ class TestClosedFormAgainstExplicit:
                     continue
                 explicit = BarycentricPoint(
                     frozenset(part), {v: w / total for v, w in part.items()}
-                ).realize(wm.geometry)
+                ).realize(sub)
                 assert pipeline.retract(flag, i).realize(pipeline.grid) == explicit
                 cases += 1
         assert cases > 40
@@ -447,7 +478,7 @@ class TestClosedFormAgainstExplicit:
 
         wm = cube_width_map(2, 2, F(1), mesh_scale=F(2, 3))
         for i, block in enumerate(wm.inner.partition.blocks, start=1):
-            exact = full_subcomplex(wm.geometry.complex, block).dim
+            exact = full_subcomplex(wm.inner.geometry.complex, block).dim
             assert exact == bucket_dimension_bound(2, 2, i)
 
 
@@ -514,14 +545,15 @@ class TestPaddedBlockMap:
         flags = [pipeline.locate_flag(x) for x in points]
         assert flags[0].weights[0] == flags[0].weights[5] == 0
         for flag in flags:
-            t = pipeline.bucket_sums(flag)
+            sums = pipeline._bucket_numerators(flag)
             cert = pipeline.fiber_certificate(flag, F(1, 4), F(1, 8))
             for _ in range(20):
                 sample = cert.domain.sample(rng)
                 assert sample.chain == flag.chain
                 assert all(w >= 0 for w in sample.weights)
                 assert sum(sample.weights) == sample.denom
-                assert pipeline.bucket_sums(sample) == t
+                got = pipeline._bucket_numerators(sample)
+                assert [a * flag.denom for a in got] == [b * sample.denom for b in sums]
 
     def test_fiber_check_no_violations(self):
         bm = padded_block_map(8, 3, F(1, 2))
@@ -676,7 +708,7 @@ class TestPartitionFiberIntegers:
         for _ in range(5):
             x, y = cert.domain.sample(rng), cert.domain.sample(rng)
             bx, by = as_barycentric(x), as_barycentric(y)
-            assert wm.evaluate(bx) == t
+            assert eval_simplicial_map(wm.mapping, bx) == t
             assert cert.evaluator(x) == fraction_retract(wm, bx, t)
             expected = flat_linf(bx.realize(sub), by.realize(sub))
             got = cert.domain.dist(x, y)
