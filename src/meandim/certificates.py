@@ -534,6 +534,22 @@ def to_jsonable_point(pt):
         return repr(pt)
 
 
+def randint_draws(rng: random.Random, top: int, count: int) -> list:
+    """`count` draws of rng.randint(0, top), drawn the way randint draws
+    them but without its call layers: (top + 1).bit_length() random bits,
+    drawn again while above top. The values and rng's state afterwards are
+    those of the randint calls."""
+    bits = rng.getrandbits
+    k = (top + 1).bit_length()
+    draws = []
+    for _ in range(count):
+        r = bits(k)
+        while r > top:
+            r = bits(k)
+        draws.append(r)
+    return draws
+
+
 def _trial_seed(root: int, index: int) -> int:
     return (root + 0x9E3779B97F4A7C15 * (index + 1)) % 2**64
 

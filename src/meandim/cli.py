@@ -51,7 +51,14 @@ from .errors import (
     PreconditionError,
 )
 from .serialize import canonical_json, format_fraction, parse_fraction, to_jsonable
-from .symbolic import CylinderSet, Sft, ocap_finite_N, ocap_limit, sbp_cover_refine
+from .symbolic import (
+    SAMPLE_BUDGET,
+    CylinderSet,
+    Sft,
+    ocap_finite_N,
+    ocap_limit,
+    sbp_cover_refine,
+)
 from .widthmaps import cube_width_map
 
 
@@ -158,19 +165,31 @@ def _instance(recipe: dict):
     return params, build_counterexample(params)
 
 
-def _checked_certificates(recipe: dict, sample_fiber) -> list:
+def _check_sampled_work(samples: int, trials: int, coordinates: int):
+    """Refuse, before anything is drawn, a recipe whose sampled work
+    (samples times trials times coordinates per sampled point) exceeds
+    SAMPLE_BUDGET."""
+    if samples * trials * coordinates > SAMPLE_BUDGET:
+        raise BudgetExceededError(
+            f"sampled work {samples * trials * coordinates} (samples x trials x "
+            f"coordinates per point) exceeds the sampling budget {SAMPLE_BUDGET}"
+        )
+
+
+def _checked_certificates(recipe: dict, coordinates: int, sample_fiber) -> list:
     """Draw recipe["samples"] fibers from one stream seeded by the recipe and
     append each certificate's sampled check, run at a seed drawn from the
-    same stream. sample_fiber(rng) returns a certificate and the extra
-    fields of its entry."""
+    same stream. A sampled point has `coordinates` coordinates.
+    sample_fiber(rng) returns a certificate and the extra fields of its
+    entry."""
+    samples, trials = int(recipe["samples"]), int(recipe["trials"])
+    _check_sampled_work(samples, trials, coordinates)
     rng = random.Random(int(recipe["seed"]))
     eta = parse_fraction(recipe["eta"]) if recipe.get("eta") else None
     entries = []
-    for _ in range(int(recipe["samples"])):
+    for _ in range(samples):
         cert, extra = sample_fiber(rng)
-        record = check_certificate(
-            cert, trials=int(recipe["trials"]), seed=rng.randint(0, 2**32), eta=eta
-        )
+        record = check_certificate(cert, trials=trials, seed=rng.randint(0, 2**32), eta=eta)
         entry = cert.to_json_dict()
         entry["obligations"].append(record.to_json_dict())
         entry.update(extra)
@@ -191,7 +210,7 @@ def _payload_gromov_fiber_batch(recipe: dict) -> dict:
 
     return {
         "fiber_bound": format_fraction(wm.fiber_bound),
-        "certificates": _checked_certificates(recipe, sample_fiber),
+        "certificates": _checked_certificates(recipe, wm.n, sample_fiber),
     }
 
 
@@ -234,9 +253,9 @@ def _payload_counterexample_build(recipe: dict) -> dict:
 
 def _payload_count_report(recipe: dict) -> dict:
     params, inst = _instance(recipe)
-    report = nonzero_count_check(
-        inst, int(recipe["samples"]), int(recipe["N"]), int(recipe["seed"])
-    )
+    samples = int(recipe["samples"])
+    _check_sampled_work(samples, 1, inst.window_hi - inst.window_lo)
+    report = nonzero_count_check(inst, samples, int(recipe["N"]), int(recipe["seed"]))
     payload = report.to_json_dict()
     payload["params"] = params.to_json_dict()
     return payload
@@ -255,18 +274,21 @@ def _payload_fiber_batch(recipe: dict) -> dict:
 
     return {
         "bound": format_fraction(bound),
-        "certificates": _checked_certificates(recipe, sample_fiber),
+        "certificates": _checked_certificates(
+            recipe, inst.window_hi - inst.window_lo, sample_fiber
+        ),
     }
 
 
 def _payload_mdim_report(recipe: dict) -> dict:
-    rows = mdim_report(
-        parse_fraction(recipe["delta"]),
-        [int(n) for n in recipe["N"]],
-        [parse_fraction(e) for e in recipe["eps"]],
-        samples=int(recipe["samples"]),
-        seed=int(recipe["seed"]),
-    )
+    delta, samples = parse_fraction(recipe["delta"]), int(recipe["samples"])
+    N_values = [int(n) for n in recipe["N"]]
+    eps_values = [parse_fraction(e) for e in recipe["eps"]]
+    for eps in eps_values:
+        for N in N_values:
+            p = CounterexampleParams.derive(delta, eps, N)
+            _check_sampled_work(samples, 1, N + 2 * (p.margin + p.L_prime))
+    rows = mdim_report(delta, N_values, eps_values, samples=samples, seed=int(recipe["seed"]))
     return {
         "header": CSV_HEADER,
         "rows": [row.to_csv() for row in rows],

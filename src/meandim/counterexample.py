@@ -7,6 +7,13 @@ times. Two quantitative bounds are certified exactly at every finite horizon:
 the count of nonzero image entries per window, and the fiber-dimension
 bookkeeping through block products.
 
+A sampled fiber point keeps its free coordinates as integer draws on the
+1/64 grid and each block as its Kuhn flag. The domain metric d_N reads the
+point as one window of integer numerators over a common denominator, so a
+near pair builds no Fraction per coordinate; only a failure witness
+realizes the window on Fractions. The 1/64 draws are randint's values and
+stream, drawn without its call layers (certificates.randint_draws).
+
 The wedge-cone embedding composes per-piece fiber embeddings with a global
 embedding through a {0,1}-valued cutoff; over a zero-dimensional base every
 case split is exact, and the number of time steps where the global factor is
@@ -19,20 +26,23 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .certificates import (
     EpsEmbeddingCertificate,
     MetricSpaceHandle,
     chain_fiber_certificate,
+    randint_draws,
     relax_scale,
     structural_record,
 )
 from .errors import PreconditionError
 from .serialize import format_fraction
 from .symbolic import (
-    HILBERT_METRIC,
+    INTEGER_HILBERT_METRIC,
     SYMBOL_METRIC,
     CylinderSet,
+    IntegerWindow,
     OdometerTower,
     Sft,
     WindowSeq,
@@ -51,8 +61,10 @@ _GRID_VALUES = tuple(F(k, SAMPLE_RESOLUTION) for k in range(SAMPLE_RESOLUTION + 
 
 
 def sample_coordinates(rng: random.Random, count: int) -> tuple:
-    """count cube coordinates drawn uniformly from the 1/64 grid on [0, 1]."""
-    return tuple(_GRID_VALUES[rng.randint(0, SAMPLE_RESOLUTION)] for _ in range(count))
+    """count cube coordinates drawn uniformly from the 1/64 grid on [0, 1]:
+    the Fractions k/64 for k = rng.randint(0, 64), drawn by randint_draws
+    (the same values and rng state as randint's own calls)."""
+    return tuple(_GRID_VALUES[k] for k in randint_draws(rng, SAMPLE_RESOLUTION, count))
 
 
 def derive_m(delta: Fraction) -> int:
@@ -304,10 +316,13 @@ class FiberPoint:
     starts at `start` and holds `head` (the free coordinates before the
     first complete block), then each FlagPoint in `flags` realized on the
     grid (one per complete block, in block order), then `tail` (the free
-    coordinates after the last block).
+    coordinates after the last block). The free coordinates are integer
+    numerators over SAMPLE_RESOLUTION.
 
-    `window` realizes that WindowSeq on first read and keeps it; the repr is
-    the window's, so a failure witness reads as the WindowSeq's did.
+    `numerators` builds that window as one IntegerWindow on first read and
+    keeps it: every coordinate over the lcm of 64 and the blocks'
+    denominators. The domain metric reads it; only a failure witness (through
+    the repr, which is the WindowSeq's) realizes `window` on Fractions.
     """
 
     start: int
@@ -317,12 +332,21 @@ class FiberPoint:
     grid: int
 
     @cached_property
+    def numerators(self) -> IntegerWindow:
+        blocks = [flag.realize(self.grid) for flag in self.flags]
+        den = lcm(SAMPLE_RESOLUTION, *(d for _, d in blocks))
+        free = den // SAMPLE_RESOLUTION
+        nums = [k * free for k in self.head]
+        for coords, d in blocks:
+            factor = den // d
+            nums.extend(c * factor for c in coords)
+        nums.extend(k * free for k in self.tail)
+        return IntegerWindow(self.start, tuple(nums), den)
+
+    @property
     def window(self) -> WindowSeq:
-        values = list(self.head)
-        for flag in self.flags:
-            values.extend(flag.realize(self.grid))
-        values.extend(self.tail)
-        return WindowSeq(self.start, tuple(values))
+        w = self.numerators
+        return WindowSeq(w.start, tuple(Fraction(a, w.den) for a in w.nums))
 
     def __repr__(self) -> str:
         return repr(self.window)
@@ -340,8 +364,9 @@ def fiber_dimension_certificate(
     draws its free head coordinates, then each complete block's flag from
     that block's fiber sampler in block order, then its free tail
     coordinates. The chain reads the block at offset a as that block's
-    sampled flag, so evaluation reads no coordinates; only the domain
-    metric d_N and a failure witness realize the window.
+    sampled flag, so evaluation reads no coordinates. The domain metric d_N
+    reads the point's IntegerWindow; only a failure witness realizes the
+    window on Fractions.
     """
     p = inst.params
     if N > p.horizon:
@@ -371,16 +396,16 @@ def fiber_dimension_certificate(
     def sample(rng):
         return FiberPoint(
             lo,
-            sample_coordinates(rng, covered_lo - lo),
+            tuple(randint_draws(rng, SAMPLE_RESOLUTION, covered_lo - lo)),
             tuple(cert.domain.sample(rng) for cert in block_certs.values()),
-            sample_coordinates(rng, hi - covered_hi),
+            tuple(randint_draws(rng, SAMPLE_RESOLUTION, hi - covered_hi)),
             grid,
         )
 
     fiber_domain = MetricSpaceHandle(
         kind="factor-map-fiber",
         description=f"fiber at horizon {N}, residue {residue}",
-        dist=lambda u, v: d_N(HILBERT_METRIC, N, u.window, v.window),
+        dist=lambda u, v: d_N(INTEGER_HILBERT_METRIC, N, u.numerators, v.numerators),
         sample=sample,
     )
 

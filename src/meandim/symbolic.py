@@ -32,6 +32,10 @@ WORD_BUDGET = 4096
 # the most DP steps times word-graph edges max_subsampled_visits runs; the
 # benchmark's ocap --N 512 on graphs of about 530 edges needs about 2.7e5
 HORIZON_BUDGET = 10**7
+# the most sampled work a recipe may ask for: samples times trials times
+# coordinates per sampled point; the README's fiber-cert --N 80 --samples 20
+# needs 20 * 200 * 104 = 416,000, its gromov fiber-check 50 * 1000 * 2
+SAMPLE_BUDGET = 2 * 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -693,12 +697,54 @@ class ShiftMetric:
 
     coord_dist: object
 
+    def distances(self, x: WindowSeq, y: WindowSeq, lo: int, hi: int):
+        """The coordinate distances on [lo, hi) as integer numerators over
+        their least common denominator: (numerators, denominator)."""
+        delta = [self.coord_dist(a, b) for a, b in zip(x.restrict(lo, hi), y.restrict(lo, hi))]
+        den = math.lcm(*(d.denominator for d in delta))
+        return [d.numerator * (den // d.denominator) for d in delta], den
 
+
+# |a - b| on Fractions: the oracle that the integer Hilbert metric below is
+# tested against. No command reaches it; the factor-map fiber measures its
+# windows with INTEGER_HILBERT_METRIC.
 HILBERT_METRIC = ShiftMetric(lambda a, b: abs(a - b))
 SYMBOL_METRIC = ShiftMetric(lambda a, b: int(a != b))
 
 
-def d_N(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq) -> Fraction:
+@dataclass(frozen=True)
+class IntegerWindow:
+    """Consecutive coordinates start, start + 1, ... of a sequence in [0, 1],
+    as integer numerators `nums` over one denominator `den`."""
+
+    start: int
+    nums: tuple
+    den: int
+
+    @property
+    def end(self) -> int:
+        return self.start + len(self.nums)
+
+
+class IntegerHilbertMetric:
+    """HILBERT_METRIC on IntegerWindows. The coordinates a / dx and b / dy
+    are |a dy - b dx| apart over dx dy, so no coordinate builds a Fraction
+    and the denominators need no lcm."""
+
+    @staticmethod
+    def distances(x: IntegerWindow, y: IntegerWindow, lo: int, hi: int):
+        """The coordinate distances on [lo, hi), which both windows cover,
+        as (numerators, denominator)."""
+        dx, dy = x.den, y.den
+        xs = x.nums[lo - x.start : hi - x.start]
+        ys = y.nums[lo - y.start : hi - y.start]
+        return [abs(a * dy - b * dx) for a, b in zip(xs, ys)], dx * dy
+
+
+INTEGER_HILBERT_METRIC = IntegerHilbertMetric()
+
+
+def d_N(metric, N: int, x, y) -> Fraction:
     """Exact maximum of the shifted window metric over the first N iterates.
 
     The value is computed on the common window; it is a lower bound for the
@@ -707,12 +753,13 @@ def d_N(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq) -> Fraction:
     return d_N_bounds(metric, N, x, y)[0]
 
 
-def d_N_bounds(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq):
+def d_N_bounds(metric, N: int, x, y):
     """(d_N on the common window [lo, hi), d_N plus the unseen weight).
 
-    Index the window's coordinates lo, ..., hi - 1 by c = 0, ..., W - 1,
-    and write the coordinate distances as num_c / den over their least common
-    denominator. At shift j, with pivot p = j - lo, the value
+    `metric` is a ShiftMetric on WindowSeqs, or INTEGER_HILBERT_METRIC on
+    IntegerWindows; its `distances` gives the coordinate distances on the
+    window as num_c / den. Index the window's coordinates lo, ..., hi - 1 by
+    c = 0, ..., W - 1. At shift j, with pivot p = j - lo, the value
     sum_c 2^-|c-p| num_c / den is over the common denominator den 2^(W-1):
     its numerator is (L << (W-1-p)) + (R << p), where
     L = sum_{c<=p} 2^c num_c and R = sum_{c>p} 2^(W-1-c) num_c. One pass
@@ -729,9 +776,7 @@ def d_N_bounds(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq):
     hi = min(x.end, y.end)
     if not (lo <= 0 and N <= hi):
         raise InsufficientWindowError("window does not cover the orbit segment", (0, N))
-    delta = [metric.coord_dist(a, b) for a, b in zip(x.restrict(lo, hi), y.restrict(lo, hi))]
-    den = math.lcm(*(d.denominator for d in delta))
-    num = [d.numerator * (den // d.denominator) for d in delta]
+    num, den = metric.distances(x, y, lo, hi)
     top = hi - lo - 1
     first = -lo  # the pivot of shift 0
     left = sum(n << c for c, n in enumerate(num[:first]))
@@ -749,4 +794,3 @@ def d_N_bounds(metric: ShiftMetric, N: int, x: WindowSeq, y: WindowSeq):
             best_hi = value
     scale = den << top
     return Fraction(best, scale), Fraction(best_hi, scale)
-

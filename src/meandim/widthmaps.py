@@ -30,8 +30,9 @@ Three layers:
   by j alone; evaluation, retraction and fiber sampling all read one
   per-prefix bucket table. Location, evaluation, retraction and sampling
   run on integer numerators over one denominator per flag, a retraction
-  stays an unrealized flag, and a Fraction is built only where a value
-  leaves the pipeline (image and realized coordinates, distances). Its
+  stays an unrealized flag, a flag realizes its coordinates as integer
+  numerators too, and a Fraction is built only where a value leaves the
+  pipeline (image coordinates, distances). Its
   certificates carry arithmetic bounds (grid mesh, chain-length bucket
   dimensions) instead of materialized values; tests cross-check the two
   layers on small grids.
@@ -53,6 +54,7 @@ from operator import mul
 from .certificates import (
     EpsEmbeddingCertificate,
     MetricSpaceHandle,
+    randint_draws,
     structural_record,
 )
 from .complexes import (
@@ -121,10 +123,12 @@ def _sample_group_weights(rng, groups, scales, size: int):
     """Random weights on `size` slots, drawn one group of slot indices at a
     time: a group's raw integer draws, not all zero, go over their sum s and
     are scaled by the group's scale. Returns the integer weights over the
-    product of the sums, and that product."""
+    product of the sums, and that product. The raw draws are randint(0, 64)
+    values from randint_draws, the same values and rng state as randint's
+    own calls."""
     draws = []
     for group in groups:
-        raw = [rng.randint(0, WEIGHT_DENOMINATOR) for _ in group]
+        raw = randint_draws(rng, WEIGHT_DENOMINATOR, len(group))
         if not any(raw):
             raw[rng.randrange(len(raw))] = 1
         draws.append(raw)
@@ -422,9 +426,9 @@ class FlagPoint:
     weights: tuple
     denom: int
 
-    def numerators(self, grid: int) -> tuple:
-        """The realized coordinates as integer numerators over one common
-        denominator: (coords, denominator)."""
+    def realize(self, grid: int) -> tuple:
+        """The point's coordinates on a grid-`grid` Kuhn cube, as integer
+        numerators over one common denominator: (coords, denominator)."""
         # the barycenter of prefix k - 1 is its coordinate sum over k * grid,
         # so vertex j carries weights[k - 1] / k for every prefix k > j
         scale = 1
@@ -439,10 +443,6 @@ class FlagPoint:
         carried.reverse()
         coords = [sum(map(mul, carried, column)) for column in zip(*self.chain)]
         return coords, scale * self.denom * grid
-
-    def realize(self, grid: int) -> tuple:
-        coords, denominator = self.numerators(grid)
-        return tuple(Fraction(a, denominator) for a in coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,8 +523,8 @@ class KuhnWidthPipeline:
             return FlagPoint(chain, weights, denom * product)
 
         def dist(a, b):
-            xs, dx = a.numerators(g)
-            ys, dy = b.numerators(g)
+            xs, dx = a.realize(g)
+            ys, dy = b.realize(g)
             return Fraction(max(abs(x * dy - y * dx) for x, y in zip(xs, ys)), dx * dy)
 
         obligations = (

@@ -12,11 +12,12 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def fraction_count(monkeypatch):
-    """A list that records every Fraction that meandim.geometry,
-    meandim.symbolic and meandim.widthmaps construct while the test runs."""
+    """A list that records every Fraction that meandim.counterexample,
+    meandim.geometry, meandim.symbolic and meandim.widthmaps construct while
+    the test runs."""
     from fractions import Fraction
 
-    from meandim import geometry, symbolic, widthmaps
+    from meandim import counterexample, geometry, symbolic, widthmaps
 
     built = []
 
@@ -28,4 +29,5 @@ def fraction_count(monkeypatch):
     monkeypatch.setattr(widthmaps, "Fraction", CountingFraction)
     monkeypatch.setattr(geometry, "Fraction", CountingFraction)
     monkeypatch.setattr(symbolic, "Fraction", CountingFraction)
+    monkeypatch.setattr(counterexample, "Fraction", CountingFraction)
     return built

@@ -22,6 +22,7 @@ from meandim.certificates import (
     product_certificate,
     product_handle,
     pullback_certificate,
+    randint_draws,
     recheck_structural,
     relax_scale,
     sample_fiber_check,
@@ -31,6 +32,17 @@ from meandim.certificates import (
 from meandim.errors import PreconditionError
 
 F = Fraction
+
+
+def test_randint_draws_keep_randints_values_and_stream():
+    # every top from 1 to 200, 64 (the top of the 1/64 grids) among them
+    for top in range(1, 201):
+        for seed in (top, 2**32 + top):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            for count in (0, 1, 9, 64):
+                draws = randint_draws(rng, top, count)
+                assert draws == [oracle.randint(0, top) for _ in range(count)]
+                assert rng.getstate() == oracle.getstate()
 
 
 def grid_cloud(side=5, dim=2, scale=F(1, 4)):

@@ -7,16 +7,18 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import meandim
-from meandim import symbolic
+from meandim import cli, symbolic
 from meandim.certificates import CITATIONS
 from meandim.cli import PAYLOAD_BUILDERS, main
 from meandim.complexes import SimplicialComplex
+from meandim.counterexample import CounterexampleParams
 from meandim.symbolic import Sft
 
 
@@ -381,9 +383,10 @@ def test_bad_input_file_exits_2(workdir, capsys, argv, wrong_shape, content):
 
 @pytest.fixture(scope="module")
 def golden_artifacts(tmp_path_factory):
-    """A golden-mean ocap --limit, ocap --N and sbp refine artifact, built in
-    a directory that stays the working directory while the module's tests
-    use it (verify writes its witness file there)."""
+    """A golden-mean ocap --limit, ocap --N and sbp refine artifact, and a
+    small factor-map fiber-cert artifact, built in a directory that stays the
+    working directory while the module's tests use it (verify writes its
+    witness file there)."""
     root = tmp_path_factory.mktemp("mutations")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
@@ -396,6 +399,8 @@ def golden_artifacts(tmp_path_factory):
             ["ocap", "--sft", str(sft), "--set", str(one), "--N", "8"],
             ["sbp", "refine", "--sft", str(sft), "--cover", "zero.json", str(one),
              "--delta", "1/2"],
+            ["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2", "--N", "8",
+             "--samples", "1", "--trials", "5"],
         ]
         artifacts = []
         for i, args in enumerate(commands):
@@ -435,6 +440,24 @@ def _mutated(document, path, value):
     else:
         node[path[-1]] = value
     return document
+
+
+# a small artifact of each sampled kind, and the recipe keys that scale its
+# sampled work (the gromov one reads map.json)
+_FACTOR = ["--delta", "1/2", "--eps", "1/2", "--N", "8"]
+SAMPLED_RECIPES = [
+    (["counterexample", "fiber-cert", *_FACTOR, "--samples", "1", "--trials", "5"], key)
+    for key in ("trials", "N", "samples")
+] + [
+    (["gromov", "fiber-check", "map.json", "--samples", "2", "--trials", "20"], key)
+    for key in ("trials", "samples")
+] + [
+    (["counterexample", "check-counts", *_FACTOR, "--samples", "2"], key)
+    for key in ("samples", "N")
+] + [
+    (["counterexample", "report", *_FACTOR, "--samples", "2"], key)
+    for key in ("samples", "N")
+]
 
 
 class TestVerify:
@@ -519,6 +542,41 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, key", SAMPLED_RECIPES)
+    def test_oversized_sampled_recipe_exits_4(self, workdir, capsys, argv, key):
+        if "map.json" in argv:
+            assert main(["gromov", "build", "--cube", "2", "--m", "2", "--eps", "1/2",
+                         "--out", "map.json"]) == 0
+        out = workdir / "artifact.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        recipe = artifact["recipe"]
+        recipe[key] = [10**6] if isinstance(recipe[key], list) else 10**6
+        out.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["verify", str(out)]) == 4
+        assert time.perf_counter() - start < 1
+        assert "exceeds the sampling budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slack, code", [(0, 0), (-1, 4)])
+    def test_sampling_budget_counts_samples_trials_and_window(
+        self, workdir, monkeypatch, slack, code
+    ):
+        # 2 samples x 5 trials x 32 coordinates: the N = 8 window is
+        # [-12, 20), its margin 3 and L' = 9 on each side
+        monkeypatch.setattr(cli, "SAMPLE_BUDGET", 2 * 5 * 32 + slack)
+        assert main(["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2",
+                     "--N", "8", "--samples", "2", "--trials", "5"]) == code
+
+    def test_readme_sampled_commands_fit_the_budget(self):
+        # fiber-cert --N 80 --samples 20 (200 trials on the 104-coordinate
+        # window) and gromov fiber-check --samples 50 (1000 trials, 2-cube)
+        params = CounterexampleParams.derive(Fraction(1, 2), Fraction(1, 2), 80)
+        assert 80 + 2 * (params.margin + params.L_prime) == 104
+        assert 20 * 200 * 104 <= symbolic.SAMPLE_BUDGET
+        assert 50 * 1000 * 2 <= symbolic.SAMPLE_BUDGET
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -42,6 +42,7 @@ from meandim.symbolic import (
     max_subsampled_visits,
     ocap_limit,
 )
+from test_widthmaps import realized
 
 F = Fraction
 
@@ -188,7 +189,7 @@ def realized_sampler(inst, state):
     def sample(rng):
         values = list(sample_coordinates(rng, starts[0] - inst.window_lo))
         for cert in certs:
-            values.extend(cert.domain.sample(rng).realize(bm.grid))
+            values.extend(realized(cert.domain.sample(rng), bm.grid))
         values.extend(sample_coordinates(rng, inst.window_hi - starts[-1] - period))
         return WindowSeq(inst.window_lo, tuple(values))
 
@@ -358,17 +359,17 @@ class TestFiberCertificate:
         inst = build_counterexample(std_params(N=16))
         grid = inst.block_map.grid
 
-        def realized(value):
+        def realized_all(value):
             if isinstance(value, tuple):
-                return tuple(realized(v) for v in value)
-            return value.realize(grid)
+                return tuple(realized_all(v) for v in value)
+            return realized(value, grid)
 
         rng = random.Random(13)
         for _ in range(3):
             cert = fiber_dimension_certificate(inst, inst.sample_state(rng), 16)
             points = [cert.evaluator(cert.domain.sample(rng)) for _ in range(4)]
             for a, b in zip(points, points[1:]):
-                assert cert.target_dist(a, b) == flat_linf(realized(a), realized(b))
+                assert cert.target_dist(a, b) == flat_linf(realized_all(a), realized_all(b))
 
     def test_product_with_one_point_preserves_dim(self):
         inst = build_counterexample(std_params(N=8))

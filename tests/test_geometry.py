@@ -27,6 +27,7 @@ from meandim.geometry import (
     subdivide_to_mesh,
 )
 from meandim.widthmaps import KuhnWidthPipeline
+from test_widthmaps import realized
 
 F = Fraction
 
@@ -281,7 +282,7 @@ class TestIntegerLocation:
         got_verts, got_weights = kuhn_simplex(nums, res, n, g)
         assert got_verts == verts
         assert [F(w, res) for w in got_weights] == weights
-        assert KuhnWidthPipeline(n, 2, g).locate_flag(p).realize(g) == p
+        assert realized(KuhnWidthPipeline(n, 2, g).locate_flag(p), g) == p
 
 
 class FakeMap:

@@ -19,8 +19,10 @@ from meandim.counterexample import (
 from meandim.errors import InsufficientWindowError, PreconditionError
 from meandim.symbolic import (
     HILBERT_METRIC,
+    INTEGER_HILBERT_METRIC,
     SYMBOL_METRIC,
     CylinderSet,
+    IntegerWindow,
     OdometerTower,
     Sft,
     ShiftMetric,
@@ -625,15 +627,62 @@ class TestWindowMetrics:
             y = WindowSeq(-20 + rng.randint(0, 2), tuple(draw() for _ in range(N + 20)))
             assert d_N_bounds(metric, N, x, y) == d_N_by_definition(metric, N, x, y)
 
-    def test_factor_map_fiber_distance_matches_definition(self):
-        N = 32
-        inst = build_counterexample(CounterexampleParams.derive(F(1, 2), F(1, 2), N))
-        rng = random.Random(73)
-        cert = fiber_dimension_certificate(inst, inst.sample_state(rng), N)
-        points = [cert.domain.sample(rng) for _ in range(6)]
+    @settings(max_examples=16, deadline=None)
+    @given(
+        N=st.sampled_from([8, 16, 32, 80]),
+        eps=st.sampled_from([F(1, 2), F(1, 4)]),
+        residue=st.integers(0, 7),
+        seed=st.integers(0, 10**6),
+    )
+    def test_factor_map_fiber_distance_matches_definition(self, N, eps, residue, seed):
+        # the fiber reads integer windows; the oracle sums their realized
+        # Fraction windows by the definition
+        inst = build_counterexample(CounterexampleParams.derive(F(1, 2), eps, N))
+        rng = random.Random(seed)
+        x, _ = inst.sample_state(rng)
+        cert = fiber_dimension_certificate(inst, (x, residue % inst.params.period), N)
+        points = [cert.domain.sample(rng) for _ in range(3)]
         for u, v in zip(points, points[1:]):
             expected = d_N_by_definition(HILBERT_METRIC, N, u.window, v.window)[0]
             assert cert.domain.dist(u, v) == expected
+
+    def test_factor_map_fiber_distance_builds_only_its_bounds(self, request):
+        N = 32
+        inst = build_counterexample(CounterexampleParams.derive(F(1, 2), F(1, 2), N))
+        rng = random.Random(83)
+        cert = fiber_dimension_certificate(inst, inst.sample_state(rng), N)
+        points = [cert.domain.sample(rng) for _ in range(6)]
+        built = request.getfixturevalue("fraction_count")
+        for u, v in zip(points, points[1:]):
+            cert.domain.dist(u, v)
+            # the two bounds of d_N; no coordinate of the 56 is realized
+            assert len(built) == 2
+            del built[:]
+
+    def test_integer_windows_match_their_fraction_windows(self):
+        rng = random.Random(89)
+        for _ in range(20):
+            N = rng.randint(1, 24)
+            windows = []
+            for _ in range(2):
+                start, den = rng.randint(-8, 0), rng.choice((64, 192, 64 * 35))
+                nums = tuple(rng.randint(0, den) for _ in range(N - start + rng.randint(0, 4)))
+                windows.append((IntegerWindow(start, nums, den),
+                                WindowSeq(start, tuple(F(a, den) for a in nums))))
+            (ix, fx), (iy, fy) = windows
+            assert d_N_bounds(INTEGER_HILBERT_METRIC, N, ix, iy) == d_N_bounds(
+                HILBERT_METRIC, N, fx, fy
+            )
+
+    def test_integer_window_checks_the_orbit_segment(self):
+        x = IntegerWindow(-2, (0, 1, 2, 3, 4), 4)
+        with pytest.raises(InsufficientWindowError):
+            d_N(INTEGER_HILBERT_METRIC, 4, x, x)
+        with pytest.raises(InsufficientWindowError):
+            d_N(INTEGER_HILBERT_METRIC, 2, x, IntegerWindow(1, (0,) * 4, 4))
+        with pytest.raises(PreconditionError):
+            d_N(INTEGER_HILBERT_METRIC, 0, x, x)
+        assert d_N(INTEGER_HILBERT_METRIC, 3, x, x) == 0
 
     def test_d_N_builds_two_fractions(self, request):
         rng = random.Random(79)
