@@ -146,10 +146,18 @@ def _parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _integer(value, name: str) -> int:
+    """A recipe's integer field, which must be a JSON integer: a float
+    (8.5 or 1.0), a string or a boolean is refused, not truncated or parsed."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PreconditionError(f"recipe field {name!r} must be an integer, not {value!r}")
+    return value
+
+
 def _width_map(recipe: dict):
     return cube_width_map(
-        int(recipe["n"]),
-        int(recipe["m"]),
+        _integer(recipe["n"], "n"),
+        _integer(recipe["m"], "m"),
         parse_fraction(recipe["eps"]),
         mesh_scale=parse_fraction(recipe["mesh_scale"]) if recipe.get("mesh_scale") else None,
     )
@@ -159,8 +167,8 @@ def _instance(recipe: dict):
     params = CounterexampleParams.derive(
         parse_fraction(recipe["delta"]),
         parse_fraction(recipe["eps"]),
-        int(recipe["N"]),
-        int(recipe["seed"]),
+        _integer(recipe["N"], "N"),
+        _integer(recipe["seed"], "seed"),
     )
     return params, build_counterexample(params)
 
@@ -182,9 +190,10 @@ def _checked_certificates(recipe: dict, coordinates: int, sample_fiber) -> list:
     same stream. A sampled point has `coordinates` coordinates.
     sample_fiber(rng) returns a certificate and the extra fields of its
     entry."""
-    samples, trials = int(recipe["samples"]), int(recipe["trials"])
+    samples = _integer(recipe["samples"], "samples")
+    trials = _integer(recipe["trials"], "trials")
     _check_sampled_work(samples, trials, coordinates)
-    rng = random.Random(int(recipe["seed"]))
+    rng = random.Random(_integer(recipe["seed"], "seed"))
     eta = parse_fraction(recipe["eta"]) if recipe.get("eta") else None
     entries = []
     for _ in range(samples):
@@ -224,8 +233,8 @@ def _payload_ocap(recipe: dict) -> dict:
             "witness": list(result.witness),
             "graph_size": result.graph_size,
         }
-    value = ocap_finite_N(sft, A, int(recipe["N"]))
-    return {"value": format_fraction(value), "N": int(recipe["N"])}
+    N = _integer(recipe["N"], "N")
+    return {"value": format_fraction(ocap_finite_N(sft, A, N)), "N": N}
 
 
 def _payload_sbp(recipe: dict) -> dict:
@@ -253,9 +262,9 @@ def _payload_counterexample_build(recipe: dict) -> dict:
 
 def _payload_count_report(recipe: dict) -> dict:
     params, inst = _instance(recipe)
-    samples = int(recipe["samples"])
+    samples = _integer(recipe["samples"], "samples")
     _check_sampled_work(samples, 1, inst.window_hi - inst.window_lo)
-    report = nonzero_count_check(inst, samples, int(recipe["N"]), int(recipe["seed"]))
+    report = nonzero_count_check(inst, samples, params.horizon, params.seed)
     payload = report.to_json_dict()
     payload["params"] = params.to_json_dict()
     return payload
@@ -263,7 +272,7 @@ def _payload_count_report(recipe: dict) -> dict:
 
 def _payload_fiber_batch(recipe: dict) -> dict:
     params, inst = _instance(recipe)
-    N = int(recipe["N"])
+    N = params.horizon
     bound = params.fiber_dim_bound(N)
 
     def sample_fiber(rng):
@@ -281,14 +290,15 @@ def _payload_fiber_batch(recipe: dict) -> dict:
 
 
 def _payload_mdim_report(recipe: dict) -> dict:
-    delta, samples = parse_fraction(recipe["delta"]), int(recipe["samples"])
-    N_values = [int(n) for n in recipe["N"]]
+    delta, samples = parse_fraction(recipe["delta"]), _integer(recipe["samples"], "samples")
+    N_values = [_integer(n, "N") for n in recipe["N"]]
     eps_values = [parse_fraction(e) for e in recipe["eps"]]
     for eps in eps_values:
         for N in N_values:
             p = CounterexampleParams.derive(delta, eps, N)
             _check_sampled_work(samples, 1, N + 2 * (p.margin + p.L_prime))
-    rows = mdim_report(delta, N_values, eps_values, samples=samples, seed=int(recipe["seed"]))
+    seed = _integer(recipe["seed"], "seed")
+    rows = mdim_report(delta, N_values, eps_values, samples=samples, seed=seed)
     return {
         "header": CSV_HEADER,
         "rows": [row.to_csv() for row in rows],

@@ -6,9 +6,12 @@ Desk-scale sizes make this affordable. All operations are pure, and
 instances are immutable.
 
 Construction checks downward closure by visiting every facet of every
-simplex once; the same loop records which simplices are maximal, so the
-affine check of a realization and the simplicial-map check read that set
-instead of walking the family again.
+simplex of three or more vertices once. An edge's facets are its vertices'
+singletons, which the check that every vertex has its singleton covers;
+a vertex on an edge without its singleton is reported as a closure fault.
+The same loop records which simplices are maximal (an edge's vertices
+leave that set in one step), so the affine check of a realization and the
+simplicial-map check read that set instead of walking the family again.
 """
 
 from __future__ import annotations
@@ -77,20 +80,27 @@ class SimplicialComplex:
             raise PreconditionError("duplicate vertices")
         simplices = self.simplices
         maximal = set(simplices)  # each facet met below is dropped
+        on_edges = set()
         for s in simplices:
             if not s:
                 raise PreconditionError("empty simplex")
             if not s <= seen:
                 raise PreconditionError("unknown vertex")
-            if len(s) > 1:
+            if len(s) > 2:
                 for v in s:
                     facet = s - {v}
                     if facet not in simplices:
                         raise PreconditionError("simplex family is not downward closed")
                     maximal.discard(facet)
+            elif len(s) == 2:
+                on_edges |= s
+        # an edge's facets are its vertices' singletons, checked here
         for v in self.vertices:
             if frozenset({v}) not in simplices:
+                if v in on_edges:
+                    raise PreconditionError("simplex family is not downward closed")
                 raise PreconditionError("missing singleton simplex")
+        maximal.difference_update(frozenset({v}) for v in on_edges)
         # every proper face lies in a facet, so what is left is maximal
         object.__setattr__(self, "maximal", frozenset(maximal))
 
@@ -137,14 +147,16 @@ class SimplicialComplex:
             raise PreconditionError(f"unknown vertex: {v!r}") from None
 
     def simplex_key(self, s):
-        idx = self._vertex_indices()
         try:
-            return (len(s), tuple(sorted([idx[v] for v in s])))
+            return len(s), tuple(sorted(map(self._vertex_indices().__getitem__, s)))
         except KeyError as exc:
             raise PreconditionError(f"unknown vertex: {exc.args[0]!r}") from None
 
     def sorted_simplex(self, s) -> tuple:
-        return tuple(sorted(s, key=self.vertex_index))
+        try:
+            return tuple(sorted(s, key=self._vertex_indices().__getitem__))
+        except KeyError as exc:
+            raise PreconditionError(f"unknown vertex: {exc.args[0]!r}") from None
 
     def iter_simplices(self):
         """Simplices ordered by size then vertex indices; faces precede cofaces."""
@@ -216,12 +228,13 @@ def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
     ending_at = {}
     for s in order:
         top = frozenset((label[s],))
-        here = [top]
-        for r in range(1, len(s)):
-            for sub in combinations(s, r):
-                here.extend(chain | top for chain in ending_at[frozenset(sub)])
-        ending_at[s] = here
-    simplices = frozenset(chain for here in ending_at.values() for chain in here)
+        ending_at[s] = [top] + [
+            chain | top
+            for r in range(1, len(s))
+            for sub in combinations(s, r)
+            for chain in ending_at[frozenset(sub)]
+        ]
+    simplices = frozenset().union(*ending_at.values())
     vertices = tuple(label[s] for s in order)
     return SimplicialComplex(vertices, simplices)
 
@@ -318,8 +331,9 @@ def dimension_buckets(K: SimplicialComplex, m: int) -> VertexPartition:
     if not K.simplices:
         raise PreconditionError("empty complex")
     dim_k = K.dim
+    # a simplex's bucket depends only on its size: one lookup table
+    by_size = [None] + [bucket_of_dimension(d, dim_k, m) - 1 for d in range(dim_k + 1)]
     blocks = [set() for _ in range(m)]
     for s in K.simplices:
-        i = bucket_of_dimension(len(s) - 1, dim_k, m)
-        blocks[i - 1].add(K.sorted_simplex(s))
+        blocks[by_size[len(s)]].add(K.sorted_simplex(s))
     return VertexPartition(tuple(frozenset(b) for b in blocks))

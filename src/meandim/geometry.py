@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from operator import sub
 
 from .complexes import SimplicialComplex, barycentric_subdivide
 from .errors import BudgetExceededError, PreconditionError
@@ -92,8 +93,8 @@ class GeometricComplex:
         dependent = []
         for s in self.complex.maximal:
             if len(s) > 1:
-                base, *rest = sorted(nums[v] for v in s)
-                rows = tuple(tuple(a - b for a, b in zip(p, base)) for p in rest)
+                base, *rest = sorted(map(nums.__getitem__, s))
+                rows = tuple([tuple(map(sub, p, base)) for p in rest])
                 rank = ranks.get(rows)
                 if rank is None:
                     rank = ranks[rows] = _rank(rows)

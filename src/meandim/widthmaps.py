@@ -15,8 +15,9 @@ Three layers:
   exactly; practical up to four-dimensional cubes. Meshes and subdivision
   run on the complex's integer coordinate numerators (see geometry). A
   sampled fiber point is a simplex's vertices with integer weights over one
-  denominator; retraction and the fiber metric sum integer numerators and
-  build a Fraction only for a retracted coordinate or a distance. Each
+  denominator; a retraction keeps the retained weights as such a point,
+  and the fiber metric, which measures the target side too, sums integer
+  numerators and builds a Fraction only for a distance. Each
   walk of the subdivided family is paid once per map: the closure check
   records the maximal simplices (the affine check and the simplicial-map
   check visit only those, the affine check with one rank per simplex
@@ -186,7 +187,7 @@ class PartitionWidthMap:
             block_of = self.mapping.vertex_images
             index = {}
             for s in self.geometry.complex.simplices:
-                index.setdefault(frozenset([block_of[v] for v in s]), []).append(s)
+                index.setdefault(frozenset(map(block_of.__getitem__, s)), []).append(s)
             self._by_pattern = index
         return self._by_pattern
 
@@ -215,7 +216,10 @@ class PartitionWidthMap:
 
         A sampled fiber point is (vertices, weights, denom): a simplex's
         vertices in vertex order and their barycentric weights as integer
-        numerators over denom. Block i's weights sum to t_i.
+        numerators over denom. Block i's weights sum to t_i. The evaluator
+        retracts a point to another such point, its block-i* weights over
+        their sum, without realizing it; the fiber metric `dist` measures
+        the target side too, and builds a Fraction only for a distance.
         """
         t = tuple(Fraction(ti) for ti in t)
         if len(t) != self.m or any(ti < 0 for ti in t) or sum(t) != 1:
@@ -258,8 +262,7 @@ class PartitionWidthMap:
         def retract(x):
             verts, weights, _ = x
             kept = [w if block_of[v] == i_star else 0 for v, w in zip(verts, weights)]
-            scale = sum(kept) * G.den
-            return tuple(Fraction(a, scale) for a in weighted_sum(verts, kept))
+            return verts, kept, sum(kept)
 
         obligations = [
             self.mesh_record,
@@ -288,6 +291,7 @@ class PartitionWidthMap:
             epsilon=self.eps,
             evaluator=retract,
             obligations=tuple(obligations),
+            target_dist=dist,
         )
 
 

@@ -459,6 +459,26 @@ SAMPLED_RECIPES = [
     for key in ("samples", "N")
 ]
 
+# a small artifact of each kind whose payload reads integer recipe fields,
+# and those fields (ocap reads golden.json and one.json, gromov map.json)
+_GROMOV_MAP = ["gromov", "build", "--cube", "2", "--m", "2", "--eps", "1/2"]
+RECIPE_INTEGERS = [
+    (argv, key)
+    for argv, keys in (
+        (_GROMOV_MAP, ("n", "m")),
+        (["gromov", "fiber-check", "map.json", "--samples", "1", "--trials", "5"],
+         ("n", "m", "samples", "trials", "seed")),
+        (["ocap", "--sft", "golden.json", "--set", "one.json", "--N", "8"], ("N",)),
+        (["counterexample", "build", *_FACTOR], ("N", "seed")),
+        (["counterexample", "check-counts", *_FACTOR, "--samples", "2"],
+         ("N", "seed", "samples")),
+        (["counterexample", "fiber-cert", *_FACTOR, "--samples", "1", "--trials", "5"],
+         ("N", "seed", "samples", "trials")),
+        (["counterexample", "report", *_FACTOR, "--samples", "2"], ("N", "seed", "samples")),
+    )
+    for key in keys
+]
+
 
 class TestVerify:
     def test_determinism_byte_identical(self, workdir):
@@ -559,6 +579,25 @@ class TestVerify:
         assert main(["verify", str(out)]) == 4
         assert time.perf_counter() - start < 1
         assert "exceeds the sampling budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", RECIPE_INTEGERS)
+    def test_non_integer_recipe_field_exits_2(self, workdir, capsys, argv, key):
+        write_golden(workdir)
+        if "map.json" in argv:
+            assert main(_GROMOV_MAP + ["--out", "map.json"]) == 0
+        out = workdir / "artifact.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        assert main(["verify", str(out)]) == 0
+        value = artifact["recipe"][key]
+        listed = isinstance(value, list)
+        (value,) = value if listed else (value,)
+        for wrong in (value + 0.5, float(value), str(value), True):
+            artifact["recipe"][key] = [wrong] if listed else wrong
+            out.write_text(json.dumps(artifact))
+            capsys.readouterr()
+            assert main(["verify", str(out)]) == 2, (key, wrong)
+            assert f"recipe field {key!r} must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("slack, code", [(0, 0), (-1, 4)])
     def test_sampling_budget_counts_samples_trials_and_window(

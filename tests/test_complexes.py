@@ -241,6 +241,77 @@ def test_maximal_simplices_match_brute_force(K):
         assert built.maximal == frozenset(expected)
 
 
+def brute_force_closure(vertices, family):
+    """Oracle: whether the family holds every vertex's singleton and every
+    nonempty proper subset of each member, and its members that lie in no
+    other member."""
+    closed = all(frozenset({v}) in family for v in vertices) and all(
+        frozenset(sub) in family
+        for s in family
+        for r in range(1, len(s))
+        for sub in combinations(s, r)
+    )
+    return closed, frozenset(s for s in family if not any(s < t for t in family))
+
+
+@st.composite
+def vertex_families(draw, max_vertices=5):
+    """Vertices 0..n-1 and any family of nonempty subsets of them."""
+    verts = tuple(range(draw(st.integers(1, max_vertices))))
+    members = st.frozensets(st.sampled_from(verts), min_size=1)
+    return verts, draw(st.frozensets(members, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=vertex_families())
+def test_closure_verdict_and_maximal_match_brute_force_on_any_family(family):
+    verts, simplices = family
+    closed, maximal = brute_force_closure(verts, simplices)
+    if closed:
+        assert SimplicialComplex(verts, simplices).maximal == maximal
+    else:
+        with pytest.raises(PreconditionError):
+            SimplicialComplex(verts, simplices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=random_complexes(), data=st.data())
+def test_closure_after_deleting_one_simplex_matches_brute_force(K, data):
+    family = K.simplices
+    removed = None
+    if data.draw(st.booleans(), label="delete"):
+        removed = data.draw(st.sampled_from(K.iter_simplices()), label="removed")
+        family = family - {removed}
+    closed, maximal = brute_force_closure(K.vertices, family)
+    if closed:
+        assert SimplicialComplex(K.vertices, family).maximal == maximal
+        return
+    # a face of a remaining simplex breaks closure; a lone vertex's own
+    # singleton is reported as missing
+    lone = not any(removed < t for t in family)
+    message = "missing singleton simplex" if lone else "not downward closed"
+    with pytest.raises(PreconditionError, match=message):
+        SimplicialComplex(K.vertices, family)
+
+
+def test_lone_vertex_without_its_singleton_is_a_missing_singleton():
+    K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b"], ["c"]])
+    with pytest.raises(PreconditionError, match="missing singleton simplex"):
+        SimplicialComplex(K.vertices, K.simplices - {frozenset({"c"})})
+    with pytest.raises(PreconditionError, match="not downward closed"):
+        SimplicialComplex(K.vertices, K.simplices - {frozenset({"a"})})
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_dimension_buckets_match_per_simplex_buckets(n, m):
+    K = kuhn_triangulate_cube(n, 2).complex
+    expected = [set() for _ in range(m)]
+    for s in K.simplices:
+        expected[bucket_of_dimension(len(s) - 1, K.dim, m) - 1].add(K.sorted_simplex(s))
+    assert dimension_buckets(K, m).blocks == tuple(map(frozenset, expected))
+
+
 @cache
 def subdivided_cube(n, g):
     return barycentric_subdivide(kuhn_triangulate_cube(n, g).complex)

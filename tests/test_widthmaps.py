@@ -4,6 +4,7 @@ closed-form Kuhn evaluation."""
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -681,6 +682,23 @@ def subdivided_square():
     return barycentric_subdivide_geometric(G), dimension_buckets(G.complex, 2)
 
 
+def test_admissible_and_vertex_order_match_index_sorts():
+    sub, P = subdivided_square()
+    wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
+    K = sub.complex
+    block_of = wm.mapping.vertex_images
+    for s in K.simplices:
+        assert K.sorted_simplex(s) == tuple(sorted(s, key=K.vertices.index))
+
+    def key(s):
+        return len(s), tuple(sorted(map(K.vertices.index, s)))
+
+    for size in range(P.m + 1):
+        for support in map(frozenset, combinations(range(1, P.m + 1), size)):
+            pattern = [s for s in K.simplices if {block_of[v] for v in s} == support]
+            assert wm.admissible(support) == sorted(pattern, key=key)
+
+
 def fraction_retract(wm, x, t):
     """Oracle: the bucket-i* part of x's Fraction weights, realized and
     divided by t[i*]."""
@@ -714,12 +732,15 @@ class TestPartitionFiberIntegers:
             x, y = cert.domain.sample(rng), cert.domain.sample(rng)
             bx, by = as_barycentric(x), as_barycentric(y)
             assert eval_simplicial_map(wm.mapping, bx) == t
-            assert cert.evaluator(x) == fraction_retract(wm, bx, t)
+            rx, ry = fraction_retract(wm, bx, t), fraction_retract(wm, by, t)
+            assert as_barycentric(cert.evaluator(x)).realize(sub) == rx
+            got = cert.target_dist(cert.evaluator(x), cert.evaluator(y))
+            assert type(got) is Fraction and got == flat_linf(rx, ry)
             expected = flat_linf(bx.realize(sub), by.realize(sub))
             got = cert.domain.dist(x, y)
             assert type(got) is type(expected) and got == expected
 
-    def test_sample_builds_none_and_retract_only_coordinates(self, request):
+    def test_sample_and_retract_build_none_and_distances_one(self, request):
         sub, P = subdivided_square()
         wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
         cert = wm.fiber_certificate((F(1, 3), F(2, 3)))
@@ -728,8 +749,10 @@ class TestPartitionFiberIntegers:
         points = [cert.domain.sample(rng) for _ in range(20)]
         assert built == []
         for x, y in zip(points, points[1:]):
-            cert.evaluator(x)
-            assert len(built) == 2  # one per coordinate
+            rx, ry = cert.evaluator(x), cert.evaluator(y)
+            assert built == []
+            cert.target_dist(rx, ry)
+            assert len(built) == 1
             del built[:]
             cert.domain.dist(x, y)
             assert len(built) == 1
