@@ -174,9 +174,11 @@ def _instance(recipe: dict):
 
 
 def _check_sampled_work(samples: int, trials: int, coordinates: int):
-    """Refuse, before anything is drawn, a recipe whose sampled work
-    (samples times trials times coordinates per sampled point) exceeds
-    SAMPLE_BUDGET."""
+    """Refuse, before anything is drawn, a recipe that samples nothing
+    (samples < 1) or whose sampled work (samples times trials times
+    coordinates per sampled point) exceeds SAMPLE_BUDGET."""
+    if samples < 1:
+        raise PreconditionError(f"samples must be at least 1, not {samples}")
     if samples * trials * coordinates > SAMPLE_BUDGET:
         raise BudgetExceededError(
             f"sampled work {samples * trials * coordinates} (samples x trials x "
@@ -293,10 +295,12 @@ def _payload_mdim_report(recipe: dict) -> dict:
     delta, samples = parse_fraction(recipe["delta"]), _integer(recipe["samples"], "samples")
     N_values = [_integer(n, "N") for n in recipe["N"]]
     eps_values = [parse_fraction(e) for e in recipe["eps"]]
+    windows = [0]
     for eps in eps_values:
         for N in N_values:
             p = CounterexampleParams.derive(delta, eps, N)
-            _check_sampled_work(samples, 1, N + 2 * (p.margin + p.L_prime))
+            windows.append(N + 2 * (p.margin + p.L_prime))
+    _check_sampled_work(samples, 1, max(windows))
     seed = _integer(recipe["seed"], "seed")
     rows = mdim_report(delta, N_values, eps_values, samples=samples, seed=seed)
     return {

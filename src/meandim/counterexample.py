@@ -223,13 +223,16 @@ class FactorMapInstance:
         starts = odometer_E(self.tower, residue, self.window_lo, self.window_hi)
         return [a for a in starts if a + self.params.period <= self.window_hi]
 
-    def evaluate_f(self, x: WindowSeq, residue: int) -> WindowSeq:
-        starts = self.block_starts(residue)
+    def evaluate_f(self, x: WindowSeq, residue: int, lo=None, hi=None) -> WindowSeq:
+        """f(x) on the complete blocks that meet [lo, hi), by default the
+        whole window, as a WindowSeq from the first of those blocks."""
+        period = self.params.period
+        lo = self.window_lo if lo is None else lo
+        hi = self.window_hi if hi is None else hi
+        starts = [a for a in self.block_starts(residue) if lo - period < a < hi]
         values = []
         for a in starts:
-            values.extend(
-                self.block_map.evaluate(x.restrict(a, a + self.params.period))
-            )
+            values.extend(self.block_map.evaluate(x.restrict(a, a + period)))
         return WindowSeq(starts[0], tuple(values))
 
     def sample_state(self, rng: random.Random):
@@ -272,7 +275,9 @@ def nonzero_count_check(
 ) -> CountReport:
     """Count nonzero image entries over [0, N) for sampled states; each count
     must stay strictly below delta*N/2 + 2m and below the exact block form
-    (ceil(N/block)+1)(m-1). Also reports the per-residue coordinate hull."""
+    (ceil(N/block)+1)(m-1). Also reports the per-residue coordinate hull.
+    States are drawn over the whole window, but only the complete blocks
+    that meet [0, N) are evaluated."""
     p = inst.params
     if N > p.horizon:
         raise PreconditionError("N exceeds the instance horizon")
@@ -285,8 +290,8 @@ def nonzero_count_check(
     violations = []
     for _ in range(samples):
         x, r = inst.sample_state(rng)
-        fx = inst.evaluate_f(x, r)
-        nonzero = [n for n in range(N) if fx[n] != 0]
+        fx = inst.evaluate_f(x, r, 0, N).restrict(0, N)
+        nonzero = [n for n, v in enumerate(fx) if v]
         count = len(nonzero)
         hulls[r].update(nonzero)
         max_count = max(max_count, count)

@@ -432,7 +432,10 @@ class FlagPoint:
 
     def realize(self, grid: int) -> tuple:
         """The point's coordinates on a grid-`grid` Kuhn cube, as integer
-        numerators over one common denominator: (coords, denominator)."""
+        numerators over one common denominator: (coords, denominator).
+        Realizing is linear in the weights, so it also takes signed weights:
+        a.weights * b.denom - b.weights * a.denom over a.denom * b.denom
+        realizes the difference of two flags a, b on one chain."""
         # the barycenter of prefix k - 1 is its coordinate sum over k * grid,
         # so vertex j carries weights[k - 1] / k for every prefix k > j
         scale = 1
@@ -507,7 +510,8 @@ class KuhnWidthPipeline:
         bounds; the mesh premise is the grid bound 2/g. The evaluator
         retracts onto bucket i* without realizing the result, and the fiber
         metric `dist`, which compares flags on their integer numerators,
-        measures the target side too."""
+        measures the target side too. Two flags on one chain are compared
+        by realizing their weight difference once."""
         sums = self._bucket_numerators(flag)
         scale = Fraction(scale)
         mesh_threshold = Fraction(mesh_threshold)
@@ -527,6 +531,11 @@ class KuhnWidthPipeline:
             return FlagPoint(chain, weights, denom * product)
 
         def dist(a, b):
+            if a.chain == b.chain:
+                da, db = a.denom, b.denom
+                weights = tuple(x * db - y * da for x, y in zip(a.weights, b.weights))
+                zs, dz = FlagPoint(a.chain, weights, da * db).realize(g)
+                return Fraction(max(map(abs, zs)), dz)
             xs, dx = a.realize(g)
             ys, dy = b.realize(g)
             return Fraction(max(abs(x * dy - y * dx) for x, y in zip(xs, ys)), dx * dy)

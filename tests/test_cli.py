@@ -459,6 +459,14 @@ SAMPLED_RECIPES = [
     for key in ("samples", "N")
 ]
 
+# a small run of each sampled kind, without its --samples
+SAMPLED_KINDS = [
+    ["counterexample", "fiber-cert", *_FACTOR, "--trials", "5"],
+    ["gromov", "fiber-check", "map.json", "--trials", "20"],
+    ["counterexample", "check-counts", *_FACTOR],
+    ["counterexample", "report", *_FACTOR],
+]
+
 # a small artifact of each kind whose payload reads integer recipe fields,
 # and those fields (ocap reads golden.json and one.json, gromov map.json)
 _GROMOV_MAP = ["gromov", "build", "--cube", "2", "--m", "2", "--eps", "1/2"]
@@ -580,6 +588,35 @@ class TestVerify:
         assert time.perf_counter() - start < 1
         assert "exceeds the sampling budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", SAMPLED_KINDS)
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_run_that_samples_nothing_exits_2(self, workdir, capsys, argv, samples):
+        assert main(_GROMOV_MAP + ["--out", "map.json"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--samples", str(samples), "--out", "artifact.json"]) == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+        assert not (workdir / "artifact.json").exists()
+
+    @pytest.mark.parametrize("argv", SAMPLED_KINDS)
+    def test_recipe_that_samples_nothing_exits_2(self, workdir, capsys, monkeypatch, argv):
+        assert main(_GROMOV_MAP + ["--out", "map.json"]) == 0
+        out = workdir / "artifact.json"
+        assert main(argv + ["--samples", "1", "--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        changes = [{"samples": 0}, {"samples": -5}]
+        if artifact["kind"] == "mdim-report":
+            changes.append({"samples": 0, "N": []})  # a report of no horizons
+        for change in changes:
+            # the artifact such a recipe gives without the check: it samples
+            # nothing, so its payload is consistent with its recipe
+            recipe = dict(artifact["recipe"], **change)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_check_sampled_work", lambda *args: None)
+                cli.write_artifact(str(out), artifact["kind"], recipe)
+            capsys.readouterr()
+            assert main(["verify", str(out)]) == 2, change
+            assert "samples must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, key", RECIPE_INTEGERS)
     def test_non_integer_recipe_field_exits_2(self, workdir, capsys, argv, key):
         write_golden(workdir)
@@ -674,6 +711,25 @@ def test_golden_artifact_digests(workdir):
         data = (workdir / out).read_bytes()
         assert json.loads(data)["kind"] == kind
         assert hashlib.sha256(data).hexdigest() == digest, kind
+
+
+# The benchmark's factor-fiber workload at seed 3: its check-counts at 200
+# samples, and one of its fiber-cert commands (the workload's seed 3 draws
+# this one's seed, 12), with the digests of their files.
+FACTOR_FIBER_DIGESTS = [
+    (["counterexample", "check-counts", "--delta", "1/2", "--eps", "1/2", "--N", "16",
+      "--seed", "3", "--samples", "200"],
+     "02430ce9914cf128b839ba652ee6f558ae51365da77d554a755627d54bea5f69"),
+    (["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2", "--N", "16",
+      "--seed", "12", "--samples", "2", "--trials", "30"],
+     "69ddbb828dbc7127d368c004e5fcc1575aad83129c8e2a4b2e4962814d8dbec8"),
+]
+
+
+@pytest.mark.parametrize("args, digest", FACTOR_FIBER_DIGESTS)
+def test_factor_fiber_workload_digests(workdir, args, digest):
+    assert main(args + ["--out", "artifact.json"]) == 0
+    assert hashlib.sha256((workdir / "artifact.json").read_bytes()).hexdigest() == digest
 
 
 class TestModuleEntryPoint:

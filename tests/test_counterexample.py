@@ -171,6 +171,49 @@ class TestNonzeroCount:
         assert report.hull_max <= report.block_bound
 
 
+def full_window_count_report(inst, samples, N, seed):
+    """Oracle for nonzero_count_check: every complete block of the window is
+    evaluated and coordinates are read one at a time. Returns max_count,
+    hull_max and the violations."""
+    p = inst.params
+    bound = p.delta * N / 2 + 2 * p.m
+    block_bound = (-(-N // p.period) + 1) * (p.m - 1)
+    rng = random.Random(seed)
+    hulls = {r: set() for r in range(p.period)}
+    counts = []
+    for _ in range(samples):
+        x, r = inst.sample_state(rng)
+        fx = inst.evaluate_f(x, r)
+        nonzero = {n for n in range(N) if fx[n] != 0}
+        hulls[r] |= nonzero
+        counts.append((r, len(nonzero)))
+    violations = [(r, c) for r, c in counts if not (c < bound and c <= block_bound)]
+    violations += [
+        (r, "hull outside padded positions")
+        for r, hull in hulls.items()
+        if any((n + r) % p.period >= p.m - 1 for n in hull)
+    ]
+    return max(c for _, c in counts), max(map(len, hulls.values())), violations
+
+
+@pytest.mark.parametrize("N", [1, 8, 13, 16, 24, 80])
+def test_count_check_evaluates_only_blocks_meeting_the_range(N):
+    inst = build_counterexample(std_params(N=N))
+    for seed in range(5):
+        rng = random.Random(seed)
+        for r in range(inst.params.period):
+            x, _ = inst.sample_state(rng)
+            restricted = inst.evaluate_f(x, r, 0, N)
+            period = inst.params.period
+            # the first and the last evaluated block both meet [0, N)
+            assert restricted.start <= 0 < restricted.start + period
+            assert restricted.end - period < N <= restricted.end
+            assert restricted.restrict(0, N) == inst.evaluate_f(x, r).restrict(0, N)
+        report = nonzero_count_check(inst, samples=12, N=N, seed=seed)
+        expected = full_window_count_report(inst, 12, N, seed)
+        assert (report.max_count, report.hull_max, list(report.violations)) == expected
+
+
 def realized_sampler(inst, state):
     """The factor-map fiber sampler written on WindowSeq: head coordinates,
     then each complete block's sampled flag realized on the grid, then tail

@@ -23,6 +23,7 @@ from meandim.geometry import (
 )
 from meandim import geometry, widthmaps
 from meandim.widthmaps import (
+    FlagPoint,
     KuhnWidthPipeline,
     SimplicialMap,
     barycentric_from_cube,
@@ -673,6 +674,48 @@ class TestIntegerFlags:
             got = cert.target_dist(ra, rb)
             assert type(got) is F
             assert got == flat_linf(realized(ra, bm.grid), realized(rb, bm.grid))
+
+    def test_dist_on_one_chain_realizes_the_weight_difference_once(self, monkeypatch):
+        bm = padded_block_map(8, 3, F(1, 2))
+        pipeline, g = bm.pipeline, bm.grid
+        realize = FlagPoint.realize
+        calls = []
+
+        def counted(flag, grid):
+            calls.append(flag)
+            return realize(flag, grid)
+
+        def two_realizes(a, b):
+            xs, dx = realize(a, g)
+            ys, dy = realize(b, g)
+            return F(max(abs(x * dy - y * dx) for x, y in zip(xs, ys)), dx * dy)
+
+        def random_flag(rng, chain):
+            # about two in three prefix weights are zero
+            weights = [rng.choice((0, 0, rng.randint(1, 40))) for _ in chain]
+            weights[rng.randrange(len(chain))] += 1
+            return FlagPoint(chain, tuple(weights), sum(weights))
+
+        monkeypatch.setattr(FlagPoint, "realize", counted)
+        rng = random.Random(73)
+        for _ in range(40):
+            flag, other = (
+                pipeline.locate_flag(tuple(F(rng.randint(0, 64), 64) for _ in range(8)))
+                for _ in range(2)
+            )
+            dist = pipeline.fiber_certificate(flag, bm.block_scale, bm.mesh_scale).domain.dist
+            a, b = random_flag(rng, flag.chain), random_flag(rng, flag.chain)
+            scaled = FlagPoint(a.chain, tuple(3 * w for w in a.weights), 3 * a.denom)
+            for u, v, realizes in (
+                (a, b, 1), (a, a, 1), (a, scaled, 1), (flag, b, 1),
+                (a, random_flag(rng, other.chain), 1 if other.chain == a.chain else 2),
+            ):
+                del calls[:]
+                got = dist(u, v)
+                assert len(calls) == realizes
+                assert type(got) is F
+                assert got == two_realizes(u, v)
+            assert dist(a, scaled) == dist(a, a) == 0
 
 
 @cache
