@@ -223,12 +223,10 @@ class FactorMapInstance:
         starts = odometer_E(self.tower, residue, self.window_lo, self.window_hi)
         return [a for a in starts if a + self.params.period <= self.window_hi]
 
-    def evaluate_f(self, x: WindowSeq, residue: int, lo=None, hi=None) -> WindowSeq:
-        """f(x) on the complete blocks that meet [lo, hi), by default the
-        whole window, as a WindowSeq from the first of those blocks."""
+    def evaluate_f(self, x: WindowSeq, residue: int, lo: int, hi: int) -> WindowSeq:
+        """f(x) on the complete blocks that meet [lo, hi), as a WindowSeq
+        from the first of those blocks."""
         period = self.params.period
-        lo = self.window_lo if lo is None else lo
-        hi = self.window_hi if hi is None else hi
         starts = [a for a in self.block_starts(residue) if lo - period < a < hi]
         values = []
         for a in starts:

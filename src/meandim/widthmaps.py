@@ -510,8 +510,8 @@ class KuhnWidthPipeline:
         bounds; the mesh premise is the grid bound 2/g. The evaluator
         retracts onto bucket i* without realizing the result, and the fiber
         metric `dist`, which compares flags on their integer numerators,
-        measures the target side too. Two flags on one chain are compared
-        by realizing their weight difference once."""
+        measures the target side too. Every flag it compares lies on `chain`,
+        so it realizes their weight difference once."""
         sums = self._bucket_numerators(flag)
         scale = Fraction(scale)
         mesh_threshold = Fraction(mesh_threshold)
@@ -531,14 +531,11 @@ class KuhnWidthPipeline:
             return FlagPoint(chain, weights, denom * product)
 
         def dist(a, b):
-            if a.chain == b.chain:
-                da, db = a.denom, b.denom
-                weights = tuple(x * db - y * da for x, y in zip(a.weights, b.weights))
-                zs, dz = FlagPoint(a.chain, weights, da * db).realize(g)
-                return Fraction(max(map(abs, zs)), dz)
-            xs, dx = a.realize(g)
-            ys, dy = b.realize(g)
-            return Fraction(max(abs(x * dy - y * dx) for x, y in zip(xs, ys)), dx * dy)
+            # both flags lie on `chain`; realize is linear in the weights
+            da, db = a.denom, b.denom
+            weights = tuple(x * db - y * da for x, y in zip(a.weights, b.weights))
+            zs, dz = FlagPoint(chain, weights, da * db).realize(g)
+            return Fraction(max(map(abs, zs)), dz)
 
         obligations = (
             structural_record(

@@ -97,7 +97,7 @@ class TestFactorMap:
         p = std_params(N=8)
         inst = build_counterexample(p)
         x = WindowSeq(inst.window_lo, tuple(F(0) for _ in range(inst.window_hi - inst.window_lo)))
-        fx = inst.evaluate_f(x, 0)
+        fx = inst.evaluate_f(x, 0, inst.window_lo, inst.window_hi)
         block = tuple(fx[n] for n in range(0, 8))
         assert block == (F(1), F(1, 4), F(0), F(0), F(0), F(0), F(0), F(0))
 
@@ -105,14 +105,14 @@ class TestFactorMap:
         inst = build_counterexample(std_params(N=8))
         rng = random.Random(0)
         x, r = inst.sample_state(rng)
-        _, r_out = inst.evaluate_f(x, r), r
+        _, r_out = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi), r
         assert r_out == r
 
     def test_blockwise_structure(self):
         inst = build_counterexample(std_params(N=8))
         rng = random.Random(1)
         x, r = inst.sample_state(rng)
-        fx = inst.evaluate_f(x, r)
+        fx = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
         for a in inst.block_starts(r):
             expected = inst.block_map.evaluate(x.restrict(a, a + 8))
             assert fx.restrict(a, a + 8) == expected
@@ -151,7 +151,7 @@ class TestNonzeroCount:
         rng = random.Random(30)
         for _ in range(10):
             x, _ = inst.sample_state(rng)
-            fx = inst.evaluate_f(x, 0)
+            fx = inst.evaluate_f(x, 0, inst.window_lo, inst.window_hi)
             count = sum(1 for n in range(8) if fx[n] != 0)
             assert count <= p.m - 1 < p.delta * 8 / 2 + 2 * p.m
 
@@ -183,7 +183,7 @@ def full_window_count_report(inst, samples, N, seed):
     counts = []
     for _ in range(samples):
         x, r = inst.sample_state(rng)
-        fx = inst.evaluate_f(x, r)
+        fx = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
         nonzero = {n for n in range(N) if fx[n] != 0}
         hulls[r] |= nonzero
         counts.append((r, len(nonzero)))
@@ -208,7 +208,8 @@ def test_count_check_evaluates_only_blocks_meeting_the_range(N):
             # the first and the last evaluated block both meet [0, N)
             assert restricted.start <= 0 < restricted.start + period
             assert restricted.end - period < N <= restricted.end
-            assert restricted.restrict(0, N) == inst.evaluate_f(x, r).restrict(0, N)
+            full = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
+            assert restricted.restrict(0, N) == full.restrict(0, N)
         report = nonzero_count_check(inst, samples=12, N=N, seed=seed)
         expected = full_window_count_report(inst, 12, N, seed)
         assert (report.max_count, report.hull_max, list(report.violations)) == expected
@@ -324,11 +325,11 @@ class TestFiberCertificate:
         inst = build_counterexample(p)
         rng = random.Random(9)
         x, r = inst.sample_state(rng)
-        y = inst.evaluate_f(x, r)
+        y = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
         cert = fiber_dimension_certificate(inst, (x, r), 8)
         for _ in range(5):
             sample = cert.domain.sample(rng)
-            fy = inst.evaluate_f(sample.window, r)
+            fy = inst.evaluate_f(sample.window, r, inst.window_lo, inst.window_hi)
             for a in inst.block_starts(r):
                 assert fy.restrict(a, a + 8) == y.restrict(a, a + 8)
 
