@@ -155,11 +155,12 @@ def _integer(value, name: str) -> int:
 
 
 def _width_map(recipe: dict):
+    mesh_scale = recipe.get("mesh_scale")
     return cube_width_map(
         _integer(recipe["n"], "n"),
         _integer(recipe["m"], "m"),
         parse_fraction(recipe["eps"]),
-        mesh_scale=parse_fraction(recipe["mesh_scale"]) if recipe.get("mesh_scale") else None,
+        mesh_scale=None if mesh_scale is None else parse_fraction(mesh_scale),
     )
 
 
@@ -196,7 +197,7 @@ def _checked_certificates(recipe: dict, coordinates: int, sample_fiber) -> list:
     trials = _integer(recipe["trials"], "trials")
     _check_sampled_work(samples, trials, coordinates)
     rng = random.Random(_integer(recipe["seed"], "seed"))
-    eta = parse_fraction(recipe["eta"]) if recipe.get("eta") else None
+    eta = parse_fraction(recipe["eta"]) if recipe.get("eta") is not None else None
     entries = []
     for _ in range(samples):
         cert, extra = sample_fiber(rng)
@@ -474,7 +475,7 @@ def _cmd_gromov(ns) -> int:
             "n": ns.cube,
             "m": ns.m,
             "eps": format_fraction(ns.eps),
-            "mesh_scale": format_fraction(ns.mesh_scale) if ns.mesh_scale else None,
+            "mesh_scale": format_fraction(ns.mesh_scale) if ns.mesh_scale is not None else None,
         }
         artifact = write_artifact(ns.out, "cube-width-map", recipe)
         print(f"wrote {ns.out}: grid {artifact['payload']['grid']}, "
@@ -485,7 +486,7 @@ def _cmd_gromov(ns) -> int:
         samples=ns.samples,
         seed=ns.seed,
         trials=ns.trials,
-        eta=format_fraction(ns.eta) if ns.eta else None,
+        eta=format_fraction(ns.eta) if ns.eta is not None else None,
     )
     out = ns.out or (ns.map_file + ".fibers.json")
     artifact = write_artifact(out, "gromov-fiber-batch", recipe)
@@ -527,7 +528,7 @@ def _cmd_counterexample(ns) -> int:
         "samples": ns.samples,
         "seed": ns.seed,
         "trials": ns.trials,
-        "eta": format_fraction(ns.eta) if ns.eta else None,
+        "eta": format_fraction(ns.eta) if ns.eta is not None else None,
     }
     if ns.action == "report":
         recipe = dict(

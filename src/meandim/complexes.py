@@ -131,7 +131,7 @@ class SimplicialComplex:
     def dim(self) -> int:
         if not self.simplices:
             return -1
-        return max(len(s) for s in self.simplices) - 1
+        return max(map(len, self.simplices)) - 1
 
     def _vertex_indices(self) -> dict:
         idx = self.__dict__.get("_vindex")
@@ -219,24 +219,21 @@ def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
     """
     if not K.simplices:
         raise PreconditionError("empty complex")
-    label = {s: K.sorted_simplex(s) for s in K.simplices}
-    order = K.iter_simplices()
+    vertices = tuple(map(K.sorted_simplex, K.iter_simplices()))
 
-    # the chains ending at each simplex, as frozensets of labels; every
-    # proper nonempty subset is a face by downward closure, so faces
-    # enumerate as combinations
+    # the chains ending at each simplex, as frozensets of labels, keyed by
+    # label; combinations of a label are its faces' labels (every subset is a
+    # face by downward closure, and combinations keep K's vertex order)
     ending_at = {}
-    for s in order:
-        top = frozenset((label[s],))
-        ending_at[s] = [top] + [
+    for label in vertices:
+        top = frozenset((label,))
+        ending_at[label] = [top] + [
             chain | top
-            for r in range(1, len(s))
-            for sub in combinations(s, r)
-            for chain in ending_at[frozenset(sub)]
+            for r in range(1, len(label))
+            for face in combinations(label, r)
+            for chain in ending_at[face]
         ]
-    simplices = frozenset().union(*ending_at.values())
-    vertices = tuple(label[s] for s in order)
-    return SimplicialComplex(vertices, simplices)
+    return SimplicialComplex(vertices, frozenset().union(*ending_at.values()))
 
 
 def full_subcomplex(K: SimplicialComplex, A) -> SimplicialComplex:
@@ -245,7 +242,7 @@ def full_subcomplex(K: SimplicialComplex, A) -> SimplicialComplex:
     if not A <= set(K.vertices):
         raise PreconditionError("unknown vertex")
     vertices = tuple(v for v in K.vertices if v in A)
-    simplices = frozenset(s for s in K.simplices if s <= A)
+    simplices = frozenset(filter(A.issuperset, K.simplices))
     return SimplicialComplex(vertices, simplices)
 
 

@@ -5,18 +5,19 @@ meshes, containment, affine evaluation) are decided without floating
 tolerances. Every complex is measured in the l-infinity norm, the metric of
 the cube fibers that the width maps certify; distances are Fractions.
 
-A GeometricComplex also holds its coordinates as integer numerators over
-one common denominator. The affine-independence check, star diameters and
-meshes, and barycentric subdivision run on those integers; a Fraction is
-built only for a result: a diameter, a mesh, or a subdivision vertex's
-coordinate. The affine check visits the maximal simplices that the
-combinatorial complex recorded, and computes one rank per simplex shape,
-since translates share their edge vectors.
+A GeometricComplex stores its coordinates only as integer numerators over
+one common denominator, not necessarily the least; the Kuhn triangulation
+and barycentric subdivision build them without a Fraction. The
+affine-independence check, star diameters and meshes, and subdivision run
+on those integers; a Fraction is built only for a result (a diameter or a
+mesh) and when coordinates are read. The affine check visits the maximal
+simplices that the combinatorial complex recorded, and computes one rank
+per simplex shape, since translates share their edge vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
@@ -25,10 +26,6 @@ from operator import sub
 from .complexes import SimplicialComplex, barycentric_subdivide
 from .errors import BudgetExceededError, PreconditionError
 from .serialize import format_fraction, parse_fraction, vertex_from_jsonable, vertex_to_jsonable
-
-
-def _vec_sub(p, q):
-    return tuple(a - b for a, b in zip(p, q))
 
 
 def _rank(rows) -> int:
@@ -55,43 +52,45 @@ def _rank(rows) -> int:
     return rank
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GeometricComplex:
     """A simplicial complex with rational vertex coordinates, measured in the
-    l-infinity norm.
-
-    `nums[v]` holds v's coordinates as integer numerators over the common
-    denominator `den`, the lcm of every coordinate's denominator.
+    l-infinity norm. `nums[v]` holds v's coordinates as integer numerators
+    over `den`, a common denominator, not necessarily the least; `coords` and
+    `vertex_point` build reduced Fractions from them when read.
     """
 
     complex: SimplicialComplex
-    coords: dict
-    den: int = field(init=False, repr=False)
-    nums: dict = field(init=False, repr=False)
+    nums: dict
+    den: int
 
-    def __post_init__(self):
-        points = {}
-        for v in self.complex.vertices:
-            if v not in self.coords:
+    def __init__(self, complex: SimplicialComplex, coords: dict):
+        points = {v: [Fraction(c) for c in coords[v]] for v in complex.vertices if v in coords}
+        den = lcm(*{c.denominator for p in points.values() for c in p})
+        nums = {v: tuple(den // c.denominator * c.numerator for c in p) for v, p in points.items()}
+        self._init_checked(complex, nums, den)
+
+    @classmethod
+    def from_numerators(cls, complex: SimplicialComplex, nums: dict, den: int) -> GeometricComplex:
+        """The complex with vertex v at nums[v] / den, built with no Fraction."""
+        G = cls.__new__(cls)
+        G._init_checked(complex, nums, den)
+        return G
+
+    def _init_checked(self, complex, nums, den):
+        self.__dict__.update(complex=complex, nums=nums, den=den)
+        for v in complex.vertices:
+            if v not in nums:
                 raise PreconditionError(f"vertex {v!r} has no coordinates")
-            points[v] = [
-                c if isinstance(c, (int, Fraction)) else Fraction(c) for c in self.coords[v]
-            ]
-        if len({len(pt) for pt in points.values()}) > 1:
+        if len({len(nums[v]) for v in complex.vertices}) > 1:
             raise PreconditionError("coordinate dimensions differ")
-        den = lcm(*{c.denominator for pt in points.values() for c in pt})
-        nums = {
-            v: tuple(c.numerator * (den // c.denominator) for c in pt) for v, pt in points.items()
-        }
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
         # a face of an affinely independent simplex is independent, so only
         # maximal simplices are checked. The rank depends only on the
         # simplex's shape: edge vectors from its lexicographically least
         # vertex, in sorted order, are the same for every translate.
         ranks = {}
         dependent = []
-        for s in self.complex.maximal:
+        for s in complex.maximal:
             if len(s) > 1:
                 base, *rest = sorted(map(nums.__getitem__, s))
                 rows = tuple([tuple(map(sub, p, base)) for p in rest])
@@ -101,19 +100,21 @@ class GeometricComplex:
                 if rank != len(rows):
                     dependent.append(s)
         if dependent:
-            s = min(dependent, key=self.complex.simplex_key)
+            s = min(dependent, key=complex.simplex_key)
             raise PreconditionError(
                 f"realized simplex is affinely dependent: {sorted(map(repr, s))}"
             )
 
     @property
+    def coords(self) -> dict:
+        return {v: self.vertex_point(v) for v in self.complex.vertices}
+
+    @property
     def ambient_dim(self) -> int:
-        for v in self.complex.vertices:
-            return len(self.coords[v])
-        return 0
+        return len(self.nums[self.complex.vertices[0]]) if self.complex.vertices else 0
 
     def vertex_point(self, v):
-        return tuple(Fraction(c) for c in self.coords[v])
+        return tuple(Fraction(a, self.den) for a in self.nums[v])
 
     def star_vertices(self):
         """vertex -> the vertices of its closed star, itself included (built
@@ -133,7 +134,7 @@ class GeometricComplex:
     def to_json_dict(self) -> dict:
         data = self.complex.to_json_dict()
         data["coords"] = [
-            [vertex_to_jsonable(v), [format_fraction(c) for c in self.coords[v]]]
+            [vertex_to_jsonable(v), [format_fraction(c) for c in self.vertex_point(v)]]
             for v in self.complex.vertices
         ]
         data["norm"] = "linf"
@@ -177,15 +178,15 @@ def max_star_mesh(G: GeometricComplex):
 
 def barycentric_subdivide_geometric(G: GeometricComplex) -> GeometricComplex:
     """Subdivide combinatorially; each new vertex sits at its source simplex's
-    coordinate average."""
+    coordinate average: scale / len(label) times its label's column sums,
+    over scale * G.den, with scale = lcm(1, ..., dim + 1)."""
     Kp = barycentric_subdivide(G.complex)
-    coords = {}
+    scale = lcm(*range(1, G.complex.dim + 2))
+    nums = {}
     for label in Kp.vertices:
-        scale = len(label) * G.den
-        coords[label] = tuple(
-            Fraction(sum(col), scale) for col in zip(*(G.nums[v] for v in label))
-        )
-    return GeometricComplex(Kp, coords)
+        factor = scale // len(label)
+        nums[label] = tuple([sum(col) * factor for col in zip(*map(G.nums.get, label))])
+    return GeometricComplex.from_numerators(Kp, nums, scale * G.den)
 
 
 def subdivide_to_mesh(G: GeometricComplex, eps, max_rounds: int = 30) -> tuple:
@@ -228,8 +229,7 @@ def kuhn_triangulate_cube(n: int, g: int) -> GeometricComplex:
             maximal.append(chain)
     verts = sorted({v for s in maximal for v in s})
     K = SimplicialComplex.from_maximal(verts, maximal)
-    coords = {v: tuple(Fraction(i, g) for i in v) for v in verts}
-    return GeometricComplex(K, coords)
+    return GeometricComplex.from_numerators(K, dict(zip(verts, verts)), g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,8 +306,8 @@ def _solve_barycentric(points, target):
     base = points[0]
     if k == 1:
         return [Fraction(1)] if tuple(base) == tuple(target) else None
-    cols = [_vec_sub(p, base) for p in points[1:]]
-    rhs = list(_vec_sub(target, base))
+    cols = [tuple(map(sub, p, base)) for p in points[1:]]
+    rhs = list(map(sub, target, base))
     rows = [[cols[j][d] for j in range(k - 1)] + [rhs[d]] for d in range(len(base))]
     # Gaussian elimination; the system may be overdetermined but consistent
     pivots = []

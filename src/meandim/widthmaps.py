@@ -102,7 +102,7 @@ class SimplicialMap:
         # accepts and rejects exactly the maps that checking all would
         target_simplices = self.target.complex.simplices
         for s in self.source.maximal:
-            image = frozenset(self.vertex_images[v] for v in s)
+            image = frozenset(map(self.vertex_images.__getitem__, s))
             if image not in target_simplices:
                 raise PreconditionError("vertex images do not span a target simplex")
 
@@ -114,10 +114,8 @@ def standard_simplex_target(m: int) -> GeometricComplex:
         raise PreconditionError("m must be positive")
     verts = list(range(1, m + 1))
     K = SimplicialComplex.from_maximal(verts, [verts])
-    coords = {
-        i: tuple(Fraction(1 if j == i - 1 else 0) for j in range(m)) for i in verts
-    }
-    return GeometricComplex(K, coords)
+    nums = {i: tuple(int(j == i - 1) for j in range(m)) for i in verts}
+    return GeometricComplex.from_numerators(K, nums, 1)
 
 
 def _sample_group_weights(rng, groups, scales, size: int):
@@ -193,10 +191,12 @@ class PartitionWidthMap:
 
     def admissible(self, support) -> list:
         """The simplices whose vertices meet exactly the blocks in `support`,
-        in simplex_key order (sorted once per pattern, when first asked for)."""
+        in simplex_key order, sorted on flat (size, *vertex indices) keys once
+        per pattern, when first asked for."""
         if support not in self._admissible:
-            simplices = self._pattern_index().get(support, ())
-            self._admissible[support] = sorted(simplices, key=self.geometry.complex.simplex_key)
+            found = self._pattern_index().get(support, ())
+            at = self.geometry.complex._vertex_indices().__getitem__
+            self._admissible[support] = sorted(found, key=lambda s: (len(s), *sorted(map(at, s))))
         return self._admissible[support]
 
     def block_dim(self, i: int) -> int:
@@ -644,6 +644,8 @@ def cube_width_map(
     anything is built.
     """
     eps = Fraction(eps)
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
     if m < 2:
         raise PreconditionError("m must be at least 2")
     if not 1 <= n <= 4:

@@ -488,6 +488,34 @@ RECIPE_INTEGERS = [
 ]
 
 
+# options whose zero is a value, refused where it is read like a negative
+# one, never replaced by the option's default
+VALUED_OPTIONS = [
+    (_GROMOV_MAP + ["--mesh-scale={}"], "mesh scale must be positive"),
+    (["gromov", "fiber-check", "map.json", "--samples", "1", "--trials", "5", "--eta={}"],
+     "eta must be positive"),
+    (["counterexample", "fiber-cert", *_FACTOR, "--samples", "1", "--trials", "5", "--eta={}"],
+     "eta must be positive"),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-1/2"])
+@pytest.mark.parametrize("argv, message", VALUED_OPTIONS)
+def test_zero_or_negative_option_exits_2(workdir, capsys, argv, message, value):
+    assert main(_GROMOV_MAP + ["--out", "map.json"]) == 0
+    capsys.readouterr()
+    assert main([arg.format(value) for arg in argv] + ["--out", "artifact.json"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (workdir / "artifact.json").exists()
+
+
+@pytest.mark.parametrize("eps", ["0", "-1/2"])
+def test_nonpositive_eps_exits_2_naming_eps(workdir, capsys, eps):
+    assert main(["gromov", "build", "--cube", "2", "--m", "2", f"--eps={eps}",
+                 "--out", "map.json"]) == 2
+    assert "eps must be positive" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_determinism_byte_identical(self, workdir):
         a, b = workdir / "a.json", workdir / "b.json"
@@ -711,6 +739,23 @@ def test_golden_artifact_digests(workdir):
         data = (workdir / out).read_bytes()
         assert json.loads(data)["kind"] == kind
         assert hashlib.sha256(data).hexdigest() == digest, kind
+
+
+# The golden digests pin the 2-cube; these pin a 3-cube map (grid 3) and a
+# fiber check on it.
+CUBE3_DIGESTS = [
+    (["gromov", "build", "--cube", "3", "--m", "3", "--eps", "4", "--out", "map.json"],
+     "686c35f37cea67837518478b76cbf33ab38c8e7c788e8f7c2181414358a7f7ee"),
+    (["gromov", "fiber-check", "map.json", "--samples", "2", "--seed", "7", "--trials", "50",
+      "--out", "fibers.json"],
+     "cf393c1d7ee30003fe90706e6eb2ced5c727594336a9812b4c516689838109e9"),
+]
+
+
+def test_three_cube_artifact_digests(workdir):
+    for args, digest in CUBE3_DIGESTS:
+        assert main(args) == 0, args[1]
+        assert hashlib.sha256((workdir / args[-1]).read_bytes()).hexdigest() == digest, args[1]
 
 
 # The benchmark's factor-fiber workload at seed 3: its check-counts at 200

@@ -254,6 +254,45 @@ def brute_force_closure(vertices, family):
     return closed, frozenset(s for s in family if not any(s < t for t in family))
 
 
+MIXED_VERTICES = (3, "b", (0, "a"), 1, "a", (1,), 0, ("c", 2))
+
+
+@st.composite
+def mixed_vertex_complexes(draw):
+    """A small complex on shuffled int, str and tuple vertices: K's vertex
+    order is not their natural order, which Python cannot even compare."""
+    verts = draw(st.permutations(MIXED_VERTICES))[: draw(st.integers(1, 6))]
+    facet = st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True)
+    return SimplicialComplex.from_maximal(verts, draw(st.lists(facet, min_size=1, max_size=3)))
+
+
+def brute_force_flag_complex(K):
+    """Oracle: every strict inclusion chain of K's simplices, grown one
+    strict superset at a time, as the set of its simplices' labels."""
+    simplices = sorted(K.simplices, key=len)
+    chains = set()
+
+    def grow(chain, rest):
+        chains.add(frozenset(map(K.sorted_simplex, chain)))
+        for i, s in enumerate(rest):
+            if chain[-1] < s:
+                grow(chain + [s], rest[i + 1:])
+
+    for i, s in enumerate(simplices):
+        grow([s], simplices[i + 1:])
+    return frozenset(chains)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=mixed_vertex_complexes())
+def test_subdivision_is_the_flag_complex_of_labelled_chains(K):
+    Kp = barycentric_subdivide(K)
+    assert Kp.simplices == brute_force_flag_complex(K)
+    assert Kp.vertices == tuple(map(K.sorted_simplex, K.iter_simplices()))
+    # labels nest in the second subdivision
+    assert barycentric_subdivide(Kp).simplices == brute_force_flag_complex(Kp)
+
+
 @st.composite
 def vertex_families(draw, max_vertices=5):
     """Vertices 0..n-1 and any family of nonempty subsets of them."""

@@ -540,10 +540,36 @@ class TestIntegerGeometry:
             assert tuple(F(a, sub.den) for a in sub.nums[label]) == barycenter
 
     def test_mesh_and_subdivision_build_only_result_fractions(self, request):
-        G = kuhn_triangulate_cube(2, 4)
         built = request.getfixturevalue("fraction_count")
+        G = kuhn_triangulate_cube(2, 4)
+        barycentric_subdivide_geometric(G)
+        assert built == []  # both hand integer numerators to the complex
         assert max_star_mesh(G) == F(1, 2)
         assert len(built) == 1  # one per mesh
-        del built[:]
-        sub = barycentric_subdivide_geometric(G)
-        assert len(built) == 2 * len(sub.complex.vertices)  # one per coordinate
+
+    @settings(max_examples=40, deadline=None)
+    @given(G=skewed_kuhn(), scale=st.integers(1, 4))
+    def test_numerator_constructor_matches_rational_constructor(self, G, scale):
+        # G was built from rational coordinates; H from numerators over a
+        # common denominator that need not be the least
+        nums = {v: tuple(scale * a for a in G.nums[v]) for v in G.complex.vertices}
+        H = GeometricComplex.from_numerators(G.complex, nums, scale * G.den)
+        assert H.to_json_dict() == G.to_json_dict()
+        assert H.coords == G.coords and H.ambient_dim == G.ambient_dim
+        assert max_star_mesh(H) == max_star_mesh(G)
+        for v in G.complex.vertices:
+            assert star_diameter(H, v) == star_diameter(G, v)
+
+    @pytest.mark.parametrize("nums, message", [
+        ({"a": (0, 0), "b": (2, 0)}, "vertex 'c' has no coordinates"),
+        ({"a": (0, 0), "b": (2, 0), "c": (0, 1, 0)}, "coordinate dimensions differ"),
+        ({"a": (0, 0), "b": (1, 1), "c": (3, 3)}, "realized simplex is affinely dependent"),
+    ])
+    def test_numerator_constructor_raises_the_rational_messages(self, nums, message):
+        K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
+        coords = {v: tuple(F(a, 2) for a in pt) for v, pt in nums.items()}
+        with pytest.raises(PreconditionError, match=message) as rational:
+            GeometricComplex(K, coords)
+        with pytest.raises(PreconditionError) as integer:
+            GeometricComplex.from_numerators(K, nums, 2)
+        assert str(integer.value) == str(rational.value)
