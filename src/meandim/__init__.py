@@ -70,11 +70,9 @@ from .symbolic import (
 )
 from .widthmaps import (
     CubeWidthMap,
-    PaddedBlockMap,
     SimplicialMap,
     bucket_width_map,
     cube_width_map,
-    padded_block_map,
     partition_map,
 )
 

@@ -30,10 +30,12 @@ from .certificates import (
     recheck_structural,
 )
 from .complexes import (
+    SIZE_BUDGET,
     SimplicialComplex,
     barycentric_subdivide,
     dimension_buckets,
     full_subcomplex,
+    subdivision_size,
 )
 from .counterexample import (
     CSV_HEADER,
@@ -93,10 +95,9 @@ def _parser() -> argparse.ArgumentParser:
     gr = sub.add_parser("gromov", help="width maps on triangulated cubes")
     gr_sub = gr.add_subparsers(dest="action", required=True)
     gr_build = gr_sub.add_parser("build")
-    gr_build.add_argument("--cube", type=int, required=True)
+    gr_build.add_argument("--cube", dest="n", metavar="N", type=int, required=True)
     gr_build.add_argument("--m", type=int, required=True)
     gr_build.add_argument("--eps", type=_rational, required=True)
-    gr_build.add_argument("--mesh-scale", type=_rational, default=None)
     gr_build.add_argument("--out", required=True)
     gr_check = gr_sub.add_parser("fiber-check")
     gr_check.add_argument("map_file")
@@ -124,15 +125,20 @@ def _parser() -> argparse.ArgumentParser:
 
     cx2 = sub.add_parser("counterexample", help="the factor-map construction")
     cx2_sub = cx2.add_subparsers(dest="action", required=True)
+    # each action takes the options its payload reads, and only report
+    # takes several scales and horizons
     for name in ("build", "check-counts", "fiber-cert", "report"):
         p = cx2_sub.add_parser(name)
+        nargs = "+" if name == "report" else None
         p.add_argument("--delta", type=_rational, required=True)
-        p.add_argument("--eps", type=_rational, nargs="+", required=True)
-        p.add_argument("--N", type=int, nargs="+", required=True)
-        p.add_argument("--samples", type=int, default=20)
+        p.add_argument("--eps", type=_rational, nargs=nargs, required=True)
+        p.add_argument("--N", type=int, nargs=nargs, required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--eta", type=_rational, default=None)
+        if name != "build":
+            p.add_argument("--samples", type=int, default=20)
+        if name == "fiber-cert":
+            p.add_argument("--trials", type=int, default=200)
+            p.add_argument("--eta", type=_rational, default=None)
         p.add_argument("--out")
 
     ver = sub.add_parser("verify", help="re-check a serialized artifact")
@@ -155,12 +161,8 @@ def _integer(value, name: str) -> int:
 
 
 def _width_map(recipe: dict):
-    mesh_scale = recipe.get("mesh_scale")
     return cube_width_map(
-        _integer(recipe["n"], "n"),
-        _integer(recipe["m"], "m"),
-        parse_fraction(recipe["eps"]),
-        mesh_scale=None if mesh_scale is None else parse_fraction(mesh_scale),
+        _integer(recipe["n"], "n"), _integer(recipe["m"], "m"), parse_fraction(recipe["eps"])
     )
 
 
@@ -197,7 +199,7 @@ def _checked_certificates(recipe: dict, coordinates: int, sample_fiber) -> list:
     trials = _integer(recipe["trials"], "trials")
     _check_sampled_work(samples, trials, coordinates)
     rng = random.Random(_integer(recipe["seed"], "seed"))
-    eta = parse_fraction(recipe["eta"]) if recipe.get("eta") is not None else None
+    eta = None if recipe["eta"] is None else parse_fraction(recipe["eta"])
     entries = []
     for _ in range(samples):
         cert, extra = sample_fiber(rng)
@@ -229,7 +231,7 @@ def _payload_gromov_fiber_batch(recipe: dict) -> dict:
 def _payload_ocap(recipe: dict) -> dict:
     sft = Sft.from_json_dict(recipe["sft"])
     A = CylinderSet.from_constraint_json(sft, recipe["set"])
-    if recipe["mode"] == "limit":
+    if recipe["N"] is None:  # ocap --limit
         result = ocap_limit(sft, A)
         return {
             "value": format_fraction(result.value),
@@ -443,7 +445,26 @@ def _load_complex(path: str) -> SimplicialComplex:
 def _map_recipe(artifact) -> dict:
     if not isinstance(artifact, dict) or artifact.get("kind") != "cube-width-map":
         raise PreconditionError("fiber-check expects a cube-width-map artifact")
-    return dict(artifact["recipe"])
+    recipe = artifact["recipe"]
+    return {key: recipe[key] for key in ("n", "m", "eps")}
+
+
+def _options(ns, *skip) -> dict:
+    """The command's parsed options as recipe fields: every option but the
+    command, the action, the output path and the names in `skip`."""
+    dropped = {"command", "action", "out", *skip}
+    return {key: value for key, value in to_jsonable(vars(ns)).items() if key not in dropped}
+
+
+def _subdivision(K: SimplicialComplex) -> SimplicialComplex:
+    """The barycentric subdivision of a complex read from a file, counted
+    before it is built and refused over SIZE_BUDGET simplices."""
+    size = subdivision_size(K)
+    if size > SIZE_BUDGET:
+        raise BudgetExceededError(
+            f"size budget exceeded: the subdivision has {size} simplices > {SIZE_BUDGET}"
+        )
+    return barycentric_subdivide(K)
 
 
 def _cmd_complex(ns) -> int:
@@ -454,7 +475,7 @@ def _cmd_complex(ns) -> int:
         print(f"dimension: {K.dim}")
         return 0
     if ns.action == "subdivide":
-        K = barycentric_subdivide(_load_complex(ns.file))
+        K = _subdivision(_load_complex(ns.file))
         text = json.dumps(K.to_json_dict(), sort_keys=True) + "\n"
         if ns.out:
             Path(ns.out).write_text(text)
@@ -463,7 +484,7 @@ def _cmd_complex(ns) -> int:
         return 0
     K = _load_complex(ns.file)
     P = dimension_buckets(K, ns.m)
-    Kp = barycentric_subdivide(K)
+    Kp = _subdivision(K)
     for i, block in enumerate(P.blocks, start=1):
         print(f"bucket {i}: {len(block)} vertices, dim {full_subcomplex(Kp, block).dim}")
     return 0
@@ -471,23 +492,11 @@ def _cmd_complex(ns) -> int:
 
 def _cmd_gromov(ns) -> int:
     if ns.action == "build":
-        recipe = {
-            "n": ns.cube,
-            "m": ns.m,
-            "eps": format_fraction(ns.eps),
-            "mesh_scale": format_fraction(ns.mesh_scale) if ns.mesh_scale is not None else None,
-        }
-        artifact = write_artifact(ns.out, "cube-width-map", recipe)
+        artifact = write_artifact(ns.out, "cube-width-map", _options(ns))
         print(f"wrote {ns.out}: grid {artifact['payload']['grid']}, "
               f"fiber bound {artifact['payload']['fiber_bound']}")
         return 0
-    recipe = _load_json(ns.map_file, _map_recipe)
-    recipe.update(
-        samples=ns.samples,
-        seed=ns.seed,
-        trials=ns.trials,
-        eta=format_fraction(ns.eta) if ns.eta is not None else None,
-    )
+    recipe = dict(_load_json(ns.map_file, _map_recipe), **_options(ns, "map_file"))
     out = ns.out or (ns.map_file + ".fibers.json")
     artifact = write_artifact(out, "gromov-fiber-batch", recipe)
     dims = [c["target_dim"] for c in artifact["payload"]["certificates"]]
@@ -501,8 +510,7 @@ def _cmd_ocap(ns) -> int:
     recipe = {
         "sft": _load_json(ns.sft),
         "set": _load_json(ns.set_file),
-        "mode": "limit" if ns.limit else "finite",
-        "N": ns.N,
+        "N": ns.N,  # None for --limit
     }
     payload = write_artifact(ns.out, "ocap-report", recipe)["payload"]
     print(payload["value"])
@@ -523,27 +531,13 @@ def _cmd_sbp(ns) -> int:
 
 
 def _cmd_counterexample(ns) -> int:
-    base = {
-        "delta": format_fraction(ns.delta),
-        "samples": ns.samples,
-        "seed": ns.seed,
-        "trials": ns.trials,
-        "eta": format_fraction(ns.eta) if ns.eta is not None else None,
-    }
+    recipe = _options(ns)
     if ns.action == "report":
-        recipe = dict(
-            base,
-            eps=[format_fraction(e) for e in ns.eps],
-            N=[int(n) for n in ns.N],
-        )
         payload = write_artifact(ns.out, "mdim-report", recipe)["payload"]
         print(payload["header"])
         for row in payload["rows"]:
             print(row)
         return 0
-    if len(ns.eps) != 1 or len(ns.N) != 1:
-        raise PreconditionError(f"{ns.action} takes exactly one --eps and one --N")
-    recipe = dict(base, eps=format_fraction(ns.eps[0]), N=int(ns.N[0]))
     kinds = {
         "build": "counterexample-instance",
         "check-counts": "count-report",

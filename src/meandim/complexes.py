@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import ceil, floor
+from math import ceil, comb, floor
 
 from .errors import BudgetExceededError, PreconditionError
 from .serialize import vertex_from_jsonable, vertex_to_jsonable
@@ -234,6 +234,16 @@ def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
             for chain in ending_at[face]
         ]
     return SimplicialComplex(vertices, frozenset().union(*ending_at.values()))
+
+
+def subdivision_size(K: SimplicialComplex) -> int:
+    """len(barycentric_subdivide(K).simplices), counted without building it:
+    the strict chains of faces that end at a k-vertex simplex are the ordered
+    partitions of its k vertices into nonempty parts, Fubini(k) of them."""
+    fubini = [1]
+    for k in range(1, K.dim + 2):
+        fubini.append(sum(comb(k, j) * fubini[k - j] for j in range(1, k + 1)))
+    return sum(fubini[len(s)] for s in K.simplices)
 
 
 def full_subcomplex(K: SimplicialComplex, A) -> SimplicialComplex:

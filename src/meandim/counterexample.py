@@ -1,9 +1,9 @@
 """The finite-horizon factor map with small image dimension and small fiber
 dimension, and the wedge-of-cones embedding over zero-dimensional bases.
 
-The factor map sends a sequence of cube coordinates through a shared padded
-width map block by block, with blocks cut by the dyadic odometer's return
-times. Two quantitative bounds are certified exactly at every finite horizon:
+The factor map sends a sequence of cube coordinates through a shared width
+map block by block, padding each image with zeros to the block length;
+blocks are cut by the dyadic odometer's return times. Two quantitative bounds are certified exactly at every finite horizon:
 the count of nonzero image entries per window, and the fiber-dimension
 bookkeeping through block products.
 
@@ -52,7 +52,7 @@ from .symbolic import (
     odometer_E,
     sbp_cover_refine,
 )
-from .widthmaps import PaddedBlockMap, grid_for_mesh, padded_block_map
+from .widthmaps import KuhnWidthPipeline, grid_for_mesh
 
 F = Fraction
 
@@ -203,12 +203,13 @@ class CounterexampleParams:
 @dataclass(eq=False)
 class FactorMapInstance:
     """The factor map at a finite horizon: cube-sequence windows are pushed
-    through the shared padded block map over the odometer's return blocks;
-    the zero-dimensional coordinate passes through unchanged."""
+    through the shared width map `pipeline` over the odometer's return
+    blocks, each image padded with zeros to the block length; the
+    zero-dimensional coordinate passes through unchanged."""
 
     params: CounterexampleParams
     tower: OdometerTower
-    block_map: PaddedBlockMap
+    pipeline: KuhnWidthPipeline
 
     @property
     def window_lo(self) -> int:
@@ -228,9 +229,11 @@ class FactorMapInstance:
         from the first of those blocks."""
         period = self.params.period
         starts = [a for a in self.block_starts(residue) if lo - period < a < hi]
+        padding = (F(0),) * (period - self.params.m + 1)
         values = []
         for a in starts:
-            values.extend(self.block_map.evaluate(x.restrict(a, a + period)))
+            values.extend(self.pipeline.evaluate(x.restrict(a, a + period)))
+            values.extend(padding)
         return WindowSeq(starts[0], tuple(values))
 
     def sample_state(self, rng: random.Random):
@@ -242,7 +245,7 @@ def build_counterexample(params: CounterexampleParams) -> FactorMapInstance:
     return FactorMapInstance(
         params=params,
         tower=OdometerTower(params.level),
-        block_map=padded_block_map(params.period, params.m, params.eps),
+        pipeline=KuhnWidthPipeline(params.period, params.m, params.grid),
     )
 
 
@@ -380,19 +383,18 @@ def fiber_dimension_certificate(
     cert_starts = [a for a in all_starts if a + period > -p.margin and a < N + p.margin]
 
     # every complete block in the window is constrained to its own width-map
-    # fiber, located once; the blocks meeting the certified range also enter
-    # the chain
-    block_map = inst.block_map
-    pipeline = block_map.pipeline
+    # fiber at half the scale, with the grid mesh below a quarter of it,
+    # located once; the blocks meeting the certified range also enter the
+    # chain
+    half, quarter = p.eps / 2, p.eps / 4
+    pipeline = inst.pipeline
     block_certs = {}
     for a in all_starts:
         flag = pipeline.locate_flag(x.restrict(a, a + period))
-        block_certs[a] = pipeline.fiber_certificate(
-            flag, block_map.block_scale, block_map.mesh_scale
-        )
+        block_certs[a] = pipeline.fiber_certificate(flag, half, quarter)
 
     # coordinates outside complete blocks are free
-    grid = block_map.grid
+    grid = p.grid
     lo, hi = inst.window_lo, inst.window_hi
     covered_lo, covered_hi = all_starts[0], all_starts[-1] + period
 
@@ -424,8 +426,8 @@ def fiber_dimension_certificate(
     final = relax_scale(
         chain,
         p.eps,
-        block_scale=format_fraction(p.eps / 2),
-        mesh_scale=format_fraction(p.eps / 4),
+        block_scale=format_fraction(half),
+        mesh_scale=format_fraction(quarter),
         two_sided_tail=format_fraction(two_sided_tail(p.margin)),
     )
     return final.with_records(
@@ -433,7 +435,7 @@ def fiber_dimension_certificate(
         structural_record(
             "window-tail-rule",
             margin=p.margin,
-            threshold=format_fraction(p.eps / 2),
+            threshold=format_fraction(half),
             two_sided_tail=format_fraction(two_sided_tail(p.margin)),
         ),
         structural_record(

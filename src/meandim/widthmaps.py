@@ -24,19 +24,19 @@ Three layers:
   shape), simplices are grouped by support pattern without a family sort
   and each pattern is sorted when first sampled, and each block's
   full-subcomplex dimension is computed once.
-* KuhnWidthPipeline / padded_block_map: the same map evaluated in closed
-  form, usable at any dimension. A point is located once, as a FlagPoint:
-  the vertex chain of its Kuhn simplex in weight order plus one weight per
-  chain prefix. Prefix j is a j-simplex of the grid, so its bucket is fixed
-  by j alone; evaluation, retraction and fiber sampling all read one
-  per-prefix bucket table. Location, evaluation, retraction and sampling
-  run on integer numerators over one denominator per flag, a retraction
-  stays an unrealized flag, a flag realizes its coordinates as integer
-  numerators too, and a Fraction is built only where a value leaves the
-  pipeline (image coordinates, distances). Its
-  certificates carry arithmetic bounds (grid mesh, chain-length bucket
-  dimensions) instead of materialized values; tests cross-check the two
-  layers on small grids.
+* KuhnWidthPipeline: the same map evaluated in closed form, usable at any
+  dimension (the factor map runs it on each block and pads the image with
+  zeros). A point is located once, as a FlagPoint: the vertex chain of its
+  Kuhn simplex in weight order plus one weight per chain prefix. Prefix j
+  is a j-simplex of the grid, so its bucket is fixed by j alone;
+  evaluation, retraction and fiber sampling all read one per-prefix bucket
+  table. Location, evaluation, retraction and sampling run on integer
+  numerators over one denominator per flag, a retraction stays an
+  unrealized flag, a flag realizes its coordinates as integer numerators
+  too, and a Fraction is built only where a value leaves the pipeline
+  (image coordinates, distances). Its certificates carry arithmetic bounds
+  (grid mesh, chain-length bucket dimensions) instead of materialized
+  values; tests cross-check the two layers on small grids.
 
 The radial chart between simplex and cube scales each ray from the center by
 the ratio of its two exit times, in closed form: from t = s/D, W_i = m*s_i - D
@@ -82,7 +82,6 @@ from .geometry import (
 from .serialize import format_fraction
 
 WEIGHT_DENOMINATOR = 64  # granularity of sampled rational convex weights
-_ZERO = Fraction(0)  # the shared padding entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,7 +584,6 @@ class CubeWidthMap:
     n: int
     m: int
     eps: Fraction
-    mesh_scale: Fraction
     grid: int
     inner: PartitionWidthMap  # on the subdivided triangulation
 
@@ -613,7 +611,7 @@ class CubeWidthMap:
             "n": self.n,
             "m": self.m,
             "eps": format_fraction(self.eps),
-            "mesh_scale": format_fraction(self.mesh_scale),
+            "mesh_scale": format_fraction(self.eps / 4),
             "grid": self.grid,
             "mesh": mesh.get("parent_mesh", mesh.get("mesh")),
             "vertices": len(K.vertices),
@@ -627,21 +625,14 @@ def estimate_subdivided_tops(n: int, g: int) -> int:
     return g**n * factorial(n) * factorial(n + 1)
 
 
-def cube_width_map(
-    n: int,
-    m: int,
-    eps,
-    mesh_scale=None,
-    budget: int = SIZE_BUDGET,
-) -> CubeWidthMap:
+def cube_width_map(n: int, m: int, eps) -> CubeWidthMap:
     """Width map [0,1]^n -> [0,1]^{m-1} whose fibers certify at dim n/m.
 
-    The triangulation is refined to star mesh strictly below mesh_scale
-    (eps/4 by default, the scale the downstream construction consumes), so
-    certificates discharge the mesh premise with that margin. The size
-    budget bounds the estimated subdivided top simplices and, separately,
-    the 2^m - 1 faces of the target simplex; both are checked before
-    anything is built.
+    The triangulation is refined to star mesh strictly below eps/4, the
+    scale the downstream construction consumes, so certificates discharge
+    the mesh premise with that margin. SIZE_BUDGET bounds the estimated
+    subdivided top simplices and, separately, the 2^m - 1 faces of the
+    target simplex; both are checked before anything is built.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -649,56 +640,18 @@ def cube_width_map(
     if m < 2:
         raise PreconditionError("m must be at least 2")
     if not 1 <= n <= 4:
-        raise PreconditionError("cube dimension out of range (1..4); use padded_block_map for larger blocks")
-    if faces_exceed((m,), budget):
+        raise PreconditionError("cube dimension out of range (1..4)")
+    if faces_exceed((m,), SIZE_BUDGET):
         raise BudgetExceededError(
             f"size budget exceeded: the target simplex on {m} vertices has 2^{m} - 1 "
-            f"faces > {budget}"
+            f"faces > {SIZE_BUDGET}"
         )
-    mesh_scale = Fraction(mesh_scale) if mesh_scale is not None else eps / 4
+    mesh_scale = eps / 4
     g = grid_for_mesh(mesh_scale)
     estimated = estimate_subdivided_tops(n, g)
-    if estimated > budget:
+    if estimated > SIZE_BUDGET:
         raise BudgetExceededError(
-            f"size budget exceeded: ~{estimated} subdivided simplices > {budget}"
+            f"size budget exceeded: ~{estimated} subdivided simplices > {SIZE_BUDGET}"
         )
     inner = bucket_width_map(kuhn_triangulate_cube(n, g), m, eps, mesh_scale)
-    return CubeWidthMap(n=n, m=m, eps=eps, mesh_scale=mesh_scale, grid=g, inner=inner)
-
-
-@dataclass(eq=False)
-class PaddedBlockMap:
-    """The width map padded with zeros back to the block's own dimension.
-
-    Evaluates [0,1]^n -> [0,1]^n with at most m-1 nonzero output entries;
-    fibers are the width-map fibers, certified by pipeline.fiber_certificate
-    at block_scale, half the construction scale, with the grid mesh strictly
-    below mesh_scale, a quarter of it.
-    """
-
-    n: int
-    m: int
-    eps: Fraction
-    grid: int
-    pipeline: KuhnWidthPipeline
-
-    @property
-    def block_scale(self) -> Fraction:
-        return self.eps / 2
-
-    @property
-    def mesh_scale(self) -> Fraction:
-        return self.eps / 4
-
-    def evaluate(self, x) -> tuple:
-        return self.pipeline.evaluate(x) + (_ZERO,) * (self.n - self.m + 1)
-
-
-def padded_block_map(n: int, m: int, eps) -> PaddedBlockMap:
-    if n < m:
-        raise PreconditionError("block dimension must be at least m")
-    eps = Fraction(eps)
-    g = grid_for_mesh(eps / 4)
-    return PaddedBlockMap(
-        n=n, m=m, eps=eps, grid=g, pipeline=KuhnWidthPipeline(n, m, g)
-    )
+    return CubeWidthMap(n=n, m=m, eps=eps, grid=g, inner=inner)

@@ -19,6 +19,7 @@ from meandim.certificates import CITATIONS
 from meandim.cli import PAYLOAD_BUILDERS, main
 from meandim.complexes import SimplicialComplex
 from meandim.counterexample import CounterexampleParams
+from meandim.serialize import canonical_json
 from meandim.symbolic import Sft
 
 
@@ -64,6 +65,25 @@ class TestComplexCommand:
         out = capsys.readouterr().out
         assert "dim 1" in out
         assert "dim 0" in out
+
+    def test_oversized_subdivision_exits_4(self, workdir, capsys):
+        # one 7-simplex has 255 faces, within the load budget, but its
+        # subdivision would have 1,091,669 simplices; a 6-simplex's has 94,585
+        def simplex_file(k):
+            path = workdir / f"simplex{k}.json"
+            path.write_text(json.dumps({"vertices": list(range(k)),
+                                        "maximal_simplices": [list(range(k))]}))
+            return str(path)
+
+        big = simplex_file(8)
+        start = time.perf_counter()
+        assert main(["complex", "subdivide", big]) == 4
+        assert main(["complex", "buckets", big, "--m", "2"]) == 4
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.count("1091669 simplices > 200000") == 2
+        out = workdir / "sub.json"
+        assert main(["complex", "subdivide", simplex_file(7), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["vertices"]) == 2**7 - 1
 
     def test_oversized_simplex_list_exits_4(self, workdir, capsys):
         # one 40-vertex simplex has 2^40 - 1 faces; twenty disjoint
@@ -491,7 +511,6 @@ RECIPE_INTEGERS = [
 # options whose zero is a value, refused where it is read like a negative
 # one, never replaced by the option's default
 VALUED_OPTIONS = [
-    (_GROMOV_MAP + ["--mesh-scale={}"], "mesh scale must be positive"),
     (["gromov", "fiber-check", "map.json", "--samples", "1", "--trials", "5", "--eta={}"],
      "eta must be positive"),
     (["counterexample", "fiber-cert", *_FACTOR, "--samples", "1", "--trials", "5", "--eta={}"],
@@ -695,86 +714,171 @@ class TestVerify:
 
 
 # One small artifact of each kind in cli.PAYLOAD_BUILDERS, with the SHA-256
-# of the file `--out` writes (canonical JSON plus a newline). A change that
-# alters any artifact's bytes must update its digest here and say why.
+# of the file `--out` writes (canonical JSON plus a newline) and of its
+# payload's canonical JSON. A change that alters any artifact's bytes must
+# update its digest here and say why; a payload digest changes only with
+# what the artifact computes, not with its recipe.
 GOLDEN_DIGESTS = [
     ("cube-width-map",
      ["gromov", "build", "--cube", "2", "--m", "2", "--eps", "1/2"],
-     "44ec37d98b54ffc2714f30b258ed90e1e8af86996b7da08c940282eb9bcdd2b6"),
+     "bae755e909cff5c6f74fe56c21cff46345a47adb41af5b2c249c44a7b9afbd73",
+     "96d18eb01a10173323d409ad7abec01843d01cfecf9ab1ed46f90855739eb17a"),
     ("gromov-fiber-batch",
      ["gromov", "fiber-check", "map.json", "--samples", "2", "--seed", "7", "--trials", "50"],
-     "c01f4609c109ea9140b69682426ca55177ba207bb769ec9a7c486908015914c9"),
+     "15e234e288fe7a0d3aa3c6865ab9a1dabb565bc505e9f34daea37a497e54ed4e",
+     "8a0f566fe15a5f8494942a944a8a2d90c52fbdc8f26901ce7fbcc8756103c08f"),
     ("ocap-report",
      ["ocap", "--sft", "golden.json", "--set", "one.json", "--limit"],
-     "c4f973a83a005782b270cead5d6868eef93bebaab4a89ccfa36a529bfadd37cc"),
+     "cd47b3f79911eea8ccf6be060cde4d2fd933c4332fceecfc60b99308de64c817",
+     "d24a7530e8b2b61c27580971aca4ed0fbe742dcad06d1d9d28ceb987fd2f38ed"),
     ("sbp-refine",
      ["sbp", "refine", "--sft", "golden.json", "--cover", "zero.json", "one.json",
       "--delta", "1/2"],
-     "99f54c39dd2d1247eb18d75360faee27795ad5c87a1c496d6daa87161fc86147"),
+     "99f54c39dd2d1247eb18d75360faee27795ad5c87a1c496d6daa87161fc86147",
+     "46be9e786c857138abf21e4eb5374d032f477632338e2f3daaee1f7c83e4b0fc"),
     ("counterexample-instance",
      ["counterexample", "build", "--delta", "1/2", "--eps", "1/2", "--N", "8"],
-     "ce467d575667f7a6eb4e4852c0ff7b7b4b4606ce0bc17b280339f4fbf996176d"),
+     "bfb595250e610fb89256cc0021a212155bc5e8d1738de7ab2433bb3a009d8439",
+     "0c42b86fcf7e1097427f23c8eb9ef883f8d4067ba43425f916d127975bdcb677"),
     ("count-report",
      ["counterexample", "check-counts", "--delta", "1/2", "--eps", "1/2", "--N", "8",
       "--samples", "2", "--seed", "1"],
-     "034f41db3198b28e62b3ad578081e67989cddd577f00d418a87532af742abe64"),
+     "e026703ffcaecd4ef753dc90b2bdc1bf4c416dd377eb9cd623489a34c6bd66d2",
+     "528ff678534f8fba630dd256b820291f9df5e94cb2d186c861e7edfd5cd6be84"),
     ("counterexample-fiber-batch",
      ["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2", "--N", "8",
       "--samples", "2", "--seed", "2", "--trials", "50"],
-     "39f08a1b7de97df96c0f277f3d63c669e54ed14397b6a9d828dad15d7a57779e"),
+     "39f08a1b7de97df96c0f277f3d63c669e54ed14397b6a9d828dad15d7a57779e",
+     "0edff2c969c8c7f09750fb635e55017523b058a3b37112186db7b24f922f1150"),
     ("mdim-report",
      ["counterexample", "report", "--delta", "1/2", "--eps", "1/2", "--N", "8",
       "--samples", "2", "--seed", "3"],
-     "eaa33830ae64f8449fa3aae2a30c79085b7e9d9ca65385082266e19e3dbc171c"),
+     "b8dc3bf66da54d750d2ba5fe0841aa77823ff9b7d32c14190cb08aa084f6c242",
+     "00a45548d0ae9c86066958ec77e44d680e3cdc05c4048d5ed0aca141cf5a5c6c"),
 ]
 
 
-def test_golden_artifact_digests(workdir):
-    assert sorted(kind for kind, _, _ in GOLDEN_DIGESTS) == sorted(PAYLOAD_BUILDERS)
+def assert_digests(path: Path, file_digest: str, payload_digest: str, name):
+    data = path.read_bytes()
+    payload = canonical_json(json.loads(data)["payload"]).encode()
+    assert hashlib.sha256(payload).hexdigest() == payload_digest, name
+    assert hashlib.sha256(data).hexdigest() == file_digest, name
+
+
+# the keys that recipes written by earlier versions hold and no payload reads
+OLD_RECIPE_KEYS = {"samples": 20, "trials": 200, "eta": None, "mesh_scale": None}
+
+
+def test_every_recipe_key_is_read(workdir):
+    """Deleting any one key of a recipe makes `verify` exit 2, and the keys
+    that earlier versions also wrote are ignored."""
     write_golden(workdir)
     (workdir / "zero.json").write_text(json.dumps([[0, "0"]]))
-    for kind, args, digest in GOLDEN_DIGESTS:
+    assert main(_GROMOV_MAP + ["--out", "map.json"]) == 0
+    ocap_finite = ["ocap", "--sft", "golden.json", "--set", "one.json", "--N", "8"]
+    mutant = workdir / "mutant.json"
+    for args in [args for _, args, _, _ in GOLDEN_DIGESTS] + [ocap_finite]:
+        assert main(args + ["--out", "artifact.json"]) == 0, args
+        artifact = json.loads((workdir / "artifact.json").read_text())
+        recipe = artifact["recipe"]
+        for key in recipe:
+            mutant.write_text(json.dumps(
+                dict(artifact, recipe={k: v for k, v in recipe.items() if k != key})))
+            assert main(["verify", str(mutant)]) == 2, (args, key)
+        # earlier versions wrote "mode" into ocap recipes, "limit" where N is null
+        mode = "limit" if recipe.get("N", 0) is None else "finite"
+        old = dict(OLD_RECIPE_KEYS, mode=mode, **recipe)
+        mutant.write_text(json.dumps(dict(artifact, recipe=old)))
+        assert main(["verify", str(mutant)]) == 0, args
+
+
+# options that no payload of the action reads, and a second --eps or --N
+# where the action takes one
+REFUSED_OPTIONS = [
+    ["counterexample", "build", *_FACTOR, "--samples", "3"],
+    ["counterexample", "check-counts", *_FACTOR, "--trials", "5"],
+    ["counterexample", "report", *_FACTOR, "--eta", "1"],
+    _GROMOV_MAP + ["--mesh-scale", "1/8"],
+] + [
+    ["counterexample", action, "--delta", "1/2", *twice]
+    for action in ("build", "check-counts", "fiber-cert")
+    for twice in (["--eps", "1/2", "1/3", "--N", "8"], ["--eps", "1/2", "--N", "8", "16"])
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_OPTIONS, ids=" ".join)
+def test_option_no_payload_reads_is_refused(workdir, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", "artifact.json"])
+    assert err.value.code == 2
+    assert not (workdir / "artifact.json").exists()
+
+
+def test_readme_commands_parse():
+    """Every `meandim ...` line of the README's Command line block parses
+    (nothing is run), so an option the CLI no longer takes cannot linger in
+    the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [
+        line.split("#", 1)[0].split()[1:]
+        for line in block.splitlines()
+        if line.startswith("meandim ")
+    ]
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS) - {"complex"}
+    for argv in commands:
+        cli._parser().parse_args(argv)
+
+
+def test_golden_artifact_digests(workdir):
+    assert sorted(kind for kind, _, _, _ in GOLDEN_DIGESTS) == sorted(PAYLOAD_BUILDERS)
+    write_golden(workdir)
+    (workdir / "zero.json").write_text(json.dumps([[0, "0"]]))
+    for kind, args, file_digest, payload_digest in GOLDEN_DIGESTS:
         out = "map.json" if kind == "cube-width-map" else "artifact.json"
         assert main(args + ["--out", out]) == 0, kind
-        data = (workdir / out).read_bytes()
-        assert json.loads(data)["kind"] == kind
-        assert hashlib.sha256(data).hexdigest() == digest, kind
+        assert json.loads((workdir / out).read_bytes())["kind"] == kind
+        assert_digests(workdir / out, file_digest, payload_digest, kind)
 
 
 # The golden digests pin the 2-cube; these pin a 3-cube map (grid 3) and a
 # fiber check on it.
 CUBE3_DIGESTS = [
     (["gromov", "build", "--cube", "3", "--m", "3", "--eps", "4", "--out", "map.json"],
-     "686c35f37cea67837518478b76cbf33ab38c8e7c788e8f7c2181414358a7f7ee"),
+     "858efef1c56e7ce91f22d79ddc569c5a112341abbac557e9d03b9ac1e3cf6790",
+     "d31563c8b1226f31c117e7e12232390eaf2ab79e23a92da44d1ca149946316bc"),
     (["gromov", "fiber-check", "map.json", "--samples", "2", "--seed", "7", "--trials", "50",
       "--out", "fibers.json"],
-     "cf393c1d7ee30003fe90706e6eb2ced5c727594336a9812b4c516689838109e9"),
+     "e98e1249887b6e834d7b953fd59a754a98b70137745826c4205c9942f1cafda4",
+     "978df91c42e7db560687e551318e027d0a73bc247abc3f73ed07272244c8ec8f"),
 ]
 
 
 def test_three_cube_artifact_digests(workdir):
-    for args, digest in CUBE3_DIGESTS:
+    for args, file_digest, payload_digest in CUBE3_DIGESTS:
         assert main(args) == 0, args[1]
-        assert hashlib.sha256((workdir / args[-1]).read_bytes()).hexdigest() == digest, args[1]
+        assert_digests(workdir / args[-1], file_digest, payload_digest, args[1])
 
 
 # The benchmark's factor-fiber workload at seed 3: its check-counts at 200
 # samples, and one of its fiber-cert commands (the workload's seed 3 draws
-# this one's seed, 12), with the digests of their files.
+# this one's seed, 12), with the digests of their files and payloads.
 FACTOR_FIBER_DIGESTS = [
     (["counterexample", "check-counts", "--delta", "1/2", "--eps", "1/2", "--N", "16",
       "--seed", "3", "--samples", "200"],
-     "02430ce9914cf128b839ba652ee6f558ae51365da77d554a755627d54bea5f69"),
+     "5ed6c98c1ecf89ddac793704e7143653d3a69e93a48f88e133ff08f07f2cb09f",
+     "814efeaffca7ffa4ff813d03a988e83371b76ca35dc554431c7cd7de1cff93bb"),
     (["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2", "--N", "16",
       "--seed", "12", "--samples", "2", "--trials", "30"],
-     "69ddbb828dbc7127d368c004e5fcc1575aad83129c8e2a4b2e4962814d8dbec8"),
+     "69ddbb828dbc7127d368c004e5fcc1575aad83129c8e2a4b2e4962814d8dbec8",
+     "c1fac1c9259f4377e846626113e60fdcd5b1e5d10a9b8f61cc8869c997f73035"),
 ]
 
 
-@pytest.mark.parametrize("args, digest", FACTOR_FIBER_DIGESTS)
-def test_factor_fiber_workload_digests(workdir, args, digest):
+@pytest.mark.parametrize("args, file_digest, payload_digest", FACTOR_FIBER_DIGESTS)
+def test_factor_fiber_workload_digests(workdir, args, file_digest, payload_digest):
     assert main(args + ["--out", "artifact.json"]) == 0
-    assert hashlib.sha256((workdir / "artifact.json").read_bytes()).hexdigest() == digest
+    assert_digests(workdir / "artifact.json", file_digest, payload_digest, args[1])
 
 
 class TestModuleEntryPoint:

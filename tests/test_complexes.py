@@ -17,6 +17,7 @@ from meandim.complexes import (
     dimension_buckets,
     faces_exceed,
     full_subcomplex,
+    subdivision_size,
     wedge_cones,
 )
 from meandim.errors import PreconditionError
@@ -177,6 +178,19 @@ def random_complexes(draw, max_vertices=6, max_facets=5):
         )
     )
     return SimplicialComplex.from_maximal(verts, facets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=random_complexes())
+def test_subdivision_size_counts_the_subdivision(K):
+    assert subdivision_size(K) == len(barycentric_subdivide(K).simplices)
+
+
+def test_subdivision_size_of_one_simplex_sums_fubini_numbers():
+    # the 6- and 7-simplex: sum over k of C(n, k) * Fubini(k)
+    for n, size in ((7, 94_585), (8, 1_091_669)):
+        K = SimplicialComplex.from_maximal(list(range(n)), [list(range(n))])
+        assert subdivision_size(K) == size
 
 
 @settings(max_examples=60, deadline=None)

@@ -114,8 +114,33 @@ class TestFactorMap:
         x, r = inst.sample_state(rng)
         fx = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
         for a in inst.block_starts(r):
-            expected = inst.block_map.evaluate(x.restrict(a, a + 8))
+            expected = inst.pipeline.evaluate(x.restrict(a, a + 8)) + (F(0),) * 6
             assert fx.restrict(a, a + 8) == expected
+
+    def test_each_block_image_has_the_block_length_and_zero_padding(self):
+        inst = build_counterexample(std_params(N=8))
+        m = inst.params.m
+        rng = random.Random(17)
+        tails = set()
+        for _ in range(10):
+            x, r = inst.sample_state(rng)
+            starts = inst.block_starts(r)
+            fx = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
+            assert (fx.start, fx.end) == (starts[0], starts[-1] + 8)
+            for a in starts:
+                block = fx.restrict(a, a + 8)
+                assert len(block) == 8
+                assert sum(1 for c in block if c != 0) <= m - 1 == 2
+                tails.add(block[m - 1:])
+        # the entries after the first m - 1 are the same zeros for every block
+        assert tails == {(F(0),) * 6}
+
+    def test_block_shorter_than_m_is_refused(self):
+        # level 1 gives blocks of length 2 < m = 3
+        with pytest.raises(PreconditionError, match="parameter inequality"):
+            CounterexampleParams(
+                delta=F(1, 2), eps=F(1, 2), m=3, level=1, grid=17, horizon=8, margin=3
+            )
 
     def test_blocks_cover_requested_horizon(self):
         inst = build_counterexample(std_params(N=16))
@@ -220,12 +245,12 @@ def realized_sampler(inst, state):
     then each complete block's sampled flag realized on the grid, then tail
     coordinates, in the draw order of fiber_dimension_certificate."""
     x, r = state
-    bm = inst.block_map
-    period = inst.params.period
+    pipeline, p = inst.pipeline, inst.params
+    period = p.period
     starts = inst.block_starts(r)
     certs = [
-        bm.pipeline.fiber_certificate(
-            bm.pipeline.locate_flag(x.restrict(a, a + period)), bm.block_scale, bm.mesh_scale
+        pipeline.fiber_certificate(
+            pipeline.locate_flag(x.restrict(a, a + period)), p.eps / 2, p.eps / 4
         )
         for a in starts
     ]
@@ -233,7 +258,7 @@ def realized_sampler(inst, state):
     def sample(rng):
         values = list(sample_coordinates(rng, starts[0] - inst.window_lo))
         for cert in certs:
-            values.extend(realized(cert.domain.sample(rng), bm.grid))
+            values.extend(realized(cert.domain.sample(rng), pipeline.grid))
         values.extend(sample_coordinates(rng, inst.window_hi - starts[-1] - period))
         return WindowSeq(inst.window_lo, tuple(values))
 
@@ -401,7 +426,7 @@ class TestFiberCertificate:
 
     def test_target_dist_is_flat_linf_of_realized_retractions(self):
         inst = build_counterexample(std_params(N=16))
-        grid = inst.block_map.grid
+        grid = inst.pipeline.grid
 
         def realized_all(value):
             if isinstance(value, tuple):

@@ -31,7 +31,6 @@ from meandim.widthmaps import (
     bucket_width_map,
     cube_width_map,
     grid_for_mesh,
-    padded_block_map,
     partition_map,
     standard_simplex_target,
 )
@@ -406,14 +405,15 @@ class TestCubeWidthMap:
         assert grid_for_mesh(F(2, 3)) == 4
 
     def test_budget(self):
+        # the 4-cube at grid 17: ~17^4 * 4! * 5! subdivided simplices
         with pytest.raises(BudgetExceededError, match="size budget"):
-            cube_width_map(4, 2, F(1, 2), budget=1000)
+            cube_width_map(4, 2, F(1, 2))
 
     def test_target_faces_count_against_the_budget(self):
-        # the 2-simplex target has 7 faces; m = 10**9 is refused without
-        # computing 2**m
+        # the 17-simplex target has 2^18 - 1 = 262,143 faces, over
+        # SIZE_BUDGET; m = 10**9 is refused without computing 2**m
         with pytest.raises(BudgetExceededError, match="target simplex"):
-            cube_width_map(1, 3, F(1, 2), budget=6)
+            cube_width_map(1, 18, F(1, 2))
         with pytest.raises(BudgetExceededError, match="target simplex"):
             cube_width_map(1, 10**9, F(1, 2))
 
@@ -445,7 +445,7 @@ class TestClosedFormAgainstExplicit:
         # dual route: flag location + bucket sums vs explicit point location
         # in the materialized subdivision followed by the simplicial map; the
         # chart is a bijection, so equal cube points mean equal bucket sums
-        wm = cube_width_map(2, 2, F(1), mesh_scale=F(2, 3))
+        wm = cube_width_map(2, 2, F(8, 3))  # grid 4
         pipeline = KuhnWidthPipeline(wm.n, wm.m, wm.grid)
         sub = wm.inner.geometry
         rng = random.Random(13)
@@ -460,7 +460,7 @@ class TestClosedFormAgainstExplicit:
     def test_retract_matches_explicit_bucket_part(self):
         # retracting a located flag onto bucket i realizes the normalized
         # bucket-i part of the point's weights in the materialized subdivision
-        wm = cube_width_map(2, 2, F(1), mesh_scale=F(2, 3))
+        wm = cube_width_map(2, 2, F(8, 3))  # grid 4
         pipeline = KuhnWidthPipeline(wm.n, wm.m, wm.grid)
         sub = wm.inner.geometry
         rng = random.Random(41)
@@ -484,41 +484,27 @@ class TestClosedFormAgainstExplicit:
     def test_closed_form_bucket_dims_match_exact(self):
         from meandim.complexes import bucket_dimension_bound, full_subcomplex
 
-        wm = cube_width_map(2, 2, F(1), mesh_scale=F(2, 3))
+        wm = cube_width_map(2, 2, F(8, 3))  # grid 4
         for i, block in enumerate(wm.inner.partition.blocks, start=1):
             exact = full_subcomplex(wm.inner.geometry.complex, block).dim
             assert exact == bucket_dimension_bound(2, 2, i)
 
 
-class TestPaddedBlockMap:
-    def test_output_shape_and_padding(self):
-        bm = padded_block_map(8, 3, F(1, 2))
-        rng = random.Random(17)
-        for _ in range(10):
-            x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-            y = bm.evaluate(x)
-            assert len(y) == 8
-            assert all(c == 0 for c in y[2:])
-            assert sum(1 for c in y if c != 0) <= bm.m - 1 == 2
+# the factor map's block pipeline at delta = eps = 1/2: blocks of length 8,
+# m = 3, certified at eps/2 with the grid mesh below eps/4
+BLOCK, M, BLOCK_SCALE, MESH_SCALE = 8, 3, F(1, 4), F(1, 8)
 
-    def test_padded_coordinates_constant(self):
-        bm = padded_block_map(4, 3, F(1, 2))
-        rng = random.Random(19)
-        xs = [tuple(F(rng.randint(0, 16), 16) for _ in range(4)) for _ in range(5)]
-        tails = {bm.evaluate(x)[2:] for x in xs}
-        assert len(tails) == 1
 
-    def test_requires_n_at_least_m(self):
-        with pytest.raises(PreconditionError):
-            padded_block_map(2, 3, F(1, 2))
+def block_pipeline() -> KuhnWidthPipeline:
+    return KuhnWidthPipeline(BLOCK, M, grid_for_mesh(MESH_SCALE))
 
+
+class TestBlockPipeline:
     def test_fiber_certificate_dimension(self):
-        bm = padded_block_map(8, 3, F(1, 2))
+        pipeline = block_pipeline()
         rng = random.Random(23)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        cert = bm.pipeline.fiber_certificate(
-            bm.pipeline.locate_flag(x), bm.block_scale, bm.mesh_scale
-        )
+        cert = pipeline.fiber_certificate(pipeline.locate_flag(x), BLOCK_SCALE, MESH_SCALE)
         assert cert.target_dim <= F(8, 3)
         assert cert.all_structural_discharged
         assert cert.epsilon == F(1, 4)
@@ -531,20 +517,18 @@ class TestPaddedBlockMap:
         assert cert.all_structural_discharged
 
     def test_fiber_samples_are_true_fiber_points(self):
-        bm = padded_block_map(8, 3, F(1, 2))
+        pipeline = block_pipeline()
         rng = random.Random(29)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        p = bm.evaluate(x)
-        cert = bm.pipeline.fiber_certificate(
-            bm.pipeline.locate_flag(x), bm.block_scale, bm.mesh_scale
-        )
+        p = pipeline.evaluate(x)
+        cert = pipeline.fiber_certificate(pipeline.locate_flag(x), BLOCK_SCALE, MESH_SCALE)
         for _ in range(5):
             flag = cert.domain.sample(rng)
-            sample_x = realized(flag, bm.grid)
-            assert bm.evaluate(sample_x) == p
+            sample_x = realized(flag, pipeline.grid)
+            assert pipeline.evaluate(sample_x) == p
 
     def test_fiber_samples_keep_chain_and_bucket_sums(self):
-        pipeline = padded_block_map(8, 3, F(1, 2)).pipeline
+        pipeline = block_pipeline()
         rng = random.Random(47)
         # ties leave prefixes 0 and 5 with zero weight inside the two
         # supported buckets; bucket 3 is empty
@@ -564,12 +548,10 @@ class TestPaddedBlockMap:
                 assert [a * flag.denom for a in got] == [b * sample.denom for b in sums]
 
     def test_fiber_check_no_violations(self):
-        bm = padded_block_map(8, 3, F(1, 2))
+        pipeline = block_pipeline()
         rng = random.Random(31)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        cert = bm.pipeline.fiber_certificate(
-            bm.pipeline.locate_flag(x), bm.block_scale, bm.mesh_scale
-        )
+        cert = pipeline.fiber_certificate(pipeline.locate_flag(x), BLOCK_SCALE, MESH_SCALE)
         record = check_certificate(cert, trials=300, seed=37)
         assert record.status == "sampled-only"
 
@@ -627,7 +609,7 @@ class TestIntegerFlags:
     only for the coordinates it returns."""
 
     def test_locate_and_retract_build_only_output_coordinates(self, request):
-        pipeline = padded_block_map(8, 3, F(1, 2)).pipeline
+        pipeline = block_pipeline()
         rng = random.Random(59)
         points = [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(50)]
         built = request.getfixturevalue("fraction_count")
@@ -643,17 +625,15 @@ class TestIntegerFlags:
             assert built == []
 
     def test_evaluate_and_target_distance_build_only_output_values(self, request):
-        bm = padded_block_map(8, 3, F(1, 2))
+        pipeline = block_pipeline()
         rng = random.Random(67)
         points = [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(20)]
-        cert = bm.pipeline.fiber_certificate(
-            bm.pipeline.locate_flag(points[0]), bm.block_scale, bm.mesh_scale
-        )
+        cert = pipeline.fiber_certificate(pipeline.locate_flag(points[0]), BLOCK_SCALE, MESH_SCALE)
         samples = [cert.domain.sample(rng) for _ in range(20)]
         built = request.getfixturevalue("fraction_count")
         for x in points:
-            bm.evaluate(x)
-            assert len(built) == bm.m - 1  # the padding is one shared zero
+            pipeline.evaluate(x)
+            assert len(built) == pipeline.m - 1  # the image coordinates
             del built[:]
         for a, b in zip(samples, samples[1:]):
             cert.target_dist(cert.evaluator(a), cert.evaluator(b))
@@ -663,21 +643,21 @@ class TestIntegerFlags:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_target_dist_is_flat_linf_of_realized_retractions(self, seed):
-        bm = padded_block_map(8, 3, F(1, 2))
+        pipeline = block_pipeline()
         rng = random.Random(seed)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        flag = bm.pipeline.locate_flag(x)
-        cert = bm.pipeline.fiber_certificate(flag, bm.block_scale, bm.mesh_scale)
+        flag = pipeline.locate_flag(x)
+        cert = pipeline.fiber_certificate(flag, BLOCK_SCALE, MESH_SCALE)
         points = [flag] + [cert.domain.sample(rng) for _ in range(6)]
         for a, b in zip(points, points[1:]):
             ra, rb = cert.evaluator(a), cert.evaluator(b)
             got = cert.target_dist(ra, rb)
             assert type(got) is F
-            assert got == flat_linf(realized(ra, bm.grid), realized(rb, bm.grid))
+            assert got == flat_linf(realized(ra, pipeline.grid), realized(rb, pipeline.grid))
 
     def test_dist_on_one_chain_realizes_the_weight_difference_once(self, monkeypatch):
-        bm = padded_block_map(8, 3, F(1, 2))
-        pipeline, g = bm.pipeline, bm.grid
+        pipeline = block_pipeline()
+        g = pipeline.grid
         realize = FlagPoint.realize
         calls = []
 
@@ -700,7 +680,7 @@ class TestIntegerFlags:
         rng = random.Random(73)
         for _ in range(40):
             flag = pipeline.locate_flag(tuple(F(rng.randint(0, 64), 64) for _ in range(8)))
-            dist = pipeline.fiber_certificate(flag, bm.block_scale, bm.mesh_scale).domain.dist
+            dist = pipeline.fiber_certificate(flag, BLOCK_SCALE, MESH_SCALE).domain.dist
             a, b = random_flag(rng, flag.chain), random_flag(rng, flag.chain)
             scaled = FlagPoint(a.chain, tuple(3 * w for w in a.weights), 3 * a.denom)
             for u, v in ((a, b), (a, a), (a, scaled), (flag, b)):
