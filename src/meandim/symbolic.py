@@ -75,12 +75,15 @@ class Sft:
         return cls(("0", "1"), frozenset({("0", "0"), ("0", "1"), ("1", "0")}))
 
     def words(self, length: int) -> tuple:
-        """Language words of the given length, sorted.
+        """Language words of the given length, sorted."""
+        return tuple(self.word_index(length))
 
-        Every word graph and cylinder set is built from these lists, so a
-        length above WORD_BUDGET, or more than WORD_BUDGET words at this
-        length or on the way to it, raises BudgetExceededError instead of
-        exhausting memory.
+    def word_index(self, length: int) -> dict:
+        """The sorted language words of the given length, each mapped to its
+        position; cached per length. Every word graph and cylinder set is built
+        from these words, so a length above WORD_BUDGET, or more than
+        WORD_BUDGET words at this length or on the way to it, raises
+        BudgetExceededError instead of exhausting memory.
         """
         if length < 0:
             raise PreconditionError("length must be nonnegative")
@@ -104,16 +107,8 @@ class Sft:
                         f"{len(result)} words of length {step} exceed the word "
                         f"budget {WORD_BUDGET}"
                     )
-            cache[length] = tuple(sorted(result, key=repr))
+            cache[length] = {w: i for i, w in enumerate(sorted(result, key=repr))}
         return cache[length]
-
-    def is_word(self, word) -> bool:
-        word = tuple(word)
-        if any(s not in self.alphabet for s in word):
-            return False
-        return all(
-            (word[i], word[i + 1]) in self.transitions for i in range(len(word) - 1)
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,9 +139,8 @@ class CylinderSet:
     words: frozenset
 
     def __post_init__(self):
-        for w in self.words:
-            if len(w) != self.length or not self.sft.is_word(w):
-                raise PreconditionError("cylinder word outside the language")
+        if not self.sft.word_index(self.length).keys() >= self.words:
+            raise PreconditionError("cylinder word outside the language")
 
     @classmethod
     def whole(cls, sft: Sft) -> "CylinderSet":
@@ -270,10 +264,8 @@ class OcapResult:
 
 
 def _word_graph(sft: Sft, length: int):
-    words = sft.words(length)
-    if not words:
-        raise PreconditionError("empty language")
-    index = {w: i for i, w in enumerate(words)}
+    index = sft.word_index(length)  # nonempty: the graph is essential
+    words = tuple(index)
     succs = [[] for _ in words]
     symbols = sorted(sft.alphabet, key=repr)
     for i, w in enumerate(words):
@@ -348,33 +340,40 @@ def _relax(row, succs, gain):
     return nxt
 
 
-def _shape(row):
-    """(top, row - top): the row's largest entry, and the row less it with
-    its None entries kept in place."""
-    top = max((x for x in row if x is not None), default=0)
-    return top, [None if x is None else x - top for x in row]
+def _repeat_shift(row, mark):
+    """K with row = mark + K, None entries alike (0 if all are), else None."""
+    shift = None
+    for x, y in zip(row, mark):
+        if x is None or y is None:
+            if x is not y:
+                return None
+        elif shift is None:
+            shift = x - y
+        elif x - y != shift:
+            return None
+    return shift or 0
 
 
 def _iterate_until_repeat(row, advance, limit):
     """Apply `advance` to `row` up to `limit` times, and stop at the first
     row that is an earlier row plus a constant, with the same None pattern.
 
-    Brent's method: one mark row, kept as its shape (top, row - top), is
-    compared with each new row and moved forward to the newest row at
-    power-of-two distances, so memory stays one row besides the current one.
-    Returns (done, row, period, shift): the steps applied, the last row, the
-    steps back to the mark row, and the constant with row = mark + shift;
+    Brent's method: one mark row is compared with each new row, up to the
+    first entry that rules out a repeat, and moved forward to the newest row
+    at power-of-two distances, so memory stays one row besides the current
+    one. Returns (done, row, period, shift): the steps applied, the last row,
+    the steps back to the mark row, and the constant with row = mark + shift;
     period and shift are None if no repeat shows within `limit` steps.
     """
-    mark_top, mark = _shape(row)
+    mark = row
     power = period = 1
     for done in range(1, limit + 1):
         row = advance(row)
-        top, shape = _shape(row)
-        if shape == mark:
-            return done, row, period, top - mark_top
+        shift = _repeat_shift(row, mark)
+        if shift is not None:
+            return done, row, period, shift
         if period == power:
-            mark_top, mark = top, shape
+            mark = row
             power *= 2
             period = 0
         period += 1

@@ -16,7 +16,7 @@ from meandim.counterexample import (
     fiber_dimension_certificate,
     sample_coordinates,
 )
-from meandim.errors import InsufficientWindowError, PreconditionError
+from meandim.errors import BudgetExceededError, InsufficientWindowError, PreconditionError
 from meandim.symbolic import (
     HILBERT_METRIC,
     INTEGER_HILBERT_METRIC,
@@ -29,6 +29,7 @@ from meandim.symbolic import (
     WindowSeq,
     d_N,
     d_N_bounds,
+    WORD_BUDGET,
     max_subsampled_visits,
     ocap_finite_N,
     ocap_limit,
@@ -106,6 +107,29 @@ def spy_on_repeats(monkeypatch):
     return seen
 
 
+def shape_repeat_search(row, advance, limit):
+    """Oracle: the repeat search that normalizes every row to (top, row -
+    top), top its largest entry, and compares the whole normalized rows."""
+
+    def shape(row):
+        top = max((x for x in row if x is not None), default=0)
+        return top, [None if x is None else x - top for x in row]
+
+    mark_top, mark = shape(row)
+    power = period = 1
+    for done in range(1, limit + 1):
+        row = advance(row)
+        top, normal = shape(row)
+        if normal == mark:
+            return done, row, period, top - mark_top
+        if period == power:
+            mark_top, mark = top, normal
+            power *= 2
+            period = 0
+        period += 1
+    return limit, row, None, None
+
+
 @st.composite
 def weighted_graphs(draw):
     """A graph of several strongly connected components: cyclic blocks of
@@ -157,13 +181,32 @@ def sft_and_constraints(draw):
     return Sft(tuple(symbols), transitions), constraints
 
 
+def language(sft, length):
+    """Oracle: the words of the given length whose adjacent pairs are all
+    allowed transitions, by enumerating every word over the alphabet."""
+    return [
+        w
+        for w in itertools.product(sorted(sft.alphabet), repeat=length)
+        if all(pair in sft.transitions for pair in zip(w, w[1:]))
+    ]
+
+
+def meets(constraints, offset, word):
+    """Whether a word on the window starting at `offset` meets every
+    (offset, word) constraint, each inside that window."""
+    return all(
+        o >= offset and word[o - offset : o - offset + len(req)] == req
+        for o, req in constraints
+    )
+
+
 def best_cycle_mean(sft, constraints):
     """Oracle: the max over L <= n and v of (A^L)[v][v] / L, where A is the
     max-plus matrix of the n-node word graph of the constraints' window and an
     edge into a word weighs 1 when the word meets every constraint."""
     lo = min(o for o, _ in constraints)
     length = max(o + len(w) for o, w in constraints) - lo
-    nodes = [w for w in itertools.product(sft.alphabet, repeat=length) if sft.is_word(w)]
+    nodes = language(sft, length)
     weight = {
         w: int(all(w[o - lo : o - lo + len(req)] == req for o, req in constraints))
         for w in nodes
@@ -245,6 +288,63 @@ class TestCylinderAlgebra:
         gm = Sft.golden_mean()
         assert CylinderSet.whole(gm).contains_point(WindowSeq(0, ("0",)))
         assert CylinderSet.empty(gm).is_empty
+
+
+    @pytest.mark.parametrize(
+        "length, word",
+        [
+            (2, ("1", "1")),  # a forbidden transition
+            (2, ("0",)),  # the wrong length
+            (1, ("2",)),  # a symbol outside the alphabet
+            (2, "01"),  # a str, not a tuple of symbols
+        ],
+    )
+    def test_direct_construction_checks_the_language(self, length, word):
+        with pytest.raises(PreconditionError, match="outside the language"):
+            CylinderSet(Sft.golden_mean(), 0, length, frozenset({word}))
+
+    def test_direct_construction_checks_the_word_budget(self):
+        with pytest.raises(BudgetExceededError, match="word budget"):
+            CylinderSet(Sft.golden_mean(), 0, WORD_BUDGET + 1, frozenset())
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=sft_and_constraints(), data=st.data())
+    def test_algebra_matches_brute_force_filter(self, instance, data):
+        sft, constraints = instance
+        symbols = sorted(sft.alphabet)
+        others = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(-1, 1),
+                    st.lists(st.sampled_from(symbols), min_size=1, max_size=3).map(tuple),
+                ),
+                max_size=2,
+            )
+        )
+        lo, hi = data.draw(st.integers(-2, 1)), data.draw(st.integers(0, 4))
+        A = CylinderSet.from_constraints(sft, constraints)
+        B = CylinderSet.from_constraints(sft, others)
+
+        def in_a(offset, w):
+            return meets(constraints, offset, w)
+
+        def in_b(offset, w):
+            return meets(others, offset, w)
+
+        built = [
+            (A, in_a),
+            (B, in_b),
+            (A.refine(lo, hi), in_a),
+            (A.union(B), lambda o, w: in_a(o, w) or in_b(o, w)),
+            (A.intersection(B), lambda o, w: in_a(o, w) and in_b(o, w)),
+            (A.difference(B), lambda o, w: in_a(o, w) and not in_b(o, w)),
+            (B.difference(A), lambda o, w: in_b(o, w) and not in_a(o, w)),
+            (A.complement(), lambda o, w: not in_a(o, w)),
+            (B.complement(), lambda o, w: not in_b(o, w)),
+        ]
+        for C, member in built:
+            expected = {w for w in language(sft, C.length) if member(C.offset, w)}
+            assert C.words == expected
 
 
 class TestOcapFiniteN:
@@ -396,6 +496,27 @@ class TestOcapLimit:
         succs, weights = [[1], [0]], [0, 1]
         assert symbolic._karp_max_mean([0, 1], succs, weights) == F(1, 2)
         assert seen == [(2, None)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=weighted_graphs(), data=st.data())
+    def test_repeat_search_matches_shape_search(self, graph, data):
+        succs, weights = graph
+        n = len(succs)
+        starts = [
+            list(weights),
+            [0] + [None] * (n - 1),
+            [None] * n,
+            data.draw(st.lists(st.none() | st.integers(-3, 3), min_size=n, max_size=n)),
+        ]
+        limit = data.draw(st.integers(0, 3 * n))
+
+        def advance(row):
+            return symbolic._relax(row, succs, weights)
+
+        for row in starts:
+            assert symbolic._iterate_until_repeat(
+                row, advance, limit
+            ) == shape_repeat_search(row, advance, limit)
 
     def test_large_graph_in_bounded_memory(self, monkeypatch):
         seen = spy_on_repeats(monkeypatch)
