@@ -61,7 +61,6 @@ from .symbolic import (
     Sft,
     WindowSeq,
     d_N,
-    d_N_bounds,
     ocap_finite_N,
     ocap_limit,
     ocap_neighborhood,
@@ -70,7 +69,6 @@ from .symbolic import (
 )
 from .widthmaps import (
     CubeWidthMap,
-    SimplicialMap,
     bucket_width_map,
     cube_width_map,
     partition_map,

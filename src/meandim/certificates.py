@@ -109,8 +109,8 @@ def sampled_record(name: str, status: str, witness=None, **data) -> DischargeRec
 # verifier must still recognize the name. The premise behind each name:
 #   retraction-fibers-lie-in-stars: each fiber lies in one vertex star, which
 #     the adjacent star-mesh-* record (star-mesh-grid-bound) keeps below scale
-#   simplicial-by-block-collapse: any set of blocks spans a face of the full
-#     target simplex, checked per source simplex when SimplicialMap is built
+#   simplicial-by-block-collapse: every nonempty set of the m target vertices
+#     is a face of the full target simplex, so the block map needs no check
 #   identity-embedding-fibers-are-points: identity fibers have diameter 0
 #   isometric-inclusion: phi preserves distances, so none can shrink
 #   coordinate-projection: the blocks of the chain-itinerary-covers-range

@@ -628,9 +628,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MeanDimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,8 @@ simplex of three or more vertices once. An edge's facets are its vertices'
 singletons, which the check that every vertex has its singleton covers;
 a vertex on an edge without its singleton is reported as a closure fault.
 The same loop records which simplices are maximal (an edge's vertices
-leave that set in one step), so the affine check of a realization and the
-simplicial-map check read that set instead of walking the family again.
+leave that set in one step), so the affine check of a realization reads
+that set instead of walking the family again.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from operator import sub
 
 from .complexes import SimplicialComplex, barycentric_subdivide
 from .errors import BudgetExceededError, PreconditionError
-from .serialize import format_fraction, parse_fraction, vertex_from_jsonable, vertex_to_jsonable
 
 
 def _rank(rows) -> int:
@@ -130,27 +129,6 @@ class GeometricComplex:
                     cached[b].append(a)
             object.__setattr__(self, "_star_vertices", cached)
         return cached
-
-    def to_json_dict(self) -> dict:
-        data = self.complex.to_json_dict()
-        data["coords"] = [
-            [vertex_to_jsonable(v), [format_fraction(c) for c in self.vertex_point(v)]]
-            for v in self.complex.vertices
-        ]
-        data["norm"] = "linf"
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GeometricComplex":
-        norm = data.get("norm", "linf")
-        if norm != "linf":
-            raise PreconditionError(f"unsupported norm {norm!r}: complexes are l-infinity")
-        K = SimplicialComplex.from_json_dict(data)
-        coords = {
-            vertex_from_jsonable(v): tuple(parse_fraction(c) for c in pt)
-            for v, pt in data["coords"]
-        }
-        return cls(K, coords)
 
 
 def _star_diameter_numerator(G: GeometricComplex, v) -> int:

@@ -9,6 +9,8 @@ limit is their infimum and equals the best cycle mean). The visit weights are
 integers; the optimal mean is the only Fraction built per component. The
 visit DP and Karp's search both step a max-plus map one row at a time and stop
 once the row repeats up to an added constant (see _iterate_until_repeat).
+The window metric d_N takes its maximum over shifts on integer numerators in
+one pass and builds one Fraction, its value on the common window.
 """
 
 from __future__ import annotations
@@ -744,16 +746,8 @@ INTEGER_HILBERT_METRIC = IntegerHilbertMetric()
 
 
 def d_N(metric, N: int, x, y) -> Fraction:
-    """Exact maximum of the shifted window metric over the first N iterates.
-
-    The value is computed on the common window; it is a lower bound for the
-    bi-infinite metric, exact up to the reported tail of d_N_bounds.
-    """
-    return d_N_bounds(metric, N, x, y)[0]
-
-
-def d_N_bounds(metric, N: int, x, y):
-    """(d_N on the common window [lo, hi), d_N plus the unseen weight).
+    """Exact maximum of the shifted window metric over the first N iterates,
+    on the common window [lo, hi); a lower bound for the bi-infinite metric.
 
     `metric` is a ShiftMetric on WindowSeqs, or INTEGER_HILBERT_METRIC on
     IntegerWindows; its `distances` gives the coordinate distances on the
@@ -762,12 +756,8 @@ def d_N_bounds(metric, N: int, x, y):
     sum_c 2^-|c-p| num_c / den is over the common denominator den 2^(W-1):
     its numerator is (L << (W-1-p)) + (R << p), where
     L = sum_{c<=p} 2^c num_c and R = sum_{c>p} 2^(W-1-c) num_c. One pass
-    moves num_p from R to L at each shift. The weight outside the window at
-    shift j has the closed form 2^(lo-j) + 2^(j+1-hi), because
-    lo <= 0 <= j < N <= hi; over the same denominator it is
-    den (2^(W-1-p) + 2^p), and with coordinate distances at most 1 it bounds
-    the unseen part of the sum. Both maxima are taken on the integer
-    numerators.
+    moves num_p from R to L at each shift and keeps the largest numerator;
+    the one Fraction is built from it.
     """
     if N < 1:
         raise PreconditionError("N must be positive")
@@ -780,7 +770,7 @@ def d_N_bounds(metric, N: int, x, y):
     first = -lo  # the pivot of shift 0
     left = sum(n << c for c, n in enumerate(num[:first]))
     right = sum(n << (top - c) for c, n in enumerate(num[first:], first))
-    best = best_hi = 0
+    best = 0
     for p in range(first, first + N):
         n = num[p]
         left += n << p
@@ -788,8 +778,4 @@ def d_N_bounds(metric, N: int, x, y):
         value = (left << (top - p)) + (right << p)
         if value > best:
             best = value
-        value += den * ((1 << (top - p)) + (1 << p))
-        if value > best_hi:
-            best_hi = value
-    scale = den << top
-    return Fraction(best, scale), Fraction(best_hi, scale)
+    return Fraction(best, den << top)

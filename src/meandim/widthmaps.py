@@ -3,10 +3,12 @@
 Three layers:
 
 * partition_map: the basic construction. Vertices collapse block-wise onto
-  the standard simplex; each fiber retracts into the full subcomplex of one
-  block, and the retraction's fibers sit inside vertex stars, so the star
-  mesh bounds every fiber diameter. Meshes and fiber distances are
-  l-infinity, the metric of the cube fibers the paper certifies.
+  the full standard simplex, so the vertex map needs no simpliciality check:
+  every nonempty set of the m target vertices is a face. Each fiber
+  retracts into the full subcomplex of one block, and the retraction's
+  fibers sit inside vertex stars, so the star mesh bounds every fiber
+  diameter. Meshes and fiber distances are l-infinity, the metric of the
+  cube fibers the paper certifies.
 * bucket_width_map: the composed pipeline (refine to mesh, subdivide once,
   partition the subdivision by source-simplex dimension), measuring the
   star mesh once per refinement round. cube_width_map runs it on the Kuhn
@@ -19,11 +21,11 @@ Three layers:
   and the fiber metric, which measures the target side too, sums integer
   numerators and builds a Fraction only for a distance. Each
   walk of the subdivided family is paid once per map: the closure check
-  records the maximal simplices (the affine check and the simplicial-map
-  check visit only those, the affine check with one rank per simplex
-  shape), simplices are grouped by support pattern without a family sort
-  and each pattern is sorted when first sampled, and each block's
-  full-subcomplex dimension is computed once.
+  records the maximal simplices (the affine check visits only those, with
+  one rank per simplex shape), simplices are grouped by support pattern
+  without a family sort, each pattern is sorted into vertex-ordered tuples
+  when first sampled, and each block's full-subcomplex dimension is
+  computed once.
 * KuhnWidthPipeline: the same map evaluated in closed form, usable at any
   dimension (the factor map runs it on each block and pads the image with
   zeros). A point is located once, as a FlagPoint: the vertex chain of its
@@ -60,7 +62,6 @@ from .certificates import (
 )
 from .complexes import (
     SIZE_BUDGET,
-    SimplicialComplex,
     VertexPartition,
     bucket_dimension_bound,
     bucket_of_dimension,
@@ -82,39 +83,6 @@ from .geometry import (
 from .serialize import format_fraction
 
 WEIGHT_DENOMINATOR = 64  # granularity of sampled rational convex weights
-
-
-@dataclass(frozen=True, eq=False)
-class SimplicialMap:
-    """Vertex map whose image vertex sets always span target simplices."""
-
-    source: SimplicialComplex
-    target: GeometricComplex
-    vertex_images: dict
-
-    def __post_init__(self):
-        for v in self.source.vertices:
-            if v not in self.vertex_images:
-                raise PreconditionError(f"vertex {v!r} missing from map table")
-        # a face's image is a subset of its coface's image, and the target
-        # family is downward closed, so checking the maximal source simplices
-        # accepts and rejects exactly the maps that checking all would
-        target_simplices = self.target.complex.simplices
-        for s in self.source.maximal:
-            image = frozenset(map(self.vertex_images.__getitem__, s))
-            if image not in target_simplices:
-                raise PreconditionError("vertex images do not span a target simplex")
-
-
-def standard_simplex_target(m: int) -> GeometricComplex:
-    """The standard (m-1)-simplex spanned by the basis of R^m; every nonempty
-    vertex subset is a face."""
-    if m < 1:
-        raise PreconditionError("m must be positive")
-    verts = list(range(1, m + 1))
-    K = SimplicialComplex.from_maximal(verts, [verts])
-    nums = {i: tuple(int(j == i - 1) for j in range(m)) for i in verts}
-    return GeometricComplex.from_numerators(K, nums, 1)
 
 
 def _sample_group_weights(rng, groups, scales, size: int):
@@ -158,13 +126,13 @@ def empty_fiber_certificate(eps) -> EpsEmbeddingCertificate:
 class PartitionWidthMap:
     """A partition simplicial map plus its per-fiber certificate builder.
 
-    The map's vertex_images send each vertex to its 1-based block index, so
-    they double as the block table."""
+    `block_of` sends each vertex to its 1-based block index: the vertex map
+    onto the full standard simplex on the m blocks."""
 
     geometry: GeometricComplex
     partition: VertexPartition
     eps: Fraction
-    mapping: SimplicialMap
+    block_of: dict
     mesh_record: object
     bucket_source_dim: int | None = None  # set when blocks are dimension buckets
 
@@ -181,7 +149,7 @@ class PartitionWidthMap:
         """support pattern (the set of blocks a simplex meets) -> its
         simplices, in no particular order."""
         if self._by_pattern is None:
-            block_of = self.mapping.vertex_images
+            block_of = self.block_of
             index = {}
             for s in self.geometry.complex.simplices:
                 index.setdefault(frozenset(map(block_of.__getitem__, s)), []).append(s)
@@ -190,12 +158,16 @@ class PartitionWidthMap:
 
     def admissible(self, support) -> list:
         """The simplices whose vertices meet exactly the blocks in `support`,
-        in simplex_key order, sorted on flat (size, *vertex indices) keys once
-        per pattern, when first asked for."""
+        each as its vertex-ordered tuple, in simplex_key order; sorted once
+        per pattern, when first asked for, on vertex-index tuples and then
+        (stably) by size."""
         if support not in self._admissible:
             found = self._pattern_index().get(support, ())
-            at = self.geometry.complex._vertex_indices().__getitem__
-            self._admissible[support] = sorted(found, key=lambda s: (len(s), *sorted(map(at, s))))
+            K = self.geometry.complex
+            at = K._vertex_indices().__getitem__
+            keys = sorted([tuple(sorted(map(at, s))) for s in found])
+            keys.sort(key=len)
+            self._admissible[support] = [tuple(map(K.vertices.__getitem__, key)) for key in keys]
         return self._admissible[support]
 
     def block_dim(self, i: int) -> int:
@@ -230,14 +202,13 @@ class PartitionWidthMap:
         i_star = min(support)
         dim = self.block_dim(i_star)
         G = self.geometry
-        block_of = self.mapping.vertex_images
+        block_of = self.block_of
         t_nums, t_den = common_numerators(t)
         scales = [t_nums[i - 1] for i in support]
         ambient = G.ambient_dim
 
         def sample(rng):
-            s = admissible[rng.randrange(len(admissible))]
-            verts = G.complex.sorted_simplex(s)
+            verts = admissible[rng.randrange(len(admissible))]
             groups = [[j for j, v in enumerate(verts) if block_of[v] == i] for i in support]
             weights, product = _sample_group_weights(rng, groups, scales, len(verts))
             return verts, weights, t_den * product
@@ -334,14 +305,14 @@ def partition_map(
         mesh_record = structural_record(
             "star-mesh-below-scale", mesh=format_fraction(mesh), scale=format_fraction(threshold)
         )
-    target = standard_simplex_target(P.m)
-    images = {v: i for i, block in enumerate(P.blocks, start=1) for v in block}
-    mapping = SimplicialMap(G.complex, target, images)
+    # validate_covers and the partition's disjointness give every vertex
+    # exactly one block in 1..m
+    block_of = {v: i for i, block in enumerate(P.blocks, start=1) for v in block}
     return PartitionWidthMap(
         geometry=G,
         partition=P,
         eps=eps,
-        mapping=mapping,
+        block_of=block_of,
         mesh_record=mesh_record,
         bucket_source_dim=bucket_source_dim,
     )
@@ -613,7 +584,7 @@ class CubeWidthMap:
             "eps": format_fraction(self.eps),
             "mesh_scale": format_fraction(self.eps / 4),
             "grid": self.grid,
-            "mesh": mesh.get("parent_mesh", mesh.get("mesh")),
+            "mesh": mesh["parent_mesh"],
             "vertices": len(K.vertices),
             "simplices": len(K.simplices),
             "fiber_bound": format_fraction(self.fiber_bound),
@@ -631,8 +602,8 @@ def cube_width_map(n: int, m: int, eps) -> CubeWidthMap:
     The triangulation is refined to star mesh strictly below eps/4, the
     scale the downstream construction consumes, so certificates discharge
     the mesh premise with that margin. SIZE_BUDGET bounds the estimated
-    subdivided top simplices and, separately, the 2^m - 1 faces of the
-    target simplex; both are checked before anything is built.
+    subdivided top simplices and, separately, m, through the 2^m - 1 faces
+    of the target simplex; both are checked before anything is built.
     """
     eps = Fraction(eps)
     if eps <= 0:

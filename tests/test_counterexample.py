@@ -1,5 +1,6 @@
 """Tests for the factor-map construction and the wedge-cone embedding."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from meandim.counterexample import (
     wedge_cone_embedding,
 )
 from meandim.errors import PreconditionError
-from meandim.serialize import format_fraction
+from meandim.serialize import format_fraction, parse_fraction
 from meandim.symbolic import (
     HILBERT_METRIC,
     CylinderSet,
@@ -480,6 +481,16 @@ class TestReports:
 from wedge_fixtures import golden_instance, make_x_domain, snap_embedding_cert
 
 
+def punctured_instance():
+    """The golden-mean instance whose pieces miss the words 01 and 10 at 0."""
+    base = Sft.golden_mean()
+    pieces = [
+        CylinderSet.from_constraints(base, [(0, ("0", "0"))]),
+        CylinderSet.from_constraints(base, [(0, ("1",))]),
+    ]
+    return golden_instance(pieces=pieces)
+
+
 class TestWedgeCone:
     def test_full_cover_dimension_exact(self):
         inst = golden_instance()
@@ -490,11 +501,7 @@ class TestWedgeCone:
 
     def test_punctured_cover_count_bound(self):
         base = Sft.golden_mean()
-        pieces = [
-            CylinderSet.from_constraints(base, [(0, ("0", "0"))]),
-            CylinderSet.from_constraints(base, [(0, ("1",))]),
-        ]
-        inst = golden_instance(pieces=pieces)
+        inst = punctured_instance()
         n, N = 4, 4
         cert = wedge_cone_embedding(inst, N=N, n=n)
         complement = inst.complement
@@ -505,12 +512,7 @@ class TestWedgeCone:
         assert cert.target_dim == n * 3 + count * 3
 
     def test_punctured_evaluator_uses_global_cone(self):
-        base = Sft.golden_mean()
-        pieces = [
-            CylinderSet.from_constraints(base, [(0, ("0", "0"))]),
-            CylinderSet.from_constraints(base, [(0, ("1",))]),
-        ]
-        inst = golden_instance(pieces=pieces)
+        inst = punctured_instance()
         cert = wedge_cone_embedding(inst, N=4, n=4)
         rng = random.Random(17)
         saw_global = False
@@ -521,6 +523,30 @@ class TestWedgeCone:
                 if g_part[1] != 0:
                     saw_global = True
         assert saw_global
+
+    @pytest.mark.parametrize("punctured", [False, True])
+    def test_wedge_records_recheck_and_tampered_copies_fail(self, punctured):
+        inst = punctured_instance() if punctured else golden_instance()
+        cert = wedge_cone_embedding(inst, N=4, n=4)
+        records = {r.name: r for r in cert.obligations}
+        count = records["wedge-dimension-count"]
+        disjoint = records["windows-pairwise-disjoint"]
+        visits = records["subsampled-visits-bound"]
+        for record in (count, disjoint, visits):
+            assert recheck_structural(record), record.name
+
+        def tampered(record, **changes):
+            return structural_record(record.name, **{**record.data_dict, **changes})
+
+        wedge_dim = int(count.data_dict["wedge_dim"])
+        assert not recheck_structural(tampered(count, wedge_dim=wedge_dim + 1))
+        assert not recheck_structural(tampered(disjoint, pairwise_disjoint="false"))
+        data = visits.data_dict
+        horizon = int(data["steps"]) * int(data["step_length"])
+        bound = parse_fraction(data["complement_ocap"]) * horizon + int(data["graph_size"])
+        assert int(data["count_bound"]) <= bound
+        assert recheck_structural(tampered(visits, count_bound=math.floor(bound)))
+        assert not recheck_structural(tampered(visits, count_bound=math.floor(bound) + 1))
 
     def test_degenerate_all_empty(self):
         base = Sft.golden_mean()

@@ -1,6 +1,5 @@
 """Tests for geometric realizations, Kuhn triangulations and point location."""
 
-import json
 import random
 import re
 from fractions import Fraction
@@ -401,34 +400,12 @@ def test_one_collinear_translate_among_good_triangles_is_named(count, data, step
     GeometricComplex(full_subcomplex(K, good), good)
 
 
-def test_geometric_json_roundtrip():
-    G = kuhn_triangulate_cube(2, 2)
-    back = GeometricComplex.from_json_dict(G.to_json_dict())
-    assert back.complex.simplices == G.complex.simplices
-    for v in G.complex.vertices:
-        assert back.coords[v] == G.vertex_point(v)
-
-
-# a subdivided edge, as written by versions that took the norm as a
-# constructor argument: the file format must not change
-EARLIER_COMPLEX_FILE = (
-    '{"vertices": [["a"], ["b"], ["a", "b"]], "maximal_simplices": [[["a"], ["a", "b"]], '
-    '[["b"], ["a", "b"]]], "coords": [[["a"], ["0", "1/3"]], [["b"], ["1", "0"]], '
-    '[["a", "b"], ["1/2", "1/6"]]], "norm": "linf"}'
-)
-
-
-def test_complex_file_norm_tag():
-    data = json.loads(EARLIER_COMPLEX_FILE)
-    G = GeometricComplex.from_json_dict(data)
-    assert G.to_json_dict() == data
+def test_subdivided_edge_mesh_and_constructor_arguments():
+    # the subdivided edge a - ab - b, with a at (0, 1/3) and b at (1, 0)
+    a, b, ab = ("a",), ("b",), ("a", "b")
+    K = SimplicialComplex.from_maximal([a, b, ab], [[a, ab], [b, ab]])
+    G = GeometricComplex(K, {a: (F(0), F(1, 3)), b: (F(1), F(0)), ab: (F(1, 2), F(1, 6))})
     assert max_star_mesh(G) == F(1)
-    del data["norm"]
-    assert GeometricComplex.from_json_dict(data).to_json_dict()["norm"] == "linf"
-    for norm in ("l1", "l2", "foo"):
-        data["norm"] = norm
-        with pytest.raises(PreconditionError, match="unsupported norm"):
-            GeometricComplex.from_json_dict(data)
     # the constructor takes the complex and its coordinates only, so a stray
     # positional norm is refused
     with pytest.raises(TypeError):
@@ -554,7 +531,6 @@ class TestIntegerGeometry:
         # common denominator that need not be the least
         nums = {v: tuple(scale * a for a in G.nums[v]) for v in G.complex.vertices}
         H = GeometricComplex.from_numerators(G.complex, nums, scale * G.den)
-        assert H.to_json_dict() == G.to_json_dict()
         assert H.coords == G.coords and H.ambient_dim == G.ambient_dim
         assert max_star_mesh(H) == max_star_mesh(G)
         for v in G.complex.vertices:

@@ -14,7 +14,6 @@ from meandim.counterexample import (
     CounterexampleParams,
     build_counterexample,
     fiber_dimension_certificate,
-    sample_coordinates,
 )
 from meandim.errors import BudgetExceededError, InsufficientWindowError, PreconditionError
 from meandim.symbolic import (
@@ -28,7 +27,6 @@ from meandim.symbolic import (
     ShiftMetric,
     WindowSeq,
     d_N,
-    d_N_bounds,
     WORD_BUDGET,
     max_subsampled_visits,
     ocap_finite_N,
@@ -705,32 +703,29 @@ RATIONALS = st.one_of(
 
 
 def d_N_by_definition(metric, N, x, y):
-    """Oracle: the weighted sums at every shift, and each plus the weight
-    2^-|c-j| of the coordinates outside the common window."""
+    """Oracle: the largest weighted sum over the common window at any shift."""
     window = range(max(x.start, y.start), min(x.end, y.end))
-    sums, totals = [], []
+    sums = []
     for j in range(N):
         weights = {c: F(1, 2 ** abs(c - j)) for c in window}
-        value = sum((w * metric.coord_dist(x[c], y[c]) for c, w in weights.items()), F(0))
-        sums.append(value)
-        totals.append(value + 3 - sum(weights.values()))
-    return max(sums), max(totals)
+        sums.append(sum((w * metric.coord_dist(x[c], y[c]) for c, w in weights.items()), F(0)))
+    return max(sums)
 
 
 class TestWindowMetrics:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), N=st.integers(min_value=1, max_value=48), hilbert=st.booleans())
-    def test_d_N_bounds_match_definition(self, data, N, hilbert):
+    def test_d_N_matches_definition(self, data, N, hilbert):
         if hilbert:
             metric, symbols = HILBERT_METRIC, RATIONALS
         else:
             metric, symbols = SYMBOL_METRIC, st.sampled_from("01")
         x = _shift_windows(data.draw, N, symbols)
         y = _shift_windows(data.draw, N, symbols)
-        assert d_N_bounds(metric, N, x, y) == d_N_by_definition(metric, N, x, y)
+        assert d_N(metric, N, x, y) == d_N_by_definition(metric, N, x, y)
 
     @pytest.mark.parametrize("hilbert", [True, False])
-    def test_d_N_bounds_match_definition_on_the_widest_windows(self, hilbert):
+    def test_d_N_matches_definition_on_the_widest_windows(self, hilbert):
         # 73 coordinates: the common denominator carries shifts past 2^60
         rng = random.Random(71 + hilbert)
         metric = HILBERT_METRIC if hilbert else SYMBOL_METRIC
@@ -746,7 +741,7 @@ class TestWindowMetrics:
             dens = (64, 64 * rng.randint(2, 7))
             x = WindowSeq(-20, tuple(draw() for _ in range(N + 25)))
             y = WindowSeq(-20 + rng.randint(0, 2), tuple(draw() for _ in range(N + 20)))
-            assert d_N_bounds(metric, N, x, y) == d_N_by_definition(metric, N, x, y)
+            assert d_N(metric, N, x, y) == d_N_by_definition(metric, N, x, y)
 
     @settings(max_examples=16, deadline=None)
     @given(
@@ -764,10 +759,10 @@ class TestWindowMetrics:
         cert = fiber_dimension_certificate(inst, (x, residue % inst.params.period), N)
         points = [cert.domain.sample(rng) for _ in range(3)]
         for u, v in zip(points, points[1:]):
-            expected = d_N_by_definition(HILBERT_METRIC, N, u.window, v.window)[0]
+            expected = d_N_by_definition(HILBERT_METRIC, N, u.window, v.window)
             assert cert.domain.dist(u, v) == expected
 
-    def test_factor_map_fiber_distance_builds_only_its_bounds(self, request):
+    def test_factor_map_fiber_distance_builds_one_fraction(self, request):
         N = 32
         inst = build_counterexample(CounterexampleParams.derive(F(1, 2), F(1, 2), N))
         rng = random.Random(83)
@@ -776,8 +771,8 @@ class TestWindowMetrics:
         built = request.getfixturevalue("fraction_count")
         for u, v in zip(points, points[1:]):
             cert.domain.dist(u, v)
-            # the two bounds of d_N; no coordinate of the 56 is realized
-            assert len(built) == 2
+            # the value of d_N; no coordinate of the 56 is realized
+            assert len(built) == 1
             del built[:]
 
     def test_integer_windows_match_their_fraction_windows(self):
@@ -791,9 +786,7 @@ class TestWindowMetrics:
                 windows.append((IntegerWindow(start, nums, den),
                                 WindowSeq(start, tuple(F(a, den) for a in nums))))
             (ix, fx), (iy, fy) = windows
-            assert d_N_bounds(INTEGER_HILBERT_METRIC, N, ix, iy) == d_N_bounds(
-                HILBERT_METRIC, N, fx, fy
-            )
+            assert d_N(INTEGER_HILBERT_METRIC, N, ix, iy) == d_N(HILBERT_METRIC, N, fx, fy)
 
     def test_integer_window_checks_the_orbit_segment(self):
         x = IntegerWindow(-2, (0, 1, 2, 3, 4), 4)
@@ -805,13 +798,13 @@ class TestWindowMetrics:
             d_N(INTEGER_HILBERT_METRIC, 0, x, x)
         assert d_N(INTEGER_HILBERT_METRIC, 3, x, x) == 0
 
-    def test_d_N_builds_two_fractions(self, request):
+    def test_d_N_builds_one_fraction(self, request):
         rng = random.Random(79)
         x = WindowSeq(-5, tuple(F(rng.randint(0, 192), 192) for _ in range(40)))
         y = WindowSeq(-4, tuple(F(rng.randint(0, 64), 64) for _ in range(40)))
         built = request.getfixturevalue("fraction_count")
         d_N(HILBERT_METRIC, 30, x, y)
-        assert len(built) == 2  # the two bounds, built from their numerators
+        assert len(built) == 1  # the value, built from its numerator
 
     def test_each_coordinate_distance_is_computed_once(self):
         calls = []
@@ -847,13 +840,6 @@ class TestWindowMetrics:
         x = WindowSeq(0, (F(0), F(1)))
         with pytest.raises(InsufficientWindowError):
             d_N(HILBERT_METRIC, 5, x, x)
-
-    def test_bounds_bracket_value(self):
-        rng = random.Random(0)
-        for _ in range(10):
-            x, y = (WindowSeq(-4, sample_coordinates(rng, 12)) for _ in range(2))
-            lo, hi = d_N_bounds(HILBERT_METRIC, 3, x, y)
-            assert 0 <= lo <= hi
 
     def test_symbol_metric(self):
         x = WindowSeq(0, ("0", "1", "0"))

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from meandim.certificates import check_certificate, flat_linf
+from meandim.certificates import check_certificate, flat_linf, structural_record
 from meandim.complexes import SimplicialComplex, VertexPartition, dimension_buckets
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
@@ -25,17 +26,13 @@ from meandim import geometry, widthmaps
 from meandim.widthmaps import (
     FlagPoint,
     KuhnWidthPipeline,
-    SimplicialMap,
     barycentric_from_cube,
     cube_from_barycentric,
     bucket_width_map,
     cube_width_map,
     grid_for_mesh,
     partition_map,
-    standard_simplex_target,
 )
-
-from test_complexes import random_complexes
 
 F = Fraction
 
@@ -56,6 +53,20 @@ def as_barycentric(x):
     BarycentricPoint, whose constructor validates the weights."""
     verts, weights, denom = x
     return BarycentricPoint(frozenset(verts), {v: F(w, denom) for v, w in zip(verts, weights)})
+
+
+def standard_simplex(m):
+    """The full standard simplex spanned by the basis of R^m, on vertices
+    1..m."""
+    verts = list(range(1, m + 1))
+    K = SimplicialComplex.from_maximal(verts, [verts])
+    return GeometricComplex(K, {i: tuple(F(int(j == i - 1)) for j in range(m)) for i in verts})
+
+
+def block_map(wm):
+    """The partition map's block table as a vertex map onto the full
+    standard simplex, for eval_simplicial_map."""
+    return SimpleNamespace(vertex_images=wm.block_of, target=standard_simplex(wm.m))
 
 
 def fiber_points_exist(wm, t):
@@ -81,7 +92,7 @@ class TestPartitionMap:
         x = as_barycentric(cert.domain.sample(rng))
         # the fiber over the midpoint is the midpoint itself
         assert x.realize(wm.geometry) == (F(1, 2),)
-        assert eval_simplicial_map(wm.mapping, x) == (F(1, 2), F(1, 2))
+        assert eval_simplicial_map(block_map(wm), x) == (F(1, 2), F(1, 2))
 
     def test_mesh_hypothesis_enforced(self):
         with pytest.raises(PreconditionError, match="star mesh hypothesis fails"):
@@ -99,6 +110,13 @@ class TestPartitionMap:
                 inherited_mesh=3,
             )
 
+    def test_partition_must_cover_exactly_the_vertices(self):
+        # the only check that gives every vertex a block in 1..m
+        for blocks in (({"a"}, set()), ({"a"}, {"b", "c"})):
+            P = VertexPartition(tuple(map(frozenset, blocks)))
+            with pytest.raises(PreconditionError, match="does not cover"):
+                partition_map(unit_edge(), P, F(2))
+
     def test_vertex_target_fiber(self):
         wm = partition_map(
             unit_edge(),
@@ -110,7 +128,7 @@ class TestPartitionMap:
         rng = random.Random(1)
         x = as_barycentric(cert.domain.sample(rng))
         assert x.realize(wm.geometry) == (F(0),)
-        assert eval_simplicial_map(wm.mapping, x) == (F(1), F(0))
+        assert eval_simplicial_map(block_map(wm), x) == (F(1), F(0))
 
     def test_simpliciality(self):
         wm = partition_map(
@@ -118,9 +136,9 @@ class TestPartitionMap:
             VertexPartition((frozenset({"a"}), frozenset({"b"}))),
             F(2),
         )
-        target = wm.mapping.target.complex
-        for s in wm.mapping.source.simplices:
-            image = frozenset(wm.mapping.vertex_images[v] for v in s)
+        target = standard_simplex(wm.m).complex
+        for s in wm.geometry.complex.simplices:
+            image = frozenset(wm.block_of[v] for v in s)
             assert image in target.simplices
 
     def test_fiber_points_evaluate_back_to_target(self):
@@ -135,7 +153,7 @@ class TestPartitionMap:
             cert = wm.fiber_certificate(t)
             for _ in range(5):
                 x = as_barycentric(cert.domain.sample(rng))
-                assert eval_simplicial_map(wm.mapping, x) == t
+                assert eval_simplicial_map(block_map(wm), x) == t
 
     def test_retraction_passes_fiber_check(self):
         G = kuhn_triangulate_cube(2, 3)
@@ -169,6 +187,25 @@ class TestBucketWidthMap:
             cert = wm.fiber_certificate((t1, 1 - t1))
             assert cert.target_dim <= 1
             assert cert.all_structural_discharged
+
+    def test_empty_bucket_gives_an_empty_fiber(self):
+        # the unit edge has simplices of dimensions 0 and 1 only, so of
+        # three dimension buckets the middle one holds no vertex
+        wm = bucket_width_map(unit_edge(), 3, F(3), F(3))
+        assert wm.partition.blocks[1] == frozenset()
+        cert = wm.fiber_certificate((F(0), F(1), F(0)))
+        assert cert.target_dim == 0
+        assert cert.obligations == (structural_record("empty-fiber"),)
+
+    def test_non_barycentric_target_refused(self):
+        wm = bucket_width_map(unit_edge(), 3, F(3), F(3))
+        for t in (
+            (F(1, 2), F(1, 2), F(1, 2)),  # sums to 3/2
+            (F(-1), F(1), F(1)),  # a negative weight
+            (F(1), F(0)),  # one weight short
+        ):
+            with pytest.raises(PreconditionError, match="barycentric"):
+                wm.fiber_certificate(t)
 
     def test_dim2_three_buckets_all_zero_dimensional(self):
         from meandim.complexes import bucket_dimension_bound
@@ -454,7 +491,7 @@ class TestClosedFormAgainstExplicit:
             flag = pipeline.locate_flag(x)
             assert realized(flag, pipeline.grid) == x
             located = locate(sub, x)
-            t_explicit = eval_simplicial_map(wm.inner.mapping, located)
+            t_explicit = eval_simplicial_map(block_map(wm.inner), located)
             assert pipeline.evaluate(x) == cube_from_barycentric(t_explicit)
 
     def test_retract_matches_explicit_bucket_part(self):
@@ -556,30 +593,6 @@ class TestBlockPipeline:
         assert record.status == "sampled-only"
 
 
-def path_target(k):
-    """The path 0 - 1 - ... - k-1 on a line: a target that is not a full
-    simplex."""
-    facets = [[i, i + 1] for i in range(k - 1)] or [[0]]
-    K = SimplicialComplex.from_maximal(list(range(k)), facets)
-    return GeometricComplex(K, {i: (F(i),) for i in range(k)})
-
-
-@settings(max_examples=100, deadline=None)
-@given(K=random_complexes(), k=st.integers(1, 4), data=st.data())
-def test_maximal_image_check_matches_checking_every_simplex(K, k, data):
-    target = path_target(k)
-    images = {v: data.draw(st.integers(0, k - 1)) for v in K.vertices}
-    spans = all(
-        frozenset(images[v] for v in s) in target.complex.simplices for s in K.simplices
-    )
-    try:
-        SimplicialMap(K, target, images)
-    except PreconditionError as exc:
-        assert not spans and "do not span" in str(exc)
-    else:
-        assert spans
-
-
 @settings(max_examples=20, deadline=None)
 @given(n=st.sampled_from((1, 2)), g=st.sampled_from((1, 2, 3)), m=st.integers(2, 3),
        data=st.data())
@@ -591,17 +604,13 @@ def test_admissible_lists_match_the_full_sort_grouping(n, g, m, data):
     block_of = {v: i for i, block in enumerate(P.blocks, start=1) for v in block}
     grouped = {}
     for s in sub.complex.iter_simplices():
-        grouped.setdefault(frozenset(block_of[v] for v in s), []).append(s)
+        grouped.setdefault(frozenset(block_of[v] for v in s), []).append(
+            sub.complex.sorted_simplex(s)
+        )
     for pattern in data.draw(st.permutations(list(grouped))):
         assert wm.admissible(pattern) == grouped[pattern]
         assert wm.admissible(pattern) == grouped[pattern]  # sorted once, kept
     assert wm.admissible(frozenset({m + 1})) == []
-
-
-def test_standard_simplex_target_dims():
-    for m in (1, 2, 4):
-        target = standard_simplex_target(m)
-        assert target.complex.dim == m - 1
 
 
 class TestIntegerFlags:
@@ -703,7 +712,7 @@ def test_admissible_and_vertex_order_match_index_sorts():
     sub, P = subdivided_square()
     wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
     K = sub.complex
-    block_of = wm.mapping.vertex_images
+    block_of = wm.block_of
     for s in K.simplices:
         assert K.sorted_simplex(s) == tuple(sorted(s, key=K.vertices.index))
 
@@ -713,7 +722,9 @@ def test_admissible_and_vertex_order_match_index_sorts():
     for size in range(P.m + 1):
         for support in map(frozenset, combinations(range(1, P.m + 1), size)):
             pattern = [s for s in K.simplices if {block_of[v] for v in s} == support]
-            assert wm.admissible(support) == sorted(pattern, key=key)
+            assert wm.admissible(support) == [
+                tuple(sorted(s, key=K.vertices.index)) for s in sorted(pattern, key=key)
+            ]
 
 
 def fraction_retract(wm, x, t):
@@ -748,7 +759,7 @@ class TestPartitionFiberIntegers:
         for _ in range(5):
             x, y = cert.domain.sample(rng), cert.domain.sample(rng)
             bx, by = as_barycentric(x), as_barycentric(y)
-            assert eval_simplicial_map(wm.mapping, bx) == t
+            assert eval_simplicial_map(block_map(wm), bx) == t
             rx, ry = fraction_retract(wm, bx, t), fraction_retract(wm, by, t)
             assert as_barycentric(cert.evaluator(x)).realize(sub) == rx
             got = cert.target_dist(cert.evaluator(x), cert.evaluator(y))
