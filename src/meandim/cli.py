@@ -126,15 +126,16 @@ def _parser() -> argparse.ArgumentParser:
     cx2 = sub.add_parser("counterexample", help="the factor-map construction")
     cx2_sub = cx2.add_subparsers(dest="action", required=True)
     # each action takes the options its payload reads, and only report
-    # takes several scales and horizons
+    # takes several scales and horizons and draws nothing
     for name in ("build", "check-counts", "fiber-cert", "report"):
         p = cx2_sub.add_parser(name)
         nargs = "+" if name == "report" else None
         p.add_argument("--delta", type=_rational, required=True)
         p.add_argument("--eps", type=_rational, nargs=nargs, required=True)
         p.add_argument("--N", type=int, nargs=nargs, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        if name != "build":
+        if name != "report":
+            p.add_argument("--seed", type=int, default=0)
+        if name in ("check-counts", "fiber-cert"):
             p.add_argument("--samples", type=int, default=20)
         if name == "fiber-cert":
             p.add_argument("--trials", type=int, default=200)
@@ -278,16 +279,13 @@ def _payload_count_report(recipe: dict) -> dict:
 def _payload_fiber_batch(recipe: dict) -> dict:
     params, inst = _instance(recipe)
     N = params.horizon
-    bound = params.fiber_dim_bound(N)
 
     def sample_fiber(rng):
         state = inst.sample_state(rng)
-        cert = fiber_dimension_certificate(inst, state, N)
-        below = cert.target_dim < bound
-        return cert, {"residue": state[1], "below_bound": below}
+        return fiber_dimension_certificate(inst, state, N), {"residue": state[1]}
 
     return {
-        "bound": format_fraction(bound),
+        "bound": format_fraction(params.fiber_dim_bound(N)),
         "certificates": _checked_certificates(
             recipe, inst.window_hi - inst.window_lo, sample_fiber
         ),
@@ -295,17 +293,11 @@ def _payload_fiber_batch(recipe: dict) -> dict:
 
 
 def _payload_mdim_report(recipe: dict) -> dict:
-    delta, samples = parse_fraction(recipe["delta"]), _integer(recipe["samples"], "samples")
-    N_values = [_integer(n, "N") for n in recipe["N"]]
-    eps_values = [parse_fraction(e) for e in recipe["eps"]]
-    windows = [0]
-    for eps in eps_values:
-        for N in N_values:
-            p = CounterexampleParams.derive(delta, eps, N)
-            windows.append(N + 2 * (p.margin + p.L_prime))
-    _check_sampled_work(samples, 1, max(windows))
-    seed = _integer(recipe["seed"], "seed")
-    rows = mdim_report(delta, N_values, eps_values, samples=samples, seed=seed)
+    rows = mdim_report(
+        parse_fraction(recipe["delta"]),
+        [_integer(n, "N") for n in recipe["N"]],
+        [parse_fraction(e) for e in recipe["eps"]],
+    )
     return {
         "header": CSV_HEADER,
         "rows": [row.to_csv() for row in rows],
@@ -563,14 +555,6 @@ def _cmd_counterexample(ns) -> int:
     elif kind == "counterexample-fiber-batch":
         dims = [c["target_dim"] for c in payload["certificates"]]
         print(f"{len(dims)} fiber certificates, max dim {max(dims)}, bound {payload['bound']}")
-        if not all(c["below_bound"] for c in payload["certificates"]):
-            raise ObligationFailedError(
-                DischargeRecord(
-                    "dimension-bookkeeping", "STRUCTURAL", FAILED,
-                    (("bound", payload["bound"]),),
-                    witness=("fiber dimension bound violated",),
-                )
-            )
         _raise_on_failed_obligations(artifact)
     else:
         print(f"wrote {out}")

@@ -5,7 +5,10 @@ The factor map sends a sequence of cube coordinates through a shared width
 map block by block, padding each image with zeros to the block length;
 blocks are cut by the dyadic odometer's return times. Two quantitative bounds are certified exactly at every finite horizon:
 the count of nonzero image entries per window, and the fiber-dimension
-bookkeeping through block products.
+bookkeeping through block products. A fiber's certified dimension depends
+only on its blocks' buckets, so the largest one over every state is a closed
+form (CounterexampleParams.max_fiber_dim), which the ratio reports read
+without drawing a state.
 
 A sampled fiber point keeps its free coordinates as integer draws on the
 1/64 grid and each block as its Kuhn flag. The domain metric d_N reads the
@@ -29,6 +32,8 @@ from functools import cached_property
 from math import lcm
 
 from .certificates import (
+    DISCHARGED,
+    FAILED,
     EpsEmbeddingCertificate,
     MetricSpaceHandle,
     chain_fiber_certificate,
@@ -134,11 +139,19 @@ class CounterexampleParams:
         (N + 2M + 2L')/m."""
         return F(N + 2 * self.margin + 2 * self.L_prime, self.m)
 
+    def max_fiber_dim(self, N: int) -> int:
+        """The largest fiber dimension certified at horizon N, over every
+        state: at most ceil((N + 2M + P - 1)/P) blocks of period P start in
+        [-M - P + 1, N + M - 1], some residue reaches that count, and each
+        block is certified at most at the bucket-1 bound floor(P/m), the
+        largest bucket bound."""
+        P = self.period
+        return -(-(N + 2 * self.margin + P - 1) // P) * (P // self.m)
+
     def core_checks(self):
         return [
             ("1/m < delta", F(1, self.m) < self.delta),
             ("L > m", self.L > self.m),
-            ("block length >= m", self.period >= self.m),
             ("(m-1)/2^k <= delta/2", F(self.m - 1, self.period) <= self.delta / 2),
             ("grid mesh 2/g < eps/4", F(2, self.grid) < self.eps / 4),
             ("2^-M < eps/2", F(1, 2**self.margin) < self.eps / 2),
@@ -364,7 +377,8 @@ def fiber_dimension_certificate(
     """Certificate for the fiber of the factor map through `state` at horizon
     N: the chain of per-block width-map fiber certificates over the complete
     blocks that meet [-M, N + M), with exact dimension bookkeeping strictly
-    below (N + 2M + 2L')/m.
+    below (N + 2M + 2L')/m; its dimension-bookkeeping record is FAILED,
+    with a witness, where the chain's dimension is not below that bound.
 
     A fiber point is a FiberPoint over the instance's window. The sampler
     draws its free head coordinates, then each complete block's flag from
@@ -423,6 +437,8 @@ def fiber_dimension_certificate(
         start=cert_starts[0],
         margin=p.margin,
     )
+    bound = p.fiber_dim_bound(N)
+    below = chain.target_dim < bound
     final = relax_scale(
         chain,
         p.eps,
@@ -440,9 +456,11 @@ def fiber_dimension_certificate(
         ),
         structural_record(
             "dimension-bookkeeping",
+            DISCHARGED if below else FAILED,
+            None if below else ("fiber dimension bound violated",),
             total_dim=chain.target_dim,
             window_length=len(cert_starts) * period,
-            bound=format_fraction(p.fiber_dim_bound(N)),
+            bound=format_fraction(bound),
             m=p.m,
         ),
     )
@@ -470,27 +488,17 @@ class ReportRow:
 CSV_HEADER = "eps,N,fiber_dim_over_N,image_dim_over_N"
 
 
-def _max_fiber_dim(params: CounterexampleParams, samples: int, rng) -> int:
-    """The largest certified fiber dimension at the horizon of `params` over
-    `samples` states drawn from rng (0 with no samples)."""
-    inst = build_counterexample(params)
-    states = (inst.sample_state(rng) for _ in range(samples))
-    return max(
-        (fiber_dimension_certificate(inst, s, params.horizon).target_dim for s in states),
-        default=0,
-    )
-
-
-def mdim_report(delta, N_values, eps_values, samples: int = 3, seed: int = 0):
-    """Ratio table: certified fiber dimension per step and image dimension
+def mdim_report(delta, N_values, eps_values):
+    """Ratio table: the largest certified fiber dimension per step, over
+    every state (CounterexampleParams.max_fiber_dim), and the image dimension
     bound per step, for each scale and horizon."""
     delta = F(delta)
     rows = []
     for eps in eps_values:
         eps = F(eps)
         for N in N_values:
-            params = CounterexampleParams.derive(delta, eps, N, seed)
-            fiber_dim = _max_fiber_dim(params, samples, random.Random(seed))
+            params = CounterexampleParams.derive(delta, eps, N)
+            fiber_dim = params.max_fiber_dim(N)
             rows.append(
                 ReportRow(
                     eps=eps,
@@ -503,17 +511,17 @@ def mdim_report(delta, N_values, eps_values, samples: int = 3, seed: int = 0):
     return rows
 
 
-def stacked_report(delta, depth: int, N: int, samples: int = 2, seed: int = 0):
+def stacked_report(delta, depth: int, N: int):
     """Finite truncation of the stacked family: depth-n uses scale 1/n and
     budget delta/2^n; the stacked fiber refines every single-map fiber, so at
-    scale 1/n the depth-n certificate applies."""
+    scale 1/n the depth-n certificate applies, and each row holds the
+    largest fiber dimension it certifies over every state."""
     delta = F(delta)
     rows = []
     for n in range(1, depth + 1):
         eps_n = F(1, n)
         delta_n = delta / 2**n
-        params = CounterexampleParams.derive(delta_n, eps_n, N, seed)
-        fiber_dim = _max_fiber_dim(params, samples, random.Random(seed + n))
+        fiber_dim = CounterexampleParams.derive(delta_n, eps_n, N).max_fiber_dim(N)
         rows.append(
             {
                 "depth": n,

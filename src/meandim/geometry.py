@@ -338,19 +338,17 @@ def locate(G: GeometricComplex, p) -> BarycentricPoint:
     raise PreconditionError("not in complex")
 
 
-def eval_simplicial_map(f, x: BarycentricPoint) -> tuple:
-    """Linear extension: image of x under a vertex map, in target coordinates.
-
-    `f` needs `vertex_images` (source vertex -> target vertex) and `target`
-    (a GeometricComplex).
-    """
+def eval_simplicial_map(vertex_images, target, x: BarycentricPoint) -> tuple:
+    """Linear extension: image of x under the vertex map `vertex_images`
+    (source vertex -> vertex of the GeometricComplex `target`), in target
+    coordinates."""
     pt = None
     for v, w in x.weights.items():
         try:
-            image = f.vertex_images[v]
+            image = vertex_images[v]
         except KeyError:
             raise PreconditionError(f"vertex {v!r} missing from map table") from None
-        coords = f.target.vertex_point(image)
+        coords = target.vertex_point(image)
         if pt is None:
             pt = tuple(Fraction(w) * c for c in coords)
         else:

@@ -124,7 +124,7 @@ def test_criterion_4_counterexample_fiber_bound():
 
 def test_criterion_5_ratio_table():
     watch = Stopwatch(120)
-    rows = mdim_report(F(1, 2), [8, 16, 32, 64], [F(1, 2)], samples=3, seed=5)
+    rows = mdim_report(F(1, 2), [8, 16, 32, 64], [F(1, 2)])
     params = CounterexampleParams.derive(F(1, 2), F(1, 2), 8)
     for row in rows:
         identity_bound = F(1, params.m) + F(

@@ -326,7 +326,12 @@ class TestCounterexampleCommands:
             == 0
         )
         payload = json.loads(out.read_text())["payload"]
-        assert all(c["below_bound"] for c in payload["certificates"])
+        for cert in payload["certificates"]:
+            (record,) = [r for r in cert["obligations"] if r["name"] == "dimension-bookkeeping"]
+            assert record["status"] == "discharged"
+            assert record["data"]["total_dim"] == str(cert["target_dim"])
+            assert record["data"]["bound"] == payload["bound"]
+            assert "below_bound" not in cert
         records = [r for c in payload["certificates"] for r in c["obligations"]]
         structural = [r for r in records if r["kind"] == "STRUCTURAL"]
         cited = sum(r["name"] in CITATIONS for r in structural)
@@ -340,21 +345,34 @@ class TestCounterexampleCommands:
             f"{len(sampled)} sampled re-run, {near} near pairs)\n"
         )
 
+    def test_fiber_bound_failure_exits_3_with_witness(self, workdir, monkeypatch):
+        # every certificate's dimension-bookkeeping record fails its own
+        # check, and both fiber-cert and verify report it
+        monkeypatch.setattr(CounterexampleParams, "fiber_dim_bound", lambda self, N: Fraction(1))
+        out = workdir / "fibers.json"
+        witness = workdir / "meandim-witness.json"
+        assert main(["counterexample", "fiber-cert", *_FACTOR, "--samples", "2",
+                     "--trials", "5", "--out", str(out)]) == 3
+        for cert in json.loads(out.read_text())["payload"]["certificates"]:
+            (record,) = [r for r in cert["obligations"] if r["name"] == "dimension-bookkeeping"]
+            assert record["status"] == "failed" and record["data"]["bound"] == "1"
+        assert json.loads(witness.read_text())["obligation"] == "dimension-bookkeeping"
+        witness.unlink()
+        assert main(["verify", str(out)]) == 3
+        assert json.loads(witness.read_text())["obligation"] == "dimension-bookkeeping"
+
     def test_report_csv(self, workdir, capsys):
-        assert (
-            main(
-                ["counterexample", "report", "--delta", "1/2", "--eps", "1/2",
-                 "--N", "8", "16", "--samples", "1", "--seed", "3"]
-            )
-            == 0
-        )
+        # the largest certified fiber dimension over every state, not over
+        # sampled ones: 6, 8, 12 and 20 of N
+        assert main(["counterexample", "report", "--delta", "1/2", "--eps", "1/2",
+                     "--N", "8", "16", "32", "64"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "eps,N,fiber_dim_over_N,image_dim_over_N"
-        assert len(lines) == 3
+        assert [line.split(",")[2] for line in lines[1:]] == ["3/4", "1/2", "3/8", "5/16"]
 
     def test_report_artifact_verifies(self, workdir, capsys):
         args = ["counterexample", "report", "--delta", "1/2", "--eps", "1/2",
-                "--N", "8", "16", "--samples", "1", "--seed", "3"]
+                "--N", "8", "16"]
         assert main(args) == 0
         printed = capsys.readouterr().out
         out = workdir / "report.json"
@@ -474,9 +492,6 @@ SAMPLED_RECIPES = [
 ] + [
     (["counterexample", "check-counts", *_FACTOR, "--samples", "2"], key)
     for key in ("samples", "N")
-] + [
-    (["counterexample", "report", *_FACTOR, "--samples", "2"], key)
-    for key in ("samples", "N")
 ]
 
 # a small run of each sampled kind, without its --samples
@@ -484,7 +499,6 @@ SAMPLED_KINDS = [
     ["counterexample", "fiber-cert", *_FACTOR, "--trials", "5"],
     ["gromov", "fiber-check", "map.json", "--trials", "20"],
     ["counterexample", "check-counts", *_FACTOR],
-    ["counterexample", "report", *_FACTOR],
 ]
 
 # a small artifact of each kind whose payload reads integer recipe fields,
@@ -502,7 +516,7 @@ RECIPE_INTEGERS = [
          ("N", "seed", "samples")),
         (["counterexample", "fiber-cert", *_FACTOR, "--samples", "1", "--trials", "5"],
          ("N", "seed", "samples", "trials")),
-        (["counterexample", "report", *_FACTOR, "--samples", "2"], ("N", "seed", "samples")),
+        (["counterexample", "report", *_FACTOR], ("N",)),
     )
     for key in keys
 ]
@@ -650,10 +664,7 @@ class TestVerify:
         out = workdir / "artifact.json"
         assert main(argv + ["--samples", "1", "--out", str(out)]) == 0
         artifact = json.loads(out.read_text())
-        changes = [{"samples": 0}, {"samples": -5}]
-        if artifact["kind"] == "mdim-report":
-            changes.append({"samples": 0, "N": []})  # a report of no horizons
-        for change in changes:
+        for change in ({"samples": 0}, {"samples": -5}):
             # the artifact such a recipe gives without the check: it samples
             # nothing, so its payload is consistent with its recipe
             recipe = dict(artifact["recipe"], **change)
@@ -738,8 +749,8 @@ GOLDEN_DIGESTS = [
      "46be9e786c857138abf21e4eb5374d032f477632338e2f3daaee1f7c83e4b0fc"),
     ("counterexample-instance",
      ["counterexample", "build", "--delta", "1/2", "--eps", "1/2", "--N", "8"],
-     "bfb595250e610fb89256cc0021a212155bc5e8d1738de7ab2433bb3a009d8439",
-     "0c42b86fcf7e1097427f23c8eb9ef883f8d4067ba43425f916d127975bdcb677"),
+     "02ff49f9759b208a3b1a114b6f48871003e751b8e73678afc2e6407be1d85a7a",
+     "367020a3df49fd3a0e651a11d61e503e38069c7c6dea8d4635d09b05dcfceaa7"),
     ("count-report",
      ["counterexample", "check-counts", "--delta", "1/2", "--eps", "1/2", "--N", "8",
       "--samples", "2", "--seed", "1"],
@@ -748,12 +759,11 @@ GOLDEN_DIGESTS = [
     ("counterexample-fiber-batch",
      ["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2", "--N", "8",
       "--samples", "2", "--seed", "2", "--trials", "50"],
-     "39f08a1b7de97df96c0f277f3d63c669e54ed14397b6a9d828dad15d7a57779e",
-     "0edff2c969c8c7f09750fb635e55017523b058a3b37112186db7b24f922f1150"),
+     "1349dcc88b7a6f66bf46078f3999dffb4eeb54bc42ec06b69c06de5ffc2dd524",
+     "ea04a0df514b8a56138425b63720f17c627de67c1925585825ccf093ff6e1a35"),
     ("mdim-report",
-     ["counterexample", "report", "--delta", "1/2", "--eps", "1/2", "--N", "8",
-      "--samples", "2", "--seed", "3"],
-     "b8dc3bf66da54d750d2ba5fe0841aa77823ff9b7d32c14190cb08aa084f6c242",
+     ["counterexample", "report", "--delta", "1/2", "--eps", "1/2", "--N", "8"],
+     "1be46338d18bb78c6153b72e273c5da6597857ee7e485d046a90c45a8e2b8589",
      "00a45548d0ae9c86066958ec77e44d680e3cdc05c4048d5ed0aca141cf5a5c6c"),
 ]
 
@@ -766,7 +776,7 @@ def assert_digests(path: Path, file_digest: str, payload_digest: str, name):
 
 
 # the keys that recipes written by earlier versions hold and no payload reads
-OLD_RECIPE_KEYS = {"samples": 20, "trials": 200, "eta": None, "mesh_scale": None}
+OLD_RECIPE_KEYS = {"samples": 20, "seed": 0, "trials": 200, "eta": None, "mesh_scale": None}
 
 
 def test_every_recipe_key_is_read(workdir):
@@ -798,6 +808,8 @@ REFUSED_OPTIONS = [
     ["counterexample", "build", *_FACTOR, "--samples", "3"],
     ["counterexample", "check-counts", *_FACTOR, "--trials", "5"],
     ["counterexample", "report", *_FACTOR, "--eta", "1"],
+    ["counterexample", "report", *_FACTOR, "--samples", "2"],
+    ["counterexample", "report", *_FACTOR, "--seed", "1"],
     _GROMOV_MAP + ["--mesh-scale", "1/8"],
 ] + [
     ["counterexample", action, "--delta", "1/2", *twice]
@@ -870,8 +882,8 @@ FACTOR_FIBER_DIGESTS = [
      "814efeaffca7ffa4ff813d03a988e83371b76ca35dc554431c7cd7de1cff93bb"),
     (["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2", "--N", "16",
       "--seed", "12", "--samples", "2", "--trials", "30"],
-     "69ddbb828dbc7127d368c004e5fcc1575aad83129c8e2a4b2e4962814d8dbec8",
-     "c1fac1c9259f4377e846626113e60fdcd5b1e5d10a9b8f61cc8869c997f73035"),
+     "bf5f6f17fd7c1dc37f32cd71ba9018fd092bda85bcb42bee759880224a6fbabd",
+     "80024a2a2a00c782e112f03bcfe586d940e9385ad585c8b073833edad1246f05"),
 ]
 
 

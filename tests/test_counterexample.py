@@ -18,6 +18,7 @@ from meandim.certificates import (
     sample_fiber_check,
     structural_record,
 )
+from meandim.complexes import bucket_dimension_bound
 from meandim.counterexample import (
     CSV_HEADER,
     CounterexampleParams,
@@ -266,6 +267,17 @@ def realized_sampler(inst, state):
     return sample
 
 
+def cert_starts(inst, residue, N):
+    """The starts of the blocks fiber_dimension_certificate chains at
+    horizon N for a state of `residue`."""
+    p = inst.params
+    return [
+        a
+        for a in inst.block_starts(residue)
+        if a + p.period > -p.margin and a < N + p.margin
+    ]
+
+
 class TestFiberCertificate:
     def test_single_block_horizon(self):
         p = std_params(N=8)
@@ -287,11 +299,7 @@ class TestFiberCertificate:
         for _ in range(5):
             x, r = inst.sample_state(rng)
             cert = fiber_dimension_certificate(inst, (x, r), 8)
-            starts = [
-                a
-                for a in inst.block_starts(r)
-                if a + 4 > -p.margin and a < 8 + p.margin
-            ]
+            starts = cert_starts(inst, r, 8)
             window_len = starts[-1] + 4 - starts[0]
             assert cert.target_dim == F(window_len, 2)
 
@@ -451,8 +459,41 @@ class TestFiberCertificate:
 
 
 class TestReports:
+    @pytest.mark.parametrize("delta", [F(1, 2), F(1, 3), F(1, 5), F(2, 3)])
+    def test_max_fiber_dim_is_the_worst_residue(self, delta):
+        # the closed form is the largest chain over all residues, every
+        # block at the bucket-1 bound, and strictly below fiber_dim_bound
+        for eps in (F(1, 2), F(1, 4), F(1, 9)):
+            for N in range(1, 151):
+                p = CounterexampleParams.derive(delta, eps, N)
+                inst = build_counterexample(p)
+                worst = max(
+                    len(cert_starts(inst, r, N)) for r in range(p.period)
+                ) * (p.period // p.m)
+                assert p.max_fiber_dim(N) == worst, (eps, N)
+                assert p.max_fiber_dim(N) < p.fiber_dim_bound(N), (eps, N)
+
+    def test_bucket_one_has_the_largest_bound(self):
+        for n in range(1, 70):
+            for m in range(1, n + 2):
+                bounds = [bucket_dimension_bound(n, m, i) for i in range(1, m + 1)]
+                assert max(bounds) == bounds[0] == n // m, (n, m)
+
+    @pytest.mark.parametrize(
+        "delta, N", [(F(1, 2), 8), (F(1, 2), 16), (F(1, 2), 64), (F(1, 2), 80), (F(1, 3), 16)]
+    )
+    def test_row_is_the_largest_certified_dimension(self, delta, N):
+        (row,) = mdim_report(delta, [N], [F(1, 2)])
+        inst = build_counterexample(std_params(N=N, delta=delta))
+        rng = random.Random(N)
+        dims = [
+            fiber_dimension_certificate(inst, inst.sample_state(rng), N).target_dim
+            for _ in range(60)
+        ]
+        assert max(dims) == row.fiber_dim and row.fiber_dim_over_N == F(row.fiber_dim, N)
+
     def test_ratio_identity(self):
-        rows = mdim_report(F(1, 2), [8, 16, 32], [F(1, 2)], samples=2, seed=13)
+        rows = mdim_report(F(1, 2), [8, 16, 32], [F(1, 2)])
         p = std_params()
         for row in rows:
             assert row.fiber_dim_over_N <= F(1, p.m) + F(
@@ -460,16 +501,16 @@ class TestReports:
             )
 
     def test_ratios_fall_below_delta(self):
-        rows = mdim_report(F(1, 2), [32, 64], [F(1, 2)], samples=2, seed=14)
+        rows = mdim_report(F(1, 2), [32, 64], [F(1, 2)])
         for row in rows:
             assert row.fiber_dim_over_N < F(1, 2)
 
     def test_csv_shape(self):
-        rows = mdim_report(F(1, 2), [8], [F(1, 2)], samples=1, seed=15)
+        rows = mdim_report(F(1, 2), [8], [F(1, 2)])
         assert CSV_HEADER.count(",") == rows[0].to_csv().count(",")
 
     def test_stacked_depths(self):
-        rows = stacked_report(F(1, 2), depth=2, N=8, samples=1, seed=16)
+        rows = stacked_report(F(1, 2), depth=2, N=8)
         assert [r["depth"] for r in rows] == [1, 2]
         assert rows[0]["eps"] == 1
         assert rows[1]["eps"] == F(1, 2)

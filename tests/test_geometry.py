@@ -284,12 +284,6 @@ class TestIntegerLocation:
         assert realized(KuhnWidthPipeline(n, 2, g).locate_flag(p), g) == p
 
 
-class FakeMap:
-    def __init__(self, vertex_images, target):
-        self.vertex_images = vertex_images
-        self.target = target
-
-
 def segment_target():
     K = SimplicialComplex.from_maximal([1, 2], [[1, 2]])
     coords = {1: (F(1), F(0)), 2: (F(0), F(1))}
@@ -298,28 +292,27 @@ def segment_target():
 
 class TestEvalSimplicialMap:
     def test_vertex_goes_to_image(self):
-        G = standard_two_simplex()
-        f = FakeMap({"a": 1, "b": 1, "c": 2}, segment_target())
+        f = {"a": 1, "b": 1, "c": 2}
         x = BarycentricPoint(frozenset({"a"}), {"a": F(1)})
-        assert eval_simplicial_map(f, x) == (F(1), F(0))
+        assert eval_simplicial_map(f, segment_target(), x) == (F(1), F(0))
 
     def test_collapsed_edge_midpoint(self):
-        f = FakeMap({"a": 1, "b": 1, "c": 2}, segment_target())
+        f = {"a": 1, "b": 1, "c": 2}
         x = BarycentricPoint(frozenset({"a", "b"}), {"a": F(1, 2), "b": F(1, 2)})
-        assert eval_simplicial_map(f, x) == (F(1), F(0))
+        assert eval_simplicial_map(f, segment_target(), x) == (F(1), F(0))
 
     def test_barycenter_weights(self):
-        f = FakeMap({"a": 1, "b": 1, "c": 2}, segment_target())
+        f = {"a": 1, "b": 1, "c": 2}
         x = BarycentricPoint(
             frozenset({"a", "b", "c"}), {"a": F(1, 3), "b": F(1, 3), "c": F(1, 3)}
         )
-        assert eval_simplicial_map(f, x) == (F(2, 3), F(1, 3))
+        assert eval_simplicial_map(f, segment_target(), x) == (F(2, 3), F(1, 3))
 
     def test_missing_vertex(self):
-        f = FakeMap({"a": 1}, segment_target())
+        f = {"a": 1}
         x = BarycentricPoint(frozenset({"a", "b"}), {"a": F(1, 2), "b": F(1, 2)})
         with pytest.raises(PreconditionError, match="missing from map table"):
-            eval_simplicial_map(f, x)
+            eval_simplicial_map(f, segment_target(), x)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -328,7 +321,7 @@ class TestEvalSimplicialMap:
         wb=st.integers(min_value=0, max_value=8),
     )
     def test_affine_on_simplices(self, t, wa, wb):
-        f = FakeMap({"a": 1, "b": 1, "c": 2}, segment_target())
+        f = {"a": 1, "b": 1, "c": 2}
         t = F(t, 8)
 
         def to_point(wa, wb):
@@ -348,9 +341,10 @@ class TestEvalSimplicialMap:
                 for v in ("a", "b", "c")
             },
         )
-        fx, fy = eval_simplicial_map(f, x), eval_simplicial_map(f, y)
+        target = segment_target()
+        fx, fy = eval_simplicial_map(f, target, x), eval_simplicial_map(f, target, y)
         expected = tuple(t * a + (1 - t) * b for a, b in zip(fx, fy))
-        assert eval_simplicial_map(f, mix) == expected
+        assert eval_simplicial_map(f, target, mix) == expected
 
 
 def test_affine_dependence_rejected():

@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -63,12 +62,6 @@ def standard_simplex(m):
     return GeometricComplex(K, {i: tuple(F(int(j == i - 1)) for j in range(m)) for i in verts})
 
 
-def block_map(wm):
-    """The partition map's block table as a vertex map onto the full
-    standard simplex, for eval_simplicial_map."""
-    return SimpleNamespace(vertex_images=wm.block_of, target=standard_simplex(wm.m))
-
-
 def fiber_points_exist(wm, t):
     """Whether some simplex meets exactly the blocks where t is positive."""
     return bool(wm.admissible(frozenset(i + 1 for i, ti in enumerate(t) if ti > 0)))
@@ -92,7 +85,7 @@ class TestPartitionMap:
         x = as_barycentric(cert.domain.sample(rng))
         # the fiber over the midpoint is the midpoint itself
         assert x.realize(wm.geometry) == (F(1, 2),)
-        assert eval_simplicial_map(block_map(wm), x) == (F(1, 2), F(1, 2))
+        assert eval_simplicial_map(wm.block_of, standard_simplex(wm.m), x) == (F(1, 2), F(1, 2))
 
     def test_mesh_hypothesis_enforced(self):
         with pytest.raises(PreconditionError, match="star mesh hypothesis fails"):
@@ -128,7 +121,7 @@ class TestPartitionMap:
         rng = random.Random(1)
         x = as_barycentric(cert.domain.sample(rng))
         assert x.realize(wm.geometry) == (F(0),)
-        assert eval_simplicial_map(block_map(wm), x) == (F(1), F(0))
+        assert eval_simplicial_map(wm.block_of, standard_simplex(wm.m), x) == (F(1), F(0))
 
     def test_simpliciality(self):
         wm = partition_map(
@@ -146,6 +139,7 @@ class TestPartitionMap:
         sub = barycentric_subdivide_geometric(G)
         P = dimension_buckets(G.complex, 2)
         wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
+        target = standard_simplex(wm.m)
         rng = random.Random(5)
         for _ in range(10):
             t = (F(rng.randint(1, 7), 8),)
@@ -153,7 +147,7 @@ class TestPartitionMap:
             cert = wm.fiber_certificate(t)
             for _ in range(5):
                 x = as_barycentric(cert.domain.sample(rng))
-                assert eval_simplicial_map(block_map(wm), x) == t
+                assert eval_simplicial_map(wm.block_of, target, x) == t
 
     def test_retraction_passes_fiber_check(self):
         G = kuhn_triangulate_cube(2, 3)
@@ -429,13 +423,6 @@ class TestCubeWidthMap:
         assert cert.target_dim <= 1
         assert cert.all_structural_discharged
 
-    def test_empty_fiber_for_missing_support(self):
-        # the all-zero corner of the cube pulls back to a vertex target with
-        # support {2} on a grid where every simplex also meets bucket 1
-        wm = cube_width_map(1, 2, F(1, 2))
-        t = barycentric_from_cube((F(1),))
-        assert t == (F(1), F(0))
-
     def test_grid_choice_strict(self):
         assert grid_for_mesh(F(1, 8)) == 17
         assert grid_for_mesh(F(1, 2)) == 5  # 2/4 would equal the scale, not below
@@ -485,13 +472,14 @@ class TestClosedFormAgainstExplicit:
         wm = cube_width_map(2, 2, F(8, 3))  # grid 4
         pipeline = KuhnWidthPipeline(wm.n, wm.m, wm.grid)
         sub = wm.inner.geometry
+        target = standard_simplex(wm.m)
         rng = random.Random(13)
         for _ in range(20):
             x = (F(rng.randint(0, 36), 36), F(rng.randint(0, 36), 36))
             flag = pipeline.locate_flag(x)
             assert realized(flag, pipeline.grid) == x
             located = locate(sub, x)
-            t_explicit = eval_simplicial_map(block_map(wm.inner), located)
+            t_explicit = eval_simplicial_map(wm.inner.block_of, target, located)
             assert pipeline.evaluate(x) == cube_from_barycentric(t_explicit)
 
     def test_retract_matches_explicit_bucket_part(self):
@@ -755,11 +743,12 @@ class TestPartitionFiberIntegers:
         t = (F(k, 8), 1 - F(k, 8))
         assume(fiber_points_exist(wm, t))
         cert = wm.fiber_certificate(t)
+        target = standard_simplex(wm.m)
         rng = random.Random(seed)
         for _ in range(5):
             x, y = cert.domain.sample(rng), cert.domain.sample(rng)
             bx, by = as_barycentric(x), as_barycentric(y)
-            assert eval_simplicial_map(block_map(wm), bx) == t
+            assert eval_simplicial_map(wm.block_of, target, bx) == t
             rx, ry = fraction_retract(wm, bx, t), fraction_retract(wm, by, t)
             assert as_barycentric(cert.evaluator(x)).realize(sub) == rx
             got = cert.target_dist(cert.evaluator(x), cert.evaluator(y))
