@@ -8,7 +8,6 @@ from .certificates import (
     MetricSpaceHandle,
     chain_fiber_certificate,
     check_certificate,
-    identity_certificate,
     product_certificate,
     pullback_certificate,
     recheck_structural,
@@ -45,12 +44,9 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import (
-    BarycentricPoint,
     GeometricComplex,
     barycentric_subdivide_geometric,
-    eval_simplicial_map,
     kuhn_triangulate_cube,
-    locate,
     max_star_mesh,
     star_diameter,
     subdivide_to_mesh,

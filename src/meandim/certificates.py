@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .complexes import bucket_dimension_bound
-from .errors import MeanDimError, PreconditionError
+from .errors import MeanDimError, PreconditionError, Value
 from .serialize import format_fraction, parse_fraction, to_jsonable
 
 STRUCTURAL = "STRUCTURAL"
@@ -35,23 +35,19 @@ SAMPLED_ONLY = "sampled-only"
 FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class DischargeRecord:
-    name: str
-    kind: str
-    status: str
-    data: tuple = ()
-    witness: tuple | None = None
+class DischargeRecord(Value):
+    _fields = ("name", "kind", "status", "data", "witness")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise PreconditionError(f"record name must be a string, not {self.name!r}")
-        if self.kind not in (STRUCTURAL, SAMPLED):
-            raise PreconditionError(f"unknown record kind {self.kind!r}")
-        if self.status not in (DISCHARGED, SAMPLED_ONLY, FAILED):
-            raise PreconditionError(f"unknown record status {self.status!r}")
-        if self.status == FAILED and self.witness is None:
+    def __init__(self, name: str, kind: str, status: str, data: tuple = (), witness=None):
+        if not isinstance(name, str):
+            raise PreconditionError(f"record name must be a string, not {name!r}")
+        if kind not in (STRUCTURAL, SAMPLED):
+            raise PreconditionError(f"unknown record kind {kind!r}")
+        if status not in (DISCHARGED, SAMPLED_ONLY, FAILED):
+            raise PreconditionError(f"unknown record status {status!r}")
+        if status == FAILED and witness is None:
             raise PreconditionError("failed records must carry a witness")
+        self.__dict__.update(name=name, kind=kind, status=status, data=data, witness=witness)
 
     @property
     def data_dict(self) -> dict:
@@ -266,15 +262,6 @@ class MetricSpaceHandle:
         return {"kind": self.kind, "description": self.description}
 
 
-def spot_check_metric(handle: MetricSpaceHandle, trials: int = 32, seed: int = 0):
-    rng = random.Random(seed)
-    for _ in range(trials):
-        x, y = handle.sample(rng), handle.sample(rng)
-        dxy, dyx = handle.dist(x, y), handle.dist(y, x)
-        if dxy != dyx or dxy < 0 or handle.dist(x, x) != 0:
-            raise PreconditionError(f"metric axioms violated on {handle.kind}")
-
-
 def flat_linf(a, b):
     """Max metric over arbitrarily nested tuples of rationals (ints or
     Fractions, subtracted as they are)."""
@@ -283,27 +270,6 @@ def flat_linf(a, b):
             (flat_linf(x, y) for x, y in zip(a, b)), default=Fraction(0)
         )
     return abs(a - b)
-
-
-def one_point_handle(point=()) -> MetricSpaceHandle:
-    return MetricSpaceHandle(
-        kind="one-point",
-        description="single point",
-        dist=lambda a, b: Fraction(0),
-        sample=lambda rng: point,
-    )
-
-
-def finite_cloud_handle(points, description="finite sample cloud") -> MetricSpaceHandle:
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    if not pts:
-        raise PreconditionError("empty cloud")
-    return MetricSpaceHandle(
-        kind="finite-cloud",
-        description=description,
-        dist=flat_linf,
-        sample=lambda rng: pts[rng.randrange(len(pts))],
-    )
 
 
 def product_handle(*handles: MetricSpaceHandle) -> MetricSpaceHandle:
@@ -355,17 +321,6 @@ class EpsEmbeddingCertificate:
             "target_dim": self.target_dim,
             "obligations": [r.to_json_dict() for r in self.obligations],
         }
-
-
-def identity_certificate(domain: MetricSpaceHandle, dim: int, epsilon) -> EpsEmbeddingCertificate:
-    """The identity map embeds with point fibers; any scale works."""
-    return EpsEmbeddingCertificate(
-        domain=domain,
-        target_dim=dim,
-        epsilon=Fraction(epsilon),
-        evaluator=lambda x: x,
-        obligations=(structural_record("identity-embedding-fibers-are-points"),),
-    )
 
 
 def _product_factors(cert: EpsEmbeddingCertificate):

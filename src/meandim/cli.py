@@ -347,6 +347,18 @@ def write_artifact(path: str | None, kind: str, recipe: dict) -> dict:
     return artifact
 
 
+def _raise_on_count_violations(payload: dict):
+    """A count report with violations fails its nonzero-count-bound."""
+    if payload["violations"]:
+        raise ObligationFailedError(
+            DischargeRecord(
+                "nonzero-count-bound", STRUCTURAL, FAILED,
+                (("max_count", str(payload["max_count"])),),
+                witness=("count bound violated",),
+            )
+        )
+
+
 def _raise_on_failed_obligations(artifact: dict):
     for entry in _iter_obligation_dicts(artifact.get("payload")):
         if entry.get("status") == FAILED:
@@ -379,7 +391,8 @@ class VerifyCounts(NamedTuple):
 
 def verify_artifact(path: str) -> VerifyCounts:
     """Re-discharge structural obligations arithmetically, then rebuild the
-    payload from the recipe and require byte-identical canonical JSON; return
+    payload from the recipe and require byte-identical canonical JSON; a
+    count report with violations then fails as `check-counts` does. Return
     the counts of what was checked."""
     artifact = _load_json(path)
     if not isinstance(artifact, dict):
@@ -420,6 +433,8 @@ def verify_artifact(path: str) -> VerifyCounts:
                 witness=("payload does not match recompute from recipe",),
             )
         )
+    if kind == "count-report":
+        _raise_on_count_violations(rebuilt)
     # the payload is the rebuild's own output, so its counts are integers
     near_pairs = sum(int(r.data_dict.get("near_pairs", 0)) for r in sampled)
     return VerifyCounts(rederived, cited, len(sampled), near_pairs)
@@ -544,14 +559,7 @@ def _cmd_counterexample(ns) -> int:
             f"max nonzero count {payload['max_count']} < bound {payload['bound']} "
             f"(block form {payload['block_bound']}); violations: {payload['violations']}"
         )
-        if payload["violations"]:
-            raise ObligationFailedError(
-                DischargeRecord(
-                    "nonzero-count-bound", "STRUCTURAL", FAILED,
-                    (("max_count", str(payload["max_count"])),),
-                    witness=("count bound violated",),
-                )
-            )
+        _raise_on_count_violations(payload)
     elif kind == "counterexample-fiber-batch":
         dims = [c["target_dim"] for c in payload["certificates"]]
         print(f"{len(dims)} fiber certificates, max dim {max(dims)}, bound {payload['bound']}")

@@ -16,12 +16,11 @@ that set instead of walking the family again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import ceil, comb, floor
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, FrozenStruct, PreconditionError
 from .serialize import vertex_from_jsonable, vertex_to_jsonable
 
 
@@ -60,8 +59,7 @@ def close_downward(simplices):
     return frozenset(closed)
 
 
-@dataclass(frozen=True, eq=False)
-class SimplicialComplex:
+class SimplicialComplex(FrozenStruct):
     """Vertex tuple (ordered, unique) plus a downward-closed family of simplices.
 
     Every vertex appears as a singleton simplex; dim of the empty complex
@@ -70,15 +68,12 @@ class SimplicialComplex:
     `maximal_simplices()` lists it in canonical order.
     """
 
-    vertices: tuple
-    simplices: frozenset
-    maximal: frozenset = field(init=False, repr=False)
+    _fields = ("vertices", "simplices")
 
-    def __post_init__(self):
-        seen = set(self.vertices)
-        if len(seen) != len(self.vertices):
+    def __init__(self, vertices: tuple, simplices: frozenset):
+        seen = set(vertices)
+        if len(seen) != len(vertices):
             raise PreconditionError("duplicate vertices")
-        simplices = self.simplices
         maximal = set(simplices)  # each facet met below is dropped
         on_edges = set()
         for s in simplices:
@@ -95,14 +90,16 @@ class SimplicialComplex:
             elif len(s) == 2:
                 on_edges |= s
         # an edge's facets are its vertices' singletons, checked here
-        for v in self.vertices:
+        for v in vertices:
             if frozenset({v}) not in simplices:
                 if v in on_edges:
                     raise PreconditionError("simplex family is not downward closed")
                 raise PreconditionError("missing singleton simplex")
         maximal.difference_update(frozenset({v}) for v in on_edges)
         # every proper face lies in a facet, so what is left is maximal
-        object.__setattr__(self, "maximal", frozenset(maximal))
+        self.__dict__.update(
+            vertices=vertices, simplices=simplices, maximal=frozenset(maximal)
+        )
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
@@ -185,18 +182,18 @@ class SimplicialComplex:
         return cls.from_maximal(vertices, maximal)
 
 
-@dataclass(frozen=True, eq=False)
-class VertexPartition:
+class VertexPartition(FrozenStruct):
     """Disjoint vertex blocks; empty blocks are permitted."""
 
-    blocks: tuple
+    _fields = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple):
         seen = set()
-        for block in self.blocks:
+        for block in blocks:
             if seen & set(block):
                 raise PreconditionError("partition blocks overlap")
             seen |= set(block)
+        self.__dict__.update(blocks=blocks)
 
     @property
     def m(self) -> int:

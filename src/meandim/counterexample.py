@@ -26,7 +26,6 @@ live is bounded by an exact orbit-count dynamic program.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -41,7 +40,7 @@ from .certificates import (
     relax_scale,
     structural_record,
 )
-from .errors import PreconditionError
+from .errors import FrozenStruct, PreconditionError, Struct, Value
 from .serialize import format_fraction
 from .symbolic import (
     INTEGER_HILBERT_METRIC,
@@ -73,10 +72,8 @@ def sample_coordinates(rng: random.Random, count: int) -> tuple:
 
 
 def derive_m(delta: Fraction) -> int:
-    m = 2
-    while F(1, m) >= delta:
-        m += 1
-    return m
+    """Smallest m >= 2 with 1/m < delta: m > 1/delta, so floor(1/delta) + 1."""
+    return max(2, delta.denominator // delta.numerator + 1)
 
 
 def derive_level(delta: Fraction, m: int) -> int:
@@ -103,21 +100,27 @@ def two_sided_tail(margin: int) -> Fraction:
     return F(4, 2**margin)
 
 
-@dataclass(frozen=True)
-class CounterexampleParams:
+class CounterexampleParams(Value):
     """Parameters of the factor-map instance; inequalities are checked on
     construction and reported with exact values by report()."""
 
-    delta: Fraction
-    eps: Fraction
-    m: int
-    level: int
-    grid: int
-    horizon: int
-    margin: int
-    seed: int = 0
+    _fields = ("delta", "eps", "m", "level", "grid", "horizon", "margin", "seed")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        delta: Fraction,
+        eps: Fraction,
+        m: int,
+        level: int,
+        grid: int,
+        horizon: int,
+        margin: int,
+        seed: int = 0,
+    ):
+        self.__dict__.update(
+            delta=delta, eps=eps, m=m, level=level, grid=grid, horizon=horizon,
+            margin=margin, seed=seed,
+        )
         for name, ok in self.core_checks():
             if not ok:
                 raise PreconditionError(f"parameter inequality violated: {name}")
@@ -213,16 +216,20 @@ class CounterexampleParams:
         }
 
 
-@dataclass(eq=False)
-class FactorMapInstance:
+class FactorMapInstance(Struct):
     """The factor map at a finite horizon: cube-sequence windows are pushed
     through the shared width map `pipeline` over the odometer's return
     blocks, each image padded with zeros to the block length; the
     zero-dimensional coordinate passes through unchanged."""
 
-    params: CounterexampleParams
-    tower: OdometerTower
-    pipeline: KuhnWidthPipeline
+    _fields = ("params", "tower", "pipeline")
+
+    def __init__(
+        self, params: CounterexampleParams, tower: OdometerTower, pipeline: KuhnWidthPipeline
+    ):
+        self.params = params
+        self.tower = tower
+        self.pipeline = pipeline
 
     @property
     def window_lo(self) -> int:
@@ -262,15 +269,23 @@ def build_counterexample(params: CounterexampleParams) -> FactorMapInstance:
     )
 
 
-@dataclass(frozen=True)
-class CountReport:
-    samples: int
-    horizon: int
-    max_count: int
-    bound: Fraction
-    block_bound: int
-    hull_max: int
-    violations: tuple
+class CountReport(Value):
+    _fields = ("samples", "horizon", "max_count", "bound", "block_bound", "hull_max", "violations")
+
+    def __init__(
+        self,
+        samples: int,
+        horizon: int,
+        max_count: int,
+        bound: Fraction,
+        block_bound: int,
+        hull_max: int,
+        violations: tuple,
+    ):
+        self.__dict__.update(
+            samples=samples, horizon=horizon, max_count=max_count, bound=bound,
+            block_bound=block_bound, hull_max=hull_max, violations=violations,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -329,8 +344,7 @@ def nonzero_count_check(
     )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class FiberPoint:
+class FiberPoint(FrozenStruct):
     """A point of the factor map's fiber as the sampler draws it. Its window
     starts at `start` and holds `head` (the free coordinates before the
     first complete block), then each FlagPoint in `flags` realized on the
@@ -344,11 +358,8 @@ class FiberPoint:
     the repr, which is the WindowSeq's) realizes `window` on Fractions.
     """
 
-    start: int
-    head: tuple
-    flags: tuple
-    tail: tuple
-    grid: int
+    def __init__(self, start: int, head: tuple, flags: tuple, tail: tuple, grid: int):
+        self.__dict__.update(start=start, head=head, flags=flags, tail=tail, grid=grid)
 
     @cached_property
     def numerators(self) -> IntegerWindow:
@@ -466,13 +477,21 @@ def fiber_dimension_certificate(
     )
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    eps: Fraction
-    N: int
-    fiber_dim: int
-    fiber_dim_over_N: Fraction
-    image_dim_over_N: Fraction
+class ReportRow(Value):
+    _fields = ("eps", "N", "fiber_dim", "fiber_dim_over_N", "image_dim_over_N")
+
+    def __init__(
+        self,
+        eps: Fraction,
+        N: int,
+        fiber_dim: int,
+        fiber_dim_over_N: Fraction,
+        image_dim_over_N: Fraction,
+    ):
+        self.__dict__.update(
+            eps=eps, N=N, fiber_dim=fiber_dim, fiber_dim_over_N=fiber_dim_over_N,
+            image_dim_over_N=image_dim_over_N,
+        )
 
     def to_csv(self) -> str:
         return ",".join(
@@ -566,8 +585,7 @@ def cone_distance(dist_for_branch):
     return dist
 
 
-@dataclass(eq=False)
-class SbpEmbeddingInstance:
+class SbpEmbeddingInstance(Struct):
     """Zero-dimensional-base data for the wedge-cone embedding.
 
     The cutoff is the indicator of the union of the refined pieces: it is 1
@@ -575,24 +593,36 @@ class SbpEmbeddingInstance:
     clopen. The pieces are pairwise disjoint, so at most one is live.
     """
 
-    base: Sft
-    cover: tuple
-    pieces: tuple  # E_i, pairwise disjoint, E_i <= V_i
-    complement: CylinderSet  # leftover after peeling
-    fiber_certs: tuple  # one per cover element, on the fiber over it
-    global_cert: EpsEmbeddingCertificate
-    base_span: tuple  # sampling window for base points
+    _fields = (
+        "base", "cover", "pieces", "complement", "fiber_certs", "global_cert", "base_span"
+    )
 
-    def __post_init__(self):
-        eps = F(self.global_cert.epsilon)
-        for cert in self.fiber_certs:
+    def __init__(
+        self,
+        base: Sft,
+        cover: tuple,
+        pieces: tuple,  # E_i, pairwise disjoint, E_i <= V_i
+        complement: CylinderSet,  # leftover after peeling
+        fiber_certs: tuple,  # one per cover element, on the fiber over it
+        global_cert: EpsEmbeddingCertificate,
+        base_span: tuple,  # sampling window for base points
+    ):
+        self.base = base
+        self.cover = cover
+        self.pieces = pieces
+        self.complement = complement
+        self.fiber_certs = fiber_certs
+        self.global_cert = global_cert
+        self.base_span = base_span
+        eps = F(global_cert.epsilon)
+        for cert in fiber_certs:
             if F(cert.epsilon) != eps:
                 raise PreconditionError("mismatched epsilon between certificates")
-        for i, Ei in enumerate(self.pieces):
-            for Ej in self.pieces[i + 1 :]:
+        for i, Ei in enumerate(pieces):
+            for Ej in pieces[i + 1 :]:
                 if not Ei.intersection(Ej).is_empty:
                     raise PreconditionError("pieces are not pairwise disjoint")
-        for Ei, Vi in zip(self.pieces, self.cover):
+        for Ei, Vi in zip(pieces, cover):
             if not Ei.difference(Vi).is_empty:
                 raise PreconditionError("need each piece inside its cover element")
 

@@ -17,14 +17,13 @@ per simplex shape, since translates share their edge vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
 from operator import sub
 
 from .complexes import SimplicialComplex, barycentric_subdivide
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, FrozenStruct, PreconditionError
 
 
 def _rank(rows) -> int:
@@ -51,17 +50,14 @@ def _rank(rows) -> int:
     return rank
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class GeometricComplex:
+class GeometricComplex(FrozenStruct):
     """A simplicial complex with rational vertex coordinates, measured in the
     l-infinity norm. `nums[v]` holds v's coordinates as integer numerators
     over `den`, a common denominator, not necessarily the least; `coords` and
     `vertex_point` build reduced Fractions from them when read.
     """
 
-    complex: SimplicialComplex
-    nums: dict
-    den: int
+    _fields = ("complex", "nums", "den")
 
     def __init__(self, complex: SimplicialComplex, coords: dict):
         points = {v: [Fraction(c) for c in coords[v]] for v in complex.vertices if v in coords}
@@ -210,37 +206,6 @@ def kuhn_triangulate_cube(n: int, g: int) -> GeometricComplex:
     return GeometricComplex.from_numerators(K, dict(zip(verts, verts)), g)
 
 
-@dataclass(frozen=True, eq=False)
-class BarycentricPoint:
-    """A point of the realization: a containing simplex plus nonnegative
-    rational weights on its vertices summing to one. Strictly positive weights
-    identify the simplex interior."""
-
-    simplex: frozenset
-    weights: dict
-
-    def __post_init__(self):
-        total = Fraction(0)
-        for v in self.simplex:
-            w = Fraction(self.weights.get(v, 0))
-            if w < 0:
-                raise PreconditionError("negative barycentric weight")
-            total += w
-        if total != 1:
-            raise PreconditionError("barycentric weights must sum to 1")
-
-    def realize(self, G: GeometricComplex) -> tuple:
-        pt = None
-        for v in self.simplex:
-            w = Fraction(self.weights.get(v, 0))
-            coords = G.vertex_point(v)
-            if pt is None:
-                pt = tuple(w * c for c in coords)
-            else:
-                pt = tuple(a + w * c for a, c in zip(pt, coords))
-        return pt
-
-
 def common_numerators(p):
     """Integer numerators of the rational point p over one common
     resolution, the lcm of its coordinates' denominators: (nums, res)."""
@@ -276,83 +241,3 @@ def kuhn_simplex(nums, res: int, n: int, g: int):
     weights = [res - sorted_local[0]]
     weights += [sorted_local[t] - sorted_local[t + 1] for t in range(n)]
     return verts, weights
-
-
-def _solve_barycentric(points, target):
-    """Weights w >= 0 with sum 1 and sum w_i * points_i = target, or None."""
-    k = len(points)
-    base = points[0]
-    if k == 1:
-        return [Fraction(1)] if tuple(base) == tuple(target) else None
-    cols = [tuple(map(sub, p, base)) for p in points[1:]]
-    rhs = list(map(sub, target, base))
-    rows = [[cols[j][d] for j in range(k - 1)] + [rhs[d]] for d in range(len(base))]
-    # Gaussian elimination; the system may be overdetermined but consistent
-    pivots = []
-    r = 0
-    for c in range(k - 1):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [a / inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    sol = [Fraction(0)] * (k - 1)
-    for row_idx, c in enumerate(pivots):
-        sol[c] = rows[row_idx][-1]
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None  # inconsistent
-    # affine independence of realized simplices makes the solution unique
-    w0 = 1 - sum(sol, Fraction(0))
-    weights = [w0] + sol
-    if any(w < 0 for w in weights):
-        return None
-    # verify exactly (guards the overdetermined case)
-    for d in range(len(base)):
-        if sum(w * pt[d] for w, pt in zip(weights, points)) != target[d]:
-            return None
-    return weights
-
-
-def locate(G: GeometricComplex, p) -> BarycentricPoint:
-    """Find a containing simplex and exact barycentric weights for p.
-
-    The simplices are scanned in canonical order and the first admissible
-    one wins, so the result is p's carrier: the smallest simplex holding it,
-    with positive weights. This generic scan is the oracle that the
-    closed-form Kuhn location (kuhn_simplex) is tested against.
-    """
-    p = tuple(Fraction(c) for c in p)
-    for s in G.complex.iter_simplices():
-        verts = G.complex.sorted_simplex(s)
-        weights = _solve_barycentric([G.vertex_point(v) for v in verts], p)
-        if weights is not None:
-            return BarycentricPoint(frozenset(verts), dict(zip(verts, weights)))
-    raise PreconditionError("not in complex")
-
-
-def eval_simplicial_map(vertex_images, target, x: BarycentricPoint) -> tuple:
-    """Linear extension: image of x under the vertex map `vertex_images`
-    (source vertex -> vertex of the GeometricComplex `target`), in target
-    coordinates."""
-    pt = None
-    for v, w in x.weights.items():
-        try:
-            image = vertex_images[v]
-        except KeyError:
-            raise PreconditionError(f"vertex {v!r} missing from map table") from None
-        coords = target.vertex_point(image)
-        if pt is None:
-            pt = tuple(Fraction(w) * c for c in coords)
-        else:
-            pt = tuple(a + Fraction(w) * c for a, c in zip(pt, coords))
-    if pt is None:
-        raise PreconditionError("empty barycentric point")
-    return pt

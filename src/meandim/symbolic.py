@@ -16,15 +16,16 @@ one pass and builds one Fraction, its value on the common window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import FAILED, STRUCTURAL, DischargeRecord
 from .errors import (
     BudgetExceededError,
+    FrozenStruct,
     InsufficientWindowError,
     ObligationFailedError,
     PreconditionError,
+    Value,
 )
 from .serialize import format_fraction
 
@@ -40,8 +41,7 @@ HORIZON_BUDGET = 10**7
 SAMPLE_BUDGET = 2 * 10**6
 
 
-@dataclass(frozen=True, eq=False)
-class Sft:
+class Sft(FrozenStruct):
     """A subshift of finite type given by its allowed adjacent symbol pairs.
 
     The transition graph must be essential (every symbol has an outgoing and
@@ -49,22 +49,22 @@ class Sft:
     a bi-infinite point.
     """
 
-    alphabet: tuple
-    transitions: frozenset
+    _fields = ("alphabet", "transitions")
 
-    def __post_init__(self):
-        symbols = set(self.alphabet)
-        if len(symbols) != len(self.alphabet) or not symbols:
+    def __init__(self, alphabet: tuple, transitions: frozenset):
+        symbols = set(alphabet)
+        if len(symbols) != len(alphabet) or not symbols:
             raise PreconditionError("alphabet must be nonempty without duplicates")
-        for a, b in self.transitions:
+        for a, b in transitions:
             if a not in symbols or b not in symbols:
                 raise PreconditionError("transition uses unknown symbol")
-        outgoing = {a for a, _ in self.transitions}
-        incoming = {b for _, b in self.transitions}
+        outgoing = {a for a, _ in transitions}
+        incoming = {b for _, b in transitions}
         if outgoing != symbols or incoming != symbols:
             raise PreconditionError(
                 "graph is not essential: every symbol needs an outgoing and an incoming transition"
             )
+        self.__dict__.update(alphabet=alphabet, transitions=transitions)
 
     @classmethod
     def full_shift(cls, symbols) -> "Sft":
@@ -126,8 +126,7 @@ class Sft:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CylinderSet:
+class CylinderSet(FrozenStruct):
     """A clopen set: all points whose window restriction lies in `words`.
 
     A zero-length window encodes the whole space (words == {()}) or the empty
@@ -135,14 +134,12 @@ class CylinderSet:
     the language, so the representation is always language-consistent.
     """
 
-    sft: Sft
-    offset: int
-    length: int
-    words: frozenset
+    _fields = ("sft", "offset", "length", "words")
 
-    def __post_init__(self):
-        if not self.sft.word_index(self.length).keys() >= self.words:
+    def __init__(self, sft: Sft, offset: int, length: int, words: frozenset):
+        if not sft.word_index(length).keys() >= words:
             raise PreconditionError("cylinder word outside the language")
+        self.__dict__.update(sft=sft, offset=offset, length=length, words=words)
 
     @classmethod
     def whole(cls, sft: Sft) -> "CylinderSet":
@@ -258,11 +255,11 @@ class CylinderSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OcapResult:
-    value: Fraction
-    witness: tuple
-    graph_size: int
+class OcapResult(Value):
+    _fields = ("value", "witness", "graph_size")
+
+    def __init__(self, value: Fraction, witness: tuple, graph_size: int):
+        self.__dict__.update(value=value, witness=witness, graph_size=graph_size)
 
 
 def _word_graph(sft: Sft, length: int):
@@ -632,17 +629,17 @@ def sbp_cover_refine(sft: Sft, cover, delta):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OdometerTower:
+class OdometerTower(Value):
     """Level-k tower of the 2-adic adding machine over the clopen base set of
     residue 0 mod 2^k: return times are exactly 2^k, and only the residue of a
     point matters for its return-time set."""
 
-    level: int
+    _fields = ("level",)
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, level: int):
+        if level < 1:
             raise PreconditionError("level must be positive")
+        self.__dict__.update(level=level)
 
     @property
     def period(self) -> int:
@@ -663,12 +660,13 @@ def odometer_E(tower: OdometerTower, residue: int, lo: int, hi: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WindowSeq:
+class WindowSeq(Value):
     """Finitely many consecutive coordinates of a bi-infinite sequence."""
 
-    start: int
-    values: tuple
+    _fields = ("start", "values")
+
+    def __init__(self, start: int, values: tuple):
+        self.__dict__.update(start=start, values=values)
 
     @property
     def end(self) -> int:
@@ -688,15 +686,17 @@ class WindowSeq:
         return self.values[lo - self.start : hi - self.start]
 
 
-@dataclass(frozen=True)
-class ShiftMetric:
+class ShiftMetric(Value):
     """Geometric-weight metric on window sequences: sum of 2^-|n| times a
     per-coordinate distance (coordinate n of the shifted points).
 
     coord_dist returns a rational, a Fraction or an int, between 0 and 1.
     """
 
-    coord_dist: object
+    _fields = ("coord_dist",)
+
+    def __init__(self, coord_dist):
+        self.__dict__.update(coord_dist=coord_dist)
 
     def distances(self, x: WindowSeq, y: WindowSeq, lo: int, hi: int):
         """The coordinate distances on [lo, hi) as integer numerators over
@@ -713,14 +713,14 @@ HILBERT_METRIC = ShiftMetric(lambda a, b: abs(a - b))
 SYMBOL_METRIC = ShiftMetric(lambda a, b: int(a != b))
 
 
-@dataclass(frozen=True)
-class IntegerWindow:
+class IntegerWindow(Value):
     """Consecutive coordinates start, start + 1, ... of a sequence in [0, 1],
     as integer numerators `nums` over one denominator `den`."""
 
-    start: int
-    nums: tuple
-    den: int
+    _fields = ("start", "nums", "den")
+
+    def __init__(self, start: int, nums: tuple, den: int):
+        self.__dict__.update(start=start, nums=nums, den=den)
 
     @property
     def end(self) -> int:

@@ -49,7 +49,6 @@ A = max |W_i|, B = max(max_i(-W_i), sum W), and A = 0 is the center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import mul
@@ -69,7 +68,7 @@ from .complexes import (
     faces_exceed,
     full_subcomplex,
 )
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, FrozenStruct, PreconditionError, Struct, Value
 from .geometry import (
     GeometricComplex,
     barycentric_subdivide_geometric,
@@ -122,21 +121,29 @@ def empty_fiber_certificate(eps) -> EpsEmbeddingCertificate:
     )
 
 
-@dataclass(eq=False)
-class PartitionWidthMap:
+class PartitionWidthMap(Struct):
     """A partition simplicial map plus its per-fiber certificate builder.
 
     `block_of` sends each vertex to its 1-based block index: the vertex map
     onto the full standard simplex on the m blocks."""
 
-    geometry: GeometricComplex
-    partition: VertexPartition
-    eps: Fraction
-    block_of: dict
-    mesh_record: object
-    bucket_source_dim: int | None = None  # set when blocks are dimension buckets
+    _fields = ("geometry", "partition", "eps", "block_of", "mesh_record", "bucket_source_dim")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        geometry: GeometricComplex,
+        partition: VertexPartition,
+        eps: Fraction,
+        block_of: dict,
+        mesh_record,
+        bucket_source_dim: int | None = None,  # set when blocks are dimension buckets
+    ):
+        self.geometry = geometry
+        self.partition = partition
+        self.eps = eps
+        self.block_of = block_of
+        self.mesh_record = mesh_record
+        self.bucket_source_dim = bucket_source_dim
         self._by_pattern = None
         self._admissible = {}
         self._block_dims = {}
@@ -344,7 +351,12 @@ def bucket_width_map(G: GeometricComplex, m: int, eps, mesh_scale) -> PartitionW
 
 
 def _cube_from_numerators(s, D: int) -> tuple:
-    """cube_from_barycentric at t = s/D, for integer numerators s."""
+    """Radial homeomorphism from the standard simplex onto the unit cube,
+    centered at the barycenter, at the point t = s/D given by integer
+    numerators s; rays scale so boundaries match. Bijective and exact;
+    fibers of any map composed with it are unchanged:
+    c_i = (A*D + B*W_i) / (2*A*D) with W_i = m*s_i - D (i < m), A = max |W_i|
+    and B = max(max_i(-W_i), sum W); 1/2 everywhere when A = 0."""
     m = len(s)
     W = [m * si - D for si in s[:-1]]
     A = max(map(abs, W), default=0)
@@ -354,17 +366,8 @@ def _cube_from_numerators(s, D: int) -> tuple:
     return tuple(Fraction(A * D + B * w, 2 * A * D) for w in W)
 
 
-def cube_from_barycentric(t) -> tuple:
-    """Radial homeomorphism from the standard simplex onto the unit cube,
-    centered at the barycenter; rays scale so boundaries match. Bijective and
-    exact; fibers of any map composed with it are unchanged. For t = s/D:
-    c_i = (A*D + B*W_i) / (2*A*D) with W_i = m*s_i - D (i < m), A = max |W_i|
-    and B = max(max_i(-W_i), sum W); 1/2 everywhere when A = 0."""
-    return _cube_from_numerators(*common_numerators([Fraction(x) for x in t]))
-
-
 def barycentric_from_cube(p) -> tuple:
-    """Inverse of cube_from_barycentric. For p = P/D: u_i = (B*D + A*W_i) /
+    """Inverse of _cube_from_numerators. For p = P/D: u_i = (B*D + A*W_i) /
     (m*B*D) with W_i = 2*P_i - D, the last coordinate at W_m = -sum W, and A,
     B as there; 1/m everywhere when A = 0."""
     P, D = common_numerators([Fraction(x) for x in p])
@@ -384,8 +387,7 @@ def barycentric_from_cube(p) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlagPoint:
+class FlagPoint(Value):
     """A point of the barycentric subdivision of one Kuhn simplex.
 
     `chain` lists the simplex's vertices (integer grid tuples) in decreasing
@@ -396,9 +398,10 @@ class FlagPoint:
     nonnegative and sum to `denom`.
     """
 
-    chain: tuple
-    weights: tuple
-    denom: int
+    _fields = ("chain", "weights", "denom")
+
+    def __init__(self, chain: tuple, weights: tuple, denom: int):
+        self.__dict__.update(chain=chain, weights=weights, denom=denom)
 
     def realize(self, grid: int) -> tuple:
         """The point's coordinates on a grid-`grid` Kuhn cube, as integer
@@ -422,24 +425,21 @@ class FlagPoint:
         return coords, scale * self.denom * grid
 
 
-@dataclass(frozen=True, eq=False)
-class KuhnWidthPipeline:
+class KuhnWidthPipeline(FrozenStruct):
     """Evaluate the dimension-bucket width map on a Kuhn grid without
     materializing the complex. Prefix j of a flag's chain is a j-simplex of
     the grid triangulation, so its barycenter lies in bucket `buckets[j]`."""
 
-    n: int
-    m: int
-    grid: int
-    buckets: tuple = field(init=False, repr=False)
+    _fields = ("n", "m", "grid")
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.grid < 1:
+    def __init__(self, n: int, m: int, grid: int):
+        if n < 1 or m < 1 or grid < 1:
             raise PreconditionError("bad pipeline parameters")
-        object.__setattr__(
-            self,
-            "buckets",
-            tuple(bucket_of_dimension(j, self.n, self.m) for j in range(self.n + 1)),
+        self.__dict__.update(
+            n=n,
+            m=m,
+            grid=grid,
+            buckets=tuple(bucket_of_dimension(j, n, m) for j in range(n + 1)),
         )
 
     def locate_flag(self, x) -> FlagPoint:
@@ -548,15 +548,17 @@ def grid_for_mesh(mesh_scale) -> int:
     return max(1, g)
 
 
-@dataclass(eq=False)
-class CubeWidthMap:
+class CubeWidthMap(Struct):
     """Explicit width map on the triangulated cube with exact certificates."""
 
-    n: int
-    m: int
-    eps: Fraction
-    grid: int
-    inner: PartitionWidthMap  # on the subdivided triangulation
+    _fields = ("n", "m", "eps", "grid", "inner")
+
+    def __init__(self, n: int, m: int, eps: Fraction, grid: int, inner: PartitionWidthMap):
+        self.n = n
+        self.m = m
+        self.eps = eps
+        self.grid = grid
+        self.inner = inner  # on the subdivided triangulation
 
     @property
     def fiber_bound(self) -> Fraction:

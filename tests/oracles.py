@@ -1,0 +1,178 @@
+"""Oracles and fixtures that only the tests use: the generic point location
+and linear extension on Fractions that the closed-form Kuhn pipeline is
+tested against, the radial chart on Fractions, a metric-axiom check, and
+small certificate domains for the certificate algebra tests.
+"""
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from operator import sub
+
+from meandim.certificates import (
+    EpsEmbeddingCertificate,
+    MetricSpaceHandle,
+    flat_linf,
+    structural_record,
+)
+from meandim.errors import PreconditionError
+from meandim.geometry import GeometricComplex, common_numerators
+from meandim.widthmaps import _cube_from_numerators
+
+
+@dataclass(frozen=True, eq=False)
+class BarycentricPoint:
+    """A point of the realization: a containing simplex plus nonnegative
+    rational weights on its vertices summing to one. Strictly positive weights
+    identify the simplex interior."""
+
+    simplex: frozenset
+    weights: dict
+
+    def __post_init__(self):
+        total = Fraction(0)
+        for v in self.simplex:
+            w = Fraction(self.weights.get(v, 0))
+            if w < 0:
+                raise PreconditionError("negative barycentric weight")
+            total += w
+        if total != 1:
+            raise PreconditionError("barycentric weights must sum to 1")
+
+    def realize(self, G: GeometricComplex) -> tuple:
+        pt = None
+        for v in self.simplex:
+            w = Fraction(self.weights.get(v, 0))
+            coords = G.vertex_point(v)
+            if pt is None:
+                pt = tuple(w * c for c in coords)
+            else:
+                pt = tuple(a + w * c for a, c in zip(pt, coords))
+        return pt
+
+
+def _solve_barycentric(points, target):
+    """Weights w >= 0 with sum 1 and sum w_i * points_i = target, or None."""
+    k = len(points)
+    base = points[0]
+    if k == 1:
+        return [Fraction(1)] if tuple(base) == tuple(target) else None
+    cols = [tuple(map(sub, p, base)) for p in points[1:]]
+    rhs = list(map(sub, target, base))
+    rows = [[cols[j][d] for j in range(k - 1)] + [rhs[d]] for d in range(len(base))]
+    # Gaussian elimination; the system may be overdetermined but consistent
+    pivots = []
+    r = 0
+    for c in range(k - 1):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [a / inv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    sol = [Fraction(0)] * (k - 1)
+    for row_idx, c in enumerate(pivots):
+        sol[c] = rows[row_idx][-1]
+    for i in range(r, len(rows)):
+        if rows[i][-1] != 0:
+            return None  # inconsistent
+    # affine independence of realized simplices makes the solution unique
+    w0 = 1 - sum(sol, Fraction(0))
+    weights = [w0] + sol
+    if any(w < 0 for w in weights):
+        return None
+    # verify exactly (guards the overdetermined case)
+    for d in range(len(base)):
+        if sum(w * pt[d] for w, pt in zip(weights, points)) != target[d]:
+            return None
+    return weights
+
+
+def locate(G: GeometricComplex, p) -> BarycentricPoint:
+    """Find a containing simplex and exact barycentric weights for p.
+
+    The simplices are scanned in canonical order and the first admissible
+    one wins, so the result is p's carrier: the smallest simplex holding it,
+    with positive weights. This generic scan is the oracle that the
+    closed-form Kuhn location (kuhn_simplex) is tested against.
+    """
+    p = tuple(Fraction(c) for c in p)
+    for s in G.complex.iter_simplices():
+        verts = G.complex.sorted_simplex(s)
+        weights = _solve_barycentric([G.vertex_point(v) for v in verts], p)
+        if weights is not None:
+            return BarycentricPoint(frozenset(verts), dict(zip(verts, weights)))
+    raise PreconditionError("not in complex")
+
+
+def eval_simplicial_map(vertex_images, target, x: BarycentricPoint) -> tuple:
+    """Linear extension: image of x under the vertex map `vertex_images`
+    (source vertex -> vertex of the GeometricComplex `target`), in target
+    coordinates."""
+    pt = None
+    for v, w in x.weights.items():
+        try:
+            image = vertex_images[v]
+        except KeyError:
+            raise PreconditionError(f"vertex {v!r} missing from map table") from None
+        coords = target.vertex_point(image)
+        if pt is None:
+            pt = tuple(Fraction(w) * c for c in coords)
+        else:
+            pt = tuple(a + Fraction(w) * c for a, c in zip(pt, coords))
+    if pt is None:
+        raise PreconditionError("empty barycentric point")
+    return pt
+
+
+def spot_check_metric(handle: MetricSpaceHandle, trials: int = 32, seed: int = 0):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        x, y = handle.sample(rng), handle.sample(rng)
+        dxy, dyx = handle.dist(x, y), handle.dist(y, x)
+        if dxy != dyx or dxy < 0 or handle.dist(x, x) != 0:
+            raise PreconditionError(f"metric axioms violated on {handle.kind}")
+
+
+def one_point_handle(point=()) -> MetricSpaceHandle:
+    return MetricSpaceHandle(
+        kind="one-point",
+        description="single point",
+        dist=lambda a, b: Fraction(0),
+        sample=lambda rng: point,
+    )
+
+
+def finite_cloud_handle(points, description="finite sample cloud") -> MetricSpaceHandle:
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    if not pts:
+        raise PreconditionError("empty cloud")
+    return MetricSpaceHandle(
+        kind="finite-cloud",
+        description=description,
+        dist=flat_linf,
+        sample=lambda rng: pts[rng.randrange(len(pts))],
+    )
+
+
+def identity_certificate(domain: MetricSpaceHandle, dim: int, epsilon) -> EpsEmbeddingCertificate:
+    """The identity map embeds with point fibers; any scale works."""
+    return EpsEmbeddingCertificate(
+        domain=domain,
+        target_dim=dim,
+        epsilon=Fraction(epsilon),
+        evaluator=lambda x: x,
+        obligations=(structural_record("identity-embedding-fibers-are-points"),),
+    )
+
+
+def cube_from_barycentric(t) -> tuple:
+    """The radial chart from the standard simplex onto the unit cube on
+    Fractions: the inverse of barycentric_from_cube."""
+    return _cube_from_numerators(*common_numerators([Fraction(x) for x in t]))

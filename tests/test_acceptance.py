@@ -11,8 +11,6 @@ import acceptance_report
 from meandim.certificates import (
     check_certificate,
     chain_fiber_certificate,
-    finite_cloud_handle,
-    identity_certificate,
     product_certificate,
     pullback_certificate,
 )
@@ -39,6 +37,7 @@ from meandim.symbolic import (
     ocap_limit,
 )
 from meandim.widthmaps import cube_width_map
+from oracles import finite_cloud_handle, identity_certificate
 
 F = Fraction
 

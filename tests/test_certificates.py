@@ -15,10 +15,7 @@ from meandim.certificates import (
     MetricSpaceHandle,
     chain_fiber_certificate,
     check_certificate,
-    finite_cloud_handle,
     flat_linf,
-    identity_certificate,
-    one_point_handle,
     product_certificate,
     product_handle,
     pullback_certificate,
@@ -26,10 +23,10 @@ from meandim.certificates import (
     recheck_structural,
     relax_scale,
     sample_fiber_check,
-    spot_check_metric,
     structural_record,
 )
 from meandim.errors import PreconditionError
+from oracles import finite_cloud_handle, identity_certificate, one_point_handle, spot_check_metric
 
 F = Fraction
 

@@ -18,7 +18,7 @@ from meandim import cli, symbolic
 from meandim.certificates import CITATIONS
 from meandim.cli import PAYLOAD_BUILDERS, main
 from meandim.complexes import SimplicialComplex
-from meandim.counterexample import CounterexampleParams
+from meandim.counterexample import CounterexampleParams, CountReport
 from meandim.serialize import canonical_json
 from meandim.symbolic import Sft
 
@@ -314,6 +314,42 @@ class TestCounterexampleCommands:
         )
         assert "violations: 0" in capsys.readouterr().out
         assert main(["verify", str(out)]) == 0
+
+    def test_count_violation_exits_3_in_check_counts_and_verify(
+        self, workdir, capsys, monkeypatch
+    ):
+        # a report with one violation fails its nonzero-count-bound in both
+        # commands; the rebuild reproduces it, so verify fails on the count
+        real = cli.nonzero_count_check
+
+        def one_violation(*args):
+            r = real(*args)
+            return CountReport(
+                r.samples, r.horizon, r.max_count, r.bound, r.block_bound, r.hull_max,
+                ((0, r.max_count),),
+            )
+
+        monkeypatch.setattr(cli, "nonzero_count_check", one_violation)
+        out = workdir / "counts.json"
+        witness = workdir / "meandim-witness.json"
+        assert main(["counterexample", "check-counts", *_FACTOR, "--samples", "2",
+                     "--out", str(out)]) == 3
+        assert json.loads(out.read_text())["payload"]["violations"] == 1
+        assert json.loads(witness.read_text())["obligation"] == "nonzero-count-bound"
+        witness.unlink()
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 3
+        assert "obligation failed: nonzero-count-bound" in capsys.readouterr().err
+        assert json.loads(witness.read_text())["obligation"] == "nonzero-count-bound"
+
+    def test_tiny_delta_is_refused_at_once(self, workdir, capsys):
+        # m = 10^8 + 1 comes in closed form, and no block level below 2^40
+        # fits it
+        start = time.perf_counter()
+        assert main(["counterexample", "build", "--delta", "1/100000000", "--eps", "1/2",
+                     "--N", "8", "--seed", "0"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "no feasible block level" in capsys.readouterr().err
 
     def test_fiber_cert(self, workdir, capsys):
         out = workdir / "fibers.json"

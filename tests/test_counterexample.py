@@ -11,8 +11,6 @@ from meandim.certificates import (
     _trial_seed,
     check_certificate,
     flat_linf,
-    identity_certificate,
-    one_point_handle,
     product_certificate,
     recheck_structural,
     sample_fiber_check,
@@ -24,6 +22,7 @@ from meandim.counterexample import (
     CounterexampleParams,
     build_counterexample,
     build_sbp_instance,
+    derive_m,
     derive_margin,
     fiber_dimension_certificate,
     mdim_report,
@@ -44,6 +43,7 @@ from meandim.symbolic import (
     max_subsampled_visits,
     ocap_limit,
 )
+from oracles import identity_certificate, one_point_handle
 from test_widthmaps import realized
 
 F = Fraction
@@ -62,6 +62,18 @@ class TestParams:
         assert p.L_prime == 9
         assert p.margin == 3
         assert p.grid == 17
+
+    def test_m_rule_is_the_count_up_loop(self):
+        # the smallest m >= 2 with 1/m < delta, as the loop it replaced
+        # counted up to it, for every delta = p/q with 1 <= p <= q <= 300
+        for q in range(1, 301):
+            for p in range(1, q + 1):
+                delta = F(p, q)
+                m = 2
+                while F(1, m) >= delta:
+                    m += 1
+                assert derive_m(delta) == m, delta
+        assert derive_m(F(3)) == 2
 
     def test_margin_rule(self):
         assert derive_margin(F(1, 2)) == 3

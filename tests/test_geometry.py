@@ -12,20 +12,18 @@ from hypothesis import given, settings, strategies as st
 from meandim.complexes import SimplicialComplex, full_subcomplex
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
-    BarycentricPoint,
     GeometricComplex,
     _rank,
     barycentric_subdivide_geometric,
     common_numerators,
-    eval_simplicial_map,
     kuhn_simplex,
     kuhn_triangulate_cube,
-    locate,
     max_star_mesh,
     star_diameter,
     subdivide_to_mesh,
 )
 from meandim.widthmaps import KuhnWidthPipeline
+from oracles import BarycentricPoint, eval_simplicial_map, locate
 from test_widthmaps import realized
 
 F = Fraction

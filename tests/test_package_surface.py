@@ -6,20 +6,45 @@ References are found by name: every identifier, attribute and dotted string
 constant in `src/meandim` (its `__init__` re-exports do not count) and in
 `benchmarks/`. A method counts as referenced when any attribute of that name
 is, so the check catches dead names, not every dead method.
+
+The package's value classes are written out, not built by `@dataclass` at
+import, and keep the repr, equality, hashing and immutability that
+`@dataclass` gave them.
 """
 
 import ast
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from meandim.certificates import DischargeRecord
+from meandim.complexes import SimplicialComplex, VertexPartition
+from meandim.counterexample import (
+    CounterexampleParams,
+    CountReport,
+    FactorMapInstance,
+    FiberPoint,
+    ReportRow,
+)
+from meandim.geometry import kuhn_triangulate_cube
+from meandim.symbolic import (
+    CylinderSet,
+    IntegerWindow,
+    OcapResult,
+    OdometerTower,
+    Sft,
+    ShiftMetric,
+    WindowSeq,
+)
+from meandim.widthmaps import CubeWidthMap, FlagPoint, KuhnWidthPipeline, PartitionWidthMap
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "meandim"
 
 # name -> why it stays without a caller in src/ or benchmarks/
 KEPT = {
-    "spot_check_metric": "oracle: checks the metric axioms of a domain handle",
-    "one_point_handle": "fixture: the one-point domain for certificate algebra tests",
-    "finite_cloud_handle": "fixture: a finite point cloud domain for certificate algebra tests",
-    "identity_certificate": "fixture: the point-fiber certificate that products and chains combine",
     "EpsEmbeddingCertificate.all_structural_discharged": "oracle: every structural record discharged",
     "pullback_certificate": "paper construction: certificates pulled back along non-contracting maps",
     "SimplicialComplex.empty": "fixture: the empty complex, an edge case of the constructions",
@@ -28,14 +53,11 @@ KEPT = {
     "stacked_report": "paper construction: the stacked family, waiting for a command",
     "build_sbp_instance": "paper construction: the wedge-of-cones data, waiting for a command",
     "wedge_cone_embedding": "paper construction: the wedge-of-cones embedding, waiting for a command",
-    "locate": "oracle: the generic point-location scan that kuhn_simplex is tested against",
-    "eval_simplicial_map": "oracle: a vertex map's linear extension, on Fractions",
     "Sft.full_shift": "fixture: the full shift on given symbols",
     "Sft.golden_mean": "fixture: the golden-mean shift",
     "CylinderSet.empty": "fixture: the empty clopen set",
     "CylinderSet.same_set": "oracle: equality of clopen sets, whatever their windows",
     "ocap_neighborhood": "paper construction: clopen neighborhoods of small capacity",
-    "cube_from_barycentric": "oracle: the radial chart on Fractions, the inverse of barycentric_from_cube",
 }
 
 
@@ -80,3 +102,146 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert sorted(unreferenced - set(KEPT)) == []
     # an entry whose name gained a caller, or is gone, leaves the list
     assert sorted(set(KEPT) - unreferenced) == []
+
+
+# `benchmarks/spans.py` copies these two with `dataclasses.replace`
+DATACLASSES = {"MetricSpaceHandle", "EpsEmbeddingCertificate"}
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "dataclass"
+
+
+def test_no_class_is_built_by_dataclass_at_import():
+    # @dataclass builds each generated method with its own exec() when the
+    # module is imported, and every command imports every module
+    built = sorted(
+        f"{path.name}:{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and node.name not in DATACLASSES
+        and any(map(_is_dataclass_decorator, node.decorator_list))
+    )
+    assert built == [], (
+        "write these classes out on errors.Struct, FrozenStruct or Value: "
+        "@dataclass generates their methods with exec() on every import"
+    )
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (WindowSeq(-2, (Fraction(1, 2), 0)), "WindowSeq(start=-2, values=(Fraction(1, 2), 0))"),
+        (
+            FlagPoint(((0, 0), (1, 0), (1, 1)), (3, 2, 1), 6),
+            "FlagPoint(chain=((0, 0), (1, 0), (1, 1)), weights=(3, 2, 1), denom=6)",
+        ),
+        (
+            DischargeRecord("x", "SAMPLED", "failed", (("trials", "5"),), ("a", "b")),
+            "DischargeRecord(name='x', kind='SAMPLED', status='failed', "
+            "data=(('trials', '5'),), witness=('a', 'b'))",
+        ),
+        (
+            CounterexampleParams.derive(Fraction(1, 2), Fraction(1, 2), 16),
+            "CounterexampleParams(delta=Fraction(1, 2), eps=Fraction(1, 2), m=3, level=3, "
+            "grid=17, horizon=16, margin=3, seed=0)",
+        ),
+        # the fields built in __init__ stay out of the repr
+        (KuhnWidthPipeline(2, 3, 4), "KuhnWidthPipeline(n=2, m=3, grid=4)"),
+        (
+            SimplicialComplex(("a",), frozenset({frozenset({"a"})})),
+            "SimplicialComplex(vertices=('a',), simplices=frozenset({frozenset({'a'})}))",
+        ),
+    ],
+)
+def test_repr_is_the_dataclass_repr(value, text):
+    assert repr(value) == text
+
+
+def _values():
+    """Each class compared by its fields: a factory that builds equal
+    instances, and the field names in order."""
+    return [
+        (
+            lambda: DischargeRecord("empty-fiber", "STRUCTURAL", "discharged"),
+            ("name", "kind", "status", "data", "witness"),
+        ),
+        (
+            lambda: CounterexampleParams.derive(Fraction(1, 2), Fraction(1, 2), 8),
+            ("delta", "eps", "m", "level", "grid", "horizon", "margin", "seed"),
+        ),
+        (
+            lambda: CountReport(2, 8, 3, Fraction(7), 6, 2, ()),
+            ("samples", "horizon", "max_count", "bound", "block_bound", "hull_max", "violations"),
+        ),
+        (
+            lambda: ReportRow(Fraction(1, 2), 8, 6, Fraction(3, 4), Fraction(7, 8)),
+            ("eps", "N", "fiber_dim", "fiber_dim_over_N", "image_dim_over_N"),
+        ),
+        (lambda: OcapResult(Fraction(1, 2), (0, 1), 3), ("value", "witness", "graph_size")),
+        (lambda: OdometerTower(3), ("level",)),
+        (lambda: WindowSeq(0, (1, 2)), ("start", "values")),
+        (lambda: ShiftMetric(abs), ("coord_dist",)),
+        (lambda: IntegerWindow(0, (1, 2), 3), ("start", "nums", "den")),
+        (lambda: FlagPoint(((0,), (1,)), (1, 1), 2), ("chain", "weights", "denom")),
+    ]
+
+
+@pytest.mark.parametrize("make, names", _values())
+def test_value_classes_compare_and_hash_by_fields(make, names):
+    a, b = make(), make()
+    fields = tuple(getattr(a, name) for name in names)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash(fields)
+    assert a != fields  # another class never compares equal
+    with pytest.raises(FrozenInstanceError):
+        setattr(a, names[0], None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(a, names[0])
+
+
+def _identity_classes():
+    """Two instances with equal fields of each class compared by identity,
+    and whether it is frozen."""
+    sft = Sft.full_shift("01")
+    half = Fraction(1, 2)
+    return [
+        (lambda: SimplicialComplex(("a",), frozenset({frozenset({"a"})})), True),
+        (lambda: VertexPartition((("a",), ("b",))), True),
+        (lambda: kuhn_triangulate_cube(1, 2), True),
+        (lambda: Sft(("0",), frozenset({("0", "0")})), True),
+        (lambda: CylinderSet(sft, 0, 1, frozenset({("1",)})), True),
+        (lambda: KuhnWidthPipeline(2, 3, 4), True),
+        (lambda: FiberPoint(0, (1,), (), (2,), 4), True),
+        (lambda: FactorMapInstance(None, OdometerTower(3), None), False),
+        (lambda: PartitionWidthMap(None, VertexPartition(()), half, {}, None), False),
+        (lambda: CubeWidthMap(1, 2, half, 17, None), False),
+    ]
+
+
+@pytest.mark.parametrize("make, frozen", _identity_classes())
+def test_identity_classes_compare_and_hash_by_identity(make, frozen):
+    a, b = make(), make()
+    assert a == a and a != b and hash(a) == object.__hash__(a)
+    if frozen:
+        with pytest.raises(FrozenInstanceError):
+            a.anything = 1
+    else:
+        a.anything = 1
+        assert a.anything == 1
+
+
+def test_keyword_construction_keeps_the_defaults():
+    record = DischargeRecord(name="empty-fiber", kind="STRUCTURAL", status="discharged")
+    assert (record.data, record.witness) == ((), None)
+    params = CounterexampleParams(
+        delta=Fraction(1, 2), eps=Fraction(1, 2), m=3, level=3, grid=17, horizon=8, margin=3
+    )
+    assert params.seed == 0
+    width_map = PartitionWidthMap(
+        geometry=None, partition=None, eps=Fraction(1, 2), block_of={}, mesh_record=None
+    )
+    assert width_map.bucket_source_dim is None

@@ -13,12 +13,9 @@ from meandim.certificates import check_certificate, flat_linf, structural_record
 from meandim.complexes import SimplicialComplex, VertexPartition, dimension_buckets
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
-    BarycentricPoint,
     GeometricComplex,
     barycentric_subdivide_geometric,
-    eval_simplicial_map,
     kuhn_triangulate_cube,
-    locate,
     max_star_mesh,
 )
 from meandim import geometry, widthmaps
@@ -26,12 +23,12 @@ from meandim.widthmaps import (
     FlagPoint,
     KuhnWidthPipeline,
     barycentric_from_cube,
-    cube_from_barycentric,
     bucket_width_map,
     cube_width_map,
     grid_for_mesh,
     partition_map,
 )
+from oracles import BarycentricPoint, cube_from_barycentric, eval_simplicial_map, locate
 
 F = Fraction
 
