@@ -304,12 +304,6 @@ class EpsEmbeddingCertificate:
         if Fraction(self.epsilon) <= 0:
             raise PreconditionError("epsilon must be positive")
 
-    @property
-    def all_structural_discharged(self) -> bool:
-        return all(
-            r.status == DISCHARGED for r in self.obligations if r.kind == STRUCTURAL
-        )
-
     def with_records(self, *records) -> "EpsEmbeddingCertificate":
         return replace(self, obligations=self.obligations + tuple(records))
 

@@ -1,6 +1,7 @@
 """Batch command-line frontend.
 
-Every artifact is a JSON document {"kind", "recipe", "payload"} where the
+Every command except `verify` builds an artifact (written with `--out`)
+that `verify` re-checks. Every artifact is a JSON document {"kind", "recipe", "payload"} where the
 payload is a pure function of the recipe: `verify` re-runs arithmetic checks
 on every structural obligation it finds, then rebuilds the payload from the
 recipe and requires byte-identical canonical JSON (sampled records re-run at
@@ -28,14 +29,6 @@ from .certificates import (
     DischargeRecord,
     check_certificate,
     recheck_structural,
-)
-from .complexes import (
-    SIZE_BUDGET,
-    SimplicialComplex,
-    barycentric_subdivide,
-    dimension_buckets,
-    full_subcomplex,
-    subdivision_size,
 )
 from .counterexample import (
     CSV_HEADER,
@@ -80,17 +73,6 @@ def _parser() -> argparse.ArgumentParser:
         description="width-reducing maps, embedding certificates, orbit capacity",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    cx = sub.add_parser("complex", help="simplicial complex utilities")
-    cx_sub = cx.add_subparsers(dest="action", required=True)
-    cx_info = cx_sub.add_parser("info")
-    cx_info.add_argument("file")
-    cx_div = cx_sub.add_parser("subdivide")
-    cx_div.add_argument("file")
-    cx_div.add_argument("--out")
-    cx_buckets = cx_sub.add_parser("buckets")
-    cx_buckets.add_argument("file")
-    cx_buckets.add_argument("--m", type=int, required=True)
 
     gr = sub.add_parser("gromov", help="width maps on triangulated cubes")
     gr_sub = gr.add_subparsers(dest="action", required=True)
@@ -445,10 +427,6 @@ def verify_artifact(path: str) -> VerifyCounts:
 # ---------------------------------------------------------------------------
 
 
-def _load_complex(path: str) -> SimplicialComplex:
-    return _load_json(path, SimplicialComplex.from_json_dict)
-
-
 def _map_recipe(artifact) -> dict:
     if not isinstance(artifact, dict) or artifact.get("kind") != "cube-width-map":
         raise PreconditionError("fiber-check expects a cube-width-map artifact")
@@ -461,40 +439,6 @@ def _options(ns, *skip) -> dict:
     command, the action, the output path and the names in `skip`."""
     dropped = {"command", "action", "out", *skip}
     return {key: value for key, value in to_jsonable(vars(ns)).items() if key not in dropped}
-
-
-def _subdivision(K: SimplicialComplex) -> SimplicialComplex:
-    """The barycentric subdivision of a complex read from a file, counted
-    before it is built and refused over SIZE_BUDGET simplices."""
-    size = subdivision_size(K)
-    if size > SIZE_BUDGET:
-        raise BudgetExceededError(
-            f"size budget exceeded: the subdivision has {size} simplices > {SIZE_BUDGET}"
-        )
-    return barycentric_subdivide(K)
-
-
-def _cmd_complex(ns) -> int:
-    if ns.action == "info":
-        K = _load_complex(ns.file)
-        print(f"vertices: {len(K.vertices)}")
-        print(f"simplices: {len(K.simplices)}")
-        print(f"dimension: {K.dim}")
-        return 0
-    if ns.action == "subdivide":
-        K = _subdivision(_load_complex(ns.file))
-        text = json.dumps(K.to_json_dict(), sort_keys=True) + "\n"
-        if ns.out:
-            Path(ns.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    K = _load_complex(ns.file)
-    P = dimension_buckets(K, ns.m)
-    Kp = _subdivision(K)
-    for i, block in enumerate(P.blocks, start=1):
-        print(f"bucket {i}: {len(block)} vertices, dim {full_subcomplex(Kp, block).dim}")
-    return 0
 
 
 def _cmd_gromov(ns) -> int:
@@ -583,7 +527,6 @@ def _cmd_verify(ns) -> int:
 
 
 COMMANDS = {
-    "complex": _cmd_complex,
     "gromov": _cmd_gromov,
     "ocap": _cmd_ocap,
     "sbp": _cmd_sbp,

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import ceil, comb, floor
+from math import ceil, floor
 
-from .errors import BudgetExceededError, FrozenStruct, PreconditionError
-from .serialize import vertex_from_jsonable, vertex_to_jsonable
+from .errors import FrozenStruct, PreconditionError
 
 
 SIZE_BUDGET = 200_000  # simplices a construction may build from outside input
@@ -32,19 +31,6 @@ def faces_exceed(sizes, budget: int) -> bool:
     faces in all, computing no 2^k - 1 past the budget's bit length."""
     capped = (2**k - 1 if k <= budget.bit_length() else budget + 1 for k in sizes)
     return any(total > budget for total in accumulate(capped))
-
-
-def _universal_key(v):
-    # total order across the vertex universes we use: ints, strings, nested tuples
-    if isinstance(v, bool):
-        return (0, int(v))
-    if isinstance(v, int):
-        return (0, v)
-    if isinstance(v, str):
-        return (1, v)
-    if isinstance(v, tuple):
-        return (2, tuple(_universal_key(x) for x in v))
-    return (3, repr(v))
 
 
 def close_downward(simplices):
@@ -64,8 +50,7 @@ class SimplicialComplex(FrozenStruct):
 
     Every vertex appears as a singleton simplex; dim of the empty complex
     is -1 by convention. `maximal` is the set of simplices that are no
-    proper face of another, recorded by the downward-closure check;
-    `maximal_simplices()` lists it in canonical order.
+    proper face of another, recorded by the downward-closure check.
     """
 
     _fields = ("vertices", "simplices")
@@ -102,27 +87,16 @@ class SimplicialComplex(FrozenStruct):
         )
 
     @classmethod
-    def empty(cls) -> "SimplicialComplex":
-        return cls((), frozenset())
-
-    @classmethod
-    def from_simplices(cls, simplices, vertices=None) -> "SimplicialComplex":
-        closed = close_downward(simplices)
+    def from_maximal(cls, vertices, maximal_simplices) -> "SimplicialComplex":
+        closed = close_downward(maximal_simplices)
         present = set()
         for s in closed:
             present |= s
-        if vertices is None:
-            vertices = tuple(sorted(present, key=_universal_key))
-        else:
-            vertices = tuple(vertices)
-            if not present <= set(vertices):
-                raise PreconditionError("unknown vertex")
+        vertices = tuple(vertices)
+        if not present <= set(vertices):
+            raise PreconditionError("unknown vertex")
         closed = closed | {frozenset({v}) for v in vertices}
         return cls(vertices, frozenset(closed))
-
-    @classmethod
-    def from_maximal(cls, vertices, maximal_simplices) -> "SimplicialComplex":
-        return cls.from_simplices(maximal_simplices, vertices=vertices)
 
     @property
     def dim(self) -> int:
@@ -159,27 +133,6 @@ class SimplicialComplex(FrozenStruct):
         """Simplices ordered by size then vertex indices; faces precede cofaces."""
         return sorted(self.simplices, key=self.simplex_key)
 
-    def maximal_simplices(self):
-        return sorted(self.maximal, key=self.simplex_key)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [vertex_to_jsonable(v) for v in self.vertices],
-            "maximal_simplices": [
-                [vertex_to_jsonable(v) for v in self.sorted_simplex(s)]
-                for s in self.maximal_simplices()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        vertices = tuple(vertex_from_jsonable(v) for v in data["vertices"])
-        maximal = [
-            [vertex_from_jsonable(v) for v in s] for s in data["maximal_simplices"]
-        ]
-        if faces_exceed((len(set(s)) for s in maximal), SIZE_BUDGET):  # before closing
-            raise BudgetExceededError(f"size budget exceeded: over {SIZE_BUDGET} faces")
-        return cls.from_maximal(vertices, maximal)
 
 
 class VertexPartition(FrozenStruct):
@@ -231,16 +184,6 @@ def barycentric_subdivide(K: SimplicialComplex) -> SimplicialComplex:
             for chain in ending_at[face]
         ]
     return SimplicialComplex(vertices, frozenset().union(*ending_at.values()))
-
-
-def subdivision_size(K: SimplicialComplex) -> int:
-    """len(barycentric_subdivide(K).simplices), counted without building it:
-    the strict chains of faces that end at a k-vertex simplex are the ordered
-    partitions of its k vertices into nonempty parts, Fubini(k) of them."""
-    fubini = [1]
-    for k in range(1, K.dim + 2):
-        fubini.append(sum(comb(k, j) * fubini[k - j] for j in range(1, k + 1)))
-    return sum(fubini[len(s)] for s in K.simplices)
 
 
 def full_subcomplex(K: SimplicialComplex, A) -> SimplicialComplex:

@@ -63,15 +63,3 @@ def to_jsonable(obj):
 def canonical_json(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
-
-def vertex_to_jsonable(v):
-    """Vertex identifiers may be ints, strings, or (nested) tuples of those."""
-    if isinstance(v, tuple):
-        return [vertex_to_jsonable(x) for x in v]
-    return v
-
-
-def vertex_from_jsonable(v):
-    if isinstance(v, list):
-        return tuple(vertex_from_jsonable(x) for x in v)
-    return v

@@ -1,7 +1,8 @@
 """Oracles and fixtures that only the tests use: the generic point location
 and linear extension on Fractions that the closed-form Kuhn pipeline is
-tested against, the radial chart on Fractions, a metric-axiom check, and
-small certificate domains for the certificate algebra tests.
+tested against, the radial chart on Fractions, a metric-axiom check,
+small certificate domains for the certificate algebra tests, and whether a
+certificate's structural records are all discharged.
 """
 
 import random
@@ -10,6 +11,8 @@ from fractions import Fraction
 from operator import sub
 
 from meandim.certificates import (
+    DISCHARGED,
+    STRUCTURAL,
     EpsEmbeddingCertificate,
     MetricSpaceHandle,
     flat_linf,
@@ -170,6 +173,11 @@ def identity_certificate(domain: MetricSpaceHandle, dim: int, epsilon) -> EpsEmb
         evaluator=lambda x: x,
         obligations=(structural_record("identity-embedding-fibers-are-points"),),
     )
+
+
+def all_structural_discharged(cert: EpsEmbeddingCertificate) -> bool:
+    """Whether every structural record of the certificate is discharged."""
+    return all(r.status == DISCHARGED for r in cert.obligations if r.kind == STRUCTURAL)
 
 
 def cube_from_barycentric(t) -> tuple:

@@ -37,7 +37,7 @@ from meandim.symbolic import (
     ocap_limit,
 )
 from meandim.widthmaps import cube_width_map
-from oracles import finite_cloud_handle, identity_certificate
+from oracles import all_structural_discharged, finite_cloud_handle, identity_certificate
 
 F = Fraction
 
@@ -74,7 +74,7 @@ def test_criterion_2_cube_width_map():
         p = (F(rng.randint(0, 840), 840),)
         cert = wm.fiber_certificate(p)
         assert cert.target_dim <= 1
-        assert cert.all_structural_discharged
+        assert all_structural_discharged(cert)
         mesh_records = [
             r
             for r in cert.obligations
@@ -117,7 +117,7 @@ def test_criterion_4_counterexample_fiber_bound():
         state = inst.sample_state(rng)
         cert = fiber_dimension_certificate(inst, state, 80)
         assert F(cert.target_dim) < bound
-        assert cert.all_structural_discharged
+        assert all_structural_discharged(cert)
     watch.check(4, "20 fiber certificates stay strictly below (N+2M+2L')/m = 104/3")
 
 
@@ -206,7 +206,7 @@ def test_criterion_8_wedge_cone():
     cert = wedge_cone_embedding(inst, N=N, n=n)
     wedge_dim = max(c.target_dim + 1 for c in inst.fiber_certs)
     assert cert.target_dim == n * wedge_dim
-    assert cert.all_structural_discharged
+    assert all_structural_discharged(cert)
 
     base = Sft.golden_mean()
     pieces = [

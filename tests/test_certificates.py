@@ -26,7 +26,13 @@ from meandim.certificates import (
     structural_record,
 )
 from meandim.errors import PreconditionError
-from oracles import finite_cloud_handle, identity_certificate, one_point_handle, spot_check_metric
+from oracles import (
+    all_structural_discharged,
+    finite_cloud_handle,
+    identity_certificate,
+    one_point_handle,
+    spot_check_metric,
+)
 
 F = Fraction
 
@@ -268,7 +274,7 @@ class TestSampleFiberCheck:
 
     def test_structurally_discharged_certificate_passes(self):
         cert = identity_certificate(grid_cloud(), 2, F(1, 2))
-        assert cert.all_structural_discharged
+        assert all_structural_discharged(cert)
         record = check_certificate(cert, trials=400, seed=5)
         assert record.status == SAMPLED_ONLY
 

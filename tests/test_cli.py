@@ -17,7 +17,6 @@ import meandim
 from meandim import cli, symbolic
 from meandim.certificates import CITATIONS
 from meandim.cli import PAYLOAD_BUILDERS, main
-from meandim.complexes import SimplicialComplex
 from meandim.counterexample import CounterexampleParams, CountReport
 from meandim.serialize import canonical_json
 from meandim.symbolic import Sft
@@ -35,71 +34,6 @@ def write_golden(tmp_path):
     one = tmp_path / "one.json"
     one.write_text(json.dumps([[0, "1"]]))
     return sft, one
-
-
-def write_triangle(tmp_path):
-    K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
-    path = tmp_path / "triangle.json"
-    path.write_text(json.dumps(K.to_json_dict()))
-    return path
-
-
-class TestComplexCommand:
-    def test_info(self, workdir, capsys):
-        path = write_triangle(workdir)
-        assert main(["complex", "info", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "vertices: 3" in out
-        assert "dimension: 2" in out
-
-    def test_subdivide_roundtrip(self, workdir):
-        path = write_triangle(workdir)
-        out = workdir / "sub.json"
-        assert main(["complex", "subdivide", str(path), "--out", str(out)]) == 0
-        K = SimplicialComplex.from_json_dict(json.loads(out.read_text()))
-        assert len(K.vertices) == 7
-
-    def test_buckets(self, workdir, capsys):
-        path = write_triangle(workdir)
-        assert main(["complex", "buckets", str(path), "--m", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "dim 1" in out
-        assert "dim 0" in out
-
-    def test_oversized_subdivision_exits_4(self, workdir, capsys):
-        # one 7-simplex has 255 faces, within the load budget, but its
-        # subdivision would have 1,091,669 simplices; a 6-simplex's has 94,585
-        def simplex_file(k):
-            path = workdir / f"simplex{k}.json"
-            path.write_text(json.dumps({"vertices": list(range(k)),
-                                        "maximal_simplices": [list(range(k))]}))
-            return str(path)
-
-        big = simplex_file(8)
-        start = time.perf_counter()
-        assert main(["complex", "subdivide", big]) == 4
-        assert main(["complex", "buckets", big, "--m", "2"]) == 4
-        assert time.perf_counter() - start < 1
-        assert capsys.readouterr().err.count("1091669 simplices > 200000") == 2
-        out = workdir / "sub.json"
-        assert main(["complex", "subdivide", simplex_file(7), "--out", str(out)]) == 0
-        assert len(json.loads(out.read_text())["vertices"]) == 2**7 - 1
-
-    def test_oversized_simplex_list_exits_4(self, workdir, capsys):
-        # one 40-vertex simplex has 2^40 - 1 faces; twenty disjoint
-        # 14-vertex ones have 327,660 in all, each of them few
-        big = workdir / "big.json"
-        big.write_text(json.dumps({"vertices": list(range(40)),
-                                   "maximal_simplices": [list(range(40))]}))
-        many = workdir / "many.json"
-        many.write_text(json.dumps({"vertices": list(range(280)), "maximal_simplices": [
-            list(range(14 * i, 14 * i + 14)) for i in range(20)]}))
-        start = time.perf_counter()
-        for path in (big, many):
-            assert main(["complex", "info", str(path)]) == 4
-            assert main(["complex", "buckets", str(path), "--m", "2"]) == 4
-        assert time.perf_counter() - start < 1
-        assert capsys.readouterr().err.count("size budget") == 4
 
 
 class TestOcapCommand:
@@ -428,9 +362,6 @@ INPUT_FILE_COMMANDS = [
      {"alphabet": 5}),
     (["sbp", "refine", "--sft", "golden.json", "--cover", "FILE", "--delta", "1/2"],
      [1, 2]),
-    (["complex", "info", "FILE"], [1, 2]),
-    (["complex", "subdivide", "FILE"], {"vertices": 5}),
-    (["complex", "buckets", "FILE", "--m", "2"], {"vertices": [1], "maximal_simplices": 7}),
     (["gromov", "fiber-check", "FILE"], [1, 2]),
     (["gromov", "fiber-check", "FILE"], {"kind": "cube-width-map", "recipe": [1]}),
     (["verify", "FILE"], [1, 2]),
@@ -838,8 +769,8 @@ def test_every_recipe_key_is_read(workdir):
         assert main(["verify", str(mutant)]) == 0, args
 
 
-# options that no payload of the action reads, and a second --eps or --N
-# where the action takes one
+# options that no payload of the action reads, a second --eps or --N where
+# the action takes one, and `complex`, which is no command
 REFUSED_OPTIONS = [
     ["counterexample", "build", *_FACTOR, "--samples", "3"],
     ["counterexample", "check-counts", *_FACTOR, "--trials", "5"],
@@ -847,6 +778,7 @@ REFUSED_OPTIONS = [
     ["counterexample", "report", *_FACTOR, "--samples", "2"],
     ["counterexample", "report", *_FACTOR, "--seed", "1"],
     _GROMOV_MAP + ["--mesh-scale", "1/8"],
+    ["complex", "subdivide", "triangle.json"],
 ] + [
     ["counterexample", action, "--delta", "1/2", *twice]
     for action in ("build", "check-counts", "fiber-cert")
@@ -862,6 +794,14 @@ def test_option_no_payload_reads_is_refused(workdir, argv):
     assert not (workdir / "artifact.json").exists()
 
 
+def test_complex_is_no_command(workdir, capsys):
+    (workdir / "x.json").write_text(json.dumps({"vertices": [1], "maximal_simplices": [[1]]}))
+    with pytest.raises(SystemExit) as err:
+        main(["complex", "info", "x.json"])
+    assert err.value.code == 2
+    assert "invalid choice: 'complex'" in capsys.readouterr().err
+
+
 def test_readme_commands_parse():
     """Every `meandim ...` line of the README's Command line block parses
     (nothing is run), so an option the CLI no longer takes cannot linger in
@@ -873,7 +813,7 @@ def test_readme_commands_parse():
         for line in block.splitlines()
         if line.startswith("meandim ")
     ]
-    assert {argv[0] for argv in commands} == set(cli.COMMANDS) - {"complex"}
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
     for argv in commands:
         cli._parser().parse_args(argv)
 

@@ -43,7 +43,7 @@ from meandim.symbolic import (
     max_subsampled_visits,
     ocap_limit,
 )
-from oracles import identity_certificate, one_point_handle
+from oracles import all_structural_discharged, identity_certificate, one_point_handle
 from test_widthmaps import realized
 
 F = Fraction
@@ -299,7 +299,7 @@ class TestFiberCertificate:
         cert = fiber_dimension_certificate(inst, state, 8)
         bound = F(8 + 2 * 3 + 2 * 9, 3)
         assert F(cert.target_dim) < bound
-        assert cert.all_structural_discharged
+        assert all_structural_discharged(cert)
         assert cert.epsilon == F(1, 2)
 
     def test_dimension_equals_window_over_m_when_divisible(self):
@@ -550,7 +550,7 @@ class TestWedgeCone:
         cert = wedge_cone_embedding(inst, N=4, n=4)
         # every piece covers, so the global cone never leaves the apex
         assert cert.target_dim == 4 * 3
-        assert cert.all_structural_discharged
+        assert all_structural_discharged(cert)
 
     def test_punctured_cover_count_bound(self):
         base = Sft.golden_mean()

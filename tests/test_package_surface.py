@@ -45,9 +45,7 @@ PACKAGE = ROOT / "src" / "meandim"
 
 # name -> why it stays without a caller in src/ or benchmarks/
 KEPT = {
-    "EpsEmbeddingCertificate.all_structural_discharged": "oracle: every structural record discharged",
     "pullback_certificate": "paper construction: certificates pulled back along non-contracting maps",
-    "SimplicialComplex.empty": "fixture: the empty complex, an edge case of the constructions",
     "cone": "paper construction: the cone of the wedge-of-cones embedding",
     "wedge_cones": "paper construction: the wedge of cones, waiting for a command",
     "stacked_report": "paper construction: the stacked family, waiting for a command",
