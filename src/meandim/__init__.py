@@ -9,7 +9,6 @@ from .certificates import (
     chain_fiber_certificate,
     check_certificate,
     product_certificate,
-    pullback_certificate,
     recheck_structural,
     relax_scale,
     sample_fiber_check,

@@ -361,58 +361,6 @@ def product_certificate(*certs: EpsEmbeddingCertificate) -> EpsEmbeddingCertific
     )
 
 
-def pullback_certificate(
-    cert: EpsEmbeddingCertificate,
-    new_domain: MetricSpaceHandle,
-    phi,
-    witness: str | None = None,
-    trials: int = 1000,
-    seed: int = 0,
-) -> EpsEmbeddingCertificate:
-    """Compose with a distance non-decreasing map into the certificate's domain.
-
-    `witness` names the structural reason phi cannot shrink distances
-    (e.g. "isometric-inclusion"); with no name given, random pairs are tested
-    instead and a violating pair turns into a failed record on the result.
-    """
-    if witness is not None:
-        if witness not in CITATIONS:
-            raise PreconditionError(f"unknown structural witness {witness!r}")
-        record = structural_record(witness)
-    else:
-        rng = random.Random(seed)
-        violation = None
-        for i in range(trials):
-            x, y = new_domain.sample(rng), new_domain.sample(rng)
-            if new_domain.dist(x, y) > cert.domain.dist(phi(x), phi(y)):
-                violation = (to_jsonable_point(x), to_jsonable_point(y))
-                break
-        if violation is None:
-            record = sampled_record(
-                "distance-non-decreasing-sampled",
-                SAMPLED_ONLY,
-                trials=trials,
-                seed=seed,
-            )
-        else:
-            record = sampled_record(
-                "distance-non-decreasing-sampled",
-                FAILED,
-                witness=violation,
-                trials=trials,
-                seed=seed,
-            )
-    evaluator = cert.evaluator
-    return EpsEmbeddingCertificate(
-        domain=new_domain,
-        target_dim=cert.target_dim,
-        epsilon=Fraction(cert.epsilon),
-        evaluator=lambda x: evaluator(phi(x)),
-        obligations=cert.obligations + (record,),
-        target_dist=cert.target_dist,
-    )
-
-
 def relax_scale(cert: EpsEmbeddingCertificate, new_epsilon, **extra) -> EpsEmbeddingCertificate:
     """Weaken the claim to a larger scale (fibers below the old scale stay
     below the new one). Extra data rides along on the record."""

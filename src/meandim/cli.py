@@ -252,7 +252,7 @@ def _payload_count_report(recipe: dict) -> dict:
     params, inst = _instance(recipe)
     samples = _integer(recipe["samples"], "samples")
     _check_sampled_work(samples, 1, inst.window_hi - inst.window_lo)
-    report = nonzero_count_check(inst, samples, params.horizon, params.seed)
+    report = nonzero_count_check(inst, samples)
     payload = report.to_json_dict()
     payload["params"] = params.to_json_dict()
     return payload
@@ -264,7 +264,7 @@ def _payload_fiber_batch(recipe: dict) -> dict:
 
     def sample_fiber(rng):
         state = inst.sample_state(rng)
-        return fiber_dimension_certificate(inst, state, N), {"residue": state[1]}
+        return fiber_dimension_certificate(inst, state), {"residue": state[1]}
 
     return {
         "bound": format_fraction(params.fiber_dim_bound(N)),

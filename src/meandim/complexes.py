@@ -11,38 +11,20 @@ singletons, which the check that every vertex has its singleton covers;
 a vertex on an edge without its singleton is reported as a closure fault.
 The same loop records which simplices are maximal (an edge's vertices
 leave that set in one step), so the affine check of a realization reads
-that set instead of walking the family again.
+that set instead of walking the family again. `from_maximal` closes a
+family in one loop from the vertex singletons; the constructor checks it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import ceil, floor
 
 from .errors import FrozenStruct, PreconditionError
 
 
 SIZE_BUDGET = 200_000  # simplices a construction may build from outside input
-
-
-def faces_exceed(sizes, budget: int) -> bool:
-    """Whether simplices on these vertex counts have more than `budget`
-    faces in all, computing no 2^k - 1 past the budget's bit length."""
-    capped = (2**k - 1 if k <= budget.bit_length() else budget + 1 for k in sizes)
-    return any(total > budget for total in accumulate(capped))
-
-
-def close_downward(simplices):
-    """All nonempty subsets of the given simplices."""
-    closed = set()
-    for s in simplices:
-        s = frozenset(s)
-        if not s:
-            raise PreconditionError("simplices must be nonempty")
-        for r in range(1, len(s) + 1):
-            closed.update(map(frozenset, combinations(s, r)))
-    return frozenset(closed)
 
 
 class SimplicialComplex(FrozenStruct):
@@ -88,14 +70,15 @@ class SimplicialComplex(FrozenStruct):
 
     @classmethod
     def from_maximal(cls, vertices, maximal_simplices) -> "SimplicialComplex":
-        closed = close_downward(maximal_simplices)
-        present = set()
-        for s in closed:
-            present |= s
+        """The downward closure of the given simplices, on `vertices`."""
         vertices = tuple(vertices)
-        if not present <= set(vertices):
-            raise PreconditionError("unknown vertex")
-        closed = closed | {frozenset({v}) for v in vertices}
+        closed = {frozenset({v}) for v in vertices}
+        for s in maximal_simplices:
+            s = frozenset(s)
+            if not s:
+                raise PreconditionError("simplices must be nonempty")
+            for r in range(1, len(s) + 1):
+                closed.update(map(frozenset, combinations(s, r)))
         return cls(vertices, frozenset(closed))
 
     @property

@@ -299,21 +299,18 @@ class CountReport(Value):
         }
 
 
-def nonzero_count_check(
-    inst: FactorMapInstance, samples: int, N: int, seed: int = 0
-) -> CountReport:
-    """Count nonzero image entries over [0, N) for sampled states; each count
-    must stay strictly below delta*N/2 + 2m and below the exact block form
-    (ceil(N/block)+1)(m-1). Also reports the per-residue coordinate hull.
-    States are drawn over the whole window, but only the complete blocks
-    that meet [0, N) are evaluated."""
+def nonzero_count_check(inst: FactorMapInstance, samples: int) -> CountReport:
+    """Count nonzero image entries over [0, N), N the horizon, for states
+    drawn with the instance's seed; each count must stay strictly below
+    delta*N/2 + 2m and below the exact block form (ceil(N/block)+1)(m-1).
+    Also reports the per-residue coordinate hull. States are drawn over the
+    whole window, but only the complete blocks meeting [0, N) are evaluated."""
     p = inst.params
-    if N > p.horizon:
-        raise PreconditionError("N exceeds the instance horizon")
+    N = p.horizon
     bound = p.delta * N / 2 + 2 * p.m
     blocks_touching = -((-N) // p.period) + 1  # ceil(N/block) + 1
     block_bound = blocks_touching * (p.m - 1)
-    rng = random.Random(seed)
+    rng = random.Random(p.seed)
     max_count = 0
     hulls = {r: set() for r in range(p.period)}
     violations = []
@@ -382,14 +379,13 @@ class FiberPoint(FrozenStruct):
         return repr(self.window)
 
 
-def fiber_dimension_certificate(
-    inst: FactorMapInstance, state, N: int
-) -> EpsEmbeddingCertificate:
-    """Certificate for the fiber of the factor map through `state` at horizon
-    N: the chain of per-block width-map fiber certificates over the complete
-    blocks that meet [-M, N + M), with exact dimension bookkeeping strictly
-    below (N + 2M + 2L')/m; its dimension-bookkeeping record is FAILED,
-    with a witness, where the chain's dimension is not below that bound.
+def fiber_dimension_certificate(inst: FactorMapInstance, state) -> EpsEmbeddingCertificate:
+    """Certificate for the fiber of the factor map through `state` at the
+    instance's horizon N: the chain of per-block width-map fiber
+    certificates over the complete blocks that meet [-M, N + M), with exact
+    dimension bookkeeping strictly below (N + 2M + 2L')/m; its
+    dimension-bookkeeping record is FAILED, with a witness, where the
+    chain's dimension is not below that bound.
 
     A fiber point is a FiberPoint over the instance's window. The sampler
     draws its free head coordinates, then each complete block's flag from
@@ -400,8 +396,7 @@ def fiber_dimension_certificate(
     window on Fractions.
     """
     p = inst.params
-    if N > p.horizon:
-        raise PreconditionError("N exceeds the instance horizon")
+    N = p.horizon
     x, residue = state
     period = p.period
     all_starts = inst.block_starts(residue)

@@ -5,14 +5,14 @@ meshes, containment, affine evaluation) are decided without floating
 tolerances. Every complex is measured in the l-infinity norm, the metric of
 the cube fibers that the width maps certify; distances are Fractions.
 
-A GeometricComplex stores its coordinates only as integer numerators over
-one common denominator, not necessarily the least; the Kuhn triangulation
-and barycentric subdivision build them without a Fraction. The
-affine-independence check, star diameters and meshes, and subdivision run
-on those integers; a Fraction is built only for a result (a diameter or a
-mesh) and when coordinates are read. The affine check visits the maximal
-simplices that the combinatorial complex recorded, and computes one rank
-per simplex shape, since translates share their edge vectors.
+A GeometricComplex is built from, and stores, its coordinates only as
+integer numerators over one common denominator, not necessarily the least;
+the Kuhn triangulation and barycentric subdivision build them without a
+Fraction. The affine-independence check, star diameters and meshes, and
+subdivision run on those integers; a Fraction is built only for a result
+(a diameter or a mesh). The affine check visits the maximal simplices that
+the combinatorial complex recorded, and computes one rank per simplex
+shape, since translates share their edge vectors.
 """
 
 from __future__ import annotations
@@ -53,26 +53,12 @@ def _rank(rows) -> int:
 class GeometricComplex(FrozenStruct):
     """A simplicial complex with rational vertex coordinates, measured in the
     l-infinity norm. `nums[v]` holds v's coordinates as integer numerators
-    over `den`, a common denominator, not necessarily the least; `coords` and
-    `vertex_point` build reduced Fractions from them when read.
+    over `den`, a common denominator, not necessarily the least.
     """
 
     _fields = ("complex", "nums", "den")
 
-    def __init__(self, complex: SimplicialComplex, coords: dict):
-        points = {v: [Fraction(c) for c in coords[v]] for v in complex.vertices if v in coords}
-        den = lcm(*{c.denominator for p in points.values() for c in p})
-        nums = {v: tuple(den // c.denominator * c.numerator for c in p) for v, p in points.items()}
-        self._init_checked(complex, nums, den)
-
-    @classmethod
-    def from_numerators(cls, complex: SimplicialComplex, nums: dict, den: int) -> GeometricComplex:
-        """The complex with vertex v at nums[v] / den, built with no Fraction."""
-        G = cls.__new__(cls)
-        G._init_checked(complex, nums, den)
-        return G
-
-    def _init_checked(self, complex, nums, den):
+    def __init__(self, complex: SimplicialComplex, nums: dict, den: int):
         self.__dict__.update(complex=complex, nums=nums, den=den)
         for v in complex.vertices:
             if v not in nums:
@@ -101,15 +87,8 @@ class GeometricComplex(FrozenStruct):
             )
 
     @property
-    def coords(self) -> dict:
-        return {v: self.vertex_point(v) for v in self.complex.vertices}
-
-    @property
     def ambient_dim(self) -> int:
         return len(self.nums[self.complex.vertices[0]]) if self.complex.vertices else 0
-
-    def vertex_point(self, v):
-        return tuple(Fraction(a, self.den) for a in self.nums[v])
 
     def star_vertices(self):
         """vertex -> the vertices of its closed star, itself included (built
@@ -160,7 +139,7 @@ def barycentric_subdivide_geometric(G: GeometricComplex) -> GeometricComplex:
     for label in Kp.vertices:
         factor = scale // len(label)
         nums[label] = tuple([sum(col) * factor for col in zip(*map(G.nums.get, label))])
-    return GeometricComplex.from_numerators(Kp, nums, scale * G.den)
+    return GeometricComplex(Kp, nums, scale * G.den)
 
 
 def subdivide_to_mesh(G: GeometricComplex, eps, max_rounds: int = 30) -> tuple:
@@ -203,7 +182,7 @@ def kuhn_triangulate_cube(n: int, g: int) -> GeometricComplex:
             maximal.append(chain)
     verts = sorted({v for s in maximal for v in s})
     K = SimplicialComplex.from_maximal(verts, maximal)
-    return GeometricComplex.from_numerators(K, dict(zip(verts, verts)), g)
+    return GeometricComplex(K, dict(zip(verts, verts)), g)
 
 
 def common_numerators(p):

@@ -66,16 +66,6 @@ class Sft(FrozenStruct):
             )
         self.__dict__.update(alphabet=alphabet, transitions=transitions)
 
-    @classmethod
-    def full_shift(cls, symbols) -> "Sft":
-        symbols = tuple(symbols)
-        return cls(symbols, frozenset((a, b) for a in symbols for b in symbols))
-
-    @classmethod
-    def golden_mean(cls) -> "Sft":
-        # binary shift forbidding "11"
-        return cls(("0", "1"), frozenset({("0", "0"), ("0", "1"), ("1", "0")}))
-
     def words(self, length: int) -> tuple:
         """Language words of the given length, sorted."""
         return tuple(self.word_index(length))
@@ -146,10 +136,6 @@ class CylinderSet(FrozenStruct):
         return cls(sft, 0, 0, frozenset({()}))
 
     @classmethod
-    def empty(cls, sft: Sft) -> "CylinderSet":
-        return cls(sft, 0, 0, frozenset())
-
-    @classmethod
     def from_constraints(cls, sft: Sft, constraints) -> "CylinderSet":
         """Intersection of (offset, word) constraints."""
         constraints = [(int(o), tuple(w)) for o, w in constraints]
@@ -215,10 +201,6 @@ class CylinderSet(FrozenStruct):
         return CylinderSet(
             self.sft, window.offset, window.length, all_words - window.words
         )
-
-    def same_set(self, other: "CylinderSet") -> bool:
-        a, b = self._common(other)
-        return a.words == b.words
 
     def contains_point(self, x: WindowSeq, shift: int = 0) -> bool:
         """Membership of the time-`shift` iterate of the point x."""
@@ -706,10 +688,6 @@ class ShiftMetric(Value):
         return [d.numerator * (den // d.denominator) for d in delta], den
 
 
-# |a - b| on Fractions: the oracle that the integer Hilbert metric below is
-# tested against. No command reaches it; the factor-map fiber measures its
-# windows with INTEGER_HILBERT_METRIC.
-HILBERT_METRIC = ShiftMetric(lambda a, b: abs(a - b))
 SYMBOL_METRIC = ShiftMetric(lambda a, b: int(a != b))
 
 
@@ -728,9 +706,9 @@ class IntegerWindow(Value):
 
 
 class IntegerHilbertMetric:
-    """HILBERT_METRIC on IntegerWindows. The coordinates a / dx and b / dy
-    are |a dy - b dx| apart over dx dy, so no coordinate builds a Fraction
-    and the denominators need no lcm."""
+    """The Hilbert-cube coordinate distance |a - b| on IntegerWindows. The
+    coordinates a / dx and b / dy are |a dy - b dx| apart over dx dy, so no
+    coordinate builds a Fraction and the denominators need no lcm."""
 
     @staticmethod
     def distances(x: IntegerWindow, y: IntegerWindow, lo: int, hi: int):

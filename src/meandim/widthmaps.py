@@ -40,6 +40,9 @@ Three layers:
   (grid mesh, chain-length bucket dimensions) instead of materialized
   values; tests cross-check the two layers on small grids.
 
+Both layers assemble a fiber's certificate in one function, with the same
+records in the same order over each layer's own sampler, metric and retraction.
+
 The radial chart between simplex and cube scales each ray from the center by
 the ratio of its two exit times, in closed form: from t = s/D, W_i = m*s_i - D
 (i < m) and c_i = (A*D + B*W_i) / (2*A*D); back from p = P/D, W_i = 2*P_i - D
@@ -65,7 +68,6 @@ from .complexes import (
     bucket_dimension_bound,
     bucket_of_dimension,
     dimension_buckets,
-    faces_exceed,
     full_subcomplex,
 )
 from .errors import BudgetExceededError, FrozenStruct, PreconditionError, Struct, Value
@@ -119,6 +121,21 @@ def empty_fiber_certificate(eps) -> EpsEmbeddingCertificate:
         evaluator=lambda x: (),
         obligations=(structural_record("empty-fiber"),),
     )
+
+
+def _width_fiber_certificate(description, eps, dim, records, sample, dist, retract):
+    """A nonempty width-map fiber's certificate, with `retract` as its
+    evaluator and `dist` measuring both the fiber and the target. `records`
+    starts with the mesh record; the collapse and star-fiber records follow it."""
+    mesh_record, *rest = records
+    obligations = (
+        mesh_record,
+        structural_record("simplicial-by-block-collapse"),
+        structural_record("retraction-fibers-lie-in-stars"),
+        *rest,
+    )
+    domain = MetricSpaceHandle("geometric-complex", description, dist, sample)
+    return EpsEmbeddingCertificate(domain, dim, eps, retract, obligations, target_dist=dist)
 
 
 class PartitionWidthMap(Struct):
@@ -241,13 +258,9 @@ class PartitionWidthMap(Struct):
             kept = [w if block_of[v] == i_star else 0 for v, w in zip(verts, weights)]
             return verts, kept, sum(kept)
 
-        obligations = [
-            self.mesh_record,
-            structural_record("simplicial-by-block-collapse"),
-            structural_record("retraction-fibers-lie-in-stars"),
-        ]
+        records = [self.mesh_record]
         if self.bucket_source_dim is not None:
-            obligations.append(
+            records.append(
                 structural_record(
                     "bucket-dimension-bound",
                     source_dim=self.bucket_source_dim,
@@ -256,20 +269,8 @@ class PartitionWidthMap(Struct):
                     dim=dim,
                 )
             )
-        domain = MetricSpaceHandle(
-            kind="geometric-complex",
-            description=f"fiber over {tuple(format_fraction(ti) for ti in t)}",
-            dist=dist,
-            sample=sample,
-        )
-        return EpsEmbeddingCertificate(
-            domain=domain,
-            target_dim=dim,
-            epsilon=self.eps,
-            evaluator=retract,
-            obligations=tuple(obligations),
-            target_dist=dist,
-        )
+        description = f"fiber over {tuple(format_fraction(ti) for ti in t)}"
+        return _width_fiber_certificate(description, self.eps, dim, records, sample, dist, retract)
 
 
 def partition_map(
@@ -492,7 +493,6 @@ class KuhnWidthPipeline(FrozenStruct):
         scales = [sums[i - 1] for i in support]
         chain = flag.chain
         denom = flag.denom
-        pipeline = self
         g = self.grid
 
         def sample(rng):
@@ -507,15 +507,13 @@ class KuhnWidthPipeline(FrozenStruct):
             zs, dz = FlagPoint(chain, weights, da * db).realize(g)
             return Fraction(max(map(abs, zs)), dz)
 
-        obligations = (
+        records = (
             structural_record(
                 "star-mesh-grid-bound",
                 grid=g,
                 bound=format_fraction(Fraction(2, g)),
                 scale=format_fraction(mesh_threshold),
             ),
-            structural_record("simplicial-by-block-collapse"),
-            structural_record("retraction-fibers-lie-in-stars"),
             structural_record(
                 "bucket-dimension-bound",
                 source_dim=self.n,
@@ -524,18 +522,9 @@ class KuhnWidthPipeline(FrozenStruct):
                 dim=dim,
             ),
         )
-        return EpsEmbeddingCertificate(
-            domain=MetricSpaceHandle(
-                kind="geometric-complex",
-                description=f"grid-{g} width-map fiber in dimension {self.n}",
-                dist=dist,
-                sample=sample,
-            ),
-            target_dim=dim,
-            epsilon=scale,
-            evaluator=lambda flag: pipeline.retract(flag, i_star),
-            obligations=obligations,
-            target_dist=dist,
+        return _width_fiber_certificate(
+            f"grid-{g} width-map fiber in dimension {self.n}", scale, dim, records,
+            sample, dist, lambda flag: self.retract(flag, i_star),
         )
 
 
@@ -614,7 +603,8 @@ def cube_width_map(n: int, m: int, eps) -> CubeWidthMap:
         raise PreconditionError("m must be at least 2")
     if not 1 <= n <= 4:
         raise PreconditionError("cube dimension out of range (1..4)")
-    if faces_exceed((m,), SIZE_BUDGET):
+    # the bit-length test comes first, so a huge m never computes 2**m
+    if m > SIZE_BUDGET.bit_length() or 2**m - 1 > SIZE_BUDGET:
         raise BudgetExceededError(
             f"size budget exceeded: the target simplex on {m} vertices has 2^{m} - 1 "
             f"faces > {SIZE_BUDGET}"

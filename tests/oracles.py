@@ -1,26 +1,52 @@
-"""Oracles and fixtures that only the tests use: the generic point location
+"""Oracles and fixtures that only the tests use: realizations from
+Fraction coordinates and their vertex points, the generic point location
 and linear extension on Fractions that the closed-form Kuhn pipeline is
 tested against, the radial chart on Fractions, a metric-axiom check,
-small certificate domains for the certificate algebra tests, and whether a
-certificate's structural records are all discharged.
+small certificate domains for the certificate algebra tests, the pullback
+of a certificate along a non-contracting map, whether a certificate's
+structural records are all discharged, the full and golden-mean shifts,
+the empty clopen set, equality of clopen sets, and the Hilbert-cube window
+metric on Fractions.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import sub
 
 from meandim.certificates import (
+    CITATIONS,
     DISCHARGED,
+    FAILED,
+    SAMPLED_ONLY,
     STRUCTURAL,
     EpsEmbeddingCertificate,
     MetricSpaceHandle,
     flat_linf,
+    sampled_record,
     structural_record,
+    to_jsonable_point,
 )
 from meandim.errors import PreconditionError
 from meandim.geometry import GeometricComplex, common_numerators
+from meandim.symbolic import CylinderSet, ShiftMetric, Sft
 from meandim.widthmaps import _cube_from_numerators
+
+
+def realize(K, coords: dict) -> GeometricComplex:
+    """The realization of K with vertex v at the rational point coords[v]:
+    the coordinates go over the lcm of their denominators. Vertices of K
+    without coordinates reach the constructor's refusal."""
+    points = {v: [Fraction(c) for c in coords[v]] for v in K.vertices if v in coords}
+    den = lcm(*{c.denominator for p in points.values() for c in p})
+    nums = {v: tuple(den // c.denominator * c.numerator for c in p) for v, p in points.items()}
+    return GeometricComplex(K, nums, den)
+
+
+def vertex_point(G: GeometricComplex, v) -> tuple:
+    """The vertex v's coordinates as reduced Fractions."""
+    return tuple(Fraction(a, G.den) for a in G.nums[v])
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +72,7 @@ class BarycentricPoint:
         pt = None
         for v in self.simplex:
             w = Fraction(self.weights.get(v, 0))
-            coords = G.vertex_point(v)
+            coords = vertex_point(G, v)
             if pt is None:
                 pt = tuple(w * c for c in coords)
             else:
@@ -108,7 +134,7 @@ def locate(G: GeometricComplex, p) -> BarycentricPoint:
     p = tuple(Fraction(c) for c in p)
     for s in G.complex.iter_simplices():
         verts = G.complex.sorted_simplex(s)
-        weights = _solve_barycentric([G.vertex_point(v) for v in verts], p)
+        weights = _solve_barycentric([vertex_point(G, v) for v in verts], p)
         if weights is not None:
             return BarycentricPoint(frozenset(verts), dict(zip(verts, weights)))
     raise PreconditionError("not in complex")
@@ -124,7 +150,7 @@ def eval_simplicial_map(vertex_images, target, x: BarycentricPoint) -> tuple:
             image = vertex_images[v]
         except KeyError:
             raise PreconditionError(f"vertex {v!r} missing from map table") from None
-        coords = target.vertex_point(image)
+        coords = vertex_point(target, image)
         if pt is None:
             pt = tuple(Fraction(w) * c for c in coords)
         else:
@@ -184,3 +210,81 @@ def cube_from_barycentric(t) -> tuple:
     """The radial chart from the standard simplex onto the unit cube on
     Fractions: the inverse of barycentric_from_cube."""
     return _cube_from_numerators(*common_numerators([Fraction(x) for x in t]))
+
+
+def pullback_certificate(
+    cert: EpsEmbeddingCertificate,
+    new_domain: MetricSpaceHandle,
+    phi,
+    witness: str | None = None,
+    trials: int = 1000,
+    seed: int = 0,
+) -> EpsEmbeddingCertificate:
+    """Compose with a distance non-decreasing map into the certificate's domain.
+
+    `witness` names the structural reason phi cannot shrink distances
+    (e.g. "isometric-inclusion"); with no name given, random pairs are tested
+    instead and a violating pair turns into a failed record on the result.
+    """
+    if witness is not None:
+        if witness not in CITATIONS:
+            raise PreconditionError(f"unknown structural witness {witness!r}")
+        record = structural_record(witness)
+    else:
+        rng = random.Random(seed)
+        violation = None
+        for _ in range(trials):
+            x, y = new_domain.sample(rng), new_domain.sample(rng)
+            if new_domain.dist(x, y) > cert.domain.dist(phi(x), phi(y)):
+                violation = (to_jsonable_point(x), to_jsonable_point(y))
+                break
+        if violation is None:
+            record = sampled_record(
+                "distance-non-decreasing-sampled",
+                SAMPLED_ONLY,
+                trials=trials,
+                seed=seed,
+            )
+        else:
+            record = sampled_record(
+                "distance-non-decreasing-sampled",
+                FAILED,
+                witness=violation,
+                trials=trials,
+                seed=seed,
+            )
+    evaluator = cert.evaluator
+    return EpsEmbeddingCertificate(
+        domain=new_domain,
+        target_dim=cert.target_dim,
+        epsilon=Fraction(cert.epsilon),
+        evaluator=lambda x: evaluator(phi(x)),
+        obligations=cert.obligations + (record,),
+        target_dist=cert.target_dist,
+    )
+
+
+def full_shift(symbols) -> Sft:
+    """The full shift on the given symbols."""
+    symbols = tuple(symbols)
+    return Sft(symbols, frozenset((a, b) for a in symbols for b in symbols))
+
+
+def golden_mean() -> Sft:
+    """The binary shift forbidding "11"."""
+    return Sft(("0", "1"), frozenset({("0", "0"), ("0", "1"), ("1", "0")}))
+
+
+def empty_cylinder(sft: Sft) -> CylinderSet:
+    """The empty clopen set."""
+    return CylinderSet(sft, 0, 0, frozenset())
+
+
+def same_set(a: CylinderSet, b: CylinderSet) -> bool:
+    """Whether two clopen sets are equal, whatever their windows."""
+    return a.difference(b).is_empty and b.difference(a).is_empty
+
+
+# |a - b| on Fractions: the oracle that the integer Hilbert metric is tested
+# against
+HILBERT_METRIC = ShiftMetric(lambda a, b: abs(a - b))

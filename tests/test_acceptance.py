@@ -12,7 +12,6 @@ from meandim.certificates import (
     check_certificate,
     chain_fiber_certificate,
     product_certificate,
-    pullback_certificate,
 )
 from meandim.cli import main
 from meandim.complexes import (
@@ -31,13 +30,19 @@ from meandim.counterexample import (
 )
 from meandim.symbolic import (
     CylinderSet,
-    Sft,
     max_subsampled_visits,
     ocap_finite_N,
     ocap_limit,
 )
 from meandim.widthmaps import cube_width_map
-from oracles import all_structural_discharged, finite_cloud_handle, identity_certificate
+from oracles import (
+    all_structural_discharged,
+    finite_cloud_handle,
+    full_shift,
+    golden_mean,
+    identity_certificate,
+    pullback_certificate,
+)
 
 F = Fraction
 
@@ -97,7 +102,7 @@ def test_criterion_3_counterexample_count_bound():
     params = CounterexampleParams.derive(F(1, 2), F(1, 2), 80)
     assert params.level == 3 and params.period == 8 and params.m == 3
     inst = build_counterexample(params)
-    report = nonzero_count_check(inst, samples=200, N=80, seed=0)
+    report = nonzero_count_check(inst, samples=200)
     assert not report.violations
     assert report.bound == 26
     assert report.max_count < 26
@@ -115,7 +120,7 @@ def test_criterion_4_counterexample_fiber_bound():
     rng = random.Random(4)
     for _ in range(20):
         state = inst.sample_state(rng)
-        cert = fiber_dimension_certificate(inst, state, 80)
+        cert = fiber_dimension_certificate(inst, state)
         assert F(cert.target_dim) < bound
         assert all_structural_discharged(cert)
     watch.check(4, "20 fiber certificates stay strictly below (N+2M+2L')/m = 104/3")
@@ -137,9 +142,9 @@ def test_criterion_5_ratio_table():
 
 def test_criterion_6_orbit_capacity():
     watch = Stopwatch(10)
-    full = Sft.full_shift("01")
+    full = full_shift("01")
     assert ocap_limit(full, CylinderSet.from_constraints(full, [(0, "1")])).value == 1
-    gm = Sft.golden_mean()
+    gm = golden_mean()
     one = CylinderSet.from_constraints(gm, [(0, "1")])
     assert ocap_limit(gm, one).value == F(1, 2)
     rng = random.Random(6)
@@ -208,7 +213,7 @@ def test_criterion_8_wedge_cone():
     assert cert.target_dim == n * wedge_dim
     assert all_structural_discharged(cert)
 
-    base = Sft.golden_mean()
+    base = golden_mean()
     pieces = [
         CylinderSet.from_constraints(base, [(0, ("0", "0"))]),
         CylinderSet.from_constraints(base, [(0, ("1",))]),
@@ -233,7 +238,7 @@ def test_criterion_9_determinism_and_verification(tmp_path, monkeypatch, capsys)
     watch = Stopwatch(10)
     monkeypatch.chdir(tmp_path)
     sft_path = tmp_path / "golden.json"
-    sft_path.write_text(json.dumps(Sft.golden_mean().to_json_dict()))
+    sft_path.write_text(json.dumps(golden_mean().to_json_dict()))
     one_path = tmp_path / "one.json"
     one_path.write_text(json.dumps([[0, "1"]]))
     v1 = tmp_path / "v1.json"

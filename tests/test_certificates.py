@@ -18,7 +18,6 @@ from meandim.certificates import (
     flat_linf,
     product_certificate,
     product_handle,
-    pullback_certificate,
     randint_draws,
     recheck_structural,
     relax_scale,
@@ -31,6 +30,7 @@ from oracles import (
     finite_cloud_handle,
     identity_certificate,
     one_point_handle,
+    pullback_certificate,
     spot_check_metric,
 )
 

@@ -19,7 +19,7 @@ from meandim.certificates import CITATIONS
 from meandim.cli import PAYLOAD_BUILDERS, main
 from meandim.counterexample import CounterexampleParams, CountReport
 from meandim.serialize import canonical_json
-from meandim.symbolic import Sft
+from oracles import full_shift, golden_mean
 
 
 @pytest.fixture()
@@ -30,7 +30,7 @@ def workdir(tmp_path, monkeypatch):
 
 def write_golden(tmp_path):
     sft = tmp_path / "golden.json"
-    sft.write_text(json.dumps(Sft.golden_mean().to_json_dict()))
+    sft.write_text(json.dumps(golden_mean().to_json_dict()))
     one = tmp_path / "one.json"
     one.write_text(json.dumps([[0, "1"]]))
     return sft, one
@@ -53,7 +53,7 @@ class TestOcapCommand:
 
     def test_full_shift_value_one(self, workdir, capsys):
         sft = workdir / "full.json"
-        sft.write_text(json.dumps(Sft.full_shift("01").to_json_dict()))
+        sft.write_text(json.dumps(full_shift("01").to_json_dict()))
         one = workdir / "one.json"
         one.write_text(json.dumps([[0, "1"]]))
         assert main(["ocap", "--sft", str(sft), "--set", str(one), "--limit"]) == 0
@@ -78,8 +78,8 @@ class TestOcapCommand:
     @pytest.mark.parametrize(
         "sft, constraints",
         [
-            (Sft.golden_mean(), [[0, "0"], [1000000, "0"]]),
-            (Sft.full_shift("0123"), [[0, "0"], [12, "0"]]),
+            (golden_mean(), [[0, "0"], [1000000, "0"]]),
+            (full_shift("0123"), [[0, "0"], [12, "0"]]),
         ],
     )
     def test_oversized_set_exits_4(self, workdir, capsys, sft, constraints):

@@ -15,7 +15,6 @@ from meandim.complexes import (
     bucket_of_dimension,
     cone,
     dimension_buckets,
-    faces_exceed,
     full_subcomplex,
     wedge_cones,
 )
@@ -99,6 +98,9 @@ REFUSALS = {
         "simplices must be nonempty"),
     "from_maximal unknown vertex": (
         lambda: SimplicialComplex.from_maximal(["a", "b"], [["a", "z"]]),
+        "unknown vertex"),
+    "from_maximal unknown lone vertex": (
+        lambda: SimplicialComplex.from_maximal(["a"], [["z"]]),
         "unknown vertex"),
     "from_maximal duplicate vertices": (
         lambda: SimplicialComplex.from_maximal(["a", "b", "a"], [["a", "b"]]),
@@ -460,9 +462,3 @@ def test_removing_any_non_maximal_face_breaks_closure(n, g, data):
 def test_partition_rejects_overlap():
     with pytest.raises(PreconditionError):
         VertexPartition((frozenset({1, 2}), frozenset({2, 3})))
-
-
-@settings(max_examples=200, deadline=None)
-@given(sizes=st.lists(st.integers(0, 80), max_size=6), budget=st.integers(0, 10**6))
-def test_faces_exceed_matches_the_face_count(sizes, budget):
-    assert faces_exceed(sizes, budget) == (sum(2**k - 1 for k in sizes) > budget)

@@ -35,22 +35,27 @@ from meandim.counterexample import (
 from meandim.errors import PreconditionError
 from meandim.serialize import format_fraction, parse_fraction
 from meandim.symbolic import (
-    HILBERT_METRIC,
     CylinderSet,
-    Sft,
     WindowSeq,
     d_N,
     max_subsampled_visits,
     ocap_limit,
 )
-from oracles import all_structural_discharged, identity_certificate, one_point_handle
+from oracles import (
+    HILBERT_METRIC,
+    all_structural_discharged,
+    empty_cylinder,
+    golden_mean,
+    identity_certificate,
+    one_point_handle,
+)
 from test_widthmaps import realized
 
 F = Fraction
 
 
-def std_params(N=16, delta=F(1, 2), eps=F(1, 2)):
-    return CounterexampleParams.derive(delta, eps, N)
+def std_params(N=16, delta=F(1, 2), eps=F(1, 2), seed=0):
+    return CounterexampleParams.derive(delta, eps, N, seed=seed)
 
 
 class TestParams:
@@ -176,9 +181,8 @@ def test_sample_coordinates_draws_the_fresh_grid_fractions(seed, count):
 
 class TestNonzeroCount:
     def test_zero_input_counts(self):
-        p = std_params(N=8)
-        inst = build_counterexample(p)
-        report = nonzero_count_check(inst, samples=20, N=8, seed=3)
+        inst = build_counterexample(std_params(N=8, seed=3))
+        report = nonzero_count_check(inst, samples=20)
         assert not report.violations
         # one block holds at most m-1 = 2 nonzeros; a window meets two blocks
         assert report.max_count <= report.block_bound == 2 * 2
@@ -195,29 +199,29 @@ class TestNonzeroCount:
             assert count <= p.m - 1 < p.delta * 8 / 2 + 2 * p.m
 
     def test_bound_values(self):
-        p = std_params(N=80)
-        inst = build_counterexample(p)
-        report = nonzero_count_check(inst, samples=50, N=80, seed=4)
+        inst = build_counterexample(std_params(N=80, seed=4))
+        report = nonzero_count_check(inst, samples=50)
         assert not report.violations
         assert report.bound == F(1, 2) * 80 / 2 + 6 == 26
         assert report.block_bound == (10 + 1) * 2 == 22
         assert report.max_count < 26
 
     def test_hull_inside_padded_positions(self):
-        inst = build_counterexample(std_params(N=24))
-        report = nonzero_count_check(inst, samples=40, N=24, seed=5)
+        inst = build_counterexample(std_params(N=24, seed=5))
+        report = nonzero_count_check(inst, samples=40)
         assert not report.violations
         assert report.hull_max <= report.block_bound
 
 
-def full_window_count_report(inst, samples, N, seed):
+def full_window_count_report(inst, samples):
     """Oracle for nonzero_count_check: every complete block of the window is
     evaluated and coordinates are read one at a time. Returns max_count,
     hull_max and the violations."""
     p = inst.params
+    N = p.horizon
     bound = p.delta * N / 2 + 2 * p.m
     block_bound = (-(-N // p.period) + 1) * (p.m - 1)
-    rng = random.Random(seed)
+    rng = random.Random(p.seed)
     hulls = {r: set() for r in range(p.period)}
     counts = []
     for _ in range(samples):
@@ -237,8 +241,8 @@ def full_window_count_report(inst, samples, N, seed):
 
 @pytest.mark.parametrize("N", [1, 8, 13, 16, 24, 80])
 def test_count_check_evaluates_only_blocks_meeting_the_range(N):
-    inst = build_counterexample(std_params(N=N))
     for seed in range(5):
+        inst = build_counterexample(std_params(N=N, seed=seed))
         rng = random.Random(seed)
         for r in range(inst.params.period):
             x, _ = inst.sample_state(rng)
@@ -249,8 +253,8 @@ def test_count_check_evaluates_only_blocks_meeting_the_range(N):
             assert restricted.end - period < N <= restricted.end
             full = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
             assert restricted.restrict(0, N) == full.restrict(0, N)
-        report = nonzero_count_check(inst, samples=12, N=N, seed=seed)
-        expected = full_window_count_report(inst, 12, N, seed)
+        report = nonzero_count_check(inst, samples=12)
+        expected = full_window_count_report(inst, 12)
         assert (report.max_count, report.hull_max, list(report.violations)) == expected
 
 
@@ -296,7 +300,7 @@ class TestFiberCertificate:
         inst = build_counterexample(p)
         rng = random.Random(6)
         state = inst.sample_state(rng)
-        cert = fiber_dimension_certificate(inst, state, 8)
+        cert = fiber_dimension_certificate(inst, state)
         bound = F(8 + 2 * 3 + 2 * 9, 3)
         assert F(cert.target_dim) < bound
         assert all_structural_discharged(cert)
@@ -310,7 +314,7 @@ class TestFiberCertificate:
         rng = random.Random(7)
         for _ in range(5):
             x, r = inst.sample_state(rng)
-            cert = fiber_dimension_certificate(inst, (x, r), 8)
+            cert = fiber_dimension_certificate(inst, (x, r))
             starts = cert_starts(inst, r, 8)
             window_len = starts[-1] + 4 - starts[0]
             assert cert.target_dim == F(window_len, 2)
@@ -318,7 +322,7 @@ class TestFiberCertificate:
     def test_structural_records_recheck(self):
         inst = build_counterexample(std_params(N=8))
         cert = fiber_dimension_certificate(
-            inst, inst.sample_state(random.Random(8)), 8
+            inst, inst.sample_state(random.Random(8))
         )
         for record in cert.obligations:
             if record.kind == "STRUCTURAL":
@@ -327,7 +331,7 @@ class TestFiberCertificate:
     def test_tail_rule_rederives_the_two_sided_tail(self):
         inst = build_counterexample(std_params(N=16))
         cert = fiber_dimension_certificate(
-            inst, inst.sample_state(random.Random(20)), 16
+            inst, inst.sample_state(random.Random(20))
         )
         (record,) = [r for r in cert.obligations if r.name == "window-tail-rule"]
         data = record.data_dict
@@ -363,7 +367,7 @@ class TestFiberCertificate:
             return locate_flag(pipeline, point)
 
         monkeypatch.setattr(KuhnWidthPipeline, "locate_flag", counted)
-        fiber_dimension_certificate(inst, (x, r), 8)
+        fiber_dimension_certificate(inst, (x, r))
         assert len(calls) == len(inst.block_starts(r))
 
     def test_fiber_samples_project_to_same_image(self):
@@ -372,7 +376,7 @@ class TestFiberCertificate:
         rng = random.Random(9)
         x, r = inst.sample_state(rng)
         y = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
-        cert = fiber_dimension_certificate(inst, (x, r), 8)
+        cert = fiber_dimension_certificate(inst, (x, r))
         for _ in range(5):
             sample = cert.domain.sample(rng)
             fy = inst.evaluate_f(sample.window, r, inst.window_lo, inst.window_hi)
@@ -383,7 +387,7 @@ class TestFiberCertificate:
         from meandim.widthmaps import KuhnWidthPipeline
 
         inst = build_counterexample(std_params(N=16))
-        cert = fiber_dimension_certificate(inst, inst.sample_state(random.Random(14)), 16)
+        cert = fiber_dimension_certificate(inst, inst.sample_state(random.Random(14)))
         counts = {"locate_flag": 0, "Fraction": 0}
         locate_flag = KuhnWidthPipeline.locate_flag
         new = Fraction.__dict__["__new__"]
@@ -410,7 +414,7 @@ class TestFiberCertificate:
         inst = build_counterexample(std_params(N=N))
         rng = random.Random(seed)
         state = inst.sample_state(rng)
-        cert = fiber_dimension_certificate(inst, state, N)
+        cert = fiber_dimension_certificate(inst, state)
         replay = realized_sampler(inst, state)
         for _ in range(5):
             clone = random.Random()
@@ -422,7 +426,7 @@ class TestFiberCertificate:
     def test_failure_witness_is_the_realized_window(self):
         inst = build_counterexample(std_params(N=16))
         state = inst.sample_state(random.Random(19))
-        cert = fiber_dimension_certificate(inst, state, 16)
+        cert = fiber_dimension_certificate(inst, state)
         eps = F(1, 10**6)
         record = sample_fiber_check(
             cert.evaluator, cert.domain, eps, eta=1, trials=5, seed=7,
@@ -440,7 +444,7 @@ class TestFiberCertificate:
     def test_fiber_check_passes(self):
         inst = build_counterexample(std_params(N=8))
         cert = fiber_dimension_certificate(
-            inst, inst.sample_state(random.Random(10)), 8
+            inst, inst.sample_state(random.Random(10))
         )
         record = check_certificate(cert, trials=200, seed=11)
         assert record.status == "sampled-only"
@@ -456,7 +460,7 @@ class TestFiberCertificate:
 
         rng = random.Random(13)
         for _ in range(3):
-            cert = fiber_dimension_certificate(inst, inst.sample_state(rng), 16)
+            cert = fiber_dimension_certificate(inst, inst.sample_state(rng))
             points = [cert.evaluator(cert.domain.sample(rng)) for _ in range(4)]
             for a, b in zip(points, points[1:]):
                 assert cert.target_dist(a, b) == flat_linf(realized_all(a), realized_all(b))
@@ -464,7 +468,7 @@ class TestFiberCertificate:
     def test_product_with_one_point_preserves_dim(self):
         inst = build_counterexample(std_params(N=8))
         cert = fiber_dimension_certificate(
-            inst, inst.sample_state(random.Random(12)), 8
+            inst, inst.sample_state(random.Random(12))
         )
         trivial = identity_certificate(one_point_handle(), 0, cert.epsilon)
         assert product_certificate(cert, trivial).target_dim == cert.target_dim
@@ -499,7 +503,7 @@ class TestReports:
         inst = build_counterexample(std_params(N=N, delta=delta))
         rng = random.Random(N)
         dims = [
-            fiber_dimension_certificate(inst, inst.sample_state(rng), N).target_dim
+            fiber_dimension_certificate(inst, inst.sample_state(rng)).target_dim
             for _ in range(60)
         ]
         assert max(dims) == row.fiber_dim and row.fiber_dim_over_N == F(row.fiber_dim, N)
@@ -536,7 +540,7 @@ from wedge_fixtures import golden_instance, make_x_domain, snap_embedding_cert
 
 def punctured_instance():
     """The golden-mean instance whose pieces miss the words 01 and 10 at 0."""
-    base = Sft.golden_mean()
+    base = golden_mean()
     pieces = [
         CylinderSet.from_constraints(base, [(0, ("0", "0"))]),
         CylinderSet.from_constraints(base, [(0, ("1",))]),
@@ -553,7 +557,7 @@ class TestWedgeCone:
         assert all_structural_discharged(cert)
 
     def test_punctured_cover_count_bound(self):
-        base = Sft.golden_mean()
+        base = golden_mean()
         inst = punctured_instance()
         n, N = 4, 4
         cert = wedge_cone_embedding(inst, N=N, n=n)
@@ -602,8 +606,8 @@ class TestWedgeCone:
         assert not recheck_structural(tampered(visits, count_bound=math.floor(bound) + 1))
 
     def test_degenerate_all_empty(self):
-        base = Sft.golden_mean()
-        empty = CylinderSet.empty(base)
+        base = golden_mean()
+        empty = empty_cylinder(base)
         inst = golden_instance(pieces=[empty, empty])
         n, N = 3, 4
         cert = wedge_cone_embedding(inst, N=N, n=n)
@@ -611,7 +615,7 @@ class TestWedgeCone:
         assert any(r.name == "degenerate-cutoff-identically-zero" for r in cert.obligations)
 
     def test_mismatched_epsilon_rejected(self):
-        base = Sft.golden_mean()
+        base = golden_mean()
         span = (-6, 24)
         domain = make_x_domain(base, span, F(1, 2), 4)
         cover = [
@@ -627,7 +631,7 @@ class TestWedgeCone:
             build_sbp_instance(base, cover, F(1, 2), certs, global_cert, span)
 
     def test_overlapping_windows_rejected(self):
-        base = Sft.golden_mean()
+        base = golden_mean()
         overlapping = [
             CylinderSet.from_constraints(base, [(0, ("0",))]),
             CylinderSet.from_constraints(base, [(0, ("0", "0"))]),

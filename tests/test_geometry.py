@@ -23,7 +23,7 @@ from meandim.geometry import (
     subdivide_to_mesh,
 )
 from meandim.widthmaps import KuhnWidthPipeline
-from oracles import BarycentricPoint, eval_simplicial_map, locate
+from oracles import BarycentricPoint, eval_simplicial_map, locate, realize, vertex_point
 from test_widthmaps import realized
 
 F = Fraction
@@ -36,7 +36,7 @@ def standard_two_simplex():
         "b": (F(0), F(1), F(0)),
         "c": (F(0), F(0), F(1)),
     }
-    return GeometricComplex(K, coords)
+    return realize(K, coords)
 
 
 def exact_det(rows):
@@ -54,7 +54,7 @@ def exact_det(rows):
 
 def simplex_volume(G, simplex):
     verts = G.complex.sorted_simplex(simplex)
-    pts = [G.vertex_point(v) for v in verts]
+    pts = [vertex_point(G, v) for v in verts]
     n = len(pts) - 1
     rows = [[pts[i + 1][d] - pts[0][d] for d in range(n)] for i in range(n)]
     from math import factorial
@@ -65,7 +65,7 @@ def simplex_volume(G, simplex):
 class TestStarDiameter:
     def test_isolated_vertex(self):
         K = SimplicialComplex.from_maximal(["p"], [["p"]])
-        G = GeometricComplex(K, {"p": (F(0), F(0))})
+        G = realize(K, {"p": (F(0), F(0))})
         assert star_diameter(G, "p") == 0
 
     def test_standard_simplex_linf(self):
@@ -113,7 +113,7 @@ class TestMesh:
 
     def test_isolated_points_zero_mesh(self):
         K = SimplicialComplex.from_maximal(["p", "q"], [["p"], ["q"]])
-        G = GeometricComplex(K, {"p": (F(0),), "q": (F(1),)})
+        G = realize(K, {"p": (F(0),), "q": (F(1),)})
         assert max_star_mesh(G) == 0
 
     def test_subdivide_to_mesh_noop(self):
@@ -123,7 +123,7 @@ class TestMesh:
 
     def test_unit_edge_rounds_to_reach_mesh(self):
         K = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
-        G = GeometricComplex(K, {"a": (F(0),), "b": (F(1),)})
+        G = realize(K, {"a": (F(0),), "b": (F(1),)})
         # star meshes go 1 -> 1 -> 1/2 -> 1/4: a midpoint's star spans both
         # incident segments, so three rounds land strictly under 3/10
         meshes = []
@@ -285,7 +285,7 @@ class TestIntegerLocation:
 def segment_target():
     K = SimplicialComplex.from_maximal([1, 2], [[1, 2]])
     coords = {1: (F(1), F(0)), 2: (F(0), F(1))}
-    return GeometricComplex(K, coords)
+    return realize(K, coords)
 
 
 class TestEvalSimplicialMap:
@@ -349,7 +349,7 @@ def test_affine_dependence_rejected():
     K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
     coords = {"a": (F(0), F(0)), "b": (F(1), F(1)), "c": (F(2), F(2))}
     with pytest.raises(PreconditionError, match="affinely dependent"):
-        GeometricComplex(K, coords)
+        realize(K, coords)
 
 
 def test_affine_dependence_names_the_first_dependent_simplex():
@@ -359,7 +359,7 @@ def test_affine_dependence_names_the_first_dependent_simplex():
     coords = {v: (F(i), F(i)) for i, v in enumerate("abcde")}
     expected = sorted(map(repr, "cde"))
     with pytest.raises(PreconditionError, match=re.escape(f"affinely dependent: {expected}")):
-        GeometricComplex(K, coords)
+        realize(K, coords)
 
 
 @settings(max_examples=30, deadline=None)
@@ -387,21 +387,21 @@ def test_one_collinear_translate_among_good_triangles_is_named(count, data, step
     K = SimplicialComplex.from_maximal(sorted(coords), facets)
     expected = sorted(map(repr, facets[bad]))
     with pytest.raises(PreconditionError, match=re.escape(f"affinely dependent: {expected}")):
-        GeometricComplex(K, coords)
+        realize(K, coords)
     good = {v: p for v, p in coords.items() if v[0] != bad}
-    GeometricComplex(full_subcomplex(K, good), good)
+    realize(full_subcomplex(K, good), good)
 
 
 def test_subdivided_edge_mesh_and_constructor_arguments():
     # the subdivided edge a - ab - b, with a at (0, 1/3) and b at (1, 0)
     a, b, ab = ("a",), ("b",), ("a", "b")
     K = SimplicialComplex.from_maximal([a, b, ab], [[a, ab], [b, ab]])
-    G = GeometricComplex(K, {a: (F(0), F(1, 3)), b: (F(1), F(0)), ab: (F(1, 2), F(1, 6))})
+    G = realize(K, {a: (F(0), F(1, 3)), b: (F(1), F(0)), ab: (F(1, 2), F(1, 6))})
     assert max_star_mesh(G) == F(1)
-    # the constructor takes the complex and its coordinates only, so a stray
-    # positional norm is refused
+    # the constructor takes the complex, its coordinate numerators and their
+    # denominator only, so a stray positional norm is refused
     with pytest.raises(TypeError):
-        GeometricComplex(G.complex, G.coords, "l1")
+        GeometricComplex(G.complex, G.nums, G.den, "l1")
 
 
 def fraction_rank(vectors):
@@ -431,7 +431,7 @@ def fraction_star_diameter(G, v):
     vertices of the simplices that contain v."""
     points = set().union(*(s for s in G.complex.simplices if v in s))
     best = F(0)
-    for p, q in combinations([G.vertex_point(u) for u in points], 2):
+    for p, q in combinations([vertex_point(G, u) for u in points], 2):
         d = max(abs(a - b) for a, b in zip(p, q))
         if d > best:
             best = d
@@ -473,9 +473,9 @@ def skewed_kuhn(draw):
     shift = [draw(RATIONALS) for _ in rows]
     coords = {
         v: tuple(sum((a * c for a, c in zip(row, p)), b) for row, b in zip(rows, shift))
-        for v, p in ((v, K.vertex_point(v)) for v in K.complex.vertices)
+        for v, p in ((v, vertex_point(K, v)) for v in K.complex.vertices)
     }
-    return GeometricComplex(K.complex, coords)
+    return realize(K.complex, coords)
 
 
 class TestIntegerGeometry:
@@ -491,7 +491,7 @@ class TestIntegerGeometry:
     @given(G=skewed_kuhn())
     def test_numerators_and_star_meshes_match_fraction_formulas(self, G):
         for v in G.complex.vertices:
-            assert tuple(F(a, G.den) for a in G.nums[v]) == G.vertex_point(v)
+            assert tuple(F(a, G.den) for a in G.nums[v]) == vertex_point(G, v)
         diameters = [fraction_star_diameter(G, v) for v in G.complex.vertices]
         for v, expected in zip(G.complex.vertices, diameters):
             got = star_diameter(G, v)
@@ -503,9 +503,9 @@ class TestIntegerGeometry:
     def test_subdivision_coordinates_are_fraction_barycenters(self, G):
         sub = barycentric_subdivide_geometric(G)
         for label in sub.complex.vertices:
-            points = [G.vertex_point(v) for v in label]
+            points = [vertex_point(G, v) for v in label]
             barycenter = tuple(sum(col, F(0)) / len(label) for col in zip(*points))
-            assert sub.coords[label] == barycenter
+            assert vertex_point(sub, label) == barycenter
             assert tuple(F(a, sub.den) for a in sub.nums[label]) == barycenter
 
     def test_mesh_and_subdivision_build_only_result_fractions(self, request):
@@ -522,10 +522,11 @@ class TestIntegerGeometry:
         # G was built from rational coordinates; H from numerators over a
         # common denominator that need not be the least
         nums = {v: tuple(scale * a for a in G.nums[v]) for v in G.complex.vertices}
-        H = GeometricComplex.from_numerators(G.complex, nums, scale * G.den)
-        assert H.coords == G.coords and H.ambient_dim == G.ambient_dim
+        H = GeometricComplex(G.complex, nums, scale * G.den)
+        assert H.ambient_dim == G.ambient_dim
         assert max_star_mesh(H) == max_star_mesh(G)
         for v in G.complex.vertices:
+            assert vertex_point(H, v) == vertex_point(G, v)
             assert star_diameter(H, v) == star_diameter(G, v)
 
     @pytest.mark.parametrize("nums, message", [
@@ -537,7 +538,7 @@ class TestIntegerGeometry:
         K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
         coords = {v: tuple(F(a, 2) for a in pt) for v, pt in nums.items()}
         with pytest.raises(PreconditionError, match=message) as rational:
-            GeometricComplex(K, coords)
+            realize(K, coords)
         with pytest.raises(PreconditionError) as integer:
-            GeometricComplex.from_numerators(K, nums, 2)
+            GeometricComplex(K, nums, 2)
         assert str(integer.value) == str(rational.value)

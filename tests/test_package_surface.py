@@ -1,11 +1,13 @@
-"""Every public function, class and method of the package has a caller in
-the package or the benchmark, or is kept on purpose as a test fixture, an
-oracle or a paper construction that no command runs yet.
+"""Every public function, class, method and module-level constant of the
+package has a caller in the package or the benchmark, or is kept on purpose
+as a paper construction that no command runs yet. Fixtures and oracles that
+only tests read live in `tests/oracles.py`.
 
-References are found by name: every identifier, attribute and dotted string
-constant in `src/meandim` (its `__init__` re-exports do not count) and in
-`benchmarks/`. A method counts as referenced when any attribute of that name
-is, so the check catches dead names, not every dead method.
+References are found by name: every identifier read (not assigned),
+attribute and dotted string constant in `src/meandim` (its `__init__`
+re-exports do not count) and in `benchmarks/`. A method counts as referenced
+when any attribute of that name is, so the check catches dead names, not
+every dead method.
 
 The package's value classes are written out, not built by `@dataclass` at
 import, and keep the repr, equality, hashing and immutability that
@@ -39,32 +41,35 @@ from meandim.symbolic import (
     WindowSeq,
 )
 from meandim.widthmaps import CubeWidthMap, FlagPoint, KuhnWidthPipeline, PartitionWidthMap
+from oracles import full_shift
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "meandim"
 
 # name -> why it stays without a caller in src/ or benchmarks/
 KEPT = {
-    "pullback_certificate": "paper construction: certificates pulled back along non-contracting maps",
     "cone": "paper construction: the cone of the wedge-of-cones embedding",
     "wedge_cones": "paper construction: the wedge of cones, waiting for a command",
     "stacked_report": "paper construction: the stacked family, waiting for a command",
     "build_sbp_instance": "paper construction: the wedge-of-cones data, waiting for a command",
     "wedge_cone_embedding": "paper construction: the wedge-of-cones embedding, waiting for a command",
-    "Sft.full_shift": "fixture: the full shift on given symbols",
-    "Sft.golden_mean": "fixture: the golden-mean shift",
-    "CylinderSet.empty": "fixture: the empty clopen set",
-    "CylinderSet.same_set": "oracle: equality of clopen sets, whatever their windows",
     "ocap_neighborhood": "paper construction: clopen neighborhoods of small capacity",
 }
 
 
 def public_names():
-    """Each public top-level function and class, and each public method of
-    a public class, as Class.method."""
+    """Each public top-level function, class and constant (a module-level
+    assignment), and each public method of a public class, as
+    Class.method."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.extend(
+                    t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")
+                )
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             found.append(node.name)
@@ -83,8 +88,8 @@ def referenced_names():
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)  # an assignment is no reference
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
@@ -204,7 +209,7 @@ def test_value_classes_compare_and_hash_by_fields(make, names):
 def _identity_classes():
     """Two instances with equal fields of each class compared by identity,
     and whether it is frozen."""
-    sft = Sft.full_shift("01")
+    sft = full_shift("01")
     half = Fraction(1, 2)
     return [
         (lambda: SimplicialComplex(("a",), frozenset({frozenset({"a"})})), True),

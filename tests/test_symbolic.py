@@ -17,7 +17,6 @@ from meandim.counterexample import (
 )
 from meandim.errors import BudgetExceededError, InsufficientWindowError, PreconditionError
 from meandim.symbolic import (
-    HILBERT_METRIC,
     INTEGER_HILBERT_METRIC,
     SYMBOL_METRIC,
     CylinderSet,
@@ -35,6 +34,7 @@ from meandim.symbolic import (
     odometer_E,
     sbp_cover_refine,
 )
+from oracles import HILBERT_METRIC, empty_cylinder, full_shift, golden_mean, same_set
 
 F = Fraction
 
@@ -234,11 +234,11 @@ class TestSft:
             Sft(("a", "b"), frozenset({("a", "a"), ("a", "b")}))
 
     def test_words_golden_mean(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         assert gm.words(2) == (("0", "0"), ("0", "1"), ("1", "0"))
 
     def test_json_roundtrip(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         back = Sft.from_json_dict(json.loads(json.dumps(gm.to_json_dict())))
         assert back.alphabet == gm.alphabet
         assert back.transitions == gm.transitions
@@ -246,46 +246,46 @@ class TestSft:
 
 class TestCylinderAlgebra:
     def test_constraint_intersection(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "0"), (1, "0"))
         assert A.words == {("0", "0")}
 
     def test_contradictory_constraints_empty(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "1"), (1, "1"))  # "11" is forbidden
         assert A.is_empty
 
     def test_union_and_complement(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         zero, one = cyl(gm, (0, "0")), cyl(gm, (0, "1"))
-        assert zero.union(one).same_set(CylinderSet.whole(gm))
-        assert zero.complement().same_set(one)
+        assert same_set(zero.union(one), CylinderSet.whole(gm))
+        assert same_set(zero.complement(), one)
 
     def test_difference(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         one = cyl(gm, (0, "1"))
         ten = cyl(gm, (0, "10"))
         # in the golden mean shift every 1 is followed by 0
         assert one.difference(ten).is_empty
 
     def test_refine_preserves_set(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "1"))
         B = A.refine(-2, 3)
-        assert A.same_set(B)
+        assert same_set(A, B)
         assert B.length == 5
 
     def test_contains_point_with_shift(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "1"))
         x = WindowSeq(0, ("0", "1", "0", "0"))
         assert not A.contains_point(x)
         assert A.contains_point(x, shift=1)
 
     def test_whole_and_empty(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         assert CylinderSet.whole(gm).contains_point(WindowSeq(0, ("0",)))
-        assert CylinderSet.empty(gm).is_empty
+        assert empty_cylinder(gm).is_empty
 
 
     @pytest.mark.parametrize(
@@ -299,11 +299,11 @@ class TestCylinderAlgebra:
     )
     def test_direct_construction_checks_the_language(self, length, word):
         with pytest.raises(PreconditionError, match="outside the language"):
-            CylinderSet(Sft.golden_mean(), 0, length, frozenset({word}))
+            CylinderSet(golden_mean(), 0, length, frozenset({word}))
 
     def test_direct_construction_checks_the_word_budget(self):
         with pytest.raises(BudgetExceededError, match="word budget"):
-            CylinderSet(Sft.golden_mean(), 0, WORD_BUDGET + 1, frozenset())
+            CylinderSet(golden_mean(), 0, WORD_BUDGET + 1, frozenset())
 
     @settings(max_examples=100, deadline=None)
     @given(instance=sft_and_constraints(), data=st.data())
@@ -347,31 +347,31 @@ class TestCylinderAlgebra:
 
 class TestOcapFiniteN:
     def test_full_shift_all_ones(self):
-        full = Sft.full_shift("01")
+        full = full_shift("01")
         A = cyl(full, (0, "1"))
         for N in (1, 2, 5, 16):
             assert ocap_finite_N(full, A, N) == 1
 
     def test_golden_mean_n2(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         assert ocap_finite_N(gm, cyl(gm, (0, "1")), 2) == F(1, 2)
 
     def test_empty_set(self):
-        gm = Sft.golden_mean()
-        assert ocap_finite_N(gm, CylinderSet.empty(gm), 7) == 0
+        gm = golden_mean()
+        assert ocap_finite_N(gm, empty_cylinder(gm), 7) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(N=st.integers(min_value=1, max_value=6), seed=st.integers(0, 10**6))
     def test_against_brute_force(self, N, seed):
         rng = random.Random(seed)
-        sft = Sft.golden_mean() if rng.random() < 0.5 else Sft.full_shift("01")
+        sft = golden_mean() if rng.random() < 0.5 else full_shift("01")
         length = rng.randint(1, 2)
         word = rng.choice(sft.words(length))
         A = cyl(sft, (0, word))
         assert ocap_finite_N(sft, A, N) == F(brute_force_max_visits(sft, A, N), N)
 
     def test_longer_window_set(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "010"))
         for N in (1, 2, 4):
             assert ocap_finite_N(gm, A, N) == F(brute_force_max_visits(gm, A, N), N)
@@ -379,20 +379,20 @@ class TestOcapFiniteN:
 
 class TestOcapLimit:
     def test_full_shift(self):
-        full = Sft.full_shift("01")
+        full = full_shift("01")
         result = ocap_limit(full, cyl(full, (0, "1")))
         assert result.value == 1
         assert result.witness == ("1",)
 
     def test_golden_mean(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         result = ocap_limit(gm, cyl(gm, (0, "1")))
         assert result.value == F(1, 2)
         assert set(result.witness) == {"0", "1"}
         assert len(result.witness) == 2
 
     def test_witness_cycle_realizes_value(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "10"))
         result = ocap_limit(gm, A)
         period = result.witness * 4
@@ -405,7 +405,7 @@ class TestOcapLimit:
 
     def test_union_subadditive(self):
         rng = random.Random(42)
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         for _ in range(100):
             length = rng.randint(1, 3)
             wa = rng.choice(gm.words(length))
@@ -419,7 +419,7 @@ class TestOcapLimit:
             )
 
     def test_finite_dominates_limit_with_karp_gap(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         for word in (("1",), ("1", "0"), ("0", "0")):
             A = cyl(gm, (0, word))
             limit = ocap_limit(gm, A)
@@ -429,7 +429,7 @@ class TestOcapLimit:
                 assert finite - limit.value <= F(limit.graph_size, N)
 
     def test_finite_nonincreasing_on_doublings(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "1"))
         values = [ocap_finite_N(gm, A, N) for N in (3, 6, 12, 24, 48)]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -470,7 +470,7 @@ class TestOcapLimit:
                 return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(symbolic, "Fraction", CountingFraction)
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         # a window of 10 symbols: 144 words, one strongly connected component
         result = ocap_limit(gm, cyl(gm, (0, "1"), (9, "0")))
         assert result.graph_size == 144
@@ -518,7 +518,7 @@ class TestOcapLimit:
 
     def test_large_graph_in_bounded_memory(self, monkeypatch):
         seen = spy_on_repeats(monkeypatch)
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "1"), (15, "1"))
         tracemalloc.start()
         try:
@@ -539,13 +539,13 @@ PERIOD_TWO = Sft(("0", "1", "2"), frozenset({("0", "1"), ("1", "0"), ("1", "2"),
 
 class TestSubsampledVisits:
     def test_step_one_matches_finite_n(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "1"))
         for N in (1, 3, 7):
             assert max_subsampled_visits(gm, A, N, 1) == N * ocap_finite_N(gm, A, N)
 
     def test_subsampling_never_beats_full_count(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         A = cyl(gm, (0, "0"))
         n, step = 4, 3
         full = max_subsampled_visits(gm, A, n * step, 1)
@@ -555,9 +555,9 @@ class TestSubsampledVisits:
     @pytest.mark.parametrize(
         "sft, constraints",
         [
-            (Sft.golden_mean(), [(0, "1")]),
-            (Sft.golden_mean(), [(0, "1"), (3, "1")]),
-            (Sft.golden_mean(), [(0, "00"), (4, "1")]),
+            (golden_mean(), [(0, "1")]),
+            (golden_mean(), [(0, "1"), (3, "1")]),
+            (golden_mean(), [(0, "00"), (4, "1")]),
             (PERIOD_TWO, [(0, "2"), (2, "0")]),
         ],
     )
@@ -593,18 +593,18 @@ class TestSubsampledVisits:
 
 class TestOcapNeighborhood:
     def test_clopen_returns_itself(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         E = cyl(gm, (0, "1"))
         U = ocap_neighborhood(gm, E, F(1, 10))
         assert U is E
 
     def test_empty(self):
-        gm = Sft.golden_mean()
-        U = ocap_neighborhood(gm, CylinderSet.empty(gm), F(1, 10))
+        gm = golden_mean()
+        U = ocap_neighborhood(gm, empty_cylinder(gm), F(1, 10))
         assert U.is_empty
 
     def test_nested_depths_monotone(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         stages = [
             cyl(gm, (0, "0")),
             cyl(gm, (0, "00")),
@@ -616,36 +616,36 @@ class TestOcapNeighborhood:
         assert ocap_limit(gm, U).value < values[-1] + F(1, 100)
 
     def test_non_nested_rejected(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         with pytest.raises(PreconditionError, match="not decreasing"):
             ocap_neighborhood(gm, [cyl(gm, (0, "0")), cyl(gm, (0, "1"))], F(1, 2))
 
 
 class TestSbpCoverRefine:
     def test_single_whole_cover(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         pieces, complement, report = sbp_cover_refine(
             gm, [CylinderSet.whole(gm)], F(1, 2)
         )
-        assert pieces[0].same_set(CylinderSet.whole(gm))
+        assert same_set(pieces[0], CylinderSet.whole(gm))
         assert complement.is_empty
         assert report.value == 0
 
     def test_already_disjoint(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         pieces, complement, report = sbp_cover_refine(
             gm, [cyl(gm, (0, "0")), cyl(gm, (0, "1"))], F(1, 2)
         )
-        assert pieces[0].same_set(cyl(gm, (0, "0")))
-        assert pieces[1].same_set(cyl(gm, (0, "1")))
+        assert same_set(pieces[0], cyl(gm, (0, "0")))
+        assert same_set(pieces[1], cyl(gm, (0, "1")))
         assert report.value == 0
 
     def test_overlapping_peeled(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         V1 = cyl(gm, (0, "0")).union(cyl(gm, (0, "10")))
         V2 = cyl(gm, (0, "1"))
         pieces, complement, report = sbp_cover_refine(gm, [V1, V2], F(1, 2))
-        assert pieces[0].same_set(V1)
+        assert same_set(pieces[0], V1)
         # everything in V2 was already covered: every 1 is followed by 0
         assert pieces[1].is_empty
         assert pieces[0].intersection(pieces[1]).is_empty
@@ -653,7 +653,7 @@ class TestSbpCoverRefine:
         assert report.value == 0
 
     def test_not_a_cover(self):
-        gm = Sft.golden_mean()
+        gm = golden_mean()
         with pytest.raises(PreconditionError, match="not a cover"):
             sbp_cover_refine(gm, [cyl(gm, (0, "1"))], F(1, 2))
 
@@ -756,7 +756,7 @@ class TestWindowMetrics:
         inst = build_counterexample(CounterexampleParams.derive(F(1, 2), eps, N))
         rng = random.Random(seed)
         x, _ = inst.sample_state(rng)
-        cert = fiber_dimension_certificate(inst, (x, residue % inst.params.period), N)
+        cert = fiber_dimension_certificate(inst, (x, residue % inst.params.period))
         points = [cert.domain.sample(rng) for _ in range(3)]
         for u, v in zip(points, points[1:]):
             expected = d_N_by_definition(HILBERT_METRIC, N, u.window, v.window)
@@ -766,7 +766,7 @@ class TestWindowMetrics:
         N = 32
         inst = build_counterexample(CounterexampleParams.derive(F(1, 2), F(1, 2), N))
         rng = random.Random(83)
-        cert = fiber_dimension_certificate(inst, inst.sample_state(rng), N)
+        cert = fiber_dimension_certificate(inst, inst.sample_state(rng))
         points = [cert.domain.sample(rng) for _ in range(6)]
         built = request.getfixturevalue("fraction_count")
         for u, v in zip(points, points[1:]):

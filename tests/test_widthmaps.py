@@ -13,7 +13,6 @@ from meandim.certificates import check_certificate, flat_linf, structural_record
 from meandim.complexes import SimplicialComplex, VertexPartition, dimension_buckets
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
-    GeometricComplex,
     barycentric_subdivide_geometric,
     kuhn_triangulate_cube,
     max_star_mesh,
@@ -34,6 +33,8 @@ from oracles import (
     cube_from_barycentric,
     eval_simplicial_map,
     locate,
+    realize,
+    vertex_point,
 )
 
 F = Fraction
@@ -41,7 +42,7 @@ F = Fraction
 
 def unit_edge():
     K = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
-    return GeometricComplex(K, {"a": (F(0),), "b": (F(1),)})
+    return realize(K, {"a": (F(0),), "b": (F(1),)})
 
 
 def realized(flag, grid):
@@ -62,7 +63,7 @@ def standard_simplex(m):
     1..m."""
     verts = list(range(1, m + 1))
     K = SimplicialComplex.from_maximal(verts, [verts])
-    return GeometricComplex(K, {i: tuple(F(int(j == i - 1)) for j in range(m)) for i in verts})
+    return realize(K, {i: tuple(F(int(j == i - 1)) for j in range(m)) for i in verts})
 
 
 def fiber_points_exist(wm, t):
@@ -72,7 +73,7 @@ def fiber_points_exist(wm, t):
 
 def bent_path():
     K = SimplicialComplex.from_maximal([0, 1, 2], [[0, 1], [1, 2]])
-    return GeometricComplex(K, {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(1), F(1))})
+    return realize(K, {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(1), F(1))})
 
 
 class TestPartitionMap:
@@ -176,7 +177,7 @@ class TestBucketWidthMap:
             "b": (F(0), F(1), F(0)),
             "c": (F(0), F(0), F(1)),
         }
-        wm = bucket_width_map(GeometricComplex(K, coords), 2, F(1, 2), F(1, 2))
+        wm = bucket_width_map(realize(K, coords), 2, F(1, 2), F(1, 2))
         rng = random.Random(2)
         for _ in range(8):
             raw = sorted(rng.randint(0, 8) for _ in range(1))
@@ -217,7 +218,7 @@ class TestBucketWidthMap:
             "b": (F(0), F(1), F(0)),
             "c": (F(0), F(0), F(1)),
         }
-        wm = bucket_width_map(GeometricComplex(K, coords), 3, F(1, 2), F(1, 2))
+        wm = bucket_width_map(realize(K, coords), 3, F(1, 2), F(1, 2))
         for t in _simplex_grid(3):
             if fiber_points_exist(wm, t):
                 assert wm.fiber_certificate(t).target_dim <= 0
@@ -231,7 +232,7 @@ class TestBucketWidthMap:
         }
         dims = []
         for m in (1, 2, 3):
-            wm = bucket_width_map(GeometricComplex(K, coords), m, F(1, 2), F(1, 2))
+            wm = bucket_width_map(realize(K, coords), m, F(1, 2), F(1, 2))
             certs = [
                 wm.fiber_certificate(t)
                 for t in _simplex_grid(m)
@@ -437,8 +438,10 @@ class TestCubeWidthMap:
             cube_width_map(4, 2, F(1, 2))
 
     def test_target_faces_count_against_the_budget(self):
-        # the 17-simplex target has 2^18 - 1 = 262,143 faces, over
-        # SIZE_BUDGET; m = 10**9 is refused without computing 2**m
+        # the 16-simplex target has 2^17 - 1 = 131,071 faces, within
+        # SIZE_BUDGET; the 17-simplex target has 2^18 - 1 = 262,143, over
+        # it; m = 10**9 is refused without computing 2**m
+        assert cube_width_map(1, 17, F(1, 2)).m == 17
         with pytest.raises(BudgetExceededError, match="target simplex"):
             cube_width_map(1, 18, F(1, 2))
         with pytest.raises(BudgetExceededError, match="target simplex"):
@@ -658,16 +661,16 @@ class TestIntegerFlags:
     def test_dist_on_one_chain_realizes_the_weight_difference_once(self, monkeypatch):
         pipeline = block_pipeline()
         g = pipeline.grid
-        realize = FlagPoint.realize
+        flag_realize = FlagPoint.realize
         calls = []
 
         def counted(flag, grid):
             calls.append(flag)
-            return realize(flag, grid)
+            return flag_realize(flag, grid)
 
         def two_realizes(a, b):
-            xs, dx = realize(a, g)
-            ys, dy = realize(b, g)
+            xs, dx = flag_realize(a, g)
+            ys, dy = flag_realize(b, g)
             return F(max(abs(x * dy - y * dx) for x, y in zip(xs, ys)), dx * dy)
 
         def random_flag(rng, chain):
@@ -727,7 +730,7 @@ def fraction_retract(wm, x, t):
     for v, w in x.weights.items():
         if v not in block or w == 0:
             continue
-        pt = wm.geometry.vertex_point(v)
+        pt = vertex_point(wm.geometry, v)
         coords = tuple(w * c for c in pt) if coords is None else tuple(
             a + w * c for a, c in zip(coords, pt)
         )

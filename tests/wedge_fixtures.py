@@ -9,7 +9,8 @@ from meandim.certificates import (
     structural_record,
 )
 from meandim.counterexample import build_sbp_instance
-from meandim.symbolic import SYMBOL_METRIC, CylinderSet, Sft, WindowSeq, d_N
+from meandim.symbolic import SYMBOL_METRIC, CylinderSet, WindowSeq, d_N
+from oracles import golden_mean
 
 F = Fraction
 
@@ -69,7 +70,7 @@ def snap_embedding_cert(domain, eps, snap_lo, snap_hi):
 
 
 def golden_instance(eps=F(1, 2), N=4, n=4, pieces=None):
-    base = Sft.golden_mean()
+    base = golden_mean()
     span = (-6, n * N + 8)
     domain = make_x_domain(base, span, eps, N)
     cover = [
