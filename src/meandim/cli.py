@@ -33,7 +33,7 @@ from .certificates import (
 from .counterexample import (
     CSV_HEADER,
     CounterexampleParams,
-    build_counterexample,
+    FactorMapInstance,
     fiber_dimension_certificate,
     mdim_report,
     nonzero_count_check,
@@ -47,7 +47,6 @@ from .errors import (
 )
 from .serialize import canonical_json, format_fraction, parse_fraction, to_jsonable
 from .symbolic import (
-    SAMPLE_BUDGET,
     CylinderSet,
     Sft,
     ocap_finite_N,
@@ -55,6 +54,11 @@ from .symbolic import (
     sbp_cover_refine,
 )
 from .widthmaps import cube_width_map
+
+# the most sampled work a recipe may ask for: samples times trials times
+# coordinates per sampled point; the README's fiber-cert --N 80 --samples 20
+# needs 20 * 200 * 104 = 416,000, its gromov fiber-check 50 * 1000 * 2
+SAMPLE_BUDGET = 2 * 10**6
 
 
 def _rational(text: str) -> Fraction:
@@ -150,13 +154,13 @@ def _width_map(recipe: dict):
 
 
 def _instance(recipe: dict):
-    params = CounterexampleParams.derive(
+    params = CounterexampleParams(
         parse_fraction(recipe["delta"]),
         parse_fraction(recipe["eps"]),
         _integer(recipe["N"], "N"),
         _integer(recipe["seed"], "seed"),
     )
-    return params, build_counterexample(params)
+    return params, FactorMapInstance(params)
 
 
 def _check_sampled_work(samples: int, trials: int, coordinates: int):
@@ -213,7 +217,7 @@ def _payload_gromov_fiber_batch(recipe: dict) -> dict:
 
 def _payload_ocap(recipe: dict) -> dict:
     sft = Sft.from_json_dict(recipe["sft"])
-    A = CylinderSet.from_constraint_json(sft, recipe["set"])
+    A = CylinderSet.from_constraints(sft, recipe["set"])
     if recipe["N"] is None:  # ocap --limit
         result = ocap_limit(sft, A)
         return {
@@ -227,7 +231,7 @@ def _payload_ocap(recipe: dict) -> dict:
 
 def _payload_sbp(recipe: dict) -> dict:
     sft = Sft.from_json_dict(recipe["sft"])
-    cover = [CylinderSet.from_constraint_json(sft, c) for c in recipe["cover"]]
+    cover = [CylinderSet.from_constraints(sft, c) for c in recipe["cover"]]
     pieces, complement, report = sbp_cover_refine(
         sft, cover, parse_fraction(recipe["delta"])
     )
@@ -260,14 +264,13 @@ def _payload_count_report(recipe: dict) -> dict:
 
 def _payload_fiber_batch(recipe: dict) -> dict:
     params, inst = _instance(recipe)
-    N = params.horizon
 
     def sample_fiber(rng):
         state = inst.sample_state(rng)
         return fiber_dimension_certificate(inst, state), {"residue": state[1]}
 
     return {
-        "bound": format_fraction(params.fiber_dim_bound(N)),
+        "bound": format_fraction(params.fiber_dim_bound()),
         "certificates": _checked_certificates(
             recipe, inst.window_hi - inst.window_lo, sample_fiber
         ),

@@ -13,6 +13,8 @@ The same loop records which simplices are maximal (an edge's vertices
 leave that set in one step), so the affine check of a realization reads
 that set instead of walking the family again. `from_maximal` closes a
 family in one loop from the vertex singletons; the constructor checks it.
+The size budget on complexes built from a recipe sits with its one reader:
+widthmaps.cube_width_map checks widthmaps.SIZE_BUDGET before it builds any.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from itertools import combinations
 from math import ceil, floor
 
 from .errors import FrozenStruct, PreconditionError
-
-
-SIZE_BUDGET = 200_000  # simplices a construction may build from outside input
 
 
 class SimplicialComplex(FrozenStruct):

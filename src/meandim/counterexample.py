@@ -3,8 +3,11 @@ dimension, and the wedge-of-cones embedding over zero-dimensional bases.
 
 The factor map sends a sequence of cube coordinates through a shared width
 map block by block, padding each image with zeros to the block length;
-blocks are cut by the dyadic odometer's return times. Two quantitative bounds are certified exactly at every finite horizon:
-the count of nonzero image entries per window, and the fiber-dimension
+blocks are cut by the dyadic odometer's return times. An instance has one
+way in: CounterexampleParams(delta, eps, horizon, seed) derives every
+parameter, and FactorMapInstance(params) builds the tower and the width map
+from them. Two quantitative bounds are certified exactly at every finite
+horizon: the count of nonzero image entries per window, and the fiber-dimension
 bookkeeping through block products. A fiber's certified dimension depends
 only on its blocks' buckets, so the largest one over every state is a closed
 form (CounterexampleParams.max_fiber_dim), which the ratio reports read
@@ -101,25 +104,23 @@ def two_sided_tail(margin: int) -> Fraction:
 
 
 class CounterexampleParams(Value):
-    """Parameters of the factor-map instance; inequalities are checked on
-    construction and reported with exact values by report()."""
+    """Parameters of the factor-map instance at one horizon, derived from
+    delta and eps: the smallest m, block level and window margin the
+    inequalities allow, and the grid whose mesh is below eps/4. The
+    inequalities are checked again on construction and reported with exact
+    values by report()."""
 
     _fields = ("delta", "eps", "m", "level", "grid", "horizon", "margin", "seed")
 
-    def __init__(
-        self,
-        delta: Fraction,
-        eps: Fraction,
-        m: int,
-        level: int,
-        grid: int,
-        horizon: int,
-        margin: int,
-        seed: int = 0,
-    ):
+    def __init__(self, delta, eps, horizon: int, seed: int = 0):
+        delta, eps = F(delta), F(eps)
+        if delta <= 0 or eps <= 0:
+            raise PreconditionError("delta and eps must be positive")
+        m = derive_m(delta)
         self.__dict__.update(
-            delta=delta, eps=eps, m=m, level=level, grid=grid, horizon=horizon,
-            margin=margin, seed=seed,
+            delta=delta, eps=eps, m=m, level=derive_level(delta, m),
+            grid=grid_for_mesh(eps / 4), horizon=horizon, margin=derive_margin(eps),
+            seed=seed,
         )
         for name, ok in self.core_checks():
             if not ok:
@@ -137,19 +138,19 @@ class CounterexampleParams(Value):
     def L_prime(self) -> int:
         return self.period + 1
 
-    def fiber_dim_bound(self, N: int) -> Fraction:
-        """The certified fiber dimension at horizon N stays strictly below
-        (N + 2M + 2L')/m."""
-        return F(N + 2 * self.margin + 2 * self.L_prime, self.m)
+    def fiber_dim_bound(self) -> Fraction:
+        """The certified fiber dimension at the horizon N stays strictly
+        below (N + 2M + 2L')/m."""
+        return F(self.horizon + 2 * self.margin + 2 * self.L_prime, self.m)
 
-    def max_fiber_dim(self, N: int) -> int:
-        """The largest fiber dimension certified at horizon N, over every
+    def max_fiber_dim(self) -> int:
+        """The largest fiber dimension certified at the horizon N, over every
         state: at most ceil((N + 2M + P - 1)/P) blocks of period P start in
         [-M - P + 1, N + M - 1], some residue reaches that count, and each
         block is certified at most at the bucket-1 bound floor(P/m), the
         largest bucket bound."""
         P = self.period
-        return -(-(N + 2 * self.margin + P - 1) // P) * (P // self.m)
+        return -(-(self.horizon + 2 * self.margin + P - 1) // P) * (P // self.m)
 
     def core_checks(self):
         return [
@@ -183,26 +184,6 @@ class CounterexampleParams(Value):
         )
         return rows
 
-    @classmethod
-    def derive(cls, delta, eps, horizon: int, seed: int = 0) -> "CounterexampleParams":
-        delta, eps = F(delta), F(eps)
-        if delta <= 0 or eps <= 0:
-            raise PreconditionError("delta and eps must be positive")
-        m = derive_m(delta)
-        level = derive_level(delta, m)
-        margin = derive_margin(eps)
-        grid = grid_for_mesh(eps / 4)
-        return cls(
-            delta=delta,
-            eps=eps,
-            m=m,
-            level=level,
-            grid=grid,
-            horizon=horizon,
-            margin=margin,
-            seed=seed,
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "delta": format_fraction(self.delta),
@@ -220,16 +201,15 @@ class FactorMapInstance(Struct):
     """The factor map at a finite horizon: cube-sequence windows are pushed
     through the shared width map `pipeline` over the odometer's return
     blocks, each image padded with zeros to the block length; the
-    zero-dimensional coordinate passes through unchanged."""
+    zero-dimensional coordinate passes through unchanged. The odometer
+    tower and the pipeline are built from the parameters."""
 
     _fields = ("params", "tower", "pipeline")
 
-    def __init__(
-        self, params: CounterexampleParams, tower: OdometerTower, pipeline: KuhnWidthPipeline
-    ):
+    def __init__(self, params: CounterexampleParams):
         self.params = params
-        self.tower = tower
-        self.pipeline = pipeline
+        self.tower = OdometerTower(params.level)
+        self.pipeline = KuhnWidthPipeline(params.period, params.m, params.grid)
 
     @property
     def window_lo(self) -> int:
@@ -259,14 +239,6 @@ class FactorMapInstance(Struct):
     def sample_state(self, rng: random.Random):
         values = sample_coordinates(rng, self.window_hi - self.window_lo)
         return WindowSeq(self.window_lo, values), rng.randrange(self.params.period)
-
-
-def build_counterexample(params: CounterexampleParams) -> FactorMapInstance:
-    return FactorMapInstance(
-        params=params,
-        tower=OdometerTower(params.level),
-        pipeline=KuhnWidthPipeline(params.period, params.m, params.grid),
-    )
 
 
 class CountReport(Value):
@@ -443,7 +415,7 @@ def fiber_dimension_certificate(inst: FactorMapInstance, state) -> EpsEmbeddingC
         start=cert_starts[0],
         margin=p.margin,
     )
-    bound = p.fiber_dim_bound(N)
+    bound = p.fiber_dim_bound()
     below = chain.target_dim < bound
     final = relax_scale(
         chain,
@@ -511,8 +483,8 @@ def mdim_report(delta, N_values, eps_values):
     for eps in eps_values:
         eps = F(eps)
         for N in N_values:
-            params = CounterexampleParams.derive(delta, eps, N)
-            fiber_dim = params.max_fiber_dim(N)
+            params = CounterexampleParams(delta, eps, N)
+            fiber_dim = params.max_fiber_dim()
             rows.append(
                 ReportRow(
                     eps=eps,
@@ -535,7 +507,7 @@ def stacked_report(delta, depth: int, N: int):
     for n in range(1, depth + 1):
         eps_n = F(1, n)
         delta_n = delta / 2**n
-        fiber_dim = CounterexampleParams.derive(delta_n, eps_n, N).max_fiber_dim(N)
+        fiber_dim = CounterexampleParams(delta_n, eps_n, N).max_fiber_dim()
         rows.append(
             {
                 "depth": n,

@@ -35,10 +35,6 @@ WORD_BUDGET = 4096
 # the most DP steps times word-graph edges max_subsampled_visits runs; the
 # benchmark's ocap --N 512 on graphs of about 530 edges needs about 2.7e5
 HORIZON_BUDGET = 10**7
-# the most sampled work a recipe may ask for: samples times trials times
-# coordinates per sampled point; the README's fiber-cert --N 80 --samples 20
-# needs 20 * 200 * 104 = 416,000, its gromov fiber-check 50 * 1000 * 2
-SAMPLE_BUDGET = 2 * 10**6
 
 
 class Sft(FrozenStruct):
@@ -137,16 +133,25 @@ class CylinderSet(FrozenStruct):
 
     @classmethod
     def from_constraints(cls, sft: Sft, constraints) -> "CylinderSet":
-        """Intersection of (offset, word) constraints."""
-        constraints = [(int(o), tuple(w)) for o, w in constraints]
-        if not constraints:
+        """Intersection of (offset, word) constraints, such as a JSON list of
+        [offset, word] pairs. An offset must be an integer: a float, a string
+        or a boolean is refused, not truncated or parsed. A word is a list or
+        tuple of symbols, or else read as the string of its one-character
+        symbols."""
+        parsed = []
+        for offset, word in constraints:
+            if not isinstance(offset, int) or isinstance(offset, bool):
+                raise PreconditionError(f"cylinder offset must be an integer, not {offset!r}")
+            symbols = tuple(word) if isinstance(word, (list, tuple)) else tuple(str(word))
+            parsed.append((offset, symbols))
+        if not parsed:
             return cls.whole(sft)
-        lo = min(o for o, _ in constraints)
-        hi = max(o + len(w) for o, w in constraints)
+        lo = min(o for o, _ in parsed)
+        hi = max(o + len(w) for o, w in parsed)
         words = []
         for w in sft.words(hi - lo):
             if all(
-                w[o - lo : o - lo + len(req)] == req for o, req in constraints
+                w[o - lo : o - lo + len(req)] == req for o, req in parsed
             ):
                 words.append(w)
         return cls(sft, lo, hi - lo, frozenset(words))
@@ -221,15 +226,6 @@ class CylinderSet(FrozenStruct):
             "offset": self.offset,
             "words": sorted("".join(map(str, w)) for w in self.words),
         }
-
-    @classmethod
-    def from_constraint_json(cls, sft: Sft, data) -> "CylinderSet":
-        """JSON form: list of [offset, word] pairs, intersected."""
-        constraints = []
-        for offset, word in data:
-            symbols = tuple(word) if isinstance(word, (list, tuple)) else tuple(str(word))
-            constraints.append((offset, symbols))
-        return cls.from_constraints(sft, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +580,6 @@ def sbp_cover_refine(sft: Sft, cover, delta):
     cover = list(cover)
     if not cover:
         raise PreconditionError("empty cover")
-    union = cover[0]
-    for V in cover[1:]:
-        union = union.union(V)
-    leftover = union.complement()
-    if not leftover.is_empty:
-        witness = sorted(leftover.words)[0]
-        raise PreconditionError(
-            f"not a cover: word {''.join(map(str, witness))!r} at offset {leftover.offset} is uncovered"
-        )
     pieces = []
     covered = None
     for V in cover:
@@ -600,6 +587,11 @@ def sbp_cover_refine(sft: Sft, cover, delta):
         pieces.append(piece)
         covered = piece if covered is None else covered.union(piece)
     complement = covered.complement()
+    if not complement.is_empty:
+        witness = sorted(complement.words)[0]
+        raise PreconditionError(
+            f"not a cover: word {''.join(map(str, witness))!r} at offset {complement.offset} is uncovered"
+        )
     report = ocap_limit(sft, complement)
     if not report.value < delta:
         raise PreconditionError("peeled complement capacity not below delta")

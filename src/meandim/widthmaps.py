@@ -63,7 +63,6 @@ from .certificates import (
     structural_record,
 )
 from .complexes import (
-    SIZE_BUDGET,
     VertexPartition,
     bucket_dimension_bound,
     bucket_of_dimension,
@@ -84,6 +83,7 @@ from .geometry import (
 from .serialize import format_fraction
 
 WEIGHT_DENOMINATOR = 64  # granularity of sampled rational convex weights
+SIZE_BUDGET = 200_000  # simplices cube_width_map may build from outside input
 
 
 def _sample_group_weights(rng, groups, scales, size: int):

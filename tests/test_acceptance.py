@@ -22,7 +22,7 @@ from meandim.complexes import (
 )
 from meandim.counterexample import (
     CounterexampleParams,
-    build_counterexample,
+    FactorMapInstance,
     fiber_dimension_certificate,
     mdim_report,
     nonzero_count_check,
@@ -99,9 +99,9 @@ def test_criterion_2_cube_width_map():
 
 def test_criterion_3_counterexample_count_bound():
     watch = Stopwatch(30)
-    params = CounterexampleParams.derive(F(1, 2), F(1, 2), 80)
+    params = CounterexampleParams(F(1, 2), F(1, 2), 80)
     assert params.level == 3 and params.period == 8 and params.m == 3
-    inst = build_counterexample(params)
+    inst = FactorMapInstance(params)
     report = nonzero_count_check(inst, samples=200)
     assert not report.violations
     assert report.bound == 26
@@ -113,9 +113,9 @@ def test_criterion_3_counterexample_count_bound():
 
 def test_criterion_4_counterexample_fiber_bound():
     watch = Stopwatch(120)
-    params = CounterexampleParams.derive(F(1, 2), F(1, 2), 80)
+    params = CounterexampleParams(F(1, 2), F(1, 2), 80)
     assert params.margin == 3
-    inst = build_counterexample(params)
+    inst = FactorMapInstance(params)
     bound = F(80 + 2 * 3 + 2 * 9, 3)
     rng = random.Random(4)
     for _ in range(20):
@@ -129,7 +129,7 @@ def test_criterion_4_counterexample_fiber_bound():
 def test_criterion_5_ratio_table():
     watch = Stopwatch(120)
     rows = mdim_report(F(1, 2), [8, 16, 32, 64], [F(1, 2)])
-    params = CounterexampleParams.derive(F(1, 2), F(1, 2), 8)
+    params = CounterexampleParams(F(1, 2), F(1, 2), 8)
     for row in rows:
         identity_bound = F(1, params.m) + F(
             2 * params.margin + 2 * params.L_prime, params.m * row.N

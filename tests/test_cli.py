@@ -101,6 +101,27 @@ class TestOcapCommand:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.count("budget exceeded") == 2
 
+    @pytest.mark.parametrize("offset", [0.5, "0", True, False])
+    def test_non_integer_offset_exits_2(self, workdir, capsys, offset):
+        # an offset is a JSON integer: 0.5 is not truncated, "0" not parsed
+        # and a boolean not read as 0 or 1, in a set file or a recipe
+        sft, one = write_golden(workdir)
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps([[offset, "1"]]))
+        for out in ([], ["--out", "bad-ocap.json"]):
+            assert main(["ocap", "--sft", str(sft), "--set", str(bad), "--limit", *out]) == 2
+        assert not (workdir / "bad-ocap.json").exists()
+        assert capsys.readouterr().err.count("cylinder offset must be an integer") == 2
+        out = workdir / "ocap.json"
+        assert main(["ocap", "--sft", str(sft), "--set", str(one), "--limit",
+                     "--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        artifact["recipe"]["set"][0][0] = offset
+        out.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        assert "cylinder offset must be an integer" in capsys.readouterr().err
+
     def test_oversized_horizon_exits_4(self, workdir, capsys):
         sft, one = write_golden(workdir)
         out = workdir / "ocap.json"
@@ -214,13 +235,31 @@ class TestSbpCommand:
         assert "complement ocap: 0" in capsys.readouterr().out
         assert main(["verify", str(out)]) == 0
 
-    def test_not_a_cover_exits_2(self, workdir):
-        sft, one = write_golden(workdir)
-        assert (
-            main(["sbp", "refine", "--sft", str(sft), "--cover", str(one),
-                  "--delta", "1/2"])
-            == 2
-        )
+    @pytest.mark.parametrize(
+        "cover, word",
+        [([[[0, "1"]]], "0"), ([[[0, "1"]], [[1, "1"]]], "00")],
+    )
+    def test_not_a_cover_exits_2_naming_an_uncovered_word(self, workdir, capsys, cover, word):
+        # the golden mean has no "11", so the cover leaves the first word
+        # of its complement on the cover's window uncovered
+        sft, _ = write_golden(workdir)
+        paths = []
+        for i, constraints in enumerate(cover):
+            paths.append(workdir / f"v{i}.json")
+            paths[-1].write_text(json.dumps(constraints))
+        assert main(["sbp", "refine", "--sft", str(sft), "--cover", *map(str, paths),
+                     "--delta", "1/2"]) == 2
+        assert f"not a cover: word {word!r} at offset 0 is uncovered" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset", [0.5, "0", True])
+    def test_non_integer_cover_offset_exits_2(self, workdir, capsys, offset):
+        sft, _ = write_golden(workdir)
+        v1, v2 = workdir / "v1.json", workdir / "v2.json"
+        v1.write_text(json.dumps([[offset, "0"]]))
+        v2.write_text(json.dumps([[0, "1"]]))
+        assert main(["sbp", "refine", "--sft", str(sft), "--cover", str(v1), str(v2),
+                     "--delta", "1/2"]) == 2
+        assert "cylinder offset must be an integer" in capsys.readouterr().err
 
 
 class TestCounterexampleCommands:
@@ -318,7 +357,7 @@ class TestCounterexampleCommands:
     def test_fiber_bound_failure_exits_3_with_witness(self, workdir, monkeypatch):
         # every certificate's dimension-bookkeeping record fails its own
         # check, and both fiber-cert and verify report it
-        monkeypatch.setattr(CounterexampleParams, "fiber_dim_bound", lambda self, N: Fraction(1))
+        monkeypatch.setattr(CounterexampleParams, "fiber_dim_bound", lambda self: Fraction(1))
         out = workdir / "fibers.json"
         witness = workdir / "meandim-witness.json"
         assert main(["counterexample", "fiber-cert", *_FACTOR, "--samples", "2",
@@ -674,10 +713,10 @@ class TestVerify:
     def test_readme_sampled_commands_fit_the_budget(self):
         # fiber-cert --N 80 --samples 20 (200 trials on the 104-coordinate
         # window) and gromov fiber-check --samples 50 (1000 trials, 2-cube)
-        params = CounterexampleParams.derive(Fraction(1, 2), Fraction(1, 2), 80)
+        params = CounterexampleParams(Fraction(1, 2), Fraction(1, 2), 80)
         assert 80 + 2 * (params.margin + params.L_prime) == 104
-        assert 20 * 200 * 104 <= symbolic.SAMPLE_BUDGET
-        assert 50 * 1000 * 2 <= symbolic.SAMPLE_BUDGET
+        assert 20 * 200 * 104 <= cli.SAMPLE_BUDGET
+        assert 50 * 1000 * 2 <= cli.SAMPLE_BUDGET
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

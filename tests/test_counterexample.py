@@ -20,7 +20,7 @@ from meandim.complexes import bucket_dimension_bound
 from meandim.counterexample import (
     CSV_HEADER,
     CounterexampleParams,
-    build_counterexample,
+    FactorMapInstance,
     build_sbp_instance,
     derive_m,
     derive_margin,
@@ -55,7 +55,7 @@ F = Fraction
 
 
 def std_params(N=16, delta=F(1, 2), eps=F(1, 2), seed=0):
-    return CounterexampleParams.derive(delta, eps, N, seed=seed)
+    return CounterexampleParams(delta, eps, N, seed=seed)
 
 
 class TestParams:
@@ -92,16 +92,16 @@ class TestParams:
         assert rows["two-sided tail"] == "1/2"
 
     def test_core_violation_named(self):
-        with pytest.raises(PreconditionError, match="1/m < delta"):
-            CounterexampleParams(
-                delta=F(1, 4),
-                eps=F(1, 2),
-                m=3,
-                level=3,
-                grid=17,
-                horizon=8,
-                margin=3,
-            )
+        # the derived m, level, grid and margin meet their inequalities by
+        # construction, so the horizon is the one a caller can violate
+        message = "parameter inequality violated: horizon >= 1"
+        with pytest.raises(PreconditionError, match=message):
+            CounterexampleParams(F(1, 2), F(1, 2), 0)
+
+    @pytest.mark.parametrize("delta, eps", [(0, F(1, 2)), (F(1, 2), 0), (F(-1, 2), F(1, 2))])
+    def test_nonpositive_delta_or_eps_refused(self, delta, eps):
+        with pytest.raises(PreconditionError, match="delta and eps must be positive"):
+            CounterexampleParams(delta, eps, 8)
 
     def test_advisory_inequality_reported_not_fatal(self):
         p = std_params()
@@ -114,21 +114,21 @@ class TestFactorMap:
         # frozen pipeline value for the zero window: each block maps to the
         # width-map image of the origin followed by padding
         p = std_params(N=8)
-        inst = build_counterexample(p)
+        inst = FactorMapInstance(p)
         x = WindowSeq(inst.window_lo, tuple(F(0) for _ in range(inst.window_hi - inst.window_lo)))
         fx = inst.evaluate_f(x, 0, inst.window_lo, inst.window_hi)
         block = tuple(fx[n] for n in range(0, 8))
         assert block == (F(1), F(1, 4), F(0), F(0), F(0), F(0), F(0), F(0))
 
     def test_residue_passes_through(self):
-        inst = build_counterexample(std_params(N=8))
+        inst = FactorMapInstance(std_params(N=8))
         rng = random.Random(0)
         x, r = inst.sample_state(rng)
         _, r_out = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi), r
         assert r_out == r
 
     def test_blockwise_structure(self):
-        inst = build_counterexample(std_params(N=8))
+        inst = FactorMapInstance(std_params(N=8))
         rng = random.Random(1)
         x, r = inst.sample_state(rng)
         fx = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
@@ -137,7 +137,7 @@ class TestFactorMap:
             assert fx.restrict(a, a + 8) == expected
 
     def test_each_block_image_has_the_block_length_and_zero_padding(self):
-        inst = build_counterexample(std_params(N=8))
+        inst = FactorMapInstance(std_params(N=8))
         m = inst.params.m
         rng = random.Random(17)
         tails = set()
@@ -154,15 +154,8 @@ class TestFactorMap:
         # the entries after the first m - 1 are the same zeros for every block
         assert tails == {(F(0),) * 6}
 
-    def test_block_shorter_than_m_is_refused(self):
-        # level 1 gives blocks of length 2 < m = 3
-        with pytest.raises(PreconditionError, match="parameter inequality"):
-            CounterexampleParams(
-                delta=F(1, 2), eps=F(1, 2), m=3, level=1, grid=17, horizon=8, margin=3
-            )
-
     def test_blocks_cover_requested_horizon(self):
-        inst = build_counterexample(std_params(N=16))
+        inst = FactorMapInstance(std_params(N=16))
         for r in range(8):
             starts = inst.block_starts(r)
             assert starts[0] <= 0
@@ -181,7 +174,7 @@ def test_sample_coordinates_draws_the_fresh_grid_fractions(seed, count):
 
 class TestNonzeroCount:
     def test_zero_input_counts(self):
-        inst = build_counterexample(std_params(N=8, seed=3))
+        inst = FactorMapInstance(std_params(N=8, seed=3))
         report = nonzero_count_check(inst, samples=20)
         assert not report.violations
         # one block holds at most m-1 = 2 nonzeros; a window meets two blocks
@@ -190,7 +183,7 @@ class TestNonzeroCount:
     def test_aligned_single_block_count(self):
         # residue 0 aligns [0, 8) with one block: at most m-1 nonzeros there
         p = std_params(N=8)
-        inst = build_counterexample(p)
+        inst = FactorMapInstance(p)
         rng = random.Random(30)
         for _ in range(10):
             x, _ = inst.sample_state(rng)
@@ -199,7 +192,7 @@ class TestNonzeroCount:
             assert count <= p.m - 1 < p.delta * 8 / 2 + 2 * p.m
 
     def test_bound_values(self):
-        inst = build_counterexample(std_params(N=80, seed=4))
+        inst = FactorMapInstance(std_params(N=80, seed=4))
         report = nonzero_count_check(inst, samples=50)
         assert not report.violations
         assert report.bound == F(1, 2) * 80 / 2 + 6 == 26
@@ -207,7 +200,7 @@ class TestNonzeroCount:
         assert report.max_count < 26
 
     def test_hull_inside_padded_positions(self):
-        inst = build_counterexample(std_params(N=24, seed=5))
+        inst = FactorMapInstance(std_params(N=24, seed=5))
         report = nonzero_count_check(inst, samples=40)
         assert not report.violations
         assert report.hull_max <= report.block_bound
@@ -242,7 +235,7 @@ def full_window_count_report(inst, samples):
 @pytest.mark.parametrize("N", [1, 8, 13, 16, 24, 80])
 def test_count_check_evaluates_only_blocks_meeting_the_range(N):
     for seed in range(5):
-        inst = build_counterexample(std_params(N=N, seed=seed))
+        inst = FactorMapInstance(std_params(N=N, seed=seed))
         rng = random.Random(seed)
         for r in range(inst.params.period):
             x, _ = inst.sample_state(rng)
@@ -297,7 +290,7 @@ def cert_starts(inst, residue, N):
 class TestFiberCertificate:
     def test_single_block_horizon(self):
         p = std_params(N=8)
-        inst = build_counterexample(p)
+        inst = FactorMapInstance(p)
         rng = random.Random(6)
         state = inst.sample_state(rng)
         cert = fiber_dimension_certificate(inst, state)
@@ -308,9 +301,9 @@ class TestFiberCertificate:
 
     def test_dimension_equals_window_over_m_when_divisible(self):
         # with m dividing the block length every per-block bound is sharp
-        p = CounterexampleParams.derive(F(3, 4), F(1, 2), 8)
+        p = CounterexampleParams(F(3, 4), F(1, 2), 8)
         assert p.m == 2 and p.period == 4
-        inst = build_counterexample(p)
+        inst = FactorMapInstance(p)
         rng = random.Random(7)
         for _ in range(5):
             x, r = inst.sample_state(rng)
@@ -320,7 +313,7 @@ class TestFiberCertificate:
             assert cert.target_dim == F(window_len, 2)
 
     def test_structural_records_recheck(self):
-        inst = build_counterexample(std_params(N=8))
+        inst = FactorMapInstance(std_params(N=8))
         cert = fiber_dimension_certificate(
             inst, inst.sample_state(random.Random(8))
         )
@@ -329,7 +322,7 @@ class TestFiberCertificate:
                 assert recheck_structural(record), record.name
 
     def test_tail_rule_rederives_the_two_sided_tail(self):
-        inst = build_counterexample(std_params(N=16))
+        inst = FactorMapInstance(std_params(N=16))
         cert = fiber_dimension_certificate(
             inst, inst.sample_state(random.Random(20))
         )
@@ -357,7 +350,7 @@ class TestFiberCertificate:
     def test_each_block_is_located_once(self, monkeypatch):
         from meandim.widthmaps import KuhnWidthPipeline
 
-        inst = build_counterexample(std_params(N=8))
+        inst = FactorMapInstance(std_params(N=8))
         x, r = inst.sample_state(random.Random(12))
         calls = []
         locate_flag = KuhnWidthPipeline.locate_flag
@@ -372,7 +365,7 @@ class TestFiberCertificate:
 
     def test_fiber_samples_project_to_same_image(self):
         p = std_params(N=8)
-        inst = build_counterexample(p)
+        inst = FactorMapInstance(p)
         rng = random.Random(9)
         x, r = inst.sample_state(rng)
         y = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
@@ -386,7 +379,7 @@ class TestFiberCertificate:
     def test_sampling_and_evaluation_locate_nothing_and_build_no_fraction(self, monkeypatch):
         from meandim.widthmaps import KuhnWidthPipeline
 
-        inst = build_counterexample(std_params(N=16))
+        inst = FactorMapInstance(std_params(N=16))
         cert = fiber_dimension_certificate(inst, inst.sample_state(random.Random(14)))
         counts = {"locate_flag": 0, "Fraction": 0}
         locate_flag = KuhnWidthPipeline.locate_flag
@@ -411,7 +404,7 @@ class TestFiberCertificate:
 
     @pytest.mark.parametrize("N, seed", [(8, 16), (16, 17), (32, 18)])
     def test_sample_window_replays_the_realized_sampler(self, N, seed):
-        inst = build_counterexample(std_params(N=N))
+        inst = FactorMapInstance(std_params(N=N))
         rng = random.Random(seed)
         state = inst.sample_state(rng)
         cert = fiber_dimension_certificate(inst, state)
@@ -424,7 +417,7 @@ class TestFiberCertificate:
             assert rng.getstate() == clone.getstate()
 
     def test_failure_witness_is_the_realized_window(self):
-        inst = build_counterexample(std_params(N=16))
+        inst = FactorMapInstance(std_params(N=16))
         state = inst.sample_state(random.Random(19))
         cert = fiber_dimension_certificate(inst, state)
         eps = F(1, 10**6)
@@ -442,7 +435,7 @@ class TestFiberCertificate:
         assert record.to_json_dict()["witness"] == [repr(x), repr(y)]
 
     def test_fiber_check_passes(self):
-        inst = build_counterexample(std_params(N=8))
+        inst = FactorMapInstance(std_params(N=8))
         cert = fiber_dimension_certificate(
             inst, inst.sample_state(random.Random(10))
         )
@@ -450,7 +443,7 @@ class TestFiberCertificate:
         assert record.status == "sampled-only"
 
     def test_target_dist_is_flat_linf_of_realized_retractions(self):
-        inst = build_counterexample(std_params(N=16))
+        inst = FactorMapInstance(std_params(N=16))
         grid = inst.pipeline.grid
 
         def realized_all(value):
@@ -466,7 +459,7 @@ class TestFiberCertificate:
                 assert cert.target_dist(a, b) == flat_linf(realized_all(a), realized_all(b))
 
     def test_product_with_one_point_preserves_dim(self):
-        inst = build_counterexample(std_params(N=8))
+        inst = FactorMapInstance(std_params(N=8))
         cert = fiber_dimension_certificate(
             inst, inst.sample_state(random.Random(12))
         )
@@ -481,13 +474,13 @@ class TestReports:
         # block at the bucket-1 bound, and strictly below fiber_dim_bound
         for eps in (F(1, 2), F(1, 4), F(1, 9)):
             for N in range(1, 151):
-                p = CounterexampleParams.derive(delta, eps, N)
-                inst = build_counterexample(p)
+                p = CounterexampleParams(delta, eps, N)
+                inst = FactorMapInstance(p)
                 worst = max(
                     len(cert_starts(inst, r, N)) for r in range(p.period)
                 ) * (p.period // p.m)
-                assert p.max_fiber_dim(N) == worst, (eps, N)
-                assert p.max_fiber_dim(N) < p.fiber_dim_bound(N), (eps, N)
+                assert p.max_fiber_dim() == worst, (eps, N)
+                assert p.max_fiber_dim() < p.fiber_dim_bound(), (eps, N)
 
     def test_bucket_one_has_the_largest_bound(self):
         for n in range(1, 70):
@@ -500,7 +493,7 @@ class TestReports:
     )
     def test_row_is_the_largest_certified_dimension(self, delta, N):
         (row,) = mdim_report(delta, [N], [F(1, 2)])
-        inst = build_counterexample(std_params(N=N, delta=delta))
+        inst = FactorMapInstance(std_params(N=N, delta=delta))
         rng = random.Random(N)
         dims = [
             fiber_dimension_certificate(inst, inst.sample_state(rng)).target_dim

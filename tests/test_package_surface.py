@@ -15,6 +15,9 @@ import, and keep the repr, equality, hashing and immutability that
 """
 
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +110,26 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert sorted(set(KEPT) - unreferenced) == []
 
 
+def test_import_meandim_loads_no_module_and_binds_only_the_version():
+    # every name is imported from its module: the package re-exports
+    # nothing, so importing it alone loads no submodule
+    code = (
+        "import sys, meandim; "
+        "print(sorted(n for n in sys.modules if n.startswith('meandim.'))); "
+        "print(sorted(n for n in vars(meandim) if not n.startswith('__')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n[]\n"
+    docstring, *rest = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert isinstance(docstring, ast.Expr)
+    assert all(isinstance(node, ast.Assign) for node in rest)
+    assert [target.id for node in rest for target in node.targets] == ["__version__"]
+
+
 # `benchmarks/spans.py` copies these two with `dataclasses.replace`
 DATACLASSES = {"MetricSpaceHandle", "EpsEmbeddingCertificate"}
 
@@ -148,7 +171,7 @@ def test_no_class_is_built_by_dataclass_at_import():
             "data=(('trials', '5'),), witness=('a', 'b'))",
         ),
         (
-            CounterexampleParams.derive(Fraction(1, 2), Fraction(1, 2), 16),
+            CounterexampleParams(Fraction(1, 2), Fraction(1, 2), 16),
             "CounterexampleParams(delta=Fraction(1, 2), eps=Fraction(1, 2), m=3, level=3, "
             "grid=17, horizon=16, margin=3, seed=0)",
         ),
@@ -173,7 +196,7 @@ def _values():
             ("name", "kind", "status", "data", "witness"),
         ),
         (
-            lambda: CounterexampleParams.derive(Fraction(1, 2), Fraction(1, 2), 8),
+            lambda: CounterexampleParams(Fraction(1, 2), Fraction(1, 2), 8),
             ("delta", "eps", "m", "level", "grid", "horizon", "margin", "seed"),
         ),
         (
@@ -219,7 +242,7 @@ def _identity_classes():
         (lambda: CylinderSet(sft, 0, 1, frozenset({("1",)})), True),
         (lambda: KuhnWidthPipeline(2, 3, 4), True),
         (lambda: FiberPoint(0, (1,), (), (2,), 4), True),
-        (lambda: FactorMapInstance(None, OdometerTower(3), None), False),
+        (lambda: FactorMapInstance(CounterexampleParams(half, half, 8)), False),
         (lambda: PartitionWidthMap(None, VertexPartition(()), half, {}, None), False),
         (lambda: CubeWidthMap(1, 2, half, 17, None), False),
     ]
@@ -240,10 +263,9 @@ def test_identity_classes_compare_and_hash_by_identity(make, frozen):
 def test_keyword_construction_keeps_the_defaults():
     record = DischargeRecord(name="empty-fiber", kind="STRUCTURAL", status="discharged")
     assert (record.data, record.witness) == ((), None)
-    params = CounterexampleParams(
-        delta=Fraction(1, 2), eps=Fraction(1, 2), m=3, level=3, grid=17, horizon=8, margin=3
-    )
+    params = CounterexampleParams(delta=Fraction(1, 2), eps=Fraction(1, 2), horizon=8)
     assert params.seed == 0
+    assert params == CounterexampleParams(Fraction(1, 2), Fraction(1, 2), 8, 0)
     width_map = PartitionWidthMap(
         geometry=None, partition=None, eps=Fraction(1, 2), block_of={}, mesh_record=None
     )

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from meandim import symbolic
 from meandim.counterexample import (
     CounterexampleParams,
-    build_counterexample,
+    FactorMapInstance,
     fiber_dimension_certificate,
 )
 from meandim.errors import BudgetExceededError, InsufficientWindowError, PreconditionError
@@ -753,7 +753,7 @@ class TestWindowMetrics:
     def test_factor_map_fiber_distance_matches_definition(self, N, eps, residue, seed):
         # the fiber reads integer windows; the oracle sums their realized
         # Fraction windows by the definition
-        inst = build_counterexample(CounterexampleParams.derive(F(1, 2), eps, N))
+        inst = FactorMapInstance(CounterexampleParams(F(1, 2), eps, N))
         rng = random.Random(seed)
         x, _ = inst.sample_state(rng)
         cert = fiber_dimension_certificate(inst, (x, residue % inst.params.period))
@@ -764,7 +764,7 @@ class TestWindowMetrics:
 
     def test_factor_map_fiber_distance_builds_one_fraction(self, request):
         N = 32
-        inst = build_counterexample(CounterexampleParams.derive(F(1, 2), F(1, 2), N))
+        inst = FactorMapInstance(CounterexampleParams(F(1, 2), F(1, 2), N))
         rng = random.Random(83)
         cert = fiber_dimension_certificate(inst, inst.sample_state(rng))
         points = [cert.domain.sample(rng) for _ in range(6)]
