@@ -13,12 +13,17 @@ only on its blocks' buckets, so the largest one over every state is a closed
 form (CounterexampleParams.max_fiber_dim), which the ratio reports read
 without drawing a state.
 
-A sampled fiber point keeps its free coordinates as integer draws on the
-1/64 grid and each block as its Kuhn flag. The domain metric d_N reads the
-point as one window of integer numerators over a common denominator, so a
-near pair builds no Fraction per coordinate; only a failure witness
-realizes the window on Fractions. The 1/64 draws are randint's values and
-stream, drawn without its call layers (certificates.randint_draws).
+A sampled state is an IntegerWindow of numerators over 64, and every block
+reaches the width map as its slice of numerators: the fiber certificate
+locates each block's flag on it, and the count check reads each block's
+image as the chart's integer numerators, building no vertex chain and no
+Fraction. A sampled fiber point keeps its free coordinates as integer draws
+on the 1/64 grid and each block as its Kuhn flag. The domain metric d_N
+reads the point as one window of integer numerators over a common
+denominator, so a near pair builds no Fraction per coordinate; only a
+failure witness realizes the window on Fractions. The 1/64 draws are
+randint's values and stream, drawn without its call layers
+(certificates.randint_draws).
 
 The wedge-cone embedding composes per-piece fiber embeddings with a global
 embedding through a {0,1}-valued cutoff; over a zero-dimensional base every
@@ -224,21 +229,13 @@ class FactorMapInstance(Struct):
         starts = odometer_E(self.tower, residue, self.window_lo, self.window_hi)
         return [a for a in starts if a + self.params.period <= self.window_hi]
 
-    def evaluate_f(self, x: WindowSeq, residue: int, lo: int, hi: int) -> WindowSeq:
-        """f(x) on the complete blocks that meet [lo, hi), as a WindowSeq
-        from the first of those blocks."""
-        period = self.params.period
-        starts = [a for a in self.block_starts(residue) if lo - period < a < hi]
-        padding = (F(0),) * (period - self.params.m + 1)
-        values = []
-        for a in starts:
-            values.extend(self.pipeline.evaluate(x.restrict(a, a + period)))
-            values.extend(padding)
-        return WindowSeq(starts[0], tuple(values))
-
     def sample_state(self, rng: random.Random):
-        values = sample_coordinates(rng, self.window_hi - self.window_lo)
-        return WindowSeq(self.window_lo, values), rng.randrange(self.params.period)
+        """A state: the window's coordinates drawn from the 1/64 grid by
+        randint_draws, as integer numerators over SAMPLE_RESOLUTION, and a
+        residue."""
+        nums = tuple(randint_draws(rng, SAMPLE_RESOLUTION, self.window_hi - self.window_lo))
+        window = IntegerWindow(self.window_lo, nums, SAMPLE_RESOLUTION)
+        return window, rng.randrange(self.params.period)
 
 
 class CountReport(Value):
@@ -276,32 +273,37 @@ def nonzero_count_check(inst: FactorMapInstance, samples: int) -> CountReport:
     drawn with the instance's seed; each count must stay strictly below
     delta*N/2 + 2m and below the exact block form (ceil(N/block)+1)(m-1).
     Also reports the per-residue coordinate hull. States are drawn over the
-    whole window, but only the complete blocks meeting [0, N) are evaluated."""
+    whole window, but only the complete blocks meeting [0, N) are evaluated,
+    each to the chart's integer numerators: no vertex chain and no
+    Fraction."""
     p = inst.params
-    N = p.horizon
-    bound = p.delta * N / 2 + 2 * p.m
-    blocks_touching = -((-N) // p.period) + 1  # ceil(N/block) + 1
-    block_bound = blocks_touching * (p.m - 1)
+    N, period, m = p.horizon, p.period, p.m
+    bound = p.delta * N / 2 + 2 * m
+    blocks_touching = -((-N) // period) + 1  # ceil(N/block) + 1
+    block_bound = blocks_touching * (m - 1)
+    pipeline = inst.pipeline
     rng = random.Random(p.seed)
     max_count = 0
-    hulls = {r: set() for r in range(p.period)}
+    hulls = {}  # residue -> the positions of [0, N) where its images were nonzero
     violations = []
     for _ in range(samples):
         x, r = inst.sample_state(rng)
-        fx = inst.evaluate_f(x, r, 0, N).restrict(0, N)
-        nonzero = [n for n, v in enumerate(fx) if v]
+        nonzero = []
+        for a in inst.block_starts(r):
+            if -period < a < N:
+                offset = a - x.start
+                image, _ = pipeline.image_numerators(x.nums[offset : offset + period], x.den)
+                # the image fills the block's first m - 1 entries, zeros the rest
+                nonzero.extend(n for n, c in enumerate(image, a) if c and 0 <= n < N)
         count = len(nonzero)
-        hulls[r].update(nonzero)
+        hulls.setdefault(r, set()).update(nonzero)
         max_count = max(max_count, count)
         if not (count < bound and count <= block_bound):
             violations.append((r, count))
-    for r, hull in hulls.items():
-        allowed = {
-            n for n in range(N) if (n + r) % p.period < p.m - 1
-        }
-        if not hull <= allowed:
+    for r in sorted(hulls):
+        if any((n + r) % period >= m - 1 for n in hulls[r]):
             violations.append((r, "hull outside padded positions"))
-    hull_max = max(len(h) for h in hulls.values())
+    hull_max = max(map(len, hulls.values()), default=0)
     return CountReport(
         samples=samples,
         horizon=N,
@@ -382,7 +384,8 @@ def fiber_dimension_certificate(inst: FactorMapInstance, state) -> EpsEmbeddingC
     pipeline = inst.pipeline
     block_certs = {}
     for a in all_starts:
-        flag = pipeline.locate_flag(x.restrict(a, a + period))
+        offset = a - x.start
+        flag = pipeline.locate_flag(x.nums[offset : offset + period], x.den)
         block_certs[a] = pipeline.fiber_certificate(flag, half, quarter)
 
     # coordinates outside complete blocks are free

@@ -194,29 +194,32 @@ def common_numerators(p):
     return [c.numerator * (res // c.denominator) for c in p], res
 
 
-def kuhn_simplex(nums, res: int, n: int, g: int):
+def kuhn_location(nums, res: int, n: int, g: int):
     """Closed-form location on the Kuhn triangulation of the unit n-cube on
-    the 1/g grid, for the point with coordinates nums[i]/res: the containing
-    simplex's vertex chain (grid tuples, cell corner first) and the point's
-    barycentric weights on it, in chain order, as integer numerators over
-    res."""
+    the 1/g grid, for the point with coordinates nums[i]/res: the corner of
+    the grid cell that holds it, the axes in the order the containing
+    simplex's vertex chain steps along them, and the point's barycentric
+    weights in chain order, as integer numerators over res. Ties resolve
+    toward the lexicographically smallest admissible simplex."""
     if len(nums) != n or any(c < 0 or c > res for c in nums):
         raise PreconditionError("not in complex")
-    cell = []
-    local = []  # local coordinates in the cell, over res
-    for c in nums:
-        scaled = c * g
-        i = min(scaled // res, g - 1)
-        cell.append(i)
-        local.append(scaled - i * res)
-    # ties resolved toward the lexicographically smallest admissible simplex
-    order = sorted(range(n), key=lambda j: (-local[j], j))
+    cell = [c * g // res if c < res else g - 1 for c in nums]  # 1 lies in the top cell
+    local = [c * g - i * res for c, i in zip(nums, cell)]  # in the cell, over res
+    # decreasing local coordinate; the stable sort keeps ties in axis order
+    order = sorted(range(n), key=local.__getitem__, reverse=True)
+    sorted_local = [local[j] for j in order] + [0]
+    weights = [res - sorted_local[0]]
+    weights += [sorted_local[t] - sorted_local[t + 1] for t in range(n)]
+    return cell, order, weights
+
+
+def kuhn_simplex(nums, res: int, n: int, g: int):
+    """kuhn_location's simplex as its vertex chain (grid tuples, cell
+    corner first), with the weights in chain order."""
+    cell, order, weights = kuhn_location(nums, res, n, g)
     verts = [tuple(cell)]
     cur = list(cell)
     for axis in order:
         cur[axis] += 1
         verts.append(tuple(cur))
-    sorted_local = [local[j] for j in order] + [0]
-    weights = [res - sorted_local[0]]
-    weights += [sorted_local[t] - sorted_local[t + 1] for t in range(n)]
     return verts, weights

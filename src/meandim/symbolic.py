@@ -136,14 +136,20 @@ class CylinderSet(FrozenStruct):
         """Intersection of (offset, word) constraints, such as a JSON list of
         [offset, word] pairs. An offset must be an integer: a float, a string
         or a boolean is refused, not truncated or parsed. A word is a list or
-        tuple of symbols, or else read as the string of its one-character
-        symbols."""
+        tuple of symbols, or a string of one-character symbols; any other
+        word, and a symbol outside the alphabet, is refused."""
         parsed = []
         for offset, word in constraints:
             if not isinstance(offset, int) or isinstance(offset, bool):
                 raise PreconditionError(f"cylinder offset must be an integer, not {offset!r}")
-            symbols = tuple(word) if isinstance(word, (list, tuple)) else tuple(str(word))
-            parsed.append((offset, symbols))
+            if not isinstance(word, (list, tuple, str)):
+                raise PreconditionError(
+                    f"cylinder word must be a list of symbols or a string, not {word!r}"
+                )
+            for symbol in word:
+                if symbol not in sft.alphabet:
+                    raise PreconditionError(f"cylinder symbol {symbol!r} is not in the alphabet")
+            parsed.append((offset, tuple(word)))
         if not parsed:
             return cls.whole(sft)
         lo = min(o for o, _ in parsed)

@@ -32,11 +32,14 @@ Three layers:
   Kuhn simplex in weight order plus one weight per chain prefix. Prefix j
   is a j-simplex of the grid, so its bucket is fixed by j alone;
   evaluation, retraction and fiber sampling all read one per-prefix bucket
-  table. Location, evaluation, retraction and sampling run on integer
-  numerators over one denominator per flag, a retraction stays an
-  unrealized flag, a flag realizes its coordinates as integer numerators
-  too, and a Fraction is built only where a value leaves the pipeline
-  (image coordinates, distances). Its certificates carry arithmetic bounds
+  table. The image needs no flag: a point's prefix weights, and so its
+  bucket sums, depend only on its sorted barycentric weights, so
+  `image_numerators` builds no vertex chain and returns the image as the
+  chart's integer numerators. Location, evaluation, retraction and
+  sampling run on integer numerators over one denominator per flag, a
+  retraction stays an unrealized flag, a flag realizes its coordinates as
+  integer numerators too, and a Fraction is built only where a value
+  leaves the pipeline (distances). Its certificates carry arithmetic bounds
   (grid mesh, chain-length bucket dimensions) instead of materialized
   values; tests cross-check the two layers on small grids.
 
@@ -74,6 +77,7 @@ from .geometry import (
     GeometricComplex,
     barycentric_subdivide_geometric,
     common_numerators,
+    kuhn_location,
     kuhn_simplex,
     kuhn_triangulate_cube,
     max_star_mesh,
@@ -351,24 +355,25 @@ def bucket_width_map(G: GeometricComplex, m: int, eps, mesh_scale) -> PartitionW
 # ---------------------------------------------------------------------------
 
 
-def _cube_from_numerators(s, D: int) -> tuple:
+def _cube_numerators(s, D: int) -> tuple:
     """Radial homeomorphism from the standard simplex onto the unit cube,
     centered at the barycenter, at the point t = s/D given by integer
     numerators s; rays scale so boundaries match. Bijective and exact;
-    fibers of any map composed with it are unchanged:
-    c_i = (A*D + B*W_i) / (2*A*D) with W_i = m*s_i - D (i < m), A = max |W_i|
-    and B = max(max_i(-W_i), sum W); 1/2 everywhere when A = 0."""
+    fibers of any map composed with it are unchanged. Returns the image as
+    integer numerators over one denominator: A*D + B*W_i over 2*A*D, with
+    W_i = m*s_i - D (i < m), A = max |W_i| and B = max(max_i(-W_i), sum W);
+    1 over 2 everywhere when A = 0."""
     m = len(s)
     W = [m * si - D for si in s[:-1]]
     A = max(map(abs, W), default=0)
     if A == 0:
-        return tuple(Fraction(1, 2) for _ in W)
+        return [1] * len(W), 2
     B = max(max(-w for w in W), sum(W))
-    return tuple(Fraction(A * D + B * w, 2 * A * D) for w in W)
+    return [A * D + B * w for w in W], 2 * A * D
 
 
 def barycentric_from_cube(p) -> tuple:
-    """Inverse of _cube_from_numerators. For p = P/D: u_i = (B*D + A*W_i) /
+    """Inverse of _cube_numerators. For p = P/D: u_i = (B*D + A*W_i) /
     (m*B*D) with W_i = 2*P_i - D, the last coordinate at W_m = -sum W, and A,
     B as there; 1/m everywhere when A = 0."""
     P, D = common_numerators([Fraction(x) for x in p])
@@ -426,6 +431,14 @@ class FlagPoint(Value):
         return coords, scale * self.denom * grid
 
 
+def _prefix_weights(sorted_weights) -> tuple:
+    """A flag's prefix weights from a simplex's barycentric weights sorted
+    in decreasing order: prefix j carries j + 1 times the gap between the
+    j-th and the next weight (the last over 0)."""
+    gaps = list(sorted_weights) + [0]
+    return tuple([(j + 1) * (gaps[j] - gaps[j + 1]) for j in range(len(sorted_weights))])
+
+
 class KuhnWidthPipeline(FrozenStruct):
     """Evaluate the dimension-bucket width map on a Kuhn grid without
     materializing the complex. Prefix j of a flag's chain is a j-simplex of
@@ -443,29 +456,34 @@ class KuhnWidthPipeline(FrozenStruct):
             buckets=tuple(bucket_of_dimension(j, n, m) for j in range(n + 1)),
         )
 
-    def locate_flag(self, x) -> FlagPoint:
-        n = self.n
-        nums, res = common_numerators(x)
-        verts, simplex_weights = kuhn_simplex(nums, res, n, self.grid)
+    def locate_flag(self, nums, res: int) -> FlagPoint:
+        """The flag through the point with coordinates nums[i]/res."""
+        verts, simplex_weights = kuhn_simplex(nums, res, self.n, self.grid)
         # vertices sorted descending by weight give the containing flag
-        by_weight = sorted(range(n + 1), key=lambda i: (-simplex_weights[i], verts[i]))
-        sorted_weights = [simplex_weights[i] for i in by_weight] + [0]
+        by_weight = sorted(range(self.n + 1), key=lambda i: (-simplex_weights[i], verts[i]))
         return FlagPoint(
             tuple(verts[i] for i in by_weight),
-            tuple((j + 1) * (sorted_weights[j] - sorted_weights[j + 1]) for j in range(n + 1)),
+            _prefix_weights([simplex_weights[i] for i in by_weight]),
             res,
         )
 
-    def _bucket_numerators(self, flag: FlagPoint) -> list:
+    def _bucket_numerators(self, prefix_weights) -> list:
         sums = [0] * self.m
-        for bucket, w in zip(self.buckets, flag.weights):
+        for bucket, w in zip(self.buckets, prefix_weights):
             sums[bucket - 1] += w
         return sums
 
-    def evaluate(self, x) -> tuple:
-        """The width map into the (m-1)-cube."""
-        flag = self.locate_flag(x)
-        return _cube_from_numerators(self._bucket_numerators(flag), flag.denom)
+    def bucket_sums(self, nums, res: int) -> list:
+        """The bucket sums of the point nums[i]/res, over res, without its
+        flag: the prefix weights depend only on the sorted barycentric
+        weights, not on the vertex chain they sit on."""
+        _, _, weights = kuhn_location(nums, res, self.n, self.grid)
+        return self._bucket_numerators(_prefix_weights(sorted(weights, reverse=True)))
+
+    def image_numerators(self, nums, res: int) -> tuple:
+        """The width map into the (m-1)-cube at the point nums[i]/res, as
+        integer numerators over one denominator: (numerators, denominator)."""
+        return _cube_numerators(self.bucket_sums(nums, res), res)
 
     def retract(self, flag: FlagPoint, bucket: int) -> FlagPoint:
         """The flag's normalized bucket part, unrealized."""
@@ -483,7 +501,7 @@ class KuhnWidthPipeline(FrozenStruct):
         metric `dist`, which compares flags on their integer numerators,
         measures the target side too. Every flag it compares lies on `chain`,
         so it realizes their weight difference once."""
-        sums = self._bucket_numerators(flag)
+        sums = self._bucket_numerators(flag.weights)
         scale = Fraction(scale)
         mesh_threshold = Fraction(mesh_threshold)
         support = [i for i in range(1, self.m + 1) if sums[i - 1] > 0]

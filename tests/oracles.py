@@ -1,7 +1,9 @@
 """Oracles and fixtures that only the tests use: realizations from
 Fraction coordinates and their vertex points, the generic point location
 and linear extension on Fractions that the closed-form Kuhn pipeline is
-tested against, the radial chart on Fractions, a metric-axiom check,
+tested against, the radial chart on Fractions, the Kuhn width map and
+the factor map evaluated on Fractions through located flags (the path the
+integer count check is tested against), a metric-axiom check,
 small certificate domains for the certificate algebra tests, the pullback
 of a certificate along a non-contracting map, whether a certificate's
 structural records are all discharged, the full and golden-mean shifts,
@@ -30,8 +32,8 @@ from meandim.certificates import (
 )
 from meandim.errors import PreconditionError
 from meandim.geometry import GeometricComplex, common_numerators
-from meandim.symbolic import CylinderSet, ShiftMetric, Sft
-from meandim.widthmaps import _cube_from_numerators
+from meandim.symbolic import CylinderSet, IntegerWindow, ShiftMetric, Sft, WindowSeq
+from meandim.widthmaps import KuhnWidthPipeline, _cube_numerators
 
 
 def realize(K, coords: dict) -> GeometricComplex:
@@ -206,10 +208,49 @@ def all_structural_discharged(cert: EpsEmbeddingCertificate) -> bool:
     return all(r.status == DISCHARGED for r in cert.obligations if r.kind == STRUCTURAL)
 
 
+def cube_from_numerators(s, D) -> tuple:
+    """The radial chart at the point s/D of the standard simplex, as
+    Fractions built from the chart's integer numerators."""
+    nums, den = _cube_numerators(s, D)
+    return tuple(Fraction(c, den) for c in nums)
+
+
 def cube_from_barycentric(t) -> tuple:
     """The radial chart from the standard simplex onto the unit cube on
     Fractions: the inverse of barycentric_from_cube."""
-    return _cube_from_numerators(*common_numerators([Fraction(x) for x in t]))
+    return cube_from_numerators(*common_numerators([Fraction(x) for x in t]))
+
+
+def evaluate(pipeline: KuhnWidthPipeline, x) -> tuple:
+    """The Kuhn pipeline's width map at the Fraction point x, through its
+    located flag: the bucket sums of the flag's prefix weights, charted
+    into the (m-1)-cube on Fractions."""
+    flag = pipeline.locate_flag(*common_numerators(x))
+    return cube_from_numerators(pipeline._bucket_numerators(flag.weights), flag.denom)
+
+
+def fraction_window(x) -> WindowSeq:
+    """An IntegerWindow's coordinates as a WindowSeq of Fractions; a
+    WindowSeq as it is."""
+    if isinstance(x, IntegerWindow):
+        return WindowSeq(x.start, tuple(Fraction(a, x.den) for a in x.nums))
+    return x
+
+
+def evaluate_f(inst, x, residue: int, lo: int, hi: int) -> WindowSeq:
+    """The factor map f(x) on Fractions, on the complete blocks that meet
+    [lo, hi), as a WindowSeq from the first of those blocks: each block's
+    image under `evaluate`, padded with zeros to the block length. x is a
+    state's window, an IntegerWindow or a WindowSeq."""
+    x = fraction_window(x)
+    period = inst.params.period
+    starts = [a for a in inst.block_starts(residue) if lo - period < a < hi]
+    padding = (Fraction(0),) * (period - inst.params.m + 1)
+    values = []
+    for a in starts:
+        values.extend(evaluate(inst.pipeline, x.restrict(a, a + period)))
+        values.extend(padding)
+    return WindowSeq(starts[0], tuple(values))
 
 
 def pullback_certificate(

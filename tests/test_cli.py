@@ -122,6 +122,36 @@ class TestOcapCommand:
         assert main(["verify", str(out)]) == 2
         assert "cylinder offset must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ("2", "cylinder symbol '2' is not in the alphabet"),
+            (None, "cylinder word must be a list of symbols or a string, not None"),
+            ({"a": 1}, "cylinder word must be a list of symbols or a string, not {'a': 1}"),
+            (["1", 5], "cylinder symbol 5 is not in the alphabet"),
+            (7, "cylinder word must be a list of symbols or a string, not 7"),
+        ],
+    )
+    def test_bad_cylinder_word_exits_2(self, workdir, capsys, word, message):
+        # a symbol outside the alphabet, or a word that is neither a list
+        # nor a string, is refused in a set file, a cover file and a recipe
+        # alike, not read as the empty set
+        sft, one = write_golden(workdir)
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps([[0, word]]))
+        assert main(["ocap", "--sft", str(sft), "--set", str(bad), "--limit"]) == 2
+        assert main(["sbp", "refine", "--sft", str(sft), "--cover", str(bad), str(one),
+                     "--delta", "1/2"]) == 2
+        out = workdir / "ocap.json"
+        assert main(["ocap", "--sft", str(sft), "--set", str(one), "--limit",
+                     "--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        artifact["recipe"]["set"] = [[0, word]]
+        out.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_oversized_horizon_exits_4(self, workdir, capsys):
         sft, one = write_golden(workdir)
         out = workdir / "ocap.json"

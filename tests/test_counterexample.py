@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,9 @@ from oracles import (
     HILBERT_METRIC,
     all_structural_discharged,
     empty_cylinder,
+    evaluate,
+    evaluate_f,
+    fraction_window,
     golden_mean,
     identity_certificate,
     one_point_handle,
@@ -116,7 +120,7 @@ class TestFactorMap:
         p = std_params(N=8)
         inst = FactorMapInstance(p)
         x = WindowSeq(inst.window_lo, tuple(F(0) for _ in range(inst.window_hi - inst.window_lo)))
-        fx = inst.evaluate_f(x, 0, inst.window_lo, inst.window_hi)
+        fx = evaluate_f(inst, x, 0, inst.window_lo, inst.window_hi)
         block = tuple(fx[n] for n in range(0, 8))
         assert block == (F(1), F(1, 4), F(0), F(0), F(0), F(0), F(0), F(0))
 
@@ -124,16 +128,17 @@ class TestFactorMap:
         inst = FactorMapInstance(std_params(N=8))
         rng = random.Random(0)
         x, r = inst.sample_state(rng)
-        _, r_out = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi), r
+        _, r_out = evaluate_f(inst, x, r, inst.window_lo, inst.window_hi), r
         assert r_out == r
 
     def test_blockwise_structure(self):
         inst = FactorMapInstance(std_params(N=8))
         rng = random.Random(1)
         x, r = inst.sample_state(rng)
-        fx = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
+        fx = evaluate_f(inst, x, r, inst.window_lo, inst.window_hi)
         for a in inst.block_starts(r):
-            expected = inst.pipeline.evaluate(x.restrict(a, a + 8)) + (F(0),) * 6
+            block = fraction_window(x).restrict(a, a + 8)
+            expected = evaluate(inst.pipeline, block) + (F(0),) * 6
             assert fx.restrict(a, a + 8) == expected
 
     def test_each_block_image_has_the_block_length_and_zero_padding(self):
@@ -144,7 +149,7 @@ class TestFactorMap:
         for _ in range(10):
             x, r = inst.sample_state(rng)
             starts = inst.block_starts(r)
-            fx = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
+            fx = evaluate_f(inst, x, r, inst.window_lo, inst.window_hi)
             assert (fx.start, fx.end) == (starts[0], starts[-1] + 8)
             for a in starts:
                 block = fx.restrict(a, a + 8)
@@ -187,7 +192,7 @@ class TestNonzeroCount:
         rng = random.Random(30)
         for _ in range(10):
             x, _ = inst.sample_state(rng)
-            fx = inst.evaluate_f(x, 0, inst.window_lo, inst.window_hi)
+            fx = evaluate_f(inst, x, 0, inst.window_lo, inst.window_hi)
             count = sum(1 for n in range(8) if fx[n] != 0)
             assert count <= p.m - 1 < p.delta * 8 / 2 + 2 * p.m
 
@@ -206,6 +211,69 @@ class TestNonzeroCount:
         assert report.hull_max <= report.block_bound
 
 
+def test_count_check_locates_nothing_and_builds_no_fraction(monkeypatch, request):
+    from meandim.widthmaps import KuhnWidthPipeline
+
+    inst = FactorMapInstance(std_params(N=80, seed=6))
+    expected = full_window_count_report(inst, 20)
+
+    def no_flag(*args):
+        raise AssertionError("the count check located a flag")
+
+    monkeypatch.setattr(KuhnWidthPipeline, "locate_flag", no_flag)
+    built = request.getfixturevalue("fraction_count")
+    report = nonzero_count_check(inst, samples=20)
+    assert built == []  # in counterexample, geometry, symbolic and widthmaps
+    assert (report.max_count, report.hull_max, list(report.violations)) == expected
+
+
+def test_hull_check_at_delta_1_64_follows_the_block_layout(monkeypatch):
+    # period 8192: the hull check tests each hull member, so it costs
+    # nothing per residue or per position of [0, N)
+    from meandim.widthmaps import KuhnWidthPipeline
+
+    inst = FactorMapInstance(CounterexampleParams(F(1, 64), F(1, 2), 2000, seed=4))
+    p = inst.params
+    assert (p.period, p.m) == (8192, 65)
+    image_numerators = KuhnWidthPipeline.image_numerators
+
+    def with_padding_entry(pipeline, nums, res):
+        # a block whose first coordinate is even also marks its first
+        # padded position, m - 1 entries in
+        image, den = image_numerators(pipeline, nums, res)
+        return image + [int(nums[0] % 2 == 0)], den
+
+    monkeypatch.setattr(KuhnWidthPipeline, "image_numerators", with_padding_entry)
+    samples = 12
+    start = time.perf_counter()
+    report = nonzero_count_check(inst, samples)
+    assert time.perf_counter() - start < 1
+    # the oracle places each marked position in its block: it lies in the
+    # padding when it is m - 1 or more entries past the block's start
+    rng = random.Random(p.seed)
+    hulls, padded, counts = {}, set(), []
+    for _ in range(samples):
+        x, r = inst.sample_state(rng)
+        marked = []
+        for a in inst.block_starts(r):
+            offset = a - x.start
+            image, _ = with_padding_entry(inst.pipeline, x.nums[offset : offset + 8192], x.den)
+            for i, c in enumerate(image):
+                if c and 0 <= a + i < 2000:
+                    marked.append(a + i)
+                    if i >= p.m - 1:
+                        padded.add(r)
+        hulls.setdefault(r, set()).update(marked)
+        counts.append((r, len(marked)))
+    # both outcomes occur
+    assert padded and any(hull and r not in padded for r, hull in hulls.items())
+    expected = [(r, c) for r, c in counts if not (c < report.bound and c <= report.block_bound)]
+    expected += [(r, "hull outside padded positions") for r in sorted(padded)]
+    assert list(report.violations) == expected
+    assert report.max_count == max(c for _, c in counts)
+    assert report.hull_max == max(map(len, hulls.values()))
+
+
 def full_window_count_report(inst, samples):
     """Oracle for nonzero_count_check: every complete block of the window is
     evaluated and coordinates are read one at a time. Returns max_count,
@@ -219,7 +287,7 @@ def full_window_count_report(inst, samples):
     counts = []
     for _ in range(samples):
         x, r = inst.sample_state(rng)
-        fx = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
+        fx = evaluate_f(inst, x, r, inst.window_lo, inst.window_hi)
         nonzero = {n for n in range(N) if fx[n] != 0}
         hulls[r] |= nonzero
         counts.append((r, len(nonzero)))
@@ -239,12 +307,12 @@ def test_count_check_evaluates_only_blocks_meeting_the_range(N):
         rng = random.Random(seed)
         for r in range(inst.params.period):
             x, _ = inst.sample_state(rng)
-            restricted = inst.evaluate_f(x, r, 0, N)
+            restricted = evaluate_f(inst, x, r, 0, N)
             period = inst.params.period
             # the first and the last evaluated block both meet [0, N)
             assert restricted.start <= 0 < restricted.start + period
             assert restricted.end - period < N <= restricted.end
-            full = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
+            full = evaluate_f(inst, x, r, inst.window_lo, inst.window_hi)
             assert restricted.restrict(0, N) == full.restrict(0, N)
         report = nonzero_count_check(inst, samples=12)
         expected = full_window_count_report(inst, 12)
@@ -261,7 +329,9 @@ def realized_sampler(inst, state):
     starts = inst.block_starts(r)
     certs = [
         pipeline.fiber_certificate(
-            pipeline.locate_flag(x.restrict(a, a + period)), p.eps / 2, p.eps / 4
+            pipeline.locate_flag(x.nums[a - x.start : a - x.start + period], x.den),
+            p.eps / 2,
+            p.eps / 4,
         )
         for a in starts
     ]
@@ -355,9 +425,9 @@ class TestFiberCertificate:
         calls = []
         locate_flag = KuhnWidthPipeline.locate_flag
 
-        def counted(pipeline, point):
-            calls.append(point)
-            return locate_flag(pipeline, point)
+        def counted(pipeline, nums, res):
+            calls.append(nums)
+            return locate_flag(pipeline, nums, res)
 
         monkeypatch.setattr(KuhnWidthPipeline, "locate_flag", counted)
         fiber_dimension_certificate(inst, (x, r))
@@ -368,11 +438,11 @@ class TestFiberCertificate:
         inst = FactorMapInstance(p)
         rng = random.Random(9)
         x, r = inst.sample_state(rng)
-        y = inst.evaluate_f(x, r, inst.window_lo, inst.window_hi)
+        y = evaluate_f(inst, x, r, inst.window_lo, inst.window_hi)
         cert = fiber_dimension_certificate(inst, (x, r))
         for _ in range(5):
             sample = cert.domain.sample(rng)
-            fy = inst.evaluate_f(sample.window, r, inst.window_lo, inst.window_hi)
+            fy = evaluate_f(inst, sample.window, r, inst.window_lo, inst.window_hi)
             for a in inst.block_starts(r):
                 assert fy.restrict(a, a + 8) == y.restrict(a, a + 8)
 
@@ -386,9 +456,9 @@ class TestFiberCertificate:
         new = Fraction.__dict__["__new__"]
         new = new.__func__ if isinstance(new, staticmethod) else new
 
-        def counted_locate(pipeline, point):
+        def counted_locate(pipeline, nums, res):
             counts["locate_flag"] += 1
-            return locate_flag(pipeline, point)
+            return locate_flag(pipeline, nums, res)
 
         def counted_new(cls, *args, **kwargs):
             counts["Fraction"] += 1

@@ -279,7 +279,7 @@ class TestIntegerLocation:
         got_verts, got_weights = kuhn_simplex(nums, res, n, g)
         assert got_verts == verts
         assert [F(w, res) for w in got_weights] == weights
-        assert realized(KuhnWidthPipeline(n, 2, g).locate_flag(p), g) == p
+        assert realized(KuhnWidthPipeline(n, 2, g).locate_flag(*common_numerators(p)), g) == p
 
 
 def segment_target():

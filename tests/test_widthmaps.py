@@ -14,6 +14,7 @@ from meandim.complexes import SimplicialComplex, VertexPartition, dimension_buck
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
     barycentric_subdivide_geometric,
+    common_numerators,
     kuhn_triangulate_cube,
     max_star_mesh,
 )
@@ -31,7 +32,9 @@ from oracles import (
     BarycentricPoint,
     all_structural_discharged,
     cube_from_barycentric,
+    cube_from_numerators,
     eval_simplicial_map,
+    evaluate,
     locate,
     realize,
     vertex_point,
@@ -49,6 +52,11 @@ def realized(flag, grid):
     """The flag's realized coordinates as Fractions."""
     coords, den = flag.realize(grid)
     return tuple(F(a, den) for a in coords)
+
+
+def flag_at(pipeline, x):
+    """The pipeline's flag through the Fraction point x."""
+    return pipeline.locate_flag(*common_numerators(x))
 
 
 def as_barycentric(x):
@@ -482,11 +490,11 @@ class TestClosedFormAgainstExplicit:
         rng = random.Random(13)
         for _ in range(20):
             x = (F(rng.randint(0, 36), 36), F(rng.randint(0, 36), 36))
-            flag = pipeline.locate_flag(x)
+            flag = flag_at(pipeline, x)
             assert realized(flag, pipeline.grid) == x
             located = locate(sub, x)
             t_explicit = eval_simplicial_map(wm.inner.block_of, target, located)
-            assert pipeline.evaluate(x) == cube_from_barycentric(t_explicit)
+            assert evaluate(pipeline, x) == cube_from_barycentric(t_explicit)
 
     def test_retract_matches_explicit_bucket_part(self):
         # retracting a located flag onto bucket i realizes the normalized
@@ -498,7 +506,7 @@ class TestClosedFormAgainstExplicit:
         cases = 0
         for _ in range(40):
             x = (F(rng.randint(0, 36), 36), F(rng.randint(0, 36), 36))
-            flag = pipeline.locate_flag(x)
+            flag = flag_at(pipeline, x)
             located = locate(sub, x)
             for i, block in enumerate(wm.inner.partition.blocks, start=1):
                 part = {v: w for v, w in located.weights.items() if v in block}
@@ -535,7 +543,7 @@ class TestBlockPipeline:
         pipeline = block_pipeline()
         rng = random.Random(23)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        cert = pipeline.fiber_certificate(pipeline.locate_flag(x), BLOCK_SCALE, MESH_SCALE)
+        cert = pipeline.fiber_certificate(flag_at(pipeline, x), BLOCK_SCALE, MESH_SCALE)
         assert cert.target_dim <= F(8, 3)
         assert all_structural_discharged(cert)
         assert cert.epsilon == F(1, 4)
@@ -551,12 +559,12 @@ class TestBlockPipeline:
         pipeline = block_pipeline()
         rng = random.Random(29)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        p = pipeline.evaluate(x)
-        cert = pipeline.fiber_certificate(pipeline.locate_flag(x), BLOCK_SCALE, MESH_SCALE)
+        p = evaluate(pipeline, x)
+        cert = pipeline.fiber_certificate(flag_at(pipeline, x), BLOCK_SCALE, MESH_SCALE)
         for _ in range(5):
             flag = cert.domain.sample(rng)
             sample_x = realized(flag, pipeline.grid)
-            assert pipeline.evaluate(sample_x) == p
+            assert evaluate(pipeline, sample_x) == p
 
     def test_fiber_samples_keep_chain_and_bucket_sums(self):
         pipeline = block_pipeline()
@@ -565,24 +573,24 @@ class TestBlockPipeline:
         # supported buckets; bucket 3 is empty
         tied = (F(1, 64), F(1, 64), F(5, 64), F(5, 64), F(0), F(1), F(1, 2), F(33, 64))
         points = [tied] + [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(4)]
-        flags = [pipeline.locate_flag(x) for x in points]
+        flags = [flag_at(pipeline, x) for x in points]
         assert flags[0].weights[0] == flags[0].weights[5] == 0
         for flag in flags:
-            sums = pipeline._bucket_numerators(flag)
+            sums = pipeline._bucket_numerators(flag.weights)
             cert = pipeline.fiber_certificate(flag, F(1, 4), F(1, 8))
             for _ in range(20):
                 sample = cert.domain.sample(rng)
                 assert sample.chain == flag.chain
                 assert all(w >= 0 for w in sample.weights)
                 assert sum(sample.weights) == sample.denom
-                got = pipeline._bucket_numerators(sample)
+                got = pipeline._bucket_numerators(sample.weights)
                 assert [a * flag.denom for a in got] == [b * sample.denom for b in sums]
 
     def test_fiber_check_no_violations(self):
         pipeline = block_pipeline()
         rng = random.Random(31)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        cert = pipeline.fiber_certificate(pipeline.locate_flag(x), BLOCK_SCALE, MESH_SCALE)
+        cert = pipeline.fiber_certificate(flag_at(pipeline, x), BLOCK_SCALE, MESH_SCALE)
         record = check_certificate(cert, trials=300, seed=37)
         assert record.status == "sampled-only"
 
@@ -616,7 +624,7 @@ class TestIntegerFlags:
         rng = random.Random(59)
         points = [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(50)]
         built = request.getfixturevalue("fraction_count")
-        flags = [pipeline.locate_flag(x) for x in points]
+        flags = [flag_at(pipeline, x) for x in points]
         # location in Fractions built 500 here (10 per point); a retraction
         # builds none, and realizing it none either: its coordinates stay
         # integer numerators
@@ -631,13 +639,13 @@ class TestIntegerFlags:
         pipeline = block_pipeline()
         rng = random.Random(67)
         points = [tuple(F(rng.randint(0, 64), 64) for _ in range(8)) for _ in range(20)]
-        cert = pipeline.fiber_certificate(pipeline.locate_flag(points[0]), BLOCK_SCALE, MESH_SCALE)
+        cert = pipeline.fiber_certificate(flag_at(pipeline, points[0]), BLOCK_SCALE, MESH_SCALE)
         samples = [cert.domain.sample(rng) for _ in range(20)]
         built = request.getfixturevalue("fraction_count")
         for x in points:
-            pipeline.evaluate(x)
-            assert len(built) == pipeline.m - 1  # the image coordinates
-            del built[:]
+            image, den = pipeline.image_numerators(*common_numerators(x))
+            assert built == []  # the image leaves as integer numerators
+            assert tuple(F(c, den) for c in image) == evaluate(pipeline, x)
         for a, b in zip(samples, samples[1:]):
             cert.target_dist(cert.evaluator(a), cert.evaluator(b))
             assert len(built) == 1  # the distance
@@ -649,7 +657,7 @@ class TestIntegerFlags:
         pipeline = block_pipeline()
         rng = random.Random(seed)
         x = tuple(F(rng.randint(0, 64), 64) for _ in range(8))
-        flag = pipeline.locate_flag(x)
+        flag = flag_at(pipeline, x)
         cert = pipeline.fiber_certificate(flag, BLOCK_SCALE, MESH_SCALE)
         points = [flag] + [cert.domain.sample(rng) for _ in range(6)]
         for a, b in zip(points, points[1:]):
@@ -682,7 +690,7 @@ class TestIntegerFlags:
         monkeypatch.setattr(FlagPoint, "realize", counted)
         rng = random.Random(73)
         for _ in range(40):
-            flag = pipeline.locate_flag(tuple(F(rng.randint(0, 64), 64) for _ in range(8)))
+            flag = flag_at(pipeline, tuple(F(rng.randint(0, 64), 64) for _ in range(8)))
             dist = pipeline.fiber_certificate(flag, BLOCK_SCALE, MESH_SCALE).domain.dist
             a, b = random_flag(rng, flag.chain), random_flag(rng, flag.chain)
             scaled = FlagPoint(a.chain, tuple(3 * w for w in a.weights), 3 * a.denom)
@@ -693,6 +701,37 @@ class TestIntegerFlags:
                 assert type(got) is F
                 assert got == two_realizes(u, v)
             assert dist(a, scaled) == dist(a, a) == 0
+
+
+@st.composite
+def grid_numerators(draw, n, g):
+    """n numerators over 64 * g: points of the 1/64 grid, the faces 0 and 1,
+    multiples of 1/g, and repeats of an earlier coordinate."""
+    res = 64 * g
+    nums = []
+    for _ in range(n):
+        choices = [
+            st.integers(0, 64).map(lambda k: k * g),
+            st.sampled_from((0, res)),
+            st.integers(0, g).map(lambda k: k * 64),
+        ]
+        if nums:
+            choices.append(st.sampled_from(nums))
+        nums.append(draw(st.one_of(choices)))
+    return nums, res
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), m=st.integers(2, 5),
+       g=st.sampled_from((1, 2, 3, 17)))
+def test_chain_free_bucket_sums_match_the_located_flag(data, n, m, g):
+    pipeline = KuhnWidthPipeline(n, m, g)
+    nums, res = data.draw(grid_numerators(n, g))
+    flag = pipeline.locate_flag(nums, res)
+    sums = pipeline.bucket_sums(nums, res)
+    assert sums == pipeline._bucket_numerators(flag.weights)
+    image, den = pipeline.image_numerators(nums, res)
+    assert tuple(F(c, den) for c in image) == cube_from_numerators(sums, res)
 
 
 @cache
