@@ -104,7 +104,7 @@ def sampled_record(name: str, status: str, witness=None, **data) -> DischargeRec
 # guarantees them and there is nothing arithmetic to recompute, but a
 # verifier must still recognize the name. The premise behind each name:
 #   retraction-fibers-lie-in-stars: each fiber lies in one vertex star, which
-#     the adjacent star-mesh-* record (star-mesh-grid-bound) keeps below scale
+#     the adjacent star-mesh-* record keeps below scale
 #   simplicial-by-block-collapse: every nonempty set of the m target vertices
 #     is a face of the full target simplex, so the block map needs no check
 #   identity-embedding-fibers-are-points: identity fibers have diameter 0
@@ -157,7 +157,8 @@ def _check_chain_partition(data):
 
 
 def _check_bucket_dimension(data):
-    return int(data["dim"]) <= bucket_dimension_bound(
+    # bucket_dimension_bound refuses a negative source dimension
+    return 0 <= int(data["dim"]) <= bucket_dimension_bound(
         int(data["source_dim"]), int(data["m"]), int(data["bucket"])
     )
 
@@ -201,15 +202,18 @@ def _check_subsampled_visits(data):
     return Fraction(int(data["count_bound"])) <= bound
 
 
+def _check_inherited_mesh(data):
+    return 0 <= parse_fraction(data["parent_mesh"]) < parse_fraction(data["scale"])
+
+
 def _check_grid_mesh(data):
     g = int(data["grid"])
     bound = parse_fraction(data["bound"])
-    return bound == Fraction(2, g) and bound < parse_fraction(data["scale"])
+    return g >= 1 and bound == Fraction(2, g) and bound < parse_fraction(data["scale"])
 
 
 STRUCTURAL_CHECKS = {
-    "star-mesh-below-scale": _check_strictly_below("mesh", "scale"),
-    "star-mesh-inherited-bound": _check_strictly_below("parent_mesh", "scale"),
+    "star-mesh-inherited-bound": _check_inherited_mesh,
     "star-mesh-grid-bound": _check_grid_mesh,
     "product-dims-additive": _check_sum,
     "chain-itinerary-covers-range": _check_chain_partition,

@@ -13,15 +13,15 @@ The same loop records which simplices are maximal (an edge's vertices
 leave that set in one step), so the affine check of a realization reads
 that set instead of walking the family again. `from_maximal` closes a
 family in one loop from the vertex singletons; the constructor checks it.
+Dimension buckets read a subdivision's vertex labels, whose lengths are
+their source simplices' sizes, and bucket them in integer arithmetic.
 The size budget on complexes built from a recipe sits with its one reader:
 widthmaps.cube_width_map checks widthmaps.SIZE_BUDGET before it builds any.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor
 
 from .errors import FrozenStruct, PreconditionError
 
@@ -92,12 +92,6 @@ class SimplicialComplex(FrozenStruct):
             idx = {u: i for i, u in enumerate(self.vertices)}
             object.__setattr__(self, "_vindex", idx)
         return idx
-
-    def vertex_index(self, v) -> int:
-        try:
-            return self._vertex_indices()[v]
-        except KeyError:
-            raise PreconditionError(f"unknown vertex: {v!r}") from None
 
     def simplex_key(self, s):
         try:
@@ -178,52 +172,6 @@ def full_subcomplex(K: SimplicialComplex, A) -> SimplicialComplex:
     return SimplicialComplex(vertices, simplices)
 
 
-def _fresh_apex(taken):
-    apex = "*"
-    i = 1
-    while apex in taken:
-        i += 1
-        apex = f"*{i}"
-    return apex
-
-
-def cone(K: SimplicialComplex, apex=None):
-    """Join K to a new apex vertex. Returns (complex, apex); dim rises by one.
-
-    The cone of the empty complex is a single point.
-    """
-    if apex is None:
-        apex = _fresh_apex(set(K.vertices))
-    elif apex in K.vertices:
-        raise PreconditionError("apex collides with an existing vertex")
-    simplices = set(K.simplices)
-    simplices.add(frozenset({apex}))
-    for s in K.simplices:
-        simplices.add(s | {apex})
-    return SimplicialComplex(K.vertices + (apex,), frozenset(simplices)), apex
-
-
-def wedge_cones(Ks):
-    """Cones over each complex, glued at a single shared apex.
-
-    The disjoint union tags each complex's vertices with its index, so equal
-    vertex names in different factors never collide. Returns (complex, apex).
-    """
-    Ks = list(Ks)
-    if not Ks:
-        raise PreconditionError("empty list")
-    apex = "*"
-    vertices = [apex]
-    simplices = {frozenset({apex})}
-    for i, K in enumerate(Ks):
-        vertices.extend((i, v) for v in K.vertices)
-        for s in K.simplices:
-            tagged = frozenset((i, v) for v in s)
-            simplices.add(tagged)
-            simplices.add(tagged | {apex})
-    return SimplicialComplex(tuple(vertices), frozenset(simplices)), apex
-
-
 def bucket_of_dimension(d: int, dim_k: int, m: int) -> int:
     """1-based dimension bucket: bucket i covers ((i-1)*dim_k/m, i*dim_k/m],
     with bucket 1 also taking everything at or below dim_k/m."""
@@ -233,8 +181,7 @@ def bucket_of_dimension(d: int, dim_k: int, m: int) -> int:
         raise PreconditionError("dimension out of range")
     if dim_k == 0:
         return 1
-    i = ceil(Fraction(d * m, dim_k))
-    return max(1, i)
+    return max(1, -(-d * m // dim_k))
 
 
 def bucket_dimension_bound(dim_k: int, m: int, i: int) -> int:
@@ -243,26 +190,27 @@ def bucket_dimension_bound(dim_k: int, m: int, i: int) -> int:
     if not 1 <= i <= m:
         raise PreconditionError("bucket index out of range")
     if dim_k < 0:
-        return -1
+        raise PreconditionError("dimension out of range")
     if i == 1:
-        return floor(Fraction(dim_k, m))
-    lo = floor(Fraction((i - 1) * dim_k, m))
-    hi = floor(Fraction(i * dim_k, m))
-    return hi - lo - 1
+        return dim_k // m
+    return i * dim_k // m - (i - 1) * dim_k // m - 1
 
 
-def dimension_buckets(K: SimplicialComplex, m: int) -> VertexPartition:
-    """Partition the subdivision's vertices by the dimension of their source
-    simplex. Block 1 keeps the subcomplex dimension at or below dim(K)/m and
-    every later block stays strictly below it."""
+def dimension_buckets(Kp: SimplicialComplex, m: int) -> VertexPartition:
+    """Partition the vertices of a barycentric subdivision Kp of K by the
+    dimension of their source simplex. A vertex label is its source simplex
+    as a tuple (see barycentric_subdivide), so its length gives the
+    dimension, and the longest label gives dim(K). Block 1 keeps the
+    subcomplex dimension at or below dim(K)/m and every later block stays
+    strictly below it."""
     if m < 1:
         raise PreconditionError("m must be positive")
-    if not K.simplices:
+    if not Kp.vertices:
         raise PreconditionError("empty complex")
-    dim_k = K.dim
-    # a simplex's bucket depends only on its size: one lookup table
+    dim_k = max(map(len, Kp.vertices)) - 1
+    # a label's bucket depends only on its length: one lookup table
     by_size = [None] + [bucket_of_dimension(d, dim_k, m) - 1 for d in range(dim_k + 1)]
     blocks = [set() for _ in range(m)]
-    for s in K.simplices:
-        blocks[by_size[len(s)]].add(K.sorted_simplex(s))
+    for label in Kp.vertices:
+        blocks[by_size[len(label)]].add(label)
     return VertexPartition(tuple(frozenset(b) for b in blocks))

@@ -8,11 +8,11 @@ the cube fibers that the width maps certify; distances are Fractions.
 A GeometricComplex is built from, and stores, its coordinates only as
 integer numerators over one common denominator, not necessarily the least;
 the Kuhn triangulation and barycentric subdivision build them without a
-Fraction. The affine-independence check, star diameters and meshes, and
-subdivision run on those integers; a Fraction is built only for a result
-(a diameter or a mesh). The affine check visits the maximal simplices that
-the combinatorial complex recorded, and computes one rank per simplex
-shape, since translates share their edge vectors.
+Fraction. The affine-independence check, the star mesh and subdivision
+run on those integers; a Fraction is built only for the mesh. The affine
+check visits the maximal simplices that the combinatorial complex
+recorded, and computes one rank per simplex shape, since translates share
+their edge vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import lcm
 from operator import sub
 
 from .complexes import SimplicialComplex, barycentric_subdivide
-from .errors import BudgetExceededError, FrozenStruct, PreconditionError
+from .errors import FrozenStruct, PreconditionError
 
 
 def _rank(rows) -> int:
@@ -90,42 +90,21 @@ class GeometricComplex(FrozenStruct):
     def ambient_dim(self) -> int:
         return len(self.nums[self.complex.vertices[0]]) if self.complex.vertices else 0
 
-    def star_vertices(self):
-        """vertex -> the vertices of its closed star, itself included (built
-        once, cached). They are its neighbors along edges: the family is
-        downward closed."""
-        cached = self.__dict__.get("_star_vertices")
-        if cached is None:
-            cached = {v: [v] for v in self.complex.vertices}
-            for s in self.complex.simplices:
-                if len(s) == 2:
-                    a, b = s
-                    cached[a].append(b)
-                    cached[b].append(a)
-            object.__setattr__(self, "_star_vertices", cached)
-        return cached
-
-
-def _star_diameter_numerator(G: GeometricComplex, v) -> int:
-    """The closed star's diameter, over G.den: its vertices' largest
-    coordinate range."""
-    points = [G.nums[u] for u in G.star_vertices()[v]]
-    return max((max(col) - min(col) for col in zip(*points)), default=0)
-
-
-def star_diameter(G: GeometricComplex, v):
-    """Diameter of the closed star of v.
-
-    The norm's maximum over a union of convex hulls is attained at realization
-    vertices, so the exact value is the max pairwise distance between vertices
-    of simplices containing v.
-    """
-    G.complex.vertex_index(v)  # rejects an unknown vertex
-    return Fraction(_star_diameter_numerator(G, v), G.den)
-
 
 def max_star_mesh(G: GeometricComplex):
-    best = max((_star_diameter_numerator(G, v) for v in G.complex.vertices), default=0)
+    """The largest closed-star diameter. The norm's maximum over a union of
+    convex hulls is attained at realization vertices, so a star's diameter
+    is the largest coordinate range of its vertices: its center and the
+    center's neighbors along edges (the family is downward closed)."""
+    stars = {v: [G.nums[v]] for v in G.complex.vertices}
+    for s in G.complex.simplices:
+        if len(s) == 2:
+            a, b = s
+            stars[a].append(G.nums[b])
+            stars[b].append(G.nums[a])
+    best = max(
+        (max(col) - min(col) for points in stars.values() for col in zip(*points)), default=0
+    )
     return Fraction(best, G.den)
 
 
@@ -142,27 +121,12 @@ def barycentric_subdivide_geometric(G: GeometricComplex) -> GeometricComplex:
     return GeometricComplex(Kp, nums, scale * G.den)
 
 
-def subdivide_to_mesh(G: GeometricComplex, eps, max_rounds: int = 30) -> tuple:
-    """Barycentrically subdivide until the star mesh drops strictly below eps.
-    Returns (complex, mesh), the star mesh measured once per round."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    current = G
-    for _ in range(max_rounds + 1):
-        mesh = max_star_mesh(current)
-        if mesh < eps:
-            return current, mesh
-        current = barycentric_subdivide_geometric(current)
-    raise BudgetExceededError("mesh not reached")
-
-
 def kuhn_triangulate_cube(n: int, g: int) -> GeometricComplex:
     """Triangulate the unit n-cube on the uniform 1/g grid.
 
     Each grid cell splits into n! simplices along coordinate-order chains.
     Vertices are integer grid tuples with coordinates i/g; the l-infinity
-    star mesh is at most 2/g.
+    star mesh is min(1, 2/g).
     """
     if not 1 <= n <= 6:
         raise PreconditionError("cube dimension out of range (1..6)")

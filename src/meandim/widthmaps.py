@@ -1,6 +1,6 @@
 """Width-reducing simplicial maps onto standard simplexes and cubes.
 
-Three layers:
+Two layers:
 
 * partition_map: the basic construction. Vertices collapse block-wise onto
   the full standard simplex, so the vertex map needs no simpliciality check:
@@ -8,24 +8,24 @@ Three layers:
   retracts into the full subcomplex of one block, and the retraction's
   fibers sit inside vertex stars, so the star mesh bounds every fiber
   diameter. Meshes and fiber distances are l-infinity, the metric of the
-  cube fibers the paper certifies.
-* bucket_width_map: the composed pipeline (refine to mesh, subdivide once,
-  partition the subdivision by source-simplex dimension), measuring the
-  star mesh once per refinement round. cube_width_map runs it on the Kuhn
-  triangulation of the cube, which needs no refinement round. These
-  materialize complexes and compute meshes and subcomplex dimensions
-  exactly; practical up to four-dimensional cubes. Meshes and subdivision
-  run on the complex's integer coordinate numerators (see geometry). A
-  sampled fiber point is a simplex's vertices with integer weights over one
-  denominator; a retraction keeps the retained weights as such a point,
-  and the fiber metric, which measures the target side too, sums integer
-  numerators and builds a Fraction only for a distance. Each
-  walk of the subdivided family is paid once per map: the closure check
-  records the maximal simplices (the affine check visits only those, with
-  one rank per simplex shape), simplices are grouped by support pattern
-  without a family sort, each pattern is sorted into vertex-ordered tuples
-  when first sampled, and each block's full-subcomplex dimension is
-  computed once.
+  cube fibers the paper certifies. cube_width_map runs it on the Kuhn
+  triangulation of the cube at the grid g = grid_for_mesh(eps/4), whose
+  star mesh, min(1, 2/g), is measured once and is already below eps/4: the
+  triangulation is subdivided once, the subdivision's vertices are
+  partitioned by source-simplex dimension, and the subdivision inherits
+  the grid's mesh as its premise. It materializes complexes and computes
+  meshes and subcomplex dimensions exactly; practical up to
+  four-dimensional cubes. Meshes and subdivision run on the complex's
+  integer coordinate numerators (see geometry). A sampled fiber point is a
+  simplex's vertices with integer weights over one denominator; a
+  retraction keeps the retained weights as such a point, and the fiber
+  metric, which measures the target side too, sums integer numerators and
+  builds a Fraction only for a distance. Each walk of the subdivided family
+  is paid once per map: the closure check records the maximal simplices
+  (the affine check visits only those, with one rank per simplex shape),
+  simplices are grouped by support pattern without a family sort, each
+  pattern is sorted into vertex-ordered tuples when first sampled, and each
+  block's full-subcomplex dimension is computed once.
 * KuhnWidthPipeline: the same map evaluated in closed form, usable at any
   dimension (the factor map runs it on each block and pads the image with
   zeros). A point is located once, as a FlagPoint: the vertex chain of its
@@ -81,8 +81,6 @@ from .geometry import (
     kuhn_simplex,
     kuhn_triangulate_cube,
     max_star_mesh,
-    star_diameter,
-    subdivide_to_mesh,
 )
 from .serialize import format_fraction
 
@@ -146,9 +144,10 @@ class PartitionWidthMap(Struct):
     """A partition simplicial map plus its per-fiber certificate builder.
 
     `block_of` sends each vertex to its 1-based block index: the vertex map
-    onto the full standard simplex on the m blocks."""
+    onto the full standard simplex on the m blocks. The blocks are the
+    dimension buckets of a subdivided `source_dim`-dimensional complex."""
 
-    _fields = ("geometry", "partition", "eps", "block_of", "mesh_record", "bucket_source_dim")
+    _fields = ("geometry", "partition", "eps", "block_of", "mesh_record", "source_dim")
 
     def __init__(
         self,
@@ -157,14 +156,14 @@ class PartitionWidthMap(Struct):
         eps: Fraction,
         block_of: dict,
         mesh_record,
-        bucket_source_dim: int | None = None,  # set when blocks are dimension buckets
+        source_dim: int,
     ):
         self.geometry = geometry
         self.partition = partition
         self.eps = eps
         self.block_of = block_of
         self.mesh_record = mesh_record
-        self.bucket_source_dim = bucket_source_dim
+        self.source_dim = source_dim
         self._by_pattern = None
         self._admissible = {}
         self._block_dims = {}
@@ -262,92 +261,41 @@ class PartitionWidthMap(Struct):
             kept = [w if block_of[v] == i_star else 0 for v, w in zip(verts, weights)]
             return verts, kept, sum(kept)
 
-        records = [self.mesh_record]
-        if self.bucket_source_dim is not None:
-            records.append(
-                structural_record(
-                    "bucket-dimension-bound",
-                    source_dim=self.bucket_source_dim,
-                    m=self.m,
-                    bucket=i_star,
-                    dim=dim,
-                )
-            )
+        records = (
+            self.mesh_record,
+            structural_record(
+                "bucket-dimension-bound", source_dim=self.source_dim, m=self.m, bucket=i_star,
+                dim=dim,
+            ),
+        )
         description = f"fiber over {tuple(format_fraction(ti) for ti in t)}"
         return _width_fiber_certificate(description, self.eps, dim, records, sample, dist, retract)
 
 
 def partition_map(
-    G: GeometricComplex,
-    P: VertexPartition,
-    eps,
-    mesh_threshold=None,
-    inherited_mesh=None,
-    bucket_source_dim=None,
+    G: GeometricComplex, P: VertexPartition, eps, mesh, mesh_scale, source_dim: int
 ) -> PartitionWidthMap:
     """Collapse each partition block to one target vertex, extended linearly.
 
-    The star-mesh hypothesis is verified exactly before anything else: either
-    recomputed on G, or taken from `inherited_mesh`, an exact value known to
-    dominate G's mesh (a parent complex's mesh; subdivision stars live inside
-    parent star closures).
+    `mesh` is an exact value known to dominate G's star mesh: a parent
+    complex's mesh, since subdivision stars live inside parent star
+    closures. The premise that it lies strictly below `mesh_scale` is
+    checked before the map is built. The blocks are the dimension buckets
+    of G, a subdivided `source_dim`-dimensional complex.
     """
-    eps = Fraction(eps)
-    threshold = Fraction(mesh_threshold) if mesh_threshold is not None else eps
+    mesh, mesh_scale = Fraction(mesh), Fraction(mesh_scale)
     P.validate_covers(G.complex.vertices)
-    if inherited_mesh is not None:
-        mesh = Fraction(inherited_mesh)
-        if not mesh < threshold:
-            raise PreconditionError(f"inherited star mesh bound {mesh} is not below {threshold}")
-        mesh_record = structural_record(
-            "star-mesh-inherited-bound",
-            parent_mesh=format_fraction(mesh),
-            scale=format_fraction(threshold),
-        )
-    else:
-        mesh = max_star_mesh(G)
-        if not mesh < threshold:
-            v, d = next(
-                (v, d) for v in G.complex.vertices if not (d := star_diameter(G, v)) < threshold
-            )
-            raise PreconditionError(
-                f"star mesh hypothesis fails: star of {v!r} has diameter "
-                f"{d} which is not below {threshold}"
-            )
-        mesh_record = structural_record(
-            "star-mesh-below-scale", mesh=format_fraction(mesh), scale=format_fraction(threshold)
-        )
+    if not mesh < mesh_scale:
+        raise PreconditionError(f"inherited star mesh bound {mesh} is not below {mesh_scale}")
+    mesh_record = structural_record(
+        "star-mesh-inherited-bound",
+        parent_mesh=format_fraction(mesh),
+        scale=format_fraction(mesh_scale),
+    )
     # validate_covers and the partition's disjointness give every vertex
     # exactly one block in 1..m
     block_of = {v: i for i, block in enumerate(P.blocks, start=1) for v in block}
-    return PartitionWidthMap(
-        geometry=G,
-        partition=P,
-        eps=eps,
-        block_of=block_of,
-        mesh_record=mesh_record,
-        bucket_source_dim=bucket_source_dim,
-    )
-
-
-def bucket_width_map(G: GeometricComplex, m: int, eps, mesh_scale) -> PartitionWidthMap:
-    """Refine to star mesh below mesh_scale, subdivide once more, and
-    partition the subdivision's vertices by source-simplex dimension. The
-    subdivision inherits the refined complex's mesh as its premise, and
-    every fiber certificate, at scale eps, lands at or below dim(G)/m."""
-    if m < 1:
-        raise PreconditionError("m must be positive")
-    fine, mesh = subdivide_to_mesh(G, mesh_scale)
-    P = dimension_buckets(fine.complex, m)
-    subdivided = barycentric_subdivide_geometric(fine)
-    return partition_map(
-        subdivided,
-        P,
-        eps,
-        mesh_threshold=mesh_scale,
-        inherited_mesh=mesh,
-        bucket_source_dim=fine.complex.dim,
-    )
+    return PartitionWidthMap(G, P, Fraction(eps), block_of, mesh_record, source_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +549,16 @@ class CubeWidthMap(Struct):
         }
 
 
-def estimate_subdivided_tops(n: int, g: int) -> int:
-    return g**n * factorial(n) * factorial(n + 1)
-
-
 def cube_width_map(n: int, m: int, eps) -> CubeWidthMap:
     """Width map [0,1]^n -> [0,1]^{m-1} whose fibers certify at dim n/m.
 
-    The triangulation is refined to star mesh strictly below eps/4, the
-    scale the downstream construction consumes, so certificates discharge
-    the mesh premise with that margin. SIZE_BUDGET bounds the estimated
-    subdivided top simplices and, separately, m, through the 2^m - 1 faces
-    of the target simplex; both are checked before anything is built.
+    The Kuhn grid g = grid_for_mesh(eps/4) has star mesh min(1, 2/g),
+    strictly below eps/4, the scale the downstream construction consumes,
+    so certificates discharge the mesh premise with that margin. The mesh
+    is measured once, on the grid, and the subdivision inherits it.
+    SIZE_BUDGET bounds the subdivided top simplices, g^n * n! * (n+1)!,
+    and, separately, m, through the 2^m - 1 faces of the target simplex;
+    both are checked before anything is built.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -629,10 +575,13 @@ def cube_width_map(n: int, m: int, eps) -> CubeWidthMap:
         )
     mesh_scale = eps / 4
     g = grid_for_mesh(mesh_scale)
-    estimated = estimate_subdivided_tops(n, g)
+    estimated = g**n * factorial(n) * factorial(n + 1)
     if estimated > SIZE_BUDGET:
         raise BudgetExceededError(
             f"size budget exceeded: ~{estimated} subdivided simplices > {SIZE_BUDGET}"
         )
-    inner = bucket_width_map(kuhn_triangulate_cube(n, g), m, eps, mesh_scale)
+    G = kuhn_triangulate_cube(n, g)
+    mesh = max_star_mesh(G)
+    sub = barycentric_subdivide_geometric(G)
+    inner = partition_map(sub, dimension_buckets(sub.complex, m), eps, mesh, mesh_scale, n)
     return CubeWidthMap(n=n, m=m, eps=eps, grid=g, inner=inner)

@@ -299,7 +299,7 @@ class TestRecords:
 
     def test_recheck_structural_roundtrip(self):
         record = structural_record(
-            "star-mesh-below-scale", mesh=F(2, 17), scale=F(1, 8)
+            "star-mesh-inherited-bound", parent_mesh=F(2, 17), scale=F(1, 8)
         )
         assert recheck_structural(record)
         tampered = DischargeRecord(
@@ -307,10 +307,29 @@ class TestRecords:
             record.kind,
             record.status,
             tuple(
-                (k, "1/3") if k == "mesh" else (k, v) for k, v in record.data
+                (k, "1/3") if k == "parent_mesh" else (k, v) for k, v in record.data
             ),
         )
         assert not recheck_structural(tampered)
+
+    @pytest.mark.parametrize("name, data", [
+        ("star-mesh-grid-bound", {"grid": -1, "bound": -2, "scale": F(1, 8)}),
+        ("star-mesh-grid-bound", {"grid": 0, "bound": 0, "scale": F(1, 8)}),
+        ("star-mesh-inherited-bound", {"parent_mesh": -1, "scale": F(1, 8)}),
+        ("bucket-dimension-bound", {"source_dim": 2, "m": 2, "bucket": 1, "dim": -3}),
+        ("bucket-dimension-bound", {"source_dim": -2, "m": 2, "bucket": 1, "dim": -1}),
+    ])
+    def test_impossible_mesh_and_bucket_values_fail_recheck(self, name, data):
+        assert not recheck_structural(structural_record(name, **data))
+
+    def test_possible_mesh_and_bucket_values_pass_recheck(self):
+        for name, data in (
+            ("star-mesh-grid-bound", {"grid": 17, "bound": F(2, 17), "scale": F(1, 8)}),
+            ("star-mesh-inherited-bound", {"parent_mesh": 0, "scale": F(1, 8)}),
+            ("bucket-dimension-bound", {"source_dim": 0, "m": 2, "bucket": 1, "dim": 0}),
+            ("bucket-dimension-bound", {"source_dim": 2, "m": 2, "bucket": 2, "dim": 0}),
+        ):
+            assert recheck_structural(structural_record(name, **data)), name
 
     def test_unknown_structural_name_fails_recheck(self):
         record = structural_record("made-up-fact", value="1")

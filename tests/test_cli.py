@@ -629,6 +629,40 @@ class TestVerify:
             assert time.perf_counter() - started < 1, (name, key, value)
             assert witness.exists()
 
+    @pytest.mark.parametrize("name, changes", [
+        ("star-mesh-grid-bound", {"grid": "-1", "bound": "-2"}),
+        ("star-mesh-inherited-bound", {"parent_mesh": "-1"}),
+        ("bucket-dimension-bound", {"dim": "-3"}),
+        ("bucket-dimension-bound", {"source_dim": "-2", "dim": "-1"}),
+    ])
+    def test_impossible_mesh_or_bucket_value_fails_its_record(self, workdir, name, changes):
+        # each tampered record is consistent with its own inequality, so
+        # only the range checks catch it before the reproduction does
+        if name == "star-mesh-grid-bound":
+            argv = ["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2",
+                    "--N", "16", "--samples", "1", "--trials", "5"]
+        else:
+            assert main(["gromov", "build", "--cube", "1", "--m", "2", "--eps", "1/2",
+                         "--out", "map.json"]) == 0
+            argv = ["gromov", "fiber-check", "map.json", "--samples", "2", "--trials", "5"]
+        out = workdir / "fibers.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        records = [
+            entry
+            for cert in artifact["payload"]["certificates"]
+            for entry in cert["obligations"]
+            if entry["name"] == name
+        ]
+        assert records
+        for entry in records:
+            entry["data"].update(changes)
+        out.write_text(json.dumps(artifact))
+        assert main(["verify", str(out)]) == 3
+        witness = json.loads((workdir / "meandim-witness.json").read_text())
+        assert witness["obligation"] == name
+        assert {k: witness["data"][k] for k in changes} == changes
+
     def test_tampered_payload_value_exits_3(self, workdir):
         sft, one = write_golden(workdir)
         out = workdir / "ocap.json"

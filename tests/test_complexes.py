@@ -1,8 +1,9 @@
 """Tests for the combinatorial complex module."""
 
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb
+from math import ceil, comb, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,8 @@ from meandim.complexes import (
     barycentric_subdivide,
     bucket_dimension_bound,
     bucket_of_dimension,
-    cone,
     dimension_buckets,
     full_subcomplex,
-    wedge_cones,
 )
 from meandim.errors import PreconditionError
 from meandim.geometry import kuhn_triangulate_cube
@@ -83,12 +82,6 @@ class TestConstruction:
         assert frozenset({"c"}) in K.simplices
         assert K.maximal == frozenset({frozenset({"a", "b"}), frozenset({"c"})})
 
-    def test_default_apex_skips_taken_names(self):
-        K = SimplicialComplex.from_maximal(["*", "*2"], [["*", "*2"]])
-        C, apex = cone(K)
-        assert apex == "*3"
-        assert frozenset({"*", "*2", "*3"}) in C.simplices
-
 
 # malformed input to the module's constructors and queries, with the
 # PreconditionError message each raises
@@ -117,9 +110,6 @@ REFUSALS = {
     "sorted_simplex unknown vertex": (
         lambda: two_simplex().sorted_simplex(frozenset({"z"})),
         "unknown vertex: 'z'"),
-    "cone apex collision": (
-        lambda: cone(two_simplex(), apex="b"),
-        "apex collides with an existing vertex"),
     "bucket_of_dimension m 0": (
         lambda: bucket_of_dimension(0, 2, 0),
         "m must be positive"),
@@ -135,8 +125,11 @@ REFUSALS = {
     "bucket_dimension_bound index past m": (
         lambda: bucket_dimension_bound(2, 2, 3),
         "bucket index out of range"),
+    "bucket_dimension_bound negative dimension": (
+        lambda: bucket_dimension_bound(-1, 2, 1),
+        "dimension out of range"),
     "dimension_buckets m 0": (
-        lambda: dimension_buckets(two_simplex(), 0),
+        lambda: dimension_buckets(barycentric_subdivide(two_simplex()), 0),
         "m must be positive"),
     "dimension_buckets empty complex": (
         lambda: dimension_buckets(SimplicialComplex((), frozenset()), 2),
@@ -174,63 +167,16 @@ class TestFullSubcomplex:
             full_subcomplex(two_simplex(), ["a", "z"])
 
 
-class TestConeAndWedge:
-    def test_cone_of_empty_is_point(self):
-        C, apex = cone(SimplicialComplex((), frozenset()))
-        assert C.dim == 0
-        assert C.vertices == (apex,)
-
-    def test_cone_of_two_points_is_path(self):
-        K = SimplicialComplex.from_maximal(["p", "q"], [["p"], ["q"]])
-        C, apex = cone(K)
-        assert C.dim == 1
-        assert len([s for s in C.simplices if len(s) == 2]) == 2
-
-    def test_cone_of_edge_is_triangle(self):
-        K = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
-        C, apex = cone(K)
-        assert C.dim == K.dim + 1
-        assert frozenset({"a", "b", apex}) in C.simplices
-
-    def test_wedge_of_one_matches_cone(self):
-        K = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
-        C, _ = cone(K)
-        W, _ = wedge_cones([K])
-        assert W.dim == C.dim
-        assert len(W.vertices) == len(C.vertices)
-        assert len(W.simplices) == len(C.simplices)
-
-    def test_wedge_of_three_edges(self):
-        edge = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
-        W, apex = wedge_cones([edge, edge, edge])
-        assert W.dim == 2
-        assert apex in W.vertices
-        # three triangles through the shared apex
-        assert len([s for s in W.simplices if len(s) == 3]) == 3
-
-    def test_wedge_dimension_is_max_plus_one(self):
-        point = SimplicialComplex.from_maximal(["p"], [["p"]])
-        edge = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
-        W, _ = wedge_cones([point, edge, two_simplex()])
-        assert W.dim == 3
-
-    def test_empty_wedge_rejected(self):
-        with pytest.raises(PreconditionError):
-            wedge_cones([])
-
-
 class TestDimensionBuckets:
     def test_two_simplex_two_buckets(self):
-        K = two_simplex()
-        P = dimension_buckets(K, 2)
-        Kp = barycentric_subdivide(K)
+        Kp = barycentric_subdivide(two_simplex())
+        P = dimension_buckets(Kp, 2)
         assert full_subcomplex(Kp, P.blocks[0]).dim == 1
         assert full_subcomplex(Kp, P.blocks[1]).dim == 0
 
     def test_single_bucket_is_everything(self):
-        K = two_simplex()
-        P = dimension_buckets(K, 1)
-        Kp = barycentric_subdivide(K)
+        Kp = barycentric_subdivide(two_simplex())
+        P = dimension_buckets(Kp, 1)
         assert P.blocks[0] == frozenset(Kp.vertices)
 
     def test_million_dimension_bounds_without_building(self):
@@ -242,6 +188,18 @@ class TestDimensionBuckets:
         assert bucket_of_dimension(0, 2, 2) == 1
         assert bucket_of_dimension(1, 2, 2) == 1
         assert bucket_of_dimension(2, 2, 2) == 2
+
+    def test_integer_buckets_match_the_fraction_formulas(self):
+        for dim_k in range(13):
+            for m in range(1, 13):
+                for d in range(dim_k + 1):
+                    expected = max(1, ceil(Fraction(d * m, dim_k))) if dim_k else 1
+                    assert bucket_of_dimension(d, dim_k, m) == expected
+                floors = [floor(Fraction(i * dim_k, m)) for i in range(m + 1)]
+                assert bucket_dimension_bound(dim_k, m, 1) == floors[1]
+                for i in range(2, m + 1):
+                    expected = floors[i] - floors[i - 1] - 1
+                    assert bucket_dimension_bound(dim_k, m, i) == expected
 
 
 # hypothesis strategy: small random complexes from random maximal simplices
@@ -279,8 +237,6 @@ def test_subdivision_size_sums_fubini_numbers(K):
 def test_constructors_stay_downward_closed(K):
     for built in (
         barycentric_subdivide(K),
-        cone(K)[0],
-        wedge_cones([K, K])[0],
         full_subcomplex(K, K.vertices[: max(1, len(K.vertices) // 2)]),
     ):
         for s in built.simplices:
@@ -310,12 +266,10 @@ def test_full_subcomplex_monotone_in_selection(K, data):
 @settings(max_examples=40, deadline=None)
 @given(K=random_complexes(max_vertices=5, max_facets=4), m=st.integers(min_value=1, max_value=5))
 def test_bucket_partition_and_dimension_bounds(K, m):
-    P = dimension_buckets(K, m)
     Kp = barycentric_subdivide(K)
+    P = dimension_buckets(Kp, m)
     P.validate_covers(Kp.vertices)
     assert P.m == m
-    from fractions import Fraction
-
     for i, block in enumerate(P.blocks, start=1):
         d = full_subcomplex(Kp, block).dim
         assert d <= bucket_dimension_bound(K.dim, m, i)
@@ -328,7 +282,7 @@ def test_bucket_partition_and_dimension_bounds(K, m):
 @settings(max_examples=60, deadline=None)
 @given(K=random_complexes())
 def test_maximal_simplices_match_brute_force(K):
-    for built in (K, barycentric_subdivide(K), cone(K)[0]):
+    for built in (K, barycentric_subdivide(K)):
         expected = [
             s for s in built.iter_simplices() if not any(s < t for t in built.simplices)
         ]
@@ -442,7 +396,7 @@ def test_dimension_buckets_match_per_simplex_buckets(n, m):
     expected = [set() for _ in range(m)]
     for s in K.simplices:
         expected[bucket_of_dimension(len(s) - 1, K.dim, m) - 1].add(K.sorted_simplex(s))
-    assert dimension_buckets(K, m).blocks == tuple(map(frozenset, expected))
+    assert dimension_buckets(barycentric_subdivide(K), m).blocks == tuple(map(frozenset, expected))
 
 
 @cache

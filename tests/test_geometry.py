@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meandim.complexes import SimplicialComplex, full_subcomplex
-from meandim.errors import BudgetExceededError, PreconditionError
+from meandim.errors import PreconditionError
 from meandim.geometry import (
     GeometricComplex,
     _rank,
@@ -19,8 +19,6 @@ from meandim.geometry import (
     kuhn_simplex,
     kuhn_triangulate_cube,
     max_star_mesh,
-    star_diameter,
-    subdivide_to_mesh,
 )
 from meandim.widthmaps import KuhnWidthPipeline
 from oracles import BarycentricPoint, eval_simplicial_map, locate, realize, vertex_point
@@ -62,42 +60,6 @@ def simplex_volume(G, simplex):
     return abs(exact_det(rows)) / factorial(n)
 
 
-class TestStarDiameter:
-    def test_isolated_vertex(self):
-        K = SimplicialComplex.from_maximal(["p"], [["p"]])
-        G = realize(K, {"p": (F(0), F(0))})
-        assert star_diameter(G, "p") == 0
-
-    def test_standard_simplex_linf(self):
-        G = standard_two_simplex()
-        for v in "abc":
-            assert star_diameter(G, v) == 1
-
-    def test_unknown_vertex(self):
-        with pytest.raises(PreconditionError, match="unknown vertex"):
-            star_diameter(standard_two_simplex(), "z")
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10**6))
-    def test_sampled_points_never_exceed_reported_diameter(self, seed):
-        G = standard_two_simplex()
-        reported = star_diameter(G, "a")
-        rng = random.Random(seed)
-        star = [s for s in G.complex.simplices if "a" in s]
-
-        def sample():
-            s = G.complex.sorted_simplex(rng.choice(star))
-            raw = [F(rng.randint(0, 16), 16) for _ in s]
-            total = sum(raw) or F(1)
-            weights = [r / total for r in raw]
-            weights[0] += 1 - sum(weights)
-            pt = BarycentricPoint(frozenset(s), dict(zip(s, weights)))
-            return pt.realize(G)
-
-        for _ in range(20):
-            assert linf_distance(sample(), sample()) <= reported
-
-
 class TestMesh:
     def test_single_two_simplex(self):
         assert max_star_mesh(standard_two_simplex()) == 1
@@ -116,34 +78,38 @@ class TestMesh:
         G = realize(K, {"p": (F(0),), "q": (F(1),)})
         assert max_star_mesh(G) == 0
 
-    def test_subdivide_to_mesh_noop(self):
-        G = standard_two_simplex()
-        refined, mesh = subdivide_to_mesh(G, F(2))
-        assert refined is G and mesh == 1
-
-    def test_unit_edge_rounds_to_reach_mesh(self):
+    def test_unit_edge_meshes_under_subdivision(self):
         K = SimplicialComplex.from_maximal(["a", "b"], [["a", "b"]])
         G = realize(K, {"a": (F(0),), "b": (F(1),)})
         # star meshes go 1 -> 1 -> 1/2 -> 1/4: a midpoint's star spans both
-        # incident segments, so three rounds land strictly under 3/10
+        # incident segments
         meshes = []
         cur = G
         for _ in range(4):
             meshes.append(max_star_mesh(cur))
             cur = barycentric_subdivide_geometric(cur)
         assert meshes == [1, 1, F(1, 2), F(1, 4)]
-        refined, mesh = subdivide_to_mesh(G, F(3, 10))
-        assert mesh == max_star_mesh(refined) == F(1, 4)
-        assert len(refined.complex.vertices) == 9
 
-    def test_two_simplex_reaches_half(self):
-        refined, mesh = subdivide_to_mesh(standard_two_simplex(), F(1, 2))
-        assert mesh == max_star_mesh(refined) < F(1, 2)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_sampled_star_points_never_exceed_the_mesh(self, seed):
+        G = barycentric_subdivide_geometric(standard_two_simplex())
+        mesh = max_star_mesh(G)
+        rng = random.Random(seed)
+        center = rng.choice(G.complex.vertices)
+        star = [s for s in G.complex.simplices if center in s]
 
-    def test_round_cap(self):
-        G = standard_two_simplex()
-        with pytest.raises(BudgetExceededError, match="mesh not reached"):
-            subdivide_to_mesh(G, F(1, 10**9), max_rounds=2)
+        def sample():
+            s = G.complex.sorted_simplex(rng.choice(star))
+            raw = [F(rng.randint(0, 16), 16) for _ in s]
+            total = sum(raw) or F(1)
+            weights = [r / total for r in raw]
+            weights[0] += 1 - sum(weights)
+            pt = BarycentricPoint(frozenset(s), dict(zip(s, weights)))
+            return pt.realize(G)
+
+        for _ in range(20):
+            assert linf_distance(sample(), sample()) <= mesh
 
 
 class TestKuhn:
@@ -492,11 +458,9 @@ class TestIntegerGeometry:
     def test_numerators_and_star_meshes_match_fraction_formulas(self, G):
         for v in G.complex.vertices:
             assert tuple(F(a, G.den) for a in G.nums[v]) == vertex_point(G, v)
-        diameters = [fraction_star_diameter(G, v) for v in G.complex.vertices]
-        for v, expected in zip(G.complex.vertices, diameters):
-            got = star_diameter(G, v)
-            assert type(got) is type(expected) and got == expected
-        assert max_star_mesh(G) == max(diameters)
+        expected = max(fraction_star_diameter(G, v) for v in G.complex.vertices)
+        got = max_star_mesh(G)
+        assert type(got) is type(expected) and got == expected
 
     @settings(max_examples=30, deadline=None)
     @given(G=skewed_kuhn())
@@ -527,7 +491,6 @@ class TestIntegerGeometry:
         assert max_star_mesh(H) == max_star_mesh(G)
         for v in G.complex.vertices:
             assert vertex_point(H, v) == vertex_point(G, v)
-            assert star_diameter(H, v) == star_diameter(G, v)
 
     @pytest.mark.parametrize("nums, message", [
         ({"a": (0, 0), "b": (2, 0)}, "vertex 'c' has no coordinates"),

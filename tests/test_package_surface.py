@@ -51,8 +51,6 @@ PACKAGE = ROOT / "src" / "meandim"
 
 # name -> why it stays without a caller in src/ or benchmarks/
 KEPT = {
-    "cone": "paper construction: the cone of the wedge-of-cones embedding",
-    "wedge_cones": "paper construction: the wedge of cones, waiting for a command",
     "stacked_report": "paper construction: the stacked family, waiting for a command",
     "build_sbp_instance": "paper construction: the wedge-of-cones data, waiting for a command",
     "wedge_cone_embedding": "paper construction: the wedge-of-cones embedding, waiting for a command",
@@ -243,7 +241,7 @@ def _identity_classes():
         (lambda: KuhnWidthPipeline(2, 3, 4), True),
         (lambda: FiberPoint(0, (1,), (), (2,), 4), True),
         (lambda: FactorMapInstance(CounterexampleParams(half, half, 8)), False),
-        (lambda: PartitionWidthMap(None, VertexPartition(()), half, {}, None), False),
+        (lambda: PartitionWidthMap(None, VertexPartition(()), half, {}, None, 1), False),
         (lambda: CubeWidthMap(1, 2, half, 17, None), False),
     ]
 
@@ -267,6 +265,7 @@ def test_keyword_construction_keeps_the_defaults():
     assert params.seed == 0
     assert params == CounterexampleParams(Fraction(1, 2), Fraction(1, 2), 8, 0)
     width_map = PartitionWidthMap(
-        geometry=None, partition=None, eps=Fraction(1, 2), block_of={}, mesh_record=None
+        geometry=None, partition=None, eps=Fraction(1, 2), block_of={}, mesh_record=None,
+        source_dim=2,
     )
-    assert width_map.bucket_source_dim is None
+    assert (width_map.eps, width_map.source_dim) == (Fraction(1, 2), 2)

@@ -1,9 +1,8 @@
-"""Tests for partition maps, bucket width maps, the cube pipeline, and the
-closed-form Kuhn evaluation."""
+"""Tests for partition maps, the cube pipeline, and the closed-form Kuhn
+evaluation."""
 
 import random
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 
 import pytest
@@ -18,12 +17,12 @@ from meandim.geometry import (
     kuhn_triangulate_cube,
     max_star_mesh,
 )
-from meandim import geometry, widthmaps
+from meandim import widthmaps
+from meandim.serialize import format_fraction
 from meandim.widthmaps import (
     FlagPoint,
     KuhnWidthPipeline,
     barycentric_from_cube,
-    bucket_width_map,
     cube_width_map,
     grid_for_mesh,
     partition_map,
@@ -79,78 +78,80 @@ def fiber_points_exist(wm, t):
     return bool(wm.admissible(frozenset(i + 1 for i, ti in enumerate(t) if ti > 0)))
 
 
-def bent_path():
-    K = SimplicialComplex.from_maximal([0, 1, 2], [[0, 1], [1, 2]])
-    return realize(K, {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(1), F(1))})
+def bucket_map(G, m, eps, mesh_scale):
+    """The partition map on the dimension buckets of G's subdivision, with
+    G's measured star mesh as its premise, as cube_width_map builds it."""
+    sub = barycentric_subdivide_geometric(G)
+    P = dimension_buckets(sub.complex, m)
+    return partition_map(sub, P, eps, max_star_mesh(G), mesh_scale, G.complex.dim)
+
+
+def square_map():
+    """The bucket map on the subdivided Kuhn square on the 1/3 grid, whose
+    star mesh is 2/3, certified at scale 1."""
+    return bucket_map(kuhn_triangulate_cube(2, 3), 2, F(1), F(1))
+
+
+def standard_two_simplex():
+    K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
+    return realize(K, {v: tuple(F(int(u == v)) for u in "abc") for v in "abc"})
 
 
 class TestPartitionMap:
-    def test_edge_split_by_endpoints(self):
-        wm = partition_map(
-            unit_edge(),
-            VertexPartition((frozenset({"a"}), frozenset({"b"}))),
-            F(2),
-        )
-        cert = wm.fiber_certificate((F(1, 2), F(1, 2)))
+    @staticmethod
+    def _check_edge_fiber(wm, t, points, seed):
+        cert = wm.fiber_certificate(t)
         assert cert.target_dim == 0
-        rng = random.Random(0)
-        x = as_barycentric(cert.domain.sample(rng))
-        # the fiber over the midpoint is the midpoint itself
-        assert x.realize(wm.geometry) == (F(1, 2),)
-        assert eval_simplicial_map(wm.block_of, standard_simplex(wm.m), x) == (F(1, 2), F(1, 2))
+        target = standard_simplex(wm.m)
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(20):
+            x = as_barycentric(cert.domain.sample(rng))
+            seen.add(x.realize(wm.geometry))
+            assert eval_simplicial_map(wm.block_of, target, x) == t
+        assert seen == points
+
+    def test_unit_edge_fibers(self):
+        # the subdivided edge keeps its endpoints in bucket 1 and puts its
+        # midpoint in bucket 2; the fiber over the second vertex is the midpoint
+        wm = bucket_map(unit_edge(), 2, F(2), F(2))
+        assert wm.partition.blocks == (frozenset({("a",), ("b",)}), frozenset({("a", "b")}))
+        self._check_edge_fiber(wm, (F(0), F(1)), {(F(1, 2),)}, 0)
+
+    def test_edge_split_by_endpoints(self):
+        # over the barycentre of the target edge the fiber picks the middle
+        # point of each half of the subdivided edge
+        wm = bucket_map(unit_edge(), 2, F(2), F(2))
+        self._check_edge_fiber(wm, (F(1, 2), F(1, 2)), {(F(1, 4),), (F(3, 4),)}, 0)
+
+    def test_vertex_target_fiber(self):
+        # the fiber over the first vertex is the two endpoints
+        wm = bucket_map(unit_edge(), 2, F(2), F(2))
+        self._check_edge_fiber(wm, (F(1), F(0)), {(F(0),), (F(1),)}, 1)
 
     def test_mesh_hypothesis_enforced(self):
-        with pytest.raises(PreconditionError, match="star mesh hypothesis fails"):
-            partition_map(
-                unit_edge(),
-                VertexPartition((frozenset({"a"}), frozenset({"b"}))),
-                F(1, 2),
-            )
-        # G's own stars are below eps = 2, but the inherited bound is not
-        with pytest.raises(PreconditionError, match="inherited star mesh bound 3"):
-            partition_map(
-                bent_path(),
-                VertexPartition((frozenset({0, 1}), frozenset({2}))),
-                F(2),
-                inherited_mesh=3,
-            )
+        # the unit edge's star mesh is 1
+        with pytest.raises(PreconditionError, match="inherited star mesh bound 1 is not below 1/2"):
+            bucket_map(unit_edge(), 2, F(1, 2), F(1, 2))
 
     def test_partition_must_cover_exactly_the_vertices(self):
         # the only check that gives every vertex a block in 1..m
-        for blocks in (({"a"}, set()), ({"a"}, {"b", "c"})):
+        sub = barycentric_subdivide_geometric(unit_edge())
+        ends = {("a",), ("b",)}
+        for blocks in ((ends, set()), (ends, {("a", "b"), "c"})):
             P = VertexPartition(tuple(map(frozenset, blocks)))
             with pytest.raises(PreconditionError, match="does not cover"):
-                partition_map(unit_edge(), P, F(2))
-
-    def test_vertex_target_fiber(self):
-        wm = partition_map(
-            unit_edge(),
-            VertexPartition((frozenset({"a"}), frozenset({"b"}))),
-            F(2),
-        )
-        cert = wm.fiber_certificate((F(1), F(0)))
-        assert cert.target_dim == 0
-        rng = random.Random(1)
-        x = as_barycentric(cert.domain.sample(rng))
-        assert x.realize(wm.geometry) == (F(0),)
-        assert eval_simplicial_map(wm.block_of, standard_simplex(wm.m), x) == (F(1), F(0))
+                partition_map(sub, P, F(2), F(1), F(2), 1)
 
     def test_simpliciality(self):
-        wm = partition_map(
-            unit_edge(),
-            VertexPartition((frozenset({"a"}), frozenset({"b"}))),
-            F(2),
-        )
+        wm = square_map()
         target = standard_simplex(wm.m).complex
         for s in wm.geometry.complex.simplices:
             image = frozenset(wm.block_of[v] for v in s)
             assert image in target.simplices
 
     def test_fiber_points_evaluate_back_to_target(self):
-        G = kuhn_triangulate_cube(2, 3)
-        sub = barycentric_subdivide_geometric(G)
-        P = dimension_buckets(G.complex, 2)
-        wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
+        wm = square_map()
         target = standard_simplex(wm.m)
         rng = random.Random(5)
         for _ in range(10):
@@ -162,49 +163,38 @@ class TestPartitionMap:
                 assert eval_simplicial_map(wm.block_of, target, x) == t
 
     def test_retraction_passes_fiber_check(self):
-        G = kuhn_triangulate_cube(2, 3)
-        sub = barycentric_subdivide_geometric(G)
-        P = dimension_buckets(G.complex, 2)
-        wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
-        cert = wm.fiber_certificate((F(1, 3), F(2, 3)))
+        cert = square_map().fiber_certificate((F(1, 3), F(2, 3)))
         record = check_certificate(cert, trials=300, seed=7)
         assert record.status == "sampled-only"
 
-
-class TestBucketWidthMap:
     def test_constant_map_m1(self):
-        wm = bucket_width_map(unit_edge(), 1, F(3), F(3))
+        wm = bucket_map(unit_edge(), 1, F(3), F(3))
         assert wm.m == 1
         cert = wm.fiber_certificate((F(1),))
         assert cert.target_dim <= 1  # vacuous bound dim K / 1
 
     def test_two_simplex_m2(self):
-        K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
-        coords = {
-            "a": (F(1), F(0), F(0)),
-            "b": (F(0), F(1), F(0)),
-            "c": (F(0), F(0), F(1)),
-        }
-        wm = bucket_width_map(realize(K, coords), 2, F(1, 2), F(1, 2))
-        rng = random.Random(2)
-        for _ in range(8):
-            raw = sorted(rng.randint(0, 8) for _ in range(1))
-            t1 = F(raw[0], 8)
-            cert = wm.fiber_certificate((t1, 1 - t1))
+        wm = bucket_map(standard_two_simplex(), 2, F(2), F(2))
+        for k in range(9):
+            cert = wm.fiber_certificate((F(k, 8), 1 - F(k, 8)))
             assert cert.target_dim <= 1
             assert all_structural_discharged(cert)
 
+
+class TestBucketFibers:
+    """Bucket fibers of the cube width map."""
+
     def test_empty_bucket_gives_an_empty_fiber(self):
-        # the unit edge has simplices of dimensions 0 and 1 only, so of
-        # three dimension buckets the middle one holds no vertex
-        wm = bucket_width_map(unit_edge(), 3, F(3), F(3))
-        assert wm.partition.blocks[1] == frozenset()
-        cert = wm.fiber_certificate((F(0), F(1), F(0)))
+        # the subdivided 1-cube has vertices of dimensions 0 and 1 only, so
+        # of three dimension buckets the middle one holds no vertex
+        wm = cube_width_map(1, 3, F(3))
+        assert wm.inner.partition.blocks[1] == frozenset()
+        cert = wm.fiber_certificate(cube_from_barycentric((F(0), F(1), F(0))))
         assert cert.target_dim == 0
         assert cert.obligations == (structural_record("empty-fiber"),)
 
     def test_non_barycentric_target_refused(self):
-        wm = bucket_width_map(unit_edge(), 3, F(3), F(3))
+        wm = cube_width_map(1, 3, F(3)).inner
         for t in (
             (F(1, 2), F(1, 2), F(1, 2)),  # sums to 3/2
             (F(-1), F(1), F(1)),  # a negative weight
@@ -220,27 +210,15 @@ class TestBucketWidthMap:
         assert bucket_dimension_bound(2, 3, 1) == 0
         assert bucket_dimension_bound(2, 3, 2) == 0
         assert bucket_dimension_bound(2, 3, 3) == 0
-        K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
-        coords = {
-            "a": (F(1), F(0), F(0)),
-            "b": (F(0), F(1), F(0)),
-            "c": (F(0), F(0), F(1)),
-        }
-        wm = bucket_width_map(realize(K, coords), 3, F(1, 2), F(1, 2))
+        wm = cube_width_map(2, 3, F(8, 3)).inner  # grid 4
         for t in _simplex_grid(3):
             if fiber_points_exist(wm, t):
                 assert wm.fiber_certificate(t).target_dim <= 0
 
     def test_fiber_bound_monotone_in_m(self):
-        K = SimplicialComplex.from_maximal(["a", "b", "c"], [["a", "b", "c"]])
-        coords = {
-            "a": (F(1), F(0), F(0)),
-            "b": (F(0), F(1), F(0)),
-            "c": (F(0), F(0), F(1)),
-        }
         dims = []
-        for m in (1, 2, 3):
-            wm = bucket_width_map(realize(K, coords), m, F(1, 2), F(1, 2))
+        for m in (2, 3, 4):
+            wm = cube_width_map(2, m, F(8, 3)).inner  # grid 4
             certs = [
                 wm.fiber_certificate(t)
                 for t in _simplex_grid(m)
@@ -250,32 +228,37 @@ class TestBucketWidthMap:
         assert dims[0] >= dims[1] >= dims[2]
 
 
-class TestStarMeshCount:
-    """The star mesh is measured once per refinement round, and the
-    subdivision inherits the last value."""
+class TestStarMeshPremise:
+    """The Kuhn grid's star mesh is 2/g, below eps/4 at the grid the cube
+    map picks, so the map measures it once and the subdivision inherits it."""
 
-    @pytest.fixture
-    def mesh_calls(self, monkeypatch):
+    def test_cube_width_map_measures_the_grid_once(self, monkeypatch):
         calls = []
-        real = geometry.max_star_mesh
+        real = widthmaps.max_star_mesh
 
         def counted(G):
             calls.append(G)
             return real(G)
 
-        for module in (geometry, widthmaps):
-            monkeypatch.setattr(module, "max_star_mesh", counted)
-        return calls
-
-    def test_cube_width_map_measures_the_grid_once(self, mesh_calls):
+        monkeypatch.setattr(widthmaps, "max_star_mesh", counted)
         cube_width_map(2, 2, F(1, 2))
-        assert len(mesh_calls) == 1
+        assert len(calls) == 1
 
-    def test_bucket_width_map_measures_once_per_round(self, mesh_calls):
-        # the unit edge's meshes go 1 -> 1 -> 1/2 -> 1/4, so getting below
-        # 3/10 takes three rounds
-        bucket_width_map(unit_edge(), 2, F(3, 10), F(3, 10))
-        assert len(mesh_calls) == 3 + 1
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_kuhn_star_mesh_is_two_over_the_grid(self, n):
+        for g in range(1, 9):
+            assert max_star_mesh(kuhn_triangulate_cube(n, g)) == min(1, F(2, g))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from((1, 2)), data=st.data())
+    def test_grid_mesh_is_below_the_scale_and_is_the_payload_mesh(self, n, data):
+        low = F(1, 64) if n == 1 else F(1, 2)  # grids up to 513 and 17
+        eps = data.draw(st.fractions(low, 8, max_denominator=64))
+        g = grid_for_mesh(eps / 4)
+        mesh = min(1, F(2, g))
+        assert mesh < eps / 4
+        payload = cube_width_map(n, 2, eps).to_json_dict()
+        assert (payload["grid"], payload["mesh"]) == (g, format_fraction(mesh))
 
 
 def _simplex_grid(m, steps=4):
@@ -599,10 +582,8 @@ class TestBlockPipeline:
 @given(n=st.sampled_from((1, 2)), g=st.sampled_from((1, 2, 3)), m=st.integers(2, 3),
        data=st.data())
 def test_admissible_lists_match_the_full_sort_grouping(n, g, m, data):
-    G = kuhn_triangulate_cube(n, g)
-    P = dimension_buckets(G.complex, m)
-    sub = barycentric_subdivide_geometric(G)
-    wm = partition_map(sub, P, F(3), inherited_mesh=max_star_mesh(G))
+    wm = bucket_map(kuhn_triangulate_cube(n, g), m, F(3), F(3))
+    sub, P = wm.geometry, wm.partition
     block_of = {v: i for i, block in enumerate(P.blocks, start=1) for v in block}
     grouped = {}
     for s in sub.complex.iter_simplices():
@@ -734,17 +715,9 @@ def test_chain_free_bucket_sums_match_the_located_flag(data, n, m, g):
     assert tuple(F(c, den) for c in image) == cube_from_numerators(sums, res)
 
 
-@cache
-def subdivided_square():
-    """The subdivided Kuhn square on the 1/3 grid and its dimension buckets."""
-    G = kuhn_triangulate_cube(2, 3)
-    return barycentric_subdivide_geometric(G), dimension_buckets(G.complex, 2)
-
-
 def test_admissible_and_vertex_order_match_index_sorts():
-    sub, P = subdivided_square()
-    wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
-    K = sub.complex
+    wm = square_map()
+    P, K = wm.partition, wm.geometry.complex
     block_of = wm.block_of
     for s in K.simplices:
         assert K.sorted_simplex(s) == tuple(sorted(s, key=K.vertices.index))
@@ -783,8 +756,8 @@ class TestPartitionFiberIntegers:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), k=st.integers(0, 8))
     def test_retract_and_dist_match_fraction_formulas(self, seed, k):
-        sub, P = subdivided_square()
-        wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
+        wm = square_map()
+        sub = wm.geometry
         t = (F(k, 8), 1 - F(k, 8))
         assume(fiber_points_exist(wm, t))
         cert = wm.fiber_certificate(t)
@@ -803,9 +776,7 @@ class TestPartitionFiberIntegers:
             assert type(got) is type(expected) and got == expected
 
     def test_sample_and_retract_build_none_and_distances_one(self, request):
-        sub, P = subdivided_square()
-        wm = partition_map(sub, P, F(1), inherited_mesh=F(2, 3), bucket_source_dim=2)
-        cert = wm.fiber_certificate((F(1, 3), F(2, 3)))
+        cert = square_map().fiber_certificate((F(1, 3), F(2, 3)))
         rng = random.Random(61)
         built = request.getfixturevalue("fraction_count")
         points = [cert.domain.sample(rng) for _ in range(20)]
