@@ -12,6 +12,12 @@ into a complex of the stated dimension. Obligations come in two kinds:
   bound from a non-strict one, and no certificate ever asserts a lower bound
   (finite samples are zero-dimensional).
 
+The one composite certificate is a chain of block certificates laid end to
+end in time (chain_fiber_certificate): its target is the product of the
+block targets, so their dimensions add. A structural re-check reads every
+integer and rational in the one spelling its record writes (str and
+format_fraction), and a dimension, count or factor is never negative.
+
 Certificates are immutable; sampling derives one seed per trial from the
 root seed, so results do not depend on execution order.
 """
@@ -19,13 +25,13 @@ root seed, so results do not depend on execution order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from .complexes import bucket_dimension_bound
 from .errors import MeanDimError, PreconditionError, Value
-from .serialize import format_fraction, parse_fraction, to_jsonable
+from .serialize import format_fraction, to_jsonable
 
 STRUCTURAL = "STRUCTURAL"
 SAMPLED = "SAMPLED"
@@ -131,23 +137,39 @@ CITATIONS = {
 }
 
 
-def _check_strictly_below(a_key, b_key):
-    def check(data):
-        return parse_fraction(data[a_key]) < parse_fraction(data[b_key])
+def _int(text: str) -> int:
+    """The integer that `text` spells as str() writes it: int() alone also
+    reads spaces, signs and underscores."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"not a canonical integer: {text!r}")
+    return value
 
-    return check
+
+def _rational(text: str) -> Fraction:
+    """The rational that `text` spells as format_fraction writes it: "p/q"
+    in lowest terms with q > 1, or "p"."""
+    num, _, den = text.partition("/")
+    value = Fraction(int(num), int(den or 1))
+    if format_fraction(value) != text:
+        raise ValueError(f"not a canonical rational: {text!r}")
+    return value
+
+
+def _check_bookkeeping(data):
+    return 0 <= _int(data["total_dim"]) < _rational(data["bound"])
 
 
 def _check_sum(data):
-    factors = [parse_fraction(x) for x in data["factors"].split(";") if x]
-    return sum(factors, Fraction(0)) == parse_fraction(data["total"])
+    factors = [_int(x) for x in data["factors"].split(";")]
+    return min(factors) >= 0 and sum(factors) == _int(data["total"])
 
 
 def _check_chain_partition(data):
     # positive blocks laid end to end from `start` cover [-margin, N + margin)
     # when the first one contains -margin and the last one N + margin - 1
-    lengths = [int(x) for x in data["lengths"].split(";") if x]
-    start, margin, n = int(data["start"]), int(data["margin"]), int(data["N"])
+    lengths = [_int(x) for x in data["lengths"].split(";")]
+    start, margin, n = _int(data["start"]), _int(data["margin"]), _int(data["N"])
     end = start + sum(lengths)
     return (
         min(lengths) > 0
@@ -158,20 +180,20 @@ def _check_chain_partition(data):
 
 def _check_bucket_dimension(data):
     # bucket_dimension_bound refuses a negative source dimension
-    return 0 <= int(data["dim"]) <= bucket_dimension_bound(
-        int(data["source_dim"]), int(data["m"]), int(data["bucket"])
+    return 0 <= _int(data["dim"]) <= bucket_dimension_bound(
+        _int(data["source_dim"]), _int(data["m"]), _int(data["bucket"])
     )
 
 
 def _check_scale_relaxation(data):
-    return parse_fraction(data["from_scale"]) <= parse_fraction(data["to_scale"])
+    return _rational(data["from_scale"]) <= _rational(data["to_scale"])
 
 
 def _check_tail_rule(data):
     # 2^-M < p/q iff q < p * 2^M, which holds for any p >= 1 once 2^M > q
-    margin = int(data["margin"])
-    threshold = parse_fraction(data["threshold"])
-    tail = parse_fraction(data["two_sided_tail"])
+    margin = _int(data["margin"])
+    threshold = _rational(data["threshold"])
+    tail = _rational(data["two_sided_tail"])
     if margin < 0 or threshold <= 0 or tail <= 0:
         return False
     # the reduced tail a/b is 4/2^M iff a and b are powers of two with
@@ -184,10 +206,10 @@ def _check_tail_rule(data):
 
 
 def _check_visit_count(data):
-    total = int(data["wedge_dim"])
-    return total == int(data["n"]) * int(data["cone_dim"]) + int(
-        data["count_bound"]
-    ) * int(data["global_cone_dim"])
+    n, cone, count, cone_global, total = (
+        _int(data[k]) for k in ("n", "cone_dim", "count_bound", "global_cone_dim", "wedge_dim")
+    )
+    return min(n, cone, count, cone_global) >= 0 and total == n * cone + count * cone_global
 
 
 def _check_disjoint(data):
@@ -197,19 +219,21 @@ def _check_disjoint(data):
 def _check_subsampled_visits(data):
     # the subsampled count never beats the full-orbit count, which the best
     # cycle mean bounds up to one traversal of the graph
-    horizon = int(data["steps"]) * int(data["step_length"])
-    bound = parse_fraction(data["complement_ocap"]) * horizon + int(data["graph_size"])
-    return Fraction(int(data["count_bound"])) <= bound
+    steps, length, size, count = (
+        _int(data[k]) for k in ("steps", "step_length", "graph_size", "count_bound")
+    )
+    bound = _rational(data["complement_ocap"]) * steps * length + size
+    return min(steps, length, size, count) >= 0 and count <= bound
 
 
 def _check_inherited_mesh(data):
-    return 0 <= parse_fraction(data["parent_mesh"]) < parse_fraction(data["scale"])
+    return 0 <= _rational(data["parent_mesh"]) < _rational(data["scale"])
 
 
 def _check_grid_mesh(data):
-    g = int(data["grid"])
-    bound = parse_fraction(data["bound"])
-    return g >= 1 and bound == Fraction(2, g) and bound < parse_fraction(data["scale"])
+    g = _int(data["grid"])
+    bound = _rational(data["bound"])
+    return g >= 1 and bound == Fraction(2, g) and bound < _rational(data["scale"])
 
 
 STRUCTURAL_CHECKS = {
@@ -219,7 +243,7 @@ STRUCTURAL_CHECKS = {
     "chain-itinerary-covers-range": _check_chain_partition,
     "bucket-dimension-bound": _check_bucket_dimension,
     "scale-relaxation": _check_scale_relaxation,
-    "dimension-bookkeeping": _check_strictly_below("total_dim", "bound"),
+    "dimension-bookkeeping": _check_bookkeeping,
     "window-tail-rule": _check_tail_rule,
     "wedge-dimension-count": _check_visit_count,
     "windows-pairwise-disjoint": _check_disjoint,
@@ -251,8 +275,8 @@ def recheck_structural(record: DischargeRecord) -> bool:
 class MetricSpaceHandle:
     """A point universe with an exact metric and a seeded sampler.
 
-    kind is a short tag ("geometric-complex", "finite-cloud",
-    "cylinder-block", "product", ...); dist may return an exact lower bound
+    kind is a short tag ("geometric-complex", "factor-map-fiber",
+    "product", ...); dist may return an exact lower bound
     for window-restricted dynamical metrics, which keeps violation reports
     sound (a reported violation is a real one).
     """
@@ -276,19 +300,6 @@ def flat_linf(a, b):
     return abs(a - b)
 
 
-def product_handle(*handles: MetricSpaceHandle) -> MetricSpaceHandle:
-    """Product space under the max of the factor metrics. A product point is
-    the flat tuple of its factor points, one per handle."""
-    if not handles:
-        raise PreconditionError("a product needs at least one factor")
-    return MetricSpaceHandle(
-        kind="product",
-        description=" x ".join(f"({h.description})" for h in handles),
-        dist=lambda a, b: max(h.dist(p, q) for h, p, q in zip(handles, a, b)),
-        sample=lambda rng: tuple(h.sample(rng) for h in handles),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class EpsEmbeddingCertificate:
     """Claim: the evaluator is an epsilon-embedding of the domain into a
@@ -308,9 +319,6 @@ class EpsEmbeddingCertificate:
         if Fraction(self.epsilon) <= 0:
             raise PreconditionError("epsilon must be positive")
 
-    def with_records(self, *records) -> "EpsEmbeddingCertificate":
-        return replace(self, obligations=self.obligations + tuple(records))
-
     def to_json_dict(self) -> dict:
         return {
             "kind": "eps-embedding-certificate",
@@ -321,110 +329,51 @@ class EpsEmbeddingCertificate:
         }
 
 
-def _product_factors(cert: EpsEmbeddingCertificate):
-    for r in cert.obligations:
-        if r.name == "product-dims-additive":
-            return [int(parse_fraction(x)) for x in r.data_dict["factors"].split(";") if x]
-    return [cert.target_dim]
-
-
-def product_certificate(*certs: EpsEmbeddingCertificate) -> EpsEmbeddingCertificate:
-    """Combine certificates over the max-product metric; dimensions add.
-
-    A product point is the flat tuple of its factor points, one per
-    certificate, and the evaluator maps it factor by factor. The factor list
-    in the bookkeeping record flattens a factor that is itself a product, so
-    nesting order does not change the obligation set; a single unflattened
-    factor has no sum to record and keeps its obligations as they are.
-    """
-    domain = product_handle(*(c.domain for c in certs))  # raises on no factors
-    eps = Fraction(certs[0].epsilon)
-    if any(Fraction(c.epsilon) != eps for c in certs[1:]):
-        raise PreconditionError("mismatched epsilon")
-    factors = [f for c in certs for f in _product_factors(c)]
-    base = tuple(
-        r for c in certs for r in c.obligations if r.name != "product-dims-additive"
-    )
-    if len(factors) > 1:
-        base += (
-            structural_record(
-                "product-dims-additive",
-                factors=";".join(str(f) for f in factors),
-                total=str(sum(factors)),
-            ),
-        )
-    evaluators = [c.evaluator for c in certs]
-    dists = [c.target_dist for c in certs]
-    return EpsEmbeddingCertificate(
-        domain=domain,
-        target_dim=sum(c.target_dim for c in certs),
-        epsilon=eps,
-        evaluator=lambda xs: tuple(ev(x) for ev, x in zip(evaluators, xs)),
-        obligations=base,
-        target_dist=lambda a, b: max(d(p, q) for d, p, q in zip(dists, a, b)),
-    )
-
-
-def relax_scale(cert: EpsEmbeddingCertificate, new_epsilon, **extra) -> EpsEmbeddingCertificate:
-    """Weaken the claim to a larger scale (fibers below the old scale stay
-    below the new one). Extra data rides along on the record."""
-    new_epsilon = Fraction(new_epsilon)
-    if new_epsilon < Fraction(cert.epsilon):
-        raise PreconditionError("can only relax toward a larger scale")
-    record = structural_record(
-        "scale-relaxation",
-        from_scale=format_fraction(Fraction(cert.epsilon)),
-        to_scale=format_fraction(new_epsilon),
-        **extra,
-    )
-    return replace(
-        cert, epsilon=new_epsilon, obligations=cert.obligations + (record,)
-    )
-
-
 def chain_fiber_certificate(
-    domain: MetricSpaceHandle,
-    shift,
-    block_certs,
-    N: int,
-    start: int = 0,
-    margin: int = 0,
+    domain: MetricSpaceHandle, shift, block_certs, N: int, start: int, margin: int
 ) -> EpsEmbeddingCertificate:
     """Cover the time range [-margin, N + margin) by consecutive blocks, the
     first one at offset `start`, and embed the domain into the product of
-    the per-block targets.
+    the per-block targets, whose dimensions add.
 
-    block_certs lists (certificate, block_length) in time order; a block
-    that recurs is listed again. The blocks laid end to end from `start`
-    must cover the range: the first one contains -margin and the last one
-    N + margin - 1. shift(x, t) is x seen from time t.
+    block_certs lists (certificate, block_length) in time order, all at one
+    scale; a block that recurs is listed again. The blocks laid end to end
+    from `start` must cover the range: the first one contains -margin and
+    the last one N + margin - 1. shift(x, t) is x seen from time t.
 
-    The result is product_certificate over the blocks, with the given
-    domain: x maps to the flat tuple of block images, one per block, the
-    block at offset t evaluated on shift(x, t). The
-    chain-itinerary-covers-range record goes last; build and verify check it
-    with the same rule.
+    x maps to the flat tuple of block images, one per block, the block at
+    offset t evaluated on shift(x, t), and the target metric is the max of
+    the block metrics. The obligations are the blocks' own records, then
+    product-dims-additive over two or more blocks, then
+    chain-itinerary-covers-range, which build and verify check with the
+    same rule.
     """
     if not block_certs:
         raise PreconditionError("no blocks to chain")
     certs, lengths = zip(*block_certs)
+    eps = Fraction(certs[0].epsilon)
+    if any(Fraction(c.epsilon) != eps for c in certs[1:]):
+        raise PreconditionError("mismatched epsilon")
     chain_record = structural_record(
-        "chain-itinerary-covers-range",
-        lengths=";".join(str(l) for l in lengths),
-        start=start,
-        margin=margin,
-        N=N,
+        "chain-itinerary-covers-range", lengths=";".join(map(str, lengths)), start=start,
+        margin=margin, N=N,
     )
     if not _check_chain_partition(chain_record.data_dict):
         raise PreconditionError("block offsets inconsistent with block lengths")
-    offsets = list(accumulate(lengths[:-1], initial=start))
-    product = product_certificate(*certs)
-    evaluate = product.evaluator
-    return replace(
-        product,
-        domain=domain,
-        evaluator=lambda x: evaluate(tuple(shift(x, off) for off in offsets)),
-        obligations=product.obligations + (chain_record,),
+    dims = [c.target_dim for c in certs]
+    obligations = tuple(r for c in certs for r in c.obligations)
+    if len(dims) > 1:
+        factors = ";".join(map(str, dims))
+        obligations += (
+            structural_record("product-dims-additive", factors=factors, total=sum(dims)),
+        )
+    blocks = tuple(zip(accumulate(lengths[:-1], initial=start), (c.evaluator for c in certs)))
+    dists = [c.target_dist for c in certs]
+    return EpsEmbeddingCertificate(
+        domain, sum(dims), eps,
+        lambda x: tuple(evaluate(shift(x, t)) for t, evaluate in blocks),
+        obligations + (chain_record,),
+        lambda a, b: max(d(p, q) for d, p, q in zip(dists, a, b)),
     )
 
 

@@ -29,6 +29,7 @@ from .certificates import (
     DischargeRecord,
     check_certificate,
     recheck_structural,
+    structural_record,
 )
 from .counterexample import (
     CSV_HEADER,
@@ -336,10 +337,9 @@ def _raise_on_count_violations(payload: dict):
     """A count report with violations fails its nonzero-count-bound."""
     if payload["violations"]:
         raise ObligationFailedError(
-            DischargeRecord(
-                "nonzero-count-bound", STRUCTURAL, FAILED,
-                (("max_count", str(payload["max_count"])),),
-                witness=("count bound violated",),
+            structural_record(
+                "nonzero-count-bound", FAILED, ("count bound violated",),
+                max_count=payload["max_count"],
             )
         )
 
@@ -410,12 +410,9 @@ def verify_artifact(path: str) -> VerifyCounts:
     recomputed = canonical_json(rebuilt)
     if original != recomputed:
         raise ObligationFailedError(
-            DischargeRecord(
-                name="artifact-reproduction",
-                kind="STRUCTURAL",
-                status=FAILED,
-                data=(("path", str(path)),),
-                witness=("payload does not match recompute from recipe",),
+            structural_record(
+                "artifact-reproduction", FAILED,
+                ("payload does not match recompute from recipe",), path=path,
             )
         )
     if kind == "count-report":

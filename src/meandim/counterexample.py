@@ -8,10 +8,10 @@ way in: CounterexampleParams(delta, eps, horizon, seed) derives every
 parameter, and FactorMapInstance(params) builds the tower and the width map
 from them. Two quantitative bounds are certified exactly at every finite
 horizon: the count of nonzero image entries per window, and the fiber-dimension
-bookkeeping through block products. A fiber's certified dimension depends
-only on its blocks' buckets, so the largest one over every state is a closed
-form (CounterexampleParams.max_fiber_dim), which the ratio reports read
-without drawing a state.
+bookkeeping over a chain of blocks, whose dimensions add. A fiber's certified
+dimension depends only on its blocks' buckets, so the largest one over every
+state is a closed form (CounterexampleParams.max_fiber_dim), which the ratio
+reports read without drawing a state.
 
 A sampled state is an IntegerWindow of numerators over 64, and every block
 reaches the width map as its slice of numerators: the fiber certificate
@@ -45,7 +45,6 @@ from .certificates import (
     MetricSpaceHandle,
     chain_fiber_certificate,
     randint_draws,
-    relax_scale,
     structural_record,
 )
 from .errors import FrozenStruct, PreconditionError, Struct, Value
@@ -359,7 +358,9 @@ def fiber_dimension_certificate(inst: FactorMapInstance, state) -> EpsEmbeddingC
     certificates over the complete blocks that meet [-M, N + M), with exact
     dimension bookkeeping strictly below (N + 2M + 2L')/m; its
     dimension-bookkeeping record is FAILED, with a witness, where the
-    chain's dimension is not below that bound.
+    chain's dimension is not below that bound. The chain holds at half the
+    scale; the certificate claims eps, with scale-relaxation,
+    coordinate-projection, window-tail-rule and dimension-bookkeeping last.
 
     A fiber point is a FiberPoint over the instance's window. The sampler
     draws its free head coordinates, then each complete block's flag from
@@ -420,20 +421,15 @@ def fiber_dimension_certificate(inst: FactorMapInstance, state) -> EpsEmbeddingC
     )
     bound = p.fiber_dim_bound()
     below = chain.target_dim < bound
-    final = relax_scale(
-        chain,
-        p.eps,
-        block_scale=format_fraction(half),
-        mesh_scale=format_fraction(quarter),
-        two_sided_tail=format_fraction(two_sided_tail(p.margin)),
-    )
-    return final.with_records(
+    tail = two_sided_tail(p.margin)
+    records = (
+        structural_record(
+            "scale-relaxation", from_scale=chain.epsilon, to_scale=p.eps,
+            block_scale=half, mesh_scale=quarter, two_sided_tail=tail,
+        ),
         structural_record("coordinate-projection"),
         structural_record(
-            "window-tail-rule",
-            margin=p.margin,
-            threshold=format_fraction(half),
-            two_sided_tail=format_fraction(two_sided_tail(p.margin)),
+            "window-tail-rule", margin=p.margin, threshold=half, two_sided_tail=tail
         ),
         structural_record(
             "dimension-bookkeeping",
@@ -441,9 +437,13 @@ def fiber_dimension_certificate(inst: FactorMapInstance, state) -> EpsEmbeddingC
             None if below else ("fiber dimension bound violated",),
             total_dim=chain.target_dim,
             window_length=len(cert_starts) * period,
-            bound=format_fraction(bound),
+            bound=bound,
             m=p.m,
         ),
+    )
+    return EpsEmbeddingCertificate(
+        fiber_domain, chain.target_dim, p.eps, chain.evaluator,
+        chain.obligations + records, chain.target_dist,
     )
 
 

@@ -7,8 +7,8 @@ The package's value classes write their `__init__` out and take repr,
 equality, hashing and immutability from the bases below, which behave as
 the methods `@dataclass` generates. `@dataclass` builds each of those with
 its own `exec()` at import, which every command would pay for; only the two
-certificate classes that callers copy with `dataclasses.replace` stay
-dataclasses.
+certificate classes that the benchmark's tracer copies with
+`dataclasses.replace` stay dataclasses.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .certificates import FAILED, STRUCTURAL, DischargeRecord
+from .certificates import FAILED, structural_record
 from .errors import (
     BudgetExceededError,
     FrozenStruct,
@@ -27,7 +27,6 @@ from .errors import (
     PreconditionError,
     Value,
 )
-from .serialize import format_fraction
 
 # the most words Sft.words materializes at any length, and the longest window
 # it accepts; the benchmark's word graphs have a few hundred nodes
@@ -532,11 +531,10 @@ def ocap_limit(sft: Sft, A: CylinderSet) -> OcapResult:
     visits = sum(weights[v] for v in cycle)
     if visits * mean.denominator != mean.numerator * len(cycle):
         raise ObligationFailedError(
-            DischargeRecord(
-                "critical-cycle-mean", STRUCTURAL, FAILED,
-                (("cycle_length", str(len(cycle))), ("cycle_visits", str(visits)),
-                 ("mean", format_fraction(mean))),
-                witness=("witness cycle mean differs from the maximum cycle mean",),
+            structural_record(
+                "critical-cycle-mean", FAILED,
+                ("witness cycle mean differs from the maximum cycle mean",),
+                cycle_length=len(cycle), cycle_visits=visits, mean=mean,
             )
         )
     rotation = min(range(len(cycle)), key=lambda i: words[cycle[i]])

@@ -8,11 +8,7 @@ from fractions import Fraction
 
 import acceptance_report
 
-from meandim.certificates import (
-    check_certificate,
-    chain_fiber_certificate,
-    product_certificate,
-)
+from meandim.certificates import check_certificate, chain_fiber_certificate
 from meandim.cli import main
 from meandim.complexes import (
     SimplicialComplex,
@@ -166,15 +162,19 @@ def test_criterion_7_certificate_algebra():
         pts = [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
         return finite_cloud_handle(pts)
 
+    def line():
+        return finite_cloud_handle([(F(i, 4),) for i in range(5)])
+
     for _ in range(100):
         eps = F(1, rng.randint(2, 8))
         d1, d2 = rng.randint(0, 4), rng.randint(0, 4)
-        c1 = identity_certificate(cloud(), d1, eps)
-        c2 = identity_certificate(cloud(), d2, eps)
-        prod = product_certificate(c1, c2)
+        c1 = identity_certificate(line(), d1, eps)
+        c2 = identity_certificate(line(), d2, eps)
+        # two blocks of length 1, each reading one coordinate of the cloud
+        prod = chain_fiber_certificate(cloud(), lambda x, t: x[t], [(c1, 1), (c2, 1)], 2, 0, 0)
         assert prod.target_dim == d1 + d2
         pulled = pullback_certificate(
-            prod, cloud(), lambda x: (x, x), witness="isometric-inclusion"
+            prod, cloud(), lambda x: x, witness="isometric-inclusion"
         )
         assert pulled.target_dim == prod.target_dim
         assert pulled.epsilon == prod.epsilon
@@ -185,9 +185,7 @@ def test_criterion_7_certificate_algebra():
         ]
         total = sum(length for _, length in blocks)
         N = rng.randint(max(1, total - blocks[-1][1] + 1), total)
-        chain = chain_fiber_certificate(
-            cloud(), lambda x, t: x, blocks, N
-        )
+        chain = chain_fiber_certificate(cloud(), lambda x, t: x, blocks, N, 0, 0)
         assert chain.target_dim == sum(cert.target_dim for cert, _ in blocks)
         a = max(F(cert.target_dim + 1, length) for cert, length in blocks)
         longest = max(length for _, length in blocks)

@@ -585,6 +585,15 @@ def test_nonpositive_eps_exits_2_naming_eps(workdir, capsys, eps):
     assert "eps must be positive" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def fiber_cert_16(tmp_path_factory):
+    """The text of a one-sample N = 16 fiber-cert artifact."""
+    out = tmp_path_factory.mktemp("fiber16") / "fibers.json"
+    assert main(["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2", "--N", "16",
+                 "--samples", "1", "--trials", "5", "--out", str(out)]) == 0
+    return out.read_text()
+
+
 class TestVerify:
     def test_determinism_byte_identical(self, workdir):
         a, b = workdir / "a.json", workdir / "b.json"
@@ -657,6 +666,40 @@ class TestVerify:
         assert records
         for entry in records:
             entry["data"].update(changes)
+        out.write_text(json.dumps(artifact))
+        assert main(["verify", str(out)]) == 3
+        witness = json.loads((workdir / "meandim-witness.json").read_text())
+        assert witness["obligation"] == name
+        assert {k: witness["data"][k] for k in changes} == changes
+
+    @pytest.mark.parametrize("name, changes", [
+        ("dimension-bookkeeping", {"total_dim": "-5"}),
+        ("product-dims-additive", {"factors": "-3;2", "total": "-1"}),
+        ("star-mesh-grid-bound", {"grid": "1_7"}),
+        ("bucket-dimension-bound", {"source_dim": " 8", "m": "+3"}),
+        ("chain-itinerary-covers-range", {"start": "-0", "margin": "0", "N": "20"}),
+        ("scale-relaxation", {"from_scale": " 1/4"}),
+        # fiber-cert writes neither of these two; verify re-checks every
+        # record it finds, so each is appended to the first certificate
+        ("wedge-dimension-count", {"n": "-1", "cone_dim": "2", "count_bound": "3",
+                                   "global_cone_dim": "1", "wedge_dim": "1"}),
+        ("star-mesh-inherited-bound", {"parent_mesh": "2/34", "scale": "1/8"}),
+    ])
+    def test_noncanonical_or_negative_value_fails_its_record(
+        self, workdir, fiber_cert_16, name, changes
+    ):
+        # every tampered value reads as one that satisfies the record's own
+        # inequality, so only the spelling or sign check catches it before
+        # the reproduction does
+        artifact = json.loads(fiber_cert_16)
+        obligations = artifact["payload"]["certificates"][0]["obligations"]
+        records = [entry for entry in obligations if entry["name"] == name]
+        if not records:
+            records = [{"name": name, "kind": "STRUCTURAL", "status": "discharged", "data": {}}]
+            obligations.extend(records)
+        for entry in records:
+            entry["data"].update(changes)
+        out = workdir / "fibers.json"
         out.write_text(json.dumps(artifact))
         assert main(["verify", str(out)]) == 3
         witness = json.loads((workdir / "meandim-witness.json").read_text())

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from meandim.certificates import (
     _trial_seed,
     check_certificate,
+    chain_fiber_certificate,
     flat_linf,
-    product_certificate,
     recheck_structural,
     sample_fiber_check,
     structural_record,
@@ -529,12 +529,17 @@ class TestFiberCertificate:
                 assert cert.target_dist(a, b) == flat_linf(realized_all(a), realized_all(b))
 
     def test_product_with_one_point_preserves_dim(self):
+        # the fiber and a one-point space as two blocks of length 1
         inst = FactorMapInstance(std_params(N=8))
-        cert = fiber_dimension_certificate(
-            inst, inst.sample_state(random.Random(12))
-        )
+        rng = random.Random(12)
+        cert = fiber_dimension_certificate(inst, inst.sample_state(rng))
         trivial = identity_certificate(one_point_handle(), 0, cert.epsilon)
-        assert product_certificate(cert, trivial).target_dim == cert.target_dim
+        chain = chain_fiber_certificate(
+            cert.domain, lambda x, t: x[t], [(cert, 1), (trivial, 1)], 2, 0, 0
+        )
+        assert chain.target_dim == cert.target_dim
+        point = cert.domain.sample(rng)
+        assert chain.evaluator((point, ())) == (cert.evaluator(point), ())
 
 
 class TestReports:

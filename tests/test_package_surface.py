@@ -58,6 +58,84 @@ KEPT = {
 }
 
 
+# each defaulted parameter, **kwargs and dataclass field default in the
+# package, as module.qualified_name.parameter -> why callers may leave it out
+DEFAULTS = {
+    "certificates.DischargeRecord.__init__.data": "a cited record carries no data",
+    "certificates.DischargeRecord.__init__.witness": "only a failed record carries a witness",
+    "certificates.structural_record.status": "a structural record is built discharged unless "
+    "its premise fails",
+    "certificates.structural_record.witness": "only a failed record carries a witness",
+    "certificates.structural_record.**data": "the record's fields, written canonically",
+    "certificates.sampled_record.witness": "only a failed record carries a witness",
+    "certificates.sampled_record.**data": "the record's fields, written canonically",
+    "certificates.EpsEmbeddingCertificate.obligations": "dataclass field order: it follows "
+    "the required evaluator",
+    "certificates.EpsEmbeddingCertificate.target_dist": "flat max metric, the target metric of "
+    "a map into flat coordinates such as the empty fiber's",
+    "certificates.sample_fiber_check.eta": "None is the recipe's unset eta, read as eps/100",
+    "certificates.sample_fiber_check.trials": "tests sample small clouds without a recipe",
+    "certificates.sample_fiber_check.seed": "tests sample small clouds without a recipe",
+    "certificates.sample_fiber_check.target_dist": "flat max metric, as the certificate's",
+    "certificates.check_certificate.trials": "tests check small certificates without a recipe",
+    "certificates.check_certificate.seed": "tests check small certificates without a recipe",
+    "certificates.check_certificate.eta": "None is the recipe's unset eta, read as eps/100",
+    "cli._load_json.parse": "most input files are read as they are",
+    "cli.main.argv": "None reads sys.argv, as the console script calls it",
+    "counterexample.CounterexampleParams.__init__.seed": "a recipe's seed, 0 when unset",
+    "counterexample.build_sbp_instance.pieces": "None refines the cover; given pieces build "
+    "punctured families",
+    "symbolic.CylinderSet.contains_point.shift": "a point is read unshifted except by the "
+    "wedge-cone evaluator",
+}
+
+
+def defaults():
+    """Each defaulted parameter and **kwargs of a function or lambda in the
+    package, and each field default of a class body, as
+    module.qualified_name.parameter."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                name = f"{prefix}.{child.name}"
+                found.extend(
+                    f"{name}.{item.target.id}"
+                    for item in child.body
+                    if isinstance(item, ast.AnnAssign) and item.value is not None
+                )
+            elif isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+                args = child.args
+                positional = args.posonlyargs + args.args
+                found.extend(
+                    f"{name}.{arg.arg}" for arg in positional[len(positional) - len(args.defaults):]
+                )
+                found.extend(
+                    f"{name}.{arg.arg}"
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                )
+                if args.kwarg:
+                    found.append(f"{name}.**{args.kwarg.arg}")
+            else:
+                name = prefix
+            visit(child, name)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_every_default_has_a_reason():
+    # a new knob fails here until it is listed with why callers may omit it,
+    # and an entry whose default is gone leaves the list
+    found = defaults()
+    assert len(found) == len(set(found))
+    assert sorted(found) == sorted(DEFAULTS)
+
+
 def public_names():
     """Each public top-level function, class and constant (a module-level
     assignment), and each public method of a public class, as
