@@ -157,7 +157,9 @@ def _rational(text: str) -> Fraction:
 
 
 def _check_bookkeeping(data):
-    return 0 <= _int(data["total_dim"]) < _rational(data["bound"])
+    total, bound = _int(data["total_dim"]), _rational(data["bound"])
+    window, m = _int(data["window_length"]), _int(data["m"])
+    return 0 <= total < bound and window >= 0 and m >= 1
 
 
 def _check_sum(data):
@@ -186,7 +188,13 @@ def _check_bucket_dimension(data):
 
 
 def _check_scale_relaxation(data):
-    return _rational(data["from_scale"]) <= _rational(data["to_scale"])
+    # the chain holds at the block scale, its meshes below it, and its tail
+    # is positive
+    scale, to_scale, block, mesh, tail = (
+        _rational(data[k])
+        for k in ("from_scale", "to_scale", "block_scale", "mesh_scale", "two_sided_tail")
+    )
+    return scale <= to_scale and block == scale and 0 < mesh < block and tail > 0
 
 
 def _check_tail_rule(data):
@@ -213,7 +221,7 @@ def _check_visit_count(data):
 
 
 def _check_disjoint(data):
-    return data["pairwise_disjoint"] == "true"
+    return _int(data["count"]) >= 0 and data["pairwise_disjoint"] == "true"
 
 
 def _check_subsampled_visits(data):
@@ -290,12 +298,12 @@ class MetricSpaceHandle:
         return {"kind": self.kind, "description": self.description}
 
 
-def flat_linf(a, b):
+def flat_linf(a, b, cap):
     """Max metric over arbitrarily nested tuples of rationals (ints or
-    Fractions, subtracted as they are)."""
+    Fractions, subtracted as they are). Always exact: `cap` is ignored."""
     if isinstance(a, tuple) and isinstance(b, tuple):
         return max(
-            (flat_linf(x, y) for x, y in zip(a, b)), default=Fraction(0)
+            (flat_linf(x, y, cap) for x, y in zip(a, b)), default=Fraction(0)
         )
     return abs(a - b)
 
@@ -304,7 +312,13 @@ def flat_linf(a, b):
 class EpsEmbeddingCertificate:
     """Claim: the evaluator is an epsilon-embedding of the domain into a
     complex of dimension target_dim, so the domain's width dimension at scale
-    epsilon is at most target_dim. Never a lower bound."""
+    epsilon is at most target_dim. Never a lower bound.
+
+    target_dist(a, b, cap) measures two target points against the threshold
+    `cap` its caller compares with: with cap None it is the exact distance;
+    otherwise it is the exact distance when that is at most cap, and some
+    value above cap when the exact one is, so a comparison with cap comes
+    out the same either way."""
 
     domain: MetricSpaceHandle
     target_dim: int
@@ -343,7 +357,8 @@ def chain_fiber_certificate(
 
     x maps to the flat tuple of block images, one per block, the block at
     offset t evaluated on shift(x, t), and the target metric is the max of
-    the block metrics. The obligations are the blocks' own records, then
+    the block metrics; given a cap, it returns at the first block over it.
+    The obligations are the blocks' own records, then
     product-dims-additive over two or more blocks, then
     chain-itinerary-covers-range, which build and verify check with the
     same rule.
@@ -369,11 +384,24 @@ def chain_fiber_certificate(
         )
     blocks = tuple(zip(accumulate(lengths[:-1], initial=start), (c.evaluator for c in certs)))
     dists = [c.target_dist for c in certs]
+
+    def target_dist(a, b, cap):
+        # the max of the block metrics; one block over cap decides a
+        # comparison with cap, so the blocks after it go unmeasured
+        top = None
+        for d, p, q in zip(dists, a, b):
+            value = d(p, q, cap)
+            if top is None or value > top:
+                top = value
+                if cap is not None and top > cap:
+                    break
+        return top
+
     return EpsEmbeddingCertificate(
         domain, sum(dims), eps,
         lambda x: tuple(evaluate(shift(x, t)) for t, evaluate in blocks),
         obligations + (chain_record,),
-        lambda a, b: max(d(p, q) for d, p, q in zip(dists, a, b)),
+        target_dist,
     )
 
 
@@ -409,15 +437,21 @@ def sample_fiber_check(
     domain: MetricSpaceHandle,
     eps,
     eta=None,
-    trials: int = 10_000,
-    seed: int = 0,
-    target_dist=flat_linf,
+    *,
+    trials: int,
+    seed: int,
+    target_dist,
 ) -> DischargeRecord:
     """Sampled necessary condition for an epsilon-embedding: whenever two
     sampled points land within eta of each other in the target, they must be
     within eps in the domain. The first violating pair, by trial index,
     produces a failed record with the pair as witness; otherwise the record
     stays sampled-only with counts.
+
+    A pair is near when target_dist(fx, fy, eta) is at most eta. The metric
+    is given eta as its cap, so it may stop measuring once the distance is
+    known to exceed eta; the near pairs, counts and witness are those of the
+    exact distance.
     """
     eps = Fraction(eps)
     eta = Fraction(eta) if eta is not None else eps / 100
@@ -427,7 +461,7 @@ def sample_fiber_check(
     for i in range(trials):
         rng = random.Random(_trial_seed(seed, i))
         x, y = domain.sample(rng), domain.sample(rng)
-        if target_dist(evaluator(x), evaluator(y)) > eta:
+        if target_dist(evaluator(x), evaluator(y), eta) > eta:
             continue
         if domain.dist(x, y) >= eps:
             return sampled_record(
@@ -453,7 +487,7 @@ def sample_fiber_check(
 
 
 def check_certificate(
-    cert: EpsEmbeddingCertificate, trials: int = 10_000, seed: int = 0, eta=None
+    cert: EpsEmbeddingCertificate, trials: int, seed: int, eta=None
 ) -> DischargeRecord:
     return sample_fiber_check(
         cert.evaluator,

@@ -550,7 +550,7 @@ def cone_distance(dist_for_branch):
             return tp + tq
         if bp != bq:
             return tp + tq  # through the apex
-        return abs(tp - tq) + min(tp, tq) * dist_for_branch(bp)(xp, xq)
+        return abs(tp - tq) + min(tp, tq) * dist_for_branch(bp)(xp, xq, None)
 
     return dist
 
@@ -733,7 +733,8 @@ def wedge_cone_embedding(
     f_cone_dist = cone_distance(lambda branch: fiber_target_dists[branch])
     g_cone_dist = cone_distance(lambda branch: inst.global_cert.target_dist)
 
-    def target_dist(a, b):
+    def target_dist(a, b, cap):
+        # always exact: the cap is ignored
         return max(
             max(f_cone_dist(fa, fb), g_cone_dist(ga, gb))
             for (fa, ga), (fb, gb) in zip(a, b)

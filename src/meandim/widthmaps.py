@@ -127,8 +127,9 @@ def empty_fiber_certificate(eps) -> EpsEmbeddingCertificate:
 
 def _width_fiber_certificate(description, eps, dim, records, sample, dist, retract):
     """A nonempty width-map fiber's certificate, with `retract` as its
-    evaluator and `dist` measuring both the fiber and the target. `records`
-    starts with the mesh record; the collapse and star-fiber records follow it."""
+    evaluator and `dist` measuring both the fiber and the target, where it
+    is always exact. `records` starts with the mesh record; the collapse and
+    star-fiber records follow it."""
     mesh_record, *rest = records
     obligations = (
         mesh_record,
@@ -137,7 +138,9 @@ def _width_fiber_certificate(description, eps, dim, records, sample, dist, retra
         *rest,
     )
     domain = MetricSpaceHandle("geometric-complex", description, dist, sample)
-    return EpsEmbeddingCertificate(domain, dim, eps, retract, obligations, target_dist=dist)
+    return EpsEmbeddingCertificate(
+        domain, dim, eps, retract, obligations, target_dist=lambda a, b, cap: dist(a, b)
+    )
 
 
 class PartitionWidthMap(Struct):

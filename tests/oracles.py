@@ -187,7 +187,7 @@ def finite_cloud_handle(points, description="finite sample cloud") -> MetricSpac
     return MetricSpaceHandle(
         kind="finite-cloud",
         description=description,
-        dist=flat_linf,
+        dist=lambda a, b: flat_linf(a, b, None),
         sample=lambda rng: pts[rng.randrange(len(pts))],
     )
 

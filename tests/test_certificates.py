@@ -13,6 +13,7 @@ from meandim.certificates import (
     MetricSpaceHandle,
     chain_fiber_certificate,
     check_certificate,
+    flat_linf,
     randint_draws,
     recheck_structural,
     sample_fiber_check,
@@ -104,7 +105,7 @@ class TestProduct:
         one = identity_certificate(grid_cloud(dim=1), 1, F(1, 2))
         halve = EpsEmbeddingCertificate(
             one.domain, 1, F(1, 2), lambda x: x / 2, one.obligations,
-            lambda a, b: 3 * abs(a - b),
+            lambda a, b, cap: 3 * abs(a - b),
         )
         cert = self.chain(one, halve)
         rng = random.Random(0)
@@ -112,7 +113,7 @@ class TestProduct:
             x, y = cert.domain.sample(rng), cert.domain.sample(rng)
             fx, fy = cert.evaluator(x), cert.evaluator(y)
             assert fx == (x[0], x[1] / 2)
-            assert cert.target_dist(fx, fy) == max(abs(x[0] - y[0]), 3 * abs(fx[1] - fy[1]))
+            assert cert.target_dist(fx, fy, None) == max(abs(x[0] - y[0]), 3 * abs(fx[1] - fy[1]))
 
 
 class TestPullback:
@@ -228,14 +229,15 @@ class TestChain:
 class TestSampleFiberCheck:
     def test_identity_never_violates(self):
         record = sample_fiber_check(
-            lambda x: x, grid_cloud(), F(1, 2), trials=500, seed=3
+            lambda x: x, grid_cloud(), F(1, 2), trials=500, seed=3, target_dist=flat_linf
         )
         assert record.status == SAMPLED_ONLY
         assert record.data_dict["violations"] == "0"
 
     def test_constant_map_on_wide_domain_fails(self):
         record = sample_fiber_check(
-            lambda x: (F(0),), grid_cloud(), F(1, 2), trials=500, seed=4
+            lambda x: (F(0),), grid_cloud(), F(1, 2), trials=500, seed=4,
+            target_dist=flat_linf,
         )
         assert record.status == FAILED
         assert record.witness is not None
@@ -247,8 +249,12 @@ class TestSampleFiberCheck:
         assert record.status == SAMPLED_ONLY
 
     def test_determinism(self):
-        a = sample_fiber_check(lambda x: x, grid_cloud(), F(1, 2), trials=200, seed=9)
-        b = sample_fiber_check(lambda x: x, grid_cloud(), F(1, 2), trials=200, seed=9)
+        a = sample_fiber_check(
+            lambda x: x, grid_cloud(), F(1, 2), trials=200, seed=9, target_dist=flat_linf
+        )
+        b = sample_fiber_check(
+            lambda x: x, grid_cloud(), F(1, 2), trials=200, seed=9, target_dist=flat_linf
+        )
         assert a == b
 
 
@@ -291,9 +297,29 @@ class TestRecords:
         ):
             assert recheck_structural(structural_record(name, **data)), name
 
+    BOOKKEEPING = {"total_dim": "6", "bound": "40/3", "window_length": "32", "m": "3"}
+    SCALES = {
+        "from_scale": "1/4", "to_scale": "1/2", "block_scale": "1/4", "mesh_scale": "1/8",
+        "two_sided_tail": "1/64",
+    }
+    DISJOINT = {"pairwise_disjoint": "true", "count": "2"}
+
     @pytest.mark.parametrize("name, data, changes", [
-        ("dimension-bookkeeping", {"total_dim": "6", "bound": "40/3"}, {"total_dim": "-5"}),
-        ("dimension-bookkeeping", {"total_dim": "6", "bound": "40/3"}, {"bound": "80/6"}),
+        ("dimension-bookkeeping", BOOKKEEPING, {"total_dim": "-5"}),
+        ("dimension-bookkeeping", BOOKKEEPING, {"bound": "80/6"}),
+        ("dimension-bookkeeping", BOOKKEEPING, {"window_length": "-1", "m": "-3"}),
+        ("dimension-bookkeeping", BOOKKEEPING, {"m": "0"}),
+        ("dimension-bookkeeping", BOOKKEEPING, {"window_length": "+32"}),
+        ("scale-relaxation", SCALES, {"block_scale": "9", "mesh_scale": "-1",
+                                      "two_sided_tail": "5"}),
+        ("scale-relaxation", SCALES, {"block_scale": "1/2"}),
+        ("scale-relaxation", SCALES, {"mesh_scale": "1/4"}),
+        ("scale-relaxation", SCALES, {"mesh_scale": "0"}),
+        ("scale-relaxation", SCALES, {"two_sided_tail": "0"}),
+        ("scale-relaxation", SCALES, {"mesh_scale": "2/16"}),
+        ("windows-pairwise-disjoint", DISJOINT, {"count": "-4"}),
+        ("windows-pairwise-disjoint", DISJOINT, {"count": "02"}),
+        ("windows-pairwise-disjoint", DISJOINT, {"pairwise_disjoint": "false"}),
         ("product-dims-additive", {"factors": "1;2", "total": "3"},
          {"factors": "-3;2", "total": "-1"}),
         ("product-dims-additive", {"factors": "1;2", "total": "3"}, {"factors": "1;;2"}),
@@ -314,8 +340,8 @@ class TestRecords:
          {"source_dim": " 8", "m": "+3"}),
         ("chain-itinerary-covers-range", {"lengths": "8;8", "start": "0", "margin": "0", "N": "16"},
          {"start": "-0"}),
-        ("scale-relaxation", {"from_scale": "1/4", "to_scale": "1/2"}, {"from_scale": " 1/4"}),
-        ("scale-relaxation", {"from_scale": "1/4", "to_scale": "1"}, {"to_scale": "1/1"}),
+        ("scale-relaxation", SCALES, {"from_scale": " 1/4"}),
+        ("scale-relaxation", {**SCALES, "to_scale": "1"}, {"to_scale": "1/1"}),
         ("star-mesh-inherited-bound", {"parent_mesh": "1/17", "scale": "1/8"},
          {"parent_mesh": "2/34"}),
         ("window-tail-rule", {"margin": "3", "threshold": "1/4", "two_sided_tail": "1/2"},
@@ -323,7 +349,8 @@ class TestRecords:
     ])
     def test_only_the_written_spelling_rechecks(self, name, data, changes):
         # int() and the old rational parser read each tampered value as one
-        # that keeps the record's own inequality
+        # that keeps the record's own inequality; every field is read, so an
+        # impossible value in a field the inequality does not use fails too
         assert recheck_structural(structural_record(name, **data))
         assert not recheck_structural(structural_record(name, **{**data, **changes}))
 

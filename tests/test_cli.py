@@ -679,11 +679,14 @@ class TestVerify:
         ("bucket-dimension-bound", {"source_dim": " 8", "m": "+3"}),
         ("chain-itinerary-covers-range", {"start": "-0", "margin": "0", "N": "20"}),
         ("scale-relaxation", {"from_scale": " 1/4"}),
-        # fiber-cert writes neither of these two; verify re-checks every
+        ("dimension-bookkeeping", {"window_length": "-1", "m": "-3"}),
+        ("scale-relaxation", {"block_scale": "9", "mesh_scale": "-1", "two_sided_tail": "5"}),
+        # fiber-cert writes none of these three; verify re-checks every
         # record it finds, so each is appended to the first certificate
         ("wedge-dimension-count", {"n": "-1", "cone_dim": "2", "count_bound": "3",
                                    "global_cone_dim": "1", "wedge_dim": "1"}),
         ("star-mesh-inherited-bound", {"parent_mesh": "2/34", "scale": "1/8"}),
+        ("windows-pairwise-disjoint", {"pairwise_disjoint": "true", "count": "-4"}),
     ])
     def test_noncanonical_or_negative_value_fails_its_record(
         self, workdir, fiber_cert_16, name, changes

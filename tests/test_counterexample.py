@@ -1,5 +1,6 @@
 """Tests for the factor-map construction and the wedge-cone embedding."""
 
+import dataclasses
 import math
 import random
 import time
@@ -42,6 +43,7 @@ from meandim.symbolic import (
     max_subsampled_visits,
     ocap_limit,
 )
+from meandim.widthmaps import KuhnWidthPipeline
 from oracles import (
     HILBERT_METRIC,
     all_structural_discharged,
@@ -526,7 +528,8 @@ class TestFiberCertificate:
             cert = fiber_dimension_certificate(inst, inst.sample_state(rng))
             points = [cert.evaluator(cert.domain.sample(rng)) for _ in range(4)]
             for a, b in zip(points, points[1:]):
-                assert cert.target_dist(a, b) == flat_linf(realized_all(a), realized_all(b))
+                expected = flat_linf(realized_all(a), realized_all(b), None)
+                assert cert.target_dist(a, b, None) == expected
 
     def test_product_with_one_point_preserves_dim(self):
         # the fiber and a one-point space as two blocks of length 1
@@ -540,6 +543,58 @@ class TestFiberCertificate:
         assert chain.target_dim == cert.target_dim
         point = cert.domain.sample(rng)
         assert chain.evaluator((point, ())) == (cert.evaluator(point), ())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.sampled_from([8, 16, 32]),
+        seed=st.integers(0, 2**32),
+        cap=st.fractions(0, F(1, 20), max_denominator=10**6),
+    )
+    def test_capped_target_dist_decides_as_the_exact_one(self, N, seed, cap):
+        # the sampled distances lie near 1/100, so caps up to 1/20 fall on
+        # both sides of them; the exact distance is a cap too
+        inst = FactorMapInstance(std_params(N=N))
+        rng = random.Random(seed)
+        cert = fiber_dimension_certificate(inst, inst.sample_state(rng))
+        for _ in range(4):
+            a, b = (cert.evaluator(cert.domain.sample(rng)) for _ in range(2))
+            exact = cert.target_dist(a, b, None)
+            for c in (cap, exact):
+                capped = cert.target_dist(a, b, c)
+                assert (capped > c) == (exact > c)
+                if exact <= c:
+                    assert capped == exact
+
+    def test_check_at_eta_stops_at_the_first_block_over_it(self, monkeypatch):
+        # every block metric call is counted; with the exact max every trial
+        # would measure every block
+        calls = []
+        block_certificate = KuhnWidthPipeline.fiber_certificate
+
+        def counted_certificate(pipeline, *args):
+            cert = block_certificate(pipeline, *args)
+            block_dist = cert.target_dist
+
+            def target_dist(*points):
+                calls.append(1)
+                return block_dist(*points)
+
+            return dataclasses.replace(cert, target_dist=target_dist)
+
+        monkeypatch.setattr(KuhnWidthPipeline, "fiber_certificate", counted_certificate)
+        inst = FactorMapInstance(std_params(N=16))
+        cert = fiber_dimension_certificate(inst, inst.sample_state(random.Random(21)))
+        (chain,) = [r for r in cert.obligations if r.name == "chain-itinerary-covers-range"]
+        blocks = len(chain.data_dict["lengths"].split(";"))
+        trials = 200
+        record = check_certificate(cert, trials=trials, seed=5)
+        assert record.data_dict["eta"] == format_fraction(cert.epsilon / 100)
+        assert blocks > 1 and 0 < len(calls) < trials * blocks
+        exact = sample_fiber_check(
+            cert.evaluator, cert.domain, cert.epsilon, trials=trials, seed=5,
+            target_dist=lambda a, b, cap: cert.target_dist(a, b, None),
+        )
+        assert record == exact
 
 
 class TestReports:

@@ -74,11 +74,6 @@ DEFAULTS = {
     "certificates.EpsEmbeddingCertificate.target_dist": "flat max metric, the target metric of "
     "a map into flat coordinates such as the empty fiber's",
     "certificates.sample_fiber_check.eta": "None is the recipe's unset eta, read as eps/100",
-    "certificates.sample_fiber_check.trials": "tests sample small clouds without a recipe",
-    "certificates.sample_fiber_check.seed": "tests sample small clouds without a recipe",
-    "certificates.sample_fiber_check.target_dist": "flat max metric, as the certificate's",
-    "certificates.check_certificate.trials": "tests check small certificates without a recipe",
-    "certificates.check_certificate.seed": "tests check small certificates without a recipe",
     "certificates.check_certificate.eta": "None is the recipe's unset eta, read as eps/100",
     "cli._load_json.parse": "most input files are read as they are",
     "cli.main.argv": "None reads sys.argv, as the console script calls it",

@@ -628,7 +628,7 @@ class TestIntegerFlags:
             assert built == []  # the image leaves as integer numerators
             assert tuple(F(c, den) for c in image) == evaluate(pipeline, x)
         for a, b in zip(samples, samples[1:]):
-            cert.target_dist(cert.evaluator(a), cert.evaluator(b))
+            cert.target_dist(cert.evaluator(a), cert.evaluator(b), None)
             assert len(built) == 1  # the distance
             del built[:]
 
@@ -643,9 +643,9 @@ class TestIntegerFlags:
         points = [flag] + [cert.domain.sample(rng) for _ in range(6)]
         for a, b in zip(points, points[1:]):
             ra, rb = cert.evaluator(a), cert.evaluator(b)
-            got = cert.target_dist(ra, rb)
+            got = cert.target_dist(ra, rb, None)
             assert type(got) is F
-            assert got == flat_linf(realized(ra, pipeline.grid), realized(rb, pipeline.grid))
+            assert got == flat_linf(realized(ra, pipeline.grid), realized(rb, pipeline.grid), None)
 
     def test_dist_on_one_chain_realizes_the_weight_difference_once(self, monkeypatch):
         pipeline = block_pipeline()
@@ -769,9 +769,9 @@ class TestPartitionFiberIntegers:
             assert eval_simplicial_map(wm.block_of, target, bx) == t
             rx, ry = fraction_retract(wm, bx, t), fraction_retract(wm, by, t)
             assert as_barycentric(cert.evaluator(x)).realize(sub) == rx
-            got = cert.target_dist(cert.evaluator(x), cert.evaluator(y))
-            assert type(got) is Fraction and got == flat_linf(rx, ry)
-            expected = flat_linf(bx.realize(sub), by.realize(sub))
+            got = cert.target_dist(cert.evaluator(x), cert.evaluator(y), None)
+            assert type(got) is Fraction and got == flat_linf(rx, ry, None)
+            expected = flat_linf(bx.realize(sub), by.realize(sub), None)
             got = cert.domain.dist(x, y)
             assert type(got) is type(expected) and got == expected
 
@@ -784,7 +784,7 @@ class TestPartitionFiberIntegers:
         for x, y in zip(points, points[1:]):
             rx, ry = cert.evaluator(x), cert.evaluator(y)
             assert built == []
-            cert.target_dist(rx, ry)
+            cert.target_dist(rx, ry, None)
             assert len(built) == 1
             del built[:]
             cert.domain.dist(x, y)

@@ -54,7 +54,7 @@ def snap_embedding_cert(domain, eps, snap_lo, snap_hi):
         window, payload = point
         return (window.restrict(snap_lo, snap_hi), payload)
 
-    def target_dist(a, b):
+    def target_dist(a, b, cap):
         word_part = F(0) if a[0] == b[0] else F(1)
         payload_part = max(abs(p - q) for p, q in zip(a[1], b[1]))
         return max(word_part, payload_part)
