@@ -16,7 +16,9 @@ The one composite certificate is a chain of block certificates laid end to
 end in time (chain_fiber_certificate): its target is the product of the
 block targets, so their dimensions add. A structural re-check reads every
 integer and rational in the one spelling its record writes (str and
-format_fraction), and a dimension, count or factor is never negative.
+format_fraction), and a field outside the range its kind ever writes (a
+negative dimension, count or factor, among others) fails the re-check
+whatever the record's status.
 
 Certificates are immutable; sampling derives one seed per trial from the
 root seed, so results do not depend on execution order.
@@ -156,15 +158,24 @@ def _rational(text: str) -> Fraction:
     return value
 
 
+def _in_range(*conditions):
+    """Raise unless every condition holds: a field outside the range any
+    record of its kind writes makes the record recheck false whatever its
+    status, while the check's return value is its premise alone."""
+    if not all(conditions):
+        raise ValueError("field out of range")
+
+
 def _check_bookkeeping(data):
     total, bound = _int(data["total_dim"]), _rational(data["bound"])
-    window, m = _int(data["window_length"]), _int(data["m"])
-    return 0 <= total < bound and window >= 0 and m >= 1
+    _in_range(total >= 0, _int(data["window_length"]) >= 0, _int(data["m"]) >= 1)
+    return total < bound
 
 
 def _check_sum(data):
     factors = [_int(x) for x in data["factors"].split(";")]
-    return min(factors) >= 0 and sum(factors) == _int(data["total"])
+    _in_range(min(factors) >= 0)
+    return sum(factors) == _int(data["total"])
 
 
 def _check_chain_partition(data):
@@ -172,29 +183,29 @@ def _check_chain_partition(data):
     # when the first one contains -margin and the last one N + margin - 1
     lengths = [_int(x) for x in data["lengths"].split(";")]
     start, margin, n = _int(data["start"]), _int(data["margin"]), _int(data["N"])
+    _in_range(min(lengths) > 0, margin >= 0)
     end = start + sum(lengths)
-    return (
-        min(lengths) > 0
-        and start <= -margin < start + lengths[0]
-        and end - lengths[-1] < n + margin <= end
-    )
+    return start <= -margin < start + lengths[0] and end - lengths[-1] < n + margin <= end
 
 
 def _check_bucket_dimension(data):
     # bucket_dimension_bound refuses a negative source dimension
-    return 0 <= _int(data["dim"]) <= bucket_dimension_bound(
+    dim = _int(data["dim"])
+    _in_range(dim >= 0)
+    return dim <= bucket_dimension_bound(
         _int(data["source_dim"]), _int(data["m"]), _int(data["bucket"])
     )
 
 
 def _check_scale_relaxation(data):
-    # the chain holds at the block scale, its meshes below it, and its tail
-    # is positive
+    # the chain holds at the block scale, which is the scale relaxed from,
+    # and its meshes below it; its meshes and tail are positive
     scale, to_scale, block, mesh, tail = (
         _rational(data[k])
         for k in ("from_scale", "to_scale", "block_scale", "mesh_scale", "two_sided_tail")
     )
-    return scale <= to_scale and block == scale and 0 < mesh < block and tail > 0
+    _in_range(block == scale, mesh > 0, tail > 0)
+    return scale <= to_scale and mesh < block
 
 
 def _check_tail_rule(data):
@@ -202,13 +213,13 @@ def _check_tail_rule(data):
     margin = _int(data["margin"])
     threshold = _rational(data["threshold"])
     tail = _rational(data["two_sided_tail"])
-    if margin < 0 or threshold <= 0 or tail <= 0:
-        return False
     # the reduced tail a/b is 4/2^M iff a and b are powers of two with
     # log2 a + M = 2 + log2 b
     a, b = tail.numerator, tail.denominator
-    if a & (a - 1) or b & (b - 1) or a.bit_length() + margin != 2 + b.bit_length():
-        return False
+    _in_range(
+        margin >= 0, threshold > 0, tail > 0, not a & (a - 1), not b & (b - 1),
+        a.bit_length() + margin == 2 + b.bit_length(),
+    )
     q = threshold.denominator
     return margin >= q.bit_length() or q < threshold.numerator << margin
 
@@ -217,11 +228,13 @@ def _check_visit_count(data):
     n, cone, count, cone_global, total = (
         _int(data[k]) for k in ("n", "cone_dim", "count_bound", "global_cone_dim", "wedge_dim")
     )
-    return min(n, cone, count, cone_global) >= 0 and total == n * cone + count * cone_global
+    _in_range(min(n, cone, count, cone_global) >= 0)
+    return total == n * cone + count * cone_global
 
 
 def _check_disjoint(data):
-    return _int(data["count"]) >= 0 and data["pairwise_disjoint"] == "true"
+    _in_range(_int(data["count"]) >= 0, data["pairwise_disjoint"] in ("true", "false"))
+    return data["pairwise_disjoint"] == "true"
 
 
 def _check_subsampled_visits(data):
@@ -230,18 +243,22 @@ def _check_subsampled_visits(data):
     steps, length, size, count = (
         _int(data[k]) for k in ("steps", "step_length", "graph_size", "count_bound")
     )
-    bound = _rational(data["complement_ocap"]) * steps * length + size
-    return min(steps, length, size, count) >= 0 and count <= bound
+    ocap = _rational(data["complement_ocap"])
+    _in_range(min(steps, length, size, count) >= 0, ocap >= 0)
+    return count <= ocap * steps * length + size
 
 
 def _check_inherited_mesh(data):
-    return 0 <= _rational(data["parent_mesh"]) < _rational(data["scale"])
+    parent = _rational(data["parent_mesh"])
+    _in_range(parent >= 0)
+    return parent < _rational(data["scale"])
 
 
 def _check_grid_mesh(data):
     g = _int(data["grid"])
     bound = _rational(data["bound"])
-    return g >= 1 and bound == Fraction(2, g) and bound < _rational(data["scale"])
+    _in_range(g >= 1 and bound == Fraction(2, g))
+    return bound < _rational(data["scale"])
 
 
 STRUCTURAL_CHECKS = {
@@ -373,7 +390,7 @@ def chain_fiber_certificate(
         "chain-itinerary-covers-range", lengths=";".join(map(str, lengths)), start=start,
         margin=margin, N=N,
     )
-    if not _check_chain_partition(chain_record.data_dict):
+    if not recheck_structural(chain_record):
         raise PreconditionError("block offsets inconsistent with block lengths")
     dims = [c.target_dim for c in certs]
     obligations = tuple(r for c in certs for r in c.obligations)

@@ -8,7 +8,10 @@ limit is their infimum and equals the best cycle mean). The visit weights are
 0 or 1, so Karp's walk rows and the potentials that find a critical cycle are
 integers; the optimal mean is the only Fraction built per component. The
 visit DP and Karp's search both step a max-plus map one row at a time and stop
-once the row repeats up to an added constant (see _iterate_until_repeat).
+once the row repeats one of O(log steps) kept rows up to an added constant
+(see _iterate_until_repeat). Each component's graph is renumbered once, and
+Karp's search and the critical-cycle search both run on it; a computed mean
+that no cycle attains raises a FAILED critical-cycle-mean record.
 The window metric d_N takes its maximum over shifts on integer numerators in
 one pass and builds one Fraction, its value on the common window.
 """
@@ -281,9 +284,10 @@ def max_subsampled_visits(sft: Sft, A: CylinderSet, count: int, step: int) -> in
     ending there. A macro-step is a max-plus map, and max-plus maps are
     homogeneous: M(x + K) = M(x) + K. So once a row equals an earlier row,
     c macro-steps back, plus a constant K (with the same None pattern), every
-    later row repeats with period c and gains K per period. The DP then runs
-    only (left % c) of the `left` remaining macro-steps and adds
-    (left // c) * K. Without a repeat it runs all count - 1 macro-steps.
+    later row repeats with period c and gains K per period. The search keeps
+    O(log count) earlier rows to compare with (see _iterate_until_repeat).
+    The DP then runs only (left % c) of the `left` remaining macro-steps and
+    adds (left // c) * K. Without a repeat it runs all count - 1 macro-steps.
     """
     if count < 1 or step < 1:
         raise PreconditionError("count and step must be positive")
@@ -340,25 +344,24 @@ def _iterate_until_repeat(row, advance, limit):
     """Apply `advance` to `row` up to `limit` times, and stop at the first
     row that is an earlier row plus a constant, with the same None pattern.
 
-    Brent's method: one mark row is compared with each new row, up to the
-    first entry that rules out a repeat, and moved forward to the newest row
-    at power-of-two distances, so memory stays one row besides the current
-    one. Returns (done, row, period, shift): the steps applied, the last row,
-    the steps back to the mark row, and the constant with row = mark + shift;
+    The rows at step 0 and at every power of two are kept as marks, at most
+    floor(log2 limit) + 2 rows, and each new row is compared with every mark,
+    up to the first entry that rules out a repeat. If the rows repeat from
+    step t0 on with period c, the first mark at or after t0 is below
+    max(1, 2 t0), so the search stops by step max(1, 2 t0) + c. Returns
+    (done, row, period, shift): the steps applied, the last row, the steps
+    back to the mark it repeats, and the constant with row = mark + shift;
     period and shift are None if no repeat shows within `limit` steps.
     """
-    mark = row
-    power = period = 1
+    marks = [(0, row)]
     for done in range(1, limit + 1):
         row = advance(row)
-        shift = _repeat_shift(row, mark)
-        if shift is not None:
-            return done, row, period, shift
-        if period == power:
-            mark = row
-            power *= 2
-            period = 0
-        period += 1
+        for step, mark in marks:
+            shift = _repeat_shift(row, mark)
+            if shift is not None:
+                return done, row, done - step, shift
+        if not done & (done - 1):
+            marks.append((done, row))
     return limit, row, None, None
 
 
@@ -407,29 +410,35 @@ def _sccs(succs):
     return comps
 
 
-def _karp_max_mean(nodes, succs, weights):
-    """The maximum cycle mean of a strongly connected subgraph; None without
-    edges.
+def _local_graph(nodes, succs, weights):
+    """The subgraph on `nodes` renumbered 0, ..., n - 1 in their order: the
+    successor lists (edges leaving `nodes` dropped) and the weights."""
+    local = {v: i for i, v in enumerate(nodes)}
+    out = [[local[v] for v in succs[u] if v in local] for u in nodes]
+    return out, [weights[v] for v in nodes]
+
+
+def _karp_max_mean(out, w):
+    """The maximum cycle mean of a strongly connected local graph (see
+    _local_graph); None without edges.
 
     The weights are integers, so D[k][v], the heaviest walk of k edges from
-    nodes[0] to v (None if there is none), is an integer row. D[k+1] is a
+    node 0 to v (None if there is none), is an integer row. D[k+1] is a
     max-plus map of D[k], homogeneous like every max-plus map. So if some
     D[k] equals an earlier D[k - c] plus K with the same None pattern, the
     rows repeat from there with period c and gain K per period: the heaviest
-    k-edge walks grow like k K / c, and K / c is the maximum cycle mean.
-    Without a repeat by k = n, Karp's formula max_v min_k (D[n][v] - D[k][v])
-    / (n - k) gives it in two passes: the first ends with D[n], the second
-    recomputes D[0], ..., D[n-1] and keeps each node's running minimum. Either
-    way a few rows are held at once, never the (n+1) x n table. The ratios are
-    compared by cross-multiplication (every denominator is positive), and only
-    the optimum becomes a Fraction.
+    k-edge walks grow like k K / c, and K / c is the maximum cycle mean,
+    whichever earlier row the repeat shows against. Without a repeat by
+    k = n, Karp's formula max_v min_k (D[n][v] - D[k][v]) / (n - k) gives it
+    in two passes: the first ends with D[n], the second recomputes D[0], ...,
+    D[n-1] and keeps each node's running minimum. Either way O(log n) rows are
+    held at once, never the (n+1) x n table. The ratios are compared by
+    cross-multiplication (every denominator is positive), and only the
+    optimum becomes a Fraction.
     """
-    local = {v: i for i, v in enumerate(nodes)}
-    out = [[local[v] for v in succs[u] if v in local] for u in nodes]
     if not any(out):
         return None
-    n = len(nodes)
-    w = [weights[v] for v in nodes]
+    n = len(out)
 
     def advance(row):
         return _relax(row, out, w)
@@ -456,36 +465,59 @@ def _karp_max_mean(nodes, succs, weights):
     return None if best_num is None else Fraction(best_num, best_den)
 
 
-def _critical_cycle(nodes, succs, weights, mean):
-    """A cycle of exactly the given mean p/q: stabilize max-plus potentials for
-    the shifted weights (no positive cycles remain), then walk tight edges.
+def _critical_cycle(out, w, mean):
+    """A cycle of the local graph (see _local_graph) of exactly the given
+    mean p/q, as a list of nodes: stabilize max-plus potentials for the
+    shifted weights, then walk tight edges.
 
-    The potentials are kept scaled by q, as integers: the shifted weight of an
-    edge into v is q * weights[v] - p, so every comparison is the unscaled one
-    multiplied by q > 0."""
+    The potentials are kept scaled by q, as integers: the shifted weight of
+    an edge into v is q * w[v] - p, so every comparison is the unscaled one
+    multiplied by q > 0. They are the least h >= 0 with h[v] >= h[u] +
+    shifted[v] on every edge, found by a FIFO worklist counted in passes:
+    pass k relaxes the edges out of every node raised in pass k - 1. Without
+    a cycle of positive shifted weight (one of mean above p/q) the heaviest
+    walks are paths and the worklist empties within n passes. Otherwise it
+    is still nonempty after n passes; then the last-raise pointers, followed
+    back n times from a node raised in pass n, end on a cycle, and any cycle
+    of those pointers has positive shifted weight. That cycle is returned.
+    Without a cycle of tight edges, none has mean p/q and the list is empty.
+    """
     p, q = mean.numerator, mean.denominator
-    shifted = {v: q * weights[v] - p for v in nodes}
-    h = dict.fromkeys(nodes, 0)
-    for _ in range(len(nodes)):
-        changed = False
-        for u in nodes:
-            for v in succs[u]:
-                if v not in shifted:
-                    continue
-                cand = h[u] + shifted[v]
+    n = len(out)
+    shifted = [q * x - p for x in w]
+    h = [0] * n
+    raised_by = [None] * n
+    queued = [True] * n
+    work = list(range(n))
+    for _ in range(n):
+        raised = []
+        for u in work:
+            queued[u] = False
+            base = h[u]
+            for v in out[u]:
+                cand = base + shifted[v]
                 if cand > h[v]:
                     h[v] = cand
-                    changed = True
-        if not changed:
+                    raised_by[v] = u
+                    if not queued[v]:
+                        queued[v] = True
+                        raised.append(v)
+        work = raised
+        if not work:
             break
-    tight = {
-        u: sorted(v for v in succs[u] if v in shifted and h[v] == h[u] + shifted[v])
-        for u in nodes
-    }
+    else:
+        node = work[0]
+        for _ in range(n):
+            node = raised_by[node]
+        cycle = [node]
+        while raised_by[cycle[-1]] != node:
+            cycle.append(raised_by[cycle[-1]])
+        return cycle[::-1]
+    tight = [sorted(v for v in out[u] if h[v] == h[u] + shifted[v]) for u in range(n)]
     # any cycle of tight edges telescopes to the optimal mean, so a depth
     # first search for a back edge suffices
-    color = {v: 0 for v in nodes}  # 0 unvisited, 1 on stack, 2 done
-    for start in nodes:
+    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
+    for start in range(n):
         if color[start]:
             continue
         path = []
@@ -512,28 +544,34 @@ def _critical_cycle(nodes, succs, weights, mean):
                 color[node] = 2
                 on_path.pop(node)
                 path.pop()
-    raise PreconditionError("no critical cycle found")  # unreachable when mean is exact
+    return []
 
 
 def ocap_limit(sft: Sft, A: CylinderSet) -> OcapResult:
     """Exact limit orbit capacity: the maximum mean of the visit indicator
-    over cycles of the recoded transition graph, with a witness cycle."""
+    over cycles of the recoded transition graph, with a witness cycle.
+
+    The witness is checked against the mean: a cycle of another mean, a
+    cycle that beats it, or no cycle of that mean raises ObligationFailedError
+    with a FAILED critical-cycle-mean record."""
     words, succs, weights = _recode(sft, A)
     best = None
     for comp in sorted(_sccs(succs)):
-        mean = _karp_max_mean(comp, succs, weights)
+        out, w = _local_graph(comp, succs, weights)
+        mean = _karp_max_mean(out, w)
         if mean is not None and (best is None or mean > best[0]):
-            best = (mean, comp)
+            best = (mean, comp, out, w)
     if best is None:
         raise PreconditionError("transition graph has no cycle")
-    mean, comp = best
-    cycle = _critical_cycle(comp, succs, weights, mean)
+    mean, comp, out, w = best
+    cycle = [comp[i] for i in _critical_cycle(out, w, mean)]
     visits = sum(weights[v] for v in cycle)
-    if visits * mean.denominator != mean.numerator * len(cycle):
+    if not cycle or visits * mean.denominator != mean.numerator * len(cycle):
         raise ObligationFailedError(
             structural_record(
                 "critical-cycle-mean", FAILED,
-                ("witness cycle mean differs from the maximum cycle mean",),
+                ("witness cycle mean differs from the maximum cycle mean" if cycle
+                 else "no cycle has the maximum cycle mean",),
                 cycle_length=len(cycle), cycle_visits=visits, mean=mean,
             )
         )

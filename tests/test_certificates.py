@@ -354,6 +354,45 @@ class TestRecords:
         assert recheck_structural(structural_record(name, **data))
         assert not recheck_structural(structural_record(name, **{**data, **changes}))
 
+    @pytest.mark.parametrize("name, data", [
+        ("dimension-bookkeeping",
+         {"total_dim": "9", "bound": "40/3", "window_length": "-1", "m": "-3"}),
+        ("dimension-bookkeeping",
+         {"total_dim": "20", "bound": "40/3", "window_length": "32", "m": "0"}),
+        ("product-dims-additive", {"factors": "-3;5", "total": "2"}),
+        ("chain-itinerary-covers-range",
+         {"lengths": "0;16", "start": "0", "margin": "0", "N": "16"}),
+        ("chain-itinerary-covers-range",
+         {"lengths": "8;8", "start": "0", "margin": "-1", "N": "16"}),
+        ("bucket-dimension-bound", {"source_dim": "8", "m": "3", "bucket": "1", "dim": "-1"}),
+        ("scale-relaxation", {**SCALES, "block_scale": "1/8", "mesh_scale": "1/16"}),
+        ("scale-relaxation", {**SCALES, "mesh_scale": "-1/8"}),
+        ("scale-relaxation", {**SCALES, "to_scale": "1/8", "two_sided_tail": "0"}),
+        ("window-tail-rule", {"margin": "3", "threshold": "1/4", "two_sided_tail": "1/3"}),
+        ("window-tail-rule", {"margin": "-1", "threshold": "1/4", "two_sided_tail": "8"}),
+        ("window-tail-rule", {"margin": "3", "threshold": "-1/4", "two_sided_tail": "1/2"}),
+        ("wedge-dimension-count",
+         {"n": "-1", "cone_dim": "-2", "count_bound": "0", "global_cone_dim": "1",
+          "wedge_dim": "2"}),
+        ("windows-pairwise-disjoint", {"pairwise_disjoint": "false", "count": "-4"}),
+        ("windows-pairwise-disjoint", {"pairwise_disjoint": "maybe", "count": "2"}),
+        ("subsampled-visits-bound",
+         {"count_bound": "3", "steps": "-2", "step_length": "4", "complement_ocap": "1/2",
+          "graph_size": "1"}),
+        ("subsampled-visits-bound",
+         {"count_bound": "3", "steps": "2", "step_length": "4", "complement_ocap": "-1/2",
+          "graph_size": "9"}),
+        ("star-mesh-inherited-bound", {"parent_mesh": "-1", "scale": "1/8"}),
+        ("star-mesh-grid-bound", {"grid": "0", "bound": "1", "scale": "1/8"}),
+        ("star-mesh-grid-bound", {"grid": "17", "bound": "1/17", "scale": "1/8"}),
+    ])
+    def test_impossible_field_fails_recheck_whatever_the_status(self, name, data):
+        # each record has a field no record of its kind ever holds, so it
+        # rechecks false both as discharged and as failed, whether or not
+        # its premise holds on the other fields
+        assert not recheck_structural(structural_record(name, **data))
+        assert not recheck_structural(structural_record(name, FAILED, ("tampered",), **data))
+
     def test_unknown_structural_name_fails_recheck(self):
         record = structural_record("made-up-fact", value="1")
         assert not recheck_structural(record)

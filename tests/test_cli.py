@@ -36,6 +36,25 @@ def write_golden(tmp_path):
     return sft, one
 
 
+# The benchmark's first orbit-capacity instance at seed 3: an irreducible SFT
+# on 4 symbols whose window-6 word graph has 227 words, a cylinder set
+# spanning that window, and a cover of it.
+SEED3_SFT = {
+    "alphabet": ["0", "1", "2", "3"],
+    "transitions": [["0", "0"], ["0", "2"], ["1", "0"], ["1", "1"], ["2", "0"],
+                    ["2", "1"], ["2", "3"], ["3", "2"], ["3", "3"]],
+}
+SEED3_SET = [[0, "1"], [5, "0"]]
+SEED3_COVER = [[[0, "0"]], [[0, "1"]], [[0, "2"]], [[0, "3"]], [[0, "11"], [5, "0"]]]
+
+
+def write_seed3_orbit(tmp_path):
+    (tmp_path / "sft.json").write_text(json.dumps(SEED3_SFT))
+    (tmp_path / "set.json").write_text(json.dumps(SEED3_SET))
+    for j, piece in enumerate(SEED3_COVER):
+        (tmp_path / f"cover{j}.json").write_text(json.dumps(piece))
+
+
 class TestOcapCommand:
     def test_golden_limit(self, workdir, capsys):
         sft, one = write_golden(workdir)
@@ -50,6 +69,24 @@ class TestOcapCommand:
         assert "critical-cycle-mean" in capsys.readouterr().err
         witness = json.loads((workdir / "meandim-witness.json").read_text())
         assert witness["data"]["mean"] == "1/2"
+
+    @pytest.mark.parametrize(
+        "planted, length, visits", [(Fraction(0), "11", "5"), (Fraction(1, 2), "0", "0")]
+    )
+    def test_wrong_maximum_cycle_mean_exits_3(self, workdir, capsys, monkeypatch,
+                                              planted, length, visits):
+        # the seed-3 SFT's maximum cycle mean is 5/11: below it a cycle of
+        # 5 visits in 11 steps beats the planted mean, above it no cycle
+        # reaches it
+        monkeypatch.setattr(symbolic, "_karp_max_mean", lambda *args: planted)
+        write_seed3_orbit(workdir)
+        assert main(["ocap", "--sft", "sft.json", "--set", "set.json", "--limit"]) == 3
+        assert "critical-cycle-mean" in capsys.readouterr().err
+        witness = json.loads((workdir / "meandim-witness.json").read_text())
+        assert witness["status"] == "failed"
+        assert witness["data"]["mean"] == str(planted)
+        assert (witness["data"]["cycle_length"], witness["data"]["cycle_visits"]) == (
+            length, visits)
 
     def test_full_shift_value_one(self, workdir, capsys):
         sft = workdir / "full.json"
@@ -1016,6 +1053,31 @@ FACTOR_FIBER_DIGESTS = [
 def test_factor_fiber_workload_digests(workdir, args, file_digest, payload_digest):
     assert main(args + ["--out", "artifact.json"]) == 0
     assert_digests(workdir / "artifact.json", file_digest, payload_digest, args[1])
+
+
+# The golden digests pin the golden-mean shift, whose word graphs are too
+# small for ties between critical cycles; these pin the seed-3 instance's
+# witness cycle, its finite value at the benchmark's horizon and its
+# refined cover.
+SEED3_ORBIT_DIGESTS = [
+    (["ocap", "--sft", "sft.json", "--set", "set.json", "--limit"],
+     "403693d9e318e5f656c13ef5e179523764925c9b37f9209ade0bc78f1e6e6654",
+     "78df5496ddeeaa7c444e1168498ddec3dbd7b65bd43b9726acad1ac30142cc0d"),
+    (["ocap", "--sft", "sft.json", "--set", "set.json", "--N", "512"],
+     "c11ef8ee89883a00a1f988989424d375f33a14da34e7bcf4ce761a9dd9ab9a3a",
+     "f140cbf81569479798a342e6f1aedc88d96ee03ed639f564d1180eb6c42c4fe0"),
+    (["sbp", "refine", "--sft", "sft.json", "--cover",
+      *(f"cover{j}.json" for j in range(len(SEED3_COVER))), "--delta", "1/2"],
+     "2160f19f5a83b26f20b68520e3a093b9a3fc224706ab36fdb91f82d7a0a5619f",
+     "3ba731f7c8fb494097f5383f2e5851c8635641bd635d44ec042d8ff8a94d541c"),
+]
+
+
+@pytest.mark.parametrize("args, file_digest, payload_digest", SEED3_ORBIT_DIGESTS)
+def test_seed3_orbit_workload_digests(workdir, args, file_digest, payload_digest):
+    write_seed3_orbit(workdir)
+    assert main(args + ["--out", "artifact.json"]) == 0
+    assert_digests(workdir / "artifact.json", file_digest, payload_digest, args[:2])
 
 
 class TestModuleEntryPoint:

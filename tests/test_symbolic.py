@@ -107,25 +107,40 @@ def spy_on_repeats(monkeypatch):
 
 def shape_repeat_search(row, advance, limit):
     """Oracle: the repeat search that normalizes every row to (top, row -
-    top), top its largest entry, and compares the whole normalized rows."""
+    top), top its largest entry, keeps the normalized rows at step 0 and at
+    every power of two as marks, and compares each new row with every mark
+    as a whole."""
 
     def shape(row):
         top = max((x for x in row if x is not None), default=0)
         return top, [None if x is None else x - top for x in row]
 
-    mark_top, mark = shape(row)
-    power = period = 1
+    marks = [(0, *shape(row))]
     for done in range(1, limit + 1):
         row = advance(row)
         top, normal = shape(row)
-        if normal == mark:
-            return done, row, period, top - mark_top
-        if period == power:
-            mark_top, mark = top, normal
-            power *= 2
-            period = 0
-        period += 1
+        for step, mark_top, mark in marks:
+            if normal == mark:
+                return done, row, done - step, top - mark_top
+        if done & (done - 1) == 0:
+            marks.append((done, top, normal))
     return limit, row, None, None
+
+
+def repeat_onset(row, advance, limit):
+    """Oracle: (t0, c) with row t + c = row t plus a constant for every
+    t >= t0, t0 and then c least, from the whole history of normalized rows
+    up to step `limit`; None if no two rows up to `limit` repeat."""
+    history = []
+    for _ in range(limit + 1):
+        top = max((x for x in row if x is not None), default=0)
+        normal = [None if x is None else x - top for x in row]
+        if normal in history:
+            t0 = history.index(normal)
+            return t0, len(history) - t0
+        history.append(normal)
+        row = advance(row)
+    return None
 
 
 @st.composite
@@ -483,17 +498,37 @@ class TestOcapLimit:
     def test_karp_matches_full_table(self, graph):
         succs, weights = graph
         for comp in symbolic._sccs(succs):
-            assert symbolic._karp_max_mean(comp, succs, weights) == karp_full_table(
-                comp, succs, weights
-            )
+            local = symbolic._local_graph(comp, succs, weights)
+            assert symbolic._karp_max_mean(*local) == karp_full_table(comp, succs, weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=weighted_graphs(), gap=st.fractions(F(1, 50), F(3)))
+    def test_critical_cycle_refuses_a_wrong_mean(self, graph, gap):
+        succs, weights = graph
+        for comp in symbolic._sccs(succs):
+            mean = karp_full_table(comp, succs, weights)
+            if mean is None:
+                continue
+            out, w = symbolic._local_graph(comp, succs, weights)
+            for planted in (mean, mean - gap, mean + gap):
+                cycle = symbolic._critical_cycle(out, w, planted)
+                if planted > mean:
+                    assert cycle == []
+                    continue
+                assert all(v in out[u] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+                cycle_mean = F(sum(w[v] for v in cycle), len(cycle))
+                assert cycle_mean == mean if planted == mean else cycle_mean > planted
 
     def test_karp_falls_back_without_a_repeat_by_n(self, monkeypatch):
-        # D[0], D[1], D[2] are (0, None), (None, 1), (1, None); the mark row
-        # is D[1] from k = 2 on, so the repeat first shows at D[3] = D[1] + 1
+        # D[0], ..., D[4] are (0, -, -, -), (0, 0, -, -), (0, 0, 3, 0),
+        # (0, 3, 6, 3) and (3, 6, 9, 6): D[4] = D[3] + 3, but the marks are
+        # D[0], D[1] and D[2], so the repeat first shows at D[5] = D[4] + 3
         seen = spy_on_repeats(monkeypatch)
-        succs, weights = [[1], [0]], [0, 1]
-        assert symbolic._karp_max_mean([0, 1], succs, weights) == F(1, 2)
-        assert seen == [(2, None)]
+        succs, weights = [[0, 1], [2, 3], [1, 2, 3], [0, 2]], [0, 0, 3, 0]
+        nodes = [0, 1, 2, 3]
+        assert symbolic._karp_max_mean(*symbolic._local_graph(nodes, succs, weights)) == 3
+        assert karp_full_table(nodes, succs, weights) == 3
+        assert seen == [(4, None)]
 
     @settings(max_examples=300, deadline=None)
     @given(graph=weighted_graphs(), data=st.data())
@@ -515,6 +550,24 @@ class TestOcapLimit:
             assert symbolic._iterate_until_repeat(
                 row, advance, limit
             ) == shape_repeat_search(row, advance, limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=weighted_graphs(), data=st.data())
+    def test_repeat_search_stops_by_twice_the_onset_plus_the_period(self, graph, data):
+        succs, weights = graph
+        n = len(succs)
+        row = data.draw(st.lists(st.none() | st.integers(-3, 3), min_size=n, max_size=n))
+
+        def advance(row):
+            return symbolic._relax(row, succs, weights)
+
+        onset = repeat_onset(row, advance, 4 * n + 2)
+        assume(onset is not None)
+        t0, c = onset
+        bound = max(1, 2 * t0) + c
+        done, _, period, _ = symbolic._iterate_until_repeat(row, advance, bound)
+        assert period is not None and done <= bound
+        assert period % c == 0 and done - period >= t0
 
     def test_large_graph_in_bounded_memory(self, monkeypatch):
         seen = spy_on_repeats(monkeypatch)
