@@ -14,11 +14,13 @@ into a complex of the stated dimension. Obligations come in two kinds:
 
 The one composite certificate is a chain of block certificates laid end to
 end in time (chain_fiber_certificate): its target is the product of the
-block targets, so their dimensions add. A structural re-check reads every
-integer and rational in the one spelling its record writes (str and
-format_fraction), and a field outside the range its kind ever writes (a
-negative dimension, count or factor, among others) fails the re-check
-whatever the record's status.
+block targets, so their dimensions add. Each structural record's fields
+are declared once, as one row of STRUCTURAL_CHECKS: a record whose field
+set differs from its row's (a citation carries no data) fails its
+re-check, and so does a field not in the one spelling structural_record
+writes or outside the range its writers produce (a negative dimension,
+count or factor, a nonpositive scale, among others), whatever the
+record's status.
 
 Certificates are immutable; sampling derives one seed per trial from the
 root seed, so results do not depend on execution order.
@@ -84,17 +86,29 @@ class DischargeRecord(Value):
         )
 
 
+def _join(values) -> str:
+    return ";".join(map(str, values))
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _spell(value) -> str:
+    """The one spelling a record writes for a value: a Fraction as
+    format_fraction writes it, a flag as true or false, a tuple or list of
+    integers joined by ";", anything else as str() writes it."""
+    if isinstance(value, Fraction):
+        return format_fraction(value)
+    if isinstance(value, bool):
+        return _flag(value)
+    if isinstance(value, (tuple, list)):
+        return _join(value)
+    return str(value)
+
+
 def _canon_data(data: dict) -> tuple:
-    items = []
-    for k, v in data.items():
-        if isinstance(v, Fraction):
-            v = format_fraction(v)
-        elif isinstance(v, bool):
-            v = str(v).lower()
-        else:
-            v = str(v)
-        items.append((str(k), v))
-    return tuple(sorted(items))
+    return tuple(sorted((str(k), _spell(v)) for k, v in data.items()))
 
 
 def structural_record(name: str, status: str = DISCHARGED, witness=None, **data) -> DischargeRecord:
@@ -106,11 +120,16 @@ def sampled_record(name: str, status: str, witness=None, **data) -> DischargeRec
 
 
 # ---------------------------------------------------------------------------
-# structural re-checks: name -> callable(data_dict) -> bool
+# structural re-checks: name -> (field types, premise)
 #
-# Names in CITATIONS are recorded combinatorial facts: the construction
-# guarantees them and there is nothing arithmetic to recompute, but a
-# verifier must still recognize the name. The premise behind each name:
+# A record's fields are exactly its row's. Each field type reads the value
+# its text spells as _spell writes it, within the range its writers produce,
+# and raises otherwise; the premise takes the typed values as keywords, and
+# a cross-field rule it raises on fails the record whatever its status.
+#
+# Names in CITATIONS are recorded combinatorial facts with an empty row: the
+# construction guarantees them and there is nothing arithmetic to recompute,
+# so a citation carries no data. The premise behind each name:
 #   retraction-fibers-lie-in-stars: each fiber lies in one vertex star, which
 #     the adjacent star-mesh-* record keeps below scale
 #   simplicial-by-block-collapse: every nonempty set of the m target vertices
@@ -139,154 +158,139 @@ CITATIONS = {
 }
 
 
-def _int(text: str) -> int:
-    """The integer that `text` spells as str() writes it: int() alone also
-    reads spaces, signs and underscores."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"not a canonical integer: {text!r}")
-    return value
+def _field(parse, spell, in_range):
+    """A field type: parse(text), refused with ValueError unless `spell`,
+    the one _spell uses for the type, writes that value as `text` and it
+    lies in range."""
+
+    def read(text: str):
+        value = parse(text)
+        if spell(value) != text or not in_range(value):
+            raise ValueError(f"not a field of its type: {text!r}")
+        return value
+
+    return read
 
 
-def _rational(text: str) -> Fraction:
-    """The rational that `text` spells as format_fraction writes it: "p/q"
-    in lowest terms with q > 1, or "p"."""
+def _fraction(text: str) -> Fraction:
     num, _, den = text.partition("/")
-    value = Fraction(int(num), int(den or 1))
-    if format_fraction(value) != text:
-        raise ValueError(f"not a canonical rational: {text!r}")
-    return value
+    return Fraction(int(num), int(den or 1))
 
 
-def _in_range(*conditions):
-    """Raise unless every condition holds: a field outside the range any
-    record of its kind writes makes the record recheck false whatever its
-    status, while the check's return value is its premise alone."""
-    if not all(conditions):
-        raise ValueError("field out of range")
+def _ints(text: str) -> tuple:
+    return tuple(map(int, text.split(";")))
 
 
-def _check_bookkeeping(data):
-    total, bound = _int(data["total_dim"]), _rational(data["bound"])
-    _in_range(total >= 0, _int(data["window_length"]) >= 0, _int(data["m"]) >= 1)
-    return total < bound
+_INT = _field(int, str, lambda v: True)
+_NAT = _field(int, str, lambda v: v >= 0)
+_POS = _field(int, str, lambda v: v > 0)
+_NATS = _field(_ints, _join, lambda v: min(v) >= 0)
+_POSS = _field(_ints, _join, lambda v: min(v) > 0)
+# a Fraction's sign is its numerator's, compared without Fraction arithmetic
+_RAT_NAT = _field(_fraction, format_fraction, lambda v: v.numerator >= 0)
+_RAT_POS = _field(_fraction, format_fraction, lambda v: v.numerator > 0)
+_FLAG = _field(lambda text: text == "true", _flag, lambda v: True)
 
 
-def _check_sum(data):
-    factors = [_int(x) for x in data["factors"].split(";")]
-    _in_range(min(factors) >= 0)
-    return sum(factors) == _int(data["total"])
-
-
-def _check_chain_partition(data):
-    # positive blocks laid end to end from `start` cover [-margin, N + margin)
-    # when the first one contains -margin and the last one N + margin - 1
-    lengths = [_int(x) for x in data["lengths"].split(";")]
-    start, margin, n = _int(data["start"]), _int(data["margin"]), _int(data["N"])
-    _in_range(min(lengths) > 0, margin >= 0)
+def _check_chain_partition(lengths, start, margin, N):
+    # blocks laid end to end from `start` cover [-margin, N + margin) when
+    # the first one contains -margin and the last one N + margin - 1
     end = start + sum(lengths)
-    return start <= -margin < start + lengths[0] and end - lengths[-1] < n + margin <= end
+    return start <= -margin < start + lengths[0] and end - lengths[-1] < N + margin <= end
 
 
-def _check_bucket_dimension(data):
-    # bucket_dimension_bound refuses a negative source dimension
-    dim = _int(data["dim"])
-    _in_range(dim >= 0)
-    return dim <= bucket_dimension_bound(
-        _int(data["source_dim"]), _int(data["m"]), _int(data["bucket"])
-    )
-
-
-def _check_scale_relaxation(data):
+def _check_scale_relaxation(from_scale, to_scale, block_scale, mesh_scale, two_sided_tail):
     # the chain holds at the block scale, which is the scale relaxed from,
-    # and its meshes below it; its meshes and tail are positive
-    scale, to_scale, block, mesh, tail = (
-        _rational(data[k])
-        for k in ("from_scale", "to_scale", "block_scale", "mesh_scale", "two_sided_tail")
-    )
-    _in_range(block == scale, mesh > 0, tail > 0)
-    return scale <= to_scale and mesh < block
+    # and its meshes below it
+    if block_scale != from_scale:
+        raise ValueError("the block scale is not the scale relaxed from")
+    return from_scale <= to_scale and mesh_scale < block_scale
 
 
-def _check_tail_rule(data):
-    # 2^-M < p/q iff q < p * 2^M, which holds for any p >= 1 once 2^M > q
-    margin = _int(data["margin"])
-    threshold = _rational(data["threshold"])
-    tail = _rational(data["two_sided_tail"])
+def _check_tail_rule(margin, threshold, two_sided_tail):
     # the reduced tail a/b is 4/2^M iff a and b are powers of two with
     # log2 a + M = 2 + log2 b
-    a, b = tail.numerator, tail.denominator
-    _in_range(
-        margin >= 0, threshold > 0, tail > 0, not a & (a - 1), not b & (b - 1),
-        a.bit_length() + margin == 2 + b.bit_length(),
-    )
+    a, b = two_sided_tail.numerator, two_sided_tail.denominator
+    if a & (a - 1) or b & (b - 1) or a.bit_length() + margin != 2 + b.bit_length():
+        raise ValueError("the tail is not 4/2^margin")
+    # 2^-M < p/q iff q < p * 2^M, which holds for any p >= 1 once 2^M > q
     q = threshold.denominator
     return margin >= q.bit_length() or q < threshold.numerator << margin
 
 
-def _check_visit_count(data):
-    n, cone, count, cone_global, total = (
-        _int(data[k]) for k in ("n", "cone_dim", "count_bound", "global_cone_dim", "wedge_dim")
-    )
-    _in_range(min(n, cone, count, cone_global) >= 0)
-    return total == n * cone + count * cone_global
-
-
-def _check_disjoint(data):
-    _in_range(_int(data["count"]) >= 0, data["pairwise_disjoint"] in ("true", "false"))
-    return data["pairwise_disjoint"] == "true"
-
-
-def _check_subsampled_visits(data):
-    # the subsampled count never beats the full-orbit count, which the best
-    # cycle mean bounds up to one traversal of the graph
-    steps, length, size, count = (
-        _int(data[k]) for k in ("steps", "step_length", "graph_size", "count_bound")
-    )
-    ocap = _rational(data["complement_ocap"])
-    _in_range(min(steps, length, size, count) >= 0, ocap >= 0)
-    return count <= ocap * steps * length + size
-
-
-def _check_inherited_mesh(data):
-    parent = _rational(data["parent_mesh"])
-    _in_range(parent >= 0)
-    return parent < _rational(data["scale"])
-
-
-def _check_grid_mesh(data):
-    g = _int(data["grid"])
-    bound = _rational(data["bound"])
-    _in_range(g >= 1 and bound == Fraction(2, g))
-    return bound < _rational(data["scale"])
+def _check_grid_mesh(grid, bound, scale):
+    if bound != Fraction(2, grid):
+        raise ValueError("the bound is not 2/grid")
+    return bound < scale
 
 
 STRUCTURAL_CHECKS = {
-    "star-mesh-inherited-bound": _check_inherited_mesh,
-    "star-mesh-grid-bound": _check_grid_mesh,
-    "product-dims-additive": _check_sum,
-    "chain-itinerary-covers-range": _check_chain_partition,
-    "bucket-dimension-bound": _check_bucket_dimension,
-    "scale-relaxation": _check_scale_relaxation,
-    "dimension-bookkeeping": _check_bookkeeping,
-    "window-tail-rule": _check_tail_rule,
-    "wedge-dimension-count": _check_visit_count,
-    "windows-pairwise-disjoint": _check_disjoint,
-    "subsampled-visits-bound": _check_subsampled_visits,
+    "star-mesh-inherited-bound": (
+        dict(parent_mesh=_RAT_NAT, scale=_RAT_POS),
+        lambda parent_mesh, scale: parent_mesh < scale,
+    ),
+    "star-mesh-grid-bound": (dict(grid=_POS, bound=_RAT_POS, scale=_RAT_POS), _check_grid_mesh),
+    "product-dims-additive": (
+        dict(factors=_NATS, total=_NAT), lambda factors, total: sum(factors) == total,
+    ),
+    "chain-itinerary-covers-range": (
+        dict(lengths=_POSS, start=_INT, margin=_NAT, N=_POS), _check_chain_partition,
+    ),
+    # bucket_dimension_bound refuses a bucket above m
+    "bucket-dimension-bound": (
+        dict(source_dim=_NAT, m=_POS, bucket=_POS, dim=_NAT),
+        lambda source_dim, m, bucket, dim: dim <= bucket_dimension_bound(source_dim, m, bucket),
+    ),
+    "scale-relaxation": (
+        dict(from_scale=_RAT_POS, to_scale=_RAT_POS, block_scale=_RAT_POS,
+             mesh_scale=_RAT_POS, two_sided_tail=_RAT_POS),
+        _check_scale_relaxation,
+    ),
+    "dimension-bookkeeping": (
+        dict(total_dim=_NAT, bound=_RAT_POS, window_length=_NAT, m=_POS),
+        lambda total_dim, bound, window_length, m: total_dim < bound,
+    ),
+    "window-tail-rule": (
+        dict(margin=_NAT, threshold=_RAT_POS, two_sided_tail=_RAT_POS), _check_tail_rule,
+    ),
+    "wedge-dimension-count": (
+        dict(n=_NAT, cone_dim=_NAT, count_bound=_NAT, global_cone_dim=_NAT, wedge_dim=_NAT),
+        lambda n, cone_dim, count_bound, global_cone_dim, wedge_dim:
+            wedge_dim == n * cone_dim + count_bound * global_cone_dim,
+    ),
+    "windows-pairwise-disjoint": (
+        dict(pairwise_disjoint=_FLAG, count=_NAT),
+        lambda pairwise_disjoint, count: pairwise_disjoint,
+    ),
+    # the subsampled count never beats the full-orbit count, which the best
+    # cycle mean bounds up to one traversal of the graph
+    "subsampled-visits-bound": (
+        dict(steps=_NAT, step_length=_NAT, graph_size=_NAT, count_bound=_NAT,
+             complement_ocap=_RAT_NAT),
+        lambda steps, step_length, graph_size, count_bound, complement_ocap:
+            count_bound <= complement_ocap * steps * step_length + graph_size,
+    ),
+    **dict.fromkeys(CITATIONS, ({}, lambda: True)),
 }
 
 
 def recheck_structural(record: DischargeRecord) -> bool:
-    """Re-discharge a structural obligation from its serialized data alone."""
+    """Re-discharge a structural obligation from its serialized data alone:
+    its field set must be its row's, each field must read as its type, and
+    the premise must hold exactly when the record says discharged."""
     if record.kind != STRUCTURAL:
         raise PreconditionError("not a structural record")
-    if record.name in CITATIONS:
-        return record.status == DISCHARGED
-    check = STRUCTURAL_CHECKS.get(record.name)
-    if check is None:
+    row = STRUCTURAL_CHECKS.get(record.name)
+    if row is None:
+        return False
+    types, premise = row
+    data = record.data_dict
+    if len(data) != len(types):
         return False
     try:
-        return check(record.data_dict) == (record.status == DISCHARGED)
+        # with the lengths equal, the fields are the row's when each is in it
+        values = {key: types[key](text) for key, text in data.items()}
+        return premise(**values) == (record.status == DISCHARGED)
     except (LookupError, ValueError, ArithmeticError, MeanDimError):
         return False
 
@@ -387,18 +391,14 @@ def chain_fiber_certificate(
     if any(Fraction(c.epsilon) != eps for c in certs[1:]):
         raise PreconditionError("mismatched epsilon")
     chain_record = structural_record(
-        "chain-itinerary-covers-range", lengths=";".join(map(str, lengths)), start=start,
-        margin=margin, N=N,
+        "chain-itinerary-covers-range", lengths=lengths, start=start, margin=margin, N=N
     )
     if not recheck_structural(chain_record):
         raise PreconditionError("block offsets inconsistent with block lengths")
-    dims = [c.target_dim for c in certs]
+    dims = tuple(c.target_dim for c in certs)
     obligations = tuple(r for c in certs for r in c.obligations)
     if len(dims) > 1:
-        factors = ";".join(map(str, dims))
-        obligations += (
-            structural_record("product-dims-additive", factors=factors, total=sum(dims)),
-        )
+        obligations += (structural_record("product-dims-additive", factors=dims, total=sum(dims)),)
     blocks = tuple(zip(accumulate(lengths[:-1], initial=start), (c.evaluator for c in certs)))
     dists = [c.target_dist for c in certs]
 
@@ -487,8 +487,8 @@ def sample_fiber_check(
                 witness=(to_jsonable_point(x), to_jsonable_point(y)),
                 trials=trials,
                 seed=seed,
-                eta=format_fraction(eta),
-                epsilon=format_fraction(eps),
+                eta=eta,
+                epsilon=eps,
             )
         near += 1
     return sampled_record(
@@ -498,8 +498,8 @@ def sample_fiber_check(
         near_pairs=near,
         violations=0,
         seed=seed,
-        eta=format_fraction(eta),
-        epsilon=format_fraction(eps),
+        eta=eta,
+        epsilon=eps,
     )
 
 

@@ -693,7 +693,7 @@ def wedge_cone_embedding(
             count_bound=count_bound,
             steps=n,
             step_length=N,
-            complement_ocap=format_fraction(complement_ocap.value),
+            complement_ocap=complement_ocap.value,
             graph_size=complement_ocap.graph_size,
         ),
         structural_record(

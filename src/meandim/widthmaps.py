@@ -291,9 +291,7 @@ def partition_map(
     if not mesh < mesh_scale:
         raise PreconditionError(f"inherited star mesh bound {mesh} is not below {mesh_scale}")
     mesh_record = structural_record(
-        "star-mesh-inherited-bound",
-        parent_mesh=format_fraction(mesh),
-        scale=format_fraction(mesh_scale),
+        "star-mesh-inherited-bound", parent_mesh=mesh, scale=mesh_scale
     )
     # validate_covers and the partition's disjointness give every vertex
     # exactly one block in 1..m
@@ -478,10 +476,7 @@ class KuhnWidthPipeline(FrozenStruct):
 
         records = (
             structural_record(
-                "star-mesh-grid-bound",
-                grid=g,
-                bound=format_fraction(Fraction(2, g)),
-                scale=format_fraction(mesh_threshold),
+                "star-mesh-grid-bound", grid=g, bound=Fraction(2, g), scale=mesh_threshold
             ),
             structural_record(
                 "bucket-dimension-bound",

@@ -385,11 +385,31 @@ class TestRecords:
         ("star-mesh-inherited-bound", {"parent_mesh": "-1", "scale": "1/8"}),
         ("star-mesh-grid-bound", {"grid": "0", "bound": "1", "scale": "1/8"}),
         ("star-mesh-grid-bound", {"grid": "17", "bound": "1/17", "scale": "1/8"}),
+        # totals are at least 0, scales and bounds above 0, and N at least 1
+        ("product-dims-additive", {"factors": "1;2", "total": "-1"}),
+        ("wedge-dimension-count",
+         {"n": "2", "cone_dim": "1", "count_bound": "3", "global_cone_dim": "1",
+          "wedge_dim": "-1"}),
+        ("scale-relaxation", {**SCALES, "to_scale": "-1"}),
+        ("dimension-bookkeeping", {**BOOKKEEPING, "bound": "-1"}),
+        ("star-mesh-grid-bound", {"grid": "17", "bound": "2/17", "scale": "-1"}),
+        ("star-mesh-inherited-bound", {"parent_mesh": "1/17", "scale": "-1"}),
+        ("chain-itinerary-covers-range",
+         {"lengths": "8;8", "start": "0", "margin": "0", "N": "-40"}),
+        # a field outside the record's row: a citation carries no data
+        ("coordinate-projection", {"margin": "3"}),
+        ("empty-fiber", {"dim": "0"}),
+        ("dimension-bookkeeping", {**BOOKKEEPING, "note": "1"}),
+        ("product-dims-additive", {"factors": "1;2", "total": "3", "margin": "0"}),
+        # a field of the row left out
+        ("dimension-bookkeeping", {k: v for k, v in BOOKKEEPING.items() if k != "m"}),
+        ("windows-pairwise-disjoint", {"pairwise_disjoint": "true"}),
     ])
     def test_impossible_field_fails_recheck_whatever_the_status(self, name, data):
-        # each record has a field no record of its kind ever holds, so it
-        # rechecks false both as discharged and as failed, whether or not
-        # its premise holds on the other fields
+        # each record has a field or a value no record of its kind ever
+        # holds, or lacks a field each one holds, so it rechecks false both
+        # as discharged and as failed, whether or not its premise holds on
+        # the other fields
         assert not recheck_structural(structural_record(name, **data))
         assert not recheck_structural(structural_record(name, FAILED, ("tampered",), **data))
 

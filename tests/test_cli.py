@@ -15,11 +15,27 @@ from hypothesis import given, settings, strategies as st
 
 import meandim
 from meandim import cli, symbolic
-from meandim.certificates import CITATIONS
+from meandim.certificates import (
+    CITATIONS,
+    STRUCTURAL,
+    STRUCTURAL_CHECKS,
+    DischargeRecord,
+    structural_record,
+)
 from meandim.cli import PAYLOAD_BUILDERS, main
-from meandim.counterexample import CounterexampleParams, CountReport
+from meandim.counterexample import CounterexampleParams, CountReport, wedge_cone_embedding
 from meandim.serialize import canonical_json
-from oracles import full_shift, golden_mean
+from meandim.symbolic import CylinderSet
+from meandim.widthmaps import empty_fiber_certificate
+from oracles import (
+    empty_cylinder,
+    finite_cloud_handle,
+    full_shift,
+    golden_mean,
+    identity_certificate,
+    pullback_certificate,
+)
+from wedge_fixtures import golden_instance
 
 
 @pytest.fixture()
@@ -724,13 +740,16 @@ class TestVerify:
                                    "global_cone_dim": "1", "wedge_dim": "1"}),
         ("star-mesh-inherited-bound", {"parent_mesh": "2/34", "scale": "1/8"}),
         ("windows-pairwise-disjoint", {"pairwise_disjoint": "true", "count": "-4"}),
+        # a citation carries no data, and no record has a field outside its row
+        ("coordinate-projection", {"margin": "3"}),
+        ("dimension-bookkeeping", {"note": "1"}),
     ])
     def test_noncanonical_or_negative_value_fails_its_record(
         self, workdir, fiber_cert_16, name, changes
     ):
         # every tampered value reads as one that satisfies the record's own
-        # inequality, so only the spelling or sign check catches it before
-        # the reproduction does
+        # inequality, so only the spelling, range or field-set check catches
+        # it before the reproduction does
         artifact = json.loads(fiber_cert_16)
         obligations = artifact["payload"]["certificates"][0]["obligations"]
         records = [entry for entry in obligations if entry["name"] == name]
@@ -875,6 +894,47 @@ class TestVerify:
         mutant = Path("mutant.json")
         mutant.write_text(json.dumps(_mutated(artifact, path, value)))
         assert main(["verify", str(mutant)]) in (0, 2, 3, 4)
+
+
+def test_every_structural_record_round_trips_through_its_row(workdir, fiber_cert_16):
+    """Each STRUCTURAL record that a 2-cube gromov build and fiber-check, an
+    N = 16 fiber-cert and the wedge embeddings write has its row's field
+    set, parses through its row, and structural_record gives it back from
+    the typed values; together with the empty fiber and the isometric
+    pullback, the records reach every row."""
+    assert main(_GROMOV_MAP + ["--out", "map.json"]) == 0
+    assert main(["gromov", "fiber-check", "map.json", "--samples", "2", "--seed", "7",
+                 "--trials", "50", "--out", "fibers.json"]) == 0
+    artifacts = [json.loads((workdir / name).read_text()) for name in ("map.json", "fibers.json")]
+    artifacts.append(json.loads(fiber_cert_16))
+    records = [
+        DischargeRecord.from_json_dict(entry)
+        for artifact in artifacts
+        for entry in cli._iter_obligation_dicts(artifact["payload"])
+    ]
+    base = golden_mean()
+    punctured = [CylinderSet.from_constraints(base, [(0, ("0", "0"))]),
+                 CylinderSet.from_constraints(base, [(0, ("1",))])]
+    for pieces in (None, punctured, [empty_cylinder(base)] * 2):
+        records += wedge_cone_embedding(golden_instance(pieces=pieces), N=4, n=4).obligations
+    records += empty_fiber_certificate(Fraction(1, 2)).obligations
+    line = finite_cloud_handle([(Fraction(i, 4),) for i in range(5)])
+    records += pullback_certificate(
+        identity_certificate(line, 1, Fraction(1, 2)), line, lambda x: x,
+        witness="isometric-inclusion",
+    ).obligations
+    reached = set()
+    for record in records:
+        if record.kind != STRUCTURAL:
+            continue
+        types, _ = STRUCTURAL_CHECKS[record.name]
+        data = record.data_dict
+        assert data.keys() == types.keys(), record
+        values = {key: read(data[key]) for key, read in types.items()}
+        rebuilt = structural_record(record.name, record.status, record.witness, **values)
+        assert rebuilt == record
+        reached.add(record.name)
+    assert reached == set(STRUCTURAL_CHECKS)
 
 
 # One small artifact of each kind in cli.PAYLOAD_BUILDERS, with the SHA-256
