@@ -8,12 +8,20 @@ recipe and requires byte-identical canonical JSON (sampled records re-run at
 their recorded seeds), and prints how many records it re-derived, accepted as
 citations and re-ran. Exit codes: 0 success, 2 precondition or parse
 failure, 3 obligation failure (with a witness file), 4 budget exceeded.
+
+Commands build acyclic data: the gromov commands alone build tens of
+thousands of frozensets and tuples per map, and the generational garbage
+collector would re-scan them all, finding nothing to free. So `main` pauses
+the cyclic collector for the whole command and then restores the caller's
+state, on every exit code. `tests/test_cli.py` pins the premise: no command
+leaves an unreachable object behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import random
 import sys
@@ -70,7 +78,9 @@ def _rational(text: str) -> Fraction:
 
 
 # built once: a parser is a reference cycle that only the cyclic garbage
-# collector frees, so one per call piles up between collections
+# collector frees, so one per call piles up between collections; the cache
+# also keeps argparse's first-build cycles from recurring while `main` has
+# the collector paused
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -315,11 +325,12 @@ def _build_payload(kind: str, recipe: dict) -> dict:
 
 def _load_json(path: str, parse=lambda data: data):
     """The JSON document in an input file, passed through `parse`. A missing
-    or unreadable file, text that is not JSON and a document of the wrong
-    shape for `parse` all raise PreconditionError."""
+    or unreadable file, text that is not JSON, a document nested too deep
+    for the interpreter's stack and a document of the wrong shape for
+    `parse` all raise PreconditionError."""
     try:
         return parse(json.loads(Path(path).read_text()))
-    except (OSError, *_MALFORMED) as exc:
+    except (OSError, RecursionError, *_MALFORMED) as exc:
         raise PreconditionError(f"cannot read {path}: {exc!r}") from exc
 
 
@@ -351,16 +362,22 @@ def _raise_on_failed_obligations(artifact: dict):
 
 
 def _iter_obligation_dicts(node):
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if key == "obligations" and isinstance(value, list):
-                for entry in value:
-                    yield entry
-            else:
-                yield from _iter_obligation_dicts(value)
-    elif isinstance(node, list):
-        for entry in node:
-            yield from _iter_obligation_dicts(entry)
+    """Every entry of an "obligations" list under `node`, in document order.
+    The walk keeps its own stack, so no depth that `json` reads overflows
+    it; an item is (True, entry) or (False, node still to walk)."""
+    stack = [(False, node)]
+    while stack:
+        is_entry, node = stack.pop()
+        if is_entry:
+            yield node
+        elif isinstance(node, dict):
+            for key, value in reversed(node.items()):
+                if key == "obligations" and isinstance(value, list):
+                    stack.extend((True, entry) for entry in reversed(value))
+                else:
+                    stack.append((False, value))
+        elif isinstance(node, list):
+            stack.extend((False, item) for item in reversed(node))
 
 
 class VerifyCounts(NamedTuple):
@@ -387,6 +404,13 @@ def verify_artifact(path: str) -> VerifyCounts:
         raise PreconditionError(f"unknown artifact kind {kind!r}")
     if not isinstance(artifact.get("recipe"), dict) or "payload" not in artifact:
         raise PreconditionError("artifact needs an object recipe and a payload")
+    # spelled first: a payload that `json` reads may still be too deep to
+    # spell, and then neither the comparison below nor the witness file of
+    # a failed record in it could be written
+    try:
+        original = canonical_json(artifact["payload"])
+    except RecursionError as exc:
+        raise PreconditionError(f"payload nested too deep: {exc!r}") from exc
     rederived = cited = 0
     sampled = []
     for entry in _iter_obligation_dicts(artifact["payload"]):
@@ -406,7 +430,6 @@ def verify_artifact(path: str) -> VerifyCounts:
         if record.kind == SAMPLED:
             sampled.append(record)
     rebuilt = _build_payload(kind, artifact["recipe"])
-    original = canonical_json(artifact["payload"])
     recomputed = canonical_json(rebuilt)
     if original != recomputed:
         raise ObligationFailedError(
@@ -553,6 +576,8 @@ def _write_witness(exc: ObligationFailedError):
 
 
 def main(argv=None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         ns = _parser().parse_args(argv)
         return COMMANDS[ns.command](ns)
@@ -566,6 +591,9 @@ def main(argv=None) -> int:
     except MeanDimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

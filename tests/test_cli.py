@@ -1,6 +1,7 @@
 """CLI behaviour: commands, artifacts, verification, exit codes, determinism."""
 
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -490,7 +491,7 @@ INPUT_FILE_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("content", ["missing", "not-json", "wrong-shape"])
+@pytest.mark.parametrize("content", ["missing", "not-json", "too-deep", "wrong-shape"])
 @pytest.mark.parametrize(
     "argv, wrong_shape", INPUT_FILE_COMMANDS,
     ids=[" ".join(argv) for argv, _ in INPUT_FILE_COMMANDS],
@@ -500,6 +501,8 @@ def test_bad_input_file_exits_2(workdir, capsys, argv, wrong_shape, content):
     path = workdir / "input.json"
     if content == "not-json":
         path.write_text("{not json")
+    elif content == "too-deep":  # deeper than the interpreter's stack
+        path.write_text("[" * 100_000 + "]" * 100_000)
     elif content == "wrong-shape":
         path.write_text(json.dumps(wrong_shape))
     # an exception escaping main would be the traceback
@@ -1048,17 +1051,23 @@ def test_complex_is_no_command(workdir, capsys):
     assert "invalid choice: 'complex'" in capsys.readouterr().err
 
 
-def test_readme_commands_parse():
-    """Every `meandim ...` line of the README's Command line block parses
-    (nothing is run), so an option the CLI no longer takes cannot linger in
-    the docs."""
+def readme_commands() -> list:
+    """The argv of every `meandim ...` line of the README's Command line
+    block, in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    commands = [
+    return [
         line.split("#", 1)[0].split()[1:]
         for line in block.splitlines()
         if line.startswith("meandim ")
     ]
+
+
+def test_readme_commands_parse():
+    """Every `meandim ...` line of the README's Command line block parses
+    (nothing is run), so an option the CLI no longer takes cannot linger in
+    the docs."""
+    commands = readme_commands()
     assert {argv[0] for argv in commands} == set(cli.COMMANDS)
     for argv in commands:
         cli._parser().parse_args(argv)
@@ -1149,3 +1158,155 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("usage:")
+
+
+# one command per exit code: 0, 2 (a missing file), 3 (a tampered artifact)
+# and 4 (a map over the simplex budget)
+EXIT_CODE_COMMANDS = [
+    (["counterexample", "build", "--delta", "1/2", "--eps", "1/2", "--N", "16",
+      "--out", "inst.json"], 0),
+    (["verify", "missing.json"], 2),
+    (["verify", "tampered.json"], 3),
+    (["gromov", "build", "--cube", "4", "--m", "2", "--eps", "1/100", "--out", "big.json"], 4),
+]
+
+
+def write_tampered(tmp_path) -> Path:
+    """An ocap --limit artifact whose value was edited: verify exits 3."""
+    sft, one = write_golden(tmp_path)
+    out = tmp_path / "tampered.json"
+    assert main(["ocap", "--sft", str(sft), "--set", str(one), "--limit",
+                 "--out", str(out)]) == 0
+    artifact = json.loads(out.read_text())
+    artifact["payload"]["value"] = "2/3"
+    out.write_text(json.dumps(artifact))
+    return out
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, code", EXIT_CODE_COMMANDS, ids=["0", "2", "3", "4"])
+def test_collector_paused_for_the_command_and_restored_after(
+    workdir, monkeypatch, argv, code, caller_collects
+):
+    write_tampered(workdir)
+    command = cli.COMMANDS[argv[0]]
+    seen = []
+
+    def recording(ns):
+        seen.append(gc.isenabled())
+        try:
+            return command(ns)
+        finally:
+            seen.append(gc.isenabled())
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], recording)
+    collecting = gc.isenabled()
+    try:
+        (gc.enable if caller_collects else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() == caller_collects
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert seen == [False, False]
+
+
+def test_collector_restored_after_a_usage_error(workdir):
+    assert gc.isenabled()
+    with pytest.raises(SystemExit):
+        main(["gromov", "build", "--cube", "1", "--m", "2", "--eps", "1.5", "--out", "x.json"])
+    assert gc.isenabled()
+
+
+# the README's sampling commands at test sizes: option -> its values
+TEST_SIZES = {
+    ("gromov", "fiber-check"): {"--samples": ["2"], "--trials": ["20"]},
+    ("counterexample", "check-counts"): {"--samples": ["20"]},
+    ("counterexample", "fiber-cert"): {"--N": ["16"], "--samples": ["2"], "--trials": ["20"]},
+    ("counterexample", "report"): {"--N": ["8", "16"]},
+}
+
+
+def at_test_size(argv: list) -> list:
+    sizes = TEST_SIZES.get(tuple(argv[:2]), {})
+    kept, option = [], None
+    for arg in argv:
+        if arg.startswith("--"):
+            option = arg
+        if option not in sizes:
+            kept.append(arg)
+    for option, values in sizes.items():
+        kept += [option, *values]
+    return kept
+
+
+def test_no_command_leaves_cyclic_garbage(workdir, capsys):
+    # `main` runs each command with the cyclic collector paused, so a cycle
+    # made per trial or per simplex would pile up for the whole command;
+    # this is what keeps the pause safe: each README command at test size,
+    # the verify of each artifact and one command per failing exit code
+    # leave nothing for the collector to free
+    write_golden(workdir)
+    (workdir / "v1.json").write_text(json.dumps([[0, "0"]]))
+    (workdir / "v2.json").write_text(json.dumps([[0, "1"]]))
+    write_tampered(workdir)
+    runs, artifacts = [], []
+    for i, argv in enumerate(readme_commands()):
+        argv = at_test_size(argv)
+        if argv[0] != "verify" and "--out" not in argv:
+            argv += ["--out", f"artifact{i}.json"]
+        if "--out" in argv:
+            artifacts.append(argv[argv.index("--out") + 1])
+        runs.append((argv, 0))
+    runs += [(["verify", path], 0) for path in artifacts]
+    runs += [(argv, code) for argv, code in EXIT_CODE_COMMANDS if code]
+    # the first parser build leaves argparse's cycles once per process
+    assert main(["counterexample", "build", "--delta", "1/2", "--eps", "1/2",
+                 "--N", "8"]) == 0
+    collecting = gc.isenabled()
+    try:
+        for argv, code in runs:
+            gc.collect()
+            gc.disable()
+            assert main(argv) == code, argv
+            assert gc.collect() == 0, argv
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert {argv[0] for argv, _ in runs} == set(cli.COMMANDS)
+
+
+def deep_artifact(payload: str) -> str:
+    """An N = 8 counterexample-instance artifact with the given payload text."""
+    recipe = {"delta": "1/2", "eps": "1/2", "N": 8, "seed": 0}
+    return '{"kind":"counterexample-instance","recipe":%s,"payload":%s}' % (
+        json.dumps(recipe), payload)
+
+
+# an artifact too deep for `json` to read, and artifacts it reads whose
+# payload or failed record's witness is too deep to spell back
+DEEP_DOCUMENTS = {
+    "payload-990": deep_artifact('{"a":' * 990 + "{}" + "}" * 990),
+    "payload-600": deep_artifact('{"a":' * 600 + "{}" + "}" * 600),
+    "witness-600": deep_artifact(
+        '{"obligations":[{"name":"x","kind":"STRUCTURAL","status":"failed","witness":%s}]}'
+        % ("[" * 600 + "]" * 600)),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_DOCUMENTS)
+def test_deeply_nested_document_exits_2(workdir, capsys, name):
+    path = workdir / "deep.json"
+    path.write_text(DEEP_DOCUMENTS[name])
+    # an exception escaping main would be the traceback
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_obligation_walk_keeps_document_order_at_any_depth():
+    document = {"a": [{"obligations": [1, 2]}, {"b": {"obligations": [3]}}],
+                "obligations": [4, 5], "c": {"obligations": [6]}}
+    assert list(cli._iter_obligation_dicts(document)) == [1, 2, 3, 4, 5, 6]
+    deep = {"obligations": [0]}
+    for _ in range(100_000):
+        deep = {"a": [deep]}
+    assert list(cli._iter_obligation_dicts(deep)) == [0]
