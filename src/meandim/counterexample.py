@@ -18,9 +18,9 @@ reaches the width map as its slice of numerators: the fiber certificate
 locates each block's flag on it, and the count check reads each block's
 image as the chart's integer numerators, building no vertex chain and no
 Fraction. A sampled fiber point keeps its free coordinates as integer draws
-on the 1/64 grid and each block as its Kuhn flag. The domain metric d_N
-reads the point as one window of integer numerators over a common
-denominator, so a near pair builds no Fraction per coordinate; only a
+on the 1/64 grid and each block as its Kuhn flag's raw draws. The domain
+metric d_N reads the point as one window of integer numerators over a
+common denominator, so a near pair builds no Fraction per coordinate; only a
 failure witness realizes the window on Fractions. The 1/64 draws are
 randint's values and stream, drawn without its call layers
 (certificates.randint_draws).
@@ -366,9 +366,10 @@ def fiber_dimension_certificate(inst: FactorMapInstance, state) -> EpsEmbeddingC
     draws its free head coordinates, then each complete block's flag from
     that block's fiber sampler in block order, then its free tail
     coordinates. The chain reads the block at offset a as that block's
-    sampled flag, so evaluation reads no coordinates. The domain metric d_N
-    reads the point's IntegerWindow; only a failure witness realizes the
-    window on Fractions.
+    sampled flag, so evaluation reads no coordinates and, of each flag, its
+    bucket i*'s draws only. The domain metric d_N reads the point's
+    IntegerWindow, which builds its flags' weights; only a failure witness
+    realizes the window on Fractions.
     """
     p = inst.params
     N = p.horizon

@@ -37,11 +37,13 @@ Two layers:
   `image_numerators` builds no vertex chain and returns the image as the
   chart's integer numerators. Location, evaluation, retraction and
   sampling run on integer numerators over one denominator per flag, a
-  retraction stays an unrealized flag, a flag realizes its coordinates as
-  integer numerators too, and a Fraction is built only where a value
-  leaves the pipeline (distances). Its certificates carry arithmetic bounds
-  (grid mesh, chain-length bucket dimensions) instead of materialized
-  values; tests cross-check the two layers on small grids.
+  sampled flag keeps its raw draws until its weights are read (a
+  retraction reads one bucket's draws), a retraction stays an unrealized
+  flag, a flag realizes its coordinates as integer numerators too, and a
+  Fraction is built only where a value leaves the pipeline (distances).
+  Its certificates carry arithmetic bounds (grid mesh, chain-length bucket
+  dimensions) instead of materialized values; tests cross-check the two
+  layers on small grids.
 
 Both layers assemble a fiber's certificate in one function, with the same
 records in the same order over each layer's own sampler, metric and retraction.
@@ -88,19 +90,23 @@ WEIGHT_DENOMINATOR = 64  # granularity of sampled rational convex weights
 SIZE_BUDGET = 200_000  # simplices cube_width_map may build from outside input
 
 
-def _sample_group_weights(rng, groups, scales, size: int):
-    """Random weights on `size` slots, drawn one group of slot indices at a
-    time: a group's raw integer draws, not all zero, go over their sum s and
-    are scaled by the group's scale. Returns the integer weights over the
-    product of the sums, and that product. The raw draws are randint(0, 64)
-    values from randint_draws, the same values and rng state as randint's
-    own calls."""
+def _draw_groups(rng, groups) -> list:
+    """The draw half of random weights: per group of slot indices, its
+    randint(0, 64) draws from randint_draws (randint's values and rng
+    state), one of them set to 1 where all are zero."""
     draws = []
     for group in groups:
         raw = randint_draws(rng, WEIGHT_DENOMINATOR, len(group))
         if not any(raw):
             raw[rng.randrange(len(raw))] = 1
         draws.append(raw)
+    return draws
+
+
+def _group_weights(groups, draws, scales, size: int):
+    """The build half: a group's draws go over their sum s and are scaled
+    by the group's scale. Returns the integer weights on `size` slots over
+    the product of the sums, and that product."""
     totals = [sum(raw) for raw in draws]
     product = prod(totals)
     weights = [0] * size
@@ -240,7 +246,8 @@ class PartitionWidthMap(Struct):
         def sample(rng):
             verts = admissible[rng.randrange(len(admissible))]
             groups = [[j for j, v in enumerate(verts) if block_of[v] == i] for i in support]
-            weights, product = _sample_group_weights(rng, groups, scales, len(verts))
+            raw = _draw_groups(rng, groups)
+            weights, product = _group_weights(groups, raw, scales, len(verts))
             return verts, weights, t_den * product
 
         def weighted_sum(verts, weights):
@@ -350,7 +357,7 @@ class FlagPoint(Value):
     holds the point is spanned by the barycenters of the chain's prefixes.
     `weights[j]` is the integer numerator, over `denom`, of the weight on
     prefix j, the face made of the first j + 1 vertices; the numerators are
-    nonnegative and sum to `denom`.
+    nonnegative and sum to `denom` (a SampledFlag builds both on first read).
     """
 
     _fields = ("chain", "weights", "denom")
@@ -366,18 +373,50 @@ class FlagPoint(Value):
         realizes the difference of two flags a, b on one chain."""
         # the barycenter of prefix k - 1 is its coordinate sum over k * grid,
         # so vertex j carries weights[k - 1] / k for every prefix k > j
+        weights = self.weights
         scale = 1
-        for k, w in enumerate(self.weights, start=1):
+        for k, w in enumerate(weights, start=1):
             if w:
                 scale = lcm(scale, k)
         carried = []
         total = 0
-        for k in range(len(self.weights), 0, -1):
-            total += self.weights[k - 1] * (scale // k)
+        for k in range(len(weights), 0, -1):
+            total += weights[k - 1] * (scale // k)
             carried.append(total)
         carried.reverse()
         coords = [sum(map(mul, carried, column)) for column in zip(*self.chain)]
         return coords, scale * self.denom * grid
+
+
+class _Drawn:
+    """A SampledFlag's `weights` or `denom`: the first read builds both into
+    the instance dict, which answers every later read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, flag, owner):
+        if flag is None:
+            return self
+        _, groups, scales, denom = flag.fiber
+        weights, product = _group_weights(groups, flag.draws, scales, len(flag.chain))
+        flag.__dict__.update(weights=weights, denom=denom * product)
+        return flag.__dict__[self.name]
+
+
+class SampledFlag(FlagPoint):
+    """A flag that a Kuhn fiber sampler drew, kept as its raw draws:
+    `draws[k]` lists the draws on the prefixes `groups[k]` of bucket
+    `support[k]`, where `fiber` is the sampler's (support, groups, scales,
+    denom). Realizing, for a near pair's d_N or a failure witness, reads
+    `weights` and `denom`, which _group_weights builds on that first read;
+    a retraction reads one bucket's draws only."""
+
+    weights = _Drawn()
+    denom = _Drawn()
+
+    def __init__(self, chain: tuple, draws: list, fiber: tuple):
+        self.__dict__.update(chain=chain, draws=draws, fiber=fiber)
 
 
 def _prefix_weights(sorted_weights) -> tuple:
@@ -435,8 +474,20 @@ class KuhnWidthPipeline(FrozenStruct):
         return _cube_numerators(self.bucket_sums(nums, res), res)
 
     def retract(self, flag: FlagPoint, bucket: int) -> FlagPoint:
-        """The flag's normalized bucket part, unrealized."""
-        kept = tuple(w if b == bucket else 0 for b, w in zip(self.buckets, flag.weights))
+        """The flag's normalized bucket part, unrealized: its weights on the
+        bucket's prefixes over their sum. A SampledFlag's weights there are
+        its raw draws times one positive factor, so its part reads only
+        that bucket's draws, each over their sum."""
+        if type(flag) is SampledFlag:
+            support, groups, _, _ = flag.fiber
+            kept = [0] * len(flag.chain)
+            if bucket in support:
+                k = support.index(bucket)
+                for j, r in zip(groups[k], flag.draws[k]):
+                    kept[j] = r
+            kept = tuple(kept)
+        else:
+            kept = tuple(w if b == bucket else 0 for b, w in zip(self.buckets, flag.weights))
         total = sum(kept)
         if total == 0:
             raise PreconditionError("retraction bucket has zero weight")
@@ -445,11 +496,12 @@ class KuhnWidthPipeline(FrozenStruct):
     def fiber_certificate(self, flag: FlagPoint, scale, mesh_threshold) -> EpsEmbeddingCertificate:
         """Certificate for the fiber through `flag`, sampled in the flag
         polytope of its chain. Dimensions come from the chain-length bucket
-        bounds; the mesh premise is the grid bound 2/g. The evaluator
-        retracts onto bucket i* without realizing the result, and the fiber
-        metric `dist`, which compares flags on their integer numerators,
-        measures the target side too. Every flag it compares lies on `chain`,
-        so it realizes their weight difference once."""
+        bounds; the mesh premise is the grid bound 2/g. A sample is a
+        SampledFlag. The evaluator retracts onto bucket i* without realizing
+        the result, reading bucket i*'s draws only, and the fiber metric
+        `dist`, which compares flags on their integer numerators, measures
+        the target side too. Every flag it compares lies on `chain`, so it
+        realizes their weight difference once."""
         sums = self._bucket_numerators(flag.weights)
         scale = Fraction(scale)
         mesh_threshold = Fraction(mesh_threshold)
@@ -459,13 +511,12 @@ class KuhnWidthPipeline(FrozenStruct):
         groups = [[j for j, b in enumerate(self.buckets) if b == i] for i in support]
         scales = [sums[i - 1] for i in support]
         chain = flag.chain
-        denom = flag.denom
+        fiber = (support, groups, scales, flag.denom)
         g = self.grid
 
         def sample(rng):
             # bucket i's prefix weights sum to its bucket sum, sums[i] / denom
-            weights, product = _sample_group_weights(rng, groups, scales, len(chain))
-            return FlagPoint(chain, weights, denom * product)
+            return SampledFlag(chain, _draw_groups(rng, groups), fiber)
 
         def dist(a, b):
             # both flags lie on `chain`; realize is linear in the weights

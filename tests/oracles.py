@@ -3,7 +3,9 @@ Fraction coordinates and their vertex points, the generic point location
 and linear extension on Fractions that the closed-form Kuhn pipeline is
 tested against, the radial chart on Fractions, the Kuhn width map and
 the factor map evaluated on Fractions through located flags (the path the
-integer count check is tested against), a metric-axiom check,
+integer count check is tested against), the eager Kuhn fiber sampler that
+builds each flag's weights as it draws them (the reference for sampled
+flags, which keep their draws), a metric-axiom check,
 small certificate domains for the certificate algebra tests, the pullback
 of a certificate along a non-contracting map, whether a certificate's
 structural records are all discharged, the full and golden-mean shifts,
@@ -11,10 +13,11 @@ the empty clopen set, equality of clopen sets, and the Hilbert-cube window
 metric on Fractions.
 """
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import sub
 
 from meandim.certificates import (
@@ -26,6 +29,7 @@ from meandim.certificates import (
     EpsEmbeddingCertificate,
     MetricSpaceHandle,
     flat_linf,
+    randint_draws,
     sampled_record,
     structural_record,
     to_jsonable_point,
@@ -33,7 +37,12 @@ from meandim.certificates import (
 from meandim.errors import PreconditionError
 from meandim.geometry import GeometricComplex, common_numerators
 from meandim.symbolic import CylinderSet, IntegerWindow, ShiftMetric, Sft, WindowSeq
-from meandim.widthmaps import KuhnWidthPipeline, _cube_numerators
+from meandim.widthmaps import (
+    WEIGHT_DENOMINATOR,
+    FlagPoint,
+    KuhnWidthPipeline,
+    _cube_numerators,
+)
 
 
 def realize(K, coords: dict) -> GeometricComplex:
@@ -227,6 +236,61 @@ def evaluate(pipeline: KuhnWidthPipeline, x) -> tuple:
     into the (m-1)-cube on Fractions."""
     flag = pipeline.locate_flag(*common_numerators(x))
     return cube_from_numerators(pipeline._bucket_numerators(flag.weights), flag.denom)
+
+
+def sample_group_weights(rng, groups, scales, size: int):
+    """Random weights on `size` slots, drawn one group of slot indices at a
+    time and built at once: a group's raw randint(0, 64) draws, one of them
+    set to 1 where all are zero, go over their sum s and are scaled by the
+    group's scale. Returns the integer weights over the product of the
+    sums, and that product."""
+    draws = []
+    for group in groups:
+        raw = randint_draws(rng, WEIGHT_DENOMINATOR, len(group))
+        if not any(raw):
+            raw[rng.randrange(len(raw))] = 1
+        draws.append(raw)
+    totals = [sum(raw) for raw in draws]
+    product = prod(totals)
+    weights = [0] * size
+    for group, raw, total, scale in zip(groups, draws, totals, scales):
+        factor = scale * (product // total)
+        for j, r in zip(group, raw):
+            weights[j] = factor * r
+    return tuple(weights), product
+
+
+def kuhn_fiber_groups(pipeline: KuhnWidthPipeline, flag) -> tuple:
+    """The buckets of positive weight in the fiber through `flag`, and per
+    such bucket its prefix indices and its bucket sum over flag.denom."""
+    sums = pipeline._bucket_numerators(flag.weights)
+    support = [i for i in range(1, pipeline.m + 1) if sums[i - 1] > 0]
+    groups = [[j for j, b in enumerate(pipeline.buckets) if b == i] for i in support]
+    return support, groups, [sums[i - 1] for i in support]
+
+
+def eager_flag_sampler(pipeline: KuhnWidthPipeline, flag):
+    """The fiber sampler of the flag polytope through `flag`, building each
+    sample's weights as it draws them: a FlagPoint with every weight."""
+    _, groups, scales = kuhn_fiber_groups(pipeline, flag)
+
+    def sample(rng):
+        weights, product = sample_group_weights(rng, groups, scales, len(flag.chain))
+        return FlagPoint(flag.chain, weights, flag.denom * product)
+
+    return sample
+
+
+def eager_fiber_certificate(block_certificate):
+    """KuhnWidthPipeline.fiber_certificate, given as `block_certificate`,
+    with eager_flag_sampler as each certificate's sampler."""
+
+    def certificate(pipeline, flag, *args):
+        cert = block_certificate(pipeline, flag, *args)
+        domain = dataclasses.replace(cert.domain, sample=eager_flag_sampler(pipeline, flag))
+        return dataclasses.replace(cert, domain=domain)
+
+    return certificate
 
 
 def fraction_window(x) -> WindowSeq:

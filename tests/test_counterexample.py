@@ -1,6 +1,7 @@
 """Tests for the factor-map construction and the wedge-cone embedding."""
 
 import dataclasses
+import json
 import math
 import random
 import time
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meandim import counterexample, widthmaps
 from meandim.certificates import (
     _trial_seed,
     check_certificate,
@@ -18,6 +20,7 @@ from meandim.certificates import (
     sample_fiber_check,
     structural_record,
 )
+from meandim.cli import main
 from meandim.complexes import bucket_dimension_bound
 from meandim.counterexample import (
     CSV_HEADER,
@@ -47,6 +50,7 @@ from meandim.widthmaps import KuhnWidthPipeline
 from oracles import (
     HILBERT_METRIC,
     all_structural_discharged,
+    eager_fiber_certificate,
     empty_cylinder,
     evaluate,
     evaluate_f,
@@ -505,6 +509,63 @@ class TestFiberCertificate:
         assert record.status == "failed"
         assert record.witness == (repr(x), repr(y))
         assert record.to_json_dict()["witness"] == [repr(x), repr(y)]
+
+    @pytest.mark.parametrize("eta, seed, near", [(None, 6, 0), (None, 0, 4), (F(1), 4, 60)])
+    def test_only_near_pairs_build_sampled_weights(self, monkeypatch, eta, seed, near):
+        # a sampled flag builds its weights only when d_N reads its point,
+        # once per flag of both points of a near pair: none where no pair
+        # is near, and every flag at eta = 1, where every pair is
+        builds, reads = [], []
+        group_weights = widthmaps._group_weights
+
+        def counted_build(*args):
+            builds.append(1)
+            return group_weights(*args)
+
+        def counted_d_N(metric, N, u, v):
+            reads.append(1)
+            return d_N(metric, N, u, v)
+
+        inst = FactorMapInstance(std_params(N=16))
+        x, r = inst.sample_state(random.Random(22))
+        cert = fiber_dimension_certificate(inst, (x, r))
+        monkeypatch.setattr(widthmaps, "_group_weights", counted_build)
+        monkeypatch.setattr(counterexample, "d_N", counted_d_N)
+        record = check_certificate(cert, trials=60, seed=seed, eta=eta)
+        assert record.status == "sampled-only"
+        assert int(record.data_dict["near_pairs"]) == len(reads) == near
+        assert len(builds) == 2 * near * len(inst.block_starts(r))
+
+    def test_failed_record_witness_matches_eagerly_built_flags(self, tmp_path, monkeypatch):
+        # a planted domain metric puts every pair at eps, and with eta = 1
+        # every pair is near, so each certificate's first trial fails; the
+        # witness realizes the deferred flags, and must spell the flags the
+        # eager sampler builds from the same draws
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(counterexample, "d_N", lambda metric, N, u, v: F(1, 2))
+        argv = ["counterexample", "fiber-cert", "--delta", "1/2", "--eps", "1/2", "--N", "16",
+                "--eta", "1", "--samples", "2", "--trials", "3", "--seed", "5"]
+        outputs = []
+        for eager in (False, True):
+            if eager:
+                monkeypatch.setattr(
+                    KuhnWidthPipeline, "fiber_certificate",
+                    eager_fiber_certificate(KuhnWidthPipeline.fiber_certificate),
+                )
+            assert main([*argv, "--out", "fibers.json"]) == 3
+            outputs.append(
+                ((tmp_path / "fibers.json").read_text(),
+                 (tmp_path / "meandim-witness.json").read_text())
+            )
+        assert outputs[0] == outputs[1]
+        artifact, witness = (json.loads(text) for text in outputs[0])
+        failed = [
+            r for cert in artifact["payload"]["certificates"] for r in cert["obligations"]
+            if r["status"] == "failed"
+        ]
+        assert [r["name"] for r in failed] == ["fiber-sample-check"] * 2
+        assert witness["witness"] == failed[0]["witness"]
+        assert all(text.startswith("WindowSeq(") for text in witness["witness"])
 
     def test_fiber_check_passes(self):
         inst = FactorMapInstance(std_params(N=8))

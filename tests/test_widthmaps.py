@@ -18,10 +18,12 @@ from meandim.geometry import (
     max_star_mesh,
 )
 from meandim import widthmaps
+from meandim.counterexample import CounterexampleParams, FactorMapInstance
 from meandim.serialize import format_fraction
 from meandim.widthmaps import (
     FlagPoint,
     KuhnWidthPipeline,
+    SampledFlag,
     barycentric_from_cube,
     cube_width_map,
     grid_for_mesh,
@@ -32,8 +34,10 @@ from oracles import (
     all_structural_discharged,
     cube_from_barycentric,
     cube_from_numerators,
+    eager_flag_sampler,
     eval_simplicial_map,
     evaluate,
+    kuhn_fiber_groups,
     locate,
     realize,
     vertex_point,
@@ -682,6 +686,97 @@ class TestIntegerFlags:
                 assert type(got) is F
                 assert got == two_realizes(u, v)
             assert dist(a, scaled) == dist(a, a) == 0
+
+
+def factor_block_flags(N: int) -> tuple:
+    """The pipeline of the factor instance at horizon N, and the located
+    flags of every complete block of a sampled state and of a point whose
+    bucket 3 is empty."""
+    inst = FactorMapInstance(CounterexampleParams(F(1, 2), F(1, 2), N))
+    pipeline, period = inst.pipeline, inst.params.period
+    x, r = inst.sample_state(random.Random(N))
+    flags = [
+        pipeline.locate_flag(x.nums[a - x.start : a - x.start + period], x.den)
+        for a in inst.block_starts(r)
+    ]
+    tied = (F(1, 64), F(1, 64), F(5, 64), F(5, 64), F(0), F(1), F(1, 2), F(33, 64))
+    return pipeline, flags + [flag_at(pipeline, tied)]
+
+
+class ZeroDrawRandom(random.Random):
+    """A Random whose first `zeros` getrandbits calls return 0, so that
+    the first group of that many draws is all zero; it logs every
+    getrandbits and randrange call with its result."""
+
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros, self.log = zeros, []
+
+    def getrandbits(self, k):
+        value = 0 if self.zeros > 0 else super().getrandbits(k)
+        self.zeros -= 1
+        self.log.append(("getrandbits", k, value))
+        return value
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.log.append(("randrange", args, value))
+        return value
+
+
+class TestSampledFlags:
+    """A fiber sampler's flag keeps its raw draws, and builds the weights
+    and denominator the eager sampler builds only when they are read."""
+
+    @pytest.mark.parametrize("N", [16, 32, 80])
+    def test_built_weights_and_retractions_match_the_eager_sampler(self, N):
+        pipeline, flags = factor_block_flags(N)
+        grid = pipeline.grid
+        outside = 0
+        for flag in flags:
+            cert = pipeline.fiber_certificate(flag, F(1, 4), F(1, 8))
+            eager = eager_flag_sampler(pipeline, flag)
+            support = kuhn_fiber_groups(pipeline, flag)[0]
+            for seed in range(200 // len(flags) + 1):
+                drawn, clone = random.Random(seed), random.Random(seed)
+                sample, twin = cert.domain.sample(drawn), eager(clone)
+                assert drawn.getstate() == clone.getstate()
+                assert type(sample) is SampledFlag and type(twin) is FlagPoint
+                for b in range(1, pipeline.m + 1):
+                    if b in support:
+                        got, want = pipeline.retract(sample, b), pipeline.retract(twin, b)
+                        assert realized(got, grid) == realized(want, grid)
+                    else:
+                        outside += 1
+                        for point in (sample, twin):
+                            with pytest.raises(PreconditionError):
+                                pipeline.retract(point, b)
+                # retracting read the draws only
+                assert "weights" not in vars(sample) and "denom" not in vars(sample)
+                assert (sample.chain, sample.weights, sample.denom) == (
+                    twin.chain, twin.weights, twin.denom,
+                )
+                assert sample == SampledFlag(sample.chain, sample.draws, sample.fiber)
+        assert outside > 0
+
+    @pytest.mark.parametrize("every", [False, True])
+    def test_all_zero_fallback_matches_the_eager_sampler(self, every):
+        # the first group's draws are all zero; with `every`, each draw and
+        # the fallback's own randrange are, so each group falls back to its
+        # first slot
+        pipeline, flags = factor_block_flags(16)
+        for flag in flags:
+            groups = kuhn_fiber_groups(pipeline, flag)[1]
+            zeros = 10**9 if every else len(groups[0])
+            cert = pipeline.fiber_certificate(flag, F(1, 4), F(1, 8))
+            drawn, clone = ZeroDrawRandom(7, zeros), ZeroDrawRandom(7, zeros)
+            sample, twin = cert.domain.sample(drawn), eager_flag_sampler(pipeline, flag)(clone)
+            assert drawn.log == clone.log and drawn.getstate() == clone.getstate()
+            fallen = sample.draws if every else sample.draws[:1]
+            assert all(sum(raw) == 1 for raw in fallen)
+            assert all(raw[0] == 1 for raw in fallen) or not every
+            assert sum(entry[0] == "randrange" for entry in drawn.log) == len(fallen)
+            assert (sample.weights, sample.denom) == (twin.weights, twin.denom)
 
 
 @st.composite
