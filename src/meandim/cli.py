@@ -9,7 +9,7 @@ their recorded seeds), and prints how many records it re-derived, accepted as
 citations and re-ran. Exit codes: 0 success, 2 precondition or parse
 failure, 3 obligation failure (with a witness file), 4 budget exceeded.
 
-Commands build acyclic data: the gromov commands alone build tens of
+Commands build acyclic data: `gromov fiber-check` alone builds tens of
 thousands of frozensets and tuples per map, and the generational garbage
 collector would re-scan them all, finding nothing to free. So `main` pauses
 the cyclic collector for the whole command and then restores the caller's
@@ -62,7 +62,7 @@ from .symbolic import (
     ocap_limit,
     sbp_cover_refine,
 )
-from .widthmaps import cube_width_map
+from .widthmaps import cube_width_map, cube_width_map_payload
 
 # the most sampled work a recipe may ask for: samples times trials times
 # coordinates per sampled point; the README's fiber-cert --N 80 --samples 20
@@ -158,10 +158,9 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _width_map(recipe: dict):
-    return cube_width_map(
-        _integer(recipe["n"], "n"), _integer(recipe["m"], "m"), parse_fraction(recipe["eps"])
-    )
+def _map_args(recipe: dict) -> tuple:
+    """A map recipe's (n, m, eps), for cube_width_map and its payload."""
+    return _integer(recipe["n"], "n"), _integer(recipe["m"], "m"), parse_fraction(recipe["eps"])
 
 
 def _instance(recipe: dict):
@@ -210,11 +209,11 @@ def _checked_certificates(recipe: dict, coordinates: int, sample_fiber) -> list:
 
 
 def _payload_cube_width_map(recipe: dict) -> dict:
-    return _width_map(recipe).to_json_dict()
+    return cube_width_map_payload(*_map_args(recipe))
 
 
 def _payload_gromov_fiber_batch(recipe: dict) -> dict:
-    wm = _width_map(recipe)
+    wm = cube_width_map(*_map_args(recipe))
 
     def sample_fiber(rng):
         p = sample_coordinates(rng, wm.m - 1)

@@ -15,8 +15,8 @@ that set instead of walking the family again. `from_maximal` closes a
 family in one loop from the vertex singletons; the constructor checks it.
 Dimension buckets read a subdivision's vertex labels, whose lengths are
 their source simplices' sizes, and bucket them in integer arithmetic.
-The size budget on complexes built from a recipe sits with its one reader:
-widthmaps.cube_width_map checks widthmaps.SIZE_BUDGET before it builds any.
+widthmaps._cube_grid checks widthmaps.SIZE_BUDGET, a bound on a recipe's
+estimated top simplices, before a cube width map is built or counted.
 """
 
 from __future__ import annotations

@@ -4,28 +4,29 @@ Two layers:
 
 * partition_map: the basic construction. Vertices collapse block-wise onto
   the full standard simplex, so the vertex map needs no simpliciality check:
-  every nonempty set of the m target vertices is a face. Each fiber
-  retracts into the full subcomplex of one block, and the retraction's
-  fibers sit inside vertex stars, so the star mesh bounds every fiber
-  diameter. Meshes and fiber distances are l-infinity, the metric of the
-  cube fibers the paper certifies. cube_width_map runs it on the Kuhn
-  triangulation of the cube at the grid g = grid_for_mesh(eps/4), whose
-  star mesh, min(1, 2/g), is measured once and is already below eps/4: the
-  triangulation is subdivided once, the subdivision's vertices are
-  partitioned by source-simplex dimension, and the subdivision inherits
-  the grid's mesh as its premise. It materializes complexes and computes
-  meshes and subcomplex dimensions exactly; practical up to
-  four-dimensional cubes. Meshes and subdivision run on the complex's
+  every nonempty set of the m target vertices is a face. Each fiber retracts
+  into the full subcomplex of one block, and the retraction's fibers sit
+  inside vertex stars, so the star mesh bounds every fiber diameter. Meshes
+  and fiber distances are l-infinity, the metric of the cube fibers the
+  paper certifies. cube_width_map runs it on the Kuhn triangulation of the
+  cube at the grid g = grid_for_mesh(eps/4), whose star mesh, min(1, 2/g),
+  is measured once and is already below eps/4: the triangulation is
+  subdivided once, the subdivision's vertices are partitioned by
+  source-simplex dimension, and the subdivision inherits the grid's mesh as
+  its premise. It materializes complexes and computes meshes and subcomplex
+  dimensions exactly; practical up to four-dimensional cubes. Its artifact
+  payload reads only counts, which cube_width_map_payload counts in closed
+  form after the same checks. Meshes and subdivision run on the complex's
   integer coordinate numerators (see geometry). A sampled fiber point is a
-  simplex's vertices with integer weights over one denominator; a
-  retraction keeps the retained weights as such a point, and the fiber
-  metric, which measures the target side too, sums integer numerators and
-  builds a Fraction only for a distance. Each walk of the subdivided family
-  is paid once per map: the closure check records the maximal simplices
-  (the affine check visits only those, with one rank per simplex shape),
-  simplices are grouped by support pattern without a family sort, each
-  pattern is sorted into vertex-ordered tuples when first sampled, and each
-  block's full-subcomplex dimension is computed once.
+  simplex's vertices with integer weights over one denominator; a retraction
+  keeps the retained weights as such a point, and the fiber metric, which
+  measures the target side too, sums integer numerators and builds a
+  Fraction only for a distance. Each walk of the subdivided family is paid
+  once per map: the closure check records the maximal simplices (the affine
+  check visits only those, with one rank per simplex shape), simplices are
+  grouped by support pattern without a family sort, each pattern is sorted
+  into vertex-ordered tuples when first sampled, and each block's
+  full-subcomplex dimension is computed once.
 * KuhnWidthPipeline: the same map evaluated in closed form, usable at any
   dimension (the factor map runs it on each block and pads the image with
   zeros). A point is located once, as a FlagPoint: the vertex chain of its
@@ -58,7 +59,7 @@ A = max |W_i|, B = max(max_i(-W_i), sum W), and A = 0 is the center.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .certificates import (
@@ -87,7 +88,7 @@ from .geometry import (
 from .serialize import format_fraction
 
 WEIGHT_DENOMINATOR = 64  # granularity of sampled rational convex weights
-SIZE_BUDGET = 200_000  # simplices cube_width_map may build from outside input
+SIZE_BUDGET = 200_000  # estimated top simplices of a cube width map recipe
 
 
 def _draw_groups(rng, groups) -> list:
@@ -580,35 +581,12 @@ class CubeWidthMap(Struct):
         t = barycentric_from_cube(p)
         return self.inner.fiber_certificate(t)
 
-    def to_json_dict(self) -> dict:
-        mesh = self.inner.mesh_record.data_dict
-        K = self.inner.geometry.complex
-        return {
-            "kind": "cube-width-map",
-            "n": self.n,
-            "m": self.m,
-            "eps": format_fraction(self.eps),
-            "mesh_scale": format_fraction(self.eps / 4),
-            "grid": self.grid,
-            "mesh": mesh["parent_mesh"],
-            "vertices": len(K.vertices),
-            "simplices": len(K.simplices),
-            "fiber_bound": format_fraction(self.fiber_bound),
-            "bucket_dims": [self.inner.block_dim(i) for i in range(1, self.m + 1)],
-        }
 
-
-def cube_width_map(n: int, m: int, eps) -> CubeWidthMap:
-    """Width map [0,1]^n -> [0,1]^{m-1} whose fibers certify at dim n/m.
-
-    The Kuhn grid g = grid_for_mesh(eps/4) has star mesh min(1, 2/g),
-    strictly below eps/4, the scale the downstream construction consumes,
-    so certificates discharge the mesh premise with that margin. The mesh
-    is measured once, on the grid, and the subdivision inherits it.
-    SIZE_BUDGET bounds the subdivided top simplices, g^n * n! * (n+1)!,
-    and, separately, m, through the 2^m - 1 faces of the target simplex;
-    both are checked before anything is built.
-    """
+def _cube_grid(n: int, m: int, eps) -> tuple:
+    """The checks every cube width map passes before anything is built or
+    counted, and its Kuhn grid: (eps, g). SIZE_BUDGET bounds m, through the
+    2^m - 1 faces of the target simplex, and, separately, the estimated top
+    simplices of the subdivision, g^n * n! * (n+1)!."""
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -622,15 +600,72 @@ def cube_width_map(n: int, m: int, eps) -> CubeWidthMap:
             f"size budget exceeded: the target simplex on {m} vertices has 2^{m} - 1 "
             f"faces > {SIZE_BUDGET}"
         )
-    mesh_scale = eps / 4
-    g = grid_for_mesh(mesh_scale)
+    g = grid_for_mesh(eps / 4)
     estimated = g**n * factorial(n) * factorial(n + 1)
     if estimated > SIZE_BUDGET:
         raise BudgetExceededError(
             f"size budget exceeded: ~{estimated} subdivided simplices > {SIZE_BUDGET}"
         )
+    return eps, g
+
+
+def cube_width_map(n: int, m: int, eps) -> CubeWidthMap:
+    """Width map [0,1]^n -> [0,1]^{m-1} whose fibers certify at dim n/m.
+
+    The Kuhn grid g = grid_for_mesh(eps/4) has star mesh min(1, 2/g),
+    strictly below eps/4, the scale the downstream construction consumes,
+    so certificates discharge the mesh premise with that margin. The mesh
+    is measured once, on the grid, and the subdivision inherits it.
+    """
+    eps, g = _cube_grid(n, m, eps)
     G = kuhn_triangulate_cube(n, g)
     mesh = max_star_mesh(G)
     sub = barycentric_subdivide_geometric(G)
-    inner = partition_map(sub, dimension_buckets(sub.complex, m), eps, mesh, mesh_scale, n)
+    inner = partition_map(sub, dimension_buckets(sub.complex, m), eps, mesh, eps / 4, n)
     return CubeWidthMap(n=n, m=m, eps=eps, grid=g, inner=inner)
+
+
+def _surjections(s: int, k: int) -> int:
+    """Ordered partitions of an s-set into k nonempty blocks: k! S(s, k)."""
+    return sum((-1) ** i * comb(k, i) * (k - i) ** s for i in range(k + 1))
+
+
+def _fubini(j: int) -> int:
+    """Ordered partitions of a j-set: the strict face chains ending at a (j-1)-simplex."""
+    return sum(_surjections(j, k) for k in range(j + 1))
+
+
+def kuhn_face_counts(n: int, g: int) -> list:
+    """f_k, the k-faces of the Kuhn triangulation of the n-cube on the 1/g
+    grid, for k = 0..n. A k-face is its least vertex, the set S of the s
+    axes it steps along (below g on S, anywhere on the rest) and an ordered
+    partition of S into its k steps."""
+    return [
+        sum(comb(n, s) * g**s * (g + 1) ** (n - s) * _surjections(s, k) for s in range(k, n + 1))
+        for k in range(n + 1)
+    ]
+
+
+def cube_width_map_payload(n: int, m: int, eps) -> dict:
+    """cube_width_map(n, m, eps)'s artifact payload, counted instead of
+    built: a subdivision vertex is a Kuhn face, a simplex a strict chain of
+    faces, and each bucket's full subcomplex reaches its chain-length bound,
+    since the cube has faces of every dimension 0..n."""
+    eps, g = _cube_grid(n, m, eps)
+    mesh = min(Fraction(1), Fraction(2, g))
+    if not mesh < eps / 4:
+        raise PreconditionError(f"inherited star mesh bound {mesh} is not below {eps / 4}")
+    faces = kuhn_face_counts(n, g)
+    return {
+        "kind": "cube-width-map",
+        "n": n,
+        "m": m,
+        "eps": format_fraction(eps),
+        "mesh_scale": format_fraction(eps / 4),
+        "grid": g,
+        "mesh": format_fraction(mesh),
+        "vertices": sum(faces),
+        "simplices": sum(f * _fubini(k + 1) for k, f in enumerate(faces)),
+        "fiber_bound": format_fraction(Fraction(n, m)),
+        "bucket_dims": [bucket_dimension_bound(n, m, i) for i in range(1, m + 1)],
+    }

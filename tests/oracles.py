@@ -5,7 +5,8 @@ tested against, the radial chart on Fractions, the Kuhn width map and
 the factor map evaluated on Fractions through located flags (the path the
 integer count check is tested against), the eager Kuhn fiber sampler that
 builds each flag's weights as it draws them (the reference for sampled
-flags, which keep their draws), a metric-axiom check,
+flags, which keep their draws), the cube-width-map payload read off the
+materialized map (the reference for its closed form), a metric-axiom check,
 small certificate domains for the certificate algebra tests, the pullback
 of a certificate along a non-contracting map, whether a certificate's
 structural records are all discharged, the full and golden-mean shifts,
@@ -36,9 +37,11 @@ from meandim.certificates import (
 )
 from meandim.errors import PreconditionError
 from meandim.geometry import GeometricComplex, common_numerators
+from meandim.serialize import format_fraction
 from meandim.symbolic import CylinderSet, IntegerWindow, ShiftMetric, Sft, WindowSeq
 from meandim.widthmaps import (
     WEIGHT_DENOMINATOR,
+    CubeWidthMap,
     FlagPoint,
     KuhnWidthPipeline,
     _cube_numerators,
@@ -258,6 +261,27 @@ def sample_group_weights(rng, groups, scales, size: int):
         for j, r in zip(group, raw):
             weights[j] = factor * r
     return tuple(weights), product
+
+
+def materialized_payload(wm: CubeWidthMap) -> dict:
+    """The cube-width-map payload read off the materialized map: its
+    measured mesh, the subdivision's vertices and simplices counted, and
+    each block's full-subcomplex dimension. cube_width_map_payload counts
+    the same values in closed form."""
+    K = wm.inner.geometry.complex
+    return {
+        "kind": "cube-width-map",
+        "n": wm.n,
+        "m": wm.m,
+        "eps": format_fraction(wm.eps),
+        "mesh_scale": format_fraction(wm.eps / 4),
+        "grid": wm.grid,
+        "mesh": wm.inner.mesh_record.data_dict["parent_mesh"],
+        "vertices": len(K.vertices),
+        "simplices": len(K.simplices),
+        "fiber_bound": format_fraction(wm.fiber_bound),
+        "bucket_dims": [wm.inner.block_dim(i) for i in range(1, wm.m + 1)],
+    }
 
 
 def kuhn_fiber_groups(pipeline: KuhnWidthPipeline, flag) -> tuple:

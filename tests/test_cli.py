@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meandim
-from meandim import cli, symbolic
+from meandim import cli, symbolic, widthmaps
 from meandim.certificates import (
     CITATIONS,
     STRUCTURAL,
@@ -1101,6 +1101,41 @@ def test_three_cube_artifact_digests(workdir):
     for args, file_digest, payload_digest in CUBE3_DIGESTS:
         assert main(args) == 0, args[1]
         assert_digests(workdir / args[-1], file_digest, payload_digest, args[1])
+
+
+def test_map_payload_builds_no_complex(workdir, monkeypatch):
+    """`gromov build` and the `verify` of its map count the subdivided Kuhn
+    cube: with its builders refusing, they still write and accept the
+    golden map."""
+
+    def refuse(*args):
+        raise AssertionError("the map payload builds no complex")
+
+    monkeypatch.setattr(widthmaps, "kuhn_triangulate_cube", refuse)
+    monkeypatch.setattr(widthmaps, "barycentric_subdivide_geometric", refuse)
+    kind, args, file_digest, payload_digest = GOLDEN_DIGESTS[0]
+    assert main(args + ["--out", "map.json"]) == 0
+    assert main(["verify", "map.json"]) == 0
+    assert_digests(workdir / "map.json", file_digest, payload_digest, kind)
+
+
+def test_fiber_check_and_its_verify_build_the_map_once_each(workdir, monkeypatch):
+    calls = []
+    real = cli.cube_width_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "cube_width_map", counted)
+    assert main(_GROMOV_MAP + ["--out", "map.json"]) == 0
+    assert main(["verify", "map.json"]) == 0
+    assert calls == []
+    argv = ["gromov", "fiber-check", "map.json", "--samples", "1", "--trials", "5"]
+    assert main(argv + ["--out", "fibers.json"]) == 0
+    assert len(calls) == 1
+    assert main(["verify", "fibers.json"]) == 0
+    assert len(calls) == 2
 
 
 # The benchmark's factor-fiber workload at seed 3: its check-counts at 200

@@ -1,7 +1,9 @@
 """Tests for partition maps, the cube pipeline, and the closed-form Kuhn
 evaluation."""
 
+import functools
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +11,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from meandim.certificates import check_certificate, flat_linf, structural_record
-from meandim.complexes import SimplicialComplex, VertexPartition, dimension_buckets
+from meandim.complexes import (
+    SimplicialComplex,
+    VertexPartition,
+    barycentric_subdivide,
+    dimension_buckets,
+)
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
     barycentric_subdivide_geometric,
@@ -26,7 +33,9 @@ from meandim.widthmaps import (
     SampledFlag,
     barycentric_from_cube,
     cube_width_map,
+    cube_width_map_payload,
     grid_for_mesh,
+    kuhn_face_counts,
     partition_map,
 )
 from oracles import (
@@ -39,6 +48,7 @@ from oracles import (
     evaluate,
     kuhn_fiber_groups,
     locate,
+    materialized_payload,
     realize,
     vertex_point,
 )
@@ -261,7 +271,7 @@ class TestStarMeshPremise:
         g = grid_for_mesh(eps / 4)
         mesh = min(1, F(2, g))
         assert mesh < eps / 4
-        payload = cube_width_map(n, 2, eps).to_json_dict()
+        payload = materialized_payload(cube_width_map(n, 2, eps))
         assert (payload["grid"], payload["mesh"]) == (g, format_fraction(mesh))
 
 
@@ -452,10 +462,10 @@ class TestCubeWidthMap:
 
         monkeypatch.setattr(widthmaps, "full_subcomplex", counted)
         wm = cube_width_map(2, 2, F(1))
-        first = wm.to_json_dict()
+        first = materialized_payload(wm)
         for k in range(9):
             wm.fiber_certificate((F(k, 8),))
-        assert wm.to_json_dict() == first
+        assert materialized_payload(wm) == first
         assert len(calls) == len(set(calls)) <= wm.m
 
     def test_bounds(self):
@@ -463,6 +473,69 @@ class TestCubeWidthMap:
             cube_width_map(5, 2, F(1, 2))
         with pytest.raises(PreconditionError):
             cube_width_map(2, 1, F(1, 2))
+
+
+def _outcome(build, *args):
+    """build(*args), or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except (BudgetExceededError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+# eps per cube dimension: refusals (eps <= 0, over the size budget) and
+# accepted grids, without the 3-cube's grid 9 (eps = 1), which takes seconds
+PAYLOAD_EPS = {
+    1: (F(-1), F(0), F(1, 64), F(1, 2), F(1), F(8, 3), F(4), F(8), F(9), F(100)),
+    2: (F(-1), F(0), F(1, 64), F(1, 2), F(1), F(8, 3), F(4), F(8), F(9), F(100)),
+    3: (F(0), F(1, 64), F(1, 2), F(2), F(8, 3), F(4), F(8), F(9), F(100)),
+    4: (F(-1), F(0), F(1, 64), F(1, 2), F(1), F(4), F(8), F(9), F(100)),
+}
+
+
+class TestClosedFormPayload:
+    """cube_width_map_payload counts what cube_width_map materializes."""
+
+    def test_payload_matches_the_materialized_map(self, monkeypatch):
+        # each grid is triangulated and subdivided once, across the m values
+        kuhn = functools.cache(widthmaps.kuhn_triangulate_cube)
+        subdivide, subdivided = widthmaps.barycentric_subdivide_geometric, {}
+
+        def subdivide_once(G):
+            if id(G) not in subdivided:
+                subdivided[id(G)] = subdivide(G)
+            return subdivided[id(G)]
+
+        monkeypatch.setattr(widthmaps, "kuhn_triangulate_cube", kuhn)
+        monkeypatch.setattr(widthmaps, "barycentric_subdivide_geometric", subdivide_once)
+        cases = refused = 0
+        for n, eps_values in PAYLOAD_EPS.items():
+            for m in (2, 3, 4, 5, 7, 17, 18):
+                for eps in eps_values:
+                    expected = _outcome(lambda: materialized_payload(cube_width_map(n, m, eps)))
+                    assert _outcome(cube_width_map_payload, n, m, eps) == expected, (n, m, eps)
+                    cases += 1
+                    refused += type(expected) is tuple
+        assert (cases, refused) == (266, 122)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from((1, 2)), m=st.integers(2, 6), data=st.data())
+    def test_drawn_payload_matches_the_materialized_map(self, n, m, data):
+        low = F(1, 64) if n == 1 else F(1, 2)  # grids up to 513 and 17
+        eps = data.draw(st.fractions(low, 8, max_denominator=64))
+        assert cube_width_map_payload(n, m, eps) == materialized_payload(cube_width_map(n, m, eps))
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_face_counts_are_the_kuhn_simplices_by_size(self, n):
+        for g in range(1, 7):
+            by_size = Counter(map(len, kuhn_triangulate_cube(n, g).complex.simplices))
+            assert kuhn_face_counts(n, g) == [by_size[k + 1] for k in range(n + 1)], g
+
+    def test_fubini_counts_the_chains_ending_at_a_simplex(self):
+        for k in range(5):
+            top = tuple(range(k + 1))
+            Kp = barycentric_subdivide(SimplicialComplex.from_maximal(top, [top]))
+            assert widthmaps._fubini(k + 1) == sum(top in s for s in Kp.simplices), k
 
 
 class TestClosedFormAgainstExplicit:
