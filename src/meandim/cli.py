@@ -2,7 +2,8 @@
 
 Every command except `verify` builds an artifact (written with `--out`)
 that `verify` re-checks. Every artifact is a JSON document {"kind", "recipe", "payload"} where the
-payload is a pure function of the recipe: `verify` re-runs arithmetic checks
+payload is a pure function of the recipe: `verify` refuses a recipe whose
+fields are not exactly those its kind reads, re-runs arithmetic checks
 on every structural obligation it finds, then rebuilds the payload from the
 recipe and requires byte-identical canonical JSON (sampled records re-run at
 their recorded seeds), and prints how many records it re-derived, accepted as
@@ -310,6 +311,19 @@ PAYLOAD_BUILDERS = {
     "mdim-report": _payload_mdim_report,
 }
 
+# each kind's recipe fields: exactly what its builder reads, and what its
+# command writes
+RECIPE_FIELDS = {
+    "cube-width-map": ("n", "m", "eps"),
+    "gromov-fiber-batch": ("n", "m", "eps", "samples", "seed", "trials", "eta"),
+    "ocap-report": ("sft", "set", "N"),
+    "sbp-refine": ("sft", "cover", "delta"),
+    "counterexample-instance": ("delta", "eps", "N", "seed"),
+    "count-report": ("delta", "eps", "N", "seed", "samples"),
+    "counterexample-fiber-batch": ("delta", "eps", "N", "seed", "samples", "trials", "eta"),
+    "mdim-report": ("delta", "eps", "N"),
+}
+
 
 # what a recipe or an input document of the wrong shape raises
 _MALFORMED = (KeyError, TypeError, ValueError)
@@ -391,7 +405,8 @@ class VerifyCounts(NamedTuple):
 
 
 def verify_artifact(path: str) -> VerifyCounts:
-    """Re-discharge structural obligations arithmetically, then rebuild the
+    """Check that the recipe holds exactly its kind's RECIPE_FIELDS,
+    re-discharge structural obligations arithmetically, then rebuild the
     payload from the recipe and require byte-identical canonical JSON; a
     count report with violations then fails as `check-counts` does. Return
     the counts of what was checked."""
@@ -401,8 +416,16 @@ def verify_artifact(path: str) -> VerifyCounts:
     kind = artifact.get("kind")
     if not isinstance(kind, str) or kind not in PAYLOAD_BUILDERS:
         raise PreconditionError(f"unknown artifact kind {kind!r}")
-    if not isinstance(artifact.get("recipe"), dict) or "payload" not in artifact:
+    recipe = artifact.get("recipe")
+    if not isinstance(recipe, dict) or "payload" not in artifact:
         raise PreconditionError("artifact needs an object recipe and a payload")
+    fields = RECIPE_FIELDS[kind]
+    for key in recipe:
+        if key not in fields:
+            raise PreconditionError(f"{kind} recipe has unknown field {key!r}")
+    for key in fields:
+        if key not in recipe:
+            raise PreconditionError(f"{kind} recipe lacks field {key!r}")
     # spelled first: a payload that `json` reads may still be too deep to
     # spell, and then neither the comparison below nor the witness file of
     # a failed record in it could be written
@@ -428,7 +451,7 @@ def verify_artifact(path: str) -> VerifyCounts:
             raise ObligationFailedError(record)
         if record.kind == SAMPLED:
             sampled.append(record)
-    rebuilt = _build_payload(kind, artifact["recipe"])
+    rebuilt = _build_payload(kind, recipe)
     recomputed = canonical_json(rebuilt)
     if original != recomputed:
         raise ObligationFailedError(

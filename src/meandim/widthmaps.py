@@ -23,10 +23,12 @@ Two layers:
   measures the target side too, sums integer numerators and builds a
   Fraction only for a distance. Each walk of the subdivided family is paid
   once per map: the closure check records the maximal simplices (the affine
-  check visits only those, with one rank per simplex shape), simplices are
-  grouped by support pattern without a family sort, each pattern is sorted
-  into vertex-ordered tuples when first sampled, and each block's
-  full-subcomplex dimension is computed once.
+  check visits only those, with one rank per simplex shape), and each
+  block's full-subcomplex dimension is computed once. The simplices of a
+  support are listed without walking the family: when a support is first
+  sampled, a depth-first walk of a coface table built once per map lists
+  the chains of vertex labels inside it in vertex order, and a stable sort
+  by size puts them in simplex order.
 * KuhnWidthPipeline: the same map evaluated in closed form, usable at any
   dimension (the factor map runs it on each block and pads the image with
   zeros). A point is located once, as a FlagPoint: the vertex chain of its
@@ -59,6 +61,7 @@ A = max |W_i|, B = max(max_i(-W_i), sum W), and A = 0 is the center.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, lcm, prod
 from operator import mul
 
@@ -150,6 +153,20 @@ def _width_fiber_certificate(description, eps, dim, records, sample, dist, retra
     )
 
 
+def _walk_chains(chain, last, met, cofaces, mask, found):
+    """Append to `found`, depth first, `chain` and each extension of it by
+    cofaces of its last label (index `last`), ascending, whose labels meet
+    exactly the blocks in the bitmask `mask`; `met` is `chain`'s. Only
+    cofaces in a block of `mask` extend a chain (a label's bit is its one
+    block's). A module function: a closure that calls itself is a reference
+    cycle, which a command, run with the collector paused, would keep."""
+    if met == mask:
+        found.append(chain)
+    for c, v, bit in cofaces[last]:
+        if bit & mask:
+            _walk_chains(chain + (v,), c, met | bit, cofaces, mask, found)
+
+
 class PartitionWidthMap(Struct):
     """A partition simplicial map plus its per-fiber certificate builder.
 
@@ -174,7 +191,7 @@ class PartitionWidthMap(Struct):
         self.block_of = block_of
         self.mesh_record = mesh_record
         self.source_dim = source_dim
-        self._by_pattern = None
+        self._cofaces = None
         self._admissible = {}
         self._block_dims = {}
 
@@ -182,29 +199,65 @@ class PartitionWidthMap(Struct):
     def m(self) -> int:
         return self.partition.m
 
-    def _pattern_index(self) -> dict:
-        """support pattern (the set of blocks a simplex meets) -> its
-        simplices, in no particular order."""
-        if self._by_pattern is None:
-            block_of = self.block_of
-            index = {}
-            for s in self.geometry.complex.simplices:
-                index.setdefault(frozenset(map(block_of.__getitem__, s)), []).append(s)
-            self._by_pattern = index
-        return self._by_pattern
+    def _coface_table(self) -> tuple:
+        """Each vertex label as (index, label, its block's bit), in vertex
+        order, and per label its cofaces, the entries of the labels that
+        properly contain it, in ascending index order. A label's faces are
+        its `combinations`, as in barycentric_subdivide, and each must be a
+        vertex listed before it; the chains of labels must be as many as the
+        simplices. Built once per map."""
+        if self._cofaces is None:
+            K = self.geometry.complex
+            at = K._vertex_indices()
+            labels = [
+                (j, label, 1 << (self.block_of[label] - 1)) for j, label in enumerate(K.vertices)
+            ]
+            cofaces = [[] for _ in labels]
+            ending = []  # per label, the chains that end at it
+            for entry in labels:
+                j, label, _ = entry
+                chains = 1
+                for r in range(1, len(label)):
+                    for face in combinations(label, r):
+                        i = at.get(face, j)
+                        if i >= j:
+                            raise PreconditionError(
+                                f"vertex {label!r} is no barycentric subdivision label: "
+                                f"its face {face!r} is not a vertex before it"
+                            )
+                        cofaces[i].append(entry)
+                        chains += ending[i]
+                ending.append(chains)
+            if sum(ending) != len(K.simplices):
+                raise PreconditionError(
+                    f"complex is no barycentric subdivision: its labels make "
+                    f"{sum(ending)} chains, not its {len(K.simplices)} simplices"
+                )
+            self._cofaces = labels, cofaces
+        return self._cofaces
 
     def admissible(self, support) -> list:
         """The simplices whose vertices meet exactly the blocks in `support`,
-        each as its vertex-ordered tuple, in simplex_key order; sorted once
-        per pattern, when first asked for, on vertex-index tuples and then
-        (stably) by size."""
+        each as its vertex-ordered tuple, in simplex_key order; listed once
+        per support, when first asked for.
+
+        A simplex of the subdivision is a chain of labels, each a proper face
+        of the next, and vertex order puts smaller labels first, so the
+        chain's inclusion order is its index order. A depth-first walk from
+        each label in the support, in index order, extends a chain by its
+        last label's cofaces in ascending order, dropping a coface whose
+        block lies outside the support, and keeps the chains that meet every
+        block of it: they come out in index-tuple order, and a stable sort
+        by size gives simplex_key order."""
         if support not in self._admissible:
-            found = self._pattern_index().get(support, ())
-            K = self.geometry.complex
-            at = K._vertex_indices().__getitem__
-            keys = sorted([tuple(sorted(map(at, s))) for s in found])
-            keys.sort(key=len)
-            self._admissible[support] = [tuple(map(K.vertices.__getitem__, key)) for key in keys]
+            labels, cofaces = self._coface_table()
+            mask = sum(1 << (i - 1) for i in support)
+            found = []
+            for j, label, bit in labels:
+                if bit & mask:
+                    _walk_chains((label,), j, bit, cofaces, mask, found)
+            found.sort(key=len)
+            self._admissible[support] = found
         return self._admissible[support]
 
     def block_dim(self, i: int) -> int:

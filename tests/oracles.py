@@ -6,7 +6,9 @@ the factor map evaluated on Fractions through located flags (the path the
 integer count check is tested against), the eager Kuhn fiber sampler that
 builds each flag's weights as it draws them (the reference for sampled
 flags, which keep their draws), the cube-width-map payload read off the
-materialized map (the reference for its closed form), a metric-axiom check,
+materialized map (the reference for its closed form), the admissible
+simplices of a support found by grouping the whole subdivided family and
+sorting (the reference for the width map's ordered walk), a metric-axiom check,
 small certificate domains for the certificate algebra tests, the pullback
 of a certificate along a non-contracting map, whether a certificate's
 structural records are all discharged, the full and golden-mean shifts,
@@ -44,6 +46,7 @@ from meandim.widthmaps import (
     CubeWidthMap,
     FlagPoint,
     KuhnWidthPipeline,
+    PartitionWidthMap,
     _cube_numerators,
 )
 
@@ -282,6 +285,19 @@ def materialized_payload(wm: CubeWidthMap) -> dict:
         "fiber_bound": format_fraction(wm.fiber_bound),
         "bucket_dims": [wm.inner.block_dim(i) for i in range(1, wm.m + 1)],
     }
+
+
+def sorted_admissible(wm: PartitionWidthMap, support) -> list:
+    """The simplices of wm's subdivision that meet exactly the blocks in
+    `support`, each as its vertex-ordered tuple, in simplex_key order: the
+    whole family grouped by the set of blocks each simplex meets, then the
+    group sorted on vertex-index tuples and (stably) by size."""
+    K = wm.geometry.complex
+    found = [s for s in K.simplices if frozenset(map(wm.block_of.__getitem__, s)) == support]
+    at = K._vertex_indices().__getitem__
+    keys = sorted([tuple(sorted(map(at, s))) for s in found])
+    keys.sort(key=len)
+    return [tuple(map(K.vertices.__getitem__, key)) for key in keys]
 
 
 def kuhn_fiber_groups(pipeline: KuhnWidthPipeline, flag) -> tuple:

@@ -991,31 +991,44 @@ def assert_digests(path: Path, file_digest: str, payload_digest: str, name):
     assert hashlib.sha256(data).hexdigest() == file_digest, name
 
 
-# the keys that recipes written by earlier versions hold and no payload reads
-OLD_RECIPE_KEYS = {"samples": 20, "seed": 0, "trials": 200, "eta": None, "mesh_scale": None}
+# fields that no payload reads: the keys that recipes written by earlier
+# versions held ("mode" in ocap recipes), and one that no version wrote
+UNREAD_RECIPE_KEYS = {
+    "samples": 20, "seed": 0, "trials": 200, "eta": None, "mesh_scale": None, "mode": "limit",
+    "bogus": 1,
+}
 
 
-def test_every_recipe_key_is_read(workdir):
-    """Deleting any one key of a recipe makes `verify` exit 2, and the keys
-    that earlier versions also wrote are ignored."""
+def test_every_recipe_key_is_read(workdir, capsys):
+    """Deleting any one key of a recipe, or adding one that its builder does
+    not read, makes `verify` exit 2 naming the key, on every kind; the keys
+    that earlier versions also wrote are refused too."""
     write_golden(workdir)
     (workdir / "zero.json").write_text(json.dumps([[0, "0"]]))
     assert main(_GROMOV_MAP + ["--out", "map.json"]) == 0
     ocap_finite = ["ocap", "--sft", "golden.json", "--set", "one.json", "--N", "8"]
     mutant = workdir / "mutant.json"
+    kinds = set()
     for args in [args for _, args, _, _ in GOLDEN_DIGESTS] + [ocap_finite]:
         assert main(args + ["--out", "artifact.json"]) == 0, args
         artifact = json.loads((workdir / "artifact.json").read_text())
-        recipe = artifact["recipe"]
-        for key in recipe:
-            mutant.write_text(json.dumps(
-                dict(artifact, recipe={k: v for k, v in recipe.items() if k != key})))
-            assert main(["verify", str(mutant)]) == 2, (args, key)
-        # earlier versions wrote "mode" into ocap recipes, "limit" where N is null
-        mode = "limit" if recipe.get("N", 0) is None else "finite"
-        old = dict(OLD_RECIPE_KEYS, mode=mode, **recipe)
-        mutant.write_text(json.dumps(dict(artifact, recipe=old)))
+        kind, recipe = artifact["kind"], artifact["recipe"]
+        kinds.add(kind)
+        mutants = [
+            ({k: v for k, v in recipe.items() if k != key}, f"lacks field {key!r}")
+            for key in recipe
+        ] + [
+            (dict(recipe, **{key: value}), f"has unknown field {key!r}")
+            for key, value in UNREAD_RECIPE_KEYS.items() if key not in recipe
+        ]
+        for changed, message in mutants:
+            mutant.write_text(json.dumps(dict(artifact, recipe=changed)))
+            capsys.readouterr()
+            assert main(["verify", str(mutant)]) == 2, (args, changed)
+            assert f"error: {kind} recipe {message}" in capsys.readouterr().err
+        mutant.write_text(json.dumps(artifact))
         assert main(["verify", str(mutant)]) == 0, args
+    assert kinds == set(cli.RECIPE_FIELDS) == set(cli.PAYLOAD_BUILDERS)
 
 
 # options that no payload of the action reads, a second --eps or --N where

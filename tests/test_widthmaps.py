@@ -19,6 +19,7 @@ from meandim.complexes import (
 )
 from meandim.errors import BudgetExceededError, PreconditionError
 from meandim.geometry import (
+    GeometricComplex,
     barycentric_subdivide_geometric,
     common_numerators,
     kuhn_triangulate_cube,
@@ -50,6 +51,7 @@ from oracles import (
     locate,
     materialized_payload,
     realize,
+    sorted_admissible,
     vertex_point,
 )
 
@@ -655,10 +657,11 @@ class TestBlockPipeline:
         assert record.status == "sampled-only"
 
 
-@settings(max_examples=20, deadline=None)
-@given(n=st.sampled_from((1, 2)), g=st.sampled_from((1, 2, 3)), m=st.integers(2, 3),
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from((1, 2, 3)), g=st.sampled_from((1, 2, 3)), m=st.integers(2, 4),
        data=st.data())
 def test_admissible_lists_match_the_full_sort_grouping(n, g, m, data):
+    assume(n < 3 or g <= 2)
     wm = bucket_map(kuhn_triangulate_cube(n, g), m, F(3), F(3))
     sub, P = wm.geometry, wm.partition
     block_of = {v: i for i, block in enumerate(P.blocks, start=1) for v in block}
@@ -667,10 +670,39 @@ def test_admissible_lists_match_the_full_sort_grouping(n, g, m, data):
         grouped.setdefault(frozenset(block_of[v] for v in s), []).append(
             sub.complex.sorted_simplex(s)
         )
-    for pattern in data.draw(st.permutations(list(grouped))):
-        assert wm.admissible(pattern) == grouped[pattern]
-        assert wm.admissible(pattern) == grouped[pattern]  # sorted once, kept
-    assert wm.admissible(frozenset({m + 1})) == []
+    # every support, the empty one and one naming no block included
+    supports = [
+        frozenset(c) for k in range(m + 1) for c in combinations(range(1, m + 1), k)
+    ] + [frozenset({m + 1})]
+    for pattern in data.draw(st.permutations(supports)):
+        want = sorted_admissible(wm, pattern)
+        assert want == grouped.get(pattern, [])
+        assert wm.admissible(pattern) == want
+        assert wm.admissible(pattern) == want  # listed once, kept
+
+
+def test_listing_refuses_a_complex_that_is_no_subdivision():
+    # the unsubdivided Kuhn square: the face (0,) of its vertex (0, 0) is no vertex
+    G = kuhn_triangulate_cube(2, 3)
+    wm = partition_map(G, dimension_buckets(G.complex, 2), F(1), F(2, 3), F(1), 2)
+    with pytest.raises(PreconditionError, match=r"vertex \(0, 0\) is no barycentric"):
+        wm.admissible(frozenset({1}))
+    with pytest.raises(PreconditionError, match="no barycentric subdivision label"):
+        wm.fiber_certificate((F(1, 2), F(1, 2)))
+    # the subdivided unit edge with its vertex order reversed: the edge's
+    # label comes before its faces
+    sub = barycentric_subdivide_geometric(unit_edge())
+    K = SimplicialComplex(sub.complex.vertices[::-1], sub.complex.simplices)
+    flipped = GeometricComplex(K, sub.nums, sub.den)
+    wm = partition_map(flipped, dimension_buckets(K, 2), F(2), F(1), F(2), 1)
+    with pytest.raises(PreconditionError, match=r"its face \('a',\) is not a vertex before it"):
+        wm.admissible(frozenset({1, 2}))
+    # the unsubdivided Kuhn interval: its labels have no proper faces, so
+    # they make 4 chains, and its edges are no chains
+    G = kuhn_triangulate_cube(1, 3)
+    wm = partition_map(G, dimension_buckets(G.complex, 2), F(2), F(2, 3), F(2), 1)
+    with pytest.raises(PreconditionError, match="make 4 chains, not its 7 simplices"):
+        wm.admissible(frozenset({1}))
 
 
 class TestIntegerFlags:
