@@ -1,12 +1,15 @@
 """Batch command-line frontend.
 
-Every command except `verify` builds an artifact (written with `--out`)
-that `verify` re-checks. Every artifact is a JSON document {"kind", "recipe", "payload"} where the
-payload is a pure function of the recipe: `verify` refuses a recipe whose
-fields are not exactly those its kind reads, re-runs arithmetic checks
-on every structural obligation it finds, then rebuilds the payload from the
-recipe and requires byte-identical canonical JSON (sampled records re-run at
-their recorded seeds), and prints how many records it re-derived, accepted as
+Every command except `verify` builds an artifact (written with `--out`),
+a JSON document {"kind", "recipe", "payload"} whose payload is a pure
+function of the recipe. Each kind has one row of KINDS: its recipe fields
+with their types, and its payload's builder. The commands and `verify`
+read every recipe through it, so both refuse an unknown, missing or
+mistyped field, or one not in its type's one spelling (a rational is
+"p/q" in lowest terms). `verify` then re-checks every structural
+obligation arithmetically, rebuilds the payload from the recipe's values,
+requires byte-identical canonical JSON (sampled records re-run at their
+recorded seeds), and prints how many records it re-derived, accepted as
 citations and re-ran. Exit codes: 0 success, 2 precondition or parse
 failure, 3 obligation failure (with a witness file), 4 budget exceeded.
 
@@ -26,7 +29,6 @@ import gc
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,9 +73,10 @@ from .widthmaps import cube_width_map, cube_width_map_payload
 SAMPLE_BUDGET = 2 * 10**6
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str) -> str:
+    """An option's rational, spelled as a recipe holds it."""
     try:
-        return parse_fraction(text)
+        return format_fraction(parse_fraction(text))
     except PreconditionError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -147,31 +150,64 @@ def _parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# payload builders: the verifier rebuilds through these same functions
+# recipe field types and payload builders: the commands and the verifier
+# read a recipe through the same row of KINDS and build through its builder
 # ---------------------------------------------------------------------------
 
 
-def _integer(value, name: str) -> int:
-    """A recipe's integer field, which must be a JSON integer: a float
-    (8.5 or 1.0), a string or a boolean is refused, not truncated or parsed."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise PreconditionError(f"recipe field {name!r} must be an integer, not {value!r}")
-    return value
+def _field(what: str, parse, spell):
+    """A recipe field type: parse(value), refused with a ValueError saying
+    that the field must be `what`, unless `spell` writes the parsed value
+    back as the value itself, of the same JSON type."""
+
+    def read(value):
+        try:
+            parsed = parse(value)
+            spelled = spell(parsed)
+            if type(spelled) is type(value) and spelled == value:
+                return parsed
+        except (ArithmeticError, TypeError, ValueError, MeanDimError):
+            pass
+        raise ValueError(f"must be {what}, not {value!r}")
+
+    return read
 
 
-def _map_args(recipe: dict) -> tuple:
-    """A map recipe's (n, m, eps), for cube_width_map and its payload."""
-    return _integer(recipe["n"], "n"), _integer(recipe["m"], "m"), parse_fraction(recipe["eps"])
+# a JSON integer: a float (8.5 or 8.0), a string or a boolean is refused,
+# not truncated or parsed; a rational in its one spelling, so "2/4", "+1/2"
+# and " 1/2" are refused, not read as 1/2
+_INTEGER = _field("an integer", int, int)
+_RATIONAL = _field('a rational spelled "p/q" in lowest terms', parse_fraction, format_fraction)
 
 
-def _instance(recipe: dict):
-    params = CounterexampleParams(
-        parse_fraction(recipe["delta"]),
-        parse_fraction(recipe["eps"]),
-        _integer(recipe["N"], "N"),
-        _integer(recipe["seed"], "seed"),
-    )
-    return params, FactorMapInstance(params)
+def _or_null(read):
+    """The field type `read`, or JSON null."""
+    return lambda value: None if value is None else read(value)
+
+
+def _list_of(read):
+    """A JSON list of values of the field type `read`."""
+    as_list = _field("a list", list, list)
+    return lambda value: [read(item) for item in as_list(value)]
+
+
+def _sft(value) -> Sft:
+    """An SFT object of exactly an alphabet and a list of [a, b]
+    transitions; the recipe keeps them as its input file spells them."""
+    try:
+        if value.keys() == {"alphabet", "transitions"}:
+            return Sft.from_json_dict(value)
+    except (AttributeError, TypeError, ValueError):
+        pass
+    raise ValueError('must be an object of exactly an "alphabet" and [a, b] "transitions"')
+
+
+def _constraints(value) -> list:
+    """A cylinder set's [offset, word] pairs, which
+    CylinderSet.from_constraints reads against the recipe's SFT."""
+    if isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value):
+        return value
+    raise ValueError(f"must be a list of [offset, word] pairs, not {value!r}")
 
 
 def _check_sampled_work(samples: int, trials: int, coordinates: int):
@@ -187,17 +223,13 @@ def _check_sampled_work(samples: int, trials: int, coordinates: int):
         )
 
 
-def _checked_certificates(recipe: dict, coordinates: int, sample_fiber) -> list:
-    """Draw recipe["samples"] fibers from one stream seeded by the recipe and
-    append each certificate's sampled check, run at a seed drawn from the
-    same stream. A sampled point has `coordinates` coordinates.
-    sample_fiber(rng) returns a certificate and the extra fields of its
-    entry."""
-    samples = _integer(recipe["samples"], "samples")
-    trials = _integer(recipe["trials"], "trials")
+def _checked_certificates(coordinates: int, sample_fiber, samples, seed, trials, eta) -> list:
+    """Draw `samples` fibers from one stream seeded by `seed` and append each
+    certificate's sampled check, run at a seed drawn from the same stream. A
+    sampled point has `coordinates` coordinates. sample_fiber(rng) returns a
+    certificate and the extra fields of its entry."""
     _check_sampled_work(samples, trials, coordinates)
-    rng = random.Random(_integer(recipe["seed"], "seed"))
-    eta = None if recipe["eta"] is None else parse_fraction(recipe["eta"])
+    rng = random.Random(seed)
     entries = []
     for _ in range(samples):
         cert, extra = sample_fiber(rng)
@@ -209,12 +241,8 @@ def _checked_certificates(recipe: dict, coordinates: int, sample_fiber) -> list:
     return entries
 
 
-def _payload_cube_width_map(recipe: dict) -> dict:
-    return cube_width_map_payload(*_map_args(recipe))
-
-
-def _payload_gromov_fiber_batch(recipe: dict) -> dict:
-    wm = cube_width_map(*_map_args(recipe))
+def _payload_gromov_fiber_batch(n, m, eps, samples, seed, trials, eta) -> dict:
+    wm = cube_width_map(n, m, eps)
 
     def sample_fiber(rng):
         p = sample_coordinates(rng, wm.m - 1)
@@ -222,29 +250,25 @@ def _payload_gromov_fiber_batch(recipe: dict) -> dict:
 
     return {
         "fiber_bound": format_fraction(wm.fiber_bound),
-        "certificates": _checked_certificates(recipe, wm.n, sample_fiber),
+        "certificates": _checked_certificates(wm.n, sample_fiber, samples, seed, trials, eta),
     }
 
 
-def _payload_ocap(recipe: dict) -> dict:
-    sft = Sft.from_json_dict(recipe["sft"])
-    A = CylinderSet.from_constraints(sft, recipe["set"])
-    if recipe["N"] is None:  # ocap --limit
+def _payload_ocap(sft, set, N) -> dict:
+    A = CylinderSet.from_constraints(sft, set)
+    if N is None:  # ocap --limit
         result = ocap_limit(sft, A)
         return {
             "value": format_fraction(result.value),
             "witness": list(result.witness),
             "graph_size": result.graph_size,
         }
-    N = _integer(recipe["N"], "N")
     return {"value": format_fraction(ocap_finite_N(sft, A, N)), "N": N}
 
 
-def _payload_sbp(recipe: dict) -> dict:
-    sft = Sft.from_json_dict(recipe["sft"])
-    cover = [CylinderSet.from_constraints(sft, c) for c in recipe["cover"]]
+def _payload_sbp(sft, cover, delta) -> dict:
     pieces, complement, report = sbp_cover_refine(
-        sft, cover, parse_fraction(recipe["delta"])
+        sft, [CylinderSet.from_constraints(sft, c) for c in cover], delta
     )
     return {
         "pieces": [p.to_json() for p in pieces],
@@ -254,103 +278,103 @@ def _payload_sbp(recipe: dict) -> dict:
     }
 
 
-def _payload_counterexample_build(recipe: dict) -> dict:
-    params, inst = _instance(recipe)
+def _payload_counterexample_build(delta, eps, N, seed) -> dict:
+    inst = FactorMapInstance(CounterexampleParams(delta, eps, N, seed))
     return {
-        "params": params.to_json_dict(),
+        "params": inst.params.to_json_dict(),
         "window": [inst.window_lo, inst.window_hi],
-        "checks": [[name, value, kind] for name, value, kind in params.report()],
+        "checks": [[name, value, kind] for name, value, kind in inst.params.report()],
     }
 
 
-def _payload_count_report(recipe: dict) -> dict:
-    params, inst = _instance(recipe)
-    samples = _integer(recipe["samples"], "samples")
+def _payload_count_report(delta, eps, N, seed, samples) -> dict:
+    inst = FactorMapInstance(CounterexampleParams(delta, eps, N, seed))
     _check_sampled_work(samples, 1, inst.window_hi - inst.window_lo)
-    report = nonzero_count_check(inst, samples)
-    payload = report.to_json_dict()
-    payload["params"] = params.to_json_dict()
+    payload = nonzero_count_check(inst, samples).to_json_dict()
+    payload["params"] = inst.params.to_json_dict()
     return payload
 
 
-def _payload_fiber_batch(recipe: dict) -> dict:
-    params, inst = _instance(recipe)
+def _payload_fiber_batch(delta, eps, N, seed, samples, trials, eta) -> dict:
+    inst = FactorMapInstance(CounterexampleParams(delta, eps, N, seed))
 
     def sample_fiber(rng):
         state = inst.sample_state(rng)
         return fiber_dimension_certificate(inst, state), {"residue": state[1]}
 
     return {
-        "bound": format_fraction(params.fiber_dim_bound()),
+        "bound": format_fraction(inst.params.fiber_dim_bound()),
         "certificates": _checked_certificates(
-            recipe, inst.window_hi - inst.window_lo, sample_fiber
+            inst.window_hi - inst.window_lo, sample_fiber, samples, seed, trials, eta
         ),
     }
 
 
-def _payload_mdim_report(recipe: dict) -> dict:
-    rows = mdim_report(
-        parse_fraction(recipe["delta"]),
-        [_integer(n, "N") for n in recipe["N"]],
-        [parse_fraction(e) for e in recipe["eps"]],
-    )
+def _payload_mdim_report(delta, eps, N) -> dict:
     return {
         "header": CSV_HEADER,
-        "rows": [row.to_csv() for row in rows],
+        "rows": [row.to_csv() for row in mdim_report(delta, N, eps)],
     }
 
 
-PAYLOAD_BUILDERS = {
-    "cube-width-map": _payload_cube_width_map,
-    "gromov-fiber-batch": _payload_gromov_fiber_batch,
-    "ocap-report": _payload_ocap,
-    "sbp-refine": _payload_sbp,
-    "counterexample-instance": _payload_counterexample_build,
-    "count-report": _payload_count_report,
-    "counterexample-fiber-batch": _payload_fiber_batch,
-    "mdim-report": _payload_mdim_report,
-}
+_MAP = dict(n=_INTEGER, m=_INTEGER, eps=_RATIONAL)
+_FACTOR = dict(delta=_RATIONAL, eps=_RATIONAL, N=_INTEGER, seed=_INTEGER)
+_SAMPLING = dict(samples=_INTEGER, seed=_INTEGER, trials=_INTEGER, eta=_or_null(_RATIONAL))
 
-# each kind's recipe fields: exactly what its builder reads, and what its
-# command writes
-RECIPE_FIELDS = {
-    "cube-width-map": ("n", "m", "eps"),
-    "gromov-fiber-batch": ("n", "m", "eps", "samples", "seed", "trials", "eta"),
-    "ocap-report": ("sft", "set", "N"),
-    "sbp-refine": ("sft", "cover", "delta"),
-    "counterexample-instance": ("delta", "eps", "N", "seed"),
-    "count-report": ("delta", "eps", "N", "seed", "samples"),
-    "counterexample-fiber-batch": ("delta", "eps", "N", "seed", "samples", "trials", "eta"),
-    "mdim-report": ("delta", "eps", "N"),
+# each artifact kind's row: its recipe fields, exactly what its command
+# writes and its builder reads, with their types; and the builder, which
+# takes the fields' values by name
+KINDS = {
+    "cube-width-map": (_MAP, cube_width_map_payload),
+    "gromov-fiber-batch": ({**_MAP, **_SAMPLING}, _payload_gromov_fiber_batch),
+    "ocap-report": (dict(sft=_sft, set=_constraints, N=_or_null(_INTEGER)), _payload_ocap),
+    "sbp-refine": (dict(sft=_sft, cover=_list_of(_constraints), delta=_RATIONAL), _payload_sbp),
+    "counterexample-instance": (_FACTOR, _payload_counterexample_build),
+    "count-report": ({**_FACTOR, "samples": _INTEGER}, _payload_count_report),
+    "counterexample-fiber-batch": ({**_FACTOR, **_SAMPLING}, _payload_fiber_batch),
+    "mdim-report": (
+        dict(delta=_RATIONAL, eps=_list_of(_RATIONAL), N=_list_of(_INTEGER)),
+        _payload_mdim_report,
+    ),
 }
 
 
-# what a recipe or an input document of the wrong shape raises
-_MALFORMED = (KeyError, TypeError, ValueError)
+def _read_recipe(kind: str, recipe) -> dict:
+    """The values of a `kind` recipe, each field read through its type in
+    the kind's row. A recipe that is not an object, and an unknown, missing,
+    mistyped or non-canonically spelled field, raise PreconditionError
+    naming it."""
+    if not isinstance(recipe, dict):
+        raise PreconditionError(f"{kind} recipe is not an object")
+    fields = KINDS[kind][0]
+    for key in recipe:
+        if key not in fields:
+            raise PreconditionError(f"{kind} recipe has unknown field {key!r}")
+    values = {}
+    for key, read in fields.items():
+        if key not in recipe:
+            raise PreconditionError(f"{kind} recipe lacks field {key!r}")
+        try:
+            values[key] = read(recipe[key])
+        except ValueError as exc:
+            raise PreconditionError(f"recipe field {key!r} {exc}") from exc
+    return values
 
 
-def _build_payload(kind: str, recipe: dict) -> dict:
+def _load_json(path: str):
+    """The JSON document in an input file. A missing or unreadable file,
+    text that is not JSON and a document nested too deep for the
+    interpreter's stack raise PreconditionError."""
     try:
-        return PAYLOAD_BUILDERS[kind](recipe)
-    except _MALFORMED as exc:
-        raise PreconditionError(f"malformed {kind} recipe: {exc!r}") from exc
-
-
-def _load_json(path: str, parse=lambda data: data):
-    """The JSON document in an input file, passed through `parse`. A missing
-    or unreadable file, text that is not JSON, a document nested too deep
-    for the interpreter's stack and a document of the wrong shape for
-    `parse` all raise PreconditionError."""
-    try:
-        return parse(json.loads(Path(path).read_text()))
-    except (OSError, RecursionError, *_MALFORMED) as exc:
+        return json.loads(Path(path).read_text())
+    except (OSError, RecursionError, ValueError) as exc:
         raise PreconditionError(f"cannot read {path}: {exc!r}") from exc
 
 
 def write_artifact(path: str | None, kind: str, recipe: dict) -> dict:
-    """Build the artifact of `kind` from `recipe`, and write it to `path`
-    unless `path` is None."""
-    payload = _build_payload(kind, recipe)
+    """Build the artifact of `kind` from `recipe`, read through the kind's
+    row, and write it to `path` unless `path` is None."""
+    payload = KINDS[kind][1](**_read_recipe(kind, recipe))
     artifact = {"kind": kind, "recipe": recipe, "payload": payload}
     if path is not None:
         Path(path).write_text(canonical_json(artifact) + "\n")
@@ -405,27 +429,22 @@ class VerifyCounts(NamedTuple):
 
 
 def verify_artifact(path: str) -> VerifyCounts:
-    """Check that the recipe holds exactly its kind's RECIPE_FIELDS,
-    re-discharge structural obligations arithmetically, then rebuild the
-    payload from the recipe and require byte-identical canonical JSON; a
-    count report with violations then fails as `check-counts` does. Return
-    the counts of what was checked."""
+    """Read the recipe through its kind's row of KINDS, as the command that
+    wrote it did, so an unknown, missing, mistyped or non-canonically
+    spelled field exits 2 before any record is re-checked; re-discharge
+    structural obligations arithmetically, then rebuild the payload from
+    the recipe's values and require byte-identical canonical JSON; a count
+    report with violations then fails as `check-counts` does. Return the
+    counts of what was checked."""
     artifact = _load_json(path)
     if not isinstance(artifact, dict):
         raise PreconditionError("artifact is not a JSON object")
     kind = artifact.get("kind")
-    if not isinstance(kind, str) or kind not in PAYLOAD_BUILDERS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise PreconditionError(f"unknown artifact kind {kind!r}")
-    recipe = artifact.get("recipe")
-    if not isinstance(recipe, dict) or "payload" not in artifact:
-        raise PreconditionError("artifact needs an object recipe and a payload")
-    fields = RECIPE_FIELDS[kind]
-    for key in recipe:
-        if key not in fields:
-            raise PreconditionError(f"{kind} recipe has unknown field {key!r}")
-    for key in fields:
-        if key not in recipe:
-            raise PreconditionError(f"{kind} recipe lacks field {key!r}")
+    if "payload" not in artifact:
+        raise PreconditionError("artifact needs a payload")
+    values = _read_recipe(kind, artifact.get("recipe"))
     # spelled first: a payload that `json` reads may still be too deep to
     # spell, and then neither the comparison below nor the witness file of
     # a failed record in it could be written
@@ -451,7 +470,7 @@ def verify_artifact(path: str) -> VerifyCounts:
             raise ObligationFailedError(record)
         if record.kind == SAMPLED:
             sampled.append(record)
-    rebuilt = _build_payload(kind, recipe)
+    rebuilt = KINDS[kind][1](**values)
     recomputed = canonical_json(rebuilt)
     if original != recomputed:
         raise ObligationFailedError(
@@ -472,27 +491,23 @@ def verify_artifact(path: str) -> VerifyCounts:
 # ---------------------------------------------------------------------------
 
 
-def _map_recipe(artifact) -> dict:
-    if not isinstance(artifact, dict) or artifact.get("kind") != "cube-width-map":
-        raise PreconditionError("fiber-check expects a cube-width-map artifact")
-    recipe = artifact["recipe"]
-    return {key: recipe[key] for key in ("n", "m", "eps")}
-
-
-def _options(ns, *skip) -> dict:
-    """The command's parsed options as recipe fields: every option but the
-    command, the action, the output path and the names in `skip`."""
-    dropped = {"command", "action", "out", *skip}
-    return {key: value for key, value in to_jsonable(vars(ns)).items() if key not in dropped}
+def _recipe(kind: str, options: dict) -> dict:
+    """A command's `kind` recipe: each field of the kind's row, from the
+    option or the input document of its name in `options`."""
+    return {key: options[key] for key in KINDS[kind][0]}
 
 
 def _cmd_gromov(ns) -> int:
     if ns.action == "build":
-        artifact = write_artifact(ns.out, "cube-width-map", _options(ns))
+        artifact = write_artifact(ns.out, "cube-width-map", _recipe("cube-width-map", vars(ns)))
         print(f"wrote {ns.out}: grid {artifact['payload']['grid']}, "
               f"fiber bound {artifact['payload']['fiber_bound']}")
         return 0
-    recipe = dict(_load_json(ns.map_file, _map_recipe), **_options(ns, "map_file"))
+    document = _load_json(ns.map_file)
+    if not isinstance(document, dict) or document.get("kind") != "cube-width-map":
+        raise PreconditionError("fiber-check expects a cube-width-map artifact")
+    _read_recipe("cube-width-map", document.get("recipe"))
+    recipe = _recipe("gromov-fiber-batch", {**vars(ns), **document["recipe"]})
     out = ns.out or (ns.map_file + ".fibers.json")
     artifact = write_artifact(out, "gromov-fiber-batch", recipe)
     dims = [c["target_dim"] for c in artifact["payload"]["certificates"]]
@@ -503,22 +518,16 @@ def _cmd_gromov(ns) -> int:
 
 
 def _cmd_ocap(ns) -> int:
-    recipe = {
-        "sft": _load_json(ns.sft),
-        "set": _load_json(ns.set_file),
-        "N": ns.N,  # None for --limit
-    }
+    files = {"sft": _load_json(ns.sft), "set": _load_json(ns.set_file)}
+    recipe = _recipe("ocap-report", {**vars(ns), **files})  # N is None for --limit
     payload = write_artifact(ns.out, "ocap-report", recipe)["payload"]
     print(payload["value"])
     return 0
 
 
 def _cmd_sbp(ns) -> int:
-    recipe = {
-        "sft": _load_json(ns.sft),
-        "cover": [_load_json(c) for c in ns.cover],
-        "delta": format_fraction(ns.delta),
-    }
+    files = {"sft": _load_json(ns.sft), "cover": [_load_json(c) for c in ns.cover]}
+    recipe = _recipe("sbp-refine", {**vars(ns), **files})
     payload = write_artifact(ns.out, "sbp-refine", recipe)["payload"]
     for i, piece in enumerate(payload["pieces"], start=1):
         print(f"piece {i}: offset {piece['offset']}, {len(piece['words'])} words")
@@ -527,23 +536,15 @@ def _cmd_sbp(ns) -> int:
 
 
 def _cmd_counterexample(ns) -> int:
-    recipe = _options(ns)
-    if ns.action == "report":
-        payload = write_artifact(ns.out, "mdim-report", recipe)["payload"]
-        print(payload["header"])
-        for row in payload["rows"]:
-            print(row)
-        return 0
-    kinds = {
-        "build": "counterexample-instance",
-        "check-counts": "count-report",
-        "fiber-cert": "counterexample-fiber-batch",
-    }
-    kind = kinds[ns.action]
-    out = ns.out or f"counterexample-{ns.action}.json"
-    artifact = write_artifact(out, kind, recipe)
+    kind = {"build": "counterexample-instance", "check-counts": "count-report",
+            "fiber-cert": "counterexample-fiber-batch", "report": "mdim-report"}[ns.action]
+    # a report is printed, and written only to an --out path
+    out = ns.out or (None if kind == "mdim-report" else f"counterexample-{ns.action}.json")
+    artifact = write_artifact(out, kind, _recipe(kind, vars(ns)))
     payload = artifact["payload"]
-    if kind == "count-report":
+    if kind == "mdim-report":
+        print("\n".join([payload["header"], *payload["rows"]]))
+    elif kind == "count-report":
         print(
             f"max nonzero count {payload['max_count']} < bound {payload['bound']} "
             f"(block form {payload['block_bound']}); violations: {payload['violations']}"
@@ -555,9 +556,7 @@ def _cmd_counterexample(ns) -> int:
         _raise_on_failed_obligations(artifact)
     else:
         print(f"wrote {out}")
-        for name, value, kind_tag in (
-            (row[0], row[1], row[2]) for row in payload["checks"]
-        ):
+        for name, value, kind_tag in payload["checks"]:
             print(f"  [{kind_tag}] {name}: {value}")
     return 0
 

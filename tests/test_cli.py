@@ -23,7 +23,7 @@ from meandim.certificates import (
     DischargeRecord,
     structural_record,
 )
-from meandim.cli import PAYLOAD_BUILDERS, main
+from meandim.cli import KINDS, main
 from meandim.counterexample import CounterexampleParams, CountReport, wedge_cone_embedding
 from meandim.serialize import canonical_json
 from meandim.symbolic import CylinderSet
@@ -154,6 +154,30 @@ class TestOcapCommand:
         assert main(["verify", str(out)]) == 4
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.count("budget exceeded") == 2
+
+    def test_sft_with_a_key_nothing_reads_exits_2(self, workdir, capsys):
+        # an SFT holds exactly its alphabet and transitions, in an --sft
+        # file and in a recipe alike; an accepted file is copied as it is
+        # spelled, its transitions in the file's order
+        sft, one = write_golden(workdir)
+        bogus = workdir / "bogus.json"
+        bogus.write_text(json.dumps(dict(golden_mean().to_json_dict(), bogus=1)))
+        assert main(["ocap", "--sft", str(bogus), "--set", str(one), "--limit"]) == 2
+        assert main(["sbp", "refine", "--sft", str(bogus), "--cover", str(one), str(one),
+                     "--delta", "1/2"]) == 2
+        reordered = golden_mean().to_json_dict()
+        reordered["transitions"].reverse()
+        sft.write_text(json.dumps(reordered))
+        out = workdir / "ocap.json"
+        assert main(["ocap", "--sft", str(sft), "--set", str(one), "--limit",
+                     "--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        assert artifact["recipe"]["sft"] == reordered
+        assert main(["verify", str(out)]) == 0
+        artifact["recipe"]["sft"]["bogus"] = 1
+        out.write_text(json.dumps(artifact))
+        assert main(["verify", str(out)]) == 2
+        assert capsys.readouterr().err.count("error: recipe field 'sft' must be an object") == 3
 
     @pytest.mark.parametrize("offset", [0.5, "0", True, False])
     def test_non_integer_offset_exits_2(self, workdir, capsys, offset):
@@ -869,6 +893,28 @@ class TestVerify:
             assert main(["verify", str(out)]) == 2, (key, wrong)
             assert f"recipe field {key!r} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key, spellings", [
+        (_GROMOV_MAP, "eps", ["2/4", " 1/2", "1/2 ", 0.5]),
+        (["counterexample", "build", *_FACTOR], "delta", ["2/4", "+1/2", "01/2", 0.5]),
+    ])
+    def test_noncanonical_recipe_rational_exits_2(self, workdir, capsys, argv, key, spellings):
+        # a recipe rational has one spelling, "p/q" in lowest terms, so no
+        # two byte-distinct files of one artifact both verify; a command
+        # writes its option in that spelling whichever one it was given
+        out = workdir / "artifact.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        for spelling in spellings[:3]:
+            given = [spelling if arg == "1/2" else arg for arg in argv]
+            assert main(given + ["--out", "given.json"]) == 0, spelling
+            assert (workdir / "given.json").read_bytes() == out.read_bytes(), spelling
+        for spelling in spellings:
+            artifact["recipe"][key] = spelling
+            out.write_text(json.dumps(artifact))
+            capsys.readouterr()
+            assert main(["verify", str(out)]) == 2, spelling
+            assert f"recipe field {key!r} must be a rational" in capsys.readouterr().err
+
     @pytest.mark.parametrize("slack, code", [(0, 0), (-1, 4)])
     def test_sampling_budget_counts_samples_trials_and_window(
         self, workdir, monkeypatch, slack, code
@@ -940,7 +986,7 @@ def test_every_structural_record_round_trips_through_its_row(workdir, fiber_cert
     assert reached == set(STRUCTURAL_CHECKS)
 
 
-# One small artifact of each kind in cli.PAYLOAD_BUILDERS, with the SHA-256
+# One small artifact of each kind in cli.KINDS, with the SHA-256
 # of the file `--out` writes (canonical JSON plus a newline) and of its
 # payload's canonical JSON. A change that alters any artifact's bytes must
 # update its digest here and say why; a payload digest changes only with
@@ -999,10 +1045,27 @@ UNREAD_RECIPE_KEYS = {
 }
 
 
+# each field's wrong types, by the JSON type of its value: an integer as a
+# string, a float or a boolean; a rational as a float, a spelling other than
+# its own or a list; a null (an unset `eta`, the `N` of `ocap --limit`) as
+# each of these that neither type reads; an SFT object, a set's constraint
+# list and a cover as a string or an integer. A list of numbers (a report's
+# `eps` and `N`) has its item retyped.
+RETYPED = {int: ["8", 8.0, True], str: [0.5, "2/4", [1]], type(None): [8.0, True, 0.5, "2/4", [1]]}
+
+
+def retyped(value) -> list:
+    if isinstance(value, list) and value and not isinstance(value[0], list):
+        return [[wrong] for wrong in retyped(value[0])]
+    return RETYPED.get(type(value), ["8", 8])
+
+
 def test_every_recipe_key_is_read(workdir, capsys):
-    """Deleting any one key of a recipe, or adding one that its builder does
-    not read, makes `verify` exit 2 naming the key, on every kind; the keys
-    that earlier versions also wrote are refused too."""
+    """Deleting any one key of a recipe, adding one that its builder does
+    not read, or giving one a value of the wrong type, makes `verify` exit 2
+    naming the key, on every kind; the keys that earlier versions also
+    wrote are refused too. `gromov fiber-check` reads its map file through
+    the same row, so it refuses every mutant of the map alike."""
     write_golden(workdir)
     (workdir / "zero.json").write_text(json.dumps([[0, "0"]]))
     assert main(_GROMOV_MAP + ["--out", "map.json"]) == 0
@@ -1015,20 +1078,27 @@ def test_every_recipe_key_is_read(workdir, capsys):
         kind, recipe = artifact["kind"], artifact["recipe"]
         kinds.add(kind)
         mutants = [
-            ({k: v for k, v in recipe.items() if k != key}, f"lacks field {key!r}")
+            ({k: v for k, v in recipe.items() if k != key}, f"{kind} recipe lacks field {key!r}")
             for key in recipe
         ] + [
-            (dict(recipe, **{key: value}), f"has unknown field {key!r}")
+            (dict(recipe, **{key: value}), f"{kind} recipe has unknown field {key!r}")
             for key, value in UNREAD_RECIPE_KEYS.items() if key not in recipe
+        ] + [
+            (dict(recipe, **{key: wrong}), f"recipe field {key!r}")
+            for key, value in recipe.items() for wrong in retyped(value)
         ]
         for changed, message in mutants:
             mutant.write_text(json.dumps(dict(artifact, recipe=changed)))
             capsys.readouterr()
             assert main(["verify", str(mutant)]) == 2, (args, changed)
-            assert f"error: {kind} recipe {message}" in capsys.readouterr().err
+            assert f"error: {message}" in capsys.readouterr().err, (args, changed)
+            if kind == "cube-width-map":
+                assert main(["gromov", "fiber-check", str(mutant), "--samples", "1",
+                             "--trials", "5", "--out", "fibers.json"]) == 2, changed
+                assert f"error: {message}" in capsys.readouterr().err, changed
         mutant.write_text(json.dumps(artifact))
         assert main(["verify", str(mutant)]) == 0, args
-    assert kinds == set(cli.RECIPE_FIELDS) == set(cli.PAYLOAD_BUILDERS)
+    assert kinds == set(cli.KINDS)
 
 
 # options that no payload of the action reads, a second --eps or --N where
@@ -1087,7 +1157,7 @@ def test_readme_commands_parse():
 
 
 def test_golden_artifact_digests(workdir):
-    assert sorted(kind for kind, _, _, _ in GOLDEN_DIGESTS) == sorted(PAYLOAD_BUILDERS)
+    assert sorted(kind for kind, _, _, _ in GOLDEN_DIGESTS) == sorted(KINDS)
     write_golden(workdir)
     (workdir / "zero.json").write_text(json.dumps([[0, "0"]]))
     for kind, args, file_digest, payload_digest in GOLDEN_DIGESTS:

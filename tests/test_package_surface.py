@@ -75,7 +75,6 @@ DEFAULTS = {
     "a map into flat coordinates such as the empty fiber's",
     "certificates.sample_fiber_check.eta": "None is the recipe's unset eta, read as eps/100",
     "certificates.check_certificate.eta": "None is the recipe's unset eta, read as eps/100",
-    "cli._load_json.parse": "most input files are read as they are",
     "cli.main.argv": "None reads sys.argv, as the console script calls it",
     "counterexample.CounterexampleParams.__init__.seed": "a recipe's seed, 0 when unset",
     "counterexample.build_sbp_instance.pieces": "None refines the cover; given pieces build "
